@@ -87,16 +87,17 @@ bench-diff:
 # registry-dispatch, the streaming-statistics and the
 # checkpoint-cadence benchmarks (fast path, Newton baseline, CUT
 # output, trial templates, fault table, batched vs scalar capture,
-# Reduce vs Run, spec dispatch, sketch push, streamed null calibration,
-# span reduction with/without a checkpoint sink) — proves the hot paths
-# still execute end to end.
+# streaming reduction, spec dispatch, sketch push, streamed null
+# calibration, span reduction with/without a checkpoint sink) — proves
+# the hot paths still execute end to end.
 bench-smoke:
-	$(GO) test -bench='TransientTowThomas|SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|AveragedNDF|BankClassify|RegistryDispatch|CampaignReduce1M|CampaignRun1M|QuantileSketchPush|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
+	$(GO) test -bench='TransientTowThomas|SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|AveragedNDF|BankClassify|RegistryDispatch|CampaignReduce1M|QuantileSketchPush|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
 
 # Short-budget fuzz pass over the SPICE netlist parser, the signature
 # binary decoder, the trial-template mutation engine, the streaming
-# statistics codecs, the fabric job-log replay and the shard accumulator
-# codecs (seed corpora are checked in under testdata/fuzz). Each target
+# statistics codecs, the fabric job-log replay, the shard accumulator
+# codecs and the campaign spec ingress (seed corpora are checked in
+# under testdata/fuzz). Each target
 # gets 10s — enough to exercise the mutator on every seed class without
 # blowing the CI budget. `go test -fuzz` accepts one target per
 # invocation, hence the per-target runs.
@@ -109,6 +110,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzStreamingHistogramUnmarshal$$' -fuzztime=10s ./internal/stat
 	$(GO) test -run=^$$ -fuzz='^FuzzJobLogReplay$$' -fuzztime=10s ./internal/fabric
 	$(GO) test -run=^$$ -fuzz='^FuzzShardBlobUnmarshal$$' -fuzztime=10s ./internal/testbench
+	$(GO) test -run=^$$ -fuzz='^FuzzSpecDecode$$' -fuzztime=10s ./internal/testbench
 
 # HTTP service smoke: boot mcserved on an ephemeral port and run one
 # small campaign through its own API (list, submit, poll, result).

@@ -25,15 +25,28 @@ import (
 	"repro/internal/zone"
 )
 
+// runCampaign runs a registry campaign through testbench.Run — on sys
+// when it is non-nil, else on the system the spec names — and returns
+// its typed payload.
+func runCampaign[R any](b *testing.B, sys *core.System, spec testbench.Spec) *R {
+	b.Helper()
+	var opts []testbench.Option
+	if sys != nil {
+		opts = append(opts, testbench.WithSystem(sys))
+	}
+	res, err := testbench.Run(context.Background(), spec, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Payload.(*R)
+}
+
 // FIG1: Lissajous composition, nominal vs +10% f0 (Fig. 1).
 func BenchmarkFig1Lissajous(b *testing.B) {
 	sys := core.Default()
 	var maxDev float64
 	for i := 0; i < b.N; i++ {
-		f, err := testbench.RunFig1(sys, 0.10, 512)
-		if err != nil {
-			b.Fatal(err)
-		}
+		f := runCampaign[testbench.Fig1](b, sys, testbench.Spec{Campaign: "fig1", Params: testbench.Fig1Params{Shift: 0.10, Points: 512}})
 		maxDev = 0
 		for j := range f.Golden {
 			dx := f.Golden[j].X - f.Defective[j].X
@@ -68,10 +81,7 @@ func BenchmarkTable1Configs(b *testing.B) {
 // (one MNA-extracted boundary point per iteration) next to the analytic
 // family.
 func BenchmarkFig4Boundaries(b *testing.B) {
-	f, err := testbench.RunFig4(41)
-	if err != nil {
-		b.Fatal(err)
-	}
+	f := runCampaign[testbench.Fig4](b, nil, testbench.Spec{Campaign: "fig4", Params: testbench.Fig4Params{Points: 41}})
 	total := 0
 	for _, c := range f.Curves {
 		total += len(c)
@@ -97,10 +107,7 @@ func BenchmarkFig4Boundaries(b *testing.B) {
 func BenchmarkFig4MonteCarlo(b *testing.B) {
 	var inside float64
 	for i := 0; i < b.N; i++ {
-		env, err := testbench.RunFig4MC(2, 60, 15, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
+		env := runCampaign[testbench.Fig4MC](b, nil, testbench.Spec{Campaign: "fig4mc", Seed: 7, Params: testbench.Fig4MCParams{Monitor: 2, Dies: 60, Cols: 15}})
 		inside = env.NominalInsideEnvelope()
 	}
 	b.ReportMetric(inside, "nominal_inside")
@@ -127,10 +134,7 @@ func BenchmarkFig7Chronogram(b *testing.B) {
 	sys := core.Default()
 	var v float64
 	for i := 0; i < b.N; i++ {
-		f, err := testbench.RunFig7(sys, 0.10, 400)
-		if err != nil {
-			b.Fatal(err)
-		}
+		f := runCampaign[testbench.Fig7](b, sys, testbench.Spec{Campaign: "fig7", Params: testbench.Fig7Params{Shift: 0.10, Points: 400}})
 		v = f.NDF
 	}
 	// Paper reference value: 0.1021.
@@ -142,10 +146,7 @@ func BenchmarkFig8NDFSweep(b *testing.B) {
 	sys := core.Default()
 	var left, right float64
 	for i := 0; i < b.N; i++ {
-		f, err := testbench.RunFig8(sys, 0.20, 9, 0.05)
-		if err != nil {
-			b.Fatal(err)
-		}
+		f := runCampaign[testbench.Fig8](b, sys, testbench.Spec{Campaign: "fig8", Params: testbench.Fig8Params{MaxDev: 0.20, Points: 9, Tol: 0.05}})
 		left, right = f.NDFs[0], f.NDFs[len(f.NDFs)-1]
 	}
 	b.ReportMetric(left, "NDF@-20%")
@@ -157,10 +158,7 @@ func BenchmarkNoiseDetection(b *testing.B) {
 	sys := core.Default()
 	var det1 float64
 	for i := 0; i < b.N; i++ {
-		n, err := testbench.RunNoiseDetection(sys, 0.005, []float64{0.01}, 8, 8, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
+		n := runCampaign[testbench.Noise](b, sys, testbench.Spec{Campaign: "noise", Seed: 42, Params: testbench.NoiseParams{Sigma: 0.005, Devs: []float64{0.01}, NullTrials: 8, Trials: 8}})
 		det1 = n.Detect[0]
 	}
 	b.ReportMetric(det1, "detect@1%")
@@ -171,10 +169,7 @@ func BenchmarkAblationLinearZoning(b *testing.B) {
 	sys := core.Default()
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		a, err := testbench.RunAblLinear(sys, []float64{-0.10, 0.10})
-		if err != nil {
-			b.Fatal(err)
-		}
+		a := runCampaign[testbench.AblLinear](b, sys, testbench.Spec{Campaign: "linear", Params: testbench.LinearParams{Devs: []float64{-0.10, 0.10}}})
 		ratio = a.LinearUm2 / a.NonlinearUm2
 	}
 	b.ReportMetric(ratio, "area_ratio_linear/nonlinear")
@@ -185,10 +180,7 @@ func BenchmarkAblationCounter(b *testing.B) {
 	sys := core.Default()
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		a, err := testbench.RunAblCounter(sys, 0.10, []int{8, 16}, []float64{1e6, 10e6})
-		if err != nil {
-			b.Fatal(err)
-		}
+		a := runCampaign[testbench.AblCounter](b, sys, testbench.Spec{Campaign: "counter", Params: testbench.CounterParams{Shift: 0.10, Bits: []int{8, 16}, Clocks: []float64{1e6, 10e6}}})
 		worst = 0
 		for _, row := range a.AbsErr {
 			for _, e := range row {
@@ -206,12 +198,7 @@ func BenchmarkAblationRegression(b *testing.B) {
 	sys := core.Default()
 	var rmse float64
 	for i := 0; i < b.N; i++ {
-		a, err := testbench.RunAblRegression(sys,
-			[]float64{-0.20, -0.15, -0.10, -0.06, -0.03, 0, 0.03, 0.06, 0.10, 0.15, 0.20},
-			[]float64{-0.12, -0.04, 0.07, 0.12})
-		if err != nil {
-			b.Fatal(err)
-		}
+		a := runCampaign[testbench.AblRegression](b, sys, testbench.Spec{Campaign: "regress", Params: testbench.RegressParams{TrainDevs: []float64{-0.20, -0.15, -0.10, -0.06, -0.03, 0, 0.03, 0.06, 0.10, 0.15, 0.20}, TestDevs: []float64{-0.12, -0.04, 0.07, 0.12}}})
 		rmse = a.TestRMSE
 	}
 	b.ReportMetric(rmse, "heldout_RMSE")
@@ -222,10 +209,7 @@ func BenchmarkExtensionQVerification(b *testing.B) {
 	sys := core.Default()
 	var bp20 float64
 	for i := 0; i < b.N; i++ {
-		e, err := testbench.RunExtQ(sys, []float64{0.20})
-		if err != nil {
-			b.Fatal(err)
-		}
+		e := runCampaign[testbench.ExtQ](b, sys, testbench.Spec{Campaign: "q", Params: testbench.QParams{Devs: []float64{0.20}}})
 		bp20 = e.BPNDF[0]
 	}
 	b.ReportMetric(bp20, "BP_NDF@Q+20%")
@@ -240,10 +224,7 @@ func BenchmarkExtensionFaultCampaign(b *testing.B) {
 	}
 	var coverage float64
 	for i := 0; i < b.N; i++ {
-		tab, err := testbench.RunFaultTable(sys, dec, testbench.DefaultFaultSet())
-		if err != nil {
-			b.Fatal(err)
-		}
+		tab := runCampaign[testbench.FaultTable](b, sys, testbench.Spec{Campaign: "faults", Params: testbench.FaultsParams{Threshold: &dec.Threshold, Faults: testbench.DefaultFaultSet()}})
 		coverage = tab.Coverage()
 	}
 	b.ReportMetric(coverage, "coverage")
@@ -254,10 +235,7 @@ func BenchmarkAblationMetric(b *testing.B) {
 	sys := core.Default()
 	var ndfRes, editRes float64
 	for i := 0; i < b.N; i++ {
-		a, err := testbench.RunAblMetric(sys, []float64{-0.05, -0.02, -0.005, 0.005, 0.02, 0.05})
-		if err != nil {
-			b.Fatal(err)
-		}
+		a := runCampaign[testbench.AblMetric](b, sys, testbench.Spec{Campaign: "metric", Params: testbench.MetricParams{Devs: []float64{-0.05, -0.02, -0.005, 0.005, 0.02, 0.05}}})
 		ndfRes, editRes = a.SmallestMoved()
 	}
 	b.ReportMetric(ndfRes, "NDF_resolution")
@@ -269,10 +247,7 @@ func BenchmarkExtensionTempDrift(b *testing.B) {
 	sys := core.Default()
 	var at350 float64
 	for i := 0; i < b.N; i++ {
-		td, err := testbench.RunTempDrift(sys, []float64{350})
-		if err != nil {
-			b.Fatal(err)
-		}
+		td := runCampaign[testbench.TempDrift](b, sys, testbench.Spec{Campaign: "temp", Params: testbench.TempParams{TempsK: []float64{350}}})
 		at350 = td.NDFs[0]
 	}
 	b.ReportMetric(at350, "NDF@350K")
@@ -283,12 +258,7 @@ func BenchmarkAblationSpectral(b *testing.B) {
 	sys := core.Default()
 	var rmse float64
 	for i := 0; i < b.N; i++ {
-		a, err := testbench.RunAblSpectral(sys,
-			[]float64{-0.20, -0.10, -0.03, 0, 0.03, 0.10, 0.20},
-			[]float64{-0.12, 0.07})
-		if err != nil {
-			b.Fatal(err)
-		}
+		a := runCampaign[testbench.AblSpectral](b, sys, testbench.Spec{Campaign: "spectral", Params: testbench.SpectralParams{TrainDevs: []float64{-0.20, -0.10, -0.03, 0, 0.03, 0.10, 0.20}, TestDevs: []float64{-0.12, 0.07}}})
 		rmse = a.SpectralRMSE
 	}
 	b.ReportMetric(rmse, "spectral_RMSE")
@@ -299,11 +269,7 @@ func BenchmarkNoiseResolutionSweep(b *testing.B) {
 	sys := core.Default()
 	var at5mV float64
 	for i := 0; i < b.N; i++ {
-		ns, err := testbench.RunNoiseSweep(sys, []float64{0.005},
-			[]float64{0.005, 0.01, 0.02, 0.05}, 6, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
+		ns := runCampaign[testbench.NoiseSweep](b, sys, testbench.Spec{Campaign: "noisesweep", Seed: 7, Params: testbench.NoiseSweepParams{Sigmas: []float64{0.005}, DevGrid: []float64{0.005, 0.01, 0.02, 0.05}, Trials: 6}})
 		at5mV = ns.MinDetectable[0]
 	}
 	b.ReportMetric(at5mV, "min_detectable@5mV")
@@ -487,10 +453,7 @@ func BenchmarkExtensionYield(b *testing.B) {
 	}
 	var defect, overkill float64
 	for i := 0; i < b.N; i++ {
-		y, err := testbench.RunYield(sys, dec, 120, 0.02, 0.05, 11)
-		if err != nil {
-			b.Fatal(err)
-		}
+		y := runCampaign[testbench.Yield](b, sys, testbench.Spec{Campaign: "yield", Seed: 11, Params: testbench.YieldParams{N: 120, ComponentSigma: 0.02, Tol: 0.05, Threshold: &dec.Threshold}})
 		defect, overkill = y.DefectLevel(), y.OverkillRate()
 	}
 	b.ReportMetric(defect, "defect_level")
@@ -502,10 +465,7 @@ func BenchmarkExtensionCorners(b *testing.B) {
 	sys := core.Default()
 	var ss float64
 	for i := 0; i < b.N; i++ {
-		cd, err := testbench.RunCornerDrift(sys)
-		if err != nil {
-			b.Fatal(err)
-		}
+		cd := runCampaign[testbench.CornerDrift](b, sys, testbench.Spec{Campaign: "corners"})
 		ss = cd.NDFs[1]
 	}
 	b.ReportMetric(ss, "NDF@SS")
@@ -651,12 +611,10 @@ func BenchmarkFaultTableSpice(b *testing.B) {
 		{Kind: biquad.FaultOpen, Target: biquad.TargetRQ},
 		{Kind: biquad.FaultShort, Target: biquad.TargetC},
 	}
+	dec := ndf.Decision{Threshold: 0.02}
 	var coverage float64
 	for i := 0; i < b.N; i++ {
-		tab, err := testbench.RunFaultTable(sys, ndf.Decision{Threshold: 0.02}, faults)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tab := runCampaign[testbench.FaultTable](b, sys, testbench.Spec{Campaign: "faults", Params: testbench.FaultsParams{Threshold: &dec.Threshold, Faults: faults}})
 		coverage = tab.Coverage()
 	}
 	b.ReportMetric(coverage, "coverage")
@@ -671,10 +629,7 @@ func BenchmarkExtensionSelfTest(b *testing.B) {
 	}
 	var cov float64
 	for i := 0; i < b.N; i++ {
-		st, err := testbench.RunSelfTest(sys, dec)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := runCampaign[testbench.SelfTest](b, sys, testbench.Spec{Campaign: "selftest", Params: testbench.SelfTestParams{Threshold: &dec.Threshold}})
 		cov = st.Coverage()
 	}
 	b.ReportMetric(cov, "stuckat_coverage")
@@ -713,11 +668,9 @@ func BenchmarkRegistryDispatchJSON(b *testing.B) {
 	}
 }
 
-// ENGINE-REDUCE / ENGINE-RUN: the campaign engine's per-trial overhead
-// on a million trivial trials — the streaming reduction against the
-// materializing worker pool. Reduce's win (no result slots, chunked
-// progress ticks) is pinned >= 1.5x by TestReducePinnedThroughput; the
-// allocation column is the O(trials)-vs-O(workers) memory story.
+// ENGINE-REDUCE: the campaign engine's per-trial overhead on a million
+// trivial trials through the streaming reduction; the allocation column
+// is the O(workers + chunk) memory story.
 func BenchmarkCampaignReduce1M(b *testing.B) {
 	ctx := context.Background()
 	red := campaign.Reducer[float64, float64]{
@@ -735,21 +688,6 @@ func BenchmarkCampaignReduce1M(b *testing.B) {
 		}
 	}
 	b.ReportMetric(sum, "sum")
-}
-
-func BenchmarkCampaignRun1M(b *testing.B) {
-	ctx := context.Background()
-	b.ReportAllocs()
-	var out []float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		out, err = campaign.Run(ctx, campaign.Engine{Workers: 1}, 1_000_000,
-			func(i int) (float64, error) { return float64(i & 1), nil })
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(out)), "slots")
 }
 
 // ENGINE-CKPT: the durable fabric's checkpoint tax on the streaming

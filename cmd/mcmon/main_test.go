@@ -55,11 +55,31 @@ func materializedSpread(t *testing.T, monIdx, dies int, x float64, seed uint64) 
 	sum := stat.Summarize(ys)
 	fmt.Fprintf(&b, "\nboundary y at x = %.3f over %d dies: mean %.4f, std %.4f, 95%% [%.4f, %.4f]\n",
 		x, len(ys), sum.Mean, sum.Std, sum.P2_5, sum.P97_5)
-	h := stat.NewHistogram(sum.Min-1e-6, sum.Max+1e-6, 15)
+	b.WriteString(materializedHistogram(ys, sum.Min-1e-6, sum.Max+1e-6, 15, 40))
+	return b.String()
+}
+
+// materializedHistogram bins a retained sample into n equal bins over
+// [lo, hi) and renders the historic bar chart — bin center, a bar of
+// width scaled to the fullest bin, the count — one line per bin.
+func materializedHistogram(ys []float64, lo, hi float64, n, width int) string {
+	counts := make([]int, n)
 	for _, y := range ys {
-		h.Push(y)
+		if y < lo || y >= hi {
+			continue
+		}
+		counts[min(int(float64(n)*(y-lo)/(hi-lo)), n-1)]++
 	}
-	b.WriteString(h.ASCII(40))
+	maxC := 1
+	for _, c := range counts {
+		maxC = max(maxC, c)
+	}
+	var b strings.Builder
+	w := (hi - lo) / float64(n)
+	for i, c := range counts {
+		center := lo + (float64(i)+0.5)*w
+		fmt.Fprintf(&b, "%10.4g | %-*s %d\n", center, width, strings.Repeat("#", c*width/maxC), c)
+	}
 	return b.String()
 }
 

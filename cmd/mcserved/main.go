@@ -119,7 +119,7 @@ func run(ctx context.Context, addr, storeDir, logFormat string, smoke bool) erro
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: serve.AccessLog(os.Stderr, logFormat, mux)}
+	hs := newHTTPServer(serve.AccessLog(os.Stderr, logFormat, mux))
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 	fmt.Printf("mcserved listening on http://%s\n", ln.Addr())
@@ -295,7 +295,7 @@ func runFabricSmoke(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: fh}
+	hs := newHTTPServer(fh)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	baseURL := "http://" + ln.Addr().String()
@@ -357,4 +357,20 @@ func runFabricSmoke(ctx context.Context) error {
 	fmt.Println("fabric-smoke: dropped lease was re-issued; ghost token refused")
 	fmt.Printf("fabric-smoke: merged result bit-identical to single-node run\n%s", res.Text)
 	return nil
+}
+
+// Server timeouts. readHeaderTimeout bounds how long a client may take
+// to send its request headers, so a trickling client cannot hold a
+// connection open forever; idleTimeout bounds a kept-alive connection
+// between requests. There is deliberately no WriteTimeout: it would cut
+// off SSE /v1/jobs/{id}/events streams and long result downloads in the
+// middle of the response.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in an http.Server carrying the timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

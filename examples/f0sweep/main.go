@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -15,11 +16,14 @@ import (
 )
 
 func main() {
-	sys := core.Default()
-	fig, err := testbench.RunFig8(sys, 0.20, 41, 0.05)
+	res, err := testbench.Run(context.Background(), testbench.Spec{
+		Campaign: "fig8",
+		Params:   testbench.Fig8Params{MaxDev: 0.20, Points: 41, Tol: 0.05},
+	}, testbench.WithSystem(core.Default()))
 	if err != nil {
 		log.Fatal(err)
 	}
+	fig := res.Payload.(*testbench.Fig8)
 	fmt.Print(fig.Render())
 
 	// ASCII rendition of the V-shaped acceptance curve.

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,15 +15,19 @@ import (
 )
 
 func main() {
-	sys := core.Default()
 	const sigma = 0.005 // 3σ = 0.015 V, the paper's condition
 
 	fmt.Printf("measurement noise: sigma = %.3f V (3σ = %.3f V)\n\n", sigma, 3*sigma)
-	res, err := testbench.RunNoiseDetection(sys, sigma,
-		[]float64{0.005, 0.01, 0.02, 0.05, 0.10}, 25, 25, 2024)
+	out, err := testbench.Run(context.Background(), testbench.Spec{
+		Campaign: "noise",
+		Seed:     2024,
+		Params: testbench.NoiseParams{Sigma: sigma,
+			Devs: []float64{0.005, 0.01, 0.02, 0.05, 0.10}, NullTrials: 25, Trials: 25},
+	}, testbench.WithSystem(core.Default()))
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := out.Payload.(*testbench.Noise)
 	fmt.Print(res.Render())
 	fmt.Println("\npaper claim: deviations as low as 1% in f0 are detected under this noise.")
 	if len(res.Detect) >= 2 && res.Detect[1] > res.FalseRate {

@@ -23,12 +23,6 @@ type SpiceConfig struct {
 	// any practical bound; a capped settle mirrors a real tester's
 	// finite soak and still exposes the fault to the signature.
 	MaxSettlePeriods int
-	// Rebuild forces the rebuild-per-trial transient path even when the
-	// caller offers a trial scratch to OutputScratch. It is the reference
-	// configuration: the template-vs-rebuild bit-identity tests and the
-	// speedup pin run one campaign with Rebuild set and one without and
-	// require byte-equal results.
-	Rebuild bool
 	// Options passes through to the solver. Trapezoidal integration is
 	// forced on (second-order accuracy) unless ForceNewton-style
 	// debugging options are set by tests.

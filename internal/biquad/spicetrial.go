@@ -102,10 +102,10 @@ func settlingPeriods(p Params, period, frac float64) (int, error) {
 // scratch's compiled circuit template is refreshed to this CUT's
 // component values and rerun, skipping netlist elaboration, solver
 // construction and the per-CUT output cache. Samples are bit-identical
-// to Output at any worker count. With a nil scratch — or a config with
-// Rebuild set — it falls back to Output.
+// to Output at any worker count. With a nil scratch it falls back to
+// Output, the rebuild-per-trial reference path.
 func (s *SpiceCUT) OutputScratch(stim *wave.Multitone, out Output, sc *SpiceTrialScratch) (wave.Waveform, error) {
-	if sc == nil || s.cfg.Rebuild {
+	if sc == nil {
 		return s.Output(stim, out)
 	}
 	tr, err := s.prepareTrial(stim, out, sc)
@@ -192,13 +192,13 @@ type SpiceTrialBatch struct {
 //
 // emit(i, w) is called once per CUT, in completion order (not index
 // order); w aliases lane scratch and is valid only inside the call.
-// The CUTs must share one configuration — a mixed or Rebuild-configured
-// block, or a nil batch, falls back to the sequential scratch path.
+// The CUTs must share one configuration — a mixed block, or a nil batch,
+// falls back to the sequential scratch path.
 func SpiceOutputBatch(cuts []*SpiceCUT, stim *wave.Multitone, out Output, sb *SpiceTrialBatch, emit func(i int, w wave.Waveform) error) error {
 	if len(cuts) == 0 {
 		return nil
 	}
-	sequential := sb == nil || cuts[0].cfg.Rebuild
+	sequential := sb == nil
 	for _, c := range cuts {
 		if c.cfg != cuts[0].cfg {
 			sequential = true
@@ -207,11 +207,7 @@ func SpiceOutputBatch(cuts []*SpiceCUT, stim *wave.Multitone, out Output, sb *Sp
 	if sequential {
 		var sc SpiceTrialScratch
 		for i, c := range cuts {
-			psc := &sc
-			if c.cfg.Rebuild {
-				psc = nil
-			}
-			w, err := c.OutputScratch(stim, out, psc)
+			w, err := c.OutputScratch(stim, out, &sc)
 			if err != nil {
 				return err
 			}

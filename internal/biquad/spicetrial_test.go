@@ -63,9 +63,10 @@ func TestOutputScratchMatchesOutput(t *testing.T) {
 	}
 }
 
-// TestOutputScratchNilAndRebuildFallBack checks both fallbacks: a nil
-// scratch and a Rebuild-configured CUT must route to Output (observable
-// through its cache returning the identical waveform pointer).
+// TestOutputScratchNilAndRebuildFallBack checks the rebuild fallback: a
+// nil scratch must route to Output, the rebuild-per-trial path
+// (observable through its cache returning the identical waveform
+// pointer), on a cached CUT and on a fresh one.
 func TestOutputScratchNilAndRebuildFallBack(t *testing.T) {
 	stim := cutStimulus(t)
 	sp, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1}, trialConfig())
@@ -83,26 +84,20 @@ func TestOutputScratchNilAndRebuildFallBack(t *testing.T) {
 	if viaNil != cached {
 		t.Fatal("nil scratch did not fall back to the cached Output")
 	}
-	cfg := trialConfig()
-	cfg.Rebuild = true
-	spr, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1}, cfg)
+	fresh, err := sp.Perturb(Deviation{RDrift: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sc SpiceTrialScratch
-	a, err := spr.OutputScratch(stim, OutputLP, &sc)
+	a, err := fresh.(*SpiceCUT).OutputScratch(stim, OutputLP, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := spr.Output(stim, OutputLP)
+	b, err := fresh.Output(stim, OutputLP)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Fatal("Rebuild config did not fall back to Output")
-	}
-	if sc.tmpl != nil {
-		t.Fatal("Rebuild fallback still compiled a template")
+		t.Fatal("nil scratch on a fresh CUT did not run and cache Output")
 	}
 }
 
@@ -240,9 +235,9 @@ func TestSpiceOutputBatchMatchesOutput(t *testing.T) {
 }
 
 // TestSpiceOutputBatchFallsBackSequential checks the sequential routes:
-// a nil batch and a Rebuild-configured block must still emit one
-// waveform per CUT (through OutputScratch / Output), and an emit error
-// must stop the block.
+// a nil batch and a block mixing configurations must still emit one
+// waveform per CUT (through OutputScratch), and an emit error must stop
+// the block.
 func TestSpiceOutputBatchFallsBackSequential(t *testing.T) {
 	stim := cutStimulus(t)
 	sp, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1}, trialConfig())
@@ -250,17 +245,17 @@ func TestSpiceOutputBatchFallsBackSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := trialConfig()
-	cfg.Rebuild = true
-	spr, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1}, cfg)
+	cfg.SettleFrac = 1e-2
+	other, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, block := range map[string][]*SpiceCUT{
 		"nil batch": {sp, sp},
-		"rebuild":   {spr, spr},
+		"mixed":     {sp, other},
 	} {
 		var sb *SpiceTrialBatch
-		if name == "rebuild" {
+		if name == "mixed" {
 			sb = new(SpiceTrialBatch)
 		}
 		count := 0

@@ -3,8 +3,6 @@ package campaign
 import (
 	"context"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/rng"
 )
@@ -20,19 +18,20 @@ type Engine struct {
 	// streams (to stay bit-compatible with an older serial seeding
 	// order) never consult it.
 	Seed uint64
-	// Progress, when non-nil, is invoked after every completed trial with
-	// the number of trials finished so far and the total trial count
-	// (Reduce ticks it once per completed chunk instead, with the
-	// cumulative trial count). It may be called concurrently from several
-	// workers and must not block; the reported count never decreases and
-	// it observes the run but never affects its results.
+	// Progress, when non-nil, is invoked as chunks complete with the
+	// cumulative number of trials finished and the total trial count —
+	// once per trial under Collect, whose chunks are single trials. It
+	// may be called concurrently from several workers and must not block;
+	// the reported count strictly increases (a tick overtaken by a later
+	// one is dropped), it ends at (total, total) on success, and it
+	// observes the run but never affects its results.
 	Progress func(done, total int)
-	// Chunk is the number of trials one reduction chunk covers (Reduce
-	// only); <= 0 selects DefaultChunk. The chunk size is part of the
-	// result contract of a non-associative reduction: at a fixed chunk
-	// size the merged accumulator is bit-identical at any worker count,
-	// while different chunks may group floating-point folds
-	// differently. Run ignores it.
+	// Chunk is the number of trials one reduction chunk covers; <= 0
+	// selects DefaultChunk. The chunk size is part of the result
+	// contract of a non-associative reduction: at a fixed chunk size the
+	// merged accumulator is bit-identical at any worker count, while
+	// different chunks may group floating-point folds differently.
+	// Collect ignores it (ordered append is exactly associative).
 	Chunk int
 	// Checkpoint is the trial count between checkpoint callbacks of a
 	// span reduction (ReduceSpanScratch with a CheckpointFunc); <= 0
@@ -45,8 +44,8 @@ type Engine struct {
 	// Meter, when non-nil, observes the streaming reduction engine:
 	// pool size at ReduceStart, chunk fold start/completion events (see
 	// Meter). Like Progress it is called concurrently, must not block,
-	// and observes a run without affecting its results. Run/RunScratch
-	// ignore it — per-trial observation there is Progress.
+	// and observes a run without affecting its results. Collect ignores
+	// it — per-trial observation there is Progress.
 	Meter Meter
 }
 
@@ -78,99 +77,26 @@ func (e Engine) poolSize(n int) int {
 	return w
 }
 
-// Run executes n independent trials across the pool and returns their
-// results in trial order. A trial needing randomness derives its private
-// substream with e.Stream(i); it must not touch state shared with other
-// trials. On failure the error of the lowest-index failing trial is
-// returned; when ctx is cancelled mid-run, no further trials start and
-// ctx.Err() is returned once the in-flight trials drain.
-func Run[T any](ctx context.Context, e Engine, n int, trial func(i int) (T, error)) ([]T, error) {
-	return RunScratch(ctx, e, n,
-		func() struct{} { return struct{}{} },
-		func(i int, _ struct{}) (T, error) { return trial(i) })
-}
-
-// RunScratch is Run with per-worker scratch state: newScratch is called
-// once per worker and its value is threaded into every trial that worker
-// executes. Use it for reusable buffers (capture scratch, device slices)
-// so trial fan-out does not multiply allocations. Scratch must not affect
-// results — a trial reading stale scratch contents would break the
-// worker-count independence the engine guarantees.
-func RunScratch[T, S any](ctx context.Context, e Engine, n int, newScratch func() S, trial func(i int, scratch S) (T, error)) ([]T, error) {
+// Collect executes n independent trials across the pool and returns
+// their results in trial order — the materializing form of the engine
+// (O(n) memory), for fan-outs that need per-trial output. It is a span
+// reduction with an ordered-append reducer merging into a buffer sized
+// up front. Ordered append is exactly associative, so Collect ignores
+// Engine.Chunk and runs one trial per chunk: per-trial load balancing,
+// progress and cancellation latency. It also ignores Engine.Meter, which
+// stays a chunk-granular view of the streaming reductions.
+//
+// newScratch runs once per worker, as in ReduceScratch; scratch must not
+// affect results. Errors and cancellation behave as in Reduce. n <= 0
+// returns nil.
+func Collect[T, S any](ctx context.Context, e Engine, n int, newScratch func() S, trial func(i int, scratch S) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]T, n)
-	errs := make([]error, n)
-	var done atomic.Int64
-	tick := func() {
-		d := done.Add(1)
-		if e.Progress != nil {
-			e.Progress(int(d), n)
-		}
-	}
-	workers := e.poolSize(n)
-	if workers == 1 {
-		scratch := newScratch()
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			out[i], errs[i] = trial(i, scratch)
-			tick()
-		}
-		return collect(ctx, out, errs)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := newScratch()
-			for i := range next {
-				// A cancelled context stops the work, not the drain: the
-				// feeder may already have queued this index, so skip the
-				// trial but keep consuming until the channel closes.
-				if ctx.Err() != nil {
-					continue
-				}
-				out[i], errs[i] = trial(i, scratch)
-				tick()
-			}
-		}()
-	}
-	cancelled := false
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			cancelled = true
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if cancelled {
-		return nil, ctx.Err()
-	}
-	return collect(ctx, out, errs)
-}
-
-// collect returns the results, or the lowest-index trial error; a context
-// cancelled while the last trials were draining wins over partial output.
-func collect[T any](ctx context.Context, out []T, errs []error) ([]T, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	e.Chunk, e.Meter = 1, nil
+	out := make([]T, 0, n)
+	return ReduceSpanScratch(ctx, e, Span{Lo: 0, Hi: n}, &out, nil, Reducer[T, []T]{
+		Fold:  func(acc []T, _ int, v T) []T { return append(acc, v) },
+		Merge: func(into, next []T) []T { return append(into, next...) },
+	}, newScratch, trial)
 }

@@ -11,19 +11,23 @@ import (
 	"time"
 )
 
-// Results must be identical at any worker count and land in trial order.
+// noScratch is the newScratch of trials that need no per-worker state.
+func noScratch() struct{} { return struct{}{} }
+
+// Collected results must be identical at any worker count and land in
+// trial order.
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	ctx := context.Background()
 	e := Engine{Workers: 1, Seed: 42}
-	trial := func(i int) (float64, error) {
+	trial := func(i int, _ struct{}) (float64, error) {
 		return float64(i) + e.Stream(i).Float64(), nil
 	}
-	ref, err := Run(ctx, e, 64, trial)
+	ref, err := Collect(ctx, e, 64, noScratch, trial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4, 8, 0} {
-		got, err := Run(ctx, Engine{Workers: w, Seed: 42}, 64, trial)
+		got, err := Collect(ctx, Engine{Workers: w, Seed: 42}, 64, noScratch, trial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +66,7 @@ func TestEngineStreams(t *testing.T) {
 func TestFirstErrorByTrialIndex(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, w := range []int{1, 4} {
-		_, err := Run(context.Background(), Engine{Workers: w}, 32, func(i int) (int, error) {
+		_, err := Collect(context.Background(), Engine{Workers: w}, 32, noScratch, func(i int, _ struct{}) (int, error) {
 			if i%3 == 2 { // trials 2, 5, 8, ... fail
 				return 0, fmt.Errorf("trial %d: %w", i, sentinel)
 			}
@@ -78,10 +82,10 @@ func TestFirstErrorByTrialIndex(t *testing.T) {
 }
 
 // Per-worker scratch is allocated once per worker and reused.
-func TestRunScratchReuse(t *testing.T) {
+func TestCollectScratchReuse(t *testing.T) {
 	workers := 4
 	made := make(chan struct{}, 128)
-	_, err := RunScratch(context.Background(), Engine{Workers: workers}, 100,
+	_, err := Collect(context.Background(), Engine{Workers: workers}, 100,
 		func() []float64 { made <- struct{}{}; return make([]float64, 8) },
 		func(i int, scratch []float64) (int, error) {
 			scratch[0] = float64(i) // scribble: next trial must not care
@@ -97,11 +101,11 @@ func TestRunScratchReuse(t *testing.T) {
 
 func TestEmptyAndSingleTrial(t *testing.T) {
 	ctx := context.Background()
-	out, err := Run(ctx, Engine{}, 0, func(i int) (int, error) { return i, nil })
+	out, err := Collect(ctx, Engine{}, 0, noScratch, func(i int, _ struct{}) (int, error) { return i, nil })
 	if err != nil || out != nil {
 		t.Fatalf("empty campaign: %v, %v", out, err)
 	}
-	out, err = Run(ctx, Engine{Workers: runtime.NumCPU()}, 1, func(i int) (int, error) { return 99, nil })
+	out, err = Collect(ctx, Engine{Workers: runtime.NumCPU()}, 1, noScratch, func(i int, _ struct{}) (int, error) { return 99, nil })
 	if err != nil || len(out) != 1 || out[0] != 99 {
 		t.Fatalf("single trial: %v, %v", out, err)
 	}
@@ -112,7 +116,7 @@ func TestRunAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := atomic.Int64{}
-	_, err := Run(ctx, Engine{Workers: 4}, 100, func(i int) (int, error) {
+	_, err := Collect(ctx, Engine{Workers: 4}, 100, noScratch, func(i int, _ struct{}) (int, error) {
 		ran.Add(1)
 		return i, nil
 	})
@@ -125,7 +129,8 @@ func TestRunAlreadyCancelled(t *testing.T) {
 }
 
 // Cancelling mid-flight returns context.Canceled within roughly one
-// trial's latency and leaks no goroutines — the worker pool drains fully.
+// trial's latency and leaks no goroutines — the worker pool, the merger
+// and the feeder all drain.
 func TestRunCancelMidFlightPromptAndLeakFree(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		before := runtime.NumGoroutine()
@@ -137,9 +142,9 @@ func TestRunCancelMidFlightPromptAndLeakFree(t *testing.T) {
 		}
 		doneCh := make(chan result, 1)
 		go func() {
-			_, err := Run(ctx, Engine{Workers: workers, Progress: func(done, total int) {
+			_, err := Collect(ctx, Engine{Workers: workers, Progress: func(done, total int) {
 				once.Do(func() { close(started) })
-			}}, 10_000, func(i int) (int, error) {
+			}}, 10_000, noScratch, func(i int, _ struct{}) (int, error) {
 				time.Sleep(200 * time.Microsecond) // one trial's latency
 				return i, nil
 			})
@@ -167,29 +172,34 @@ func TestRunCancelMidFlightPromptAndLeakFree(t *testing.T) {
 	}
 }
 
-// Progress reports every completed trial exactly once and ends at (n, n).
+// Collect's progress is per trial whatever Engine.Chunk says: serially
+// every trial ticks once; in parallel the count strictly increases (an
+// overtaken tick is dropped, never delivered late) and ends at (n, n).
 func TestProgressReporting(t *testing.T) {
 	for _, workers := range []int{1, 3} {
-		var calls atomic.Int64
-		var sawFinal atomic.Bool
+		var mu sync.Mutex
+		last, calls := 0, 0
 		n := 50
-		_, err := Run(context.Background(), Engine{Workers: workers, Progress: func(done, total int) {
-			calls.Add(1)
+		_, err := Collect(context.Background(), Engine{Workers: workers, Chunk: 16, Progress: func(done, total int) {
+			mu.Lock()
+			defer mu.Unlock()
+			calls++
 			if total != n {
 				t.Errorf("total = %d, want %d", total, n)
 			}
-			if done == n {
-				sawFinal.Store(true)
+			if done <= last {
+				t.Errorf("progress not increasing: %d after %d", done, last)
 			}
-		}}, n, func(i int) (int, error) { return i, nil })
+			last = done
+		}}, n, noScratch, func(i int, _ struct{}) (int, error) { return i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := calls.Load(); got != int64(n) {
-			t.Fatalf("workers=%d: %d progress calls, want %d", workers, got, n)
+		if last != n {
+			t.Fatalf("workers=%d: last progress call reported %d, want %d", workers, last, n)
 		}
-		if !sawFinal.Load() {
-			t.Fatalf("workers=%d: final (n, n) progress call missing", workers)
+		if workers == 1 && calls != n {
+			t.Fatalf("workers=1: %d progress calls, want one per trial (%d)", calls, n)
 		}
 	}
 }

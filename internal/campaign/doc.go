@@ -14,8 +14,9 @@
 //   - each trial draws randomness only from its own substream, derived
 //     as a pure function of (root seed, trial index) via Engine.Stream
 //     (or pre-derived serially by the caller before fan-out);
-//   - results land in an indexed slot, so output order is the trial
-//     order regardless of completion order;
+//   - trial results fold in index order within a chunk and chunks merge
+//     in index order, so output order is the trial order regardless of
+//     completion order;
 //   - the first error is reported by trial index, not by wall-clock
 //     arrival.
 //
@@ -33,21 +34,21 @@
 //
 // # Execution modes and durability
 //
-// Three entry-point families share the engine. Run/RunScratch
-// materialize every trial result in an indexed slot — O(trials) memory,
-// for campaigns that need per-trial output. Reduce/ReduceScratch
-// stream: workers fold trial results into per-chunk accumulators merged
-// in chunk-index order, so memory stays O(workers + chunk) at any trial
-// count (see reduce.go). ReduceSpan/ReduceSpanScratch generalize the
-// streaming form to a contiguous trial span with a restored accumulator
-// prefix and a checkpoint sink on chunk boundaries (see span.go) — the
-// durable, shardable mode the distributed fabric runs, where a resumed
-// or sharded reduction replays the exact fold chain of an uninterrupted
-// one.
+// One engine, ReduceSpanScratch (span.go), runs every fan-out; the other
+// entry points are thin forms of it. Reduce/ReduceScratch stream:
+// workers fold trial results into per-chunk accumulators merged in
+// chunk-index order, so memory stays O(workers + chunk) at any trial
+// count (see reduce.go). ReduceSpan/ReduceSpanScratch add a contiguous
+// trial span with a restored accumulator prefix and a checkpoint sink on
+// chunk boundaries — the durable, shardable mode the distributed fabric
+// runs, where a resumed or sharded reduction replays the exact fold
+// chain of an uninterrupted one. Collect materializes every trial result
+// in trial order — O(trials) memory, for campaigns that need per-trial
+// output — as an ordered-append reduction over single-trial chunks.
 //
 // # Observation
 //
-// Engine.Progress (per trial, or per chunk when reducing) and
+// Engine.Progress (per chunk; per trial under Collect) and
 // Engine.Meter (pool size, chunk fold start/done events) expose a run
 // to dashboards and the metrics layer. Both are strictly observers:
 // they carry no clock into the engine and can never affect results, so

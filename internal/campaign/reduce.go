@@ -39,8 +39,7 @@ type Reducer[T, A any] struct {
 // index order. Peak memory is O(workers + chunk), independent of n —
 // the mode million-trial campaigns run in.
 //
-// Error and cancellation semantics match Run: the error of the
-// lowest-index failing trial is returned (chunks beyond the first
+// The error of the lowest-index failing trial is returned (chunks beyond the first
 // failing one are not started, which cannot hide a lower-index error
 // because chunks are dispatched in ascending order), and a cancelled
 // context aborts within one trial's latency, drains the pool, and
@@ -52,10 +51,9 @@ func Reduce[T, A any](ctx context.Context, e Engine, n int, r Reducer[T, A], tri
 		func(i int, _ struct{}) (T, error) { return trial(i) })
 }
 
-// ReduceScratch is Reduce with per-worker scratch state, exactly as
-// RunScratch is to Run: newScratch runs once per worker and its value is
-// threaded into every trial that worker folds. Scratch must not affect
-// results.
+// ReduceScratch is Reduce with per-worker scratch state: newScratch runs
+// once per worker and its value is threaded into every trial that worker
+// folds. Scratch must not affect results.
 //
 // It is the span [0, n) of the durable span engine with no restored
 // state and no checkpoint sink — see ReduceSpanScratch for the

@@ -21,15 +21,16 @@ func sumReducer() Reducer[float64, float64] {
 	}
 }
 
-// Reduce must agree bit-for-bit with folding Run's result slice in trial
-// order at the same chunk size, at any worker count.
-func TestReduceMatchesRunFold(t *testing.T) {
+// Reduce must agree bit-for-bit with folding Collect's result slice in
+// trial order at the same chunk size, at any worker count.
+func TestReduceMatchesCollectFold(t *testing.T) {
 	ctx := context.Background()
 	const n = 1000
 	trial := func(i int) (float64, error) {
 		return (Engine{Seed: 5}).Stream(i).Float64() - 0.5, nil
 	}
-	out, err := Run(ctx, Engine{Workers: 1, Seed: 5}, n, trial)
+	out, err := Collect(ctx, Engine{Workers: 1, Seed: 5}, n, noScratch,
+		func(i int, _ struct{}) (float64, error) { return trial(i) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestReduceDegenerate(t *testing.T) {
 }
 
 // Per-worker scratch is allocated once per worker and reused across
-// chunks, exactly like RunScratch.
+// chunks.
 func TestReduceScratchReuse(t *testing.T) {
 	workers := 4
 	var made atomic.Int64
@@ -241,7 +242,7 @@ func TestReduceAlreadyCancelled(t *testing.T) {
 // The memory contract of the streaming engine: total bytes allocated by
 // a Reduce run do not scale with the trial count — a 1,000,000-trial
 // reduction allocates no more than a small multiple of a 10,000-trial
-// one, while Run's result slots alone are O(trials).
+// one, while Collect's result slots alone are O(trials).
 func TestReduceFlatMemoryAt10kVs1M(t *testing.T) {
 	trial := func(i int) (float64, error) { return float64(i&1) - 0.5, nil }
 	alloc := func(run func()) uint64 {
@@ -269,16 +270,17 @@ func TestReduceFlatMemoryAt10kVs1M(t *testing.T) {
 	if big > 10*small+1<<20 {
 		t.Fatalf("Reduce memory scales with trials: %d B at 10k vs %d B at 1M", small, big)
 	}
-	runBytes := alloc(func() {
-		if _, err := Run(ctx, Engine{Workers: 4}, 1_000_000, trial); err != nil {
+	collectBytes := alloc(func() {
+		if _, err := Collect(ctx, Engine{Workers: 1}, 1_000_000, noScratch,
+			func(i int, _ struct{}) (float64, error) { return trial(i) }); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("Run allocated %d B at 1M trials", runBytes)
-	if runBytes < 8*1_000_000 { // the float64 result slots alone
-		t.Fatalf("Run allocated only %d B for 1M trials — slice accounting broken?", runBytes)
+	t.Logf("Collect allocated %d B at 1M trials", collectBytes)
+	if collectBytes < 8*1_000_000 { // the float64 result slots alone
+		t.Fatalf("Collect allocated only %d B for 1M trials — slice accounting broken?", collectBytes)
 	}
-	if big >= runBytes/10 {
-		t.Fatalf("Reduce (%d B) not an order of magnitude under Run (%d B) at 1M trials", big, runBytes)
+	if big >= collectBytes/10 {
+		t.Fatalf("Reduce (%d B) not an order of magnitude under Collect (%d B) at 1M trials", big, collectBytes)
 	}
 }

@@ -142,8 +142,9 @@ func TestClassifyGridMatchesScalarClassifier(t *testing.T) {
 }
 
 // TestBatchedAveragedNDFBitIdentical: the averaged campaign measurement
-// must agree with the scalar engine at any worker count, and the
-// scratch-carrying serial form must agree with both.
+// must agree with the scalar engine, with and without caller scratch,
+// and as the trial of a campaign pool at any worker count (each worker
+// reusing its scratch across trials).
 func TestBatchedAveragedNDFBitIdentical(t *testing.T) {
 	batched, scalar := Default(), scalarTwin()
 	cb, err := batched.Shifted(0.02)
@@ -155,25 +156,30 @@ func TestBatchedAveragedNDFBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	const periods = 4
-	want, err := scalar.AveragedNDFCtx(context.Background(), cs, 0.005, rng.New(9), periods, 1)
+	want, err := scalar.AveragedNDF(cs, 0.005, rng.New(9), periods)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 7} {
-		got, err := batched.AveragedNDFCtx(context.Background(), cb, 0.005, rng.New(9), periods, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("workers %d: batched %v, scalar %v", workers, got, want)
-		}
-	}
-	got, err := batched.AveragedNDFScratch(cb, 0.005, rng.New(9), periods, NewTrialScratch())
+	got, err := batched.AveragedNDF(cb, 0.005, rng.New(9), periods)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("scratch form: %v, want %v", got, want)
+		t.Fatalf("batched %v, scalar %v", got, want)
+	}
+	for _, workers := range []int{1, 2, 7} {
+		vals, err := campaign.Collect(context.Background(), campaign.Engine{Workers: workers}, 9,
+			NewTrialScratch, func(_ int, sc *TrialScratch) (float64, error) {
+				return batched.AveragedNDFScratch(cb, 0.005, rng.New(9), periods, sc)
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range vals {
+			if v != want {
+				t.Fatalf("workers %d trial %d: scratch form %v, want %v", workers, i, v, want)
+			}
+		}
 	}
 }
 

@@ -548,7 +548,7 @@ func (s *System) NDFOfShift(shift float64) (float64, error) {
 }
 
 // legacyCtx is the single audited root context behind the ctx-less
-// legacy wrappers (SweepF0, AveragedNDF, CalibrateFromTolerance, …):
+// legacy wrappers (SweepF0, CalibrateFromTolerance):
 // they run to completion by design. New code accepts a caller context
 // and uses the Ctx variants — mclint's ctxflow analyzer flags any other
 // Background context in the library.
@@ -572,7 +572,7 @@ func (s *System) SweepF0Ctx(ctx context.Context, shifts []float64, eng campaign.
 	if _, err := s.GoldenSignature(); err != nil {
 		return nil, err
 	}
-	return campaign.RunScratch(ctx, eng, len(shifts),
+	return campaign.Collect(ctx, eng, len(shifts),
 		NewTrialScratch,
 		func(i int, sc *TrialScratch) (float64, error) {
 			c, err := s.Shifted(shifts[i])
@@ -595,34 +595,21 @@ func (s *System) SweepF0Ctx(ctx context.Context, shifts []float64, eng campaign.
 // paper's 1% claim) separable from the floor without changing hardware —
 // it simply observes the CUT longer.
 // Each period is an independent capture: period k draws its noise from
-// the substream noise.Split(k), so the periods fan out across the
-// campaign pool and the average is deterministic at any worker count.
+// the substream noise.Split(k), and the periods run serially and sum in
+// period order, so the average is a pure function of the stream.
 func (s *System) AveragedNDF(c CUT, sigma float64, noise *rng.Stream, periods int) (float64, error) {
-	return s.AveragedNDFCtx(legacyCtx(), c, sigma, noise, periods, 0)
+	return s.AveragedNDFScratch(c, sigma, noise, periods, nil)
 }
 
-// AveragedNDFCtx is AveragedNDF under an explicit context and worker-pool
-// bound (0 = all CPUs). Campaign runners that already fan trials out pass
-// 1 so the outer pool alone owns the parallelism (or, better, carry a
-// per-worker scratch and call AveragedNDFScratch).
-func (s *System) AveragedNDFCtx(ctx context.Context, c CUT, sigma float64, noise *rng.Stream, periods, workers int) (float64, error) {
-	return s.averagedNDF(ctx, c, sigma, noise, periods, workers, nil)
-}
-
-// AveragedNDFScratch is AveragedNDF running the periods serially with
-// caller-owned scratch — the form campaign runners use inside their own
-// worker pools, so every trial a worker executes reuses one set of
-// buffers. Scratch never affects the result.
+// AveragedNDFScratch is AveragedNDF with caller-owned scratch — the form
+// campaign runners use inside their own worker pools, so every trial a
+// worker executes reuses one set of buffers; a nil scratch gets a fresh
+// one. Scratch never affects the result. In the batched engine the clean
+// output tick samples are evaluated once per call and shared read-only
+// by every period's capture (each period only adds its own noise draws
+// on top), which is where most of the per-period work of the scalar
+// pipeline went.
 func (s *System) AveragedNDFScratch(c CUT, sigma float64, noise *rng.Stream, periods int, sc *TrialScratch) (float64, error) {
-	return s.averagedNDF(legacyCtx(), c, sigma, noise, periods, 1, sc)
-}
-
-// averagedNDF implements the AveragedNDF variants. In the batched engine
-// the clean output tick samples are evaluated once per call and shared
-// read-only by every period's capture (each period only adds its own
-// noise draws on top), which is where most of the per-period work of the
-// scalar pipeline went.
-func (s *System) averagedNDF(ctx context.Context, c CUT, sigma float64, noise *rng.Stream, periods, workers int, sc *TrialScratch) (float64, error) {
 	if periods < 1 {
 		periods = 1
 	}
@@ -630,33 +617,21 @@ func (s *System) averagedNDF(ctx context.Context, c CUT, sigma float64, noise *r
 	if err != nil {
 		return 0, err
 	}
-	// Materialize the observed output once before fan-out: backends with
-	// an expensive Output (the SPICE transient) compute it here instead
-	// of inside every period's capture. With caller-owned scratch the
-	// periods run serially on this worker, so the scratch-backed waveform
-	// stays valid for all of them.
+	// Materialize the observed output once: backends with an expensive
+	// Output (the SPICE transient) compute it here instead of inside every
+	// period's capture. The periods run serially on sc, so the
+	// scratch-backed waveform stays valid for all of them.
 	out, err := s.outputScratch(c, sc)
 	if err != nil {
 		return 0, err
 	}
-	// Split advances the caller's stream — derive the per-period streams
-	// serially before fan-out.
-	streams := make([]*rng.Stream, periods)
-	if noise != nil {
-		for k := range streams {
-			streams[k] = noise.Split(uint64(k))
-		}
+	if sc == nil {
+		sc = NewTrialScratch()
 	}
-	newScratch := NewTrialScratch
-	if sc != nil {
-		// Caller-owned scratch: the periods must run on one worker.
-		workers = 1
-		newScratch = func() *TrialScratch { return sc }
-	}
-	var trial func(k int, sc *TrialScratch) (float64, error)
+	var period func(src *rng.Stream) (float64, error)
 	if s.Scalar {
-		trial = func(k int, sc *TrialScratch) (float64, error) {
-			obs, err := s.capturedSignature(c, sigma, streams[k], sc)
+		period = func(src *rng.Stream) (float64, error) {
+			obs, err := s.capturedSignature(c, sigma, src, sc)
 			if err != nil {
 				return 0, err
 			}
@@ -670,10 +645,9 @@ func (s *System) averagedNDF(ctx context.Context, c CUT, sigma float64, noise *r
 		ybase := make([]float64, len(ts))
 		wave.EvalInto(out, ts, ybase)
 		eff := EffectiveNoiseSigma(sigma)
-		trial = func(k int, sc *TrialScratch) (float64, error) {
+		period = func(src *rng.Stream) (float64, error) {
 			xv, yv := xs, ybase
-			if sigma > 0 && streams[k] != nil {
-				src := streams[k]
+			if sigma > 0 && src != nil {
 				n := len(ts)
 				xv, yv = sc.growXs(n), sc.growYs(n)
 				for i := 0; i < n; i++ {
@@ -690,12 +664,16 @@ func (s *System) averagedNDF(ctx context.Context, c CUT, sigma float64, noise *r
 			return ndf.NDF(obs, g)
 		}
 	}
-	vals, err := campaign.RunScratch(ctx, campaign.Engine{Workers: workers}, periods, newScratch, trial)
-	if err != nil {
-		return 0, err
-	}
 	sum := 0.0
-	for _, v := range vals {
+	for k := 0; k < periods; k++ {
+		var src *rng.Stream
+		if noise != nil {
+			src = noise.Split(uint64(k))
+		}
+		v, err := period(src)
+		if err != nil {
+			return 0, err
+		}
 		sum += v
 	}
 	return sum / float64(periods), nil

@@ -14,8 +14,8 @@ import (
 //     the caller's cancellation — an mcserved job using that helper
 //     could never be cancelled mid-flight.
 //  2. An exported function that fans work out through the campaign
-//     engine (campaign.Run / RunScratch / Reduce / ReduceScratch /
-//     ReduceSpan / ReduceSpanScratch) must accept a context.Context
+//     engine (campaign.Collect / Reduce / ReduceScratch / ReduceSpan /
+//     ReduceSpanScratch) must accept a context.Context
 //     parameter, so cancellation reaches every trial. The span variants
 //     matter most: they are the fabric's worker path, and a lease
 //     revocation can only stop a shard if the worker's context reaches
@@ -30,7 +30,7 @@ func (ctxflow) Doc() string {
 // campaignFanout names the engine entry points whose callers must hold
 // a context.
 var campaignFanout = map[string]bool{
-	"Run": true, "RunScratch": true, "Reduce": true, "ReduceScratch": true,
+	"Collect": true, "Reduce": true, "ReduceScratch": true,
 	"ReduceSpan": true, "ReduceSpanScratch": true,
 }
 

@@ -11,7 +11,7 @@
 //     justify the loop with a //mclint:maporder directive.
 //   - ctxflow:  cancellation — no context.Background()/TODO() outside
 //     package main, and exported entry points that fan out through
-//     campaign.Run/Reduce must accept a context.Context.
+//     campaign.Collect/Reduce must accept a context.Context.
 //   - hotalloc: functions marked //mclint:hotpath (the Classify/
 //     Capture/fold loops pinned by AllocsPerRun) may not allocate:
 //     no fmt calls, no escaping composite literals, no make/new, no

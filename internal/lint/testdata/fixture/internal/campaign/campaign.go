@@ -1,5 +1,5 @@
 // Package campaign is a miniature stand-in for the real reduction
-// engine: just enough surface (Engine, Reducer, Run, Reduce) for the
+// engine: just enough surface (Engine, Reducer, Collect, Reduce) for the
 // fixture packages to exercise mclint's closure and cancellation rules.
 // Its import path ends in internal/campaign, which is what puts it — and
 // every closure handed to it — inside analyzer scope.
@@ -20,15 +20,16 @@ type Reducer[T, A any] struct {
 	Merge func(into, next A) A
 }
 
-// Run executes trial serially and collects the results. The fixtures
-// only need it to type-check, never to run fast.
-func Run(ctx context.Context, eng Engine, n int, trial func(i int) (int, error)) ([]int, error) {
-	out := make([]int, 0, n)
+// Collect executes trial serially on one scratch and collects the
+// results. The fixtures only need it to type-check, never to run fast.
+func Collect[T, S any](ctx context.Context, eng Engine, n int, newScratch func() S, trial func(i int, scratch S) (T, error)) ([]T, error) {
+	out := make([]T, 0, n)
+	scratch := newScratch()
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		v, err := trial(i)
+		v, err := trial(i, scratch)
 		if err != nil {
 			return nil, err
 		}
@@ -62,7 +63,7 @@ type Span struct {
 type CheckpointFunc[A any] func(acc A, through int) error
 
 // ReduceSpan mirrors the fabric's worker entry point: the span
-// reduction with an optional checkpoint sink. Like Run and Reduce it
+// reduction with an optional checkpoint sink. Like Collect and Reduce it
 // only needs to type-check.
 func ReduceSpan[T, A any](ctx context.Context, eng Engine, span Span, init *A, ckpt CheckpointFunc[A], r Reducer[T, A], trial func(i int) (T, error)) (A, error) {
 	acc := r.New()

@@ -17,9 +17,12 @@ func GeneratedAt() time.Time {
 	return time.Now()
 }
 
+// noScratch is the newScratch of trials that need no per-worker state.
+func noScratch() struct{} { return struct{}{} }
+
 // Jittered smuggles the wall clock into a trial closure.
 func Jittered(ctx context.Context, n int) ([]int, error) {
-	return campaign.Run(ctx, campaign.Engine{}, n, func(i int) (int, error) {
+	return campaign.Collect(ctx, campaign.Engine{}, n, noScratch, func(i int, _ struct{}) (int, error) {
 		return int(time.Now().UnixNano()), nil // want:detrand
 	})
 }
@@ -33,13 +36,13 @@ func Noisy(ctx context.Context, n int) (int, error) {
 	}, func(i int) (int, error) { return i, nil })
 }
 
-// Collect fans out through the engine with no way to cancel it.
-func Collect(n int) ([]int, error) { // want:ctxflow
-	return campaign.Run(nil, campaign.Engine{}, n, func(i int) (int, error) { return i, nil })
+// Materialize fans out through the engine with no way to cancel it.
+func Materialize(n int) ([]int, error) { // want:ctxflow
+	return campaign.Collect(nil, campaign.Engine{}, n, noScratch, func(i int, _ struct{}) (int, error) { return i, nil })
 }
 
-// Gather is the compliant shape of Collect: the caller's context
+// Gather is the compliant shape of Materialize: the caller's context
 // reaches every trial.
 func Gather(ctx context.Context, n int) ([]int, error) {
-	return campaign.Run(ctx, campaign.Engine{}, n, func(i int) (int, error) { return i, nil })
+	return campaign.Collect(ctx, campaign.Engine{}, n, noScratch, func(i int, _ struct{}) (int, error) { return i, nil })
 }

@@ -1,0 +1,71 @@
+package serve
+
+import (
+	"context"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"repro/internal/fabric"
+)
+
+// jsonBodyOfSize is a syntactically valid JSON object of exactly n bytes
+// whose one string value the decoder must read to its end, so a limit
+// below n trips before any field is judged.
+func jsonBodyOfSize(n int) string {
+	const frame = `{"campaign":""}`
+	return `{"campaign":"` + strings.Repeat("a", n-len(frame)) + `"}`
+}
+
+// Every JSON route answers a body one byte over maxBodyBytes with 413,
+// and a body of exactly maxBodyBytes still reaches the decoder (which
+// rejects it with 400 for what it says, not for its size).
+func TestRequestBodyLimit(t *testing.T) {
+	_, api := newTestServer(t)
+	_, fab := newFabricServer(t, fabric.Config{})
+	routes := []string{
+		api.URL + "/v1/campaigns",
+		fab.URL + "/v1/fabric/jobs",
+		fab.URL + "/v1/shards/lease",
+		fab.URL + "/v1/shards/heartbeat",
+		fab.URL + "/v1/shards/report",
+		fab.URL + "/v1/shards/fail",
+	}
+	for _, tc := range []struct {
+		size int
+		want int
+	}{
+		{maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+		{maxBodyBytes, http.StatusBadRequest},
+	} {
+		body := jsonBodyOfSize(tc.size)
+		for _, url := range routes {
+			resp, err := http.Post(url, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := resp.Body.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.want {
+				t.Fatalf("POST %d bytes to %s: %s, want %d", tc.size, url, resp.Status, tc.want)
+			}
+		}
+	}
+}
+
+// The shard client refuses a coordinator response over maxBodyBytes
+// instead of buffering it whole.
+func TestHTTPBackendResponseLimit(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte(jsonBodyOfSize(maxBodyBytes + 1)))
+	}))
+	t.Cleanup(ts.Close)
+	backend := &HTTPBackend{Base: ts.URL}
+	_, _, err := backend.Lease(context.Background(), "w")
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("oversized lease response: err = %v, want a size error", err)
+	}
+}

@@ -234,10 +234,7 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, testbench.List())
 	case http.MethodPost:
 		var spec testbench.Spec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
+		if !decodeBody(w, r, &spec, "spec") {
 			return
 		}
 		st, err := s.Submit(spec)
@@ -333,6 +330,31 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, id string)
 		case <-ticker.C:
 		}
 	}
+}
+
+// maxBodyBytes bounds every JSON body the API decodes and every
+// response body the shard client reads. It sits far above any legitimate
+// message — a spec, a lease, a shard accumulator checkpoint — so only a
+// runaway or hostile body reaches it.
+const maxBodyBytes = 8 << 20
+
+// decodeBody strictly decodes a request body of at most maxBodyBytes
+// into v (unknown fields are an error). A body over the limit is
+// answered 413, any other decode failure 400 naming what was expected;
+// it reports whether v was decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("bad %s: %w", what, err))
+		return false
+	}
+	return true
 }
 
 // writeJSON writes a JSON response.

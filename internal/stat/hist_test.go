@@ -5,8 +5,10 @@ import (
 	"strings"
 )
 
-// Histogram is a fixed-bin histogram over [Lo, Hi). Samples outside the
-// range are counted in Under/Over.
+// Histogram is the materializing fixed-bin histogram over [Lo, Hi),
+// samples outside the range counted in Under/Over — the reference
+// oracle StreamingHistogram's binning and rendering are pinned against
+// (streamhist_test.go).
 type Histogram struct {
 	Lo, Hi      float64
 	Counts      []int
@@ -59,8 +61,7 @@ func (h *Histogram) Mode() float64 {
 	return h.BinCenter(best)
 }
 
-// ASCII renders a simple fixed-width bar chart, one line per bin — used by
-// the CLI tools to show Monte Carlo spreads without plotting libraries.
+// ASCII renders a simple fixed-width bar chart, one line per bin.
 func (h *Histogram) ASCII(width int) string {
 	if width <= 0 {
 		width = 40

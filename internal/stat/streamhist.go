@@ -8,16 +8,16 @@ import (
 	"strings"
 )
 
-// StreamingHistogram is the mergeable, single-pass counterpart of
-// Histogram: a fixed-range equal-bin histogram whose entire state is
+// StreamingHistogram is a mergeable, single-pass fixed-range equal-bin
+// histogram whose entire state is
 // integer counts, so Merge is exact, associative and commutative — the
 // same discipline as QuantileSketch, and what lets per-chunk (or
 // per-shard) histograms merged in stable index order reproduce the
-// single-stream histogram bit for bit at any worker count. The binning
-// rule matches Histogram exactly: samples in [Lo, Hi) land in
-// int(bins*(x-Lo)/(Hi-Lo)) (clamped to the last bin), samples outside
-// count in Under/Over, so a streamed histogram over the same range is
-// bin-for-bin identical to the materialize-then-bin path it replaces.
+// single-stream histogram bit for bit at any worker count. Samples in
+// [Lo, Hi) land in int(bins*(x-Lo)/(Hi-Lo)) (clamped to the last bin),
+// samples outside count in Under/Over, so a streamed histogram over the
+// same range is bin-for-bin identical to the materialize-then-bin path
+// it replaces (the tests pin it against that reference).
 type StreamingHistogram struct {
 	lo, hi  float64
 	counts  []uint64
@@ -29,7 +29,7 @@ type StreamingHistogram struct {
 
 // NewStreamingHistogram creates a streaming histogram with bins equal
 // bins over [lo, hi). It panics on a non-positive bin count, a
-// non-finite range, or hi <= lo, matching NewHistogram's conventions.
+// non-finite range, or hi <= lo.
 func NewStreamingHistogram(lo, hi float64, bins int) *StreamingHistogram {
 	if bins <= 0 || !(hi > lo) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
 		panic("stat: invalid streaming histogram parameters")
@@ -158,8 +158,8 @@ func (h *StreamingHistogram) rankValue(k uint64) float64 {
 	return h.hi
 }
 
-// ASCII renders the same fixed-width bar chart as Histogram.ASCII, one
-// line per bin.
+// ASCII renders a fixed-width bar chart, one line per bin: bin center,
+// a bar scaled to the fullest bin, and the count.
 func (h *StreamingHistogram) ASCII(width int) string {
 	if width <= 0 {
 		width = 40

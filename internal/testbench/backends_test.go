@@ -14,7 +14,7 @@ import (
 // SPICE backends, and the golden output waveforms must coincide within
 // the transient integrator's accuracy budget.
 func TestBackendAgreement(t *testing.T) {
-	ba, err := RunBackendAgreement([]float64{-0.10, -0.05, 0, 0.05, 0.10})
+	ba, err := runAs[BackendAgreement](context.Background(), Spec{Campaign: "backends", Params: BackendsParams{Shifts: []float64{-0.10, -0.05, 0, 0.05, 0.10}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestFaultTableOnSpiceBackend(t *testing.T) {
 	if dec.Threshold <= 0 {
 		t.Fatalf("SPICE-calibrated threshold = %v", dec.Threshold)
 	}
-	tab, err := RunFaultTable(sys, dec, DefaultFaultSet())
+	tab, err := runAs[FaultTable](context.Background(), Spec{Campaign: "faults", Params: FaultsParams{Threshold: &dec.Threshold, Faults: DefaultFaultSet()}}, WithSystem(sys))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,11 +64,11 @@ func TestFaultTableScalarVsBatched(t *testing.T) {
 // identically on both engines.
 func TestYieldScalarVsBatched(t *testing.T) {
 	dec := ndf.Decision{Threshold: 0.03}
-	want, err := RunYield(scalarSystem(t, "analytic"), dec, 40, 0.02, 0.05, 7)
+	want, err := runAs[Yield](context.Background(), Spec{Campaign: "yield", Seed: 7, Params: YieldParams{N: 40, ComponentSigma: 0.02, Tol: 0.05, Threshold: &dec.Threshold}}, WithSystem(scalarSystem(t, "analytic")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunYield(batchedSystem(t, "analytic"), dec, 40, 0.02, 0.05, 7)
+	got, err := runAs[Yield](context.Background(), Spec{Campaign: "yield", Seed: 7, Params: YieldParams{N: 40, ComponentSigma: 0.02, Tol: 0.05, Threshold: &dec.Threshold}}, WithSystem(batchedSystem(t, "analytic")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func TestYieldScalarVsBatched(t *testing.T) {
 // the heaviest consumer of the capture path — must produce identical
 // detection rates and thresholds.
 func TestNoiseDetectionScalarVsBatched(t *testing.T) {
-	want, err := RunNoiseDetection(scalarSystem(t, "analytic"), 0.005, []float64{0.02}, 4, 4, 42)
+	want, err := runAs[Noise](context.Background(), Spec{Campaign: "noise", Seed: 42, Params: NoiseParams{Sigma: 0.005, Devs: []float64{0.02}, NullTrials: 4, Trials: 4}}, WithSystem(scalarSystem(t, "analytic")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunNoiseDetection(batchedSystem(t, "analytic"), 0.005, []float64{0.02}, 4, 4, 42)
+	got, err := runAs[Noise](context.Background(), Spec{Campaign: "noise", Seed: 42, Params: NoiseParams{Sigma: 0.005, Devs: []float64{0.02}, NullTrials: 4, Trials: 4}}, WithSystem(batchedSystem(t, "analytic")))
 	if err != nil {
 		t.Fatal(err)
 	}

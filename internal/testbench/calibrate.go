@@ -35,7 +35,7 @@ const ExactNullCutoff = 4096
 // are exactly associative.
 func CalibrateNullThreshold(ctx context.Context, eng campaign.Engine, nullTrials, sketchPrec int, trial func(i int, sc *core.TrialScratch) (float64, error)) (ndf.Decision, error) {
 	if nullTrials <= ExactNullCutoff {
-		nulls, err := campaign.RunScratch(ctx, eng, nullTrials, core.NewTrialScratch, trial)
+		nulls, err := campaign.Collect(ctx, eng, nullTrials, core.NewTrialScratch, trial)
 		if err != nil {
 			return ndf.Decision{}, err
 		}

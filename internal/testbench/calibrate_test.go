@@ -33,7 +33,7 @@ func TestCalibrateNullThresholdSketchMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nulls, err := campaign.RunScratch(ctx, eng, n, core.NewTrialScratch, synthNullTrial)
+	nulls, err := campaign.Collect(ctx, eng, n, core.NewTrialScratch, synthNullTrial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestNoiseCalibrationFlatMemory(t *testing.T) {
 		t.Fatalf("streamed calibration memory scales with trials: %d B at 100k vs %d B at 1M", small, big)
 	}
 	materialized := alloc(func() {
-		nulls, err := campaign.RunScratch(ctx, campaign.Engine{Workers: 4, Seed: 2}, 1_000_000, core.NewTrialScratch, synthNullTrial)
+		nulls, err := campaign.Collect(ctx, campaign.Engine{Workers: 1, Seed: 2}, 1_000_000, core.NewTrialScratch, synthNullTrial)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/biquad"
+	"repro/internal/monitor"
 	"repro/internal/ndf"
 	"repro/internal/stat"
 )
@@ -12,9 +13,8 @@ import (
 // This file is the campaign registry's catalogue: every experiment driver
 // of the package registered under a stable name with a typed,
 // JSON-serializable params struct. The registry is the single campaign
-// surface — the legacy Run* entry points, the CLI flags (mcmon -list,
-// xyzone -ext/-abl), and the mcserved HTTP service all resolve through
-// it, so adding a campaign here makes it scriptable, servable and
+// surface — Run, the CLI flags (mcmon -list, xyzone -ext/-abl), the
+// report, and the mcserved HTTP service all resolve through it, so adding a campaign here makes it scriptable, servable and
 // discoverable at once.
 //
 // Params structs carry their defaults as field values; a spec overrides
@@ -251,7 +251,7 @@ func init() {
 	register("table1", "the six published monitor input configurations (Table I)",
 		Table1Params{},
 		func(ctx context.Context, ev *Env, p *Table1Params) (*Table1, error) {
-			return RunTable1(), nil
+			return &Table1{Configs: monitor.TableI()}, nil
 		})
 
 	register("fig4", "Table I boundary control curves from the analytic monitor model (Fig. 4)",

@@ -13,7 +13,7 @@ import (
 // between). These are regression tests for the paper's reproducibility
 // claim — all figures and tables are bit-reproducible run to run — now
 // exercised through the declarative spec path, so the registry's worker
-// knob is covered by the same contract the legacy entry points had.
+// knob (0 = all CPUs included) is covered by the contract.
 
 func workerCounts() []int {
 	n := runtime.NumCPU()
@@ -58,15 +58,7 @@ func TestFig4MCDeterministicAcrossWorkers(t *testing.T) {
 		return env
 	}
 	ref := run(1)
-	// The spec path must also agree with the legacy entry point exactly.
-	legacy, err := RunFig4MC(2, 40, 15, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Render() != ref.Render() {
-		t.Fatal("legacy RunFig4MC differs from the spec path")
-	}
-	for _, w := range workerCounts()[1:] {
+	for _, w := range append(workerCounts()[1:], 0) {
 		got := run(w)
 		if got.Render() != ref.Render() {
 			t.Fatalf("workers=%d: Render differs from workers=1", w)
@@ -95,14 +87,7 @@ func TestNoiseSweepDeterministicAcrossWorkers(t *testing.T) {
 		return ns
 	}
 	ref := run(1)
-	legacy, err := RunNoiseSweep(sys(), []float64{0.005}, []float64{0.01, 0.02}, 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Render() != ref.Render() {
-		t.Fatal("legacy RunNoiseSweep differs from the spec path")
-	}
-	for _, w := range workerCounts()[1:] {
+	for _, w := range append(workerCounts()[1:], 0) {
 		if got := run(w); got.Render() != ref.Render() {
 			t.Fatalf("workers=%d: Render differs from workers=1", w)
 		}

@@ -23,16 +23,7 @@ type ExtQ struct {
 	BPNDF []float64
 }
 
-// RunExtQ sweeps fractional Q deviations. It is a thin wrapper over the
-// campaign registry ("q").
-func RunExtQ(sys *core.System, devs []float64) (*ExtQ, error) {
-	return runAs[ExtQ](legacyCtx(), Spec{
-		Campaign: "q",
-		Params:   QParams{Devs: devs},
-	}, WithSystem(sys))
-}
-
-// runExtQ is the registry implementation behind RunExtQ.
+// runExtQ sweeps fractional Q deviations (registry campaign "q").
 func runExtQ(ctx context.Context, sys *core.System, devs []float64) (*ExtQ, error) {
 	bpSys, err := core.NewSystem(sys.Stimulus, sys.CUT, sys.Bank, sys.Capture)
 	if err != nil {
@@ -110,20 +101,6 @@ func DefaultFaultSet() []biquad.Fault {
 	return out
 }
 
-// RunFaultTable injects every fault into the golden realization (via
-// CUT.Perturb, so the injection happens at component level on whichever
-// backend the system runs — analytic model or SPICE netlist) and tests
-// the faulty circuit with the given decision threshold. It is a thin
-// wrapper over the campaign registry ("faults"); the fault injections are
-// independent, fan out across the campaign pool at any worker bound, and
-// the table rows stay in fault order.
-func RunFaultTable(sys *core.System, dec ndf.Decision, faults []biquad.Fault) (*FaultTable, error) {
-	return runAs[FaultTable](legacyCtx(), Spec{
-		Campaign: "faults",
-		Params:   FaultsParams{Threshold: &dec.Threshold, Faults: faults},
-	}, WithSystem(sys))
-}
-
 // faultTrial builds the per-fault trial function of the fault campaign:
 // inject fault i, test the faulty circuit, record the scored case. The
 // golden signature is materialized here, before fan-out, so the
@@ -164,8 +141,12 @@ func finalizeFaultTable(threshold float64, cases []FaultCase) *FaultTable {
 	return out
 }
 
-// runFaultTable is the registry implementation behind RunFaultTable. The
-// fault injections stream through the campaign reduction engine: each
+// runFaultTable injects every fault into the golden realization (via
+// CUT.Perturb, so the injection happens at component level on whichever
+// backend the system runs — analytic model or SPICE netlist) and tests
+// the faulty circuit with the given decision threshold (registry
+// campaign "faults"). The fault injections stream through the campaign
+// reduction engine: each
 // chunk folds its cases into an ordered slice and chunks concatenate in
 // index order, so the table rows stay in fault order at any worker
 // count while the engine's memory stays O(workers + chunk).

@@ -1,16 +1,16 @@
 package testbench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/biquad"
 	"repro/internal/core"
-	"repro/internal/ndf"
 )
 
 func TestExtQBandpassSeesQ(t *testing.T) {
-	e, err := RunExtQ(sys(), []float64{-0.30, -0.15, 0.15, 0.30})
+	e, err := runAs[ExtQ](context.Background(), Spec{Campaign: "q", Params: QParams{Devs: []float64{-0.30, -0.15, 0.15, 0.30}}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestDualObservationSeparatesQFromF0(t *testing.T) {
 }
 
 func TestExtQMonotoneAwayFromZero(t *testing.T) {
-	e, err := RunExtQ(sys(), []float64{0.10, 0.20, 0.40})
+	e, err := runAs[ExtQ](context.Background(), Spec{Campaign: "q", Params: QParams{Devs: []float64{0.10, 0.20, 0.40}}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestFaultTableCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := RunFaultTable(s, dec, DefaultFaultSet())
+	tab, err := runAs[FaultTable](context.Background(), Spec{Campaign: "faults", Params: FaultsParams{Threshold: &dec.Threshold, Faults: DefaultFaultSet()}}, WithSystem(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestFaultTableCampaign(t *testing.T) {
 func TestFaultTableThresholdSensitivity(t *testing.T) {
 	s := sys()
 	// An absurdly high threshold detects nothing.
-	tab, err := RunFaultTable(s, ndf.Decision{Threshold: 10}, DefaultFaultSet())
+	tab, err := runAs[FaultTable](context.Background(), Spec{Campaign: "faults", Params: FaultsParams{Threshold: threshold(10), Faults: DefaultFaultSet()}}, WithSystem(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestFaultTableThresholdSensitivity(t *testing.T) {
 		t.Fatalf("coverage with huge threshold = %v, want 0", tab.Coverage())
 	}
 	// A zero threshold detects everything (every fault moves something).
-	tab0, err := RunFaultTable(s, ndf.Decision{Threshold: 0}, DefaultFaultSet())
+	tab0, err := runAs[FaultTable](context.Background(), Spec{Campaign: "faults", Params: FaultsParams{Threshold: threshold(0), Faults: DefaultFaultSet()}}, WithSystem(s))
 	if err != nil {
 		t.Fatal(err)
 	}

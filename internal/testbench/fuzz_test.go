@@ -2,6 +2,8 @@ package testbench
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/biquad"
@@ -82,6 +84,60 @@ func FuzzShardBlobUnmarshal(f *testing.F) {
 			if !bytes.Equal(blob, data) {
 				t.Fatalf("detect: accepted non-canonical encoding (%d bytes -> %d)", len(data), len(blob))
 			}
+		}
+	})
+}
+
+// decodeSpec decodes a spec body exactly as the HTTP service and the
+// fabric do: strictly, unknown fields rejected.
+func decodeSpec(data []byte) (Spec, error) {
+	var spec Spec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+// FuzzSpecDecode throws arbitrary bytes at the public ingress — the JSON
+// spec body mcserved and the fabric accept — and judges what decodes
+// with Validate and compile, without running anything. Nothing may
+// panic; every spec Validate accepts must compile; and every accepted
+// spec must reach a fixed point in one round: its effective spec
+// (params typed and default-filled) re-encodes to JSON that decodes,
+// validates and compiles to the same effective spec. Without that, a
+// result's recorded spec would not reproduce the run it describes.
+// The seed corpus (testdata/fuzz/FuzzSpecDecode) holds one valid spec
+// per registered campaign plus the bodies the HTTP service must reject.
+func FuzzSpecDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := decodeSpec(data)
+		if err != nil {
+			return
+		}
+		if Validate(spec) != nil {
+			return
+		}
+		_, _, eff, _, err := compile(spec)
+		if err != nil {
+			t.Fatalf("Validate accepted a spec compile rejects: %v\n%s", err, data)
+		}
+		again, err := json.Marshal(eff)
+		if err != nil {
+			t.Fatalf("effective spec does not encode: %v", err)
+		}
+		spec2, err := decodeSpec(again)
+		if err != nil {
+			t.Fatalf("re-encoded spec does not decode: %v\n%s", err, again)
+		}
+		if err := Validate(spec2); err != nil {
+			t.Fatalf("re-encoded spec fails validation: %v\n%s", err, again)
+		}
+		_, _, eff2, _, err := compile(spec2)
+		if err != nil {
+			t.Fatalf("re-encoded spec does not compile: %v\n%s", err, again)
+		}
+		if !reflect.DeepEqual(eff, eff2) {
+			t.Fatalf("effective spec not a fixed point:\n%+v\n%+v", eff, eff2)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package testbench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 func TestAblMetricNDFFinerThanEdit(t *testing.T) {
-	a, err := RunAblMetric(sys(), []float64{-0.10, -0.05, -0.02, -0.005, 0.005, 0.02, 0.05, 0.10})
+	a, err := runAs[AblMetric](context.Background(), Spec{Campaign: "metric", Params: MetricParams{Devs: []float64{-0.10, -0.05, -0.02, -0.005, 0.005, 0.02, 0.05, 0.10}}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestAblMetricNDFFinerThanEdit(t *testing.T) {
 }
 
 func TestAblMetricEditDistanceEventuallyMoves(t *testing.T) {
-	a, err := RunAblMetric(sys(), []float64{0.20})
+	a, err := runAs[AblMetric](context.Background(), Spec{Campaign: "metric", Params: MetricParams{Devs: []float64{0.20}}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestAblMetricEditDistanceEventuallyMoves(t *testing.T) {
 
 func TestStimOptImprovesOrKeepsSensitivity(t *testing.T) {
 	s := sys()
-	opt, err := RunStimOpt(s, 0.05, 4)
+	opt, err := runAs[StimOpt](context.Background(), Spec{Campaign: "stimopt", Params: StimOptParams{Shift: 0.05, Grid: 4}}, WithSystem(s))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,27 +34,15 @@ type Noise struct {
 	FalseLo, FalseHi float64
 }
 
-// RunNoiseDetection calibrates the threshold on nullTrials noisy golden
+// runNoiseDetection calibrates the threshold on nullTrials noisy golden
 // captures (max-quantile) and measures detection rates over the given
-// deviations with trials captures each. Every measurement averages the
-// NDF over 5 consecutive Lissajous periods (1 ms of observation), the
-// variance-reduction step that makes the paper's 1% claim reachable.
-// The Monte-Carlo trials fan out across the campaign pool; each trial
-// derives its stream in-worker as a pure function of the seed, so the
-// detection rates are bit-identical at any worker count. It is a thin
-// wrapper over the campaign registry ("noise").
-func RunNoiseDetection(sys *core.System, sigma float64, devs []float64, nullTrials, trials int, seed uint64) (*Noise, error) {
-	return runAs[Noise](legacyCtx(), Spec{
-		Campaign: "noise",
-		Seed:     seed,
-		Params:   NoiseParams{Sigma: sigma, Devs: devs, NullTrials: nullTrials, Trials: trials},
-	}, WithSystem(sys))
-}
-
-// runNoiseDetection is the registry implementation behind
-// RunNoiseDetection. Every trial derives its private noise stream inside
-// the worker as a pure function of (seed, phase base + trial index) via
-// Engine.Stream — no serial stream pre-pass. Every phase streams
+// deviations with trials captures each (registry campaign "noise").
+// Every measurement averages the NDF over 5 consecutive Lissajous
+// periods (1 ms of observation), the variance-reduction step that makes
+// the paper's 1% claim reachable. Every trial derives its private noise
+// stream inside the worker as a pure function of (seed, phase base +
+// trial index) via Engine.Stream — no serial stream pre-pass. Every
+// phase streams
 // through the reduction engine with O(workers + chunk) memory: the
 // rate-estimation phases as pure counts, the null calibration via
 // CalibrateNullThreshold (exact below ExactNullCutoff, pooled quantile
@@ -156,16 +144,8 @@ type AblLinear struct {
 	LinearUm2    float64
 }
 
-// RunAblLinear sweeps both banks over the deviation grid. It is a thin
-// wrapper over the campaign registry ("linear").
-func RunAblLinear(sys *core.System, devs []float64) (*AblLinear, error) {
-	return runAs[AblLinear](legacyCtx(), Spec{
-		Campaign: "linear",
-		Params:   LinearParams{Devs: devs},
-	}, WithSystem(sys))
-}
-
-// runAblLinear is the registry implementation behind RunAblLinear.
+// runAblLinear sweeps both banks over the deviation grid (registry
+// campaign "linear").
 func runAblLinear(ctx context.Context, sys *core.System, devs []float64, eng campaign.Engine) (*AblLinear, error) {
 	lin, err := baseline.NewLinearTableI()
 	if err != nil {
@@ -215,16 +195,8 @@ type AblCounter struct {
 	ExactNDF float64
 }
 
-// RunAblCounter runs the ablation at one deviation. It is a thin wrapper
-// over the campaign registry ("counter").
-func RunAblCounter(sys *core.System, shift float64, bits []int, clocks []float64) (*AblCounter, error) {
-	return runAs[AblCounter](legacyCtx(), Spec{
-		Campaign: "counter",
-		Params:   CounterParams{Shift: shift, Bits: bits, Clocks: clocks},
-	}, WithSystem(sys))
-}
-
-// runAblCounter is the registry implementation behind RunAblCounter.
+// runAblCounter runs the capture-quantization ablation at one deviation
+// (registry campaign "counter").
 func runAblCounter(ctx context.Context, sys *core.System, shift float64, bits []int, clocks []float64) (*AblCounter, error) {
 	g, err := sys.GoldenSignature()
 	if err != nil {
@@ -298,16 +270,8 @@ type AblRegression struct {
 	TestRMSE  float64
 }
 
-// RunAblRegression trains on trainDevs and evaluates on testDevs. It is
-// a thin wrapper over the campaign registry ("regress").
-func RunAblRegression(sys *core.System, trainDevs, testDevs []float64) (*AblRegression, error) {
-	return runAs[AblRegression](legacyCtx(), Spec{
-		Campaign: "regress",
-		Params:   RegressParams{TrainDevs: trainDevs, TestDevs: testDevs},
-	}, WithSystem(sys))
-}
-
-// runAblRegression is the registry implementation behind RunAblRegression.
+// runAblRegression trains on trainDevs and evaluates on testDevs
+// (registry campaign "regress").
 func runAblRegression(ctx context.Context, sys *core.System, trainDevs, testDevs []float64) (*AblRegression, error) {
 	mkSigs := func(devs []float64) ([]*signature.Signature, error) {
 		out := make([]*signature.Signature, len(devs))

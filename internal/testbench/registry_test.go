@@ -79,8 +79,8 @@ func TestRunRejectsUnknownParam(t *testing.T) {
 }
 
 // The same campaign must be bit-identical whether it is reached through
-// the typed legacy entry point, a typed spec, or a JSON-decoded spec (the
-// HTTP body path), at any worker count, on both backends.
+// typed params on a pinned system or a JSON-decoded spec naming the
+// backend (the HTTP body path), at any worker count, on both backends.
 func TestRegistryMatchesLegacyBothBackends(t *testing.T) {
 	for _, backend := range core.Backends() {
 		backend := backend
@@ -94,7 +94,8 @@ func TestRegistryMatchesLegacyBothBackends(t *testing.T) {
 			}
 			dec := ndf.Decision{Threshold: 0.02}
 			faults := DefaultFaultSet()[:4]
-			legacy, err := RunFaultTable(sys, dec, faults)
+			typed, err := runAs[FaultTable](context.Background(), Spec{Campaign: "faults",
+				Params: FaultsParams{Threshold: &dec.Threshold, Faults: faults}}, WithSystem(sys))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,11 +111,11 @@ func TestRegistryMatchesLegacyBothBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := res.Payload.(*FaultTable)
-			if got.Render() != legacy.Render() {
-				t.Fatalf("JSON spec table differs from legacy entry point:\n%s\nvs\n%s",
-					got.Render(), legacy.Render())
+			if got.Render() != typed.Render() {
+				t.Fatalf("JSON spec table differs from the typed spec:\n%s\nvs\n%s",
+					got.Render(), typed.Render())
 			}
-			if res.Text != legacy.Render() {
+			if res.Text != typed.Render() {
 				t.Fatal("result Text does not match the payload rendering")
 			}
 		})
@@ -222,7 +223,7 @@ func TestRunProgressStreaming(t *testing.T) {
 	if last != [2]int{30, 30} {
 		t.Fatalf("final progress = %v, want {30 30}", last)
 	}
-	plain, err := RunFig4MC(2, 30, 9, 7)
+	plain, err := runAs[Fig4MC](context.Background(), Spec{Campaign: "fig4mc", Seed: 7, Params: Fig4MCParams{Monitor: 2, Dies: 30, Cols: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,9 +87,12 @@ func WithWorkers(n int) Option {
 }
 
 // WithProgress streams completion counts out of the run: fn is invoked
-// after every finished trial of the campaign's current fan-out phase with
-// (done, total). It may be called concurrently and must not block;
-// progress observes a run but never changes its result.
+// with (done, total) as the campaign's current fan-out phase completes
+// work — per finished chunk of a streaming reduction, per finished trial
+// of a materializing one (campaign.Collect). Within a phase the count
+// strictly increases and ends at (total, total). It may be called
+// concurrently and must not block; progress observes a run but never
+// changes its result.
 func WithProgress(fn func(done, total int)) Option {
 	return func(c *runConfig) { c.progress = fn }
 }
@@ -104,8 +107,7 @@ func WithMeter(m campaign.Meter) Option {
 }
 
 // WithSystem pins the system the campaign runs on, bypassing the spec's
-// Backend/Scalar resolution — the hook custom-configured systems (and the
-// legacy Run* wrappers) use.
+// Backend/Scalar resolution — the hook custom-configured systems use.
 func WithSystem(sys *core.System) Option {
 	return func(c *runConfig) { c.sys = sys }
 }
@@ -214,8 +216,10 @@ func compile(spec Spec, opts ...Option) (*campaignDef, *Env, Spec, any, error) {
 
 // Run executes the campaign a spec names through the registry and wraps
 // its payload in the uniform Result envelope. Cancelling ctx aborts the
-// campaign within one trial's latency (the run returns ctx's error). All
-// legacy Run* entry points are thin wrappers over this function.
+// campaign within one trial's latency (the run returns ctx's error). It
+// is the one programmatic entry point to every campaign: the CLIs, the
+// report, the HTTP service and the fabric all run specs through it (or
+// through Sharder, which shares its compile step).
 func Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
 	def, ev, eff, params, err := compile(spec, opts...)
 	if err != nil {
@@ -235,8 +239,8 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
 	}, nil
 }
 
-// runAs runs a spec and returns its payload as *R — the helper behind the
-// typed legacy wrappers.
+// runAs runs a spec and returns its payload as *R — the typed form of Run
+// the report uses.
 func runAs[R any](ctx context.Context, spec Spec, opts ...Option) (*R, error) {
 	res, err := Run(ctx, spec, opts...)
 	if err != nil {

@@ -1,6 +1,7 @@
 package testbench
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -118,7 +119,7 @@ func TestFig4SpiceCurvesMatchAnalytic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transistor-level tracing is slow")
 	}
-	spiceFig, err := RunFig4Spice(13)
+	spiceFig, err := runAs[Fig4](context.Background(), Spec{Campaign: "fig4spice", Params: Fig4SpiceParams{Cols: 13}})
 	if err != nil {
 		t.Fatal(err)
 	}

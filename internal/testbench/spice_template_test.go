@@ -11,16 +11,33 @@ import (
 	"repro/internal/ndf"
 )
 
+// rebuildCUT hides SpiceCUT.OutputScratch, so core serves every trial
+// through Output — the rebuild-per-trial reference path the trial
+// templates are pinned against. Perturb re-wraps its results, so every
+// deviated or faulty CUT a campaign derives rebuilds too.
+type rebuildCUT struct{ core.CUT }
+
+func (r rebuildCUT) Perturb(dev core.Deviation) (core.CUT, error) {
+	c, err := r.CUT.Perturb(dev)
+	if err != nil {
+		return nil, err
+	}
+	return rebuildCUT{c}, nil
+}
+
 // templateTestSystem builds a SPICE-backed reference system at reduced
-// resolution (fast enough for exhaustive comparison) with the trial
-// templates either active or forced off via SpiceConfig.Rebuild.
+// resolution (fast enough for exhaustive comparison), its trials served
+// by the circuit templates or, with rebuild, by rebuildCUT.
 func templateTestSystem(t *testing.T, rebuild bool, obs core.Observation) *core.System {
 	t.Helper()
 	ref := core.Default()
-	cfg := biquad.SpiceConfig{StepsPerPeriod: 256, Rebuild: rebuild}
-	cut, err := biquad.NewSpiceCUTFromParams(ref.Golden(), cfg)
+	var cut core.CUT
+	cut, err := biquad.NewSpiceCUTFromParams(ref.Golden(), biquad.SpiceConfig{StepsPerPeriod: 256})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rebuild {
+		cut = rebuildCUT{cut}
 	}
 	sys, err := core.NewSystem(ref.Stimulus, cut, ref.Bank, ref.Capture)
 	if err != nil {
@@ -34,7 +51,7 @@ func templateTestSystem(t *testing.T, rebuild bool, obs core.Observation) *core.
 // TestSpiceTemplateCampaignBitIdentity is the end-to-end contract of the
 // trial-template engine: full fault-table and yield campaigns on the
 // SPICE backend produce byte-identical payloads with templates on and
-// off (Rebuild), for both observations, at 1, 4 and 8 workers.
+// off (rebuildCUT), for both observations, at 1, 4 and 8 workers.
 func TestSpiceTemplateCampaignBitIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SPICE campaign comparison is slower")

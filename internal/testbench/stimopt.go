@@ -24,17 +24,8 @@ type StimOpt struct {
 	BestNDF    float64
 }
 
-// RunStimOpt greedily searches the phases of the 2nd and 3rd harmonics
-// over a gridN×gridN grid in [0, 2π). It is a thin wrapper over the
-// campaign registry ("stimopt").
-func RunStimOpt(sys *core.System, shift float64, gridN int) (*StimOpt, error) {
-	return runAs[StimOpt](legacyCtx(), Spec{
-		Campaign: "stimopt",
-		Params:   StimOptParams{Shift: shift, Grid: gridN},
-	}, WithSystem(sys))
-}
-
-// runStimOpt is the registry implementation behind RunStimOpt.
+// runStimOpt greedily searches the phases of the 2nd and 3rd harmonics
+// over a gridN×gridN grid in [0, 2π) (registry campaign "stimopt").
 func runStimOpt(ctx context.Context, sys *core.System, shift float64, gridN int) (*StimOpt, error) {
 	if gridN < 2 {
 		gridN = 4

@@ -1,12 +1,13 @@
 package testbench
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestTempDriftGrowsAwayFrom300K(t *testing.T) {
-	td, err := RunTempDrift(sys(), []float64{250, 300, 350, 400})
+	td, err := runAs[TempDrift](context.Background(), Spec{Campaign: "temp", Params: TempParams{TempsK: []float64{250, 300, 350, 400}}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestTempDriftComparableToToleranceBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	td, err := RunTempDrift(s, []float64{350})
+	td, err := runAs[TempDrift](context.Background(), Spec{Campaign: "temp", Params: TempParams{TempsK: []float64{350}}}, WithSystem(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestTempDriftComparableToToleranceBudget(t *testing.T) {
 func TestAblSpectral(t *testing.T) {
 	train := []float64{-0.20, -0.15, -0.10, -0.06, -0.03, 0, 0.03, 0.06, 0.10, 0.15, 0.20}
 	test := []float64{-0.12, -0.04, 0.07, 0.12}
-	a, err := RunAblSpectral(sys(), train, test)
+	a, err := runAs[AblSpectral](context.Background(), Spec{Campaign: "spectral", Params: SpectralParams{TrainDevs: train, TestDevs: test}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +73,7 @@ func TestNoiseSweepResolutionDegrades(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long Monte-Carlo campaign, skipped under -short")
 	}
-	ns, err := RunNoiseSweep(sys(), []float64{0.002, 0.005, 0.02},
-		[]float64{0.005, 0.01, 0.02, 0.05}, 8, 7)
+	ns, err := runAs[NoiseSweep](context.Background(), Spec{Campaign: "noisesweep", Seed: 7, Params: NoiseSweepParams{Sigmas: []float64{0.002, 0.005, 0.02}, DevGrid: []float64{0.005, 0.01, 0.02, 0.05}, Trials: 8}}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestNoiseSweepResolutionDegrades(t *testing.T) {
 }
 
 func TestCornerDrift(t *testing.T) {
-	cd, err := RunCornerDrift(sys())
+	cd, err := runAs[CornerDrift](context.Background(), Spec{Campaign: "corners"}, WithSystem(sys()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,20 +76,6 @@ func calibrateMultiParam(ctx context.Context, sys *core.System, tol float64) (nd
 	return ndf.Decision{Threshold: worst}, nil
 }
 
-// RunYield draws n CUTs with component sigma, tests each against the
-// decision, and scores against the spec. It is a thin wrapper over the
-// campaign registry ("yield"); the CUTs are independent dies streamed
-// through the campaign reduction engine — peak memory is O(workers +
-// chunk) whatever n is, and the scores are bit-identical at any worker
-// count.
-func RunYield(sys *core.System, dec ndf.Decision, n int, componentSigma, tol float64, seed uint64) (*Yield, error) {
-	return runAs[Yield](legacyCtx(), Spec{
-		Campaign: "yield",
-		Seed:     seed,
-		Params:   YieldParams{N: n, ComponentSigma: componentSigma, Tol: tol, Threshold: &dec.Threshold},
-	}, WithSystem(sys))
-}
-
 // yieldCounts is the per-chunk accumulator of the yield reduction: four
 // integers, merged by exact addition — so the streamed scores match the
 // materialized ones bit for bit at any chunk size and worker count.
@@ -175,9 +161,11 @@ func finalizeYield(counts yieldCounts, n int, componentSigma, tol, threshold flo
 	return out
 }
 
-// runYield is the registry implementation behind RunYield: the yield
-// trial streamed through the checkpointable reduction over the full die
-// range.
+// runYield draws n CUTs with component sigma, tests each against the
+// decision, and scores against the spec (registry campaign "yield"): the
+// yield trial streamed through the checkpointable reduction over the
+// full die range. Peak memory is O(workers + chunk) whatever n is, and
+// the scores are bit-identical at any worker count.
 func runYield(ctx context.Context, sys *core.System, dec ndf.Decision, n int, componentSigma, tol float64, eng campaign.Engine) (*Yield, error) {
 	trial, err := yieldTrial(sys, dec, componentSigma, tol, eng)
 	if err != nil {

@@ -2,10 +2,9 @@ package testbench
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
-
-	"repro/internal/ndf"
 )
 
 func TestYieldSimulation(t *testing.T) {
@@ -17,7 +16,7 @@ func TestYieldSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := RunYield(s, dec, 400, 0.02, 0.05, 11)
+	y, err := runAs[Yield](context.Background(), Spec{Campaign: "yield", Seed: 11, Params: YieldParams{N: 400, ComponentSigma: 0.02, Tol: 0.05, Threshold: &dec.Threshold}}, WithSystem(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +63,11 @@ func TestYieldThresholdTradeoff(t *testing.T) {
 	// decrease escapes; tightening trades the other way. This is the
 	// Fig. 8 band picture expressed in production terms.
 	s := sys()
-	tight, err := RunYield(s, ndf.Decision{Threshold: 0.05}, 120, 0.02, 0.05, 3)
+	tight, err := runAs[Yield](context.Background(), Spec{Campaign: "yield", Seed: 3, Params: YieldParams{N: 120, ComponentSigma: 0.02, Tol: 0.05, Threshold: threshold(0.05)}}, WithSystem(s))
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := RunYield(s, ndf.Decision{Threshold: 0.20}, 120, 0.02, 0.05, 3)
+	loose, err := runAs[Yield](context.Background(), Spec{Campaign: "yield", Seed: 3, Params: YieldParams{N: 120, ComponentSigma: 0.02, Tol: 0.05, Threshold: threshold(0.20)}}, WithSystem(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,7 @@ func TestSelfTestDetectsStuckMonitors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := RunSelfTest(s, dec)
+	st, err := runAs[SelfTest](context.Background(), Spec{Campaign: "selftest", Params: SelfTestParams{Threshold: &dec.Threshold}}, WithSystem(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func TestWriteReportContainsAllArtifacts(t *testing.T) {
 		t.Skip("long Monte-Carlo campaign, skipped under -short")
 	}
 	var buf bytes.Buffer
-	if err := WriteReport(&buf, sys()); err != nil {
+	if err := WriteReport(context.Background(), &buf, sys()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

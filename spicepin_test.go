@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/biquad"
 	"repro/internal/core"
-	"repro/internal/wave"
 )
 
 // spicePinFaults is the BenchmarkFaultTableSpice fault set — the
@@ -22,42 +21,35 @@ func spicePinFaults() []biquad.Fault {
 // performance contract, in the style of TestBatchedEnginePinnedSpeedup:
 // SPICE trial throughput — perturb the golden netlist, run the settling
 // + capture transient, observe the output — on the FaultTableSpice
-// fault set must be at least 3x the rebuild-per-trial path
-// (SpiceConfig.Rebuild, the pre-template behavior). The timed unit is
-// the campaign's per-trial SPICE work; signature extraction is shared
-// verbatim by both paths and pinned bit-identical end to end by
+// fault set, served sequentially through SpiceCUT.OutputScratch on one
+// reused scratch (what a campaign worker does), must beat the
+// rebuild-per-trial path (SpiceCUT.Output, the pre-template behavior)
+// by at least spiceTemplateFloor. The timed unit is the campaign's
+// per-trial SPICE work; signature extraction is shared verbatim by both
+// paths and pinned bit-identical end to end by
 // TestSpiceTemplateCampaignBitIdentity, so it is excluded here to keep
-// the pin measuring the engine under test. The template side serves the
-// block through SpiceOutputBatch (the cross-trial batched engine, lanes
-// interleaved through the fused solve kernel); the rebuild side pays
-// netlist elaboration, restamped transients and fresh buffers per
-// trial, exactly as every SPICE campaign did before trial templates.
-// The pin tolerates machine noise by taking the best of three rounds;
-// the companion bit-identity tests (spice TestCircuitTemplateMatchesRebuild
-// and TestRunTrialsBatchMatchesRunTrial, biquad
-// TestOutputScratchMatchesOutput and TestSpiceOutputBatchMatchesOutput,
-// testbench TestSpiceTemplateCampaignBitIdentity) guarantee the speed
-// never costs a single bit.
+// the pin measuring the engine under test. The rebuild side pays netlist
+// elaboration, restamped transients and fresh buffers per trial. The pin
+// tolerates machine noise by taking the best of three rounds; the
+// companion bit-identity tests (spice TestCircuitTemplateMatchesRebuild,
+// biquad TestOutputScratchMatchesOutput, testbench
+// TestSpiceTemplateCampaignBitIdentity) guarantee the speed never costs
+// a single bit.
 func TestSpiceTrialEnginePinnedSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing pin skipped in -short mode (race CI distorts timing)")
 	}
-	tmplSys, err := core.DefaultSpice()
+	sys, err := core.DefaultSpice()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmplRoot := tmplSys.CUT.(*biquad.SpiceCUT)
-	rbldRoot, err := biquad.NewSpiceCUTFromParams(tmplSys.Golden(), biquad.SpiceConfig{Rebuild: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stim := tmplSys.Stimulus
+	root := sys.CUT.(*biquad.SpiceCUT)
+	stim := sys.Stimulus
 
-	// Four repetitions of the fault set per op keep the batch lanes
-	// occupied past the initial fill, like a real fault-table block.
+	// Four repetitions of the fault set per op, like a fault-table block.
 	const reps = 4
 	faults := spicePinFaults()
-	perturb := func(root *biquad.SpiceCUT) ([]*biquad.SpiceCUT, error) {
+	perturb := func() ([]*biquad.SpiceCUT, error) {
 		cuts := make([]*biquad.SpiceCUT, 0, reps*len(faults))
 		for r := 0; r < reps; r++ {
 			for i := range faults {
@@ -71,20 +63,23 @@ func TestSpiceTrialEnginePinnedSpeedup(t *testing.T) {
 		return cuts, nil
 	}
 	var sink float64
-	var batch biquad.SpiceTrialBatch
+	var sc biquad.SpiceTrialScratch
 	tmplOp := func() error {
-		cuts, err := perturb(tmplRoot)
+		cuts, err := perturb()
 		if err != nil {
 			return err
 		}
-		return biquad.SpiceOutputBatch(cuts, stim, biquad.OutputLP, &batch,
-			func(i int, w wave.Waveform) error {
-				sink += w.Eval(0)
-				return nil
-			})
+		for _, c := range cuts {
+			w, err := c.OutputScratch(stim, biquad.OutputLP, &sc)
+			if err != nil {
+				return err
+			}
+			sink += w.Eval(0)
+		}
+		return nil
 	}
 	rbldOp := func() error {
-		cuts, err := perturb(rbldRoot)
+		cuts, err := perturb()
 		if err != nil {
 			return err
 		}
@@ -98,7 +93,7 @@ func TestSpiceTrialEnginePinnedSpeedup(t *testing.T) {
 		return nil
 	}
 	// Warm both paths outside the timed region (tick caches, workspace
-	// pools, lane templates) and surface any setup error early.
+	// pools, the scratch template) and surface any setup error early.
 	if err := tmplOp(); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +105,7 @@ func TestSpiceTrialEnginePinnedSpeedup(t *testing.T) {
 	// a separate goroutine, where t.Fatal must not be called.
 	var opErr error
 	best := 0.0
-	for round := 0; round < 3 && best < 3; round++ {
+	for round := 0; round < 3 && best < spiceTemplateFloor; round++ {
 		rt := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N && opErr == nil; i++ {
 				opErr = tmplOp()
@@ -128,9 +123,16 @@ func TestSpiceTrialEnginePinnedSpeedup(t *testing.T) {
 			best = ratio
 		}
 	}
-	t.Logf("FaultTableSpice trials: batched trial templates are %.1fx the rebuild-per-trial path", best)
-	if best < 3 {
-		t.Fatalf("trial-template engine only %.2fx the rebuild path, pinned at >= 3x", best)
+	t.Logf("FaultTableSpice trials: sequential trial templates are %.2fx the rebuild-per-trial path", best)
+	if best < spiceTemplateFloor {
+		t.Fatalf("trial-template engine only %.2fx the rebuild path, pinned at >= %.2fx", best, spiceTemplateFloor)
 	}
 	_ = sink
 }
+
+// spiceTemplateFloor is the pinned template-over-rebuild ratio. Three
+// runs of this test on a 2-vCPU x86-64 host measured best-of-three
+// ratios of 2.43x, 2.70x and 2.62x; the floor leaves ~25% headroom
+// below the lowest for loaded machines while still failing if the
+// template path ever degrades to rebuild speed.
+const spiceTemplateFloor = 1.8
