@@ -7,10 +7,11 @@
 # transient/campaign benchmarks (catches perf-path regressions that only
 # show up when the solver actually runs), an mcserved smoke run that
 # boots the HTTP campaign service and drives one small campaign through
-# its own API, and a fabric smoke run that shards a campaign across two
+# its own API, a fabric smoke run that shards a campaign across two
 # HTTP workers and checks the merged result against the single-node
-# run. `make test` runs the full suite including the long Monte-Carlo
-# campaigns.
+# run, the load gate's short profile, and the repository benchmark's own
+# tests (`bench-verify`). `make test` runs the full suite including the
+# long Monte-Carlo campaigns.
 
 GO ?= go
 GOFMT ?= gofmt
@@ -21,9 +22,9 @@ GOFMT ?= gofmt
 BENCH_N ?= 10
 BENCH_PREV = $(shell expr $(BENCH_N) - 1)
 
-.PHONY: ci fmt vet lint lint-json build test race bench bench-json bench-smoke bench-diff fuzz-smoke serve-smoke fabric-smoke load load-smoke
+.PHONY: ci fmt vet lint lint-json build test race bench bench-json bench-smoke bench-diff bench-verify fuzz-smoke serve-smoke fabric-smoke load load-smoke
 
-ci: fmt lint build race bench-smoke serve-smoke fabric-smoke load-smoke
+ci: fmt lint build race bench-smoke serve-smoke fabric-smoke load-smoke bench-verify
 
 # gofmt gate: fail with the offending file list when any file is unformatted.
 fmt:
@@ -88,10 +89,18 @@ bench-diff:
 # checkpoint-cadence benchmarks (fast path, Newton baseline, CUT
 # output, trial templates, fault table, batched vs scalar capture,
 # streaming reduction, spec dispatch, sketch push, streamed null
-# calibration, span reduction with/without a checkpoint sink) — proves
-# the hot paths still execute end to end.
+# calibration, span reduction with/without a checkpoint sink, zone-LUT
+# certification and batch classification on random and curve points) —
+# proves the hot paths still execute end to end.
 bench-smoke:
-	$(GO) test -bench='TransientTowThomas|SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|AveragedNDF|BankClassify|RegistryDispatch|CampaignReduce1M|QuantileSketchPush|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
+	$(GO) test -bench='TransientTowThomas|SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|AveragedNDF|BankClassify|ZoneLUTBuild|RegistryDispatch|CampaignReduce1M|QuantileSketchPush|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
+
+# The repository benchmark's own checks (cmd/mcbench is a nested module,
+# so `go test ./...` at the root does not reach it): every workload's
+# seed-1 payload digests re-verified at test size, and the traced replay
+# bit-identical to the untraced run.
+bench-verify:
+	cd cmd/mcbench && $(GO) test -short ./...
 
 # Short-budget fuzz pass over the SPICE netlist parser, the signature
 # binary decoder, the trial-template mutation engine, the streaming

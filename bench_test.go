@@ -364,6 +364,47 @@ func BenchmarkBankClassifyBatch(b *testing.B) {
 	}
 }
 
+// BANK-BATCH-CURVE: the scan grid of a 2%-deviated CUT. Its trace
+// crosses zone boundaries, so it hits the partly proven LUT cells and
+// their per-monitor fallback far more often than random points do.
+func BenchmarkBankClassifyBatchCurve(b *testing.B) {
+	sys := core.Default()
+	cut, err := sys.Shifted(0.02)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out, err := cut.Output(sys.Stimulus, biquad.OutputLP)
+	if err != nil {
+		b.Fatal(err)
+	}
+	T := sys.Period()
+	ts := make([]float64, sys.ScanN+1)
+	for i := range ts {
+		ts[i] = T * float64(i) / float64(sys.ScanN)
+	}
+	xs := make([]float64, len(ts))
+	ys := make([]float64, len(ts))
+	wave.EvalInto(sys.Stimulus, ts, xs)
+	wave.EvalInto(out, ts, ys)
+	codes := make([]monitor.Code, len(ts))
+	sys.Bank.ClassifyBatch(xs, ys, codes) // build the LUT before timing
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Bank.ClassifyBatch(xs, ys, codes)
+	}
+}
+
+// LUT-BUILD: zone-LUT certification of a fresh Table I bank, the cold
+// start a fresh System pays on its first batch classification.
+func BenchmarkZoneLUTBuild(b *testing.B) {
+	b.ReportAllocs()
+	var frac float64
+	for i := 0; i < b.N; i++ {
+		_, frac = monitor.NewAnalyticTableI().BatchInfo()
+	}
+	b.ReportMetric(frac, "certified_frac")
+}
+
 // SIG-BATCH: the batched tick-grid capture (cached stimulus grid, batch
 // output evaluation, zone-LUT classification, codes-slice walk) — the
 // per-period unit of every campaign. Compare against

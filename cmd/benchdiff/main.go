@@ -30,8 +30,10 @@ import (
 // campaign unit and its template/batched trial engines, the batched
 // signature engine, the streaming reduction engine, the streaming
 // statistics (quantile-sketch push and the streamed null calibration),
-// and the span reduction checkpointing at the fabric's default cadence.
-const defaultPins = "TransientTowThomasLinear$|SpiceCUTOutput$|SpiceTrialEngine$|SpiceTrialEngineBatch$|FaultTableSpice$|SignatureCaptureBatched$|AveragedNDFBatched$|CampaignReduce1M$|BankClassifyBatch$|QuantileSketchPush$|NoiseNullCalibration$|CheckpointOverhead/default$"
+// the span reduction checkpointing at the fabric's default cadence, and
+// the zone LUT (certification of a fresh bank, batch classification of
+// random and of curve points).
+const defaultPins = "TransientTowThomasLinear$|SpiceCUTOutput$|SpiceTrialEngine$|SpiceTrialEngineBatch$|FaultTableSpice$|SignatureCaptureBatched$|AveragedNDFBatched$|CampaignReduce1M$|BankClassifyBatch$|BankClassifyBatchCurve$|ZoneLUTBuild$|QuantileSketchPush$|NoiseNullCalibration$|CheckpointOverhead/default$"
 
 func main() {
 	var (

@@ -50,9 +50,11 @@ type Backend interface {
 	Fail(ctx context.Context, lease *Lease, msg string) error
 }
 
-// jobRun is the coordinator's in-memory view of one running job.
+// jobRun is the coordinator's in-memory view of one job.
 type jobRun struct {
-	job     *Job
+	job *Job
+	// sharded is the running job's compiled form, which holds a whole
+	// System; nil once the job is terminal.
 	sharded *testbench.ShardRun
 	pending []int             // shard indices awaiting a lease, ascending
 	leases  map[string]*lease // token -> active lease
@@ -130,8 +132,8 @@ func (c *Coordinator) Submit(ctx context.Context, id string, spec testbench.Spec
 
 // Resume reopens a stored job after a restart and requeues every
 // incomplete shard from its last checkpoint. Terminal jobs are adopted
-// without queueing (their results stay readable). Already-open jobs are
-// left untouched.
+// without queueing or compiling (their results stay readable).
+// Already-open jobs are left untouched.
 func (c *Coordinator) Resume(ctx context.Context, id string) error {
 	c.mu.Lock()
 	_, open := c.jobs[id]
@@ -143,12 +145,14 @@ func (c *Coordinator) Resume(ctx context.Context, id string) error {
 	if err != nil {
 		return err
 	}
-	sharded, err := c.compile(ctx, job.Spec())
-	if err != nil {
-		return fmt.Errorf("fabric: job %s: recompile: %w", id, err)
-	}
-	if sharded.Trials != job.Trials() {
-		return fmt.Errorf("fabric: job %s: spec resolves to %d trials, store says %d", id, sharded.Trials, job.Trials())
+	var sharded *testbench.ShardRun
+	if job.State().Phase == PhaseRunning {
+		if sharded, err = c.compile(ctx, job.Spec()); err != nil {
+			return fmt.Errorf("fabric: job %s: recompile: %w", id, err)
+		}
+		if sharded.Trials != job.Trials() {
+			return fmt.Errorf("fabric: job %s: spec resolves to %d trials, store says %d", id, sharded.Trials, job.Trials())
+		}
 	}
 	c.adopt(job, sharded)
 	return nil
@@ -398,6 +402,7 @@ func (c *Coordinator) terminateLocked(r *jobRun, phase Phase, msg string) error 
 	}
 	r.leases = map[string]*lease{}
 	r.pending = nil
+	r.sharded = nil
 	if phase == PhaseFailed {
 		r.err = fmt.Errorf("fabric: job %s failed: %s", r.job.ID(), msg)
 	}
@@ -410,6 +415,12 @@ func (c *Coordinator) terminateLocked(r *jobRun, phase Phase, msg string) error 
 // distributed accumulator equals the single-node chunk chain bit for
 // bit.
 func (c *Coordinator) finalize(r *jobRun) {
+	c.mu.Lock()
+	sharded := r.sharded
+	c.mu.Unlock()
+	if sharded == nil {
+		return // cancelled between its last report and this merge
+	}
 	st := r.job.State()
 	var merged []byte
 	var err error
@@ -419,20 +430,21 @@ func (c *Coordinator) finalize(r *jobRun) {
 			merged = sh.Acc
 			continue
 		}
-		if merged, err = r.sharded.Merge(merged, sh.Acc); err != nil {
+		if merged, err = sharded.Merge(merged, sh.Acc); err != nil {
 			break
 		}
 	}
 	c.metrics.mergeObserved(c.now().Sub(mergeStart).Seconds())
 	var res *testbench.Result
 	if err == nil {
-		if res, err = r.sharded.Finalize(merged); err == nil {
+		if res, err = sharded.Finalize(merged); err == nil {
 			res.Elapsed = c.now().Sub(r.start)
 			err = r.job.AppendDone(res)
 		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	r.sharded = nil
 	if err != nil {
 		// Failing to merge or persist the result is terminal; surface it
 		// through Wait and the durable phase rather than dropping it.

@@ -35,7 +35,12 @@ type Worker struct {
 	// DefaultPoll.
 	Poll time.Duration
 
-	compiled map[string]*testbench.ShardRun // job id -> compiled form
+	// job and compiled are the latest job this worker ran and its
+	// compiled form, which holds a whole System. Leases go out lowest job
+	// first, so a worker drains one job before it starts the next and
+	// one cached form serves every shard it runs of that job.
+	job      string
+	compiled *testbench.ShardRun
 }
 
 // Run leases and executes shards until ctx is cancelled, polling when
@@ -77,11 +82,12 @@ func (w *Worker) poll() time.Duration {
 	return DefaultPoll
 }
 
-// sharded resolves the lease's spec, caching per job so repeated leases
-// of one job (requeues, many shards) compile once per worker.
+// sharded resolves the lease's spec. Repeated leases of the latest job
+// (requeues, many shards) reuse its compiled form; a lease of another
+// job replaces it.
 func (w *Worker) sharded(ctx context.Context, ls *Lease) (*testbench.ShardRun, error) {
-	if run, ok := w.compiled[ls.Job]; ok {
-		return run, nil
+	if w.compiled != nil && w.job == ls.Job {
+		return w.compiled, nil
 	}
 	compile := w.Compile
 	if compile == nil {
@@ -91,10 +97,7 @@ func (w *Worker) sharded(ctx context.Context, ls *Lease) (*testbench.ShardRun, e
 	if err != nil {
 		return nil, err
 	}
-	if w.compiled == nil {
-		w.compiled = map[string]*testbench.ShardRun{}
-	}
-	w.compiled[ls.Job] = run
+	w.job, w.compiled = ls.Job, run
 	return run, nil
 }
 

@@ -1,10 +1,13 @@
 package monitor
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // The batched classifier: Bank.ClassifyBatch answers per-point zone
 // codes from a precomputed grid — the certified zone LUT — and falls
-// back to the exact scalar Classify wherever the table cannot *prove*
+// back to the exact Bit evaluation wherever the table cannot *prove*
 // the answer, so the batch API is bit-identical to the scalar one,
 // point for point.
 //
@@ -20,8 +23,7 @@ import "sync"
 // attains its extrema over an axis-aligned cell at the cell's corners;
 // therefore, if the four corner balances of a cell share a strict sign,
 // that sign — and hence the monitor's bit — holds over the entire closed
-// cell. A cell where every monitor is sign-constant classifies to a
-// single provable code.
+// cell.
 //
 // Two guards keep the proof airtight in floating point:
 //
@@ -34,42 +36,53 @@ import "sync"
 //     power of two is exact in binary64) and a point can never be
 //     attributed to a cell that does not contain it.
 //
-// Cells that straddle a boundary, touch the margin, or lie outside the
-// grid fall back to the exact Balance evaluation. Banks that are not
-// certifiable at all — a transistor-level Spice monitor in the bank, or
-// a drive pattern that mixes one axis across both branches — skip the
-// LUT and classify every point with the scalar path.
+// # Separable construction
+//
+// Each input voltage follows x, follows y, or is DC, so each input's
+// IDSat depends on at most one node coordinate. The build tabulates it
+// once per grid node along that axis (4·(n+1) IDSat calls per monitor
+// instead of 4·(n+1)²) and forms every node balance as
+// (I0 + I1) − (I2 + I3) from the tables: the operands Balance computes
+// at that node, combined in the order Balance combines them. Only the
+// node's margin sign is kept. The proof does not need the node values to
+// match Balance bit for bit: a rounding difference is ~1e-22 A on
+// µA-scale currents, far inside the margin a node must clear, so it can
+// never turn a certified sign into a wrong one.
+//
+// # Per-monitor proof and cell layout
+//
+// Every cell records which monitors its corners prove and their bits,
+// packed into one uint32: the code bits of the proven monitors in the
+// low 16 bits, the mask of proven monitors in the high 16. A point in a
+// fully proven cell classifies by lookup; a point in a partly proven
+// cell (one that a zone boundary crosses) evaluates Bit only for the
+// monitors the cell leaves open: on the paper's bank, about one monitor
+// of six. Points outside the grid take the full Classify.
+// Banks that are not certifiable at all — a transistor-level Spice
+// monitor in the bank, a drive pattern that mixes one axis across both
+// branches, or more monitors than a cell has bits — skip the LUT and
+// classify every point with the scalar path.
 
 const (
 	// lutCells is the zone LUT resolution per axis. Power of two, so the
 	// cell index arithmetic below is exact.
 	lutCells = 256
 	// lutMarginA is the corner-balance magnitude (in amperes) below which
-	// a cell is left uncertified. Monitor branch currents are on the µA
-	// scale; the softplus range-switch discontinuity is below 1e-18 A.
+	// a monitor is left unproven in a cell. Monitor branch currents are on
+	// the µA scale; the softplus range-switch discontinuity is below
+	// 1e-18 A.
 	lutMarginA = 1e-15
+	// lutMaxMonitors is the largest bank a cell can describe: 16 code
+	// bits below 16 proven-monitor bits.
+	lutMaxMonitors = 16
+	// lutCodeBits masks a cell's code bits.
+	lutCodeBits = 1<<lutMaxMonitors - 1
 )
 
 // zoneLUT is one bank's certified classification grid over [0,1)².
 type zoneLUT struct {
-	n     int
-	code  []Code // cell code, row-major [y][x], valid when known
-	known []bool // cell certified: every monitor sign-constant with margin
-}
-
-// lookup returns the certified code of the cell containing (x, y).
-// ok is false outside the grid or in an uncertified cell.
-func (l *zoneLUT) lookup(x, y float64) (Code, bool) {
-	if !(x >= 0 && x < 1 && y >= 0 && y < 1) {
-		return 0, false // outside the grid (or NaN): exact fallback
-	}
-	i := int(x * float64(l.n))
-	j := int(y * float64(l.n))
-	idx := j*l.n + i
-	if !l.known[idx] {
-		return 0, false
-	}
-	return l.code[idx], true
+	all   uint32   // proven-monitor mask of a fully certified cell
+	cells []uint32 // row-major [y][x]: code bits low, proven mask high
 }
 
 // lutMonotone reports whether this monitor's balance is monotone in each
@@ -97,10 +110,49 @@ func (a *Analytic) lutMonotone() bool {
 	return true
 }
 
+// nodeSigns fills sign[j·(n+1)+i] with the margin sign of the balance at
+// grid node (i/n, j/n), n = lutCells. tab is scratch for one node row of
+// the four input currents, 4·(n+1) values: an x-driven input's row holds
+// IDSat at every node x, a DC input's row its constant IDSat, and a
+// y-driven input's row is refilled with IDSat at each node row's y.
+func (a *Analytic) nodeSigns(tab []float64, sign []int8) {
+	const n, m = lutCells, lutCells + 1
+	var cur [4][]float64
+	for k, in := range a.cfg.Inputs {
+		cur[k] = tab[k*m : (k+1)*m]
+		if in.Kind == DriveY {
+			continue
+		}
+		for c := range cur[k] {
+			v := float64(c) / n
+			cur[k][c] = a.devs[k].IDSat(in.Voltage(v, v))
+		}
+	}
+	for j := 0; j < m; j++ {
+		y := float64(j) / n
+		for k, in := range a.cfg.Inputs {
+			if in.Kind == DriveY {
+				iy := a.devs[k].IDSat(y)
+				for c := range cur[k] {
+					cur[k][c] = iy
+				}
+			}
+		}
+		row := sign[j*m : (j+1)*m]
+		i0, i1, i2, i3 := cur[0][:len(row)], cur[1][:len(row)], cur[2][:len(row)], cur[3][:len(row)]
+		for i := range row {
+			row[i] = marginSign((i0[i] + i1[i]) - (i2[i] + i3[i]))
+		}
+	}
+}
+
 // buildLUT constructs the certified zone LUT, or returns nil when the
-// bank is not certifiable (non-analytic monitors, or a drive pattern
-// without per-axis monotonicity).
+// bank is not certifiable (non-analytic monitors, a drive pattern
+// without per-axis monotonicity, or more than lutMaxMonitors monitors).
 func (b *Bank) buildLUT() *zoneLUT {
+	if len(b.monitors) > lutMaxMonitors {
+		return nil
+	}
 	mons := make([]*Analytic, len(b.monitors))
 	for i, m := range b.monitors {
 		a, ok := m.(*Analytic)
@@ -109,39 +161,26 @@ func (b *Bank) buildLUT() *zoneLUT {
 		}
 		mons[i] = a
 	}
-	n := lutCells
-	l := &zoneLUT{n: n, code: make([]Code, n*n), known: make([]bool, n*n)}
-	for i := range l.known {
-		l.known[i] = true
-	}
-	// Corner balances of one monitor at a time ((n+1)² grid nodes at the
-	// exact cell-edge coordinates i/n), then per-cell sign certification.
-	bal := make([]float64, (n+1)*(n+1))
+	const n, m = lutCells, lutCells + 1
+	l := &zoneLUT{all: 1<<uint(len(mons)) - 1, cells: make([]uint32, n*n)}
+	tab := make([]float64, 4*m)
+	sign := make([]int8, m*m)
 	for mi, a := range mons {
-		for j := 0; j <= n; j++ {
-			y := float64(j) / float64(n)
-			for i := 0; i <= n; i++ {
-				bal[j*(n+1)+i] = a.Balance(float64(i)/float64(n), y)
-			}
-		}
-		bit := Code(1) << uint(mi)
+		a.nodeSigns(tab, sign)
+		ref := int8(a.refSign)
+		proven := uint32(1) << uint(lutMaxMonitors+mi)
+		bit := uint32(1) << uint(mi)
 		for j := 0; j < n; j++ {
-			for i := 0; i < n; i++ {
-				idx := j*n + i
-				if !l.known[idx] {
-					continue
-				}
-				c00 := bal[j*(n+1)+i]
-				c10 := bal[j*(n+1)+i+1]
-				c01 := bal[(j+1)*(n+1)+i]
-				c11 := bal[(j+1)*(n+1)+i+1]
-				s := signumMargin(c00)
-				if s == 0 || signumMargin(c10) != s || signumMargin(c01) != s || signumMargin(c11) != s {
-					l.known[idx] = false
-					continue
-				}
-				if s != a.refSign {
-					l.code[idx] |= bit
+			lo, hi := sign[j*m:(j+1)*m], sign[(j+1)*m:(j+2)*m]
+			row := l.cells[j*n : (j+1)*n]
+			for i := range row {
+				// Four corner signs in {-1, 0, 1} sum to ±4 exactly when
+				// they share a strict sign.
+				switch lo[i] + lo[i+1] + hi[i] + hi[i+1] {
+				case 4 * ref: // the reference side: bit 0
+					row[i] |= proven
+				case -4 * ref:
+					row[i] |= proven | bit
 				}
 			}
 		}
@@ -149,9 +188,9 @@ func (b *Bank) buildLUT() *zoneLUT {
 	return l
 }
 
-// signumMargin is signum with the certification margin: balances inside
-// ±lutMarginA count as boundary (0) and leave the cell uncertified.
-func signumMargin(v float64) int {
+// marginSign is signum with the certification margin: balances inside
+// ±lutMarginA count as boundary (0) and leave the monitor unproven.
+func marginSign(v float64) int8 {
 	switch {
 	case v > lutMarginA:
 		return 1
@@ -170,11 +209,12 @@ func (b *Bank) lut() *zoneLUT {
 }
 
 // ClassifyBatch classifies every (xs[i], ys[i]) pair into codes[i]. It
-// is bit-identical to calling Classify point by point: certified LUT
-// cells answer by table lookup, and boundary-straddling, out-of-range or
-// otherwise unprovable points fall back to the exact scalar evaluation.
-// Banks containing non-analytic monitors (e.g. the transistor-level
-// Spice bank) classify every point through the scalar path.
+// is bit-identical to calling Classify point by point. A point in a
+// fully certified LUT cell answers by table lookup; in a partly
+// certified cell only the monitors the cell leaves unproven evaluate
+// Bit, the rest come from the table; points outside [0,1)² (or NaN) take
+// the full Classify. Banks the LUT cannot certify (e.g. the
+// transistor-level Spice bank) classify every point through Classify.
 //
 // The three slices must have equal length. After the one-time LUT
 // construction the call performs no allocations.
@@ -191,30 +231,40 @@ func (b *Bank) ClassifyBatch(xs, ys []float64, codes []Code) {
 		}
 		return
 	}
-	for i := range xs {
-		if c, ok := l.lookup(xs[i], ys[i]); ok {
-			codes[i] = c
-		} else {
-			codes[i] = b.Classify(xs[i], ys[i])
+	for i, x := range xs {
+		y := ys[i]
+		if !(x >= 0 && x < 1 && y >= 0 && y < 1) {
+			codes[i] = b.Classify(x, y)
+			continue
 		}
+		cell := l.cells[int(y*lutCells)*lutCells+int(x*lutCells)]
+		c := Code(cell & lutCodeBits)
+		for open := l.all &^ (cell >> lutMaxMonitors); open != 0; open &= open - 1 {
+			mi := bits.TrailingZeros32(open)
+			if b.monitors[mi].Bit(x, y) == 1 {
+				c |= 1 << uint(mi)
+			}
+		}
+		codes[i] = c
 	}
 }
 
-// BatchInfo reports whether ClassifyBatch runs on a certified zone LUT
-// for this bank and, if so, the fraction of grid cells it certified
-// (the rest fall back to the exact classifier).
+// BatchInfo builds the zone LUT if it is not built yet and reports
+// whether ClassifyBatch runs on it for this bank and, if so, the
+// fraction of grid cells that prove every monitor. Points in the other
+// cells evaluate Bit for the monitors their cell leaves unproven.
 func (b *Bank) BatchInfo() (lutEnabled bool, certifiedFrac float64) {
 	l := b.lut()
 	if l == nil {
 		return false, 0
 	}
-	n := 0
-	for _, k := range l.known {
-		if k {
-			n++
+	full := 0
+	for _, c := range l.cells {
+		if c>>lutMaxMonitors == l.all {
+			full++
 		}
 	}
-	return true, float64(n) / float64(len(l.known))
+	return true, float64(full) / float64(len(l.cells))
 }
 
 // lutState carries the lazily built zone LUT of a bank.

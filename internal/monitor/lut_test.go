@@ -1,9 +1,15 @@
 package monitor
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
+	"repro/internal/mos"
 	"repro/internal/rng"
 )
 
@@ -178,4 +184,233 @@ func TestClassifyBatchLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	NewAnalyticTableI().ClassifyBatch(make([]float64, 3), make([]float64, 3), make([]Code, 2))
+}
+
+// oracleCells is the direct LUT construction the separable build
+// replaces: every corner balance comes from Analytic.Balance at the node
+// coordinates (i/n, j/n), and a monitor is proven in each cell whose four
+// corners share a strict sign past the margin. Cells use the zoneLUT
+// layout: code bits low, proven-monitor mask high.
+func oracleCells(b *Bank) []uint32 {
+	const n, m = lutCells, lutCells + 1
+	cells := make([]uint32, n*n)
+	bal := make([]float64, m*m)
+	for mi, mon := range b.monitors {
+		a := mon.(*Analytic)
+		for j := 0; j < m; j++ {
+			for i := 0; i < m; i++ {
+				bal[j*m+i] = a.Balance(float64(i)/float64(n), float64(j)/float64(n))
+			}
+		}
+		for j := 0; j < n; j++ {
+			for i := 0; i < n; i++ {
+				s := marginSign(bal[j*m+i])
+				if s == 0 || marginSign(bal[j*m+i+1]) != s ||
+					marginSign(bal[(j+1)*m+i]) != s || marginSign(bal[(j+1)*m+i+1]) != s {
+					continue
+				}
+				cells[j*n+i] |= 1 << uint(lutMaxMonitors+mi)
+				if int(s) != a.refSign {
+					cells[j*n+i] |= 1 << uint(mi)
+				}
+			}
+		}
+	}
+	return cells
+}
+
+type namedBank struct {
+	name string
+	bank *Bank
+}
+
+// lutTestBanks are the banks the repository certifies a LUT for: the
+// paper's, a Monte Carlo die, the bank at every foundry corner and at
+// every default temperature of the drift campaigns (built the way the
+// testbench builds them), and the designed bank of the custom_monitor
+// example.
+func lutTestBanks(t *testing.T) []namedBank {
+	t.Helper()
+	die := mos.Default65nmVariation().SampleDie(rng.New(17))
+	banks := []namedBank{
+		{"Table I", NewAnalyticTableI()},
+		{"die", NewAnalyticTableI().Perturbed(die)},
+	}
+	shifted := func(shift func(mos.Params) mos.Params) *Bank {
+		cfgs := TableI()
+		ms := make([]Monitor, len(cfgs))
+		for i, cfg := range cfgs {
+			a := MustAnalytic(cfg)
+			devs := a.Devices()
+			for j := range devs {
+				devs[j].P = shift(devs[j].P)
+			}
+			ms[i] = a.WithDevices(devs)
+		}
+		return NewBank(ms...)
+	}
+	for _, c := range mos.Corners() {
+		banks = append(banks, namedBank{"corner " + c.String(),
+			shifted(func(p mos.Params) mos.Params { return p.AtCorner(c) })})
+	}
+	for _, tk := range []float64{233, 273, 300, 323, 358, 398} {
+		banks = append(banks, namedBank{fmt.Sprintf("%g K", tk),
+			shifted(func(p mos.Params) mos.Params { return p.AtTemperature(tk) })})
+	}
+	return append(banks, namedBank{"custom_monitor", customMonitorBank(t)})
+}
+
+// customMonitorBank is the bank examples/custom_monitor designs: three
+// DesignArc arcs, a DesignSegment segment, a FitArcBias arc and the
+// Table I diagonal.
+func customMonitorBank(t *testing.T) *Bank {
+	t.Helper()
+	base := TableI()[2]
+	var cfgs []Config
+	for _, p := range []float64{0.3, 0.42, 0.54} {
+		cfg, err := DesignArc(p, 1800, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	seg, err := DesignSegment(0.45, 0.25, 3000, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arc, err := FitArcBias(0.35, 0.62, 1800, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs = append(cfgs, seg, arc, TableI()[5])
+	ms := make([]Monitor, len(cfgs))
+	for i, cfg := range cfgs {
+		ms[i] = MustAnalytic(cfg)
+	}
+	return NewBank(ms...)
+}
+
+// onlyOnAMD64 skips the cell-for-cell pins elsewhere. They compare two
+// floating-point computations of the same node balances; Go may fuse a
+// multiply and an add into one FMA on some architectures, and may do so
+// differently at the two call sites, while on amd64 it never fuses.
+// Elsewhere the LUT's soundness rests on the margin alone, which the
+// property tests cover.
+func onlyOnAMD64(t *testing.T) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("node balances are pinned bit for bit on amd64 only, not %s", runtime.GOARCH)
+	}
+}
+
+// TestZoneLUTMatchesDirectOracle pins the separable construction to the
+// direct one, cell for cell — code bits and proven bits — on every bank
+// the repository certifies.
+func TestZoneLUTMatchesDirectOracle(t *testing.T) {
+	onlyOnAMD64(t)
+	for _, nb := range lutTestBanks(t) {
+		l := nb.bank.lut()
+		if l == nil {
+			t.Fatalf("%s: bank declined the LUT", nb.name)
+		}
+		want := oracleCells(nb.bank)
+		for idx, got := range l.cells {
+			if got != want[idx] {
+				t.Fatalf("%s: cell (x %d, y %d) code %016b proven %016b, oracle code %016b proven %016b",
+					nb.name, idx%lutCells, idx/lutCells, got&lutCodeBits, got>>lutMaxMonitors,
+					want[idx]&lutCodeBits, want[idx]>>lutMaxMonitors)
+			}
+		}
+	}
+}
+
+// Golden vector of the paper's bank: the SHA-256 of its cell array
+// (little-endian uint32, row-major) and its certified fraction. A change
+// to the construction, the margin, the grid or the cell layout moves
+// them.
+const (
+	lutGoldenSHA256 = "59edbeef7fdf6648d13c6e912ebc7b84408b8ae9ea0975c0f70fd13b1488f0ec"
+	lutGoldenFrac   = 0.965545654296875 // 63278 of 65536 cells
+)
+
+func TestZoneLUTGolden(t *testing.T) {
+	onlyOnAMD64(t)
+	bank := NewAnalyticTableI()
+	_, frac := bank.BatchInfo()
+	cells := bank.lut().cells
+	buf := make([]byte, 4*len(cells))
+	for i, c := range cells {
+		binary.LittleEndian.PutUint32(buf[4*i:], c)
+	}
+	sum := sha256.Sum256(buf)
+	if got := hex.EncodeToString(sum[:]); got != lutGoldenSHA256 {
+		t.Errorf("Table I cell array SHA-256 %s, want %s", got, lutGoldenSHA256)
+	}
+	if frac != lutGoldenFrac {
+		t.Errorf("Table I certified fraction %v, want %v", frac, lutGoldenFrac)
+	}
+}
+
+// TestClassifyBatchPartlyProvenCells targets the per-monitor fallback:
+// random points inside every cell that leaves some monitor unproven, on
+// every certified bank, must classify exactly as Classify does.
+func TestClassifyBatchPartlyProvenCells(t *testing.T) {
+	src := rng.New(29)
+	for _, nb := range lutTestBanks(t) {
+		l := nb.bank.lut()
+		var xs, ys []float64
+		for idx, c := range l.cells {
+			if c>>lutMaxMonitors == l.all {
+				continue
+			}
+			for k := 0; k < 2; k++ {
+				xs = append(xs, (float64(idx%lutCells)+src.Float64())/lutCells)
+				ys = append(ys, (float64(idx/lutCells)+src.Float64())/lutCells)
+			}
+		}
+		if len(xs) == 0 {
+			t.Fatalf("%s: no partly proven cell", nb.name)
+		}
+		codes := make([]Code, len(xs))
+		nb.bank.ClassifyBatch(xs, ys, codes)
+		for i := range xs {
+			if want := nb.bank.Classify(xs[i], ys[i]); codes[i] != want {
+				t.Fatalf("%s: point (%v, %v): batch %016b, scalar %016b", nb.name, xs[i], ys[i], codes[i], want)
+			}
+		}
+	}
+}
+
+// TestZoneLUTBankSizeBound: a cell has 16 code bits, so a 16-monitor
+// bank still certifies and one monitor more declines the LUT; both
+// classify bit-identically to Classify.
+func TestZoneLUTBankSizeBound(t *testing.T) {
+	cfgs := TableI()
+	bankOf := func(n int) *Bank {
+		ms := make([]Monitor, n)
+		for i := range ms {
+			ms[i] = MustAnalytic(cfgs[i%len(cfgs)])
+		}
+		return NewBank(ms...)
+	}
+	src := rng.New(31)
+	xs := make([]float64, 4000)
+	ys := make([]float64, len(xs))
+	for i := range xs {
+		xs[i] = -0.1 + 1.2*src.Float64()
+		ys[i] = -0.1 + 1.2*src.Float64()
+	}
+	for _, n := range []int{lutMaxMonitors, lutMaxMonitors + 1} {
+		bank := bankOf(n)
+		if enabled, _ := bank.BatchInfo(); enabled != (n <= lutMaxMonitors) {
+			t.Fatalf("%d-monitor bank: LUT enabled %v", n, enabled)
+		}
+		codes := make([]Code, len(xs))
+		bank.ClassifyBatch(xs, ys, codes)
+		for i := range xs {
+			if want := bank.Classify(xs[i], ys[i]); codes[i] != want {
+				t.Fatalf("%d-monitor bank, point (%v, %v): batch %017b, scalar %017b", n, xs[i], ys[i], codes[i], want)
+			}
+		}
+	}
 }

@@ -50,10 +50,6 @@ func runTempDrift(ctx context.Context, sys *core.System, tempsK []float64) (*Tem
 			return nil, err
 		}
 		hotSys.Observe = sys.Observe
-		// One exact scan on a throwaway bank: the zone-LUT build would
-		// cost more than it amortizes, so keep the scalar classifier
-		// (results are bit-identical either way).
-		hotSys.Scalar = true
 		obs, err := hotSys.ExactSignature(sys.CUT)
 		if err != nil {
 			return nil, err

@@ -1,10 +1,62 @@
 package testbench
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/monitor"
+	"repro/internal/mos"
 )
+
+// TestDriftBanksBatchedMatchesScalar: the corner and temperature drift
+// campaigns take each bank's exact signature on the batched engine,
+// zone LUT included. At every corner and every default temperature it
+// must equal the scalar pipeline's signature bit for bit.
+func TestDriftBanksBatchedMatchesScalar(t *testing.T) {
+	type driftBank struct {
+		name  string
+		build func() (*monitor.Bank, error)
+	}
+	var banks []driftBank
+	for _, c := range mos.Corners() {
+		banks = append(banks, driftBank{"corner " + c.String(), func() (*monitor.Bank, error) { return bankAtCorner(c) }})
+	}
+	for _, tk := range registry["temp"].newParams().(*TempParams).TempsK {
+		banks = append(banks, driftBank{fmt.Sprintf("%g K", tk), func() (*monitor.Bank, error) { return bankAtTemperature(tk) }})
+	}
+	base := sys()
+	for _, b := range banks {
+		var sigs [2][]byte
+		for k, scalar := range []bool{false, true} {
+			bank, err := b.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := core.NewSystem(base.Stimulus, base.CUT, bank, base.Capture)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Scalar = scalar
+			sig, err := s.ExactSignature(base.CUT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sigs[k], err = sig.MarshalBinary(); err != nil {
+				t.Fatal(err)
+			}
+			if enabled, _ := bank.BatchInfo(); !enabled {
+				t.Fatalf("%s: bank declined the zone LUT", b.name)
+			}
+		}
+		if !bytes.Equal(sigs[0], sigs[1]) {
+			t.Fatalf("%s: batched exact signature differs from the scalar pipeline's", b.name)
+		}
+	}
+}
 
 func TestTempDriftGrowsAwayFrom300K(t *testing.T) {
 	td, err := runAs[TempDrift](context.Background(), Spec{Campaign: "temp", Params: TempParams{TempsK: []float64{250, 300, 350, 400}}}, WithSystem(sys()))
