@@ -105,8 +105,8 @@ bench-verify:
 # Short-budget fuzz pass over the SPICE netlist parser, the signature
 # binary decoder, the trial-template mutation engine, the streaming
 # statistics codecs, the fabric job-log replay, the shard accumulator
-# codecs and the campaign spec ingress (seed corpora are checked in
-# under testdata/fuzz). Each target
+# codecs, the campaign spec ingress and the HTTP handlers of both APIs
+# (seed corpora are checked in under testdata/fuzz). Each target
 # gets 10s — enough to exercise the mutator on every seed class without
 # blowing the CI budget. `go test -fuzz` accepts one target per
 # invocation, hence the per-target runs.
@@ -120,6 +120,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzJobLogReplay$$' -fuzztime=10s ./internal/fabric
 	$(GO) test -run=^$$ -fuzz='^FuzzShardBlobUnmarshal$$' -fuzztime=10s ./internal/testbench
 	$(GO) test -run=^$$ -fuzz='^FuzzSpecDecode$$' -fuzztime=10s ./internal/testbench
+	$(GO) test -run=^$$ -fuzz='^FuzzHandler$$' -fuzztime=10s ./internal/serve
 
 # HTTP service smoke: boot mcserved on an ephemeral port and run one
 # small campaign through its own API (list, submit, poll, result).

@@ -1,7 +1,9 @@
 // Command mcserved serves the campaign registry over HTTP: every
 // testbench campaign becomes reachable with a POST of its declarative
 // spec, runs concurrently with streamed progress, and is cancellable
-// mid-flight.
+// mid-flight. /v1/campaigns is a view over an in-memory fabric
+// coordinator: each job is one shard, run by an in-process worker, and
+// the newest fabric.MaxRetained finished jobs stay queryable.
 //
 //	mcserved -addr :8080
 //
@@ -11,9 +13,11 @@
 //	curl localhost:8080/v1/jobs/job-1/events          # SSE progress stream
 //	curl -X POST localhost:8080/v1/jobs/job-1/cancel  # abort mid-campaign
 //
-// With -store, the instance becomes a fabric coordinator: durable
-// sharded jobs live in the store directory, survive kills, and are
-// leased out span by span to workers over /v1/shards:
+// With -store, the instance also runs a durable fabric coordinator —
+// the same coordinator code over an fsynced on-disk store: sharded jobs
+// live in the store directory, survive kills and power loss, and are
+// leased out span by span to workers over /v1/shards. Campaigns without
+// a sharded form run as one span:
 //
 //	mcserved -addr :8080 -store /var/mc/jobs          # coordinator
 //	mcserved -worker -peer http://host:8080           # worker instance
@@ -99,12 +103,12 @@ func run(ctx context.Context, addr, storeDir, logFormat string, smoke bool) erro
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
 	if storeDir != "" {
-		store, err := fabric.OpenStore(storeDir)
+		store, err := fabric.OpenStore(storeDir, fabric.WithSync(true))
 		if err != nil {
 			return err
 		}
 		// The coordinator registers into the serve registry, so one
-		// GET /metrics scrape covers both the job engine and the fabric.
+		// GET /metrics scrape covers both the campaign API and the fabric.
 		coord := fabric.NewCoordinator(fabric.Config{Store: store, Metrics: fabric.NewMetrics(srv.Metrics())})
 		defer func() { _ = coord.Close() }() // shutdown path; job logs flush on every append
 		if err := coord.RecoverAll(ctx); err != nil {

@@ -32,8 +32,9 @@ type Lease struct {
 
 // Backend is the coordinator surface a Worker drives: lease a shard,
 // heartbeat it (optionally carrying a checkpoint), report it complete.
-// The Coordinator implements it directly for in-process workers; the
-// serve package's HTTP client implements it for remote ones.
+// The Coordinator implements it directly for in-process workers (which
+// then run the coordinator's own compiled form; see Worker); the serve
+// package's HTTP client implements it for remote ones.
 type Backend interface {
 	// Lease returns the next pending shard, or ok == false when nothing
 	// is pending right now (the worker polls again later).
@@ -55,13 +56,15 @@ type jobRun struct {
 	job *Job
 	// sharded is the running job's compiled form, which holds a whole
 	// System; nil once the job is terminal.
-	sharded *testbench.ShardRun
-	pending []int             // shard indices awaiting a lease, ascending
-	leases  map[string]*lease // token -> active lease
-	start   time.Time
-	done    chan struct{}     // closed on any terminal phase
-	res     *testbench.Result // finalized in this process, for Wait
-	err     error             // terminal error (failed phase), for Wait
+	sharded  *testbench.ShardRun
+	pending  []int             // shard indices awaiting a lease, ascending
+	leases   map[string]*lease // token -> active lease
+	start    time.Time
+	finished time.Time         // zero while running
+	progress func() (int, int) // the compiled form's Progress, kept when the form is dropped
+	done     chan struct{}     // closed on any terminal phase
+	res      *testbench.Result // finalized in this process, for Wait
+	err      error             // terminal error (failed phase), for Wait
 }
 
 // lease is the coordinator-side record of an issued Lease.
@@ -73,8 +76,9 @@ type lease struct {
 
 // Coordinator owns the fabric's control plane: it plans jobs, issues
 // and expires leases, persists every checkpoint and completion to the
-// durable store, merges finished shards in shard-index order, and
-// finalizes the result. All methods are safe for concurrent use.
+// store, merges finished shards in shard-index order, and finalizes the
+// result. It keeps at most MaxRetained finished jobs, evicting the
+// oldest-finished first. All methods are safe for concurrent use.
 type Coordinator struct {
 	store    *Store
 	compile  CompileFunc
@@ -82,10 +86,17 @@ type Coordinator struct {
 	now      func() time.Time
 	metrics  *Metrics // nil-safe; see Metrics
 
-	mu   sync.Mutex
-	jobs map[string]*jobRun
-	seq  int // lease token counter
+	mu       sync.Mutex
+	jobs     map[string]*jobRun
+	finished []string // ids of the retained terminal jobs, oldest-finished first
+	seq      int      // lease token counter
 }
+
+// MaxRetained is how many finished jobs a coordinator keeps queryable.
+// Past it the oldest-finished job is evicted: its handle is closed and
+// its id answers ErrUnknownJob. A durable job stays in the store, and a
+// restarted coordinator adopts the newest MaxRetained finished ones.
+const MaxRetained = 1024
 
 // NewCoordinator assembles a coordinator over a durable store.
 func NewCoordinator(cfg Config) *Coordinator {
@@ -114,6 +125,9 @@ func NewCoordinator(cfg Config) *Coordinator {
 // queues its shards for leasing. shards bounds the partition width (the
 // planner may use fewer; see PlanShards).
 func (c *Coordinator) Submit(ctx context.Context, id string, spec testbench.Spec, shards int) error {
+	if _, err := c.run(id); err == nil {
+		return fmt.Errorf("fabric: job %s already exists", id)
+	}
 	sharded, err := c.compile(ctx, spec)
 	if err != nil {
 		return err
@@ -135,10 +149,7 @@ func (c *Coordinator) Submit(ctx context.Context, id string, spec testbench.Spec
 // without queueing or compiling (their results stay readable).
 // Already-open jobs are left untouched.
 func (c *Coordinator) Resume(ctx context.Context, id string) error {
-	c.mu.Lock()
-	_, open := c.jobs[id]
-	c.mu.Unlock()
-	if open {
+	if _, err := c.run(id); err == nil {
 		return nil
 	}
 	job, err := c.store.OpenJob(id)
@@ -183,7 +194,12 @@ func (c *Coordinator) adopt(job *Job, sharded *testbench.ShardRun) {
 		start:   c.now(),
 		done:    make(chan struct{}),
 	}
+	if sharded != nil {
+		r.progress = sharded.Progress
+	}
 	st := job.State()
+	c.mu.Lock()
+	c.jobs[job.ID()] = r
 	if st.Phase == PhaseRunning {
 		for i, sh := range st.Shards {
 			if !sh.Done {
@@ -194,10 +210,8 @@ func (c *Coordinator) adopt(job *Job, sharded *testbench.ShardRun) {
 		if st.Phase == PhaseFailed {
 			r.err = fmt.Errorf("fabric: job %s failed: %s", job.ID(), st.Failure)
 		}
-		close(r.done)
+		c.retireLocked(r)
 	}
-	c.mu.Lock()
-	c.jobs[job.ID()] = r
 	c.mu.Unlock()
 	// A recovered job whose shards had all completed may still lack its
 	// merged result (killed between last report and finalize).
@@ -373,8 +387,9 @@ func (c *Coordinator) Fail(ctx context.Context, ls *Lease, msg string) error {
 }
 
 // Cancel revokes every lease of the job and moves it to its cancelled
-// phase: in-flight workers learn on their next heartbeat and cancel
-// their span contexts — the coordinator → lease → worker ctx flow.
+// phase: in-flight workers learn on their next heartbeat (every
+// LeaseTTL/3) and cancel their span contexts — the coordinator → lease
+// → worker ctx flow, in process and across the wire alike.
 func (c *Coordinator) Cancel(id string) error {
 	r, err := c.run(id)
 	if err != nil {
@@ -402,12 +417,30 @@ func (c *Coordinator) terminateLocked(r *jobRun, phase Phase, msg string) error 
 	}
 	r.leases = map[string]*lease{}
 	r.pending = nil
-	r.sharded = nil
 	if phase == PhaseFailed {
 		r.err = fmt.Errorf("fabric: job %s failed: %s", r.job.ID(), msg)
 	}
-	close(r.done)
+	c.retireLocked(r)
 	return nil
+}
+
+// retireLocked completes r's move to a terminal phase: it stamps the
+// finish time, drops the compiled form (a whole System), wakes waiters,
+// and evicts the oldest-finished job past MaxRetained. Called with c.mu
+// held.
+func (c *Coordinator) retireLocked(r *jobRun) {
+	r.finished = c.now()
+	r.sharded = nil
+	close(r.done)
+	c.finished = append(c.finished, r.job.ID())
+	for len(c.finished) > MaxRetained {
+		old := c.jobs[c.finished[0]]
+		delete(c.jobs, c.finished[0])
+		c.finished = c.finished[1:]
+		// Every append already surfaced its own error and the log is
+		// unbuffered, so closing an evicted job's handle loses nothing.
+		_ = old.job.Close()
+	}
 }
 
 // finalize merges the shard blobs in shard-index order, finalizes the
@@ -439,23 +472,81 @@ func (c *Coordinator) finalize(r *jobRun) {
 	if err == nil {
 		if res, err = sharded.Finalize(merged); err == nil {
 			res.Elapsed = c.now().Sub(r.start)
-			err = r.job.AppendDone(res)
 		}
 	}
+	// The phase, the Result and the finish time change together under
+	// c.mu, so no reader sees a done job without its result.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r.sharded = nil
+	if r.job.State().Phase != PhaseRunning {
+		return // cancelled during the merge
+	}
+	if err == nil {
+		err = r.job.AppendDone(res)
+	}
 	if err != nil {
 		// Failing to merge or persist the result is terminal; surface it
 		// through Wait and the durable phase rather than dropping it.
 		if ferr := c.terminateLocked(r, PhaseFailed, err.Error()); ferr != nil {
 			r.err = fmt.Errorf("%w (and persisting the failure also failed: %v)", err, ferr)
-			close(r.done)
+			c.retireLocked(r)
 		}
 		return
 	}
 	r.res = res
-	close(r.done)
+	c.retireLocked(r)
+}
+
+// JobInfo is the coordinator's record of one job: its durable phase
+// plus what the coordinator tracks in memory.
+type JobInfo struct {
+	Spec    testbench.Spec // the effective spec the job was planned from
+	Phase   Phase
+	Failure string
+	// Done and Total are the latest progress tick of the job's compiled
+	// form, which an in-process Worker runs; zero for jobs run elsewhere.
+	Done, Total int
+	Created     time.Time
+	Finished    time.Time // zero while running
+	// Result is set once the job is done, if it was finalized in this
+	// process; a job recovered already done reads it back through Wait.
+	Result *testbench.Result
+}
+
+// Info returns the job's record.
+func (c *Coordinator) Info(id string) (JobInfo, error) {
+	c.mu.Lock()
+	r, ok := c.jobs[id]
+	if !ok {
+		c.mu.Unlock()
+		return JobInfo{}, fmt.Errorf("%w: %s", ErrUnknownJob, id)
+	}
+	st := r.job.State()
+	info := JobInfo{Spec: r.job.Spec(), Phase: st.Phase, Failure: st.Failure, Created: r.start, Finished: r.finished, Result: r.res}
+	progress := r.progress
+	c.mu.Unlock()
+	if progress != nil {
+		info.Done, info.Total = progress()
+	}
+	return info, nil
+}
+
+// Count reports how many jobs the coordinator holds: running ones, and
+// finished ones retained for queries (at most MaxRetained).
+func (c *Coordinator) Count() (running, retained int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.jobs) - len(c.finished), len(c.finished)
+}
+
+// compiled returns a running job's compiled form, or nil.
+func (c *Coordinator) compiled(id string) *testbench.ShardRun {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if r, ok := c.jobs[id]; ok {
+		return r.sharded
+	}
+	return nil
 }
 
 // Status returns the job's durable state.
@@ -499,7 +590,7 @@ func (c *Coordinator) Wait(ctx context.Context, id string) (*testbench.Result, e
 	return nil, fmt.Errorf("fabric: job %s woke in phase %s", id, st.Phase)
 }
 
-// Jobs lists the ids the coordinator currently has open, sorted.
+// Jobs lists the ids the coordinator currently holds, sorted.
 func (c *Coordinator) Jobs() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,5 +1,7 @@
-// Package fabric is the distributed campaign fabric: durable jobs,
+// Package fabric is the campaign job system: durable jobs,
 // checkpoint/resume, and sharded execution across mcserved instances.
+// The same coordinator, over a memory store, runs mcserved's
+// /v1/campaigns jobs in process (internal/serve).
 //
 // It layers three pieces on the streaming campaign engine:
 //
@@ -8,17 +10,24 @@
 //     checkpoints and shard completions, and a compacted snapshot, so a
 //     killed process reopens the store and resumes from the last
 //     checkpoint instead of trial 0. Every write error surfaces — a
-//     checkpoint that cannot be persisted fails the run.
+//     checkpoint that cannot be persisted fails the run. NewMemoryStore
+//     is the same store with nothing written, for jobs that need not
+//     outlive the process.
 //   - a Coordinator (coordinator.go): splits a campaign spec into
 //     contiguous chunk-aligned trial spans, leases them to workers with
 //     a TTL, requeues expired leases from their last reported
 //     checkpoint, and merges per-shard accumulator blobs in shard-index
-//     order once all spans complete.
+//     order once all spans complete. It keeps the newest MaxRetained
+//     finished jobs queryable and evicts the oldest-finished beyond
+//     that, whatever its store.
 //   - a Worker (worker.go): pulls leases from a Backend — the
 //     Coordinator directly in-process, or an HTTP client against a
 //     remote coordinator — runs each span through the campaign's
 //     sharded form, heartbeats while it works, and reports the span's
-//     accumulator blob.
+//     accumulator blob. An in-process worker without Compile runs the
+//     coordinator's own compiled form. Every registered campaign has a
+//     form: yield and faults shard by trial span, the rest run as one
+//     opaque span whose blob is the encoded Result.
 //
 // # Bit-identity
 //
@@ -35,7 +44,9 @@
 // single-holder — requeuing a shard (TTL expiry, job cancel) issues a
 // new token, and every message carrying the old one fails with
 // ErrUnknownLease, which a worker treats as an order to abandon the
-// span. Expiry is lazy: stale leases are requeued at the next lease,
+// span. Cancel is the one cancellation path: a worker learns of it on
+// its next heartbeat (every LeaseTTL/3), in process or over HTTP.
+// Expiry is lazy: stale leases are requeued at the next lease,
 // heartbeat or report that inspects the job, always from the shard's
 // last persisted checkpoint, never from trial 0.
 //

@@ -30,6 +30,7 @@ import (
 // corrupt store must fail loudly, not resume from fabricated state.
 type Store struct {
 	dir          string
+	mem          bool
 	sync         bool
 	compactEvery int
 }
@@ -37,11 +38,13 @@ type Store struct {
 // StoreOption customizes OpenStore.
 type StoreOption func(*Store)
 
-// WithSync makes every log append and snapshot fsync before returning.
-// The default is off: surviving a killed process only needs the data to
-// have reached the page cache, and the checkpoint-overhead budget
-// (BenchmarkCheckpointOverhead) is measured at the default. Turn it on
-// when the failure model includes the whole machine losing power.
+// WithSync makes every log append and snapshot fsync before returning,
+// and fsyncs the directory after every rename and job creation so the
+// new names are durable too. The default is off: surviving a killed
+// process only needs the data to have reached the page cache, and the
+// checkpoint-overhead budget (BenchmarkCheckpointOverhead) is measured
+// at the default. Turn it on when the failure model includes the whole
+// machine losing power; mcserved -store does.
 func WithSync(on bool) StoreOption { return func(s *Store) { s.sync = on } }
 
 // WithCompactEvery sets how many log appends accumulate before the
@@ -69,7 +72,13 @@ func OpenStore(dir string, opts ...StoreOption) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
+// NewMemoryStore returns a store that writes nothing: appends only
+// update a job's state, a finished job drops its shard blobs and keeps
+// no result (the coordinator that finalized it holds the Result), and
+// its jobs end with the process — the store behind internal/serve.
+func NewMemoryStore() *Store { return &Store{mem: true} }
+
+// Dir returns the store's root directory ("" for a memory store).
 func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) jobsDir() string         { return filepath.Join(s.dir, "jobs") }
@@ -77,6 +86,9 @@ func (s *Store) jobDir(id string) string { return filepath.Join(s.jobsDir(), id)
 
 // Jobs lists the ids of every job in the store, sorted.
 func (s *Store) Jobs() ([]string, error) {
+	if s.mem {
+		return nil, nil
+	}
 	entries, err := os.ReadDir(s.jobsDir())
 	if err != nil {
 		return nil, fmt.Errorf("fabric: list jobs: %w", err)
@@ -167,7 +179,8 @@ type Job struct {
 
 	mu        sync.Mutex
 	state     JobState
-	log       *os.File
+	log       *os.File // nil for an in-memory job
+	closed    bool
 	sinceSnap int
 }
 
@@ -180,6 +193,10 @@ func (s *Store) CreateJob(id string, spec testbench.Spec, trials int, plan []cam
 	if err := validatePlan(trials, plan); err != nil {
 		return nil, fmt.Errorf("fabric: job %s: %w", id, err)
 	}
+	meta := jobMeta{ID: id, Spec: spec, Trials: trials, Plan: plan}
+	if s.mem {
+		return &Job{store: s, meta: meta, state: freshState(plan)}, nil
+	}
 	dir := s.jobDir(id)
 	if _, err := os.Stat(dir); err == nil {
 		return nil, fmt.Errorf("fabric: job %s already exists", id)
@@ -189,7 +206,11 @@ func (s *Store) CreateJob(id string, spec testbench.Spec, trials int, plan []cam
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fabric: job %s: %w", id, err)
 	}
-	meta := jobMeta{ID: id, Spec: spec, Trials: trials, Plan: plan}
+	if s.sync {
+		if err := syncDir(s.jobsDir()); err != nil {
+			return nil, fmt.Errorf("fabric: job %s: %w", id, err)
+		}
+	}
 	if err := s.writeFileAtomic(filepath.Join(dir, "job.json"), meta); err != nil {
 		return nil, fmt.Errorf("fabric: job %s: %w", id, err)
 	}
@@ -203,6 +224,9 @@ func (s *Store) CreateJob(id string, spec testbench.Spec, trials int, plan []cam
 // OpenJob reopens an existing job, replaying snapshot and log into the
 // in-memory state — the resume path after a kill or restart.
 func (s *Store) OpenJob(id string) (*Job, error) {
+	if s.mem {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownJob, id)
+	}
 	dir := s.jobDir(id)
 	metaBytes, err := os.ReadFile(filepath.Join(dir, "job.json"))
 	if err != nil {
@@ -417,13 +441,22 @@ func (j *Job) State() JobState {
 func (j *Job) append(rec logRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.log == nil {
+	if j.closed {
 		return fmt.Errorf("fabric: job %s: store closed", j.meta.ID)
 	}
 	// Dry-run on a copy first: an invalid append must not reach the log.
 	trial := j.state.clone()
 	if err := applyRecord(&trial, rec); err != nil {
 		return fmt.Errorf("fabric: job %s: %w", j.meta.ID, err)
+	}
+	if j.store.mem {
+		if trial.Phase != PhaseRunning {
+			for i := range trial.Shards {
+				trial.Shards[i].Acc = nil
+			}
+		}
+		j.state = trial
+		return nil
 	}
 	data, err := json.Marshal(rec)
 	if err != nil {
@@ -484,17 +517,22 @@ func (j *Job) AppendFailed(msg string) error {
 
 // AppendDone persists the finalized result and moves the job to done.
 func (j *Job) AppendDone(res *testbench.Result) error {
-	j.mu.Lock()
-	err := j.store.writeFileAtomic(filepath.Join(j.dir(), "result.json"), res)
-	j.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("fabric: job %s: result: %w", j.meta.ID, err)
+	if !j.store.mem {
+		j.mu.Lock()
+		err := j.store.writeFileAtomic(filepath.Join(j.dir(), "result.json"), res)
+		j.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("fabric: job %s: result: %w", j.meta.ID, err)
+		}
 	}
 	return j.append(logRecord{Kind: recDone})
 }
 
 // Result reads back the finalized result of a done job.
 func (j *Job) Result() (*testbench.Result, error) {
+	if j.store.mem {
+		return nil, fmt.Errorf("fabric: job %s: an in-memory job keeps no result", j.meta.ID)
+	}
 	data, err := os.ReadFile(filepath.Join(j.dir(), "result.json"))
 	if err != nil {
 		return nil, fmt.Errorf("fabric: job %s: %w", j.meta.ID, err)
@@ -510,6 +548,7 @@ func (j *Job) Result() (*testbench.Result, error) {
 func (j *Job) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.closed = true
 	if j.log == nil {
 		return nil
 	}
@@ -523,7 +562,7 @@ func (j *Job) Close() error {
 
 // writeFileAtomic writes JSON via a temp file and rename, so readers
 // never observe a torn file; with WithSync the data is fsynced before
-// the rename commits it.
+// the rename commits it, and the directory after.
 func (s *Store) writeFileAtomic(path string, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -549,5 +588,18 @@ func (s *Store) writeFileAtomic(path string, v any) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return errors.Join(err, os.Remove(tmp.Name()))
 	}
+	if s.sync {
+		return syncDir(filepath.Dir(path))
+	}
 	return nil
+}
+
+// syncDir fsyncs a directory, making the names created or renamed in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
 }

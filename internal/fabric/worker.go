@@ -84,13 +84,23 @@ func (w *Worker) poll() time.Duration {
 
 // sharded resolves the lease's spec. Repeated leases of the latest job
 // (requeues, many shards) reuse its compiled form; a lease of another
-// job replaces it.
+// job replaces it. A worker without Compile whose Backend is the
+// Coordinator itself runs the coordinator's own form of the job instead
+// of compiling one: the job is built once, with whatever observers its
+// submitter compiled in, and the coordinator finalizes the form that
+// ran.
 func (w *Worker) sharded(ctx context.Context, ls *Lease) (*testbench.ShardRun, error) {
 	if w.compiled != nil && w.job == ls.Job {
 		return w.compiled, nil
 	}
 	compile := w.Compile
 	if compile == nil {
+		if c, ok := w.Backend.(*Coordinator); ok {
+			if run := c.compiled(ls.Job); run != nil {
+				w.job, w.compiled = ls.Job, run
+				return run, nil
+			}
+		}
 		compile = defaultCompile
 	}
 	run, err := compile(ctx, ls.Spec)

@@ -1,7 +1,8 @@
-// Package serve is the campaign-as-a-service layer: an HTTP job engine
-// that exposes the testbench campaign registry over the wire. It is the
-// implementation behind cmd/mcserved and the in-process server the
-// examples, tests and the mcload replay client drive.
+// Package serve is the campaign-as-a-service layer: the HTTP API that
+// exposes the testbench campaign registry over the wire, as a view over
+// an in-memory fabric coordinator. It is the implementation behind
+// cmd/mcserved and the in-process server the examples, tests and the
+// mcload replay client drive.
 //
 // API (JSON everywhere unless noted):
 //
@@ -15,11 +16,20 @@
 //
 // # Job lifecycle
 //
-// Jobs run concurrently, each under its own context; cancelling through
-// the API aborts the campaign within one trial's latency, exactly like
-// cancelling the context of a direct testbench.Run call — it is the
-// same context. A job is terminal in exactly one of the states done,
-// failed or cancelled, and stays queryable until the server shuts down.
+// Every job is a one-shard job of the server's fabric coordinator over
+// a fabric.NewMemoryStore, and the job's state is the coordinator's
+// record: its phase, live progress, created and finished times, and the
+// Result. Submit resolves the spec — a bad spec never takes a job id —
+// and starts one in-process fabric.Worker per submission, so jobs run
+// concurrently; the worker builds the campaign's system (and runs any
+// calibration) when it starts the job. The job's spec is the effective
+// spec: params default-filled in their typed form. Cancelling through
+// the API is fabric.Coordinator.Cancel, which the worker learns on its
+// next heartbeat — within a second — and then stops within one trial.
+// A job is terminal in exactly one of the states done, failed or
+// cancelled; a done job always carries its result and finish time. The
+// newest fabric.MaxRetained finished jobs stay queryable; older ones
+// answer 404.
 //
 // # Observability contract
 //

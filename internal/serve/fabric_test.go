@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/fabric"
 	"repro/internal/testbench"
 )
@@ -239,20 +240,33 @@ func TestFabricHTTPErrors(t *testing.T) {
 		t.Fatalf("result of cancelled job: %s", resp.Status)
 	}
 
-	// Bad submissions: unknown campaign, unshardable campaign.
-	for _, body := range []string{
-		`{"id":"x","spec":{"campaign":"nope"},"shards":1}`,
-		`{"id":"x","spec":{"campaign":"fig4mc"},"shards":1}`,
-	} {
-		resp, err := http.Post(ts.URL+"/v1/fabric/jobs", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := resp.Body.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("bad submission %s: %s", body, resp.Status)
-		}
+	// Bad submission: unknown campaign.
+	resp, err = http.Post(ts.URL+"/v1/fabric/jobs", "application/json",
+		strings.NewReader(`{"id":"x","spec":{"campaign":"nope"},"shards":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resp.Body.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown campaign: %s", resp.Status)
+	}
+
+	// A campaign without a sharded form is accepted as one opaque span,
+	// whatever shard count it asks for.
+	resp, err = http.Post(ts.URL+"/v1/fabric/jobs", "application/json",
+		strings.NewReader(`{"id":"opaque","spec":{"campaign":"fig4mc"},"shards":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st FabricJobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	closeErr := resp.Body.Close()
+	if err != nil || closeErr != nil {
+		t.Fatal(err, closeErr)
+	}
+	if resp.StatusCode != http.StatusAccepted || len(st.Shards) != 1 || st.Shards[0].Span != (campaign.Span{Lo: 0, Hi: 1}) {
+		t.Fatalf("fig4mc submission: %s, shards %+v", resp.Status, st.Shards)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/metrics"
 )
 
@@ -20,8 +21,7 @@ type serverMetrics struct {
 
 	httpRequests *metrics.CounterVec   // by route
 	httpSeconds  *metrics.HistogramVec // by route
-	jobsInFlight *metrics.Gauge
-	jobsTotal    *metrics.CounterVec // by terminal state
+	jobsTotal    *metrics.CounterVec   // by terminal state
 	sseSubs      *metrics.Gauge
 
 	trials      *metrics.Counter
@@ -30,16 +30,15 @@ type serverMetrics struct {
 	workersConf *metrics.Gauge
 }
 
-// newServerMetrics registers the serve and campaign families on reg.
-func newServerMetrics(reg *metrics.Registry) *serverMetrics {
-	return &serverMetrics{
+// newServerMetrics registers the serve and campaign families on reg;
+// the job gauges read the server's coordinator at scrape time.
+func newServerMetrics(reg *metrics.Registry, coord *fabric.Coordinator) *serverMetrics {
+	m := &serverMetrics{
 		reg: reg,
 		httpRequests: reg.CounterVec("mcserved_http_requests_total",
 			"HTTP requests served, by route pattern.", "", "route"),
 		httpSeconds: reg.HistogramVec("mcserved_http_request_seconds",
 			"HTTP request latency, by route pattern.", "seconds", "route", nil),
-		jobsInFlight: reg.Gauge("mcserved_jobs_in_flight",
-			"Campaign jobs currently running.", ""),
 		jobsTotal: reg.CounterVec("mcserved_jobs_total",
 			"Campaign jobs finished, by terminal state.", "", "state"),
 		sseSubs: reg.Gauge("mcserved_sse_subscribers",
@@ -53,17 +52,23 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 		workersConf: reg.Gauge("mccampaign_workers_configured",
 			"Worker-pool size of the most recently started reduction.", ""),
 	}
+	reg.GaugeFunc("mcserved_jobs_in_flight", "Campaign jobs currently running.", "",
+		func() float64 { running, _ := coord.Count(); return float64(running) })
+	reg.GaugeFunc("mcserved_jobs_retained", "Finished campaign jobs kept queryable (at most fabric.MaxRetained).", "",
+		func() float64 { _, retained := coord.Count(); return float64(retained) })
+	return m
 }
 
-// jobMeter adapts campaign.Meter events into metrics. The campaign
-// engine is clock-free by contract, so the timing lives here: ChunkStart
-// timestamps the chunk and ChunkDone turns the pair into a latency
-// observation. One meter serves one job; meters of concurrent jobs share
+// jobMeter adapts one job's campaign.Meter events and progress ticks
+// into metrics. The campaign engine is clock-free by contract, so the
+// timing lives here: ChunkStart timestamps the chunk and ChunkDone turns
+// the pair into a latency observation. Meters of concurrent jobs share
 // the same instrument set.
 type jobMeter struct {
-	m  *serverMetrics
-	mu sync.Mutex
-	at map[int]time.Time // chunk index -> fold start
+	m    *serverMetrics
+	mu   sync.Mutex
+	at   map[int]time.Time // chunk index -> fold start
+	seen int               // the last progress count fed to the trial counter
 }
 
 func newJobMeter(m *serverMetrics) *jobMeter {
@@ -93,19 +98,20 @@ func (jm *jobMeter) ChunkDone(chunk, trials int) {
 	}
 }
 
-// countTrials feeds the cumulative trial counter from progress ticks.
-// Progress reports the completion count of the job's current fan-out
+// progress feeds the cumulative trial counter from the job's progress
+// ticks. A tick reports the completion count of the current fan-out
 // phase; a drop means a new phase began, so the fresh count is the
-// delta. Called under j.mu (the progress callback already serializes
-// per job).
-func (j *job) countTrials(m *serverMetrics, done int) {
-	delta := done - j.trialsSeen
-	if done < j.trialsSeen {
+// delta.
+func (jm *jobMeter) progress(done, _ int) {
+	jm.mu.Lock()
+	delta := done - jm.seen
+	if done < jm.seen {
 		delta = done
 	}
-	j.trialsSeen = done
+	jm.seen = done
+	jm.mu.Unlock()
 	if delta > 0 {
-		m.trials.Add(uint64(delta))
+		jm.m.trials.Add(uint64(delta))
 	}
 }
 

@@ -6,16 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/metrics"
 	"repro/internal/testbench"
 )
 
-// Job states.
+// Job states: the phases of the fabric job behind every campaign job.
 const (
 	StateRunning   = "running"
 	StateDone      = "done"
@@ -42,52 +43,27 @@ type JobStatus struct {
 	Finished *time.Time        `json:"finished,omitempty"`
 }
 
-// job is the server-side state of one campaign run.
-type job struct {
-	mu       sync.Mutex
-	id       string
-	seq      int
-	spec     testbench.Spec
-	state    string
-	progress Progress
-	err      string
-	result   *testbench.Result
-	created  time.Time
-	finished *time.Time
-	cancel   context.CancelFunc
-	done     chan struct{} // closed on terminal state
-	// trialsSeen is the last progress count fed to the cumulative trial
-	// counter (see countTrials); guarded by mu like progress.
-	trialsSeen int
-}
-
-// status snapshots the job under its lock.
-func (j *job) status() JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return JobStatus{
-		ID:       j.id,
-		State:    j.state,
-		Spec:     j.spec,
-		Progress: j.progress,
-		Error:    j.err,
-		Result:   j.result,
-		Created:  j.created,
-		Finished: j.finished,
-	}
-}
-
-// Server is the HTTP campaign service. Create with New, mount Handler,
-// Close on shutdown (cancels every running job).
+// Server is the HTTP campaign service: a view over an in-memory fabric
+// coordinator, whose every job is one shard run by an in-process worker.
+// Create with New, mount Handler, Close on shutdown (cancels every
+// running job).
 type Server struct {
-	mu      sync.Mutex
-	jobs    map[string]*job
-	seq     int
+	coord   *fabric.Coordinator
 	baseCtx context.Context
 	stop    context.CancelFunc
 	wg      sync.WaitGroup
 	metrics *serverMetrics
+
+	mu     sync.Mutex // orders submissions against Close
+	seq    int        // N of the latest job-N
+	closed bool
 }
+
+// inProcessLeaseTTL is the lease lifetime on the in-memory coordinator.
+// The in-process worker heartbeats every third of it, and a heartbeat
+// is how a cancel reaches a running job: within a third of a second
+// plus the trial in flight.
+const inProcessLeaseTTL = time.Second
 
 // New returns a ready server; jobs inherit from ctx (nil = Background),
 // so cancelling it — or calling Close — aborts every campaign in flight.
@@ -96,12 +72,18 @@ func New(ctx context.Context) *Server {
 		ctx = context.Background() //mclint:ctxflow nil-ctx guard at construction; callers pass the process root ctx and Close cancels every job
 	}
 	base, stop := context.WithCancel(ctx)
-	return &Server{
-		jobs:    map[string]*job{},
-		baseCtx: base,
-		stop:    stop,
-		metrics: newServerMetrics(metrics.NewRegistry()),
-	}
+	s := &Server{baseCtx: base, stop: stop}
+	s.coord = fabric.NewCoordinator(fabric.Config{Store: fabric.NewMemoryStore(), Compile: s.compile, LeaseTTL: inProcessLeaseTTL})
+	s.metrics = newServerMetrics(metrics.NewRegistry(), s.coord)
+	return s
+}
+
+// compile is the coordinator's CompileFunc: the job's form with the
+// campaign instruments compiled in, one meter per job. It only resolves
+// the spec; the worker that runs the form builds its system.
+func (s *Server) compile(ctx context.Context, spec testbench.Spec) (*testbench.ShardRun, error) {
+	m := newJobMeter(s.metrics)
+	return testbench.Sharder(ctx, spec, testbench.WithProgress(m.progress), testbench.WithMeter(m))
 }
 
 // Metrics returns the server's metric registry — the one GET /metrics
@@ -109,108 +91,111 @@ func New(ctx context.Context) *Server {
 // register their families here so one scrape covers the process.
 func (s *Server) Metrics() *metrics.Registry { return s.metrics.reg }
 
-// Close cancels all running jobs and waits for them to drain.
+// Close cancels every running job, waits for the in-process workers to
+// stop, and refuses later submissions.
 func (s *Server) Close() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
 	s.stop()
 	s.wg.Wait()
 }
 
 // Submit starts a campaign job for the spec and returns its status — the
-// programmatic form of POST /v1/campaigns. The campaign is validated
-// (name and params) before the job is created, so a bad spec never
-// occupies a job slot.
+// programmatic form of POST /v1/campaigns. The spec is resolved before
+// the job is created, so a bad spec never takes a job id; nothing is
+// built or calibrated until the job's worker runs it.
 func (s *Server) Submit(spec testbench.Spec) (JobStatus, error) {
-	if err := testbench.Validate(spec); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return JobStatus{}, errors.New("serve: server closed")
+	}
+	id := fmt.Sprintf("job-%d", s.seq+1)
+	if err := s.coord.Submit(s.baseCtx, id, spec, 1); err != nil {
 		return JobStatus{}, err
 	}
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	s.mu.Lock()
 	s.seq++
-	j := &job{
-		id:      fmt.Sprintf("job-%d", s.seq),
-		seq:     s.seq,
-		spec:    spec,
-		state:   StateRunning,
-		created: time.Now(),
-		cancel:  cancel,
-		done:    make(chan struct{}),
-	}
-	s.jobs[j.id] = j
-	s.mu.Unlock()
-	s.metrics.jobsInFlight.Add(1)
 	s.wg.Add(1)
-	go s.run(ctx, cancel, j)
-	return j.status(), nil
+	go s.run(id)
+	st, _ := s.Job(id)
+	return st, nil
 }
 
-// run executes one job to a terminal state.
-func (s *Server) run(ctx context.Context, cancel context.CancelFunc, j *job) {
+// run is one submission's in-process worker. It leases until nothing is
+// pending — its own job's shard or whichever it reaches first; a worker
+// whose lease expired leases the requeued shard again — then waits for
+// its job to end and counts its terminal state. A lease error needs no
+// handling here: the shard requeues, and the job's phase records how it
+// ended. When the server's context ends (Close, or the parent context),
+// each worker cancels its own job.
+func (s *Server) run(id string) {
 	defer s.wg.Done()
-	defer cancel()
-	res, err := testbench.Run(ctx, j.spec,
-		testbench.WithProgress(func(done, total int) {
-			j.mu.Lock()
-			j.progress = Progress{Done: done, Total: total}
-			j.countTrials(s.metrics, done)
-			j.mu.Unlock()
-		}),
-		testbench.WithMeter(newJobMeter(s.metrics)))
-	now := time.Now()
-	j.mu.Lock()
-	j.finished = &now
-	switch {
-	case err == nil:
-		j.state = StateDone
-		j.result = res
-	case errors.Is(err, context.Canceled):
-		j.state = StateCancelled
-		j.err = err.Error()
-	default:
-		j.state = StateFailed
-		j.err = err.Error()
+	w := &fabric.Worker{Backend: s.coord, ID: id}
+	for {
+		if worked, _ := w.RunOne(s.baseCtx); !worked || s.baseCtx.Err() != nil {
+			break
+		}
 	}
-	state := j.state
-	j.mu.Unlock()
-	s.metrics.jobsInFlight.Add(-1)
-	s.metrics.jobsTotal.With(state).Inc()
-	close(j.done)
+	if _, err := s.coord.Wait(s.baseCtx, id); err != nil && s.baseCtx.Err() != nil {
+		_ = s.coord.Cancel(id) // a job that ended meanwhile answers ErrJobDone
+	}
+	if st, ok := s.Job(id); ok && st.State != StateRunning {
+		s.metrics.jobsTotal.With(st.State).Inc()
+	}
 }
 
 // Cancel aborts a running job; cancelling a terminal job is a no-op.
 func (s *Server) Cancel(id string) (JobStatus, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	if err := s.coord.Cancel(id); err != nil && !errors.Is(err, fabric.ErrJobDone) {
+		return JobStatus{}, fmt.Errorf("serve: cancel %q: %w", id, err)
+	}
+	st, ok := s.Job(id)
 	if !ok {
 		return JobStatus{}, fmt.Errorf("serve: unknown job %q", id)
 	}
-	j.cancel()
-	return j.status(), nil
+	return st, nil
 }
 
-// Job returns one job's status.
+// Job returns one job's status, read from the coordinator's record.
 func (s *Server) Job(id string) (JobStatus, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
+	info, err := s.coord.Info(id)
+	if err != nil {
 		return JobStatus{}, false
 	}
-	return j.status(), true
+	st := JobStatus{
+		ID:       id,
+		State:    string(info.Phase),
+		Spec:     info.Spec,
+		Progress: Progress{Done: info.Done, Total: info.Total},
+		Error:    info.Failure,
+		Result:   info.Result,
+		Created:  info.Created,
+	}
+	if info.Phase == fabric.PhaseCancelled {
+		st.Error = context.Canceled.Error()
+	}
+	if !info.Finished.IsZero() {
+		st.Finished = &info.Finished
+	}
+	return st, true
 }
 
-// Jobs lists every job, newest first.
+// Jobs lists every retained job, newest first. Ids are job-N, so the
+// longer id is the newer, and equal lengths order as strings.
 func (s *Server) Jobs() []JobStatus {
-	s.mu.Lock()
-	js := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		js = append(js, j)
-	}
-	s.mu.Unlock()
-	sort.Slice(js, func(a, b int) bool { return js[a].seq > js[b].seq })
-	out := make([]JobStatus, len(js))
-	for i, j := range js {
-		out[i] = j.status()
+	ids := s.coord.Jobs()
+	slices.SortFunc(ids, func(a, b string) int {
+		if len(a) != len(b) {
+			return len(b) - len(a)
+		}
+		return strings.Compare(b, a)
+	})
+	out := make([]JobStatus, 0, len(ids))
+	for _, id := range ids {
+		if st, ok := s.Job(id); ok {
+			out = append(out, st)
+		}
 	}
 	return out
 }

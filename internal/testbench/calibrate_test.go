@@ -134,7 +134,9 @@ func TestNoiseCalibrationFlatMemory(t *testing.T) {
 	small := calibBytes(100_000)
 	big := calibBytes(1_000_000)
 	t.Logf("streamed calibration allocated %d B at 100k trials, %d B at 1M trials", small, big)
-	if big > 10*small+1<<20 {
+	// The race detector defeats sync.Pool, so the pooled chunk sketches
+	// are reallocated and the ratios below say nothing under -race.
+	if !raceEnabled && big > 10*small+1<<20 {
 		t.Fatalf("streamed calibration memory scales with trials: %d B at 100k vs %d B at 1M", small, big)
 	}
 	materialized := alloc(func() {
@@ -150,7 +152,7 @@ func TestNoiseCalibrationFlatMemory(t *testing.T) {
 	if materialized < 8*1_000_000 {
 		t.Fatalf("materializing path allocated only %d B for 1M trials — accounting broken?", materialized)
 	}
-	if big >= materialized/10 {
+	if !raceEnabled && big >= materialized/10 {
 		t.Fatalf("streamed calibration (%d B) not an order of magnitude under materializing (%d B) at 1M trials",
 			big, materialized)
 	}

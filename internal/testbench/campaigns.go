@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/biquad"
+	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/ndf"
 	"repro/internal/stat"
@@ -129,6 +130,15 @@ type FaultsParams struct {
 	Threshold *float64       `json:"threshold,omitempty"`
 	Tol       float64        `json:"tol"`
 	Faults    []biquad.Fault `json:"faults,omitempty"`
+}
+
+// faultSet is the fault list the campaign injects: Faults, or
+// DefaultFaultSet when empty.
+func (p *FaultsParams) faultSet() []biquad.Fault {
+	if len(p.Faults) == 0 {
+		return DefaultFaultSet()
+	}
+	return p.Faults
 }
 
 // YieldParams configures the "yield" campaign. A nil Threshold
@@ -322,38 +332,42 @@ func init() {
 			return runNoiseSweep(ctx, sys, p.Sigmas, p.DevGrid, p.Trials, p.SketchPrec, ev.Seed(), ev.Engine())
 		})
 
-	register("faults", "component-level fault campaign (parametric drifts, opens, shorts)",
-		FaultsParams{Tol: 0.05},
-		func(ctx context.Context, ev *Env, p *FaultsParams) (*FaultTable, error) {
+	registerReduction("faults", "component-level fault campaign (parametric drifts, opens, shorts)",
+		FaultsParams{Tol: 0.05}, faultReducer(),
+		func(p *FaultsParams) int { return len(p.faultSet()) },
+		func(ctx context.Context, ev *Env, p *FaultsParams) (func(int, *core.TrialScratch) (FaultCase, error), func([]FaultCase) *FaultTable, error) {
 			dec, err := decision(ctx, ev, p.Threshold, p.Tol)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			sys, err := ev.System()
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			faults := p.Faults
-			if len(faults) == 0 {
-				faults = DefaultFaultSet()
-			}
-			return runFaultTable(ctx, sys, dec, faults, ev.Engine())
+			trial, err := faultTrial(sys, dec, p.faultSet())
+			return trial, func(cases []FaultCase) *FaultTable { return finalizeFaultTable(dec.Threshold, cases) }, err
 		})
 
-	register("yield", "production-flow yield/escape/overkill simulation over component tolerances",
-		YieldParams{N: 400, ComponentSigma: 0.02, Tol: 0.05},
-		func(ctx context.Context, ev *Env, p *YieldParams) (*Yield, error) {
+	// Threshold calibration is deterministic (corner NDFs of the resolved
+	// system), so every shard's build reaches the same decision.
+	registerReduction("yield", "production-flow yield/escape/overkill simulation over component tolerances",
+		YieldParams{N: 400, ComponentSigma: 0.02, Tol: 0.05}, yieldReducer(),
+		func(p *YieldParams) int { return p.N },
+		func(ctx context.Context, ev *Env, p *YieldParams) (func(int, *core.TrialScratch) (yieldVerdict, error), func(yieldCounts) *Yield, error) {
 			sys, err := ev.System()
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			var dec ndf.Decision
 			if p.Threshold != nil {
 				dec.Threshold = *p.Threshold
 			} else if dec, err = calibrateMultiParam(ctx, sys, p.Tol); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			return runYield(ctx, sys, dec, p.N, p.ComponentSigma, p.Tol, ev.Engine())
+			trial, err := yieldTrial(sys, dec, p.ComponentSigma, p.Tol, ev.Engine())
+			return trial, func(c yieldCounts) *Yield {
+				return finalizeYield(c, p.N, p.ComponentSigma, p.Tol, dec.Threshold)
+			}, err
 		})
 
 	register("selftest", "monitor-BIST stuck-at campaign: the bank screens itself",

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/biquad"
-	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/ndf"
 	"repro/internal/stat"
@@ -139,27 +138,6 @@ func finalizeFaultTable(threshold float64, cases []FaultCase) *FaultTable {
 		out.CoverageLo, out.CoverageHi = stat.ClopperPearson(detected, n, 0.95)
 	}
 	return out
-}
-
-// runFaultTable injects every fault into the golden realization (via
-// CUT.Perturb, so the injection happens at component level on whichever
-// backend the system runs — analytic model or SPICE netlist) and tests
-// the faulty circuit with the given decision threshold (registry
-// campaign "faults"). The fault injections stream through the campaign
-// reduction engine: each
-// chunk folds its cases into an ordered slice and chunks concatenate in
-// index order, so the table rows stay in fault order at any worker
-// count while the engine's memory stays O(workers + chunk).
-func runFaultTable(ctx context.Context, sys *core.System, dec ndf.Decision, faults []biquad.Fault, eng campaign.Engine) (*FaultTable, error) {
-	trial, err := faultTrial(sys, dec, faults)
-	if err != nil {
-		return nil, err
-	}
-	cases, err := campaign.ReduceScratch(ctx, eng, len(faults), faultReducer().Reducer, core.NewTrialScratch, trial)
-	if err != nil {
-		return nil, err
-	}
-	return finalizeFaultTable(dec.Threshold, cases), nil
 }
 
 // Coverage returns the fraction of faults detected.

@@ -38,7 +38,16 @@ func register[P, R any](name, summary string, defaults P, run func(ctx context.C
 		name:    name,
 		summary: summary,
 		newParams: func() any {
+			// Decoding params appends into a slice's backing array, so each
+			// copy gets slices of its own; sharing the registered defaults'
+			// arrays would let one spec rewrite the next one's defaults.
 			p := defaults
+			v := reflect.ValueOf(&p).Elem()
+			for i := 0; i < v.NumField(); i++ {
+				if f := v.Field(i); f.Kind() == reflect.Slice && f.Len() > 0 && f.CanSet() {
+					f.Set(reflect.AppendSlice(reflect.Zero(f.Type()), f))
+				}
+			}
 			return &p
 		},
 		newPayload: func() any { return new(R) },
@@ -205,36 +214,25 @@ func validateParams(campaign string, params any) error {
 // Validate checks a spec against the registry — the campaign exists, the
 // backend name is known, the spec knobs are in range, and the params
 // decode into the campaign's schema (and pass its semantic validation)
-// — without running anything. The HTTP service gates submissions on it.
+// — without running anything. It is exactly the spec resolution Run and
+// Sharder start with.
 func Validate(spec Spec) error {
-	def, err := lookup(spec.Campaign)
-	if err != nil {
-		return err
+	_, _, _, _, err := compile(spec)
+	return err
+}
+
+// checkBackend rejects a backend name core does not know.
+func checkBackend(spec Spec) error {
+	if spec.Backend == "" {
+		return nil
 	}
-	if spec.Backend != "" {
-		known := false
-		for _, b := range core.Backends() {
-			if spec.Backend == b {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("testbench: campaign %s: unknown backend %q (want %s)",
-				spec.Campaign, spec.Backend, strings.Join(core.Backends(), " or "))
+	for _, b := range core.Backends() {
+		if spec.Backend == b {
+			return nil
 		}
 	}
-	if spec.Chunk < 0 {
-		return fmt.Errorf("testbench: campaign %s: negative chunk %d", spec.Campaign, spec.Chunk)
-	}
-	if spec.Checkpoint < 0 {
-		return fmt.Errorf("testbench: campaign %s: negative checkpoint %d", spec.Campaign, spec.Checkpoint)
-	}
-	params := def.newParams()
-	if err := decodeParams(spec.Params, params); err != nil {
-		return fmt.Errorf("testbench: campaign %s: bad params: %w", spec.Campaign, err)
-	}
-	return validateParams(spec.Campaign, params)
+	return fmt.Errorf("testbench: campaign %s: unknown backend %q (want %s)",
+		spec.Campaign, spec.Backend, strings.Join(core.Backends(), " or "))
 }
 
 // DecodeResult restores a Result from its JSON encoding, rebuilding the

@@ -325,3 +325,23 @@ func TestWorkerOptionOverride(t *testing.T) {
 		t.Fatal("worker bound changed the envelope")
 	}
 }
+
+// Decoding a spec's params never rewrites the registered defaults: a
+// shorter slice param decodes into an array of its own, so the next
+// spec that omits it still runs the catalogued default.
+func TestParamsDecodeLeavesDefaults(t *testing.T) {
+	defaults := func() string {
+		data, err := json.Marshal(registry["noise"].newParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	before := defaults()
+	if err := Validate(Spec{Campaign: "noise", Params: map[string]any{"devs": []any{0.5}}}); err != nil {
+		t.Fatal(err)
+	}
+	if after := defaults(); after != before {
+		t.Fatalf("validating a spec rewrote the noise defaults:\n  before %s\n  after  %s", before, after)
+	}
+}

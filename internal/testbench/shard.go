@@ -2,13 +2,12 @@ package testbench
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
-	"sort"
-	"strings"
+	"sync"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/ndf"
 )
 
 // CheckpointSink receives one durable checkpoint of a sharded campaign
@@ -49,113 +48,113 @@ type ShardRun struct {
 	// Result envelope (Elapsed is the caller's to fill in — the fabric
 	// owns the wall clock of a distributed run).
 	Finalize func(acc []byte) (*Result, error)
+	// Progress reads the latest progress tick of this form's runs — the
+	// (done, total) count of the current fan-out phase, as WithProgress
+	// reports it. Sharder always sets it; nil means untracked.
+	Progress func() (done, total int)
 }
 
-// shardBuilders maps campaign name to the builder of its sharded form.
-// A campaign qualifies when it is a single trial fan-out whose
-// accumulator merges exactly associatively — integer counts, ordered
-// concatenation — so per-shard blobs merge bit-identically to the
-// single-node chunk chain. Populated from init only, read-only after.
-var shardBuilders = map[string]func(ctx context.Context, ev *Env, spec Spec, params any) (*ShardRun, error){}
+// shardBuilders maps campaign name to the builder of its sharded form:
+// the campaigns registered through registerReduction, a single trial
+// fan-out whose accumulator merges exactly associatively — integer
+// counts, ordered concatenation — so per-shard blobs merge
+// bit-identically to the single-node chunk chain. Every other campaign
+// compiles to one opaque span (see opaqueShard). Populated from init
+// only, read-only after.
+var shardBuilders = map[string]func(ctx context.Context, ev *Env, spec Spec, params any) *ShardRun{}
 
-func init() {
-	shardBuilders["yield"] = buildYieldShard
-	shardBuilders["faults"] = buildFaultShard
-}
-
-// Shardable reports whether the named campaign has a sharded form.
-func Shardable(name string) bool {
-	_, ok := shardBuilders[name]
-	return ok
-}
-
-// ShardableNames lists the campaigns with a sharded form, sorted.
-func ShardableNames() []string {
-	names := make([]string, 0, len(shardBuilders))
-	for name := range shardBuilders {
-		names = append(names, name)
+// registerReduction registers a campaign that is one checkpointable
+// trial fan-out in both its forms from one definition: the registry run
+// folds the whole trial range through campaign.ReduceScratch, and
+// Sharder's form runs it span by span (see shardExec). trials counts
+// the fan-out from the params alone; prepare builds the trial function
+// and the finalizer, resolving the system and any calibration.
+func registerReduction[P, R, T, A any](name, summary string, defaults P, red campaign.CheckpointReducer[T, A], trials func(p *P) int,
+	prepare func(ctx context.Context, ev *Env, p *P) (func(int, *core.TrialScratch) (T, error), func(A) *R, error)) {
+	register(name, summary, defaults, func(ctx context.Context, ev *Env, p *P) (*R, error) {
+		trial, finalize, err := prepare(ctx, ev, p)
+		if err != nil {
+			return nil, err
+		}
+		acc, err := campaign.ReduceScratch(ctx, ev.Engine(), trials(p), red.Reducer, core.NewTrialScratch, trial)
+		if err != nil {
+			return nil, err
+		}
+		return finalize(acc), nil
+	})
+	shardBuilders[name] = func(ctx context.Context, ev *Env, spec Spec, params any) *ShardRun {
+		p := params.(*P)
+		return shardExec(ctx, ev, spec, trials(p), red, func(ctx context.Context) (func(int, *core.TrialScratch) (T, error), func(A) *R, error) {
+			return prepare(ctx, ev, p)
+		})
 	}
-	sort.Strings(names)
-	return names
 }
 
-// Sharder compiles a spec into its sharded executable form. It shares
-// Run's spec resolution — lookup, params decoding and validation, knob
-// bounds — so the fabric accepts exactly the specs the in-process path
-// does, then resolves the campaign's system and decision once; the
-// returned ShardRun's closures are safe for repeated spans under one
-// process. Cancelling ctx aborts the compilation's calibration phase.
+// Sharder compiles a spec into its sharded executable form. It is Run's
+// spec resolution — lookup, params decoding and validation, knob bounds
+// — so the fabric accepts exactly the specs the in-process path does.
+// Compiling is cheap: the campaign's system and decision (for yield and
+// faults without a threshold, a calibration) are built on the form's
+// first Run, under that Run's context, or at Finalize if nothing ran in
+// this process. The returned ShardRun's closures are safe for repeated
+// and concurrent spans under one process.
 func Sharder(ctx context.Context, spec Spec, opts ...Option) (*ShardRun, error) {
-	build, ok := shardBuilders[spec.Campaign]
-	if !ok {
-		return nil, fmt.Errorf("testbench: campaign %q is not shardable (shardable: %s)",
-			spec.Campaign, strings.Join(ShardableNames(), ", "))
-	}
-	_, ev, eff, params, err := compile(spec, opts...)
+	def, ev, eff, params, err := compile(spec, opts...)
 	if err != nil {
 		return nil, err
 	}
-	run, err := build(ctx, ev, eff, params)
-	if err != nil {
-		return nil, fmt.Errorf("testbench: campaign %s: %w", spec.Campaign, err)
+	var mu sync.Mutex
+	var done, total int
+	observe := ev.progress
+	ev.progress = func(d, t int) {
+		mu.Lock()
+		done, total = d, t
+		mu.Unlock()
+		if observe != nil {
+			observe(d, t)
+		}
+	}
+	var run *ShardRun
+	if build, ok := shardBuilders[spec.Campaign]; ok {
+		// A Finalize-time build must not fail because the compiling
+		// request has since ended.
+		run = build(context.WithoutCancel(ctx), ev, eff, params)
+	} else {
+		run = opaqueShard(def, ev, eff, params)
+	}
+	run.Progress = func() (int, int) {
+		mu.Lock()
+		defer mu.Unlock()
+		return done, total
 	}
 	return run, nil
-}
-
-// buildYieldShard compiles the yield campaign: threshold calibration is
-// deterministic (corner NDFs of the resolved system), so coordinator
-// and every worker arrive at the same decision independently.
-func buildYieldShard(ctx context.Context, ev *Env, spec Spec, params any) (*ShardRun, error) {
-	p := params.(*YieldParams)
-	sys, err := ev.System()
-	if err != nil {
-		return nil, err
-	}
-	var dec ndf.Decision
-	if p.Threshold != nil {
-		dec.Threshold = *p.Threshold
-	} else if dec, err = calibrateMultiParam(ctx, sys, p.Tol); err != nil {
-		return nil, err
-	}
-	trial, err := yieldTrial(sys, dec, p.ComponentSigma, p.Tol, ev.Engine())
-	if err != nil {
-		return nil, err
-	}
-	return shardExec(ev, spec, p.N, yieldReducer(), trial, func(c yieldCounts) any {
-		return finalizeYield(c, p.N, p.ComponentSigma, p.Tol, dec.Threshold)
-	}), nil
-}
-
-// buildFaultShard compiles the component-fault campaign; the trial space
-// is the fault list, one case per index.
-func buildFaultShard(ctx context.Context, ev *Env, spec Spec, params any) (*ShardRun, error) {
-	p := params.(*FaultsParams)
-	dec, err := decision(ctx, ev, p.Threshold, p.Tol)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := ev.System()
-	if err != nil {
-		return nil, err
-	}
-	faults := p.Faults
-	if len(faults) == 0 {
-		faults = DefaultFaultSet()
-	}
-	trial, err := faultTrial(sys, dec, faults)
-	if err != nil {
-		return nil, err
-	}
-	return shardExec(ev, spec, len(faults), faultReducer(), trial, func(cases []FaultCase) any {
-		return finalizeFaultTable(dec.Threshold, cases)
-	}), nil
 }
 
 // shardExec bridges a typed CheckpointReducer to the blob-level ShardRun
 // surface: spans run through campaign.ReduceSpanScratch with the codec
 // applied at the boundary, merges and finalization unmarshal first and
-// remarshal after.
-func shardExec[T, A any](ev *Env, spec Spec, n int, red campaign.CheckpointReducer[T, A], trial func(i int, sc *core.TrialScratch) (T, error), finalize func(acc A) any) *ShardRun {
+// remarshal after. prepare builds the trial and finalizer once, on the
+// first Run or Finalize that succeeds in building them (a cancelled
+// build is retried by the next call); buildCtx serves Finalize.
+func shardExec[T, A, R any](buildCtx context.Context, ev *Env, spec Spec, n int, red campaign.CheckpointReducer[T, A],
+	prepare func(ctx context.Context) (func(int, *core.TrialScratch) (T, error), func(A) *R, error)) *ShardRun {
+	var (
+		mu       sync.Mutex
+		trial    func(int, *core.TrialScratch) (T, error)
+		finalize func(A) *R
+	)
+	built := func(ctx context.Context) (func(int, *core.TrialScratch) (T, error), func(A) *R, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if trial == nil {
+			t, f, err := prepare(ctx)
+			if err != nil {
+				return nil, nil, fmt.Errorf("testbench: campaign %s: %w", spec.Campaign, err)
+			}
+			trial, finalize = t, f
+		}
+		return trial, finalize, nil
+	}
 	eng := ev.Engine()
 	return &ShardRun{
 		Spec:   spec,
@@ -171,6 +170,10 @@ func shardExec[T, A any](ev *Env, spec Spec, n int, red campaign.CheckpointReduc
 					return nil, err
 				}
 				initAcc = &a
+			}
+			trial, _, err := built(ctx)
+			if err != nil {
+				return nil, err
 			}
 			var ckpt campaign.CheckpointFunc[A]
 			if sink != nil {
@@ -204,6 +207,10 @@ func shardExec[T, A any](ev *Env, spec Spec, n int, red campaign.CheckpointReduc
 			if err != nil {
 				return nil, err
 			}
+			_, finalize, err := built(buildCtx)
+			if err != nil {
+				return nil, err
+			}
 			payload := finalize(acc)
 			return &Result{
 				Spec:    spec,
@@ -212,5 +219,34 @@ func shardExec[T, A any](ev *Env, spec Spec, n int, red campaign.CheckpointReduc
 				Workers: ev.workers,
 			}, nil
 		},
+	}
+}
+
+// opaqueShard compiles a campaign without a sharded form into one
+// opaque span [0, 1): Run executes the whole campaign and returns its
+// encoded Result as the span's blob, and Finalize decodes it. There is
+// nothing to merge or checkpoint, so the fabric runs such a job as one
+// span whatever shard count it was submitted with.
+func opaqueShard(def *campaignDef, ev *Env, spec Spec, params any) *ShardRun {
+	var mu sync.Mutex // one Env, one run at a time
+	return &ShardRun{
+		Spec:   spec,
+		Trials: 1,
+		Run: func(ctx context.Context, span campaign.Span, _ []byte, _ CheckpointSink) ([]byte, error) {
+			if span != (campaign.Span{Lo: 0, Hi: 1}) {
+				return nil, fmt.Errorf("span [%d, %d): campaign %s runs as the one span [0, 1)", span.Lo, span.Hi, spec.Campaign)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			payload, err := def.run(ctx, ev, params)
+			if err != nil {
+				return nil, fmt.Errorf("testbench: campaign %s: %w", spec.Campaign, err)
+			}
+			return json.Marshal(&Result{Spec: spec, Payload: payload, Text: renderText(payload), Workers: ev.workers})
+		},
+		Merge: func(_, _ []byte) ([]byte, error) {
+			return nil, fmt.Errorf("testbench: campaign %s runs as one span; there is nothing to merge", spec.Campaign)
+		},
+		Finalize: DecodeResult,
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"repro/internal/campaign"
@@ -160,8 +161,20 @@ func TestSharderFaultsBitIdentical(t *testing.T) {
 
 func TestSharderRejects(t *testing.T) {
 	ctx := context.Background()
-	if _, err := Sharder(ctx, Spec{Campaign: "fig4"}); err == nil {
-		t.Fatal("non-shardable campaign accepted")
+	// A campaign without a sharded form compiles to one opaque span.
+	fig4 := Spec{Campaign: "fig4", Params: Fig4Params{Points: 5}}
+	opaque, err := Sharder(ctx, fig4)
+	if err != nil {
+		t.Fatalf("campaign without a sharded form rejected: %v", err)
+	}
+	if opaque.Trials != 1 {
+		t.Fatalf("opaque form has %d trials, want one span of 1", opaque.Trials)
+	}
+	if _, err := opaque.Run(ctx, campaign.Span{Lo: 0, Hi: 2}, nil, nil); err == nil {
+		t.Fatal("opaque form ran a span other than [0, 1)")
+	}
+	if _, err := Sharder(ctx, Spec{Campaign: "nope"}); err == nil {
+		t.Fatal("unknown campaign accepted")
 	}
 	if _, err := Sharder(ctx, Spec{Campaign: "yield", Checkpoint: -1, Params: YieldParams{N: 10, ComponentSigma: 0.02, Tol: 0.05}}); err == nil {
 		t.Fatal("negative checkpoint accepted")
@@ -176,7 +189,70 @@ func TestSharderRejects(t *testing.T) {
 	if _, err := sr.Run(ctx, campaign.Span{Lo: 0, Hi: 50}, []byte("garbage"), nil); err == nil {
 		t.Fatal("malformed init blob accepted")
 	}
-	if !Shardable("yield") || Shardable("fig4") {
-		t.Fatal("Shardable misreports")
+}
+
+// TestSharderOpaqueBitIdentical: a campaign without a sharded form runs
+// as one opaque span whose blob is the encoded Result, and finalizes to
+// the payload and text of the in-process run.
+func TestSharderOpaqueBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	spec := Spec{Campaign: "fig4mc", Seed: 7, Params: Fig4MCParams{Monitor: 2, Dies: 12, Cols: 9}}
+	single, err := Run(ctx, spec, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := Sharder(ctx, spec, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := sr.Run(ctx, campaign.Span{Lo: 0, Hi: sr.Trials}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sr.Finalize(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := payloadJSON(t, res), payloadJSON(t, single); !bytes.Equal(got, want) {
+		t.Fatalf("opaque payload differs from the in-process run:\n  opaque: %s\n  single: %s", got, want)
+	}
+	if res.Text != single.Text {
+		t.Fatal("opaque result text differs from the in-process run")
+	}
+	if done, total := sr.Progress(); done != 12 || total != 12 {
+		t.Fatalf("opaque form's progress %d/%d, want 12/12", done, total)
+	}
+}
+
+// TestSharderBuildsOnFirstUse: compiling resolves the spec only. A yield
+// spec without a threshold compiles under a cancelled context — so no
+// calibration ran — and its first Run builds the system and decision
+// under the Run's own context.
+func TestSharderBuildsOnFirstUse(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	spec := Spec{Campaign: "yield", Seed: 3, Chunk: 32, Params: YieldParams{N: 64, ComponentSigma: 0.02, Tol: 0.05}}
+	sr, err := Sharder(cancelled, spec)
+	if err != nil {
+		t.Fatalf("compiling calibrated: %v", err)
+	}
+	if _, err := sr.Run(cancelled, campaign.Span{Lo: 0, Hi: 64}, nil, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("first Run under a cancelled context: %v, want the build cancelled", err)
+	}
+	ctx := context.Background()
+	blob, err := sr.Run(ctx, campaign.Span{Lo: 0, Hi: 64}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sr.Finalize(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := Run(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := payloadJSON(t, res), payloadJSON(t, single); !bytes.Equal(got, want) {
+		t.Fatalf("payload after a cancelled build differs:\n  got:  %s\n  want: %s", got, want)
 	}
 }

@@ -181,6 +181,9 @@ func compile(spec Spec, opts ...Option) (*campaignDef, *Env, Spec, any, error) {
 	if err != nil {
 		return nil, nil, Spec{}, nil, err
 	}
+	if err := checkBackend(spec); err != nil {
+		return nil, nil, Spec{}, nil, err
+	}
 	params := def.newParams()
 	if err := decodeParams(spec.Params, params); err != nil {
 		return nil, nil, Spec{}, nil, fmt.Errorf("testbench: campaign %s: bad params: %w", spec.Campaign, err)
@@ -188,9 +191,8 @@ func compile(spec Spec, opts ...Option) (*campaignDef, *Env, Spec, any, error) {
 	if err := validateParams(spec.Campaign, params); err != nil {
 		return nil, nil, Spec{}, nil, err
 	}
-	// compile and Validate must agree: a spec the HTTP gate would reject
-	// cannot slip through the programmatic path with the envelope
-	// recording a chunk size the engine silently replaced.
+	// A negative knob must not slip through with the envelope recording a
+	// chunk size the engine silently replaced.
 	if spec.Chunk < 0 {
 		return nil, nil, Spec{}, nil, fmt.Errorf("testbench: campaign %s: negative chunk %d", spec.Campaign, spec.Chunk)
 	}

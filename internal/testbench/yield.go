@@ -161,23 +161,6 @@ func finalizeYield(counts yieldCounts, n int, componentSigma, tol, threshold flo
 	return out
 }
 
-// runYield draws n CUTs with component sigma, tests each against the
-// decision, and scores against the spec (registry campaign "yield"): the
-// yield trial streamed through the checkpointable reduction over the
-// full die range. Peak memory is O(workers + chunk) whatever n is, and
-// the scores are bit-identical at any worker count.
-func runYield(ctx context.Context, sys *core.System, dec ndf.Decision, n int, componentSigma, tol float64, eng campaign.Engine) (*Yield, error) {
-	trial, err := yieldTrial(sys, dec, componentSigma, tol, eng)
-	if err != nil {
-		return nil, err
-	}
-	counts, err := campaign.ReduceScratch(ctx, eng, n, yieldReducer().Reducer, core.NewTrialScratch, trial)
-	if err != nil {
-		return nil, err
-	}
-	return finalizeYield(counts, n, componentSigma, tol, dec.Threshold), nil
-}
-
 // YieldRate returns the fraction of circuits passing the test.
 func (y *Yield) YieldRate() float64 { return float64(y.PassCount) / float64(y.N) }
 
