@@ -3,6 +3,8 @@
 # static-analysis gate (`lint` = go vet + the in-repo mclint suite —
 # before any compile/test work because a determinism or cancellation
 # violation invalidates everything downstream), then build, the
+# reachability gate (`deadcode`: every internal function is linked into
+# some binary or allowlisted with the test that needs it), the
 # race-tested short suite, a one-iteration benchmark smoke pass over the
 # transient/campaign benchmarks (catches perf-path regressions that only
 # show up when the solver actually runs), an mcserved smoke run that
@@ -22,9 +24,9 @@ GOFMT ?= gofmt
 BENCH_N ?= 10
 BENCH_PREV = $(shell expr $(BENCH_N) - 1)
 
-.PHONY: ci fmt vet lint lint-json build test race bench bench-json bench-smoke bench-diff bench-verify fuzz-smoke serve-smoke fabric-smoke load load-smoke
+.PHONY: ci fmt vet lint lint-json build deadcode test race bench bench-json bench-smoke bench-diff bench-verify fuzz-smoke serve-smoke fabric-smoke load load-smoke
 
-ci: fmt lint build race bench-smoke serve-smoke fabric-smoke load-smoke bench-verify
+ci: fmt lint build deadcode race bench-smoke serve-smoke fabric-smoke load-smoke bench-verify
 
 # gofmt gate: fail with the offending file list when any file is unformatted.
 fmt:
@@ -50,6 +52,14 @@ lint-json:
 
 build:
 	$(GO) build ./...
+
+# Reachability gate: builds every main package (cmd/*, examples/* and the
+# nested cmd/mcbench) with inlining off and fails on any function under
+# internal/ that no binary links, unless testdata/unlinked.txt lists it
+# with the test that needs it as an oracle, a fixture or a state reader.
+# The test skips itself under -short, so the race pass never runs it.
+deadcode:
+	$(GO) test -run '^TestEveryInternalFunctionIsLinked$$' -count=1 .
 
 # Full suite, including the long Monte-Carlo campaigns.
 test:
@@ -83,7 +93,7 @@ bench-diff:
 	$(GO) run ./cmd/benchdiff -old BENCH_$(BENCH_PREV).json -new BENCH_$(BENCH_N).json
 
 # Smoke gate: single-iteration run of the SPICE transient, the
-# SPICE-campaign (rebuild, template and batched trial engines), the
+# SPICE-campaign (rebuild and template trial engines), the
 # batched-signature-engine, the streaming-reduction, the
 # registry-dispatch, the streaming-statistics and the
 # checkpoint-cadence benchmarks (fast path, Newton baseline, CUT
@@ -103,20 +113,19 @@ bench-verify:
 	cd cmd/mcbench && $(GO) test -short ./...
 
 # Short-budget fuzz pass over the SPICE netlist parser, the signature
-# binary decoder, the trial-template mutation engine, the streaming
-# statistics codecs, the fabric job-log replay, the shard accumulator
-# codecs, the campaign spec ingress and the HTTP handlers of both APIs
-# (seed corpora are checked in under testdata/fuzz). Each target
-# gets 10s — enough to exercise the mutator on every seed class without
-# blowing the CI budget. `go test -fuzz` accepts one target per
-# invocation, hence the per-target runs.
+# binary decoder, the trial-template mutation engine, the quantile-sketch
+# codec, the fabric job-log replay, the shard accumulator codecs, the
+# campaign spec ingress and the HTTP handlers of both APIs (seed corpora
+# are checked in under testdata/fuzz). Each target gets 10s — enough to
+# exercise the mutator on every seed class without blowing the CI
+# budget. `go test -fuzz` accepts one target per invocation, hence the
+# per-target runs.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzParseValue$$' -fuzztime=10s ./internal/spice
 	$(GO) test -run=^$$ -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/spice
 	$(GO) test -run=^$$ -fuzz='^FuzzTemplateMutation$$' -fuzztime=10s ./internal/spice
 	$(GO) test -run=^$$ -fuzz='^FuzzUnmarshalBinary$$' -fuzztime=10s ./internal/signature
 	$(GO) test -run=^$$ -fuzz='^FuzzQuantileSketchUnmarshal$$' -fuzztime=10s ./internal/stat
-	$(GO) test -run=^$$ -fuzz='^FuzzStreamingHistogramUnmarshal$$' -fuzztime=10s ./internal/stat
 	$(GO) test -run=^$$ -fuzz='^FuzzJobLogReplay$$' -fuzztime=10s ./internal/fabric
 	$(GO) test -run=^$$ -fuzz='^FuzzShardBlobUnmarshal$$' -fuzztime=10s ./internal/testbench
 	$(GO) test -run=^$$ -fuzz='^FuzzSpecDecode$$' -fuzztime=10s ./internal/testbench

@@ -406,8 +406,10 @@ func BenchmarkZoneLUTBuild(b *testing.B) {
 }
 
 // SIG-BATCH: the batched tick-grid capture (cached stimulus grid, batch
-// output evaluation, zone-LUT classification, codes-slice walk) — the
-// per-period unit of every campaign. Compare against
+// output evaluation, zone-LUT classification, codes-slice walk) through
+// the one-shot CapturedSignature, which sizes a fresh trial scratch per
+// call (campaigns reuse one per worker inside NDFOfScratch and
+// AveragedNDFScratch). Compare against
 // BenchmarkSignatureCaptureScalar, the retained per-tick baseline.
 func BenchmarkSignatureCaptureBatched(b *testing.B) {
 	benchmarkSignatureCaptureEngine(b, false)
@@ -426,13 +428,12 @@ func benchmarkSignatureCaptureEngine(b *testing.B, scalar bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc := core.NewTrialScratch()
-	if _, err := sys.CapturedSignatureScratch(cut, 0, nil, sc); err != nil {
+	if _, err := sys.CapturedSignature(cut, 0, nil); err != nil {
 		b.Fatal(err) // also warms the LUT and grid caches
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.CapturedSignatureScratch(cut, 0, nil, sc); err != nil {
+		if _, err := sys.CapturedSignature(cut, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -605,41 +606,6 @@ func BenchmarkSpiceTrialEngine(b *testing.B) {
 	}
 }
 
-// CUT-SPICE-BATCH: the same trials as BenchmarkSpiceTrialEngine served
-// through the cross-trial batched engine — blocks of deviated CUTs run
-// interleaved through the fused solve kernel, one op per trial. The
-// ratio to BenchmarkSpiceTrialEngine is what cross-trial latency hiding
-// buys on top of the per-trial template reuse.
-func BenchmarkSpiceTrialEngineBatch(b *testing.B) {
-	sys, err := core.DefaultSpice()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cuts := make([]*biquad.SpiceCUT, spice.BatchLanes)
-	for i := range cuts {
-		cut, err := sys.Shifted(0.10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cuts[i] = cut.(*biquad.SpiceCUT)
-	}
-	var sb biquad.SpiceTrialBatch
-	emit := func(i int, w wave.Waveform) error { return nil }
-	if err := biquad.SpiceOutputBatch(cuts, sys.Stimulus, 0, &sb, emit); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for done := 0; done < b.N; done += len(cuts) {
-		n := b.N - done
-		if n > len(cuts) {
-			n = len(cuts)
-		}
-		if err := biquad.SpiceOutputBatch(cuts[:n], sys.Stimulus, 0, &sb, emit); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // CAMPAIGN-SPICE: the reduced fault-table campaign on the SPICE backend
 // (the cmd/mcmon -backend=spice path).
 func BenchmarkFaultTableSpice(b *testing.B) {
@@ -732,7 +698,7 @@ func BenchmarkCampaignReduce1M(b *testing.B) {
 }
 
 // ENGINE-CKPT: the durable fabric's checkpoint tax on the streaming
-// reduction — a million trivial trials through campaign.ReduceSpan with
+// reduction — a million trivial trials through campaign.ReduceSpanScratch with
 // no sink, with the default cadence (one serialized accumulator every
 // 65536 trials, the fabric's job-log append), and with an aggressively
 // short cadence. The off-vs-default gap is pinned < 5% by
@@ -770,7 +736,7 @@ func BenchmarkCheckpointOverhead(b *testing.B) {
 			var sum float64
 			for i := 0; i < b.N; i++ {
 				var err error
-				sum, err = campaign.ReduceSpan(ctx, e, span, nil, ckpt, sumRed(), trivialTrial)
+				sum, err = campaign.ReduceSpanScratch(ctx, e, span, nil, ckpt, sumRed(), noScratch, trivialTrial)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -27,13 +27,13 @@ import (
 
 // defaultPins are the hot-path benchmarks the repository treats as a
 // performance contract: the SPICE linear fast path, the per-trial SPICE
-// campaign unit and its template/batched trial engines, the batched
+// campaign unit and its template trial engine, the batched
 // signature engine, the streaming reduction engine, the streaming
 // statistics (quantile-sketch push and the streamed null calibration),
 // the span reduction checkpointing at the fabric's default cadence, and
 // the zone LUT (certification of a fresh bank, batch classification of
 // random and of curve points).
-const defaultPins = "TransientTowThomasLinear$|SpiceCUTOutput$|SpiceTrialEngine$|SpiceTrialEngineBatch$|FaultTableSpice$|SignatureCaptureBatched$|AveragedNDFBatched$|CampaignReduce1M$|BankClassifyBatch$|BankClassifyBatchCurve$|ZoneLUTBuild$|QuantileSketchPush$|NoiseNullCalibration$|CheckpointOverhead/default$"
+const defaultPins = "TransientTowThomasLinear$|SpiceCUTOutput$|SpiceTrialEngine$|FaultTableSpice$|SignatureCaptureBatched$|AveragedNDFBatched$|CampaignReduce1M$|BankClassifyBatch$|BankClassifyBatchCurve$|ZoneLUTBuild$|QuantileSketchPush$|NoiseNullCalibration$|CheckpointOverhead/default$"
 
 func main() {
 	var (

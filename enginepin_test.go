@@ -73,11 +73,11 @@ func TestBatchedEnginePinnedSpeedup(t *testing.T) {
 
 	speedup("SignatureCapture",
 		func() error {
-			_, err := batched.CapturedSignatureScratch(cb, 0, nil, scB)
+			_, err := batched.CapturedSignature(cb, 0, nil)
 			return err
 		},
 		func() error {
-			_, err := scalar.CapturedSignatureScratch(cs, 0, nil, scS)
+			_, err := scalar.CapturedSignature(cs, 0, nil)
 			return err
 		})
 

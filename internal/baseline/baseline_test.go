@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/signature"
-	"repro/internal/wave"
 )
 
 func TestLinearMonitorBitConvention(t *testing.T) {
@@ -99,63 +98,6 @@ func TestLinearBankEndToEnd(t *testing.T) {
 func TestLinearAreaConstant(t *testing.T) {
 	if LinearMonitorAreaUm2 <= monitor.RefCoreAreaUm2 {
 		t.Fatal("linear monitor must cost more than the nonlinear core")
-	}
-}
-
-func TestToleranceBand(t *testing.T) {
-	golden := wave.Sample(wave.Sine{Amp: 0.3, Freq: 5e3, Offset: 0.5}, 200e-6, 10e6)
-	tb, err := NewToleranceBandTest(golden, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Identical record passes.
-	res, err := tb.Run(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Pass || res.OutFraction != 0 || res.MaxDeviation != 0 {
-		t.Fatalf("identical record should pass cleanly: %+v", res)
-	}
-	// Shifted record fails.
-	shifted := wave.Sample(wave.Sine{Amp: 0.3, Freq: 5.5e3, Offset: 0.5}, 200e-6, 10e6)
-	res, err = tb.Run(shifted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Pass || res.OutFraction == 0 {
-		t.Fatalf("10%% frequency shift escaped the band: %+v", res)
-	}
-}
-
-func TestToleranceBandValidation(t *testing.T) {
-	golden := wave.Sample(wave.DC(0.5), 1e-3, 1e6)
-	if _, err := NewToleranceBandTest(wave.Record{}, 0.1); err == nil {
-		t.Fatal("empty golden accepted")
-	}
-	if _, err := NewToleranceBandTest(golden, 0); err == nil {
-		t.Fatal("zero epsilon accepted")
-	}
-	tb, _ := NewToleranceBandTest(golden, 0.1)
-	if _, err := tb.Run(wave.Record{V: []float64{1}}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
-func TestCalibrateEpsilon(t *testing.T) {
-	golden := wave.Sample(wave.DC(0.5), 1e-4, 1e6)
-	goods := []wave.Record{
-		wave.Sample(wave.DC(0.51), 1e-4, 1e6),
-		wave.Sample(wave.DC(0.49), 1e-4, 1e6),
-	}
-	eps, err := CalibrateEpsilon(golden, goods, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(eps-0.01) > 1e-9 {
-		t.Fatalf("epsilon = %v, want 0.01", eps)
-	}
-	if _, err := CalibrateEpsilon(golden, nil, 0.9); err == nil {
-		t.Fatal("no goods accepted")
 	}
 }
 
@@ -277,9 +219,5 @@ func TestLinearMonitorAccessors(t *testing.T) {
 	}
 	if lm.Config().Name != cfg.Name {
 		t.Fatal("Config accessor wrong")
-	}
-	l := lm.Line()
-	if l.Nx != -1 || l.Ny != 1 || l.C != 0 {
-		t.Fatalf("Line accessor = %+v", l)
 	}
 }

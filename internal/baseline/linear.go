@@ -4,8 +4,6 @@
 //   - straight-line X-Y zoning (refs [12][13]): boundaries implemented
 //     with weighted adders and comparators instead of the nonlinear
 //     current-balance monitor;
-//   - tolerance-band transient testing (ref [7]): sample-wise comparison
-//     of the CUT response against a golden envelope;
 //   - alternate test by regression (refs [10][11]): mapping
 //     easy-to-measure signature features to the circuit parameter.
 //
@@ -77,9 +75,6 @@ func (m *LinearMonitor) Bit(x, y float64) int {
 // Config implements monitor.Monitor (the configuration of the nonlinear
 // monitor this line approximates, kept for reporting).
 func (m *LinearMonitor) Config() monitor.Config { return m.cfg }
-
-// Line returns the boundary.
-func (m *LinearMonitor) Line() Line { return m.line }
 
 // FitLineToBoundary approximates a nonlinear monitor's boundary with a
 // straight line by total least squares over traced boundary points —

@@ -64,9 +64,6 @@ func New(p Params) (*Filter, error) {
 	return &Filter{p: p, w0: 2 * math.Pi * p.F0}, nil
 }
 
-// Params returns the filter parameters.
-func (f *Filter) Params() Params { return f.p }
-
 // Response returns H(j·2π·freq).
 func (f *Filter) Response(freq float64) complex128 {
 	s := complex(0, 2*math.Pi*freq)
@@ -75,9 +72,6 @@ func (f *Filter) Response(freq float64) complex128 {
 	den := s*s + s*w0/complex(f.p.Q, 0) + w0*w0
 	return num / den
 }
-
-// Magnitude returns |H(j·2π·freq)|.
-func (f *Filter) Magnitude(freq float64) float64 { return cmplx.Abs(f.Response(freq)) }
 
 // ResponseBP returns the band-pass transfer function of the same
 // Tow-Thomas realization (the first integrator output),
@@ -96,9 +90,6 @@ func (f *Filter) ResponseBP(freq float64) complex128 {
 	return num / den
 }
 
-// MagnitudeBP returns |H_BP(j·2π·freq)|.
-func (f *Filter) MagnitudeBP(freq float64) float64 { return cmplx.Abs(f.ResponseBP(freq)) }
-
 // SteadyStateBP is the band-pass counterpart of SteadyState. The DC
 // offset of the stimulus is blocked (H_BP(0) = 0), so the output is
 // re-biased to the given level — in hardware an AC-coupled level shift
@@ -114,25 +105,6 @@ func (f *Filter) SteadyStateBP(in *wave.Multitone, rebias float64) *wave.Multito
 		})
 	}
 	return withPeriodOf(out, in)
-}
-
-// Phase returns arg H(j·2π·freq) in radians.
-func (f *Filter) Phase(freq float64) float64 { return cmplx.Phase(f.Response(freq)) }
-
-// CutoffMinus3dB returns the -3 dB frequency (relative to DC gain),
-// found numerically; for Q = 1/√2 it coincides with F0.
-func (f *Filter) CutoffMinus3dB() float64 {
-	target := f.p.Gain / math.Sqrt2
-	lo, hi := f.p.F0/100, f.p.F0*100
-	for i := 0; i < 200; i++ {
-		mid := math.Sqrt(lo * hi)
-		if f.Magnitude(mid) > target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return math.Sqrt(lo * hi)
 }
 
 // SteadyState returns the exact steady-state output of the filter for a

@@ -2,6 +2,7 @@ package biquad
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 	"testing/quick"
 
@@ -39,10 +40,10 @@ func TestValidate(t *testing.T) {
 
 func TestDCResponse(t *testing.T) {
 	f := paperFilter(t)
-	if g := f.Magnitude(0); math.Abs(g-1) > 1e-12 {
+	if g := cmplx.Abs(f.Response(0)); math.Abs(g-1) > 1e-12 {
 		t.Fatalf("|H(0)| = %v, want 1", g)
 	}
-	if p := f.Phase(0); math.Abs(p) > 1e-12 {
+	if p := cmplx.Phase(f.Response(0)); math.Abs(p) > 1e-12 {
 		t.Fatalf("arg H(0) = %v, want 0", p)
 	}
 }
@@ -51,10 +52,10 @@ func TestResponseAtF0(t *testing.T) {
 	f := paperFilter(t)
 	// At s = jω0 the denominator is jω0²/Q, so |H| = Q·Gain and the
 	// phase is -90°.
-	if g := f.Magnitude(10e3); math.Abs(g-0.9) > 1e-9 {
+	if g := cmplx.Abs(f.Response(10e3)); math.Abs(g-0.9) > 1e-9 {
 		t.Fatalf("|H(f0)| = %v, want Q = 0.9", g)
 	}
-	if p := f.Phase(10e3); math.Abs(p+math.Pi/2) > 1e-9 {
+	if p := cmplx.Phase(f.Response(10e3)); math.Abs(p+math.Pi/2) > 1e-9 {
 		t.Fatalf("arg H(f0) = %v, want -π/2", p)
 	}
 }
@@ -62,7 +63,7 @@ func TestResponseAtF0(t *testing.T) {
 func TestHighFrequencyRolloff(t *testing.T) {
 	f := paperFilter(t)
 	// Two decades above f0 the roll-off is -40 dB/dec: |H| ≈ (f0/f)².
-	g := f.Magnitude(1e6)
+	g := cmplx.Abs(f.Response(1e6))
 	want := math.Pow(10e3/1e6, 2)
 	if math.Abs(g-want) > 0.02*want {
 		t.Fatalf("|H(100·f0)| = %v, want ~%v", g, want)
@@ -71,10 +72,11 @@ func TestHighFrequencyRolloff(t *testing.T) {
 
 func TestF0ShiftScalesResponse(t *testing.T) {
 	f := paperFilter(t)
-	fShift := mustFilter(t, f.Params().WithF0Shift(0.10))
-	if math.Abs(fShift.Params().F0-11e3) > 1e-9 {
-		t.Fatalf("shifted F0 = %v, want 11 kHz", fShift.Params().F0)
+	shifted := Params{F0: 10e3, Q: 0.9, Gain: 1}.WithF0Shift(0.10)
+	if math.Abs(shifted.F0-11e3) > 1e-9 {
+		t.Fatalf("shifted F0 = %v, want 11 kHz", shifted.F0)
 	}
+	fShift := mustFilter(t, shifted)
 	// Frequency scaling: H_shifted(1.1·f) == H(f).
 	for _, freq := range []float64{1e3, 5e3, 10e3, 20e3} {
 		a := f.Response(freq)
@@ -90,10 +92,10 @@ func cmplxAbs(c complex128) float64 {
 }
 
 func TestCutoffButterworthCase(t *testing.T) {
-	// Q = 1/sqrt2 (Butterworth): -3 dB point equals F0.
+	// Q = 1/sqrt2 (Butterworth): the -3 dB point is F0, |H(F0)| = 1/√2.
 	f := mustFilter(t, Params{F0: 10e3, Q: 1 / math.Sqrt2, Gain: 1})
-	if fc := f.CutoffMinus3dB(); math.Abs(fc-10e3) > 5 {
-		t.Fatalf("Butterworth cutoff = %v, want 10 kHz", fc)
+	if g := cmplx.Abs(f.Response(10e3)); math.Abs(g-1/math.Sqrt2) > 1e-12 {
+		t.Fatalf("Butterworth |H(F0)| = %v, want 1/√2", g)
 	}
 }
 
@@ -118,7 +120,7 @@ func TestSteadyStateMatchesResponse(t *testing.T) {
 		t.Fatalf("period changed: %v -> %v", in.Period(), out.Period())
 	}
 	for i, tone := range out.Tones {
-		wantAmp := in.Tones[i].Amp * f.Magnitude(tone.Freq)
+		wantAmp := in.Tones[i].Amp * cmplx.Abs(f.Response(tone.Freq))
 		if math.Abs(tone.Amp-wantAmp) > 1e-12 {
 			t.Fatalf("tone %d amp = %v, want %v", i, tone.Amp, wantAmp)
 		}
@@ -259,7 +261,7 @@ func TestRolloffMonotoneProperty(t *testing.T) {
 		}
 		prev := math.Inf(1)
 		for mult := 2.0; mult < 100; mult *= 1.5 {
-			g := f.Magnitude(f0 * mult)
+			g := cmplx.Abs(f.Response(f0 * mult))
 			if g >= prev {
 				return false
 			}
@@ -283,7 +285,7 @@ func TestSteadyStateBoundProperty(t *testing.T) {
 			return false
 		}
 		out := f.SteadyState(in)
-		peak := f.Params().Gain * math.Max(1, f.Params().Q) * 0.1 * 1.16
+		peak := 0.1 * 1.16 // paperFilter has Gain·max(1, Q) = 1
 		return out.Tones[0].Amp <= peak
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
@@ -294,7 +296,7 @@ func TestSteadyStateBoundProperty(t *testing.T) {
 func TestBandpassResponse(t *testing.T) {
 	f := paperFilter(t)
 	// |H_BP(f0)| = Gain = 1 by normalization; phase at f0 is 0.
-	if g := f.MagnitudeBP(10e3); math.Abs(g-1) > 1e-9 {
+	if g := cmplx.Abs(f.ResponseBP(10e3)); math.Abs(g-1) > 1e-9 {
 		t.Fatalf("|H_BP(f0)| = %v, want 1", g)
 	}
 	h := f.ResponseBP(10e3)
@@ -302,10 +304,10 @@ func TestBandpassResponse(t *testing.T) {
 		t.Fatalf("H_BP(f0) = %v, want 1+0i", h)
 	}
 	// Band-pass: vanishes at DC and rolls off at high frequency.
-	if f.MagnitudeBP(1) > 1e-3 {
+	if cmplx.Abs(f.ResponseBP(1)) > 1e-3 {
 		t.Fatal("BP response at ~DC should vanish")
 	}
-	if f.MagnitudeBP(1e6) > 0.02 {
+	if cmplx.Abs(f.ResponseBP(1e6)) > 0.02 {
 		t.Fatal("BP response far above f0 should vanish")
 	}
 }
@@ -321,7 +323,7 @@ func TestSteadyStateBP(t *testing.T) {
 		t.Fatal("period changed")
 	}
 	for i, tone := range out.Tones {
-		want := in.Tones[i].Amp * f.MagnitudeBP(tone.Freq)
+		want := in.Tones[i].Amp * cmplx.Abs(f.ResponseBP(tone.Freq))
 		if math.Abs(tone.Amp-want) > 1e-12 {
 			t.Fatalf("tone %d amp = %v, want %v", i, tone.Amp, want)
 		}

@@ -180,10 +180,6 @@ func (a *AnalyticCUT) Perturb(dev Deviation) (CUT, error) {
 // Params implements CUT.
 func (a *AnalyticCUT) Params() Params { return a.p }
 
-// Components returns the Tow-Thomas realization backing component-level
-// perturbations.
-func (a *AnalyticCUT) Components() Components { return a.comps }
-
 // Describe implements CUT.
 func (a *AnalyticCUT) Describe() string {
 	return fmt.Sprintf("analytic Tow-Thomas biquad (f0=%.4g Hz, Q=%.3g, gain=%.3g)",

@@ -123,9 +123,6 @@ func (s *SpiceCUT) Params() Params {
 	return p
 }
 
-// Components returns the realization the netlist is built from.
-func (s *SpiceCUT) Components() Components { return s.comps }
-
 // Describe implements CUT.
 func (s *SpiceCUT) Describe() string {
 	p := s.Params()

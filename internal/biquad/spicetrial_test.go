@@ -167,116 +167,3 @@ func TestOutputScratchWarmAllocationFree(t *testing.T) {
 		t.Fatalf("warm OutputScratch allocates %.1f times per run, want 0", allocs)
 	}
 }
-
-// TestSpiceOutputBatchMatchesOutput pins the batched trial engine at
-// the biquad layer: a block of deviated CUTs — golden, parametric,
-// catastrophic, more trials than lanes so refill and the tail path both
-// run — streamed through SpiceOutputBatch must emit exactly one
-// waveform per CUT, each bit-identical to that CUT's rebuild Output,
-// for both observations.
-func TestSpiceOutputBatchMatchesOutput(t *testing.T) {
-	stim := cutStimulus(t)
-	root, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1}, trialConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	openRQ := Fault{Kind: FaultOpen, Target: TargetRQ}
-	shortC := Fault{Kind: FaultShort, Target: TargetC}
-	devs := []Deviation{
-		{},
-		{RDrift: 0.10},
-		{F0Shift: 0.05, QShift: -0.1},
-		{Fault: &openRQ},
-		{Fault: &shortC},
-		{RDrift: -0.08},
-		{CDrift: 0.12},
-	}
-	cuts := make([]*SpiceCUT, len(devs))
-	for i, dev := range devs {
-		c, err := root.Perturb(dev)
-		if err != nil {
-			t.Fatalf("dev %d: %v", i, err)
-		}
-		cuts[i] = c.(*SpiceCUT)
-	}
-	var sb SpiceTrialBatch
-	T := stim.Period()
-	for _, out := range []Output{OutputLP, OutputBP} {
-		emitted := make([]bool, len(cuts))
-		err := SpiceOutputBatch(cuts, stim, out, &sb, func(i int, w wave.Waveform) error {
-			if emitted[i] {
-				t.Fatalf("out %v: CUT %d emitted twice", out, i)
-			}
-			emitted[i] = true
-			want, err := cuts[i].Output(stim, out)
-			if err != nil {
-				return err
-			}
-			if w.Period() != want.Period() {
-				t.Fatalf("out %v cut %d: period %v != %v", out, i, w.Period(), want.Period())
-			}
-			for k := 0; k < 1024; k++ {
-				tt := T * float64(k) / 1024
-				if g, r := w.Eval(tt), want.Eval(tt); g != r {
-					t.Fatalf("out %v cut %d: t=%v: batch %v, rebuild %v", out, i, tt, g, r)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, e := range emitted {
-			if !e {
-				t.Fatalf("out %v: CUT %d never emitted", out, i)
-			}
-		}
-	}
-}
-
-// TestSpiceOutputBatchFallsBackSequential checks the sequential routes:
-// a nil batch and a block mixing configurations must still emit one
-// waveform per CUT (through OutputScratch), and an emit error must stop
-// the block.
-func TestSpiceOutputBatchFallsBackSequential(t *testing.T) {
-	stim := cutStimulus(t)
-	sp, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1}, trialConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := trialConfig()
-	cfg.SettleFrac = 1e-2
-	other, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, block := range map[string][]*SpiceCUT{
-		"nil batch": {sp, sp},
-		"mixed":     {sp, other},
-	} {
-		var sb *SpiceTrialBatch
-		if name == "mixed" {
-			sb = new(SpiceTrialBatch)
-		}
-		count := 0
-		err := SpiceOutputBatch(block, stim, OutputLP, sb, func(i int, w wave.Waveform) error {
-			count++
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if count != len(block) {
-			t.Fatalf("%s: emitted %d of %d", name, count, len(block))
-		}
-	}
-	if err := SpiceOutputBatch(nil, stim, OutputLP, nil, nil); err != nil {
-		t.Fatalf("empty block: %v", err)
-	}
-	wantErr := errors.New("stop")
-	err = SpiceOutputBatch([]*SpiceCUT{sp, sp}, stim, OutputLP, nil,
-		func(i int, w wave.Waveform) error { return wantErr })
-	if err == nil || !errors.Is(err, wantErr) {
-		t.Fatalf("emit error not propagated: %v", err)
-	}
-}

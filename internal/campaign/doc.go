@@ -38,7 +38,7 @@
 // entry points are thin forms of it. Reduce/ReduceScratch stream:
 // workers fold trial results into per-chunk accumulators merged in
 // chunk-index order, so memory stays O(workers + chunk) at any trial
-// count (see reduce.go). ReduceSpan/ReduceSpanScratch add a contiguous
+// count (see reduce.go). ReduceSpanScratch adds a contiguous
 // trial span with a restored accumulator prefix and a checkpoint sink on
 // chunk boundaries — the durable, shardable mode the distributed fabric
 // runs, where a resumed or sharded reduction replays the exact fold

@@ -13,8 +13,8 @@ package campaign
 // by TestMeterDoesNotAffectResults).
 type Meter interface {
 	// ReduceStart opens a reduction: the effective worker-pool size and
-	// the span's trial count. Called once per Reduce/ReduceSpan run,
-	// before any chunk starts.
+	// the span's trial count. Called once per Reduce/ReduceSpanScratch
+	// run, before any chunk starts.
 	ReduceStart(workers, trials int)
 	// ChunkStart marks a worker beginning to fold chunk (a global,
 	// trial-0-aligned chunk index). The interval to the matching

@@ -57,13 +57,6 @@ type CheckpointReducer[T, A any] struct {
 	Unmarshal func(data []byte) (A, error)
 }
 
-// ReduceSpan is ReduceSpanScratch without per-worker scratch state.
-func ReduceSpan[T, A any](ctx context.Context, e Engine, span Span, init *A, ckpt CheckpointFunc[A], r Reducer[T, A], trial func(i int) (T, error)) (A, error) {
-	return ReduceSpanScratch(ctx, e, span, init, ckpt, r,
-		func() struct{} { return struct{}{} },
-		func(i int, _ struct{}) (T, error) { return trial(i) })
-}
-
 // ReduceSpanScratch executes the trials of one span through the
 // streaming reduction engine — the durable, shardable generalization of
 // ReduceScratch, which is the span [0, n) with no restored state.

@@ -33,12 +33,12 @@ func TestReduceSpanFullRangeMatchesReduce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReduceSpan(ctx, e, Span{0, n}, nil, nil, floatSumReducer(), floatTrial)
+		got, err := reduceSpan(ctx, e, Span{0, n}, nil, nil, floatSumReducer(), floatTrial)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("workers=%d: ReduceSpan [0,%d) = %x, Reduce = %x", workers, n, got, want)
+			t.Fatalf("workers=%d: ReduceSpanScratch [0,%d) = %x, Reduce = %x", workers, n, got, want)
 		}
 	}
 }
@@ -59,11 +59,11 @@ func TestReduceSpanResumeBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		e := Engine{Workers: workers, Chunk: chunk}
 		for _, cut := range []int{chunk, 7 * chunk, 39 * chunk} {
-			prefix, err := ReduceSpan(ctx, e, Span{0, cut}, nil, nil, floatSumReducer(), floatTrial)
+			prefix, err := reduceSpan(ctx, e, Span{0, cut}, nil, nil, floatSumReducer(), floatTrial)
 			if err != nil {
 				t.Fatal(err)
 			}
-			resumed, err := ReduceSpan(ctx, e, Span{cut, n}, &prefix, nil, floatSumReducer(), floatTrial)
+			resumed, err := reduceSpan(ctx, e, Span{cut, n}, &prefix, nil, floatSumReducer(), floatTrial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +95,7 @@ func TestReduceSpanShardMergeBitIdentical(t *testing.T) {
 		e := Engine{Workers: workers, Chunk: chunk}
 		got := 0
 		for s := 0; s+1 < len(cuts); s++ {
-			acc, err := ReduceSpan(ctx, e, Span{cuts[s], cuts[s+1]}, nil, nil, red, trial)
+			acc, err := reduceSpan(ctx, e, Span{cuts[s], cuts[s+1]}, nil, nil, red, trial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func TestReduceSpanCheckpointCadence(t *testing.T) {
 			cks = append(cks, ck{acc, through})
 			return nil
 		}
-		full, err := ReduceSpan(ctx, e, Span{0, n}, nil, sink, floatSumReducer(), floatTrial)
+		full, err := reduceSpan(ctx, e, Span{0, n}, nil, sink, floatSumReducer(), floatTrial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,14 +140,14 @@ func TestReduceSpanCheckpointCadence(t *testing.T) {
 			if c.through != wantThrough[i] {
 				t.Fatalf("workers=%d: checkpoint %d at trial %d, want %d", workers, i, c.through, wantThrough[i])
 			}
-			prefix, err := ReduceSpan(ctx, Engine{Workers: 1, Chunk: chunk}, Span{0, c.through}, nil, nil, floatSumReducer(), floatTrial)
+			prefix, err := reduceSpan(ctx, Engine{Workers: 1, Chunk: chunk}, Span{0, c.through}, nil, nil, floatSumReducer(), floatTrial)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if prefix != c.acc {
 				t.Fatalf("workers=%d: checkpoint %d acc %x, serial prefix %x", workers, i, c.acc, prefix)
 			}
-			resumed, err := ReduceSpan(ctx, e, Span{c.through, n}, &c.acc, nil, floatSumReducer(), floatTrial)
+			resumed, err := reduceSpan(ctx, e, Span{c.through, n}, &c.acc, nil, floatSumReducer(), floatTrial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +173,7 @@ func TestReduceSpanCheckpointError(t *testing.T) {
 			}
 			return nil
 		}
-		_, err := ReduceSpan(ctx, e, Span{0, 10_000}, nil, sink, floatSumReducer(), floatTrial)
+		_, err := reduceSpan(ctx, e, Span{0, 10_000}, nil, sink, floatSumReducer(), floatTrial)
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want %v", workers, err, boom)
 		}
@@ -183,21 +183,21 @@ func TestReduceSpanCheckpointError(t *testing.T) {
 func TestReduceSpanValidation(t *testing.T) {
 	ctx := context.Background()
 	red := floatSumReducer()
-	if _, err := ReduceSpan(ctx, Engine{}, Span{-1, 5}, nil, nil, red, floatTrial); err == nil {
+	if _, err := reduceSpan(ctx, Engine{}, Span{-1, 5}, nil, nil, red, floatTrial); err == nil {
 		t.Fatal("negative span accepted")
 	}
-	if _, err := ReduceSpan(ctx, Engine{}, Span{5, 4}, nil, nil, red, floatTrial); err == nil {
+	if _, err := reduceSpan(ctx, Engine{}, Span{5, 4}, nil, nil, red, floatTrial); err == nil {
 		t.Fatal("inverted span accepted")
 	}
 	// An empty span returns the restored state unchanged.
 	init := 42.5
-	got, err := ReduceSpan(ctx, Engine{}, Span{7, 7}, &init, nil, red, floatTrial)
+	got, err := reduceSpan(ctx, Engine{}, Span{7, 7}, &init, nil, red, floatTrial)
 	if err != nil || got != init {
 		t.Fatalf("empty span = %v, %v; want %v, nil", got, err, init)
 	}
 	// A restored accumulator requires Merge even for a single chunk.
 	noMerge := Reducer[float64, float64]{Fold: red.Fold}
-	if _, err := ReduceSpan(ctx, Engine{}, Span{0, 10}, &init, nil, noMerge, floatTrial); err == nil {
+	if _, err := reduceSpan(ctx, Engine{}, Span{0, 10}, &init, nil, noMerge, floatTrial); err == nil {
 		t.Fatal("init without Merge accepted")
 	}
 }
@@ -208,7 +208,7 @@ func TestReduceSpanCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	e := Engine{Workers: 4, Chunk: 16}
 	var n atomic.Int64
-	_, err := ReduceSpan(ctx, e, Span{0, 100_000}, nil, nil,
+	_, err := reduceSpan(ctx, e, Span{0, 100_000}, nil, nil,
 		Reducer[int, int]{
 			Fold:  func(acc, i, v int) int { return acc + v },
 			Merge: func(into, next int) int { return into + next },
@@ -223,4 +223,12 @@ func TestReduceSpanCancellation(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	cancel()
+}
+
+// reduceSpan runs ReduceSpanScratch for trials that need no per-worker
+// scratch.
+func reduceSpan[T, A any](ctx context.Context, e Engine, span Span, init *A, ckpt CheckpointFunc[A], r Reducer[T, A], trial func(i int) (T, error)) (A, error) {
+	return ReduceSpanScratch(ctx, e, span, init, ckpt, r,
+		func() struct{} { return struct{}{} },
+		func(i int, _ struct{}) (T, error) { return trial(i) })
 }

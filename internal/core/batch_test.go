@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/monitor"
 	"repro/internal/rng"
 	"repro/internal/signature"
 )
@@ -100,7 +99,7 @@ func TestBatchedCaptureBitIdentical(t *testing.T) {
 	// Scratch-backed capture equals the one-shot capture.
 	sc := NewTrialScratch()
 	for seed := uint64(1); seed <= 3; seed++ {
-		warm, err := batched.CapturedSignatureScratch(cb, 0.005, rng.New(seed), sc)
+		warm, err := batched.capturedSignature(cb, 0.005, rng.New(seed), sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,35 +108,6 @@ func TestBatchedCaptureBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		equalSigs(t, "scratch", warm, fresh)
-	}
-}
-
-// TestClassifyGridMatchesScalarClassifier: the exported batch classifier
-// must reproduce the scalar closure's codes, noise draws included.
-func TestClassifyGridMatchesScalarClassifier(t *testing.T) {
-	sys := Default()
-	cut, err := sys.Shifted(0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := make([]float64, 700)
-	for i := range ts {
-		ts[i] = sys.Period() * float64(i) / float64(len(ts))
-	}
-	for _, sigma := range []float64{0, 0.005} {
-		codes := make([]monitor.Code, len(ts))
-		if err := sys.ClassifyGrid(cut, sigma, rng.New(42), ts, codes); err != nil {
-			t.Fatal(err)
-		}
-		cls, err := sys.Classifier(cut, sigma, rng.New(42))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, tt := range ts {
-			if want := cls(tt); codes[i] != want {
-				t.Fatalf("sigma %g sample %d: batch %06b, scalar %06b", sigma, i, codes[i], want)
-			}
-		}
 	}
 }
 
@@ -156,11 +126,11 @@ func TestBatchedAveragedNDFBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	const periods = 4
-	want, err := scalar.AveragedNDF(cs, 0.005, rng.New(9), periods)
+	want, err := scalar.AveragedNDFScratch(cs, 0.005, rng.New(9), periods, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := batched.AveragedNDF(cb, 0.005, rng.New(9), periods)
+	got, err := batched.AveragedNDFScratch(cb, 0.005, rng.New(9), periods, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +187,7 @@ func TestTrialScratchIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := sys.CapturedSignatureScratch(cut, 0, nil, sc)
+		warm, err := sys.capturedSignature(cut, 0, nil, sc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -367,37 +367,6 @@ func (s *System) Classifier(c CUT, sigma float64, noise *rng.Stream) (signature.
 	}, nil
 }
 
-// ClassifyGrid is the batch variant of Classifier: it fills codes[i]
-// with the zone code of CUT c at time ts[i]. Outputs are evaluated
-// through the waveform batch API and codes come from the bank's
-// certified zone LUT, but the result is bit-identical to calling the
-// scalar Classifier at the same times in order — measurement noise
-// (sigma > 0 with a non-nil stream) is drawn in sample order, x before
-// y, exactly as the scalar closure draws it.
-func (s *System) ClassifyGrid(c CUT, sigma float64, noise *rng.Stream, ts []float64, codes []monitor.Code) error {
-	if len(ts) != len(codes) {
-		return fmt.Errorf("core: ClassifyGrid needs len(ts) == len(codes)")
-	}
-	out, err := s.output(c)
-	if err != nil {
-		return err
-	}
-	sc := NewTrialScratch()
-	xs := sc.growXs(len(ts))
-	wave.EvalInto(s.Stimulus, ts, xs)
-	ys := sc.growYs(len(ts))
-	wave.EvalInto(out, ts, ys)
-	if sigma > 0 && noise != nil {
-		eff := EffectiveNoiseSigma(sigma)
-		for k := range xs {
-			xs[k] += noise.Gauss(0, eff)
-			ys[k] += noise.Gauss(0, eff)
-		}
-	}
-	s.Bank.ClassifyBatch(xs, ys, codes)
-	return nil
-}
-
 // ExactSignature computes the ideal (unquantized, noiseless) signature
 // of a CUT.
 func (s *System) ExactSignature(c CUT) (*signature.Signature, error) {
@@ -444,14 +413,6 @@ func (s *System) exactSignature(c CUT, sc *TrialScratch) (*signature.Signature, 
 // optionally with measurement noise. The caller owns the result.
 func (s *System) CapturedSignature(c CUT, sigma float64, noise *rng.Stream) (*signature.Signature, error) {
 	return s.capturedSignature(c, sigma, noise, nil)
-}
-
-// CapturedSignatureScratch is CapturedSignature with caller-owned
-// per-worker scratch for Monte-Carlo trial loops. The returned signature
-// is backed by the scratch and is only valid until the scratch's next
-// capture — consume it (e.g. compute its NDF) before the next trial.
-func (s *System) CapturedSignatureScratch(c CUT, sigma float64, noise *rng.Stream, sc *TrialScratch) (*signature.Signature, error) {
-	return s.capturedSignature(c, sigma, noise, sc)
 }
 
 // capturedSignature implements the capture paths: the batched tick-grid
@@ -548,24 +509,19 @@ func (s *System) NDFOfShift(shift float64) (float64, error) {
 }
 
 // legacyCtx is the single audited root context behind the ctx-less
-// legacy wrappers (SweepF0, CalibrateFromTolerance):
-// they run to completion by design. New code accepts a caller context
-// and uses the Ctx variants — mclint's ctxflow analyzer flags any other
-// Background context in the library.
+// legacy wrapper CalibrateFromTolerance: it runs to completion by
+// design. New code accepts a caller context and uses the Ctx variants —
+// mclint's ctxflow analyzer flags any other Background context in the
+// library.
 func legacyCtx() context.Context {
-	return context.Background() //mclint:ctxflow single audited root for the ctx-less legacy wrappers; new code accepts a caller ctx
+	return context.Background() //mclint:ctxflow single audited root for the ctx-less CalibrateFromTolerance; new code accepts a caller ctx
 }
 
-// SweepF0 evaluates NDFOfShift over a deviation grid (the Fig. 8 sweep)
-// in parallel across all CPUs; the output order matches shifts and the
-// result is deterministic.
-func (s *System) SweepF0(shifts []float64) ([]float64, error) {
-	return s.SweepF0Ctx(legacyCtx(), shifts, campaign.Engine{})
-}
-
-// SweepF0Ctx is SweepF0 under an explicit context and campaign engine
-// (worker bound, progress). Cancelling ctx aborts the sweep within one
-// trial's latency; the result is identical at any worker count.
+// SweepF0Ctx evaluates NDFOfShift over a deviation grid (the Fig. 8
+// sweep) under an explicit context and campaign engine (worker bound,
+// progress); the output order matches shifts. Cancelling ctx aborts the
+// sweep within one trial's latency; the result is identical at any
+// worker count.
 func (s *System) SweepF0Ctx(ctx context.Context, shifts []float64, eng campaign.Engine) ([]float64, error) {
 	// The golden signature must be materialized before fan-out so the
 	// sync.Once does not serialize the workers.
@@ -587,28 +543,24 @@ func (s *System) SweepF0Ctx(ctx context.Context, shifts []float64, eng campaign.
 		})
 }
 
-// AveragedNDF captures the CUT over several consecutive Lissajous
-// periods and averages the per-period NDF against the golden signature.
-// Under measurement noise the per-period NDF carries a noise-floor mean
-// plus sampling variance; averaging K periods shrinks the variance by
-// ~1/√K, which is how a production tester makes small deviations (the
-// paper's 1% claim) separable from the floor without changing hardware —
-// it simply observes the CUT longer.
+// AveragedNDFScratch captures the CUT over several consecutive
+// Lissajous periods and averages the per-period NDF against the golden
+// signature. Under measurement noise the per-period NDF carries a
+// noise-floor mean plus sampling variance; averaging K periods shrinks
+// the variance by ~1/√K, which is how a production tester makes small
+// deviations (the paper's 1% claim) separable from the floor without
+// changing hardware — it simply observes the CUT longer.
 // Each period is an independent capture: period k draws its noise from
 // the substream noise.Split(k), and the periods run serially and sum in
 // period order, so the average is a pure function of the stream.
-func (s *System) AveragedNDF(c CUT, sigma float64, noise *rng.Stream, periods int) (float64, error) {
-	return s.AveragedNDFScratch(c, sigma, noise, periods, nil)
-}
-
-// AveragedNDFScratch is AveragedNDF with caller-owned scratch — the form
-// campaign runners use inside their own worker pools, so every trial a
-// worker executes reuses one set of buffers; a nil scratch gets a fresh
-// one. Scratch never affects the result. In the batched engine the clean
-// output tick samples are evaluated once per call and shared read-only
-// by every period's capture (each period only adds its own noise draws
-// on top), which is where most of the per-period work of the scalar
-// pipeline went.
+//
+// The scratch is caller-owned — the form campaign runners use inside
+// their own worker pools, so every trial a worker executes reuses one
+// set of buffers; a nil scratch gets a fresh one. Scratch never affects
+// the result. In the batched engine the clean output tick samples are
+// evaluated once per call and shared read-only by every period's capture
+// (each period only adds its own noise draws on top), which is where
+// most of the per-period work of the scalar pipeline went.
 func (s *System) AveragedNDFScratch(c CUT, sigma float64, noise *rng.Stream, periods int, sc *TrialScratch) (float64, error) {
 	if periods < 1 {
 		periods = 1

@@ -98,6 +98,13 @@ type Coordinator struct {
 // restarted coordinator adopts the newest MaxRetained finished ones.
 const MaxRetained = 1024
 
+// MaxShards bounds the shard count of one job. Every span of the plan
+// is written into the job's metadata and tracked as a lease, so the
+// bound keeps one submission from writing an unbounded job.json;
+// 1024 shards is far more parallelism than a campaign's chunk count
+// rewards.
+const MaxShards = 1024
+
 // NewCoordinator assembles a coordinator over a durable store.
 func NewCoordinator(cfg Config) *Coordinator {
 	c := &Coordinator{
@@ -123,10 +130,13 @@ func NewCoordinator(cfg Config) *Coordinator {
 
 // Submit plans a new job over the spec's sharded form, persists it, and
 // queues its shards for leasing. shards bounds the partition width (the
-// planner may use fewer; see PlanShards).
+// planner may use fewer; see PlanShards) and may not exceed MaxShards.
 func (c *Coordinator) Submit(ctx context.Context, id string, spec testbench.Spec, shards int) error {
 	if _, err := c.run(id); err == nil {
 		return fmt.Errorf("fabric: job %s already exists", id)
+	}
+	if shards > MaxShards {
+		return fmt.Errorf("fabric: job %s: %d shards exceeds the %d-shard bound", id, shards, MaxShards)
 	}
 	sharded, err := c.compile(ctx, spec)
 	if err != nil {

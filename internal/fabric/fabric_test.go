@@ -121,7 +121,7 @@ func synthCompile(ctx context.Context, spec testbench.Spec) (*testbench.ShardRun
 					return sink(blob, through)
 				}
 			}
-			acc, err := campaign.ReduceSpan(ctx, eng, span, initAcc, ckpt, red.Reducer, func(i int) (uint64, error) {
+			acc, err := campaign.ReduceSpanScratch(ctx, eng, span, initAcc, ckpt, red.Reducer, func() struct{} { return struct{}{} }, func(i int, _ struct{}) (uint64, error) {
 				if i == failAt {
 					return 0, fmt.Errorf("trial %d: injected failure", i)
 				}

@@ -162,3 +162,27 @@ func TestInProcessWorkerRunsCoordinatorForm(t *testing.T) {
 		t.Fatalf("%d compiles for 3 jobs run in process, want one each", got)
 	}
 }
+
+// Submit bounds the shard count: MaxShards plans, one more is refused
+// without creating the job (PlanShards alone would write 10^6 spans of
+// a million-trial, one-trial-chunk job into its metadata).
+func TestSubmitBoundsShards(t *testing.T) {
+	c := newTestCoordinator(t)
+	ctx := context.Background()
+	if err := c.Submit(ctx, "wide", synthSpec(1_000_000, 1, 1, 0), MaxShards+1); err == nil {
+		t.Fatal("submit with MaxShards+1 shards accepted")
+	}
+	if _, err := c.Status("wide"); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("refused job has status (err %v)", err)
+	}
+	if err := c.Submit(ctx, "max", synthSpec(1_000_000, 1, 1, 0), MaxShards); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Status("max")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Shards) != MaxShards {
+		t.Fatalf("plan has %d shards, want %d", len(st.Shards), MaxShards)
+	}
+}

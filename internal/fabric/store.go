@@ -78,9 +78,6 @@ func OpenStore(dir string, opts ...StoreOption) (*Store, error) {
 // its jobs end with the process — the store behind internal/serve.
 func NewMemoryStore() *Store { return &Store{mem: true} }
 
-// Dir returns the store's root directory ("" for a memory store).
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) jobsDir() string         { return filepath.Join(s.dir, "jobs") }
 func (s *Store) jobDir(id string) string { return filepath.Join(s.jobsDir(), id) }
 
@@ -419,13 +416,6 @@ func (j *Job) Spec() testbench.Spec { return j.meta.Spec }
 
 // Trials returns the job's total trial count.
 func (j *Job) Trials() int { return j.meta.Trials }
-
-// Plan returns the job's shard plan.
-func (j *Job) Plan() []campaign.Span {
-	out := make([]campaign.Span, len(j.meta.Plan))
-	copy(out, j.meta.Plan)
-	return out
-}
 
 // State returns a deep copy of the job's current state.
 func (j *Job) State() JobState {

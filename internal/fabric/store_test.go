@@ -97,8 +97,8 @@ func TestStoreCreateReopenRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	if re.Trials() != 1000 || re.Spec().Campaign != "yield" || len(re.Plan()) != 3 {
-		t.Fatalf("meta did not round-trip: %d trials, %q, %d shards", re.Trials(), re.Spec().Campaign, len(re.Plan()))
+	if re.Trials() != 1000 || re.Spec().Campaign != "yield" || len(re.meta.Plan) != 3 {
+		t.Fatalf("meta did not round-trip: %d trials, %q, %d shards", re.Trials(), re.Spec().Campaign, len(re.meta.Plan))
 	}
 	st := re.State()
 	if st.Phase != PhaseRunning {
@@ -172,7 +172,7 @@ func TestStoreCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dir := filepath.Join(s.Dir(), "jobs", "j1")
+	dir := filepath.Join(s.dir, "jobs", "j1")
 	if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); err != nil {
 		t.Fatalf("no snapshot after %d appends: %v", 5, err)
 	}
@@ -215,7 +215,7 @@ func TestStoreIgnoresUnterminatedFinalLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a kill mid-append: a torn record with no newline.
-	logPath := filepath.Join(s.Dir(), "jobs", "j1", "log.jsonl")
+	logPath := filepath.Join(s.dir, "jobs", "j1", "log.jsonl")
 	f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +287,7 @@ func TestStoreRejectsCorruptStores(t *testing.T) {
 			if err := job.Close(); err != nil {
 				t.Fatal(err)
 			}
-			dir := filepath.Join(s.Dir(), "jobs", "j1")
+			dir := filepath.Join(s.dir, "jobs", "j1")
 			c.corrupt(t, dir)
 			_, err = s.OpenJob("j1")
 			if err == nil {

@@ -96,38 +96,3 @@ func (c Curve) BoundingBox(n int) (minX, maxX, minY, maxY float64, err error) {
 	}
 	return minX, maxX, minY, maxY, nil
 }
-
-// ArcLength approximates the curve length over one period from n samples.
-func (c Curve) ArcLength(n int) (float64, error) {
-	pts, err := c.Sample(n)
-	if err != nil {
-		return 0, err
-	}
-	sum := 0.0
-	for i := 1; i < len(pts); i++ {
-		sum += math.Hypot(pts[i].X-pts[i-1].X, pts[i].Y-pts[i-1].Y)
-	}
-	// Close the loop.
-	sum += math.Hypot(pts[0].X-pts[len(pts)-1].X, pts[0].Y-pts[len(pts)-1].Y)
-	return sum, nil
-}
-
-// MaxDeviation returns the largest pointwise distance between two curves
-// sampled at the same time instants — a scalar measure of how far a
-// defective Lissajous strays from the golden one (Fig. 1).
-func MaxDeviation(a, b Curve, n int) (float64, error) {
-	Ta, err := a.CommonPeriod()
-	if err != nil {
-		return 0, err
-	}
-	worst := 0.0
-	for i := 0; i < n; i++ {
-		t := Ta * float64(i) / float64(n)
-		ax, ay := a.Eval(t)
-		bx, by := b.Eval(t)
-		if d := math.Hypot(ax-bx, ay-by); d > worst {
-			worst = d
-		}
-	}
-	return worst, nil
-}

@@ -88,20 +88,6 @@ func TestBoundingBoxCircle(t *testing.T) {
 	}
 }
 
-func TestArcLengthCircle(t *testing.T) {
-	c, _ := New(
-		wave.Sine{Amp: 0.5, Freq: 100},
-		wave.Sine{Amp: 0.5, Freq: 100, Phase: math.Pi / 2},
-	)
-	l, err := c.ArcLength(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(l-math.Pi) > 1e-3 {
-		t.Fatalf("circle circumference = %v, want π", l)
-	}
-}
-
 // paperCurves builds the golden and +10% f0 Lissajous pair of Fig. 1.
 func paperCurves(t *testing.T) (golden, defective Curve) {
 	t.Helper()
@@ -110,11 +96,12 @@ func paperCurves(t *testing.T) (golden, defective Curve) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := biquad.New(biquad.Params{F0: 10e3, Q: 0.9, Gain: 1})
+	p := biquad.Params{F0: 10e3, Q: 0.9, Gain: 1}
+	g, err := biquad.New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := biquad.New(g.Params().WithF0Shift(0.10))
+	d, err := biquad.New(p.WithF0Shift(0.10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,18 +142,21 @@ func TestPaperLissajousStaysInUnitSquare(t *testing.T) {
 
 func TestF0ShiftDeformsCurve(t *testing.T) {
 	g, d := paperCurves(t)
-	dev, err := MaxDeviation(g, d, 2000)
+	// Largest pointwise distance between the curves sampled at the same
+	// instants over one period.
+	T, err := g.CommonPeriod()
 	if err != nil {
 		t.Fatal(err)
+	}
+	dev := 0.0
+	for i := 0; i < 2000; i++ {
+		gx, gy := g.Eval(T * float64(i) / 2000)
+		dx, dy := d.Eval(T * float64(i) / 2000)
+		dev = math.Max(dev, math.Hypot(gx-dx, gy-dy))
 	}
 	// A 10% f0 shift must move the trace visibly (Fig. 1) but not
 	// unrecognizably.
 	if dev < 0.01 || dev > 0.3 {
 		t.Fatalf("max deviation = %v, outside plausible band", dev)
-	}
-	// Self-deviation is zero.
-	self, _ := MaxDeviation(g, g, 500)
-	if self != 0 {
-		t.Fatalf("self deviation = %v", self)
 	}
 }

@@ -28,18 +28,6 @@ func (c Code) HammingDistance(o Code) int {
 	return n
 }
 
-// StringN renders the code as the paper does: n bits, monitor 1 first
-// (MSB), e.g. Code 0b000100 with n=6 -> "001000"… see Bank.FormatCode for
-// the bank-ordered rendering.
-func (c Code) StringN(n int) string {
-	b := make([]byte, n)
-	for i := 0; i < n; i++ {
-		// monitor 1 (bit 0) printed first.
-		b[i] = byte('0' + c.Bit(i))
-	}
-	return string(b)
-}
-
 // Bank is an ordered set of monitors producing a zone code per (x, y).
 // Classify answers one point exactly; ClassifyBatch answers sample grids
 // through the certified zone LUT (see lut.go) with bit-identical results.
@@ -143,30 +131,20 @@ func (b *Bank) Perturbed(die *mos.Die) *Bank {
 	return NewBank(out...)
 }
 
-// MCEnvelope traces the zone boundary of monitor index mi across nDies
-// Monte Carlo samples and returns, for each x column, the set of boundary
-// y values found (suitable for quantile envelopes), in die order.
-// Columns with no boundary crossing in a sample are skipped for that
-// sample.
+// MCEnvelopeCtx traces the zone boundary of monitor index mi across
+// nDies Monte Carlo samples and returns, for each x column, the set of
+// boundary y values found (suitable for quantile envelopes), in die
+// order. Columns with no boundary crossing in a sample are skipped for
+// that sample.
 //
 // Dies stream through the campaign reduction engine: each worker folds
 // its chunk of dies into per-column slices that are merged in die order,
 // and every die derives its random stream inside the worker as a pure
 // function of (seed, die index) — no serial stream pre-pass, no O(dies)
 // result slots, and a result that is bit-identical regardless of
-// scheduling or worker count.
-func (b *Bank) MCEnvelope(mi int, variation mos.Variation, seed uint64, nDies, nCols int) (xs []float64, ys [][]float64) {
-	//mclint:ctxflow ctx-less legacy wrapper; MCEnvelopeCtx carries caller cancellation for everything else
-	xs, ys, err := b.MCEnvelopeCtx(context.Background(), mi, variation, seed, nDies, nCols, campaign.Engine{})
-	if err != nil {
-		panic(err) // a background context never cancels; trials are error-free
-	}
-	return xs, ys
-}
-
-// MCEnvelopeCtx is MCEnvelope under an explicit context and campaign
-// engine (worker bound, chunk size, progress). The only error it can
-// return is the context's, once cancellation stops the die fan-out.
+// scheduling or worker count. The engine sets the worker bound, chunk
+// size and progress; the only error it can return is the context's,
+// once cancellation stops the die fan-out.
 func (b *Bank) MCEnvelopeCtx(ctx context.Context, mi int, variation mos.Variation, seed uint64, nDies, nCols int, eng campaign.Engine) (xs []float64, ys [][]float64, err error) {
 	a, ok := b.monitors[mi].(*Analytic)
 	if !ok {

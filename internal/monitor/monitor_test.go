@@ -1,11 +1,13 @@
 package monitor
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/campaign"
 	"repro/internal/mos"
 	"repro/internal/rng"
 )
@@ -187,9 +189,6 @@ func TestCodeOps(t *testing.T) {
 	if a.Bit(2) != 1 || a.Bit(0) != 0 {
 		t.Fatal("Bit extraction wrong")
 	}
-	if s := a.StringN(6); s != "001000" {
-		t.Fatalf("StringN = %q", s)
-	}
 }
 
 func TestFormatCodeMatchesPaperConvention(t *testing.T) {
@@ -254,7 +253,10 @@ func TestWithDevicesShiftsBoundary(t *testing.T) {
 
 func TestMCEnvelopeSpread(t *testing.T) {
 	b := NewAnalyticTableI()
-	xs, ys := b.MCEnvelope(2, mos.Default65nmVariation(), 11, 40, 21)
+	xs, ys, err := b.MCEnvelopeCtx(context.Background(), 2, mos.Default65nmVariation(), 11, 40, 21, campaign.Engine{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(xs) != 21 {
 		t.Fatalf("cols = %d", len(xs))
 	}
@@ -388,7 +390,10 @@ func TestMCEnvelopeDeterministicAcrossParallelism(t *testing.T) {
 	run := func(procs int) [][]float64 {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
-		_, ys := b.MCEnvelope(2, mos.Default65nmVariation(), 77, 24, 11)
+		_, ys, err := b.MCEnvelopeCtx(context.Background(), 2, mos.Default65nmVariation(), 77, 24, 11, campaign.Engine{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return ys
 	}
 	a := run(1)
@@ -402,53 +407,6 @@ func TestMCEnvelopeDeterministicAcrossParallelism(t *testing.T) {
 				t.Fatalf("column %d entry %d differs: %v vs %v", i, j, a[i][j], c[i][j])
 			}
 		}
-	}
-}
-
-func TestSpiceOutputStageDigitalLevels(t *testing.T) {
-	cfg := TableI()[2]
-	dm, err := NewSpiceWithOutputStage(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Far from the boundary the digital node sits near a rail and the
-	// bit matches the analog-comparison monitor.
-	am, err := NewSpice(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []Point{{0.15, 0.15}, {0.9, 0.9}, {0.8, 0.2}} {
-		db, err := dm.BitErr(p.X, p.Y)
-		if err != nil {
-			t.Fatalf("digital monitor at %+v: %v", p, err)
-		}
-		ab, err := am.BitErr(p.X, p.Y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if db != ab {
-			t.Fatalf("digital (%d) and analog (%d) bits differ at %+v", db, ab, p)
-		}
-	}
-}
-
-func TestSpiceOutputStageRailToRail(t *testing.T) {
-	cfg := TableI()[5] // diagonal
-	dm, err := NewSpiceWithOutputStage(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drive a point well off the boundary and check the digital node is
-	// within 10% of a rail.
-	if _, err := dm.BitErr(0.9, 0.2); err != nil {
-		t.Fatal(err)
-	}
-	vd, err := dm.prevSol.Voltage("outd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vd > 0.12 && vd < 1.08 {
-		t.Fatalf("digital node %v not rail-to-rail", vd)
 	}
 }
 

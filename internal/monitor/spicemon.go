@@ -13,12 +13,6 @@ import (
 // nodes — exactly what the fabricated monitor's high-gain output stage
 // does. It is orders of magnitude slower than Analytic and exists to
 // validate it and to regenerate the "experimental" curves of Fig. 4.
-//
-// With an output stage (NewSpiceWithOutputStage) the comparison is done
-// in silicon too: a differential-to-single-ended VCVS followed by two
-// CMOS inverters squares the analog difference up to a rail-to-rail
-// digital level, matching the paper's "high gain output stage to
-// digitalize the differential output" (total area 116.1 µm²).
 type Spice struct {
 	cfg     Config
 	ckt     *spice.Circuit
@@ -28,30 +22,17 @@ type Spice struct {
 	// ws keeps the MNA matrix, RHS and LU buffers alive between Bit
 	// evaluations — a boundary trace solves the same circuit thousands
 	// of times, and without reuse every solve re-allocates the solver.
-	ws       *spice.Workspace
-	digital  bool // true when the inverter output stage is present
-	outDNode string
+	ws *spice.Workspace
 }
 
 // NewSpice builds the transistor-level monitor core. Optionally,
 // perturbed input devices (Monte Carlo) can be supplied; pass nil for
 // nominal.
 func NewSpice(cfg Config, devs *[4]mos.Device) (*Spice, error) {
-	return newSpice(cfg, devs, false)
-}
-
-// NewSpiceWithOutputStage builds the monitor including the digitizing
-// output stage; Bit then thresholds a rail-to-rail node instead of
-// comparing the two analog outputs.
-func NewSpiceWithOutputStage(cfg Config, devs *[4]mos.Device) (*Spice, error) {
-	return newSpice(cfg, devs, true)
-}
-
-func newSpice(cfg Config, devs *[4]mos.Device, outputStage bool) (*Spice, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Spice{cfg: cfg, digital: outputStage, ws: spice.NewWorkspace()}
+	m := &Spice{cfg: cfg, ws: spice.NewWorkspace()}
 	m.ckt = spice.New()
 	c := m.ckt
 	vdd := c.Node("vdd")
@@ -86,32 +67,6 @@ func newSpice(cfg Config, devs *[4]mos.Device, outputStage bool) (*Spice, error)
 	c.Add(spice.NewMOSFET("M7", out2, out1, vdd, load("M7", 0.8*cfg.LoadWNm)))
 	c.Add(spice.NewMOSFET("M8", out2, out2, vdd, load("M8", cfg.LoadWNm)))
 
-	if outputStage {
-		// Differential-to-single-ended gain stage biased to mid-rail,
-		// then two CMOS inverters to square the level up.
-		amp := c.Node("amp")
-		mid := c.Node("mid")
-		inv1 := c.Node("inv1")
-		outd := c.Node("outd")
-		c.Add(spice.NewVSource("VMID", mid, spice.Ground, cfg.VDD/2))
-		c.Add(spice.NewVCVS("EAMP", amp, mid, out2, out1, 40))
-		// Clamp the VCVS drive into the inverter with a series resistor
-		// so the first inverter input stays a real node.
-		c.Add(spice.NewResistor("RAMP", amp, inv1, 1e3))
-		inverter := func(name string, in, out spice.NodeID) {
-			c.Add(spice.NewMOSFET(name+"p", out, in, vdd,
-				mos.NewDevice(name+"p", 2*cfg.LoadWNm, cfg.LengthNm, cfg.PMOS)))
-			c.Add(spice.NewMOSFET(name+"n", out, in, spice.Ground,
-				mos.NewDevice(name+"n", cfg.LoadWNm, cfg.LengthNm, cfg.NMOS)))
-		}
-		// The first inverter input is inv1 (through RAMP), its output
-		// drives the second inverter producing the digital node.
-		innode := c.Node("q1")
-		inverter("MI1", inv1, innode)
-		inverter("MI2", innode, outd)
-		m.outDNode = "outd"
-	}
-
 	ref, err := m.rawBit(cfg.RefX, cfg.RefY)
 	if err != nil {
 		return nil, fmt.Errorf("monitor %s: reference solve: %w", cfg.Name, err)
@@ -121,9 +76,7 @@ func newSpice(cfg Config, devs *[4]mos.Device, outputStage bool) (*Spice, error)
 }
 
 // rawBit solves the DC point at (x, y) and returns 1 when out2 > out1
-// (right branch starved, left branch sinking more current). With the
-// output stage present the rail-to-rail digital node is thresholded at
-// VDD/2 instead.
+// (right branch starved, left branch sinking more current).
 func (m *Spice) rawBit(x, y float64) (int, error) {
 	for i := 0; i < 4; i++ {
 		m.vx[i].SetDC(m.cfg.Inputs[i].Voltage(x, y))
@@ -133,16 +86,6 @@ func (m *Spice) rawBit(x, y float64) (int, error) {
 		return 0, err
 	}
 	m.prevSol = sol
-	if m.digital {
-		vd, err := sol.Voltage(m.outDNode)
-		if err != nil {
-			return 0, err
-		}
-		if vd > m.cfg.VDD/2 {
-			return 1, nil
-		}
-		return 0, nil
-	}
 	v1, _ := sol.Voltage("out1")
 	v2, _ := sol.Voltage("out2")
 	if v2 > v1 {

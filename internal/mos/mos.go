@@ -99,9 +99,6 @@ func NewDevice(name string, wNm, lNm float64, p Params) Device {
 	return Device{Name: name, W: wNm * 1e-9, L: lNm * 1e-9, P: p}
 }
 
-// AspectRatio returns W/L.
-func (d Device) AspectRatio() float64 { return d.W / d.L }
-
 // GateAreaUm2 returns W·L in µm².
 func (d Device) GateAreaUm2() float64 { return d.W * d.L * 1e12 }
 
@@ -309,10 +306,4 @@ func (die *Die) Perturb(d Device) Device {
 		out.P.KP = 1e-9 // keep the model physical under extreme draws
 	}
 	return out
-}
-
-// MismatchSigmaVth returns the 1σ local threshold mismatch of a device
-// with the given gate area, for reporting.
-func (v Variation) MismatchSigmaVth(d Device) float64 {
-	return v.AVT / math.Sqrt(d.W*d.L)
 }

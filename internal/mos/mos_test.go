@@ -126,9 +126,6 @@ func TestNewDeviceUnits(t *testing.T) {
 	if math.Abs(d.W-3e-6) > 1e-18 || math.Abs(d.L-180e-9) > 1e-18 {
 		t.Fatalf("unit conversion wrong: W=%v L=%v", d.W, d.L)
 	}
-	if math.Abs(d.AspectRatio()-3000.0/180.0) > 1e-12 {
-		t.Fatalf("aspect ratio = %v", d.AspectRatio())
-	}
 	if math.Abs(d.GateAreaUm2()-0.54) > 1e-12 {
 		t.Fatalf("gate area = %v µm², want 0.54", d.GateAreaUm2())
 	}
@@ -143,20 +140,6 @@ func TestMonotoneInVgs(t *testing.T) {
 			t.Fatalf("IDSat not strictly increasing at VGS=%v", vgs)
 		}
 		prev = id
-	}
-}
-
-func TestMismatchScalesWithArea(t *testing.T) {
-	v := Default65nmVariation()
-	small := NewDevice("s", 600, 180, Default65nmNMOS())
-	large := NewDevice("l", 2400, 180, Default65nmNMOS())
-	sSmall := v.MismatchSigmaVth(small)
-	sLarge := v.MismatchSigmaVth(large)
-	if sLarge >= sSmall {
-		t.Fatal("larger device must have smaller mismatch")
-	}
-	if math.Abs(sSmall/sLarge-2) > 1e-9 { // 4x area -> 2x sigma
-		t.Fatalf("Pelgrom scaling = %v, want 2", sSmall/sLarge)
 	}
 }
 
@@ -175,8 +158,8 @@ func TestDiePerturbationStatistics(t *testing.T) {
 	if math.Abs(mean) > 3e-3 {
 		t.Fatalf("VTH shift mean = %v, want ~0", mean)
 	}
-	// Total sigma = sqrt(global^2 + local^2).
-	local := v.MismatchSigmaVth(base)
+	// Total sigma = sqrt(global^2 + local^2), local from Pelgrom's law.
+	local := v.AVT / math.Sqrt(base.W*base.L)
 	want := math.Sqrt(v.GlobalVTH*v.GlobalVTH + local*local)
 	if math.Abs(std-want) > 0.1*want {
 		t.Fatalf("VTH shift std = %v, want ~%v", std, want)

@@ -1,48 +1,10 @@
 package ndf
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/signature"
 )
-
-// Aligned computes the NDF after compensating an unknown acquisition
-// phase: a real capture starts at an arbitrary point of the stimulus
-// period, so the observed signature is a cyclic rotation of the golden
-// one. Aligned evaluates the Eq. 2 integral at nShifts uniformly spaced
-// cyclic offsets of the observed signature and returns the minimum (the
-// best alignment) together with the offset that achieved it.
-//
-// A correctly triggered tester does not need this; it models the
-// trigger-free acquisition mode where only the stimulus period is known.
-func Aligned(observed, golden *signature.Signature, nShifts int) (best float64, offset float64, err error) {
-	if nShifts < 1 {
-		return 0, 0, fmt.Errorf("ndf: need at least 1 shift")
-	}
-	if err := observed.Validate(); err != nil {
-		return 0, 0, fmt.Errorf("ndf: observed: %w", err)
-	}
-	if err := golden.Validate(); err != nil {
-		return 0, 0, fmt.Errorf("ndf: golden: %w", err)
-	}
-	T := golden.Period
-	if math.Abs(observed.Period-T) > 1e-9*T {
-		return 0, 0, ErrPeriodMismatch
-	}
-	best = math.Inf(1)
-	for k := 0; k < nShifts; k++ {
-		off := T * float64(k) / float64(nShifts)
-		v, err := NDF(Rotate(observed, off), golden)
-		if err != nil {
-			return 0, 0, err
-		}
-		if v < best {
-			best, offset = v, off
-		}
-	}
-	return best, offset, nil
-}
 
 // Rotate returns the signature advanced by dt: the rotated signature's
 // code at time t equals the original's at time t+dt. dt may be any real

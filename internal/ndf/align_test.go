@@ -64,17 +64,6 @@ func TestRotateDurationInvariant(t *testing.T) {
 	}
 }
 
-func TestAlignedValidation(t *testing.T) {
-	g := sig(1, signature.Entry{Code: 0, Dur: 1})
-	if _, _, err := Aligned(g, g, 0); err == nil {
-		t.Fatal("zero shifts accepted")
-	}
-	o := sig(2, signature.Entry{Code: 0, Dur: 2})
-	if _, _, err := Aligned(o, g, 4); err == nil {
-		t.Fatal("period mismatch accepted")
-	}
-}
-
 // Property: rotation never changes the NDF against an equally rotated
 // golden (simultaneous rotation invariance of Eq. 2).
 func TestSimultaneousRotationInvariantProperty(t *testing.T) {

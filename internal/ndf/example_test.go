@@ -28,19 +28,3 @@ func ExampleNDF() {
 	// Output:
 	// NDF = 0.10
 }
-
-// A trigger-free acquisition sees the golden signature rotated by an
-// unknown phase; Aligned searches cyclic offsets and recovers NDF ≈ 0.
-func ExampleAligned() {
-	golden := &signature.Signature{Period: 1e-3, Entries: []signature.Entry{
-		{Code: 1, Dur: 0.25e-3},
-		{Code: 3, Dur: 0.5e-3},
-		{Code: 2, Dur: 0.25e-3},
-	}}
-	observed := ndf.Rotate(golden, 0.4e-3)
-	raw, _ := ndf.NDF(observed, golden)
-	aligned, _, _ := ndf.Aligned(observed, golden, 100)
-	fmt.Printf("unaligned %.2f, aligned %.2f\n", raw, aligned)
-	// Output:
-	// unaligned 1.00, aligned 0.00
-}

@@ -164,37 +164,6 @@ func CalibrateThreshold(devs, ndfs []float64, tol float64) (Decision, error) {
 	return Decision{Threshold: thr}, nil
 }
 
-// DetectionStats summarizes a two-population detection experiment.
-type DetectionStats struct {
-	Threshold         float64
-	FalsePositiveRate float64 // fraction of good circuits rejected
-	DetectionRate     float64 // fraction of deviated circuits rejected
-}
-
-// Evaluate computes detection statistics of a threshold against NDF
-// samples from nominal (good) and deviated circuits.
-func Evaluate(d Decision, goodNDFs, badNDFs []float64) DetectionStats {
-	fp, det := 0, 0
-	for _, v := range goodNDFs {
-		if !d.Pass(v) {
-			fp++
-		}
-	}
-	for _, v := range badNDFs {
-		if !d.Pass(v) {
-			det++
-		}
-	}
-	st := DetectionStats{Threshold: d.Threshold}
-	if len(goodNDFs) > 0 {
-		st.FalsePositiveRate = float64(fp) / float64(len(goodNDFs))
-	}
-	if len(badNDFs) > 0 {
-		st.DetectionRate = float64(det) / float64(len(badNDFs))
-	}
-	return st
-}
-
 // ThresholdFromNull sets the acceptance threshold at the given quantile
 // of the null (fault-free, noise-only) NDF distribution — the standard
 // way to fix the false-alarm rate before asking which deviation becomes

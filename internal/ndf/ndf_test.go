@@ -170,19 +170,6 @@ func TestCalibrateValidation(t *testing.T) {
 	}
 }
 
-func TestEvaluateRates(t *testing.T) {
-	d := Decision{Threshold: 0.05}
-	good := []float64{0.01, 0.02, 0.06, 0.03} // one above threshold
-	bad := []float64{0.10, 0.04, 0.2, 0.3}    // one below threshold
-	st := Evaluate(d, good, bad)
-	if math.Abs(st.FalsePositiveRate-0.25) > 1e-12 {
-		t.Fatalf("FPR = %v, want 0.25", st.FalsePositiveRate)
-	}
-	if math.Abs(st.DetectionRate-0.75) > 1e-12 {
-		t.Fatalf("detection = %v, want 0.75", st.DetectionRate)
-	}
-}
-
 func TestThresholdFromNull(t *testing.T) {
 	null := []float64{0.01, 0.02, 0.03, 0.04, 0.05}
 	d, err := ThresholdFromNull(null, 1.0)

@@ -20,12 +20,6 @@ func NewCMatrix(r, c int) *CMatrix {
 	return &CMatrix{Rows: r, Cols: c, Data: make([]complex128, r*c)}
 }
 
-// At returns the element at row i, column j.
-func (m *CMatrix) At(i, j int) complex128 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the element at row i, column j.
-func (m *CMatrix) Set(i, j int, v complex128) { m.Data[i*m.Cols+j] = v }
-
 // Add accumulates v into the element at row i, column j.
 func (m *CMatrix) Add(i, j int, v complex128) { m.Data[i*m.Cols+j] += v }
 

@@ -10,7 +10,7 @@ func TestCSolveIdentity(t *testing.T) {
 	n := 4
 	a := NewCMatrix(n, n)
 	for i := 0; i < n; i++ {
-		a.Set(i, i, 1)
+		a.Add(i, i, 1)
 	}
 	b := []complex128{1, 2i, 3 + 1i, -4}
 	x, err := CSolve(a, b)
@@ -27,7 +27,7 @@ func TestCSolveIdentity(t *testing.T) {
 func TestCSolveKnownComplexSystem(t *testing.T) {
 	// (1+i)x = 2i  ->  x = 2i/(1+i) = 1+i
 	a := NewCMatrix(1, 1)
-	a.Set(0, 0, 1+1i)
+	a.Add(0, 0, 1+1i)
 	x, err := CSolve(a, []complex128{2i})
 	if err != nil {
 		t.Fatal(err)
@@ -39,8 +39,8 @@ func TestCSolveKnownComplexSystem(t *testing.T) {
 
 func TestCSolvePivoting(t *testing.T) {
 	a := NewCMatrix(2, 2)
-	a.Set(0, 1, 1i)
-	a.Set(1, 0, 2)
+	a.Add(0, 1, 1i)
+	a.Add(1, 0, 2)
 	x, err := CSolve(a, []complex128{3i, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -52,10 +52,10 @@ func TestCSolvePivoting(t *testing.T) {
 
 func TestCSolveSingular(t *testing.T) {
 	a := NewCMatrix(2, 2)
-	a.Set(0, 0, 1)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, 2)
-	a.Set(1, 1, 2)
+	a.Add(0, 0, 1)
+	a.Add(0, 1, 1)
+	a.Add(1, 0, 2)
+	a.Add(1, 1, 2)
 	if _, err := CSolve(a, []complex128{1, 2}); err == nil {
 		t.Fatal("singular matrix accepted")
 	}
@@ -74,11 +74,11 @@ func TestCMatrixZeroAdd(t *testing.T) {
 	m := NewCMatrix(2, 2)
 	m.Add(0, 1, 2i)
 	m.Add(0, 1, 3)
-	if m.At(0, 1) != 3+2i {
-		t.Fatalf("At = %v", m.At(0, 1))
+	if m.Data[1] != 3+2i {
+		t.Fatalf("element (0,1) = %v", m.Data[1])
 	}
 	m.Zero()
-	if m.At(0, 1) != 0 {
+	if m.Data[1] != 0 {
 		t.Fatal("Zero failed")
 	}
 }
@@ -97,7 +97,7 @@ func TestCSolveRoundTripProperty(t *testing.T) {
 		a := NewCMatrix(n, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				a.Set(i, j, complex(next(), next()))
+				a.Add(i, j, complex(next(), next()))
 			}
 			a.Add(i, i, 5)
 		}
@@ -112,7 +112,7 @@ func TestCSolveRoundTripProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			var s complex128
 			for j := 0; j < n; j++ {
-				s += a.At(i, j) * x[j]
+				s += a.Data[i*n+j] * x[j]
 			}
 			if cmplx.Abs(s-b[i]) > 1e-9 {
 				return false

@@ -207,16 +207,6 @@ func (f *LU) Solve(b, x []float64) {
 	copy(x, tmp)
 }
 
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	n := f.lu.Rows
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // SolveSystem is a convenience wrapper: factor a and solve a·x = b.
 func SolveSystem(a *Matrix, b []float64) ([]float64, error) {
 	f, err := Factor(a)

@@ -107,23 +107,6 @@ func TestSingularDetected(t *testing.T) {
 	}
 }
 
-func TestDeterminant(t *testing.T) {
-	a := NewMatrix(3, 3)
-	vals := [][]float64{{2, 0, 0}, {0, 3, 0}, {0, 0, 4}}
-	for i := range vals {
-		for j := range vals[i] {
-			a.Set(i, j, vals[i][j])
-		}
-	}
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := f.Det(); math.Abs(d-24) > 1e-12 {
-		t.Fatalf("Det = %v, want 24", d)
-	}
-}
-
 func TestFactorInto(t *testing.T) {
 	a := NewMatrix(2, 2)
 	a.Set(0, 0, 4)

@@ -2,7 +2,6 @@ package num
 
 import (
 	"errors"
-	"math"
 )
 
 // ErrNoBracket is returned by Bisect when f(lo) and f(hi) have the same sign.
@@ -42,72 +41,4 @@ func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
 		}
 	}
 	return 0.5 * (lo + hi), ErrNoConverge
-}
-
-// Brent finds a root of f in [lo, hi] using Brent's method (inverse
-// quadratic interpolation with bisection fallback). It converges much
-// faster than Bisect on smooth functions and is used for boundary tracing.
-func Brent(f func(float64) float64, lo, hi, tol float64) (float64, error) {
-	a, b := lo, hi
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if (fa > 0) == (fb > 0) {
-		return 0, ErrNoBracket
-	}
-	c, fc := a, fa
-	d, e := b-a, b-a
-	for i := 0; i < 200; i++ {
-		if math.Abs(fc) < math.Abs(fb) {
-			a, b, c = b, c, b
-			fa, fb, fc = fb, fc, fb
-		}
-		tol1 := 2*math.SmallestNonzeroFloat64*math.Abs(b) + 0.5*tol
-		xm := 0.5 * (c - b)
-		if math.Abs(xm) <= tol1 || fb == 0 {
-			return b, nil
-		}
-		if math.Abs(e) >= tol1 && math.Abs(fa) > math.Abs(fb) {
-			s := fb / fa
-			var p, q float64
-			if a == c {
-				p = 2 * xm * s
-				q = 1 - s
-			} else {
-				q = fa / fc
-				r := fb / fc
-				p = s * (2*xm*q*(q-r) - (b-a)*(r-1))
-				q = (q - 1) * (r - 1) * (s - 1)
-			}
-			if p > 0 {
-				q = -q
-			}
-			p = math.Abs(p)
-			if 2*p < math.Min(3*xm*q-math.Abs(tol1*q), math.Abs(e*q)) {
-				e, d = d, p/q
-			} else {
-				d, e = xm, xm
-			}
-		} else {
-			d, e = xm, xm
-		}
-		a, fa = b, fb
-		if math.Abs(d) > tol1 {
-			b += d
-		} else if xm > 0 {
-			b += tol1
-		} else {
-			b -= tol1
-		}
-		fb = f(b)
-		if (fb > 0) == (fc > 0) {
-			c, fc = a, fa
-			d, e = b-a, b-a
-		}
-	}
-	return b, ErrNoConverge
 }

@@ -37,9 +37,6 @@ type SolveProgram struct {
 	diag     []float64
 }
 
-// Dim returns the dimension of the compiled system (0 before Compile).
-func (p *SolveProgram) Dim() int { return p.n }
-
 // Compile records the current factors into p. It must be re-run after
 // every Factor/FactorInto: partial pivoting reorders rows and fill-in
 // moves with the element values, so a stale program solves the wrong
@@ -117,178 +114,6 @@ func (p *SolveProgram) Solve(b, x []float64) {
 			s -= vals[e] * x[j]
 		}
 		x[i] = s / diag[i]
-	}
-}
-
-// BatchLanes is the lane width of SolveBatch: four independent solves
-// interleaved per instruction stream. Four ~12-cycle multiply–subtract
-// chains in flight cover the pipeline the single-lane solve leaves idle
-// without spilling the accumulators out of registers.
-const BatchLanes = 4
-
-// SolveBatch runs four compiled triangular solves as one fused kernel.
-// A single SolveProgram.Solve is one long load–multiply–subtract–divide
-// dependency chain, so its speed is bound by floating-point latency,
-// not throughput. SolveBatch merges the four programs' sparsity
-// patterns into one union index structure (Compile) and stores values
-// entry-major across lanes, so the inner loops advance four data-
-// independent chains per shared index — latency hiding with zero
-// per-lane bookkeeping.
-//
-// Where one lane has no entry at a union position its value is stored
-// as exact zero, adding a term of the form s -= 0·v to that lane. This
-// is the same equivalence class as SolveProgram's zero skipping — each
-// lane's result equals its own Solve under ==, diverging at most in the
-// sign of an exact floating-point zero — and the spice trial-engine
-// bit-identity tests pin it end to end.
-type SolveBatch struct {
-	n int
-
-	fwdStart []int32
-	fwdIdx   []int32
-	fwdVal   []float64 // entry-major: fwdVal[e*BatchLanes+l]
-	bwdStart []int32
-	bwdIdx   []int32
-	bwdVal   []float64
-	diag     []float64 // diag[i*BatchLanes+l]
-
-	ps [BatchLanes]*SolveProgram // for the permutation gathers
-}
-
-// Compile merges the lanes' compiled programs into the union-pattern
-// batch kernel. All four programs must share one dimension. Like
-// SolveProgram.Compile it must be re-run when any lane refactors, and
-// it reuses the receiver's slices, so a warm recompile is
-// allocation-free.
-func (sb *SolveBatch) Compile(ps *[BatchLanes]*SolveProgram) {
-	n := ps[0].n
-	for _, p := range ps {
-		if p.n != n {
-			panic("num: SolveBatch dimension mismatch")
-		}
-	}
-	sb.n = n
-	sb.ps = *ps
-	sb.diag = growFloat64(sb.diag, n*BatchLanes)
-	for i := 0; i < n; i++ {
-		for l, p := range ps {
-			sb.diag[i*BatchLanes+l] = p.diag[i]
-		}
-	}
-	sb.fwdStart = growInt32(sb.fwdStart, n+1)
-	sb.bwdStart = growInt32(sb.bwdStart, n+1)
-	sb.fwdIdx, sb.fwdVal = sb.fwdIdx[:0], sb.fwdVal[:0]
-	sb.bwdIdx, sb.bwdVal = sb.bwdIdx[:0], sb.bwdVal[:0]
-	var cur [BatchLanes]int32
-	for i := 0; i < n; i++ {
-		sb.fwdStart[i] = int32(len(sb.fwdIdx))
-		sb.fwdIdx, sb.fwdVal = mergeRow(ps, &cur, fwdRow, i, sb.fwdIdx, sb.fwdVal)
-	}
-	sb.fwdStart[n] = int32(len(sb.fwdIdx))
-	cur = [BatchLanes]int32{}
-	for i := 0; i < n; i++ {
-		sb.bwdStart[i] = int32(len(sb.bwdIdx))
-		sb.bwdIdx, sb.bwdVal = mergeRow(ps, &cur, bwdRow, i, sb.bwdIdx, sb.bwdVal)
-	}
-	sb.bwdStart[n] = int32(len(sb.bwdIdx))
-}
-
-// rowOf selects one triangular half of a compiled program's row i.
-type rowOf func(p *SolveProgram, i int) (idx []int32, val []float64)
-
-func fwdRow(p *SolveProgram, i int) ([]int32, []float64) {
-	lo, hi := p.fwdStart[i], p.fwdStart[i+1]
-	return p.fwdIdx[lo:hi], p.fwdVal[lo:hi]
-}
-
-func bwdRow(p *SolveProgram, i int) ([]int32, []float64) {
-	lo, hi := p.bwdStart[i], p.bwdStart[i+1]
-	return p.bwdIdx[lo:hi], p.bwdVal[lo:hi]
-}
-
-// mergeRow appends row i's union pattern — the ascending merge of the
-// four lanes' column sets, zero-filling lanes without an entry — to
-// idx/val. cur tracks each lane's cursor into its own row across calls
-// (rows are consumed in order).
-func mergeRow(ps *[BatchLanes]*SolveProgram, cur *[BatchLanes]int32, row rowOf, i int, idx []int32, val []float64) ([]int32, []float64) {
-	var rIdx [BatchLanes][]int32
-	var rVal [BatchLanes][]float64
-	var at [BatchLanes]int
-	for l, p := range ps {
-		rIdx[l], rVal[l] = row(p, i)
-	}
-	for {
-		j := int32(-1)
-		for l := range ps {
-			if at[l] < len(rIdx[l]) {
-				if c := rIdx[l][at[l]]; j < 0 || c < j {
-					j = c
-				}
-			}
-		}
-		if j < 0 {
-			return idx, val
-		}
-		idx = append(idx, j)
-		for l := range ps {
-			if at[l] < len(rIdx[l]) && rIdx[l][at[l]] == j {
-				val = append(val, rVal[l][at[l]])
-				at[l]++
-			} else {
-				val = append(val, 0)
-			}
-		}
-	}
-}
-
-// Solve solves the four systems: lane l solves bs[l] into xs[l]. As for
-// SolveProgram.Solve, b and x must not alias within a lane, and the
-// lanes' x buffers must be distinct.
-//
-//mclint:hotpath
-func (sb *SolveBatch) Solve(bs, xs *[BatchLanes][]float64) {
-	n := sb.n
-	for l, p := range &sb.ps {
-		b, x := bs[l], xs[l]
-		if len(b) != n || len(x) != n {
-			panic("num: SolveBatch dimension mismatch")
-		}
-		for i, pv := range p.piv {
-			x[i] = b[pv]
-		}
-	}
-	x0, x1, x2, x3 := xs[0], xs[1], xs[2], xs[3]
-	fwdStart, fwdIdx, fwdVal := sb.fwdStart, sb.fwdIdx, sb.fwdVal
-	for i := 1; i < n; i++ {
-		s0, s1, s2, s3 := x0[i], x1[i], x2[i], x3[i]
-		lo, hi := fwdStart[i], fwdStart[i+1]
-		for e := lo; e < hi; e++ {
-			j := fwdIdx[e]
-			v := e * BatchLanes
-			s0 -= fwdVal[v] * x0[j]
-			s1 -= fwdVal[v+1] * x1[j]
-			s2 -= fwdVal[v+2] * x2[j]
-			s3 -= fwdVal[v+3] * x3[j]
-		}
-		x0[i], x1[i], x2[i], x3[i] = s0, s1, s2, s3
-	}
-	bwdStart, bwdIdx, bwdVal, diag := sb.bwdStart, sb.bwdIdx, sb.bwdVal, sb.diag
-	for i := n - 1; i >= 0; i-- {
-		s0, s1, s2, s3 := x0[i], x1[i], x2[i], x3[i]
-		lo, hi := bwdStart[i], bwdStart[i+1]
-		for e := lo; e < hi; e++ {
-			j := bwdIdx[e]
-			v := e * BatchLanes
-			s0 -= bwdVal[v] * x0[j]
-			s1 -= bwdVal[v+1] * x1[j]
-			s2 -= bwdVal[v+2] * x2[j]
-			s3 -= bwdVal[v+3] * x3[j]
-		}
-		d := i * BatchLanes
-		x0[i] = s0 / diag[d]
-		x1[i] = s1 / diag[d+1]
-		x2[i] = s2 / diag[d+2]
-		x3[i] = s3 / diag[d+3]
 	}
 }
 

@@ -6,12 +6,11 @@ import (
 	"repro/internal/rng"
 )
 
-// The solve benchmarks quantify why the batched trial engine exists: at
-// circuit-matrix sizes (n≈11 for the Tow-Thomas MNA system) a
-// triangular solve is latency-bound — the serial load→multiply→subtract
-// dependency chain, not the flop count, sets the time, so the sparse
-// program barely beats the dense solve. The fused four-lane kernel wins
-// by giving the core four independent chains to overlap.
+// The solve benchmarks compare the dense LU solve with the compiled
+// sparse program at circuit-matrix size (n≈11 for the Tow-Thomas MNA
+// system), where a triangular solve is latency-bound: the serial
+// load→multiply→subtract dependency chain, not the flop count, sets the
+// time.
 
 func benchSolveSystem(seed uint64, n int) (*LU, []float64) {
 	src := rng.New(seed)
@@ -45,23 +44,4 @@ func BenchmarkSolveProgram11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.Solve(rhs, x)
 	}
-}
-
-func BenchmarkSolveBatch4x11(b *testing.B) {
-	var ps [BatchLanes]*SolveProgram
-	var bs, xs [BatchLanes][]float64
-	for l := range ps {
-		lu, rhs := benchSolveSystem(uint64(l+1), 11)
-		ps[l] = new(SolveProgram)
-		lu.Compile(ps[l])
-		bs[l] = rhs
-		xs[l] = make([]float64, 11)
-	}
-	var sb SolveBatch
-	sb.Compile(&ps)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sb.Solve(&bs, &xs)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/BatchLanes, "ns/lane")
 }

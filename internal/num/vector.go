@@ -2,27 +2,6 @@ package num
 
 import "math"
 
-// Dot returns the inner product of a and b, which must be the same length.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("num: Dot length mismatch")
-	}
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // NormInf returns the maximum absolute element of v (0 for empty v).
 func NormInf(v []float64) float64 {
 	m := 0.0
@@ -34,45 +13,6 @@ func NormInf(v []float64) float64 {
 	return m
 }
 
-// AXPY computes y += alpha*x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("num: AXPY length mismatch")
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// Scale multiplies every element of v by alpha in place.
-func Scale(alpha float64, v []float64) {
-	for i := range v {
-		v[i] *= alpha
-	}
-}
-
-// Fill sets every element of v to x.
-func Fill(v []float64, x float64) {
-	for i := range v {
-		v[i] = x
-	}
-}
-
-// Linspace returns n points evenly spaced over [lo, hi] inclusive.
-// n must be >= 2.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		panic("num: Linspace needs n >= 2")
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	out[n-1] = hi // exact endpoint despite rounding
-	return out
-}
-
 // Clamp restricts x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {
@@ -82,15 +22,4 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// ApproxEqual reports whether a and b agree within absolute tolerance atol
-// or relative tolerance rtol (whichever is looser).
-func ApproxEqual(a, b, atol, rtol float64) bool {
-	d := math.Abs(a - b)
-	if d <= atol {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return d <= rtol*scale
 }

@@ -3,50 +3,15 @@ package num
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestDot(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Fatalf("Dot = %v, want 32", got)
-	}
-}
 
 func TestNorms(t *testing.T) {
 	v := []float64{3, -4}
-	if got := Norm2(v); math.Abs(got-5) > 1e-15 {
-		t.Fatalf("Norm2 = %v, want 5", got)
-	}
 	if got := NormInf(v); got != 4 {
 		t.Fatalf("NormInf = %v, want 4", got)
 	}
 	if got := NormInf(nil); got != 0 {
 		t.Fatalf("NormInf(nil) = %v, want 0", got)
-	}
-}
-
-func TestAXPYAndScale(t *testing.T) {
-	y := []float64{1, 1}
-	AXPY(2, []float64{3, 4}, y)
-	if y[0] != 7 || y[1] != 9 {
-		t.Fatalf("AXPY result = %v, want [7 9]", y)
-	}
-	Scale(0.5, y)
-	if y[0] != 3.5 || y[1] != 4.5 {
-		t.Fatalf("Scale result = %v, want [3.5 4.5]", y)
-	}
-}
-
-func TestLinspace(t *testing.T) {
-	v := Linspace(0, 1, 5)
-	want := []float64{0, 0.25, 0.5, 0.75, 1}
-	for i := range want {
-		if math.Abs(v[i]-want[i]) > 1e-15 {
-			t.Fatalf("Linspace[%d] = %v, want %v", i, v[i], want[i])
-		}
-	}
-	if v[len(v)-1] != 1 {
-		t.Fatal("Linspace endpoint must be exact")
 	}
 }
 
@@ -60,40 +25,6 @@ func TestClamp(t *testing.T) {
 		if got := Clamp(c.x, c.lo, c.hi); got != c.want {
 			t.Fatalf("Clamp(%v,%v,%v) = %v, want %v", c.x, c.lo, c.hi, got, c.want)
 		}
-	}
-}
-
-func TestApproxEqual(t *testing.T) {
-	if !ApproxEqual(1.0, 1.0+1e-13, 1e-12, 0) {
-		t.Fatal("absolute tolerance failed")
-	}
-	if !ApproxEqual(1e6, 1e6*(1+1e-10), 0, 1e-9) {
-		t.Fatal("relative tolerance failed")
-	}
-	if ApproxEqual(1, 2, 1e-12, 1e-12) {
-		t.Fatal("distinct values compared equal")
-	}
-}
-
-// Property: Cauchy-Schwarz |<a,b>| <= ||a|| ||b||.
-func TestCauchySchwarzProperty(t *testing.T) {
-	prop := func(a, b [6]float64) bool {
-		av, bv := a[:], b[:]
-		for i := range av {
-			// testing/quick can generate huge values; keep them tame.
-			if math.IsNaN(av[i]) || math.IsInf(av[i], 0) ||
-				math.IsNaN(bv[i]) || math.IsInf(bv[i], 0) {
-				return true
-			}
-			av[i] = math.Mod(av[i], 1e3)
-			bv[i] = math.Mod(bv[i], 1e3)
-		}
-		lhs := math.Abs(Dot(av, bv))
-		rhs := Norm2(av) * Norm2(bv)
-		return lhs <= rhs*(1+1e-12)+1e-12
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -117,43 +48,5 @@ func TestBisectEndpointRoot(t *testing.T) {
 	root, err := Bisect(func(x float64) float64 { return x }, 0, 1, 1e-9)
 	if err != nil || root != 0 {
 		t.Fatalf("root = %v err = %v, want 0, nil", root, err)
-	}
-}
-
-func TestBrentAgreesWithBisect(t *testing.T) {
-	f := func(x float64) float64 { return math.Cos(x) - x }
-	rb, err := Bisect(f, 0, 1, 1e-13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := Brent(f, 0, 1, 1e-13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rb-rr) > 1e-9 {
-		t.Fatalf("Brent %v vs Bisect %v disagree", rr, rb)
-	}
-}
-
-func TestBrentNoBracket(t *testing.T) {
-	if _, err := Brent(func(x float64) float64 { return 1 + x*x }, -1, 1, 1e-9); err != ErrNoBracket {
-		t.Fatalf("err = %v, want ErrNoBracket", err)
-	}
-}
-
-// Property: Brent always returns a point where |f| is small for smooth
-// monotone cubics with a bracketed root.
-func TestBrentRootProperty(t *testing.T) {
-	prop := func(shiftRaw int8) bool {
-		shift := float64(shiftRaw) / 100.0 // root in [-1.28, 1.27]
-		f := func(x float64) float64 { return (x - shift) * (1 + (x-shift)*(x-shift)) }
-		r, err := Brent(f, -3, 3, 1e-12)
-		if err != nil {
-			return false
-		}
-		return math.Abs(r-shift) < 1e-9
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -45,9 +45,6 @@ type Fabric struct {
 // NewFabric wraps a coordinator for HTTP serving.
 func NewFabric(c *fabric.Coordinator) *Fabric { return &Fabric{coord: c} }
 
-// Coordinator returns the wrapped coordinator.
-func (f *Fabric) Coordinator() *fabric.Coordinator { return f.coord }
-
 // Handler mounts the fabric API; route it under /v1/fabric/ and
 // /v1/shards/.
 func (f *Fabric) Handler() http.Handler {

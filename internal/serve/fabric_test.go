@@ -103,7 +103,7 @@ func TestFabricTwoWorkersOverHTTP(t *testing.T) {
 			}
 		}()
 	}
-	res, err := f.Coordinator().Wait(ctx, "smoke")
+	res, err := f.coord.Wait(ctx, "smoke")
 	stop()
 	wg.Wait()
 	if err != nil {

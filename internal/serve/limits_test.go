@@ -69,3 +69,43 @@ func TestHTTPBackendResponseLimit(t *testing.T) {
 		t.Fatalf("oversized lease response: err = %v, want a size error", err)
 	}
 }
+
+// Over-bound size knobs are refused at the door: a fig6 grid whose zone
+// map would need 40 GB, a billion-point sweep and a 10^6-shard fabric
+// plan each answer 400, and none of them creates a job.
+func TestSubmitRejectsOverBoundSizes(t *testing.T) {
+	s, api := newTestServer(t)
+	for _, body := range []string{
+		`{"campaign":"fig6","params":{"grid":100000}}`,
+		`{"campaign":"fig8","params":{"points":2000000000}}`,
+		`{"campaign":"fig4mc","params":{"dies":1000000,"cols":4096}}`,
+	} {
+		resp, _ := postSpec(t, api.URL, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %s: %s, want 400", body, resp.Status)
+		}
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("%d jobs created by over-bound specs", n)
+	}
+
+	f, fab := newFabricServer(t, fabric.Config{})
+	for _, body := range []string{
+		`{"id":"wide","spec":{"campaign":"yield","params":{"n":1000000}},"shards":1000000}`,
+		`{"id":"grid","spec":{"campaign":"fig6","params":{"grid":100000}},"shards":1}`,
+	} {
+		resp, err := http.Post(fab.URL+"/v1/fabric/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resp.Body.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %s: %s, want 400", body, resp.Status)
+		}
+	}
+	if ids := f.coord.Jobs(); len(ids) != 0 {
+		t.Fatalf("jobs %v created by over-bound submissions", ids)
+	}
+}

@@ -135,20 +135,6 @@ func (c *Cursor) At(t float64) monitor.Code {
 // revisits counted each time).
 func (s *Signature) NumZones() int { return len(s.Entries) }
 
-// DistinctCodes returns the set of distinct codes in traversal order of
-// first appearance.
-func (s *Signature) DistinctCodes() []monitor.Code {
-	seen := make(map[monitor.Code]bool)
-	var out []monitor.Code
-	for _, e := range s.Entries {
-		if !seen[e.Code] {
-			seen[e.Code] = true
-			out = append(out, e.Code)
-		}
-	}
-	return out
-}
-
 // Canonical merges adjacent equal codes (which quantized capture can
 // produce after counter wrap splitting) and rotates the entry list so it
 // begins with the entry active at t = 0⁺. It returns a new signature.

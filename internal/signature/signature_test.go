@@ -238,23 +238,6 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestDistinctCodes(t *testing.T) {
-	sig := &Signature{Period: 1, Entries: []Entry{{0, 0.2}, {1, 0.2}, {0, 0.2}, {3, 0.4}}}
-	d := sig.DistinctCodes()
-	want := []monitor.Code{0, 1, 3}
-	if len(d) != len(want) {
-		t.Fatalf("distinct = %v", d)
-	}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("distinct[%d] = %d, want %d", i, d[i], want[i])
-		}
-	}
-	if sig.NumZones() != 4 {
-		t.Fatalf("NumZones = %d, want 4", sig.NumZones())
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	sig := &Signature{Period: 1e-3, Entries: []Entry{{4, 0.5e-3}, {5, 0.5e-3}}}
 	if s := sig.String(); s == "" || s[0] != '{' {

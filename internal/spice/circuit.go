@@ -8,12 +8,15 @@
 // complete within that scope):
 //
 //   - elements: resistor, capacitor, independent V/I sources (DC or
-//     waveform-driven), VCVS, and MOSFETs using the internal/mos model
+//     waveform-driven), VCVS, VCCS, and MOSFETs using the internal/mos
+//     model
 //   - nonlinear DC operating point: Newton-Raphson with per-iteration
 //     voltage damping, gmin stepping and source stepping fallbacks
-//   - DC sweeps with solution continuation
 //   - transient analysis with backward-Euler or trapezoidal companions
-//   - a small SPICE-like text netlist parser
+//   - small-signal AC analysis about the DC operating point
+//   - a small SPICE-like text netlist parser (Parse), which no binary
+//     uses; the campaigns build their circuits in Go with New, Node and
+//     Add
 package spice
 
 import (
@@ -62,14 +65,6 @@ func (c *Circuit) Node(name string) NodeID {
 	return id
 }
 
-// NodeName returns the name of a node (for reporting).
-func (c *Circuit) NodeName(id NodeID) string {
-	if id == Ground {
-		return "0"
-	}
-	return c.nodeName[id]
-}
-
 // NumNodes returns the number of non-ground nodes.
 func (c *Circuit) NumNodes() int { return len(c.nodeName) }
 
@@ -109,18 +104,14 @@ func (c *Circuit) assignBranches() {
 	}
 }
 
-// Elements returns the registered elements (read-only use).
-func (c *Circuit) Elements() []Element { return c.elements }
-
 // Linear reports whether every element stamps a solution-independent
 // (linear) companion model. Linear circuits need no Newton iteration:
 // with a fixed timestep the MNA matrix is constant, so a transient can
 // factor it once and only re-solve per step (the fast path in
-// TransientSolver). Elements mark themselves nonlinear by implementing
-// the nonlinearElement capability (the MOSFET does).
+// TransientSolver). The MOSFET is the only nonlinear element.
 func (c *Circuit) Linear() bool {
 	for _, e := range c.elements {
-		if _, ok := e.(nonlinearElement); ok {
+		if _, ok := e.(*MOSFET); ok {
 			return false
 		}
 	}
@@ -236,14 +227,6 @@ type validatedElement interface {
 	validate() error
 }
 
-// nonlinearElement is the capability marker for elements whose Stamp
-// depends on the current Newton iterate (Stamper.X). Circuits without
-// any such element qualify for the single-factorization transient fast
-// path.
-type nonlinearElement interface {
-	nonlinearStamp()
-}
-
 // nullMatrix discards matrix writes. The linear transient fast path
 // stamps every element per step only to refresh the RHS; the (constant)
 // matrix contributions land here.
@@ -255,15 +238,6 @@ func (nullMatrix) Add(i, j int, v float64) {}
 type Solution struct {
 	circuit *Circuit
 	X       []float64
-}
-
-// Clone returns a deep copy of the solution. Streaming transient
-// callbacks receive a solution whose X aliases solver scratch; callers
-// that keep a step beyond the callback clone it.
-func (s *Solution) Clone() *Solution {
-	x := make([]float64, len(s.X))
-	copy(x, s.X)
-	return &Solution{circuit: s.circuit, X: x}
 }
 
 // Voltage returns the solved voltage at the named node.
@@ -284,21 +258,6 @@ func (s *Solution) VoltageAt(n NodeID) float64 {
 		return 0
 	}
 	return s.X[n]
-}
-
-// BranchCurrent returns the branch current of a voltage-defined element
-// (positive current flows from the + node through the source to −).
-func (s *Solution) BranchCurrent(name string) (float64, error) {
-	e := s.circuit.FindElement(name)
-	if e == nil {
-		return 0, fmt.Errorf("spice: unknown element %q", name)
-	}
-	type currentReader interface{ branchRow() int }
-	cr, ok := e.(currentReader)
-	if !ok {
-		return 0, fmt.Errorf("spice: element %q has no branch current", name)
-	}
-	return s.X[cr.branchRow()], nil
 }
 
 // sourceWaveform adapts wave.Waveform for source elements; nil means DC 0.

@@ -135,11 +135,7 @@ func (v *VSource) SetWaveform(w wave.Waveform) {
 	v.src = sourceWaveform{dc: w.Eval(0), w: w}
 }
 
-// DC returns the current DC value.
-func (v *VSource) DC() float64 { return v.src.dc }
-
 func (v *VSource) setBranch(row int) { v.branch = row }
-func (v *VSource) branchRow() int    { return v.branch }
 
 // Stamp implements Element.
 func (v *VSource) Stamp(s *Stamper) {
@@ -164,11 +160,6 @@ type ISource struct {
 // NewISource creates a DC current source.
 func NewISource(name string, p, m NodeID, amps float64) *ISource {
 	return &ISource{name: name, P: p, M: m, src: sourceWaveform{dc: amps}}
-}
-
-// NewISourceWave creates a waveform-driven current source.
-func NewISourceWave(name string, p, m NodeID, w wave.Waveform) *ISource {
-	return &ISource{name: name, P: p, M: m, src: sourceWaveform{dc: w.Eval(0), w: w}}
 }
 
 // Name implements Element.
@@ -199,7 +190,6 @@ func NewVCVS(name string, p, m, cp, cm NodeID, gain float64) *VCVS {
 func (e *VCVS) Name() string { return e.name }
 
 func (e *VCVS) setBranch(row int) { e.branch = row }
-func (e *VCVS) branchRow() int    { return e.branch }
 
 // Stamp implements Element.
 func (e *VCVS) Stamp(s *Stamper) {
@@ -254,11 +244,6 @@ func NewMOSFET(name string, d, g, s NodeID, dev mos.Device) *MOSFET {
 
 // Name implements Element.
 func (m *MOSFET) Name() string { return m.name }
-
-// nonlinearStamp marks the MOSFET as the (only) element whose companion
-// model depends on the Newton iterate, disqualifying circuits that
-// contain one from the linear transient fast path.
-func (m *MOSFET) nonlinearStamp() {}
 
 // Op evaluates the device at a solved operating point.
 func (m *MOSFET) Op(sol *Solution) mos.OpPoint {

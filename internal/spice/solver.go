@@ -109,10 +109,6 @@ type solver struct {
 	st Stamper
 }
 
-func newSolver(c *Circuit, opt Options) *solver {
-	return newSolverWS(c, opt, nil)
-}
-
 // newSolverWS builds a solver over a caller-owned workspace (nil for a
 // private one).
 func newSolverWS(c *Circuit, opt Options, ws *Workspace) *solver {
@@ -186,21 +182,14 @@ func (s *solver) newton(tmpl Stamper, gmin float64) error {
 // tries plain Newton from a zero (or provided) initial guess, then gmin
 // stepping, then source stepping.
 func DCOperatingPoint(c *Circuit, opt Options) (*Solution, error) {
-	s := newSolver(c, opt)
-	return s.dcop(nil)
+	return newSolverWS(c, opt, nil).dcop(nil)
 }
 
-// DCOperatingPointFrom solves the DC operating point starting from a
-// previous solution (continuation), which sweep drivers use for speed and
-// for hysteresis-free tracking.
-func DCOperatingPointFrom(c *Circuit, opt Options, prev *Solution) (*Solution, error) {
-	s := newSolver(c, opt)
-	return s.dcop(prev)
-}
-
-// DCOperatingPointWS is DCOperatingPointFrom with a caller-owned
-// workspace, for hot loops that solve the same circuit at many bias
-// points (the transistor-level monitor's per-sample Bit evaluation).
+// DCOperatingPointWS solves the DC operating point starting from a
+// previous solution (continuation; nil starts from zero) in a
+// caller-owned workspace, for hot loops that solve the same circuit at
+// many bias points (the transistor-level monitor's per-sample Bit
+// evaluation).
 func DCOperatingPointWS(c *Circuit, opt Options, prev *Solution, ws *Workspace) (*Solution, error) {
 	s := newSolverWS(c, opt, ws)
 	return s.dcop(prev)
@@ -268,36 +257,4 @@ func (s *solver) solution() *Solution {
 	x := make([]float64, len(s.ws.x))
 	copy(x, s.ws.x)
 	return &Solution{circuit: s.c, X: x}
-}
-
-// SweepResult holds a 1-D DC sweep.
-type SweepResult struct {
-	Values    []float64
-	Solutions []*Solution
-}
-
-// DCSweep sweeps the DC value of the named VSource over values, solving
-// the operating point at each step with continuation.
-func DCSweep(c *Circuit, opt Options, sourceName string, values []float64) (*SweepResult, error) {
-	e := c.FindElement(sourceName)
-	vs, ok := e.(*VSource)
-	if !ok {
-		return nil, fmt.Errorf("spice: DCSweep source %q not found or not a VSource", sourceName)
-	}
-	orig := vs.DC()
-	defer vs.SetDC(orig)
-	s := newSolver(c, opt)
-	res := &SweepResult{}
-	var prev *Solution
-	for _, v := range values {
-		vs.SetDC(v)
-		sol, err := s.dcop(prev)
-		if err != nil {
-			return nil, fmt.Errorf("spice: sweep point %s=%g: %w", sourceName, v, err)
-		}
-		res.Values = append(res.Values, v)
-		res.Solutions = append(res.Solutions, sol)
-		prev = sol
-	}
-	return res, nil
 }

@@ -239,10 +239,6 @@ func sortInt32(s []int32) {
 	}
 }
 
-// Circuit returns the template's circuit (element lookups, node IDs).
-// Mutate element values only between trials.
-func (t *CircuitTemplate) Circuit() *Circuit { return t.c }
-
 // ShareTickCache makes t serve pure-waveform tick tables from tc instead
 // of its private cache. Campaigns point every worker's template at one
 // cache owned by the circuit family, so a settling class's tick grid is
@@ -316,16 +312,6 @@ type Trial struct {
 // RHS-refresh/solve loop. A warm trial — same circuit size, settling
 // class already seen — allocates nothing.
 func (t *CircuitTemplate) RunTrial(tr Trial) error {
-	if err := t.beginTrial(tr); err != nil {
-		return err
-	}
-	t.runSteps(tr)
-	return nil
-}
-
-// beginTrial is everything in a trial before the step loop: reset,
-// operating point, stamp, factor, compile, per-trial refresh.
-func (t *CircuitTemplate) beginTrial(tr Trial) error {
 	if tr.Steps < 1 {
 		return fmt.Errorf("spice: transient needs at least 1 step")
 	}
@@ -378,6 +364,7 @@ func (t *CircuitTemplate) beginTrial(tr Trial) error {
 	for i := range ws.b {
 		ws.b[i] = 0
 	}
+	t.runSteps(tr)
 	return nil
 }
 
@@ -448,11 +435,9 @@ func growTicks(vals []float64, n int) []float64 {
 // (wave.Noisy draws a fresh variate per Eval) are conservatively
 // re-evaluated every trial.
 func pureWaveform(w wave.Waveform) bool {
-	switch v := w.(type) {
-	case *wave.Multitone, wave.Sine, wave.DC, wave.Square, *wave.PWL, *wave.Sampled:
+	switch w.(type) {
+	case *wave.Multitone, wave.Sine, wave.DC, *wave.Sampled:
 		return true
-	case wave.Clamped:
-		return pureWaveform(v.Base)
 	default:
 		return false
 	}
@@ -466,292 +451,84 @@ func rowVoltage(x []float64, row int32) float64 {
 	return x[row]
 }
 
-// stepState is the rotating buffer view of one in-flight trial: b, x
-// and prev alias the template workspace, with x/prev swapped by pointer
-// after every step instead of the rebuild path's copy(prev, x) — the
-// values are identical, only the memmove is saved.
-type stepState struct {
-	b, x, prev []float64
-}
-
-// runSteps is the single-trial step loop; RunTrialsBatch drives the
-// same stepOnce over several templates in lockstep.
+// runSteps is the compiled step loop. Each step zeroes the touched RHS
+// rows, replays the RHS program, solves through the compiled factors,
+// commits the capacitor companion currents and records the window
+// sample. b, x and prev alias the template workspace, with x/prev
+// swapped by pointer after every step instead of the rebuild path's
+// copy(prev, x) — the values are identical, only the memmove is saved.
 //
 //mclint:hotpath
 func (t *CircuitTemplate) runSteps(tr Trial) {
 	ws := t.sv.ws
-	st := stepState{b: ws.b, x: ws.x, prev: ws.prev}
-	for k := 1; k <= tr.Steps; k++ {
-		t.stepOnce(k, &st, &tr)
-	}
-	// st.prev holds the final solution; mirror the rebuild path's
-	// prev == x post-state regardless of the swap parity.
-	copy(st.x, st.prev)
-}
-
-// stepOnce is the compiled solve/sample body of step k: zero the touched
-// RHS rows, replay the RHS program, solve through the compiled factors,
-// commit capacitor companions, record the window sample, rotate buffers.
-//
-//mclint:hotpath
-func (t *CircuitTemplate) stepOnce(k int, st *stepState, tr *Trial) {
-	t.stepPre(k, st)
-	t.prog.Solve(st.b, st.x)
-	t.stepPost(k, st, tr)
-}
-
-// stepPre builds step k's RHS: zero the touched rows and replay the
-// compiled RHS program into st.b.
-//
-//mclint:hotpath
-func (t *CircuitTemplate) stepPre(k int, st *stepState) {
-	b, prev := st.b, st.prev
-	rhs := t.rhs
-	for _, r := range t.touched {
-		b[r] = 0
-	}
-	for i := range rhs {
-		op := &rhs[i]
-		switch op.kind {
-		case opCapTrap:
-			c := op.cap
-			vPrev := rowVoltage(prev, c.p) - rowVoltage(prev, c.m)
-			ieq := c.geq*vPrev + c.cap.prevCur
-			if c.p >= 0 {
-				b[c.p] += ieq
-			}
-			if c.m >= 0 {
-				b[c.m] -= ieq
-			}
-		case opCapBE:
-			c := op.cap
-			vPrev := rowVoltage(prev, c.p) - rowVoltage(prev, c.m)
-			ieq := c.geq * vPrev
-			if c.p >= 0 {
-				b[c.p] += ieq
-			}
-			if c.m >= 0 {
-				b[c.m] -= ieq
-			}
-		case opVSrcTick:
-			b[op.p] += op.tick[k]
-		case opVSrcDC:
-			b[op.p] += op.dc
-		case opISrcTick:
-			v := op.tick[k]
-			if op.m >= 0 {
-				b[op.m] += v
-			}
-			if op.p >= 0 {
-				b[op.p] -= v
-			}
-		case opISrcDC:
-			if op.m >= 0 {
-				b[op.m] += op.dc
-			}
-			if op.p >= 0 {
-				b[op.p] -= op.dc
-			}
-		}
-	}
-}
-
-// stepPost finishes step k after the solve landed in st.x: commit the
-// capacitor companion currents, rotate the buffers, record the window
-// sample.
-//
-//mclint:hotpath
-func (t *CircuitTemplate) stepPost(k int, st *stepState, tr *Trial) {
-	x, prev := st.x, st.prev
-	caps := t.caps
+	b, x, prev := ws.b, ws.x, ws.prev
+	rhs, caps := t.rhs, t.caps
 	trap := t.opt.Trapezoid
-	for i := range caps {
-		c := &caps[i]
-		v := rowVoltage(x, c.p) - rowVoltage(x, c.m)
-		vPrev := rowVoltage(prev, c.p) - rowVoltage(prev, c.m)
-		if trap {
-			c.cap.prevCur = c.geq*(v-vPrev) - c.cap.prevCur
-		} else {
-			c.cap.prevCur = c.geq * (v - vPrev)
+	for k := 1; k <= tr.Steps; k++ {
+		for _, r := range t.touched {
+			b[r] = 0
 		}
-	}
-	st.prev, st.x = x, prev
-	if idx := k - tr.Start; idx >= 0 && idx < len(tr.Out) {
-		tr.Out[idx] = rowVoltage(x, int32(tr.Record))
-	}
-}
-
-// RunTrials runs a block of n trials back-to-back on one template.
-// prepare(i) mutates the template's element values for trial i (the
-// campaign's Deviation) and returns its Trial spec; the template
-// amortizes the settling-grid and stimulus-tick computation across the
-// block. Trials run in index order; the first error aborts the block.
-func RunTrials(t *CircuitTemplate, n int, prepare func(i int) (Trial, error)) error {
-	for i := 0; i < n; i++ {
-		tr, err := prepare(i)
-		if err != nil {
-			return fmt.Errorf("spice: trial %d: %w", i, err)
-		}
-		if err := t.RunTrial(tr); err != nil {
-			return fmt.Errorf("spice: trial %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// BatchLanes is the lane width of RunTrialsBatch's fused solve kernel
-// (num.BatchLanes trials stepped in lockstep at full occupancy).
-const BatchLanes = num.BatchLanes
-
-// batchLane is one in-flight trial of RunTrialsBatch.
-type batchLane struct {
-	t      *CircuitTemplate
-	tr     Trial
-	st     stepState
-	k      int
-	idx    int
-	active bool
-}
-
-// RunTrialsBatch runs n trials through a pool of templates — one lane
-// per template — stepping every in-flight trial in lockstep. The step
-// loops of distinct trials are data-independent, so interleaving them
-// feeds the CPU several independent solve dependency chains at once;
-// the serial per-step latency wall (a triangular solve is one long
-// multiply–subtract–divide chain) becomes a throughput problem, which
-// is where the batch engine's speedup over RunTrials comes from. Every
-// trial still executes exactly the floating-point sequence RunTrial
-// would, so results are bit-identical to running the trials one at a
-// time.
-//
-// Trials are assigned to lanes in index order, work-conservingly: when
-// a lane's trial completes, finish(i, lane) is called (samples for
-// trial i are in its Trial.Out, which the next trial on that lane may
-// reuse — consume them inside finish) and the lane immediately begins
-// the next pending trial. prepare(i, lane) mutates lane's template to
-// trial i's element values and returns its Trial spec. The templates
-// must be distinct. The first error aborts the batch.
-func RunTrialsBatch(ts []*CircuitTemplate, n int, prepare func(i, lane int) (Trial, error), finish func(i, lane int) error) error {
-	if len(ts) == 0 {
-		return fmt.Errorf("spice: trial batch needs at least one template")
-	}
-	for i, t := range ts {
-		if len(t.sv.ws.x) != len(ts[0].sv.ws.x) {
-			return fmt.Errorf("spice: trial batch templates must share a circuit dimension")
-		}
-		for _, u := range ts[:i] {
-			if t == u {
-				return fmt.Errorf("spice: trial batch templates must be distinct")
-			}
-		}
-	}
-	lanes := make([]batchLane, len(ts))
-	start := func(l, i int) error {
-		ln := &lanes[l]
-		tr, err := prepare(i, l)
-		if err != nil {
-			return fmt.Errorf("spice: trial %d: %w", i, err)
-		}
-		if err := ln.t.beginTrial(tr); err != nil {
-			return fmt.Errorf("spice: trial %d: %w", i, err)
-		}
-		ws := ln.t.sv.ws
-		ln.tr = tr
-		ln.st = stepState{b: ws.b, x: ws.x, prev: ws.prev}
-		ln.k = 1
-		ln.idx = i
-		ln.active = true
-		return nil
-	}
-	next := 0
-	inFlight := 0
-	for l := range lanes {
-		lanes[l].t = ts[l]
-		if next < n {
-			if err := start(l, next); err != nil {
-				return err
-			}
-			next++
-			inFlight++
-		}
-	}
-	// retire completes lanes whose trial just finished its last step and
-	// refills them from the pending queue. A refill refactors that
-	// lane's program, so the fused kernel must recompile.
-	recompile := true
-	retire := func() error {
-		for l := range lanes {
-			ln := &lanes[l]
-			if !ln.active || ln.k <= ln.tr.Steps {
-				continue
-			}
-			copy(ln.st.x, ln.st.prev)
-			if err := finish(ln.idx, l); err != nil {
-				return fmt.Errorf("spice: trial %d: %w", ln.idx, err)
-			}
-			if next < n {
-				if err := start(l, next); err != nil {
-					return err
+		for i := range rhs {
+			op := &rhs[i]
+			switch op.kind {
+			case opCapTrap:
+				c := op.cap
+				vPrev := rowVoltage(prev, c.p) - rowVoltage(prev, c.m)
+				ieq := c.geq*vPrev + c.cap.prevCur
+				if c.p >= 0 {
+					b[c.p] += ieq
 				}
-				next++
-				recompile = true
+				if c.m >= 0 {
+					b[c.m] -= ieq
+				}
+			case opCapBE:
+				c := op.cap
+				vPrev := rowVoltage(prev, c.p) - rowVoltage(prev, c.m)
+				ieq := c.geq * vPrev
+				if c.p >= 0 {
+					b[c.p] += ieq
+				}
+				if c.m >= 0 {
+					b[c.m] -= ieq
+				}
+			case opVSrcTick:
+				b[op.p] += op.tick[k]
+			case opVSrcDC:
+				b[op.p] += op.dc
+			case opISrcTick:
+				v := op.tick[k]
+				if op.m >= 0 {
+					b[op.m] += v
+				}
+				if op.p >= 0 {
+					b[op.p] -= v
+				}
+			case opISrcDC:
+				if op.m >= 0 {
+					b[op.m] += op.dc
+				}
+				if op.p >= 0 {
+					b[op.p] -= op.dc
+				}
+			}
+		}
+		t.prog.Solve(b, x)
+		for i := range caps {
+			c := &caps[i]
+			v := rowVoltage(x, c.p) - rowVoltage(x, c.m)
+			vPrev := rowVoltage(prev, c.p) - rowVoltage(prev, c.m)
+			if trap {
+				c.cap.prevCur = c.geq*(v-vPrev) - c.cap.prevCur
 			} else {
-				ln.active = false
-				inFlight--
+				c.cap.prevCur = c.geq * (v - vPrev)
 			}
 		}
-		return nil
-	}
-	var fused num.SolveBatch
-	var progs [num.BatchLanes]*num.SolveProgram
-	var bs, xs [num.BatchLanes][]float64
-	for inFlight > 0 {
-		if inFlight == num.BatchLanes && len(lanes) == num.BatchLanes {
-			// Full occupancy: lockstep sweeps through the fused kernel.
-			// Sweep until the earliest-finishing lane retires, then refill
-			// and recompile.
-			if recompile {
-				for l := range lanes {
-					progs[l] = &lanes[l].t.prog
-				}
-				fused.Compile(&progs)
-				recompile = false
-			}
-			span := lanes[0].tr.Steps - lanes[0].k
-			for l := 1; l < len(lanes); l++ {
-				if s := lanes[l].tr.Steps - lanes[l].k; s < span {
-					span = s
-				}
-			}
-			for sweep := 0; sweep <= span; sweep++ {
-				for l := range lanes {
-					ln := &lanes[l]
-					ln.t.stepPre(ln.k, &ln.st)
-					bs[l] = ln.st.b
-					xs[l] = ln.st.x
-				}
-				fused.Solve(&bs, &xs)
-				for l := range lanes {
-					ln := &lanes[l]
-					ln.t.stepPost(ln.k, &ln.st, &ln.tr)
-					ln.k++
-				}
-			}
-		} else {
-			// Partial occupancy (tail of the batch, or fewer templates than
-			// lanes): single-lane stepping, same per-trial math.
-			for l := range lanes {
-				ln := &lanes[l]
-				if !ln.active || ln.k > ln.tr.Steps {
-					continue
-				}
-				ln.t.stepOnce(ln.k, &ln.st, &ln.tr)
-				ln.k++
-			}
-		}
-		if err := retire(); err != nil {
-			return err
+		prev, x = x, prev
+		if idx := k - tr.Start; idx >= 0 && idx < len(tr.Out) {
+			tr.Out[idx] = rowVoltage(prev, int32(tr.Record))
 		}
 	}
-	return nil
+	// prev holds the final solution; mirror the rebuild path's
+	// prev == x post-state regardless of the swap parity.
+	copy(x, prev)
 }

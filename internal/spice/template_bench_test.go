@@ -7,14 +7,12 @@ import (
 	"repro/internal/wave"
 )
 
-// The sequential/batch benchmark pair quantifies what lockstep
-// interleaving buys: identical trials, identical per-trial math, the
-// only difference is whether the step loops run one at a time
-// (latency-bound triangular solves) or interleaved across lanes.
+// BenchmarkTemplateTrialSequential times warm template trials back to
+// back, cycling over four templates of the two-stage test circuit.
 
 const benchTrialSteps = 4096
 
-func benchTemplates(b *testing.B, lanes int) []*spice.CircuitTemplate {
+func benchTemplates(b *testing.B, n int) ([]*spice.CircuitTemplate, spice.NodeID) {
 	b.Helper()
 	stim, err := wave.NewMultitone(0.5, 5e3, []int{1, 2, 3},
 		[]float64{0.22, 0.13, 0.08}, []float64{0, 0.4, 1.1})
@@ -22,55 +20,28 @@ func benchTemplates(b *testing.B, lanes int) []*spice.CircuitTemplate {
 		b.Fatal(err)
 	}
 	v := benchValues{r1: 1e3, c1: 100e-9, r2: 2e3, c2: 47e-9, gain: 2}
-	ts := make([]*spice.CircuitTemplate, lanes)
+	ts := make([]*spice.CircuitTemplate, n)
+	var out spice.NodeID
 	for i := range ts {
-		ckt, _ := buildTestCircuit(v, stim)
+		var ckt *spice.Circuit
+		ckt, out = buildTestCircuit(v, stim)
 		tmpl, err := spice.NewCircuitTemplate(ckt, spice.Options{Trapezoid: true})
 		if err != nil {
 			b.Fatal(err)
 		}
 		ts[i] = tmpl
 	}
-	return ts
+	return ts, out
 }
 
 func BenchmarkTemplateTrialSequential(b *testing.B) {
-	ts := benchTemplates(b, 4)
+	ts, node := benchTemplates(b, 4)
 	out := make([]float64, 64)
-	trial := spice.Trial{Dur: 8e-4, Steps: benchTrialSteps, Record: ts[0].Circuit().Node("out"), Start: benchTrialSteps - len(out), Out: out}
+	trial := spice.Trial{Dur: 8e-4, Steps: benchTrialSteps, Record: node, Start: benchTrialSteps - len(out), Out: out}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tmpl := ts[i%len(ts)]
-		trial.Record = tmpl.Circuit().Node("out")
 		if err := tmpl.RunTrial(trial); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTemplateTrialBatch(b *testing.B) {
-	ts := benchTemplates(b, 4)
-	outs := make([][]float64, len(ts))
-	for i := range outs {
-		outs[i] = make([]float64, 64)
-	}
-	b.ResetTimer()
-	var err error
-	for done := 0; done < b.N; done += len(ts) {
-		n := b.N - done
-		if n > len(ts) {
-			n = len(ts)
-		}
-		err = spice.RunTrialsBatch(ts, n,
-			func(i, lane int) (spice.Trial, error) {
-				return spice.Trial{
-					Dur: 8e-4, Steps: benchTrialSteps,
-					Record: ts[lane].Circuit().Node("out"),
-					Start:  benchTrialSteps - len(outs[lane]), Out: outs[lane],
-				}, nil
-			},
-			func(i, lane int) error { return nil })
-		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,6 @@
 package spice
 
 import (
-	"fmt"
-	"strconv"
 	"testing"
 
 	"repro/internal/wave"
@@ -10,7 +8,7 @@ import (
 
 // FuzzTemplateMutation pins the trial-template engine's central claim
 // under adversarial values: mutating a live CircuitTemplate in place
-// must produce bit-identical samples to parsing a fresh netlist with
+// must produce bit-identical samples to building a fresh circuit with
 // the same values and running the generic TransientSolver. Values the
 // setters reject (non-positive, non-finite) must be rejected without
 // corrupting the template.
@@ -21,11 +19,7 @@ func FuzzTemplateMutation(f *testing.F) {
 	f.Add(1e-3, 1e-15, 1e12, 1.0, uint8(1), false, true)   // extreme spread
 	f.Add(-1.0, 100e-9, 2e3, 47e-9, uint8(16), true, true) // rejected value
 	f.Fuzz(func(t *testing.T, r1, c1, r2, c2 float64, stepsRaw uint8, trapezoid, useWave bool) {
-		const baseline = "V1 in 0 1\nR1 in a 1k\nC1 a 0 100n\nR2 a out 2k\nC2 out 0 47n\n"
-		ckt, err := Parse(baseline)
-		if err != nil {
-			t.Fatalf("baseline netlist: %v", err)
-		}
+		ckt, rec := fuzzRC(1e3, 100e-9, 2e3, 47e-9)
 		opt := Options{Trapezoid: trapezoid}
 		tmpl, err := NewCircuitTemplate(ckt, opt)
 		if err != nil {
@@ -46,7 +40,6 @@ func FuzzTemplateMutation(f *testing.F) {
 		steps := 1 + int(stepsRaw)%64
 		dur := 4e-4
 		out := make([]float64, steps+1)
-		rec := tmpl.Circuit().Node("out")
 		if err := tmpl.RunTrial(Trial{Dur: dur, Steps: steps, Record: rec, Start: 0, Out: out}); err != nil {
 			// Both paths must agree on failure too, but a template that
 			// cannot solve (e.g. singular after mutation) has nothing to
@@ -58,18 +51,11 @@ func FuzzTemplateMutation(f *testing.F) {
 			// values; nothing further to compare against the fuzzed ones.
 			return
 		}
-		fv := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-		src := fmt.Sprintf("V1 in 0 1\nR1 in a %s\nC1 a 0 %s\nR2 a out %s\nC2 out 0 %s\n",
-			fv(r1), fv(c1), fv(r2), fv(c2))
-		fresh, err := Parse(src)
-		if err != nil {
-			t.Fatalf("fresh netlist for accepted values (%s): %v", src, err)
-		}
+		fresh, node := fuzzRC(r1, c1, r2, c2)
 		if useWave {
 			fresh.FindElement("V1").(*VSource).SetWaveform(stim)
 		}
 		want := make([]float64, steps+1)
-		node := fresh.Node("out")
 		err = NewTransientSolver(fresh, opt).Run(dur, steps, func(k int, _ float64, sol *Solution) {
 			want[k] = sol.VoltageAt(node)
 		})
@@ -83,4 +69,17 @@ func FuzzTemplateMutation(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzRC builds the two-stage RC ladder V1 → R1 → C1 → R2 → C2 and
+// returns it with its output node.
+func fuzzRC(r1, c1, r2, c2 float64) (*Circuit, NodeID) {
+	c := New()
+	in, a, out := c.Node("in"), c.Node("a"), c.Node("out")
+	c.Add(NewVSource("V1", in, Ground, 1))
+	c.Add(NewResistor("R1", in, a, r1))
+	c.Add(NewCapacitor("C1", a, Ground, c1))
+	c.Add(NewResistor("R2", a, out, r2))
+	c.Add(NewCapacitor("C2", out, Ground, c2))
+	return c, out
 }

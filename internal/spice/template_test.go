@@ -1,10 +1,9 @@
 package spice_test
 
 import (
-	"errors"
-	"fmt"
 	"testing"
 
+	"repro/internal/mos"
 	"repro/internal/spice"
 	"repro/internal/wave"
 )
@@ -152,8 +151,9 @@ func TestCircuitTemplateWindowRecording(t *testing.T) {
 	}
 }
 
-// TestCircuitTemplateRunTrialsBlock drives the block API and checks the
-// per-trial mutation lands in order.
+// TestCircuitTemplateRunTrialsBlock runs a block of trials back to back
+// on one template, mutating its values before each, and checks every
+// trial against its own rebuild.
 func TestCircuitTemplateRunTrialsBlock(t *testing.T) {
 	stim := testStimulus(t)
 	T := stim.Period()
@@ -169,13 +169,12 @@ func TestCircuitTemplateRunTrialsBlock(t *testing.T) {
 	}
 	steps := 256
 	results := make([][]float64, len(sets))
-	err = spice.RunTrials(tmpl, len(sets), func(i int) (spice.Trial, error) {
-		applyValues(t, tmpl, sets[i])
+	for i, v := range sets {
+		applyValues(t, tmpl, v)
 		results[i] = make([]float64, steps+1)
-		return spice.Trial{Dur: 2 * T, Steps: steps, Record: out, Start: 0, Out: results[i]}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		if err := tmpl.RunTrial(spice.Trial{Dur: 2 * T, Steps: steps, Record: out, Start: 0, Out: results[i]}); err != nil {
+			t.Fatalf("trial %d: %v", i, err)
+		}
 	}
 	for i, v := range sets {
 		want := rebuildRun(t, v, stim, opt, 2*T, steps)
@@ -184,16 +183,6 @@ func TestCircuitTemplateRunTrialsBlock(t *testing.T) {
 				t.Fatalf("trial %d step %d: %v != %v", i, k, results[i][k], want[k])
 			}
 		}
-	}
-	wantErr := fmt.Errorf("boom")
-	err = spice.RunTrials(tmpl, 3, func(i int) (spice.Trial, error) {
-		if i == 1 {
-			return spice.Trial{}, wantErr
-		}
-		return spice.Trial{Dur: 2 * T, Steps: steps, Record: out}, nil
-	})
-	if err == nil {
-		t.Fatal("RunTrials swallowed the prepare error")
 	}
 }
 
@@ -204,15 +193,11 @@ func TestCircuitTemplateRejectsUnsupported(t *testing.T) {
 	if _, err := spice.NewCircuitTemplate(c, spice.Options{}); err == nil {
 		t.Fatal("invalid circuit accepted")
 	}
-	src := `* mosfet stage
-V1 d 0 1.0
-M1 d g 0 nmos W=1u L=65n
-V2 g 0 0.8
-.end`
-	ckt, err := spice.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ckt := spice.New()
+	d, g := ckt.Node("d"), ckt.Node("g")
+	ckt.Add(spice.NewVSource("V1", d, spice.Ground, 1.0))
+	ckt.Add(spice.NewMOSFET("M1", d, g, spice.Ground, mos.NewDevice("M1", 1000, 65, mos.Default65nmNMOS())))
+	ckt.Add(spice.NewVSource("V2", g, spice.Ground, 0.8))
 	if _, err := spice.NewCircuitTemplate(ckt, spice.Options{}); err == nil {
 		t.Fatal("nonlinear circuit accepted")
 	}
@@ -302,127 +287,5 @@ func TestSpiceTemplateTrialAllocationFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("warm template trial allocates %.1f times per run, want 0", allocs)
-	}
-}
-
-// TestRunTrialsBatchMatchesRunTrial pins the cross-trial batched runner
-// to the rebuild reference path: a block of trials with mixed value
-// sets, durations and step counts — more trials than lanes, so the
-// work-conserving refill, the fused-kernel recompile and the
-// partial-occupancy tail all execute — must produce bit-identical
-// samples to rebuilding and rerunning each trial alone.
-func TestRunTrialsBatchMatchesRunTrial(t *testing.T) {
-	stim := testStimulus(t)
-	T := stim.Period()
-	opt := spice.Options{Trapezoid: true}
-	sets := []benchValues{
-		{r1: 1e3, c1: 100e-9, r2: 2e3, c2: 47e-9, gain: 2},
-		{r1: 1.21e3, c1: 82e-9, r2: 1.8e3, c2: 56e-9, gain: 2},
-		{r1: 680, c1: 150e-9, r2: 3.3e3, c2: 33e-9, gain: 2},
-		{r1: 1e9, c1: 100e-9, r2: 2e3, c2: 47e-9, gain: 2},
-	}
-	const trials = 11
-	type spec struct {
-		v     benchValues
-		steps int
-		dur   float64
-	}
-	specs := make([]spec, trials)
-	for i := range specs {
-		periods := 1 + i%3
-		specs[i] = spec{v: sets[i%len(sets)], steps: periods * 128, dur: T * float64(periods)}
-	}
-	ts := make([]*spice.CircuitTemplate, spice.BatchLanes)
-	var out spice.NodeID
-	for l := range ts {
-		ckt, o := buildTestCircuit(sets[0], stim)
-		tmpl, err := spice.NewCircuitTemplate(ckt, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts[l], out = tmpl, o
-	}
-	results := make([][]float64, trials)
-	finished := make([]bool, trials)
-	err := spice.RunTrialsBatch(ts, trials,
-		func(i, lane int) (spice.Trial, error) {
-			applyValues(t, ts[lane], specs[i].v)
-			results[i] = make([]float64, specs[i].steps+1)
-			return spice.Trial{Dur: specs[i].dur, Steps: specs[i].steps, Record: out, Start: 0, Out: results[i]}, nil
-		},
-		func(i, lane int) error {
-			finished[i] = true
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, sp := range specs {
-		if !finished[i] {
-			t.Fatalf("trial %d never finished", i)
-		}
-		want := rebuildRun(t, sp.v, stim, opt, sp.dur, sp.steps)
-		for k := range want {
-			if results[i][k] != want[k] {
-				t.Fatalf("trial %d step %d: batch %v, rebuild %v", i, k, results[i][k], want[k])
-			}
-		}
-	}
-}
-
-// TestRunTrialsBatchRejectsBadPools checks the batch runner's pool
-// validation and error propagation.
-func TestRunTrialsBatchRejectsBadPools(t *testing.T) {
-	stim := testStimulus(t)
-	v := benchValues{r1: 1e3, c1: 100e-9, r2: 2e3, c2: 47e-9, gain: 2}
-	opt := spice.Options{Trapezoid: true}
-	mk := func() (*spice.CircuitTemplate, spice.NodeID) {
-		ckt, out := buildTestCircuit(v, stim)
-		tmpl, err := spice.NewCircuitTemplate(ckt, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tmpl, out
-	}
-	prep := func(out spice.NodeID, buf []float64) func(i, lane int) (spice.Trial, error) {
-		return func(i, lane int) (spice.Trial, error) {
-			return spice.Trial{Dur: 2 * stim.Period(), Steps: 128, Record: out, Start: 0, Out: buf}, nil
-		}
-	}
-	done := func(i, lane int) error { return nil }
-	buf := make([]float64, 129)
-	if err := spice.RunTrialsBatch(nil, 1, nil, nil); err == nil {
-		t.Fatal("empty template pool accepted")
-	}
-	a, out := mk()
-	if err := spice.RunTrialsBatch([]*spice.CircuitTemplate{a, a}, 2, prep(out, buf), done); err == nil {
-		t.Fatal("duplicate template accepted")
-	}
-	small := spice.New()
-	small.Add(spice.NewResistor("R1", small.Node("x"), spice.Ground, 1e3))
-	small.Add(spice.NewVSourceWave("V1", small.Node("x"), spice.Ground, stim))
-	tiny, err := spice.NewCircuitTemplate(small, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := spice.RunTrialsBatch([]*spice.CircuitTemplate{a, tiny}, 2, prep(out, buf), done); err == nil {
-		t.Fatal("mixed-dimension pool accepted")
-	}
-	b, _ := mk()
-	wantErr := fmt.Errorf("boom")
-	err = spice.RunTrialsBatch([]*spice.CircuitTemplate{a, b}, 3,
-		func(i, lane int) (spice.Trial, error) {
-			if i == 2 {
-				return spice.Trial{}, wantErr
-			}
-			return prep(out, buf)(i, lane)
-		}, done)
-	if err == nil || !errors.Is(err, wantErr) {
-		t.Fatalf("prepare error not propagated: %v", err)
-	}
-	err = spice.RunTrialsBatch([]*spice.CircuitTemplate{a, b}, 2, prep(out, buf),
-		func(i, lane int) error { return wantErr })
-	if err == nil || !errors.Is(err, wantErr) {
-		t.Fatalf("finish error not propagated: %v", err)
 	}
 }

@@ -207,7 +207,7 @@ func Transient(c *Circuit, opt Options, dur float64, steps int) (*TransientResul
 	}
 	err := ts.Run(dur, steps, func(k int, t float64, sol *Solution) {
 		res.Time = append(res.Time, t)
-		res.Solutions = append(res.Solutions, sol.Clone())
+		res.Solutions = append(res.Solutions, &Solution{circuit: c, X: append([]float64(nil), sol.X...)})
 	})
 	if err != nil {
 		return nil, err

@@ -7,88 +7,6 @@ import (
 	"repro/internal/num"
 )
 
-// LinearFit holds the result of a simple y = a + b*x least-squares fit.
-type LinearFit struct {
-	Intercept, Slope float64
-	R2               float64
-}
-
-// FitLine performs ordinary least squares on paired samples.
-func FitLine(xs, ys []float64) (LinearFit, error) {
-	if len(xs) != len(ys) {
-		return LinearFit{}, fmt.Errorf("stat: FitLine length mismatch %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return LinearFit{}, ErrEmpty
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return LinearFit{}, fmt.Errorf("stat: FitLine degenerate x (zero variance)")
-	}
-	b := sxy / sxx
-	a := my - b*mx
-	r2 := 0.0
-	if syy > 0 {
-		r2 = (sxy * sxy) / (sxx * syy)
-	}
-	return LinearFit{Intercept: a, Slope: b, R2: r2}, nil
-}
-
-// Eval evaluates the fitted line at x.
-func (f LinearFit) Eval(x float64) float64 { return f.Intercept + f.Slope*x }
-
-// PolyFit fits ys ≈ c0 + c1*x + ... + c_deg*x^deg by solving the normal
-// equations. Coefficients are returned lowest order first.
-func PolyFit(xs, ys []float64, deg int) ([]float64, error) {
-	if len(xs) != len(ys) {
-		return nil, fmt.Errorf("stat: PolyFit length mismatch")
-	}
-	if deg < 0 {
-		return nil, fmt.Errorf("stat: negative degree")
-	}
-	n := deg + 1
-	if len(xs) < n {
-		return nil, fmt.Errorf("stat: PolyFit needs at least %d points, got %d", n, len(xs))
-	}
-	// Normal equations: (V^T V) c = V^T y with Vandermonde V.
-	ata := num.NewMatrix(n, n)
-	aty := make([]float64, n)
-	// Accumulate sums of powers and moments.
-	sums := make([]float64, 2*n-1)
-	for i, x := range xs {
-		p := 1.0
-		for k := 0; k < 2*n-1; k++ {
-			sums[k] += p
-			if k < n {
-				aty[k] += p * ys[i]
-			}
-			p *= x
-		}
-	}
-	for r := 0; r < n; r++ {
-		for c := 0; c < n; c++ {
-			ata.Set(r, c, sums[r+c])
-		}
-	}
-	return num.SolveSystem(ata, aty)
-}
-
-// PolyEval evaluates a polynomial with coefficients lowest order first.
-func PolyEval(coef []float64, x float64) float64 {
-	y := 0.0
-	for i := len(coef) - 1; i >= 0; i-- {
-		y = y*x + coef[i]
-	}
-	return y
-}
-
 // MultiFit solves the multivariate least-squares problem y ≈ X·beta where
 // each row of X is one observation's feature vector (an intercept column
 // must be included by the caller if desired). It returns beta. A small

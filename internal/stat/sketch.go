@@ -83,9 +83,6 @@ func NewQuantileSketch(prec int) *QuantileSketch {
 	return &QuantileSketch{prec: prec, min: math.Inf(1), max: math.Inf(-1)}
 }
 
-// Precision returns the sketch's precision (sub-bucket bits per octave).
-func (s *QuantileSketch) Precision() int { return s.prec }
-
 // RelativeError returns the documented worst-case relative error of a
 // quantile read from the indexed value range: 2^-(prec+1).
 func (s *QuantileSketch) RelativeError() float64 {
@@ -171,12 +168,6 @@ func (s *QuantileSketch) N() int { return int(s.n) }
 
 // Invalid returns the number of NaN/±Inf observations pushed.
 func (s *QuantileSketch) Invalid() int { return int(s.invalid) }
-
-// Min returns the smallest finite observation; +Inf before any.
-func (s *QuantileSketch) Min() float64 { return s.min }
-
-// Max returns the largest finite observation; -Inf before any.
-func (s *QuantileSketch) Max() float64 { return s.max }
 
 // Reset empties the sketch in place, keeping the bucket arrays for
 // reuse — the hook the pooled chunk accumulators of campaign reductions

@@ -43,9 +43,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(n-1)
 }
 
-// StdDev returns the unbiased sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // MinMax returns the extrema of xs. It panics on empty input.
 func MinMax(xs []float64) (lo, hi float64) {
 	if len(xs) == 0 {
@@ -87,32 +84,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[i]*(1-frac) + sorted[i+1]*frac
 }
 
-// Median returns the 0.5 quantile.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Correlation returns the Pearson correlation coefficient of paired samples.
-func Correlation(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		panic("stat: Correlation length mismatch")
-	}
-	if len(xs) < 2 {
-		panic(ErrEmpty)
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	den := math.Sqrt(sxx * syy)
-	if den == 0 {
-		return 0
-	}
-	return sxy / den
-}
-
 // Summary bundles the usual descriptive statistics of one sample.
 type Summary struct {
 	N           int
@@ -129,10 +100,10 @@ func Summarize(xs []float64) Summary {
 	return Summary{
 		N:      len(xs),
 		Mean:   Mean(xs),
-		Std:    StdDev(xs),
+		Std:    math.Sqrt(Variance(xs)),
 		Min:    lo,
 		Max:    hi,
-		Median: Median(xs),
+		Median: Quantile(xs, 0.5),
 		P05:    Quantile(xs, 0.05),
 		P95:    Quantile(xs, 0.95),
 		P2_5:   Quantile(xs, 0.025),

@@ -68,18 +68,6 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestCorrelationPerfect(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	if r := Correlation(xs, ys); math.Abs(r-1) > 1e-12 {
-		t.Fatalf("Correlation = %v, want 1", r)
-	}
-	neg := []float64{8, 6, 4, 2}
-	if r := Correlation(xs, neg); math.Abs(r+1) > 1e-12 {
-		t.Fatalf("Correlation = %v, want -1", r)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	s := Summarize(xs)
@@ -108,74 +96,6 @@ func TestRunningMatchesBatch(t *testing.T) {
 	lo, hi := MinMax(xs)
 	if run.Min() != lo || run.Max() != hi {
 		t.Fatal("running extrema disagree with batch")
-	}
-}
-
-func TestFitLineExact(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 1 + 2x
-	f, err := FitLine(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.Intercept-1) > 1e-12 || math.Abs(f.Slope-2) > 1e-12 {
-		t.Fatalf("fit = %+v, want intercept 1 slope 2", f)
-	}
-	if math.Abs(f.R2-1) > 1e-12 {
-		t.Fatalf("R2 = %v, want 1", f.R2)
-	}
-	if y := f.Eval(10); math.Abs(y-21) > 1e-12 {
-		t.Fatalf("Eval(10) = %v, want 21", y)
-	}
-}
-
-func TestFitLineNoisy(t *testing.T) {
-	r := rng.New(4)
-	var xs, ys []float64
-	for i := 0; i < 400; i++ {
-		x := float64(i) / 40
-		xs = append(xs, x)
-		ys = append(ys, 2+0.5*x+r.Gauss(0, 0.05))
-	}
-	f, err := FitLine(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.Slope-0.5) > 0.02 || math.Abs(f.Intercept-2) > 0.05 {
-		t.Fatalf("noisy fit off: %+v", f)
-	}
-}
-
-func TestFitLineDegenerate(t *testing.T) {
-	if _, err := FitLine([]float64{1, 1, 1}, []float64{1, 2, 3}); err == nil {
-		t.Fatal("expected error for zero x variance")
-	}
-}
-
-func TestPolyFitQuadratic(t *testing.T) {
-	xs := []float64{-2, -1, 0, 1, 2}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 3 - x + 2*x*x
-	}
-	c, err := PolyFit(xs, ys, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{3, -1, 2}
-	for i := range want {
-		if math.Abs(c[i]-want[i]) > 1e-9 {
-			t.Fatalf("coef[%d] = %v, want %v", i, c[i], want[i])
-		}
-	}
-	if y := PolyEval(c, 3); math.Abs(y-18) > 1e-8 {
-		t.Fatalf("PolyEval(3) = %v, want 18", y)
-	}
-}
-
-func TestPolyFitUnderdetermined(t *testing.T) {
-	if _, err := PolyFit([]float64{1, 2}, []float64{1, 2}, 3); err == nil {
-		t.Fatal("expected error for underdetermined fit")
 	}
 }
 

@@ -1,8 +1,6 @@
 package stat
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -60,38 +58,10 @@ func (h *StreamingHistogram) Push(x float64) {
 	}
 }
 
-// Lo and Hi return the histogram's range.
-func (h *StreamingHistogram) Lo() float64 { return h.lo }
-func (h *StreamingHistogram) Hi() float64 { return h.hi }
-
-// Bins returns the number of bins.
-func (h *StreamingHistogram) Bins() int { return len(h.counts) }
-
-// Count returns the count of bin i.
-func (h *StreamingHistogram) Count(i int) uint64 { return h.counts[i] }
-
-// Under and Over return the out-of-range counts.
-func (h *StreamingHistogram) Under() uint64 { return h.under }
-func (h *StreamingHistogram) Over() uint64  { return h.over }
-
-// Invalid returns the number of NaN samples pushed.
-func (h *StreamingHistogram) Invalid() int { return int(h.invalid) }
-
-// N returns the number of samples pushed (including out-of-range and
-// invalid ones).
-func (h *StreamingHistogram) N() int { return int(h.n) }
-
 // BinCenter returns the midpoint of bin i.
 func (h *StreamingHistogram) BinCenter(i int) float64 {
 	w := (h.hi - h.lo) / float64(len(h.counts))
 	return h.lo + (float64(i)+0.5)*w
-}
-
-// Reset empties the histogram in place, keeping range and bins — the
-// pooled-accumulator hook, as on QuantileSketch.
-func (h *StreamingHistogram) Reset() {
-	clear(h.counts)
-	h.under, h.over, h.invalid, h.n = 0, 0, 0, 0
 }
 
 // Merge folds other into h by exact integer addition. It panics when
@@ -176,88 +146,4 @@ func (h *StreamingHistogram) ASCII(width int) string {
 		fmt.Fprintf(&b, "%10.4g | %-*s %d\n", h.BinCenter(i), width, bar, c)
 	}
 	return b.String()
-}
-
-// Binary encoding, mirroring the sketch's canonical sparse form:
-//
-//	magic "SHG1" | lo, hi float64 bits | bins uvarint | n, under,
-//	over, invalid uvarint | pairs uvarint | (index delta uvarint,
-//	count uvarint)*
-
-var streamHistMagic = [4]byte{'S', 'H', 'G', '1'}
-
-// maxStreamHistBins bounds the decoded bin count so arbitrary input
-// cannot demand an absurd allocation. 1<<24 bins is far beyond any
-// plotting or quantile use.
-const maxStreamHistBins = 1 << 24
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (h *StreamingHistogram) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 64)
-	buf = append(buf, streamHistMagic[:]...)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.lo))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.hi))
-	buf = binary.AppendUvarint(buf, uint64(len(h.counts)))
-	for _, v := range []uint64{h.n, h.under, h.over, h.invalid} {
-		buf = binary.AppendUvarint(buf, v)
-	}
-	buf = appendSparse(buf, h.counts)
-	return buf, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler, with the same
-// validation contract as the sketch decoder: arbitrary bytes either
-// decode into a fully consistent histogram or fail with a descriptive
-// error — never a panic, never a silently inconsistent value.
-func (h *StreamingHistogram) UnmarshalBinary(data []byte) error {
-	r := &byteReader{data: data}
-	var magic [4]byte
-	if err := r.bytes(magic[:]); err != nil {
-		return fmt.Errorf("stat: histogram decode: %w", err)
-	}
-	if magic != streamHistMagic {
-		return errors.New("stat: histogram decode: bad magic")
-	}
-	loBits, err := r.uint64()
-	if err != nil {
-		return fmt.Errorf("stat: histogram decode: %w", err)
-	}
-	hiBits, err := r.uint64()
-	if err != nil {
-		return fmt.Errorf("stat: histogram decode: %w", err)
-	}
-	lo, hi := math.Float64frombits(loBits), math.Float64frombits(hiBits)
-	if !(hi > lo) || math.IsInf(lo, 0) || math.IsInf(hi, 0) || math.IsNaN(lo) || math.IsNaN(hi) {
-		return fmt.Errorf("stat: histogram decode: bad range [%g, %g)", lo, hi)
-	}
-	bins, err := r.uvarint()
-	if err != nil {
-		return fmt.Errorf("stat: histogram decode: %w", err)
-	}
-	if bins == 0 || bins > maxStreamHistBins {
-		return fmt.Errorf("stat: histogram decode: %d bins out of [1, %d]", bins, maxStreamHistBins)
-	}
-	var hdr [4]uint64
-	for i := range hdr {
-		if hdr[i], err = r.uvarint(); err != nil {
-			return fmt.Errorf("stat: histogram decode: %w", err)
-		}
-	}
-	out := NewStreamingHistogram(lo, hi, int(bins))
-	out.n, out.under, out.over, out.invalid = hdr[0], hdr[1], hdr[2], hdr[3]
-	counts, binned, err := readSparseCounts(r, int(bins))
-	if err != nil {
-		return fmt.Errorf("stat: histogram decode: %w", err)
-	}
-	if counts != nil {
-		out.counts = counts
-	}
-	if r.len() != 0 {
-		return fmt.Errorf("stat: histogram decode: %d trailing bytes", r.len())
-	}
-	if total := binned + out.under + out.over + out.invalid; total != out.n {
-		return fmt.Errorf("stat: histogram decode: counts sum to %d, header says %d", total, out.n)
-	}
-	*h = *out
-	return nil
 }

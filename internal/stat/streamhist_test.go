@@ -1,8 +1,8 @@
 package stat
 
 import (
-	"bytes"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -27,13 +27,13 @@ func TestStreamingHistogramMatchesHistogram(t *testing.T) {
 		old.Push(x)
 		sh.Push(x)
 	}
-	if sh.Under() != uint64(old.Under) || sh.Over() != uint64(old.Over) || sh.N() != old.Total() {
+	if sh.under != uint64(old.Under) || sh.over != uint64(old.Over) || int(sh.n) != old.Total() {
 		t.Fatalf("overflow counts drifted: under %d/%d over %d/%d n %d/%d",
-			sh.Under(), old.Under, sh.Over(), old.Over, sh.N(), old.Total())
+			sh.under, old.Under, sh.over, old.Over, sh.n, old.Total())
 	}
-	for i := 0; i < sh.Bins(); i++ {
-		if sh.Count(i) != uint64(old.Counts[i]) {
-			t.Fatalf("bin %d: %d vs %d", i, sh.Count(i), old.Counts[i])
+	for i := range sh.counts {
+		if sh.counts[i] != uint64(old.Counts[i]) {
+			t.Fatalf("bin %d: %d vs %d", i, sh.counts[i], old.Counts[i])
 		}
 		if sh.BinCenter(i) != old.BinCenter(i) {
 			t.Fatalf("bin %d center: %v vs %v", i, sh.BinCenter(i), old.BinCenter(i))
@@ -50,10 +50,6 @@ func TestStreamingHistogramMergeMatchesSingleStream(t *testing.T) {
 	for _, x := range xs {
 		whole.Push(x)
 	}
-	want, err := whole.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, chunks := range []int{1, 4, 8} {
 		merged := NewStreamingHistogram(0, 5, 32)
 		size := (len(xs) + chunks - 1) / chunks
@@ -65,11 +61,7 @@ func TestStreamingHistogramMergeMatchesSingleStream(t *testing.T) {
 			}
 			merged.Merge(part)
 		}
-		got, err := merged.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
+		if !reflect.DeepEqual(merged, whole) {
 			t.Fatalf("%d-chunk merge differs from single stream", chunks)
 		}
 	}
@@ -92,7 +84,7 @@ func TestStreamingHistogramQuantile(t *testing.T) {
 	for _, x := range xs {
 		sh.Push(x)
 	}
-	halfBin := (sh.Hi() - sh.Lo()) / float64(sh.Bins()) / 2
+	halfBin := (sh.hi - sh.lo) / float64(len(sh.counts)) / 2
 	for _, q := range []float64{0.025, 0.25, 0.5, 0.75, 0.975} {
 		got, err := sh.Quantile(q)
 		if err != nil {
@@ -113,74 +105,11 @@ func TestStreamingHistogramQuantile(t *testing.T) {
 	nan := NewStreamingHistogram(0, 1, 4)
 	nan.Push(0.5)
 	nan.Push(math.NaN())
-	if nan.Invalid() != 1 {
-		t.Fatalf("invalid = %d, want 1", nan.Invalid())
+	if nan.invalid != 1 {
+		t.Fatalf("invalid = %d, want 1", nan.invalid)
 	}
 	if _, err := nan.Quantile(0.5); err == nil {
 		t.Fatal("NaN-poisoned histogram quantile must fail")
-	}
-}
-
-func TestStreamingHistogramResetReuse(t *testing.T) {
-	sh := NewStreamingHistogram(0, 5, 16)
-	for _, x := range streamHistSample(300, 77) {
-		sh.Push(x)
-	}
-	sh.Reset()
-	fresh := NewStreamingHistogram(0, 5, 16)
-	for _, x := range streamHistSample(200, 78) {
-		sh.Push(x)
-		fresh.Push(x)
-	}
-	a, _ := sh.MarshalBinary()
-	b, _ := fresh.MarshalBinary()
-	if !bytes.Equal(a, b) {
-		t.Fatal("reused histogram differs from a fresh one")
-	}
-}
-
-func TestStreamingHistogramBinaryRoundTrip(t *testing.T) {
-	sh := NewStreamingHistogram(-2, 8, 64)
-	for _, x := range streamHistSample(1500, 91) {
-		sh.Push(x)
-	}
-	data, err := sh.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back StreamingHistogram
-	if err := back.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	again, err := back.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, again) {
-		t.Fatal("round trip is not canonical")
-	}
-}
-
-func TestStreamingHistogramUnmarshalRejectsCorruption(t *testing.T) {
-	sh := NewStreamingHistogram(0, 1, 8)
-	sh.Push(0.25)
-	sh.Push(0.75)
-	good, _ := sh.MarshalBinary()
-	cases := map[string][]byte{
-		"empty":     {},
-		"bad magic": []byte("NOPE00000000000000000000"),
-		"truncated": good[:len(good)-1],
-		"trailing":  append(append([]byte{}, good...), 7),
-	}
-	// Flip hi below lo.
-	badRange := append([]byte{}, good...)
-	copy(badRange[12:20], badRange[4:12])
-	cases["inverted range"] = badRange
-	for name, data := range cases {
-		var back StreamingHistogram
-		if err := back.UnmarshalBinary(data); err == nil {
-			t.Fatalf("%s: decode must fail", name)
-		}
 	}
 }
 

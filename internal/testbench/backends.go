@@ -65,17 +65,6 @@ func runBackendAgreement(ctx context.Context, shifts []float64, eng campaign.Eng
 	return out, nil
 }
 
-// MaxNDFGap returns the largest |NDF_spice − NDF_analytic| of the sweep.
-func (b *BackendAgreement) MaxNDFGap() float64 {
-	worst := 0.0
-	for i := range b.Shifts {
-		if d := math.Abs(b.SpiceNDF[i] - b.AnalyticNDF[i]); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
 // Render prints the comparison table.
 func (b *BackendAgreement) Render() string {
 	var s strings.Builder

@@ -2,6 +2,7 @@ package testbench
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -21,8 +22,10 @@ func TestBackendAgreement(t *testing.T) {
 	if ba.MaxWaveDelta > 2e-3 {
 		t.Fatalf("golden waveform discrepancy %v V", ba.MaxWaveDelta)
 	}
-	if gap := ba.MaxNDFGap(); gap > 5e-3 {
-		t.Fatalf("NDF gap between backends = %v", gap)
+	for i := range ba.Shifts {
+		if gap := math.Abs(ba.SpiceNDF[i] - ba.AnalyticNDF[i]); gap > 5e-3 {
+			t.Fatalf("NDF gap between backends at shift %g = %v", ba.Shifts[i], gap)
+		}
 	}
 	// The golden CUT must read exactly zero on both backends (each is
 	// compared against its own golden signature).

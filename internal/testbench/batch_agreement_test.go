@@ -132,11 +132,11 @@ func TestSpiceBackendScalarVsBatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vb, err := sysB.AveragedNDF(cb, 0.005, rng.New(33), 2)
+	vb, err := sysB.AveragedNDFScratch(cb, 0.005, rng.New(33), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, err := sysS.AveragedNDF(cs, 0.005, rng.New(33), 2)
+	vs, err := sysS.AveragedNDFScratch(cs, 0.005, rng.New(33), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,15 +28,24 @@ type Fig1Params struct {
 	Points int     `json:"points"`
 }
 
+// Validate bounds the trace resolution.
+func (p *Fig1Params) Validate() error { return validateSize("points", p.Points, MaxSamples) }
+
 // Fig4Params configures the "fig4" campaign.
 type Fig4Params struct {
 	Points int `json:"points"`
 }
 
+// Validate bounds the trace resolution.
+func (p *Fig4Params) Validate() error { return validateSize("points", p.Points, MaxGrid) }
+
 // Fig4SpiceParams configures the "fig4spice" campaign.
 type Fig4SpiceParams struct {
 	Cols int `json:"cols"`
 }
+
+// Validate bounds the column count.
+func (p *Fig4SpiceParams) Validate() error { return validateSize("cols", p.Cols, MaxGrid) }
 
 // Fig4MCParams configures the "fig4mc" campaign. Monitor is the 0-based
 // Table I index.
@@ -46,9 +55,20 @@ type Fig4MCParams struct {
 	Cols    int `json:"cols"`
 }
 
-// Validate bounds the die count.
+// Validate bounds the die count, the column count, and their product:
+// each (die, column) pair is one boundary search, and there are at
+// most MaxTrials of them.
 func (p *Fig4MCParams) Validate() error {
-	return validateTrials("dies", p.Dies)
+	if err := validateTrials("dies", p.Dies); err != nil {
+		return err
+	}
+	if err := validateSize("cols", p.Cols, MaxGrid); err != nil {
+		return err
+	}
+	if p.Dies*p.Cols > MaxTrials {
+		return fmt.Errorf("dies × cols = %d × %d exceeds the %d-search bound", p.Dies, p.Cols, MaxTrials)
+	}
+	return nil
 }
 
 // Fig6Params configures the "fig6" campaign.
@@ -57,11 +77,17 @@ type Fig6Params struct {
 	Grid  int     `json:"grid"`
 }
 
+// Validate bounds the zone-map grid.
+func (p *Fig6Params) Validate() error { return validateSize("grid", p.Grid, MaxGrid) }
+
 // Fig7Params configures the "fig7" campaign.
 type Fig7Params struct {
 	Shift  float64 `json:"shift"`
 	Points int     `json:"points"`
 }
+
+// Validate bounds the chronogram resolution.
+func (p *Fig7Params) Validate() error { return validateSize("points", p.Points, MaxSamples) }
 
 // Fig8Params configures the "fig8" campaign.
 type Fig8Params struct {
@@ -69,6 +95,9 @@ type Fig8Params struct {
 	Points int     `json:"points"`
 	Tol    float64 `json:"tol"`
 }
+
+// Validate bounds the sweep length.
+func (p *Fig8Params) Validate() error { return validateSize("points", p.Points, MaxSamples) }
 
 // NoiseParams configures the "noise" campaign. SketchPrec is the
 // quantile-sketch precision used when NullTrials exceeds
@@ -169,6 +198,34 @@ func validateTrials(name string, n int) error {
 	return nil
 }
 
+// Size bounds of the figure campaigns' resolution knobs. Each keeps the
+// largest accepted value within 64 MiB of working set, or within
+// MaxTrials NDF evaluations, so a single spec cannot exhaust a server.
+const (
+	// MaxGrid bounds grid and curve resolutions (fig4 points, fig4spice
+	// and fig4mc cols, fig6 grid): a MaxGrid² fig6 zone map of 4-byte
+	// codes is exactly 64 MiB.
+	MaxGrid = 4096
+	// MaxSamples bounds per-point sample counts (fig1 trace points,
+	// fig7 chronogram points, fig8 sweep points), each at most 48 bytes.
+	MaxSamples = 1 << 20
+	// MaxStimOptGrid bounds the stimopt phase grid: MaxStimOptGrid² =
+	// MaxTrials NDF evaluations.
+	MaxStimOptGrid = 10_000
+)
+
+// validateSize is the shared bound of a size knob: positive, at most
+// limit.
+func validateSize(name string, n, limit int) error {
+	if n < 1 {
+		return fmt.Errorf("%s = %d, need at least 1", name, n)
+	}
+	if n > limit {
+		return fmt.Errorf("%s = %d exceeds the %d bound", name, n, limit)
+	}
+	return nil
+}
+
 // SelfTestParams configures the "selftest" campaign. A nil Threshold
 // calibrates one from Tol first.
 type SelfTestParams struct {
@@ -220,6 +277,9 @@ type StimOptParams struct {
 	Shift float64 `json:"shift"`
 	Grid  int     `json:"grid"`
 }
+
+// Validate bounds the phase grid.
+func (p *StimOptParams) Validate() error { return validateSize("grid", p.Grid, MaxStimOptGrid) }
 
 // BackendsParams configures the "backends" campaign.
 type BackendsParams struct {

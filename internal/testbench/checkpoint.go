@@ -9,14 +9,14 @@ import (
 	"math"
 
 	"repro/internal/campaign"
-	"repro/internal/ndf"
 )
 
-// This file gives the package's streaming reducers their durable form:
-// each campaign.CheckpointReducer couples the fold/merge logic with a
-// canonical binary codec over its accumulator state, so the distributed
-// fabric can checkpoint a reduction mid-run, ship per-shard accumulator
-// blobs between mcserved instances, and restore them bit-exactly.
+// This file gives the sharded campaigns' reducers (yield, faults) their
+// durable form: each campaign.CheckpointReducer couples the fold/merge
+// logic with a canonical binary codec over its accumulator state, so the
+// distributed fabric can checkpoint a reduction mid-run, ship per-shard
+// accumulator blobs between mcserved instances, and restore them
+// bit-exactly.
 //
 // Every codec frames its payload with a 4-byte magic so a job log can
 // never replay one campaign's blob into another's accumulator, and every
@@ -26,9 +26,8 @@ import (
 // exercised by FuzzShardBlobUnmarshal).
 
 var (
-	yieldBlobMagic  = [4]byte{'M', 'C', 'Y', '1'}
-	faultBlobMagic  = [4]byte{'M', 'C', 'F', '1'}
-	detectBlobMagic = [4]byte{'M', 'C', 'D', '1'}
+	yieldBlobMagic = [4]byte{'M', 'C', 'Y', '1'}
+	faultBlobMagic = [4]byte{'M', 'C', 'F', '1'}
 )
 
 // yieldReducer is the checkpointable reduction of the yield campaign:
@@ -105,35 +104,6 @@ func faultReducer() campaign.CheckpointReducer[FaultCase, []FaultCase] {
 				return nil, errors.New("testbench: fault blob: trailing data")
 			}
 			return cases, nil
-		},
-	}
-}
-
-// detectReducer counts trials whose averaged NDF fails the decision —
-// the accumulator shape every detection-rate phase of the noise
-// campaigns shares. Integer merges are exact, so the streamed count is
-// bit-identical to the materialized one at any chunk size and worker
-// count; the blob is magic "MCD1" plus one uvarint.
-func detectReducer(dec ndf.Decision) campaign.CheckpointReducer[float64, int] {
-	return campaign.CheckpointReducer[float64, int]{
-		Reducer: campaign.Reducer[float64, int]{
-			Fold: func(acc int, _ int, v float64) int {
-				if !dec.Pass(v) {
-					acc++
-				}
-				return acc
-			},
-			Merge: func(into, next int) int { return into + next },
-		},
-		Marshal: func(acc int) ([]byte, error) {
-			return binary.AppendUvarint(append(make([]byte, 0, 12), detectBlobMagic[:]...), uint64(acc)), nil
-		},
-		Unmarshal: func(data []byte) (int, error) {
-			var vals [1]int
-			if err := decodeCounts(data, detectBlobMagic, vals[:]); err != nil {
-				return 0, fmt.Errorf("testbench: detect blob: %w", err)
-			}
-			return vals[0], nil
 		},
 	}
 }

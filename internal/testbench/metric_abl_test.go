@@ -77,7 +77,7 @@ func TestNoiseDistributionsStatisticallyDistinct(t *testing.T) {
 		}
 		out := make([]float64, 16)
 		for i := range out {
-			v, err := s.AveragedNDF(cut, 0.005, src.Split(base+uint64(i)), 3)
+			v, err := s.AveragedNDFScratch(cut, 0.005, src.Split(base+uint64(i)), 3, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

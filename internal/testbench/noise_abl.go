@@ -83,7 +83,7 @@ func runNoiseDetection(ctx context.Context, sys *core.System, sigma float64, dev
 			return 0, err
 		}
 		return campaign.ReduceScratch(ctx, eng, trials,
-			detectReducer(dec).Reducer, core.NewTrialScratch, trial)
+			detectReducer(dec), core.NewTrialScratch, trial)
 	}
 	// Fresh nulls for the false-alarm estimate.
 	fa, err := detectCount(0, phaseBase(1))
@@ -103,6 +103,23 @@ func runNoiseDetection(ctx context.Context, sys *core.System, sigma float64, dev
 		out.DetectHi = append(out.DetectHi, hi)
 	}
 	return out, nil
+}
+
+// detectReducer counts trials whose averaged NDF fails the decision —
+// the accumulator shape every detection-rate phase of the noise
+// campaigns shares. Integer merges are exact, so the streamed count is
+// bit-identical to the materialized one at any chunk size and worker
+// count.
+func detectReducer(dec ndf.Decision) campaign.Reducer[float64, int] {
+	return campaign.Reducer[float64, int]{
+		Fold: func(acc int, _ int, v float64) int {
+			if !dec.Pass(v) {
+				acc++
+			}
+			return acc
+		},
+		Merge: func(into, next int) int { return into + next },
+	}
 }
 
 // phaseBase gives measurement phase p its own disjoint stream-id space.

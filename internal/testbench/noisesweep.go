@@ -86,7 +86,7 @@ func runNoiseSweep(ctx context.Context, sys *core.System, sigmas, devGrid []floa
 				return nil, err
 			}
 			det, err := campaign.ReduceScratch(ctx, eng, trials,
-				detectReducer(dec).Reducer, core.NewTrialScratch, trial)
+				detectReducer(dec), core.NewTrialScratch, trial)
 			if err != nil {
 				return nil, err
 			}

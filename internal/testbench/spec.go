@@ -75,7 +75,6 @@ type runConfig struct {
 	progress   func(done, total int)
 	meter      campaign.Meter
 	sys        *core.System
-	scalar     bool
 }
 
 // Option customizes one Run call without touching the serializable Spec.
@@ -110,12 +109,6 @@ func WithMeter(m campaign.Meter) Option {
 // Backend/Scalar resolution — the hook custom-configured systems use.
 func WithSystem(sys *core.System) Option {
 	return func(c *runConfig) { c.sys = sys }
-}
-
-// WithScalarEngine forces the per-tick scalar signature pipeline, as if
-// the spec had Scalar set.
-func WithScalarEngine() Option {
-	return func(c *runConfig) { c.scalar = true }
 }
 
 // Env is the execution environment a campaign implementation receives:
@@ -202,9 +195,6 @@ func compile(spec Spec, opts ...Option) (*campaignDef, *Env, Spec, any, error) {
 	cfg := runConfig{}
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if cfg.scalar {
-		spec.Scalar = true
 	}
 	workers := spec.Workers
 	if cfg.workersSet {

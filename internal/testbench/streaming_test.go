@@ -253,6 +253,47 @@ func TestTrialsKnobValidation(t *testing.T) {
 	}
 }
 
+// The size knobs: every catalogued default validates, each knob at its
+// bound validates, and one past it fails before any work starts — a
+// fig6 grid of 100000 would otherwise ask zone.Build for 10^10 codes.
+func TestSizeKnobValidation(t *testing.T) {
+	for _, name := range Names() {
+		if err := Validate(Spec{Campaign: name}); err != nil {
+			t.Fatalf("default %s spec rejected: %v", name, err)
+		}
+	}
+	for _, c := range []struct {
+		campaign string
+		ok, over any
+	}{
+		{"fig1", Fig1Params{Shift: 0.1, Points: MaxSamples}, Fig1Params{Shift: 0.1, Points: MaxSamples + 1}},
+		{"fig4", Fig4Params{Points: MaxGrid}, Fig4Params{Points: MaxGrid + 1}},
+		{"fig4spice", Fig4SpiceParams{Cols: MaxGrid}, Fig4SpiceParams{Cols: MaxGrid + 1}},
+		{"fig4mc", Fig4MCParams{Monitor: 2, Dies: 200, Cols: MaxGrid}, Fig4MCParams{Monitor: 2, Dies: 200, Cols: MaxGrid + 1}},
+		{"fig4mc", Fig4MCParams{Monitor: 2, Dies: MaxTrials / 10, Cols: 10}, Fig4MCParams{Monitor: 2, Dies: MaxTrials / 10, Cols: 11}},
+		{"fig6", Fig6Params{Shift: 0.1, Grid: MaxGrid}, Fig6Params{Shift: 0.1, Grid: 100_000}},
+		{"fig7", Fig7Params{Shift: 0.1, Points: MaxSamples}, Fig7Params{Shift: 0.1, Points: 2_000_000_000}},
+		{"fig8", Fig8Params{MaxDev: 0.2, Points: MaxSamples, Tol: 0.05}, Fig8Params{MaxDev: 0.2, Points: MaxSamples + 1, Tol: 0.05}},
+		{"stimopt", StimOptParams{Shift: 0.05, Grid: MaxStimOptGrid}, StimOptParams{Shift: 0.05, Grid: MaxStimOptGrid + 1}},
+		{"fig6", Fig6Params{Shift: 0.1, Grid: 1}, Fig6Params{Shift: 0.1, Grid: -3}},
+	} {
+		if err := Validate(Spec{Campaign: c.campaign, Params: c.ok}); err != nil {
+			t.Fatalf("%s %+v rejected: %v", c.campaign, c.ok, err)
+		}
+		if err := Validate(Spec{Campaign: c.campaign, Params: c.over}); err == nil {
+			t.Fatalf("%s %+v validated", c.campaign, c.over)
+		}
+	}
+	// The JSON ingress hits the same gate.
+	spec, err := decodeSpec([]byte(`{"campaign":"fig6","params":{"grid":100000}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Validate(spec); err == nil {
+		t.Fatal("fig6 grid 100000 validated")
+	}
+}
+
 // The noise detection campaign (null calibration + streamed detection
 // counts) is bit-identical across worker counts — its render string is
 // a full fingerprint of threshold, false-alarm and detection rates.

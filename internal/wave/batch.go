@@ -35,50 +35,9 @@ func EvalInto(w Waveform, ts, out []float64) {
 }
 
 // EvalBatch implements BatchEvaluator.
-func (d DC) EvalBatch(ts, out []float64) {
-	for i := range ts {
-		out[i] = d.Eval(ts[i])
-	}
-}
-
-// EvalBatch implements BatchEvaluator.
-func (s Sine) EvalBatch(ts, out []float64) {
-	for i, t := range ts {
-		out[i] = s.Eval(t)
-	}
-}
-
-// EvalBatch implements BatchEvaluator.
 func (m *Multitone) EvalBatch(ts, out []float64) {
 	for i, t := range ts {
 		out[i] = m.Eval(t)
-	}
-}
-
-// EvalBatch implements BatchEvaluator.
-func (s Square) EvalBatch(ts, out []float64) {
-	for i, t := range ts {
-		out[i] = s.Eval(t)
-	}
-}
-
-// EvalBatch implements BatchEvaluator: the base waveform is batch-
-// evaluated in place, then clamped.
-func (c Clamped) EvalBatch(ts, out []float64) {
-	EvalInto(c.Base, ts, out)
-	for i, v := range out {
-		if v < c.Lo {
-			out[i] = c.Lo
-		} else if v > c.Hi {
-			out[i] = c.Hi
-		}
-	}
-}
-
-// EvalBatch implements BatchEvaluator.
-func (p *PWL) EvalBatch(ts, out []float64) {
-	for i, t := range ts {
-		out[i] = p.Eval(t)
 	}
 }
 

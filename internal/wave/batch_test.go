@@ -14,23 +14,11 @@ func TestEvalIntoMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pwl, err := NewPWL([]float64{0, 1e-4, 1.5e-4}, []float64{0, 1, -1}, 2e-4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	smp, err := NewSampled([]float64{0, 0.5, 1, 0.25}, 2e-4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waves := []Waveform{
-		DC(0.7),
-		Sine{Amp: 0.3, Freq: 10e3, Phase: 0.4, Offset: 0.5},
-		mt,
-		Square{Lo: 0, Hi: 1, Freq: 5e3, Duty: 0.3},
-		Clamped{Base: mt, Lo: 0.2, Hi: 0.8},
-		pwl,
-		smp,
-	}
+	waves := []Waveform{mt, smp}
 	src := rng.New(17)
 	ts := make([]float64, 512)
 	for i := range ts {

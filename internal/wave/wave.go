@@ -123,34 +123,6 @@ func (m *Multitone) PeakToPeak() (lo, hi float64) {
 	return m.Offset - sum, m.Offset + sum
 }
 
-// Square is a square wave toggling between Lo and Hi with the given
-// frequency and duty cycle (fraction of the period spent at Hi).
-type Square struct {
-	Lo, Hi float64
-	Freq   float64
-	Duty   float64
-}
-
-// Eval implements Waveform.
-func (s Square) Eval(t float64) float64 {
-	if s.Freq <= 0 {
-		return s.Lo
-	}
-	frac := t*s.Freq - math.Floor(t*s.Freq)
-	if frac < s.Duty {
-		return s.Hi
-	}
-	return s.Lo
-}
-
-// Period implements Waveform.
-func (s Square) Period() float64 {
-	if s.Freq <= 0 {
-		return 0
-	}
-	return 1 / s.Freq
-}
-
 // Noisy decorates a waveform with additive white Gaussian noise of
 // standard deviation Sigma. Each Eval call draws a fresh variate, which
 // models wideband noise sampled far above the signal bandwidth (the
@@ -168,97 +140,6 @@ func (n *Noisy) Eval(t float64) float64 {
 
 // Period implements Waveform (delegates to the base waveform).
 func (n *Noisy) Period() float64 { return n.Base.Period() }
-
-// Clamped limits a waveform to [Lo, Hi], modelling rail clipping.
-type Clamped struct {
-	Base   Waveform
-	Lo, Hi float64
-}
-
-// Eval implements Waveform.
-func (c Clamped) Eval(t float64) float64 {
-	v := c.Base.Eval(t)
-	if v < c.Lo {
-		return c.Lo
-	}
-	if v > c.Hi {
-		return c.Hi
-	}
-	return v
-}
-
-// Period implements Waveform.
-func (c Clamped) Period() float64 { return c.Base.Period() }
-
-// PWL is a piecewise-linear waveform defined by (time, value) knots,
-// SPICE's PWL source. Before the first knot it holds the first value;
-// after the last knot it either holds the last value or, if RepeatEvery
-// is positive, wraps modulo that period.
-type PWL struct {
-	T, V        []float64
-	RepeatEvery float64
-}
-
-// NewPWL validates and builds a PWL waveform. Times must be strictly
-// increasing and at least one knot is required.
-func NewPWL(t, v []float64, repeatEvery float64) (*PWL, error) {
-	if len(t) == 0 || len(t) != len(v) {
-		return nil, fmt.Errorf("wave: PWL needs matched non-empty knots")
-	}
-	for i := 1; i < len(t); i++ {
-		if t[i] <= t[i-1] {
-			return nil, fmt.Errorf("wave: PWL times must be strictly increasing at knot %d", i)
-		}
-	}
-	if repeatEvery < 0 {
-		return nil, fmt.Errorf("wave: negative repeat period")
-	}
-	if repeatEvery > 0 && t[len(t)-1] > repeatEvery {
-		return nil, fmt.Errorf("wave: knots extend past the repeat period")
-	}
-	return &PWL{T: append([]float64(nil), t...), V: append([]float64(nil), v...), RepeatEvery: repeatEvery}, nil
-}
-
-// Eval implements Waveform.
-func (p *PWL) Eval(t float64) float64 {
-	if p.RepeatEvery > 0 {
-		t = math.Mod(t, p.RepeatEvery)
-		if t < 0 {
-			t += p.RepeatEvery
-		}
-	}
-	n := len(p.T)
-	if t <= p.T[0] {
-		return p.V[0]
-	}
-	if t >= p.T[n-1] {
-		if p.RepeatEvery > 0 && n > 1 {
-			// Wrap segment from last knot back to the first.
-			span := p.RepeatEvery - p.T[n-1] + p.T[0]
-			if span <= 0 {
-				return p.V[n-1]
-			}
-			f := (t - p.T[n-1]) / span
-			return p.V[n-1] + (p.V[0]-p.V[n-1])*f
-		}
-		return p.V[n-1]
-	}
-	// Binary search for the segment.
-	lo, hi := 0, n-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if p.T[mid] <= t {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	f := (t - p.T[lo]) / (p.T[hi] - p.T[lo])
-	return p.V[lo] + (p.V[hi]-p.V[lo])*f
-}
-
-// Period implements Waveform.
-func (p *PWL) Period() float64 { return p.RepeatEvery }
 
 // Sampled is a periodic waveform defined by n uniform samples over one
 // period — sample i sits at phase i·period/n and the segment from the

@@ -16,7 +16,10 @@ import (
 // trivialTrial and sumRed isolate the engine overhead: with no trial
 // work, the timing is dominated by what the engine itself does per trial
 // (chunk bookkeeping, progress ticks, checkpoint callbacks).
-func trivialTrial(i int) (float64, error) { return float64(i & 1), nil }
+func trivialTrial(i int, _ struct{}) (float64, error) { return float64(i & 1), nil }
+
+// noScratch is the per-worker scratch of a trial that needs none.
+func noScratch() struct{} { return struct{}{} }
 
 func sumRed() campaign.Reducer[float64, float64] {
 	return campaign.Reducer[float64, float64]{
@@ -50,13 +53,13 @@ func TestCheckpointOverheadPinned(t *testing.T) {
 	for round := 0; round < 3 && best >= 1.05; round++ {
 		off := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N && opErr == nil; i++ {
-				_, opErr = campaign.ReduceSpan(ctx, campaign.Engine{Workers: 1}, span, nil, nil, sumRed(), trivialTrial)
+				_, opErr = campaign.ReduceSpanScratch(ctx, campaign.Engine{Workers: 1}, span, nil, nil, sumRed(), noScratch, trivialTrial)
 			}
 		})
 		on := testing.Benchmark(func(b *testing.B) {
 			e := campaign.Engine{Workers: 1, Checkpoint: campaign.DefaultCheckpoint}
 			for i := 0; i < b.N && opErr == nil; i++ {
-				_, opErr = campaign.ReduceSpan(ctx, e, span, nil, sink, sumRed(), trivialTrial)
+				_, opErr = campaign.ReduceSpanScratch(ctx, e, span, nil, sink, sumRed(), noScratch, trivialTrial)
 			}
 		})
 		if opErr != nil {
