@@ -18,13 +18,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-# Perf trajectory snapshot number: bump per PR (or override with
-# `make bench-json BENCH_N=7`) so BENCH_<N>.json files accumulate and
-# bench-diff always compares the two most recent.
-BENCH_N ?= 10
-BENCH_PREV = $(shell expr $(BENCH_N) - 1)
-
-.PHONY: ci fmt vet lint lint-json build deadcode test race bench bench-json bench-smoke bench-diff bench-verify fuzz-smoke serve-smoke fabric-smoke load load-smoke
+.PHONY: ci fmt vet lint lint-json build deadcode test race bench bench-smoke bench-verify fuzz-smoke serve-smoke fabric-smoke load load-smoke
 
 ci: fmt lint build deadcode race bench-smoke serve-smoke fabric-smoke load-smoke bench-verify
 
@@ -75,23 +69,6 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# Perf trajectory snapshot: the full benchmark suite in `go test -json`
-# event form (benchstat reads it directly: `benchstat BENCH_$(BENCH_N).json`,
-# and cmd/benchdiff compares two snapshots without external tools).
-# BENCH_N bumps per PR so the trajectory accumulates.
-bench-json:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ -json . > BENCH_$(BENCH_N).json
-
-# Benchstat-style regression report between the two most recent
-# snapshots, implemented in-repo (cmd/benchdiff, stdlib only) so CI needs
-# no extra tooling. Fails on a >30% ns/op regression in the pinned
-# hot-path benchmarks (SPICE linear transient, batched signature engine,
-# streaming reduction); everything else is report-only. The CI workflow
-# runs it as a non-blocking report step — single-iteration snapshots are
-# noisy, so only humans act on it.
-bench-diff:
-	$(GO) run ./cmd/benchdiff -old BENCH_$(BENCH_PREV).json -new BENCH_$(BENCH_N).json
-
 # Smoke gate: single-iteration run of the SPICE transient, the
 # SPICE-campaign (rebuild and template trial engines), the
 # batched-signature-engine, the streaming-reduction, the
@@ -112,17 +89,14 @@ bench-smoke:
 bench-verify:
 	cd cmd/mcbench && $(GO) test -short ./...
 
-# Short-budget fuzz pass over the SPICE netlist parser, the signature
-# binary decoder, the trial-template mutation engine, the quantile-sketch
-# codec, the fabric job-log replay, the shard accumulator codecs, the
-# campaign spec ingress and the HTTP handlers of both APIs (seed corpora
-# are checked in under testdata/fuzz). Each target gets 10s — enough to
-# exercise the mutator on every seed class without blowing the CI
-# budget. `go test -fuzz` accepts one target per invocation, hence the
-# per-target runs.
+# Short-budget fuzz pass over the trial-template mutation engine, the
+# signature binary decoder, the quantile-sketch codec, the fabric
+# job-log replay, the shard accumulator codecs, the campaign spec
+# ingress and the HTTP handlers of both APIs (seed corpora are checked
+# in under testdata/fuzz). Each target gets 10s — enough to exercise the
+# mutator on every seed class without blowing the CI budget. `go test
+# -fuzz` accepts one target per invocation, hence the per-target runs.
 fuzz-smoke:
-	$(GO) test -run=^$$ -fuzz='^FuzzParseValue$$' -fuzztime=10s ./internal/spice
-	$(GO) test -run=^$$ -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/spice
 	$(GO) test -run=^$$ -fuzz='^FuzzTemplateMutation$$' -fuzztime=10s ./internal/spice
 	$(GO) test -run=^$$ -fuzz='^FuzzUnmarshalBinary$$' -fuzztime=10s ./internal/signature
 	$(GO) test -run=^$$ -fuzz='^FuzzQuantileSketchUnmarshal$$' -fuzztime=10s ./internal/stat

@@ -702,8 +702,7 @@ func BenchmarkCampaignReduce1M(b *testing.B) {
 // no sink, with the default cadence (one serialized accumulator every
 // 65536 trials, the fabric's job-log append), and with an aggressively
 // short cadence. The off-vs-default gap is pinned < 5% by
-// TestCheckpointOverheadPinned; "default" is the benchdiff-pinned
-// variant.
+// TestCheckpointOverheadPinned.
 func BenchmarkCheckpointOverhead(b *testing.B) {
 	for _, bc := range []struct {
 		name    string

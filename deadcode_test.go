@@ -19,12 +19,13 @@ import (
 // function declared in a non-test file under internal/ must be linked
 // into some main package (cmd/*, examples/* or the nested cmd/mcbench
 // module), or be listed in testdata/unlinked.txt with the test that
-// needs it as an oracle, an input fixture or a state reader (or, in a
-// short deferred section, the tests that still cover it). Inlining is
-// off (-gcflags=all=-l), so a function that is only ever inlined still
-// shows up as a symbol. An allowlist entry whose function is linked again
-// is not an error (method retention differs between toolchains), but an
-// entry whose function no longer exists is.
+// needs it as an oracle, an input fixture or a state reader. An entry's
+// reason must start with "oracle:", "fixture:" or "reader:"; code that
+// only its own tests exercise has no such reason and must go. Inlining
+// is off (-gcflags=all=-l), so a function that is only ever inlined
+// still shows up as a symbol. An allowlist entry whose function is
+// linked again is not an error (method retention differs between
+// toolchains), but an entry whose function no longer exists is.
 func TestEveryInternalFunctionIsLinked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds every main package; skipped under -short")
@@ -178,9 +179,13 @@ func recvPrefix(fd *ast.FuncDecl) string {
 	return name + "."
 }
 
+// unlinkedUse matches the start of a reason testdata/unlinked.txt may
+// give for keeping an unlinked function.
+var unlinkedUse = regexp.MustCompile(`^(oracle|fixture|reader):`)
+
 // readUnlinked parses testdata/unlinked.txt: one "symbol reason..." per
-// line, '#' comments and blank lines ignored. Every entry must give a
-// reason.
+// line, '#' comments and blank lines ignored. Every entry's reason must
+// match unlinkedUse.
 func readUnlinked(t *testing.T) map[string]string {
 	t.Helper()
 	f, err := os.Open(filepath.Join("testdata", "unlinked.txt"))
@@ -196,8 +201,8 @@ func readUnlinked(t *testing.T) map[string]string {
 			continue
 		}
 		sym, reason, _ := strings.Cut(line, " ")
-		if reason = strings.TrimSpace(reason); reason == "" {
-			t.Errorf("testdata/unlinked.txt:%d: %s has no reason", n, sym)
+		if reason = strings.TrimSpace(reason); !unlinkedUse.MatchString(reason) {
+			t.Errorf("testdata/unlinked.txt:%d: %s: the reason must start with oracle:, fixture: or reader:, got %q", n, sym, reason)
 			continue
 		}
 		if _, dup := out[sym]; dup {

@@ -86,8 +86,13 @@ type Coordinator struct {
 	now      func() time.Time
 	metrics  *Metrics // nil-safe; see Metrics
 
-	mu       sync.Mutex
-	jobs     map[string]*jobRun
+	mu   sync.Mutex
+	jobs map[string]*jobRun
+	// reserved holds the ids a Submit or Resume is still opening: taken
+	// under mu together with the check against jobs, moved into jobs by
+	// adopt, dropped by releaseOnError on failure. Only reserve reads it,
+	// so a job being opened is invisible to Lease, Jobs, Info and Count.
+	reserved map[string]bool
 	finished []string // ids of the retained terminal jobs, oldest-finished first
 	seq      int      // lease token counter
 }
@@ -114,6 +119,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		now:      cfg.Now,
 		metrics:  cfg.Metrics,
 		jobs:     map[string]*jobRun{},
+		reserved: map[string]bool{},
 	}
 	if c.compile == nil {
 		c.compile = defaultCompile
@@ -131,10 +137,12 @@ func NewCoordinator(cfg Config) *Coordinator {
 // Submit plans a new job over the spec's sharded form, persists it, and
 // queues its shards for leasing. shards bounds the partition width (the
 // planner may use fewer; see PlanShards) and may not exceed MaxShards.
-func (c *Coordinator) Submit(ctx context.Context, id string, spec testbench.Spec, shards int) error {
-	if _, err := c.run(id); err == nil {
+// Of several concurrent submissions of one id, exactly one succeeds.
+func (c *Coordinator) Submit(ctx context.Context, id string, spec testbench.Spec, shards int) (err error) {
+	if !c.reserve(id) {
 		return fmt.Errorf("fabric: job %s already exists", id)
 	}
+	defer c.releaseOnError(id, &err)
 	if shards > MaxShards {
 		return fmt.Errorf("fabric: job %s: %d shards exceeds the %d-shard bound", id, shards, MaxShards)
 	}
@@ -157,11 +165,13 @@ func (c *Coordinator) Submit(ctx context.Context, id string, spec testbench.Spec
 // Resume reopens a stored job after a restart and requeues every
 // incomplete shard from its last checkpoint. Terminal jobs are adopted
 // without queueing or compiling (their results stay readable).
-// Already-open jobs are left untouched.
-func (c *Coordinator) Resume(ctx context.Context, id string) error {
-	if _, err := c.run(id); err == nil {
+// Already-open jobs, and jobs another call is opening, are left
+// untouched.
+func (c *Coordinator) Resume(ctx context.Context, id string) (err error) {
+	if !c.reserve(id) {
 		return nil
 	}
+	defer c.releaseOnError(id, &err)
 	job, err := c.store.OpenJob(id)
 	if err != nil {
 		return err
@@ -179,6 +189,32 @@ func (c *Coordinator) Resume(ctx context.Context, id string) error {
 	return nil
 }
 
+// reserve claims id for a job about to be opened, failing when the
+// coordinator already holds the id or another call has claimed it. The
+// check and the claim are one step under c.mu; compiling and disk I/O
+// run after it, outside the lock.
+func (c *Coordinator) reserve(id string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.jobs[id]; ok || c.reserved[id] {
+		return false
+	}
+	c.reserved[id] = true
+	return true
+}
+
+// releaseOnError drops id's reservation when the Submit or Resume that
+// took it failed (*err != nil), so the id can be used again; on success
+// adopt has already replaced it with the job.
+func (c *Coordinator) releaseOnError(id string, err *error) {
+	if *err == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.reserved, id)
+}
+
 // RecoverAll resumes every job in the store — the one call a restarted
 // coordinator process makes.
 func (c *Coordinator) RecoverAll(ctx context.Context) error {
@@ -194,8 +230,8 @@ func (c *Coordinator) RecoverAll(ctx context.Context) error {
 	return nil
 }
 
-// adopt installs an opened job into the control plane, queueing its
-// incomplete shards.
+// adopt installs an opened job into the control plane in place of its
+// reservation, queueing its incomplete shards.
 func (c *Coordinator) adopt(job *Job, sharded *testbench.ShardRun) {
 	r := &jobRun{
 		job:     job,
@@ -209,6 +245,7 @@ func (c *Coordinator) adopt(job *Job, sharded *testbench.ShardRun) {
 	}
 	st := job.State()
 	c.mu.Lock()
+	delete(c.reserved, job.ID())
 	c.jobs[job.ID()] = r
 	if st.Phase == PhaseRunning {
 		for i, sh := range st.Shards {

@@ -38,12 +38,14 @@ func copyTree(t *testing.T, src, dst string) {
 // finalized to when its store was written.
 const storeV1DonePayload = `{"N":64,"ComponentSigma":0.02,"Tolerance":0.05,"Threshold":0.03,"TrueGood":52,"PassCount":2,"Escapes":0,"Overkill":50,"YieldLo":0.008612138346171874,"YieldHi":0.10697291770958312,"DefectLo":0,"DefectHi":0.6576197724933468}`
 
-// TestRecoverStoreV1 pins replay of a store written by an earlier build
+// TestRecoverStoreV1 pins replay of a store written by earlier builds
 // (testdata/store-v1): a done yield job with its result.json, a running
-// job with one checkpoint and a torn final log line, and a cancelled
-// job. RecoverAll must restore every phase, every shard's progress and
-// the done job's payload bytes, and the running job must resume from
-// its checkpoint to the single-node payload.
+// job with one checkpoint and a torn final log line, a cancelled job,
+// and a compacted running job whose snapshot.json holds shard 0 at 16
+// and shard 1 at 96 and whose log tail moves shard 0 on to 48, so its
+// progress needs both. RecoverAll must restore every phase, every
+// shard's progress and the done job's payload bytes, and both running
+// jobs must resume from their checkpoints to the single-node payload.
 func TestRecoverStoreV1(t *testing.T) {
 	dir := t.TempDir()
 	copyTree(t, filepath.Join("testdata", "store-v1"), dir)
@@ -67,6 +69,7 @@ func TestRecoverStoreV1(t *testing.T) {
 		through []int
 	}{
 		{"cancelled", PhaseCancelled, []int{0}},
+		{"compacted", PhaseRunning, []int{48, 96}},
 		{"done-yield", PhaseDone, []int{32, 64}},
 		{"running", PhaseRunning, []int{32, 64}},
 	} {
@@ -92,16 +95,18 @@ func TestRecoverStoreV1(t *testing.T) {
 	}
 
 	drain(t, &Worker{Backend: c, ID: "w0"})
-	resumed, err := c.Wait(ctx, "running")
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := testbench.Run(ctx, resumed.Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := payloadJSON(t, resumed), payloadJSON(t, single); got != want {
-		t.Fatalf("resumed job payload %s, single-node %s", got, want)
+	for _, id := range []string{"compacted", "running"} {
+		resumed, err := c.Wait(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := testbench.Run(ctx, resumed.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := payloadJSON(t, resumed), payloadJSON(t, single); got != want {
+			t.Fatalf("%s: resumed job payload %s, single-node %s", id, got, want)
+		}
 	}
 }
 

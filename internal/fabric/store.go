@@ -194,13 +194,13 @@ func (s *Store) CreateJob(id string, spec testbench.Spec, trials int, plan []cam
 	if s.mem {
 		return &Job{store: s, meta: meta, state: freshState(plan)}, nil
 	}
+	// Mkdir fails on an existing directory, so of two creators of one id
+	// (two processes on one store) exactly one gets past this line.
 	dir := s.jobDir(id)
-	if _, err := os.Stat(dir); err == nil {
-		return nil, fmt.Errorf("fabric: job %s already exists", id)
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("fabric: job %s: %w", id, err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		if errors.Is(err, os.ErrExist) {
+			return nil, fmt.Errorf("fabric: job %s already exists", id)
+		}
 		return nil, fmt.Errorf("fabric: job %s: %w", id, err)
 	}
 	if s.sync {

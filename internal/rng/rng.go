@@ -90,21 +90,6 @@ func (s *Stream) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
-// Uniform returns a uniform variate in [lo, hi).
-func (s *Stream) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.Float64()
-}
-
-// Intn returns a uniform integer in [0, n). It panics if n <= 0.
-func (s *Stream) Intn(n int) int {
-	if n <= 0 {
-		panic("rng: Intn with non-positive n")
-	}
-	// Lemire-style rejection-free for practical purposes: modulo bias is
-	// below 2^-32 for the n used here; keep it simple and branch-free.
-	return int(s.Uint64() % uint64(n))
-}
-
 // Norm returns a standard Gaussian variate (mean 0, std 1).
 func (s *Stream) Norm() float64 {
 	if s.haveSpare {
@@ -129,24 +114,4 @@ func (s *Stream) Norm() float64 {
 // deviation.
 func (s *Stream) Gauss(mean, std float64) float64 {
 	return mean + std*s.Norm()
-}
-
-// NormSlice fills dst with independent standard Gaussian variates.
-func (s *Stream) NormSlice(dst []float64) {
-	for i := range dst {
-		dst[i] = s.Norm()
-	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

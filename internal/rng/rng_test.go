@@ -38,16 +38,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestUniformRange(t *testing.T) {
-	s := New(7)
-	for i := 0; i < 1000; i++ {
-		v := s.Uniform(-3, 5)
-		if v < -3 || v >= 5 {
-			t.Fatalf("Uniform out of [-3,5): %v", v)
-		}
-	}
-}
-
 func TestUniformMean(t *testing.T) {
 	s := New(99)
 	sum := 0.0
@@ -92,44 +82,6 @@ func TestGaussScaling(t *testing.T) {
 	}
 }
 
-func TestIntnBounds(t *testing.T) {
-	s := New(3)
-	seen := make([]bool, 10)
-	for i := 0; i < 10000; i++ {
-		v := s.Intn(10)
-		if v < 0 || v >= 10 {
-			t.Fatalf("Intn out of range: %d", v)
-		}
-		seen[v] = true
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("value %d never drawn in 10000 tries", i)
-		}
-	}
-}
-
-func TestIntnPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for Intn(0)")
-		}
-	}()
-	New(1).Intn(0)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(11)
-	p := s.Perm(20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	base := New(42)
 	a := base.Split(1)
@@ -142,24 +94,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 	if same > 0 {
 		t.Fatalf("split streams correlated: %d/64 equal draws", same)
-	}
-}
-
-func TestNormSlice(t *testing.T) {
-	s := New(8)
-	v := make([]float64, 64)
-	s.NormSlice(v)
-	allZero := true
-	for _, x := range v {
-		if x != 0 {
-			allZero = false
-		}
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			t.Fatalf("non-finite variate %v", x)
-		}
-	}
-	if allZero {
-		t.Fatal("NormSlice left slice zeroed")
 	}
 }
 

@@ -177,6 +177,58 @@ func TestFabricTwoWorkersOverHTTP(t *testing.T) {
 	}
 }
 
+// Clients retrying one explicit id race each other: of several
+// concurrent POSTs of the same id exactly one is accepted, and every
+// other one answers 400 with the already-exists error.
+func TestFabricConcurrentSubmitsOfOneID(t *testing.T) {
+	const clients, reps = 8, 20
+	f, ts := newFabricServer(t, fabric.Config{})
+	for rep := 0; rep < reps; rep++ {
+		body := fmt.Sprintf(`{"id":"dup-%d","spec":{"campaign":"table1"},"shards":1}`, rep)
+		start := make(chan struct{})
+		codes := make([]int, clients)
+		msgs := make([]string, clients)
+		var wg sync.WaitGroup
+		for i := range codes {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				resp, err := http.Post(ts.URL+"/v1/fabric/jobs", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var e struct {
+					Error string `json:"error"`
+				}
+				_ = json.NewDecoder(resp.Body).Decode(&e) // a 202 carries a status, not an error
+				if err := resp.Body.Close(); err != nil {
+					t.Error(err)
+				}
+				codes[i], msgs[i] = resp.StatusCode, e.Error
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		accepted := 0
+		for i, code := range codes {
+			switch {
+			case code == http.StatusAccepted:
+				accepted++
+			case code != http.StatusBadRequest || !strings.Contains(msgs[i], "already exists"):
+				t.Fatalf("rep %d: losing POST answered %d %q, want 400 with the already-exists error", rep, code, msgs[i])
+			}
+		}
+		if accepted != 1 {
+			t.Fatalf("rep %d: %d of %d concurrent POSTs of one id accepted, want exactly 1", rep, accepted, clients)
+		}
+	}
+	if ids := f.coord.Jobs(); len(ids) != reps {
+		t.Fatalf("coordinator holds %d jobs, want %d", len(ids), reps)
+	}
+}
+
 // TestFabricHTTPErrors pins the wire error mapping: the sentinel errors
 // a Worker keys its control flow off must survive the HTTP round trip.
 func TestFabricHTTPErrors(t *testing.T) {

@@ -71,14 +71,16 @@ func TestHTTPBackendResponseLimit(t *testing.T) {
 }
 
 // Over-bound size knobs are refused at the door: a fig6 grid whose zone
-// map would need 40 GB, a billion-point sweep and a 10^6-shard fabric
-// plan each answer 400, and none of them creates a job.
+// map would need 40 GB, a billion-point sweep, a 10^5-worker pool and a
+// 10^6-shard fabric plan each answer 400, and none of them creates a
+// job.
 func TestSubmitRejectsOverBoundSizes(t *testing.T) {
 	s, api := newTestServer(t)
 	for _, body := range []string{
 		`{"campaign":"fig6","params":{"grid":100000}}`,
 		`{"campaign":"fig8","params":{"points":2000000000}}`,
 		`{"campaign":"fig4mc","params":{"dies":1000000,"cols":4096}}`,
+		`{"campaign":"yield","workers":100000,"chunk":1,"params":{"n":200000}}`,
 	} {
 		resp, _ := postSpec(t, api.URL, body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -93,6 +95,7 @@ func TestSubmitRejectsOverBoundSizes(t *testing.T) {
 	for _, body := range []string{
 		`{"id":"wide","spec":{"campaign":"yield","params":{"n":1000000}},"shards":1000000}`,
 		`{"id":"grid","spec":{"campaign":"fig6","params":{"grid":100000}},"shards":1}`,
+		`{"id":"pool","spec":{"campaign":"yield","workers":100000,"chunk":1,"params":{"n":200000}},"shards":1}`,
 	} {
 		resp, err := http.Post(fab.URL+"/v1/fabric/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -102,12 +102,6 @@ func stampAC(a *num.CMatrix, b []complex128, e Element, op *Solution, omega floa
 		}
 	case *ISource:
 		// Independent current sources are open in AC (no AC component).
-	case *VCCS:
-		gm := complex(el.Gm, 0)
-		entry(int(el.P), int(el.CP), gm)
-		entry(int(el.P), int(el.CM), -gm)
-		entry(int(el.M), int(el.CP), -gm)
-		entry(int(el.M), int(el.CM), gm)
 	case *VCVS:
 		entry(int(el.P), el.branch, 1)
 		entry(int(el.M), el.branch, -1)

@@ -8,15 +8,13 @@
 // complete within that scope):
 //
 //   - elements: resistor, capacitor, independent V/I sources (DC or
-//     waveform-driven), VCVS, VCCS, and MOSFETs using the internal/mos
-//     model
+//     waveform-driven), VCVS, and MOSFETs using the internal/mos model
 //   - nonlinear DC operating point: Newton-Raphson with per-iteration
 //     voltage damping, gmin stepping and source stepping fallbacks
 //   - transient analysis with backward-Euler or trapezoidal companions
 //   - small-signal AC analysis about the DC operating point
-//   - a small SPICE-like text netlist parser (Parse), which no binary
-//     uses; the campaigns build their circuits in Go with New, Node and
-//     Add
+//
+// Circuits are built in Go with New, Node and Add.
 package spice
 
 import (

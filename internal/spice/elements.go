@@ -201,32 +201,6 @@ func (e *VCVS) Stamp(s *Stamper) {
 	s.AddEntry(e.branch, int(e.CM), e.Gain)
 }
 
-// VCCS is a voltage-controlled current source: I(P→M) = Gm · V(CP,CM),
-// the transconductor element gm-C filter structures are built from.
-type VCCS struct {
-	name   string
-	P, M   NodeID
-	CP, CM NodeID
-	Gm     float64
-}
-
-// NewVCCS creates a voltage-controlled current source.
-func NewVCCS(name string, p, m, cp, cm NodeID, gm float64) *VCCS {
-	return &VCCS{name: name, P: p, M: m, CP: cp, CM: cm, Gm: gm}
-}
-
-// Name implements Element.
-func (g *VCCS) Name() string { return g.name }
-
-// Stamp implements Element. The controlled current Gm·V(CP,CM) flows
-// from P through the source to M (leaving node P).
-func (g *VCCS) Stamp(s *Stamper) {
-	s.AddEntry(int(g.P), int(g.CP), g.Gm)
-	s.AddEntry(int(g.P), int(g.CM), -g.Gm)
-	s.AddEntry(int(g.M), int(g.CP), -g.Gm)
-	s.AddEntry(int(g.M), int(g.CM), g.Gm)
-}
-
 // MOSFET is a three-terminal (bulk tied to source) transistor using the
 // internal/mos behavioural model.
 type MOSFET struct {

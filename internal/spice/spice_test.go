@@ -191,6 +191,59 @@ func TestDiodeConnectedNMOS(t *testing.T) {
 	}
 }
 
+func TestMonitorNetlistText(t *testing.T) {
+	// The Fig. 2 monitor (pseudo-differential current comparator), one
+	// netlist line per row, builds and solves with both outputs inside
+	// the rails.
+	sources := []struct {
+		name, node string
+		volts      float64
+	}{
+		{"VDD", "vdd", 1.2},
+		{"V1", "g1", 0.5},
+		{"V2", "g2", 0.2},
+		{"V3", "g3", 0.5},
+		{"V4", "g4", 0.6},
+	}
+	nmos, pmos := mos.Default65nmNMOS(), mos.Default65nmPMOS()
+	fets := []struct {
+		name, d, g, s string
+		p             mos.Params
+		wNm, lNm      float64
+	}{
+		{"M1", "out1", "g1", "0", nmos, 3000, 180},
+		{"M2", "out1", "g2", "0", nmos, 600, 180},
+		{"M3", "out2", "g3", "0", nmos, 600, 180},
+		{"M4", "out2", "g4", "0", nmos, 3000, 180},
+		{"M5", "out1", "out1", "vdd", pmos, 2000, 180},
+		{"M6", "out1", "out2", "vdd", pmos, 2000, 180},
+		{"M7", "out2", "out1", "vdd", pmos, 2000, 180},
+		{"M8", "out2", "out2", "vdd", pmos, 2000, 180},
+	}
+	c := New()
+	for _, v := range sources {
+		c.Add(NewVSource(v.name, c.Node(v.node), Ground, v.volts))
+	}
+	for _, m := range fets {
+		dev := mos.NewDevice(m.name, m.wNm, m.lNm, m.p)
+		c.Add(NewMOSFET(m.name, c.Node(m.d), c.Node(m.g), c.Node(m.s), dev))
+	}
+	if got, want := c.NumNodes(), 7; got != want {
+		t.Fatalf("nodes = %d, want %d", got, want)
+	}
+	sol, err := DCOperatingPoint(c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, _ := sol.Voltage("out1")
+	v2, _ := sol.Voltage("out2")
+	for _, v := range []float64{v1, v2} {
+		if v < 0 || v > 1.2 {
+			t.Fatalf("monitor output rail violation: out1=%v out2=%v", v1, v2)
+		}
+	}
+}
+
 func TestTransientRCCharge(t *testing.T) {
 	for _, trap := range []bool{false, true} {
 		c := New()
@@ -402,63 +455,5 @@ func TestDCOperatingPointUsesFallbacks(t *testing.T) {
 	id := dev.Eval(vb, va).ID
 	if math.Abs(ir-id) > 1e-8 {
 		t.Fatalf("KCL violated at a: iR=%v iD=%v", ir, id)
-	}
-}
-
-func TestVCCS(t *testing.T) {
-	// gm of 1 mS driving 1 kΩ from a 0.5 V control: out = -gm*R*vin
-	// with the chosen current direction (current leaves P).
-	c := New()
-	in, out := c.Node("in"), c.Node("out")
-	c.Add(NewVSource("V1", in, Ground, 0.5))
-	c.Add(NewVCCS("G1", out, Ground, in, Ground, 1e-3))
-	c.Add(NewResistor("RL", out, Ground, 1e3))
-	sol, err := DCOperatingPoint(c, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, _ := sol.Voltage("out")
-	if math.Abs(v+0.5) > 1e-9 {
-		t.Fatalf("VCCS out = %v, want -0.5", v)
-	}
-}
-
-func TestGmCIntegratorAC(t *testing.T) {
-	// gm-C integrator: |H(f)| = gm/(2πfC).
-	c := New()
-	in, out := c.Node("in"), c.Node("out")
-	c.Add(NewVSource("V1", in, Ground, 0))
-	c.Add(NewVCCS("G1", out, Ground, in, Ground, 100e-6))
-	c.Add(NewCapacitor("C1", out, Ground, 1e-9))
-	res, err := AC(c, Options{}, "V1", []float64{1e3, 10e3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, f := range res.Freqs {
-		v, _ := res.Voltage("out", k)
-		want := 100e-6 / (2 * math.Pi * f * 1e-9)
-		got := math.Hypot(real(v), imag(v))
-		if math.Abs(got-want) > 1e-3*want {
-			t.Fatalf("integrator |H(%v)| = %v, want %v", f, got, want)
-		}
-	}
-}
-
-func TestParseVCCS(t *testing.T) {
-	c, err := Parse(`
-V1 in 0 1
-G1 out 0 in 0 2m
-RL out 0 1k
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := DCOperatingPoint(c, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, _ := sol.Voltage("out")
-	if math.Abs(v+2.0) > 1e-6 {
-		t.Fatalf("parsed VCCS out = %v, want -2", v)
 	}
 }

@@ -162,9 +162,9 @@ func (tc *TickCache) ticksFor(w wave.Waveform, dt float64, steps int) []float64 
 
 // NewCircuitTemplate builds a trial template over c. The circuit must
 // be linear (no MOSFETs) and composed of the element kinds the RHS
-// program understands (R, C, V/I sources, VCVS, VCCS); the template
-// takes ownership — running other analyses on c while the template is
-// live, or re-registering elements, invalidates it.
+// program understands (R, C, V/I sources, VCVS); the template takes
+// ownership — running other analyses on c while the template is live,
+// or re-registering elements, invalidates it.
 func NewCircuitTemplate(c *Circuit, opt Options) (*CircuitTemplate, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -185,7 +185,7 @@ func NewCircuitTemplate(c *Circuit, opt Options) (*CircuitTemplate, error) {
 			t.byName[e.Name()] = e
 		}
 		switch el := e.(type) {
-		case *Resistor, *VCVS, *VCCS:
+		case *Resistor, *VCVS:
 			// Matrix-only elements: no per-step RHS contribution (the
 			// same skip list as TransientSolver.Run's linear path).
 		case *Capacitor:

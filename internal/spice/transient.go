@@ -167,7 +167,7 @@ func (ts *TransientSolver) Run(dur float64, steps int, onStep func(step int, t f
 	rhs := make([]Element, 0, len(ts.c.elements))
 	for _, e := range ts.c.elements {
 		switch e.(type) {
-		case *Resistor, *VCVS, *VCCS:
+		case *Resistor, *VCVS:
 		default:
 			rhs = append(rhs, e)
 		}

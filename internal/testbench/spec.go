@@ -23,8 +23,8 @@ type Spec struct {
 	// Seed is the root seed of the campaign's random streams. Campaigns
 	// without randomness ignore it.
 	Seed uint64 `json:"seed,omitempty"`
-	// Workers bounds the campaign worker pool (0 = all CPUs). Results
-	// never depend on it.
+	// Workers bounds the campaign worker pool (0 = all CPUs), at most
+	// MaxWorkers. Results never depend on it.
 	Workers int `json:"workers,omitempty"`
 	// Chunk is the trial count per reduction chunk of the streaming
 	// campaigns (0 = campaign.DefaultChunk). It is part of the spec — and
@@ -48,6 +48,13 @@ type Spec struct {
 	// such as the map[string]any a decoded HTTP body carries.
 	Params any `json:"params,omitempty"`
 }
+
+// MaxWorkers bounds the worker pool of one run, whether the spec or
+// WithWorkers sets it. Each pool worker grows its own trial scratch —
+// about 125 KB on the analytic backend and 145 KB on SPICE for a yield
+// trial — so the largest accepted pool keeps its scratch within 64 MiB
+// (256 × 145 KB ≈ 37 MB), like the size bounds of the campaign knobs.
+const MaxWorkers = 256
 
 // Result is the uniform envelope every campaign run returns: the typed
 // payload plus the effective spec (params normalized to their typed,
@@ -200,6 +207,9 @@ func compile(spec Spec, opts ...Option) (*campaignDef, *Env, Spec, any, error) {
 	if cfg.workersSet {
 		workers = cfg.workers
 		spec.Workers = workers
+	}
+	if workers > MaxWorkers {
+		return nil, nil, Spec{}, nil, fmt.Errorf("testbench: campaign %s: %d workers exceeds the %d-worker bound", spec.Campaign, workers, MaxWorkers)
 	}
 	ev := &Env{spec: spec, override: cfg.sys, workers: workers, progress: cfg.progress, meter: cfg.meter}
 	spec.Params = params

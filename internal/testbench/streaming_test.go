@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -221,8 +222,10 @@ func TestStreamingCancelAndProgressBothBackends(t *testing.T) {
 	}
 }
 
-// The registry's trial-count knob: production-scale specs validate,
-// absurd ones fail loudly before any work starts.
+// The registry's trial-count knob and the spec's engine knobs:
+// production-scale specs validate, absurd ones (a trial count out of
+// range, a negative chunk, a pool over MaxWorkers) fail loudly before
+// any work starts.
 func TestTrialsKnobValidation(t *testing.T) {
 	ok := Spec{Campaign: "yield", Params: YieldParams{N: 10_000_000, ComponentSigma: 0.02, Tol: 0.05}}
 	if err := Validate(ok); err != nil {
@@ -236,6 +239,7 @@ func TestTrialsKnobValidation(t *testing.T) {
 		{Campaign: "noisesweep", Params: NoiseSweepParams{Sigmas: []float64{0.005}, DevGrid: []float64{0.01}, Trials: MaxTrials * 2}},
 		{Campaign: "fig4mc", Params: Fig4MCParams{Monitor: 2, Dies: 0, Cols: 5}},
 		{Campaign: "yield", Chunk: -1},
+		{Campaign: "yield", Workers: MaxWorkers + 1, Chunk: 1, Params: YieldParams{N: 200_000, ComponentSigma: 0.02, Tol: 0.05}},
 	} {
 		if err := Validate(bad); err == nil {
 			t.Fatalf("spec %+v validated", bad)
@@ -250,6 +254,24 @@ func TestTrialsKnobValidation(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), Spec{Campaign: "table1", Chunk: -1}); err == nil {
 		t.Fatal("Run accepted a negative chunk the HTTP gate rejects")
+	}
+}
+
+// MaxWorkers bounds the effective pool: WithWorkers over the bound
+// fails, and WithWorkers under it overrides an over-bound spec.
+func TestWorkersBoundIsEffectiveCount(t *testing.T) {
+	if err := Validate(Spec{Campaign: "yield", Workers: MaxWorkers}); err != nil {
+		t.Fatalf("MaxWorkers rejected: %v", err)
+	}
+	if _, err := Run(context.Background(), Spec{Campaign: "table1"}, WithWorkers(MaxWorkers+1)); err == nil || !strings.Contains(err.Error(), "worker bound") {
+		t.Fatalf("WithWorkers(MaxWorkers+1): %v, want the worker-bound error", err)
+	}
+	res, err := Run(context.Background(), Spec{Campaign: "table1", Workers: MaxWorkers + 1}, WithWorkers(1))
+	if err != nil {
+		t.Fatalf("WithWorkers(1) over an over-bound spec: %v", err)
+	}
+	if res.Workers != 1 {
+		t.Fatalf("effective workers = %d, want 1", res.Workers)
 	}
 }
 
