@@ -72,15 +72,15 @@ bench:
 # Smoke gate: single-iteration run of the SPICE transient, the
 # SPICE-campaign (rebuild and template trial engines), the
 # batched-signature-engine, the streaming-reduction, the
-# registry-dispatch, the streaming-statistics and the
-# checkpoint-cadence benchmarks (fast path, Newton baseline, CUT
-# output, trial templates, fault table, batched vs scalar capture,
-# streaming reduction, spec dispatch, sketch push, streamed null
-# calibration, span reduction with/without a checkpoint sink, zone-LUT
-# certification and batch classification on random and curve points) —
-# proves the hot paths still execute end to end.
+# registry-dispatch, the null-calibration and the checkpoint-cadence
+# benchmarks (fast path, Newton baseline, CUT output, trial templates,
+# fault table, batched vs scalar capture, streaming reduction, spec
+# dispatch, the null calibration's max reduction, span reduction
+# with/without a checkpoint sink, zone-LUT certification and batch
+# classification on random and curve points) — proves the hot paths
+# still execute end to end.
 bench-smoke:
-	$(GO) test -bench='TransientTowThomas|SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|AveragedNDF|BankClassify|ZoneLUTBuild|RegistryDispatch|CampaignReduce1M|QuantileSketchPush|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
+	$(GO) test -bench='TransientTowThomas|SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|AveragedNDF|BankClassify|ZoneLUTBuild|RegistryDispatch|CampaignReduce1M|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
 
 # The repository benchmark's own checks (cmd/mcbench is a nested module,
 # so `go test ./...` at the root does not reach it): every workload's
@@ -90,16 +90,15 @@ bench-verify:
 	cd cmd/mcbench && $(GO) test -short ./...
 
 # Short-budget fuzz pass over the trial-template mutation engine, the
-# signature binary decoder, the quantile-sketch codec, the fabric
-# job-log replay, the shard accumulator codecs, the campaign spec
-# ingress and the HTTP handlers of both APIs (seed corpora are checked
-# in under testdata/fuzz). Each target gets 10s — enough to exercise the
-# mutator on every seed class without blowing the CI budget. `go test
-# -fuzz` accepts one target per invocation, hence the per-target runs.
+# signature binary decoder, the fabric job-log replay, the shard
+# accumulator codecs, the campaign spec ingress and the HTTP handlers of
+# both APIs (seed corpora are checked in under testdata/fuzz). Each
+# target gets 10s — enough to exercise the mutator on every seed class
+# without blowing the CI budget. `go test -fuzz` accepts one target per
+# invocation, hence the per-target runs.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzTemplateMutation$$' -fuzztime=10s ./internal/spice
 	$(GO) test -run=^$$ -fuzz='^FuzzUnmarshalBinary$$' -fuzztime=10s ./internal/signature
-	$(GO) test -run=^$$ -fuzz='^FuzzQuantileSketchUnmarshal$$' -fuzztime=10s ./internal/stat
 	$(GO) test -run=^$$ -fuzz='^FuzzJobLogReplay$$' -fuzztime=10s ./internal/fabric
 	$(GO) test -run=^$$ -fuzz='^FuzzShardBlobUnmarshal$$' -fuzztime=10s ./internal/testbench
 	$(GO) test -run=^$$ -fuzz='^FuzzSpecDecode$$' -fuzztime=10s ./internal/testbench

@@ -218,7 +218,7 @@ func BenchmarkExtensionQVerification(b *testing.B) {
 // EXT-FAULTS: component-level fault campaign on the Tow-Thomas design.
 func BenchmarkExtensionFaultCampaign(b *testing.B) {
 	sys := core.Default()
-	dec, err := sys.CalibrateFromTolerance(0.05, 9)
+	dec, err := sys.CalibrateFromToleranceCtx(context.Background(), 0.05, 9, campaign.Engine{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -630,7 +630,7 @@ func BenchmarkFaultTableSpice(b *testing.B) {
 // EXT-BIST: stuck-at monitor faults detected by the golden comparison.
 func BenchmarkExtensionSelfTest(b *testing.B) {
 	sys := core.Default()
-	dec, err := sys.CalibrateFromTolerance(0.05, 9)
+	dec, err := sys.CalibrateFromToleranceCtx(context.Background(), 0.05, 9, campaign.Engine{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -697,7 +697,29 @@ func BenchmarkCampaignReduce1M(b *testing.B) {
 	b.ReportMetric(sum, "sum")
 }
 
-// ENGINE-CKPT: the durable fabric's checkpoint tax on the streaming
+// NOISE-CALIB-1M: the null calibration at a million synthetic trials —
+// one max-reduction over the streaming engine. The allocation column is
+// the O(workers + chunk) story: the accumulator is one float64 per
+// chunk, so total allocation stays flat however many trials the spec
+// names, pinned by testbench.TestNoiseCalibrationFlatMemory.
+func BenchmarkNoiseNullCalibration(b *testing.B) {
+	ctx := context.Background()
+	trial := func(i int, _ *core.TrialScratch) (float64, error) {
+		return 0.01 + float64(i%9973)*1.3e-5, nil
+	}
+	b.ReportAllocs()
+	var thr float64
+	for i := 0; i < b.N; i++ {
+		dec, err := testbench.CalibrateNullThreshold(ctx, campaign.Engine{Workers: 4, Seed: 2}, 1_000_000, 0, trial)
+		if err != nil {
+			b.Fatal(err)
+		}
+		thr = dec.Threshold
+	}
+	b.ReportMetric(thr, "threshold")
+}
+
+// ENGINE-CKPT:the durable fabric's checkpoint tax on the streaming
 // reduction — a million trivial trials through campaign.ReduceSpanScratch with
 // no sink, with the default cadence (one serialized accumulator every
 // 65536 trials, the fabric's job-log append), and with an aggressively

@@ -13,7 +13,8 @@ import (
 // batched SignatureCapture and AveragedNDF paths must be at least 5×
 // faster than the retained scalar baseline on the Tow-Thomas default
 // system. Measured headroom is ~10×, so the pin tolerates machine noise;
-// it still takes the best of three rounds to stay robust on loaded CI.
+// it decides on the median over interleaved pairs (pairedRatio) to stay
+// robust on loaded CI.
 // The companion bit-identity tests (core.TestBatched*, testbench
 // Test*ScalarVsBatched) guarantee the speed never costs a single bit.
 func TestBatchedEnginePinnedSpeedup(t *testing.T) {
@@ -41,37 +42,15 @@ func TestBatchedEnginePinnedSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The measured ops report errors through opErr rather than t.Fatal:
-	// testing.Benchmark runs its closure on a separate goroutine, where
-	// t.Fatal must not be called.
-	var opErr error
-	speedup := func(name string, batchedOp, scalarOp func() error) {
-		best := 0.0
-		for round := 0; round < 3 && best < 5; round++ {
-			rb := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N && opErr == nil; i++ {
-					opErr = batchedOp()
-				}
-			})
-			rs := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N && opErr == nil; i++ {
-					opErr = scalarOp()
-				}
-			})
-			if opErr != nil {
-				t.Fatalf("%s: %v", name, opErr)
-			}
-			if ratio := float64(rs.NsPerOp()) / float64(rb.NsPerOp()); ratio > best {
-				best = ratio
-			}
-		}
-		t.Logf("%s: batched is %.1fx the scalar baseline", name, best)
-		if best < 5 {
-			t.Fatalf("%s: batched engine only %.2fx the scalar baseline, pinned at >= 5x", name, best)
+	speedup := func(name string, iters int, batchedOp, scalarOp func() error) {
+		ratio := pairedRatio(t, iters, scalarOp, batchedOp)
+		t.Logf("%s: batched is %.1fx the scalar baseline", name, ratio)
+		if ratio < 5 {
+			t.Fatalf("%s: batched engine only %.2fx the scalar baseline, pinned at >= 5x", name, ratio)
 		}
 	}
 
-	speedup("SignatureCapture",
+	speedup("SignatureCapture", 20,
 		func() error {
 			_, err := batched.CapturedSignature(cb, 0, nil)
 			return err
@@ -82,7 +61,7 @@ func TestBatchedEnginePinnedSpeedup(t *testing.T) {
 		})
 
 	srcB, srcS := rng.New(9), rng.New(9)
-	speedup("AveragedNDF",
+	speedup("AveragedNDF", 5,
 		func() error {
 			_, err := batched.AveragedNDFScratch(cb, 0.005, srcB.Split(0), 4, scB)
 			return err

@@ -6,9 +6,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/ndf"
 )
@@ -18,10 +20,11 @@ func main() {
 	// Biquad, observed by the six Table I monitors, captured with a
 	// 10 MHz clock and 16-bit dwell counter.
 	sys := core.Default()
+	ctx := context.Background()
 
 	// Calibrate the acceptance threshold so that CUTs within ±5% of the
 	// nominal f0 pass (the Fig. 8 PASS band construction).
-	decision, err := sys.CalibrateFromTolerance(0.05, 9)
+	decision, err := sys.CalibrateFromToleranceCtx(ctx, 0.05, 9, campaign.Engine{})
 	if err != nil {
 		log.Fatal(err)
 	}

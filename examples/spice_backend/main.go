@@ -10,14 +10,17 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/biquad"
+	"repro/internal/campaign"
 	"repro/internal/core"
 )
 
 func main() {
+	ctx := context.Background()
 	analytic := core.Default()
 	spiced, err := core.DefaultSpice()
 	if err != nil {
@@ -26,7 +29,7 @@ func main() {
 
 	for _, sys := range []*core.System{analytic, spiced} {
 		fmt.Printf("backend: %s\n", sys.CUT.Describe())
-		dec, err := sys.CalibrateFromTolerance(0.05, 9)
+		dec, err := sys.CalibrateFromToleranceCtx(ctx, 0.05, 9, campaign.Engine{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -41,11 +41,13 @@ type Engine struct {
 	// never affects its result, so the cadence — unlike Chunk — is not
 	// part of the reproducibility contract.
 	Checkpoint int
-	// Meter, when non-nil, observes the streaming reduction engine:
-	// pool size at ReduceStart, chunk fold start/completion events (see
-	// Meter). Like Progress it is called concurrently, must not block,
-	// and observes a run without affecting its results. Collect ignores
-	// it — per-trial observation there is Progress.
+	// Meter, when non-nil, observes the engine: pool size at
+	// ReduceStart, chunk fold start/completion events (see Meter) — per
+	// trial under Collect, whose chunks are single trials. ChunkDone
+	// carries the exact folded count on every exit path, so summing it
+	// counts every trial the run executed. Like Progress it is called
+	// concurrently, must not block, and observes a run without affecting
+	// its results.
 	Meter Meter
 }
 
@@ -83,8 +85,9 @@ func (e Engine) poolSize(n int) int {
 // reduction with an ordered-append reducer merging into a buffer sized
 // up front. Ordered append is exactly associative, so Collect ignores
 // Engine.Chunk and runs one trial per chunk: per-trial load balancing,
-// progress and cancellation latency. It also ignores Engine.Meter, which
-// stays a chunk-granular view of the streaming reductions.
+// progress and cancellation latency. Engine.Meter sees those
+// single-trial chunks like any other, so a metered observer counts
+// Collect's trials too.
 //
 // newScratch runs once per worker, as in ReduceScratch; scratch must not
 // affect results. Errors and cancellation behave as in Reduce. n <= 0
@@ -93,7 +96,7 @@ func Collect[T, S any](ctx context.Context, e Engine, n int, newScratch func() S
 	if n <= 0 {
 		return nil, nil
 	}
-	e.Chunk, e.Meter = 1, nil
+	e.Chunk = 1
 	out := make([]T, 0, n)
 	return ReduceSpanScratch(ctx, e, Span{Lo: 0, Hi: n}, &out, nil, Reducer[T, []T]{
 		Fold:  func(acc []T, _ int, v T) []T { return append(acc, v) },

@@ -48,8 +48,8 @@
 //
 // # Observation
 //
-// Engine.Progress (per chunk; per trial under Collect) and
-// Engine.Meter (pool size, chunk fold start/done events) expose a run
+// Engine.Progress and Engine.Meter (pool size, chunk fold start/done
+// events) — per chunk, so per trial under Collect — expose a run
 // to dashboards and the metrics layer. Both are strictly observers:
 // they carry no clock into the engine and can never affect results, so
 // an instrumented run is bit-identical to a bare one.

@@ -13,8 +13,8 @@ package campaign
 // by TestMeterDoesNotAffectResults).
 type Meter interface {
 	// ReduceStart opens a reduction: the effective worker-pool size and
-	// the span's trial count. Called once per Reduce/ReduceSpanScratch
-	// run, before any chunk starts.
+	// the span's trial count. Called once per run of any entry point
+	// (Collect included), before any chunk starts.
 	ReduceStart(workers, trials int)
 	// ChunkStart marks a worker beginning to fold chunk (a global,
 	// trial-0-aligned chunk index). The interval to the matching
@@ -22,7 +22,8 @@ type Meter interface {
 	// unfinished chunks is the engine's live worker saturation.
 	ChunkStart(chunk int)
 	// ChunkDone marks chunk's fold completing (successfully or at the
-	// trial that failed/cancelled) with the number of trials folded.
+	// trial that failed/cancelled) with the number of trials folded —
+	// summed over a run, the exact count of trials it executed.
 	ChunkDone(chunk, trials int)
 }
 

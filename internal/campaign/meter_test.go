@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -94,6 +95,36 @@ func TestMeterObservesReduce(t *testing.T) {
 	}
 }
 
+// TestMeterObservesCollect checks Collect forwards the meter: its
+// single-trial chunks each open and close once, so the folded count is
+// the trial count, and the collected results match a bare run.
+func TestMeterObservesCollect(t *testing.T) {
+	const n = 300
+	ctx := context.Background()
+	trial := func(i int, _ struct{}) (float64, error) { return meterTrial(i) }
+	scratch := func() struct{} { return struct{}{} }
+	ref, err := Collect(ctx, Engine{Workers: 1}, n, scratch, trial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newRecordingMeter()
+	got, err := Collect(ctx, Engine{Workers: 4, Meter: m}, n, scratch, trial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref {
+		if got[i] != ref[i] {
+			t.Fatalf("metered Collect trial %d: %v, bare run %v", i, got[i], ref[i])
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.startSeen || m.trials != n || len(m.starts) != n || len(m.dones) != n || m.folded != n || m.open != 0 {
+		t.Fatalf("meter saw trials=%d, %d starts, %d dones, %d folded, %d open; want %d single-trial chunks all closed",
+			m.trials, len(m.starts), len(m.dones), m.folded, m.open, n)
+	}
+}
+
 // TestMeterDoesNotAffectResults pins the observation contract: an
 // order-sensitive reduction lands on identical bits with and without a
 // meter, at 1, 4 and 8 workers.
@@ -121,10 +152,9 @@ func TestMeterClosesOnCancel(t *testing.T) {
 	const n, chunk = 100000, 32
 	m := newRecordingMeter()
 	ctx, cancel := context.WithCancel(context.Background())
-	count := 0
+	var count atomic.Int64 // trials run on four workers at once
 	_, err := Reduce(ctx, Engine{Workers: 4, Chunk: chunk, Meter: m}, n, meterReducer, func(i int) (float64, error) {
-		count++
-		if count > 500 {
+		if count.Add(1) > 500 {
 			cancel()
 		}
 		return meterTrial(i)

@@ -508,15 +508,6 @@ func (s *System) NDFOfShift(shift float64) (float64, error) {
 	return s.NDFOfDeviation(Deviation{F0Shift: shift})
 }
 
-// legacyCtx is the single audited root context behind the ctx-less
-// legacy wrapper CalibrateFromTolerance: it runs to completion by
-// design. New code accepts a caller context and uses the Ctx variants —
-// mclint's ctxflow analyzer flags any other Background context in the
-// library.
-func legacyCtx() context.Context {
-	return context.Background() //mclint:ctxflow single audited root for the ctx-less CalibrateFromTolerance; new code accepts a caller ctx
-}
-
 // SweepF0Ctx evaluates NDFOfShift over a deviation grid (the Fig. 8
 // sweep) under an explicit context and campaign engine (worker bound,
 // progress); the output order matches shifts. Cancelling ctx aborts the
@@ -654,16 +645,10 @@ func (s *System) Test(c CUT, dec ndf.Decision, sigma float64, noise *rng.Stream)
 	return TestResult{NDF: v, Pass: dec.Pass(v)}, nil
 }
 
-// CalibrateFromTolerance sweeps the deviation grid and places the
+// CalibrateFromToleranceCtx sweeps the deviation grid and places the
 // acceptance threshold at the NDF of the tolerance edges — the Fig. 8
-// PASS/FAIL band construction.
-func (s *System) CalibrateFromTolerance(tol float64, gridPoints int) (ndf.Decision, error) {
-	return s.CalibrateFromToleranceCtx(legacyCtx(), tol, gridPoints, campaign.Engine{})
-}
-
-// CalibrateFromToleranceCtx is CalibrateFromTolerance under an explicit
-// context and campaign engine; the calibration sweep is cancellable and
-// bit-identical at any worker count.
+// PASS/FAIL band construction. The sweep runs on eng under ctx: it is
+// cancellable and bit-identical at any worker count.
 func (s *System) CalibrateFromToleranceCtx(ctx context.Context, tol float64, gridPoints int, eng campaign.Engine) (ndf.Decision, error) {
 	if gridPoints < 3 {
 		gridPoints = 9

@@ -181,7 +181,7 @@ func TestNoiseRaisesFloorButKeepsOrder(t *testing.T) {
 
 func TestCalibrateAndTest(t *testing.T) {
 	s := Default()
-	dec, err := s.CalibrateFromTolerance(0.05, 9)
+	dec, err := s.CalibrateFromToleranceCtx(context.Background(), 0.05, 9, campaign.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"repro/internal/signature"
-	"repro/internal/stat"
 )
 
 // ErrPeriodMismatch is returned when the two signatures do not share a
@@ -160,61 +159,6 @@ func CalibrateThreshold(devs, ndfs []float64, tol float64) (Decision, error) {
 		if d >= -tol && d <= tol && ndfs[i] > thr {
 			thr = ndfs[i]
 		}
-	}
-	return Decision{Threshold: thr}, nil
-}
-
-// ThresholdFromNull sets the acceptance threshold at the given quantile
-// of the null (fault-free, noise-only) NDF distribution — the standard
-// way to fix the false-alarm rate before asking which deviation becomes
-// detectable (the paper's 1%-at-3σ=0.015V claim). A NaN or infinite
-// null value is rejected with a descriptive error: it would otherwise
-// silently poison the sorted quantile (NaN sorts unpredictably) and
-// calibrate a meaningless threshold.
-func ThresholdFromNull(nullNDFs []float64, quantile float64) (Decision, error) {
-	if len(nullNDFs) == 0 {
-		return Decision{}, fmt.Errorf("ndf: empty null sample")
-	}
-	if quantile <= 0 || quantile > 1 {
-		return Decision{}, fmt.Errorf("ndf: quantile %g out of (0,1]", quantile)
-	}
-	for i, v := range nullNDFs {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return Decision{}, fmt.Errorf("ndf: null sample %d of %d is %v, not a finite NDF", i, len(nullNDFs), v)
-		}
-	}
-	sorted := append([]float64(nil), nullNDFs...)
-	sort.Float64s(sorted)
-	pos := quantile * float64(len(sorted)-1)
-	i := int(pos)
-	if i >= len(sorted)-1 {
-		return Decision{Threshold: sorted[len(sorted)-1]}, nil
-	}
-	f := pos - float64(i)
-	return Decision{Threshold: sorted[i]*(1-f) + sorted[i+1]*f}, nil
-}
-
-// ThresholdFromSketch is ThresholdFromNull for a null distribution held
-// as a streaming quantile sketch instead of a materialized sample — the
-// form million-trial calibrations arrive in (per-worker sketches merged
-// by campaign.Reduce). The threshold carries the sketch's relative
-// error bound, except at quantile 1 where the sketch tracks the exact
-// maximum and the decision is bit-identical to the materializing path.
-// A sketch that absorbed NaN/Inf observations is rejected, matching
-// ThresholdFromNull's validation.
-func ThresholdFromSketch(s *stat.QuantileSketch, quantile float64) (Decision, error) {
-	if s == nil || s.N() == 0 {
-		return Decision{}, fmt.Errorf("ndf: empty null sample")
-	}
-	if quantile <= 0 || quantile > 1 {
-		return Decision{}, fmt.Errorf("ndf: quantile %g out of (0,1]", quantile)
-	}
-	if inv := s.Invalid(); inv > 0 {
-		return Decision{}, fmt.Errorf("ndf: %d of %d null samples are non-finite NDFs", inv, s.N())
-	}
-	thr, err := s.Quantile(quantile)
-	if err != nil {
-		return Decision{}, fmt.Errorf("ndf: null sketch quantile: %w", err)
 	}
 	return Decision{Threshold: thr}, nil
 }

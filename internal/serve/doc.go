@@ -37,11 +37,11 @@
 // families) and instruments its own routes; Handler serves the registry
 // at GET /metrics, and co-resident subsystems — the fabric coordinator
 // inside mcserved — register into the same registry via Metrics().
-// Campaign-level instruments attach through the engine's observer hooks
-// (testbench.WithProgress, testbench.WithMeter): the engine reports
-// events and counts, the adapters here timestamp them, so the campaign
-// packages stay clock-free and instrumented runs remain bit-identical
-// to bare ones. AccessLog adds structured per-request logging (key=value
+// Campaign-level instruments attach through the engine's observer hook
+// (testbench.WithMeter): the engine reports events and counts, the
+// adapters here timestamp them, so the campaign packages stay
+// clock-free and instrumented runs remain bit-identical to bare ones.
+// AccessLog adds structured per-request logging (key=value
 // or JSON lines) outside the handler chain.
 //
 // Middleware wrapping Handler must preserve http.Flusher on the

@@ -71,9 +71,9 @@ func TestHTTPBackendResponseLimit(t *testing.T) {
 }
 
 // Over-bound size knobs are refused at the door: a fig6 grid whose zone
-// map would need 40 GB, a billion-point sweep, a 10^5-worker pool and a
-// 10^6-shard fabric plan each answer 400, and none of them creates a
-// job.
+// map would need 40 GB, a billion-point sweep, a 10^5-worker pool, a
+// 10^6-shard fabric plan and the retired sketch_prec knob out of its
+// 0..12 bound each answer 400, and none of them creates a job.
 func TestSubmitRejectsOverBoundSizes(t *testing.T) {
 	s, api := newTestServer(t)
 	for _, body := range []string{
@@ -81,6 +81,7 @@ func TestSubmitRejectsOverBoundSizes(t *testing.T) {
 		`{"campaign":"fig8","params":{"points":2000000000}}`,
 		`{"campaign":"fig4mc","params":{"dies":1000000,"cols":4096}}`,
 		`{"campaign":"yield","workers":100000,"chunk":1,"params":{"n":200000}}`,
+		`{"campaign":"noise","params":{"sketch_prec":99}}`,
 	} {
 		resp, _ := postSpec(t, api.URL, body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -96,6 +97,7 @@ func TestSubmitRejectsOverBoundSizes(t *testing.T) {
 		`{"id":"wide","spec":{"campaign":"yield","params":{"n":1000000}},"shards":1000000}`,
 		`{"id":"grid","spec":{"campaign":"fig6","params":{"grid":100000}},"shards":1}`,
 		`{"id":"pool","spec":{"campaign":"yield","workers":100000,"chunk":1,"params":{"n":200000}},"shards":1}`,
+		`{"id":"prec","spec":{"campaign":"noisesweep","params":{"sketch_prec":99}},"shards":1}`,
 	} {
 		resp, err := http.Post(fab.URL+"/v1/fabric/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

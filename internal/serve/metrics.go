@@ -59,16 +59,16 @@ func newServerMetrics(reg *metrics.Registry, coord *fabric.Coordinator) *serverM
 	return m
 }
 
-// jobMeter adapts one job's campaign.Meter events and progress ticks
-// into metrics. The campaign engine is clock-free by contract, so the
-// timing lives here: ChunkStart timestamps the chunk and ChunkDone turns
-// the pair into a latency observation. Meters of concurrent jobs share
-// the same instrument set.
+// jobMeter adapts one job's campaign.Meter events into metrics. The
+// campaign engine is clock-free by contract, so the timing lives here:
+// ChunkStart timestamps the chunk and ChunkDone turns the pair into a
+// latency observation. ChunkDone's count is the engine's exact folded
+// trial count on every exit path, so it feeds the trial counter too.
+// Meters of concurrent jobs share the same instrument set.
 type jobMeter struct {
-	m    *serverMetrics
-	mu   sync.Mutex
-	at   map[int]time.Time // chunk index -> fold start
-	seen int               // the last progress count fed to the trial counter
+	m  *serverMetrics
+	mu sync.Mutex
+	at map[int]time.Time // chunk index -> fold start
 }
 
 func newJobMeter(m *serverMetrics) *jobMeter {
@@ -93,25 +93,9 @@ func (jm *jobMeter) ChunkDone(chunk, trials int) {
 	delete(jm.at, chunk)
 	jm.mu.Unlock()
 	jm.m.workersBusy.Add(-1)
+	jm.m.trials.Add(uint64(trials))
 	if ok {
 		jm.m.chunkSecs.Observe(time.Since(start).Seconds())
-	}
-}
-
-// progress feeds the cumulative trial counter from the job's progress
-// ticks. A tick reports the completion count of the current fan-out
-// phase; a drop means a new phase began, so the fresh count is the
-// delta.
-func (jm *jobMeter) progress(done, _ int) {
-	jm.mu.Lock()
-	delta := done - jm.seen
-	if done < jm.seen {
-		delta = done
-	}
-	jm.seen = done
-	jm.mu.Unlock()
-	if delta > 0 {
-		jm.m.trials.Add(uint64(delta))
 	}
 }
 

@@ -131,6 +131,33 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 }
 
+// The trial counter advances by exactly each job's trial count, summed
+// over its phases. A noise job's phases need not shrink from one to the
+// next (here 20 null trials, then five phases of 10); fig8 runs on
+// campaign.Collect, one trial per chunk; and a faults job without a
+// threshold runs a 9-point Collect sweep before its streamed faults.
+func TestTrialCounterCountsEveryPhase(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, tc := range []struct {
+		body   string
+		trials float64
+	}{
+		{`{"campaign":"noise","seed":5,"workers":1,"params":{"sigma":0.005,"devs":[0.005,0.01,0.02,0.05],"null_trials":20,"trials":10}}`, 20 + (1+4)*10},
+		{`{"campaign":"fig8","workers":2,"params":{"points":9}}`, 9},
+		{`{"campaign":"faults","workers":2,"params":{"tol":0.05}}`, float64(9 + len(testbench.DefaultFaultSet()))},
+	} {
+		before := total(t, snapshot(t, ts.URL), "mccampaign_trials_total")
+		resp, st := postSpec(t, ts.URL, tc.body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST %s: %s", tc.body, resp.Status)
+		}
+		waitState(t, ts.URL, st.ID, 30*time.Second, StateDone)
+		if d := total(t, snapshot(t, ts.URL), "mccampaign_trials_total") - before; d != tc.trials {
+			t.Fatalf("%s: trial counter moved by %v, job ran %v trials", tc.body, d, tc.trials)
+		}
+	}
+}
+
 // Scrape determinism through the serve stack: a quiescent registry
 // renders byte-identically, and over HTTP — where each scrape ticks its
 // own request counter afterwards — consecutive scrapes expose the same

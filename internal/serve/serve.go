@@ -82,8 +82,7 @@ func New(ctx context.Context) *Server {
 // campaign instruments compiled in, one meter per job. It only resolves
 // the spec; the worker that runs the form builds its system.
 func (s *Server) compile(ctx context.Context, spec testbench.Spec) (*testbench.ShardRun, error) {
-	m := newJobMeter(s.metrics)
-	return testbench.Sharder(ctx, spec, testbench.WithProgress(m.progress), testbench.WithMeter(m))
+	return testbench.Sharder(ctx, spec, testbench.WithMeter(newJobMeter(s.metrics)))
 }
 
 // Metrics returns the server's metric registry — the one GET /metrics

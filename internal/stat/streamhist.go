@@ -8,8 +8,8 @@ import (
 
 // StreamingHistogram is a mergeable, single-pass fixed-range equal-bin
 // histogram whose entire state is
-// integer counts, so Merge is exact, associative and commutative — the
-// same discipline as QuantileSketch, and what lets per-chunk (or
+// integer counts, so Merge is exact, associative and commutative, which
+// is what lets per-chunk (or
 // per-shard) histograms merged in stable index order reproduce the
 // single-stream histogram bit for bit at any worker count. Samples in
 // [Lo, Hi) land in int(bins*(x-Lo)/(Hi-Lo)) (clamped to the last bin),
@@ -87,7 +87,7 @@ func (h *StreamingHistogram) Merge(other *StreamingHistogram) {
 // result is within half a bin width of the exact quantile when no
 // samples fell outside the range. Out-of-range order statistics clamp
 // to the range edges; NaN samples make the quantile meaningless and
-// return ErrInvalidSample.
+// return an error.
 func (h *StreamingHistogram) Quantile(q float64) (float64, error) {
 	if q < 0 || q > 1 {
 		return 0, fmt.Errorf("stat: quantile %g out of [0,1]", q)
@@ -96,7 +96,7 @@ func (h *StreamingHistogram) Quantile(q float64) (float64, error) {
 		return 0, ErrEmpty
 	}
 	if h.invalid > 0 {
-		return 0, fmt.Errorf("%w: %d of %d", ErrInvalidSample, h.invalid, h.n)
+		return 0, fmt.Errorf("stat: histogram holds %d NaN samples of %d", h.invalid, h.n)
 	}
 	n := h.n
 	if n == 1 {

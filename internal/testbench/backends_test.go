@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/biquad"
+	"repro/internal/campaign"
 	"repro/internal/core"
 )
 
@@ -51,7 +52,7 @@ func TestFaultTableOnSpiceBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := sys.CalibrateFromTolerance(0.05, 9)
+	dec, err := sys.CalibrateFromToleranceCtx(context.Background(), 0.05, 9, campaign.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}

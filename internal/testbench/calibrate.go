@@ -3,65 +3,54 @@ package testbench
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/ndf"
-	"repro/internal/stat"
 )
 
-// ExactNullCutoff is the null-trial count up to which calibration
-// materializes the sample and takes the exact quantile. Small
-// calibrations (every published experiment uses tens of trials) stay
-// bit-for-bit on the historical path; above the cutoff the sample
-// would dominate the campaign's heap, so calibration streams through
-// per-chunk quantile sketches instead. The noise thresholds sit at
-// quantile 1.0, where the sketch tracks the exact maximum — so the
-// calibrated decision is bit-identical across the cutoff too, and the
-// cutoff is purely a memory/allocation trade.
+// ExactNullCutoff was the null-trial count above which calibration
+// switched from a materialized sample to streamed quantile sketches.
+// Calibration has one path now, so nothing in this module reads it; it
+// stays only because cmd/mcbench sizes its noise-analytic workload from
+// it (4100 null trials).
 const ExactNullCutoff = 4096
 
-// CalibrateNullThreshold fixes the max-quantile acceptance threshold
-// from nullTrials noisy golden measurements, streaming the trials
-// across the campaign pool. Below ExactNullCutoff it materializes the
-// sample and calls ndf.ThresholdFromNull; above, it folds per-chunk
-// quantile sketches (precision sketchPrec, 0 = stat's default) through
-// campaign.Reduce — pooled, so live heap and total allocation are
-// O(workers + chunk + sketch) however many trials run — and derives
-// the threshold via ndf.ThresholdFromSketch. Both paths reject
-// non-finite null NDFs with a descriptive error, and both are
-// bit-identical at any worker count: the exact path by the engine's
-// fold/merge ordering, the sketch path because integer-count merges
-// are exactly associative.
-func CalibrateNullThreshold(ctx context.Context, eng campaign.Engine, nullTrials, sketchPrec int, trial func(i int, sc *core.TrialScratch) (float64, error)) (ndf.Decision, error) {
-	if nullTrials <= ExactNullCutoff {
-		nulls, err := campaign.Collect(ctx, eng, nullTrials, core.NewTrialScratch, trial)
-		if err != nil {
-			return ndf.Decision{}, err
+// CalibrateNullThreshold fixes the acceptance threshold at the largest
+// of nullTrials noisy golden measurements (quantile 1 of the null NDF
+// distribution), folding the trials through one campaign.ReduceScratch
+// at the engine's chunk size: O(workers + chunk) memory at any trial
+// count. A maximum over finite values is exactly associative and
+// commutative, so the threshold is bit-identical at any worker count
+// and chunk size, and equal to the largest element of the sorted
+// sample: ndf.NDF integrates from +0 over non-negative terms, so no
+// null NDF is -0 and signed zeros never tie.
+//
+// A NaN or infinite null NDF fails the calibration with an error naming
+// the lowest-index non-finite trial — the engine's lowest-index error
+// contract, so the error is the same at any worker count.
+//
+// The fourth parameter is ignored. It was the precision of the retired
+// quantile sketch and stays only because cmd/mcbench passes it.
+func CalibrateNullThreshold(ctx context.Context, eng campaign.Engine, nullTrials, _ int, trial func(i int, sc *core.TrialScratch) (float64, error)) (ndf.Decision, error) {
+	if nullTrials < 1 {
+		return ndf.Decision{}, fmt.Errorf("testbench: null calibration needs at least 1 trial, got %d", nullTrials)
+	}
+	finite := func(i int, sc *core.TrialScratch) (float64, error) {
+		v, err := trial(i, sc)
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			err = fmt.Errorf("testbench: null trial %d of %d is %v, not a finite NDF", i, nullTrials, v)
 		}
-		return ndf.ThresholdFromNull(nulls, 1.0)
+		return v, err
 	}
-	if sketchPrec == 0 {
-		sketchPrec = stat.DefaultSketchPrecision
-	}
-	if sketchPrec < stat.MinSketchPrecision || sketchPrec > stat.MaxSketchPrecision {
-		return ndf.Decision{}, fmt.Errorf("testbench: sketch precision %d out of [%d, %d]",
-			sketchPrec, stat.MinSketchPrecision, stat.MaxSketchPrecision)
-	}
-	red := campaign.PooledReducer(campaign.Reducer[float64, *stat.QuantileSketch]{
-		New: func() *stat.QuantileSketch { return stat.NewQuantileSketch(sketchPrec) },
-		Fold: func(acc *stat.QuantileSketch, _ int, v float64) *stat.QuantileSketch {
-			acc.Push(v)
-			return acc
-		},
-		Merge: func(into, next *stat.QuantileSketch) *stat.QuantileSketch {
-			into.Merge(next)
-			return into
-		},
-	}, func(s *stat.QuantileSketch) { s.Reset() })
-	sk, err := campaign.ReduceScratch(ctx, eng, nullTrials, red, core.NewTrialScratch, trial)
+	thr, err := campaign.ReduceScratch(ctx, eng, nullTrials, campaign.Reducer[float64, float64]{
+		New:   func() float64 { return math.Inf(-1) },
+		Fold:  func(acc float64, _ int, v float64) float64 { return max(acc, v) },
+		Merge: func(into, next float64) float64 { return max(into, next) },
+	}, core.NewTrialScratch, finite)
 	if err != nil {
 		return ndf.Decision{}, err
 	}
-	return ndf.ThresholdFromSketch(sk, 1.0)
+	return ndf.Decision{Threshold: thr}, nil
 }

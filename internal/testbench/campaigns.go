@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/ndf"
-	"repro/internal/stat"
 )
 
 // This file is the campaign registry's catalogue: every experiment driver
@@ -99,10 +98,10 @@ type Fig8Params struct {
 // Validate bounds the sweep length.
 func (p *Fig8Params) Validate() error { return validateSize("points", p.Points, MaxSamples) }
 
-// NoiseParams configures the "noise" campaign. SketchPrec is the
-// quantile-sketch precision used when NullTrials exceeds
-// testbench.ExactNullCutoff and the null calibration streams (0 picks
-// stat.DefaultSketchPrecision); below the cutoff it is unused.
+// NoiseParams configures the "noise" campaign. SketchPrec is a retired
+// knob: it set the precision of a quantile sketch the null calibration
+// no longer uses. It still decodes and is still bounded (0, or 1..12),
+// so old specs and job logs run unchanged, but it has no effect.
 type NoiseParams struct {
 	Sigma      float64   `json:"sigma"`
 	Devs       []float64 `json:"devs"`
@@ -126,7 +125,7 @@ func (p *NoiseParams) Validate() error {
 }
 
 // NoiseSweepParams configures the "noisesweep" campaign. SketchPrec is
-// as in NoiseParams, applied to each per-sigma null calibration.
+// the same retired no-op as in NoiseParams.
 type NoiseSweepParams struct {
 	Sigmas     []float64 `json:"sigmas"`
 	DevGrid    []float64 `json:"dev_grid"`
@@ -142,12 +141,12 @@ func (p *NoiseSweepParams) Validate() error {
 	return validateSketchPrec(p.SketchPrec)
 }
 
-// validateSketchPrec is the shared sketch-precision bound: 0 (use the
-// default) or a valid stat.NewQuantileSketch precision.
+// validateSketchPrec keeps the retired sketch_prec knob's bound, so a
+// spec the sketch would have rejected is still rejected with the same
+// message.
 func validateSketchPrec(prec int) error {
-	if prec != 0 && (prec < stat.MinSketchPrecision || prec > stat.MaxSketchPrecision) {
-		return fmt.Errorf("sketch_prec = %d, want 0 (default) or %d..%d",
-			prec, stat.MinSketchPrecision, stat.MaxSketchPrecision)
+	if prec < 0 || prec > 12 {
+		return fmt.Errorf("sketch_prec = %d, want 0 (default) or 1..12", prec)
 	}
 	return nil
 }
@@ -379,7 +378,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return runNoiseDetection(ctx, sys, p.Sigma, p.Devs, p.NullTrials, p.Trials, p.SketchPrec, ev.Seed(), ev.Engine())
+			return runNoiseDetection(ctx, sys, p.Sigma, p.Devs, p.NullTrials, p.Trials, ev.Seed(), ev.Engine())
 		})
 
 	register("noisesweep", "minimum detectable deviation as a function of noise sigma",
@@ -389,7 +388,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return runNoiseSweep(ctx, sys, p.Sigmas, p.DevGrid, p.Trials, p.SketchPrec, ev.Seed(), ev.Engine())
+			return runNoiseSweep(ctx, sys, p.Sigmas, p.DevGrid, p.Trials, ev.Seed(), ev.Engine())
 		})
 
 	registerReduction("faults", "component-level fault campaign (parametric drifts, opens, shorts)",

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/biquad"
+	"repro/internal/campaign"
 	"repro/internal/core"
 )
 
@@ -88,7 +89,7 @@ func TestDefaultFaultSet(t *testing.T) {
 
 func TestFaultTableCampaign(t *testing.T) {
 	s := sys()
-	dec, err := s.CalibrateFromTolerance(0.05, 9)
+	dec, err := s.CalibrateFromToleranceCtx(context.Background(), 0.05, 9, campaign.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,14 +42,11 @@ type Noise struct {
 // the paper's 1% claim reachable. Every trial derives its private noise
 // stream inside the worker as a pure function of (seed, phase base +
 // trial index) via Engine.Stream — no serial stream pre-pass. Every
-// phase streams
-// through the reduction engine with O(workers + chunk) memory: the
-// rate-estimation phases as pure counts, the null calibration via
-// CalibrateNullThreshold (exact below ExactNullCutoff, pooled quantile
-// sketches above — bit-identical either way because the threshold is
-// the null maximum, which the sketch tracks exactly). Million-trial
-// specs therefore run flat-heap end to end.
-func runNoiseDetection(ctx context.Context, sys *core.System, sigma float64, devs []float64, nullTrials, trials, sketchPrec int, seed uint64, eng campaign.Engine) (*Noise, error) {
+// phase streams through the reduction engine with O(workers + chunk)
+// memory: the rate-estimation phases as pure counts, the null
+// calibration as a running maximum (CalibrateNullThreshold).
+// Million-trial specs therefore run flat-heap end to end.
+func runNoiseDetection(ctx context.Context, sys *core.System, sigma float64, devs []float64, nullTrials, trials int, seed uint64, eng campaign.Engine) (*Noise, error) {
 	const periods = 5
 	eng.Seed = seed
 	// trialAt builds the per-trial measurement for one deviation: the
@@ -69,7 +66,7 @@ func runNoiseDetection(ctx context.Context, sys *core.System, sigma float64, dev
 	if err != nil {
 		return nil, err
 	}
-	dec, err := CalibrateNullThreshold(ctx, eng, nullTrials, sketchPrec, nullTrial)
+	dec, err := CalibrateNullThreshold(ctx, eng, nullTrials, 0, nullTrial)
 	if err != nil {
 		return nil, err
 	}

@@ -33,12 +33,11 @@ type NoiseSweep struct {
 // runNoiseSweep probes the deviation grid (ascending, positive) at every
 // noise sigma (registry campaign "noisesweep").
 // As in runNoiseDetection, every phase streams: detection probes as
-// pure counts, per-sigma null calibration through
-// CalibrateNullThreshold (exact below ExactNullCutoff, pooled quantile
-// sketches above), and all trial streams are derived inside the
-// workers — the sweep holds O(workers + chunk + sketch) whatever the
-// trial count.
-func runNoiseSweep(ctx context.Context, sys *core.System, sigmas, devGrid []float64, trials, sketchPrec int, seed uint64, eng campaign.Engine) (*NoiseSweep, error) {
+// pure counts, per-sigma null calibration as a running maximum
+// (CalibrateNullThreshold), and all trial streams are derived inside
+// the workers — the sweep holds O(workers + chunk) whatever the trial
+// count.
+func runNoiseSweep(ctx context.Context, sys *core.System, sigmas, devGrid []float64, trials int, seed uint64, eng campaign.Engine) (*NoiseSweep, error) {
 	const periods = 3
 	out := &NoiseSweep{Sigmas: sigmas, Periods: periods, Trials: trials}
 	eng.Seed = seed
@@ -72,7 +71,7 @@ func runNoiseSweep(ctx context.Context, sys *core.System, sigmas, devGrid []floa
 		if err != nil {
 			return nil, err
 		}
-		dec, err := CalibrateNullThreshold(ctx, eng, trials, sketchPrec, nullTrial)
+		dec, err := CalibrateNullThreshold(ctx, eng, trials, 0, nullTrial)
 		if err != nil {
 			return nil, err
 		}

@@ -103,11 +103,12 @@ func WithProgress(fn func(done, total int)) Option {
 	return func(c *runConfig) { c.progress = fn }
 }
 
-// WithMeter attaches a campaign.Meter to every streaming reduction of
-// the run — the hook the serve metrics layer uses to observe chunk
-// latency and worker saturation. Like WithProgress it is an observer:
-// it may be called concurrently, must not block, and never changes the
-// run's result.
+// WithMeter attaches a campaign.Meter to every fan-out of the run —
+// streaming reductions chunk by chunk, campaign.Collect trial by trial.
+// It is the hook the serve metrics layer uses to count trials (summed
+// from ChunkDone) and to observe chunk latency and worker saturation.
+// Like WithProgress it is an observer: it may be called concurrently,
+// must not block, and never changes the run's result.
 func WithMeter(m campaign.Meter) Option {
 	return func(c *runConfig) { c.meter = m }
 }

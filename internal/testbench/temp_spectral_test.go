@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/mos"
@@ -88,7 +89,7 @@ func TestTempDriftComparableToToleranceBudget(t *testing.T) {
 	// without per-temperature goldens. Verify the drift at 350 K stays
 	// below the Fig. 8 threshold.
 	s := sys()
-	dec, err := s.CalibrateFromTolerance(0.05, 9)
+	dec, err := s.CalibrateFromToleranceCtx(context.Background(), 0.05, 9, campaign.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}

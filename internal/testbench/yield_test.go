@@ -5,6 +5,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/campaign"
 )
 
 func TestYieldSimulation(t *testing.T) {
@@ -91,7 +93,7 @@ func TestYieldDegenerateRates(t *testing.T) {
 
 func TestSelfTestDetectsStuckMonitors(t *testing.T) {
 	s := sys()
-	dec, err := s.CalibrateFromTolerance(0.05, 9)
+	dec, err := s.CalibrateFromToleranceCtx(context.Background(), 0.05, 9, campaign.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,8 +30,8 @@ func spicePinFaults() []biquad.Fault {
 // TestSpiceTemplateCampaignBitIdentity, so it is excluded here to keep
 // the pin measuring the engine under test. The rebuild side pays netlist
 // elaboration, restamped transients and fresh buffers per trial. The pin
-// tolerates machine noise by taking the best of three rounds; the
-// companion bit-identity tests (spice TestCircuitTemplateMatchesRebuild,
+// tolerates machine noise by deciding on the median over interleaved
+// pairs (pairedRatio); the companion bit-identity tests (spice TestCircuitTemplateMatchesRebuild,
 // biquad TestOutputScratchMatchesOutput, testbench
 // TestSpiceTemplateCampaignBitIdentity) guarantee the speed never costs
 // a single bit.
@@ -101,31 +101,10 @@ func TestSpiceTrialEnginePinnedSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Errors surface through opErr: testing.Benchmark runs the closure on
-	// a separate goroutine, where t.Fatal must not be called.
-	var opErr error
-	best := 0.0
-	for round := 0; round < 3 && best < spiceTemplateFloor; round++ {
-		rt := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N && opErr == nil; i++ {
-				opErr = tmplOp()
-			}
-		})
-		rr := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N && opErr == nil; i++ {
-				opErr = rbldOp()
-			}
-		})
-		if opErr != nil {
-			t.Fatal(opErr)
-		}
-		if ratio := float64(rr.NsPerOp()) / float64(rt.NsPerOp()); ratio > best {
-			best = ratio
-		}
-	}
-	t.Logf("FaultTableSpice trials: sequential trial templates are %.2fx the rebuild-per-trial path", best)
-	if best < spiceTemplateFloor {
-		t.Fatalf("trial-template engine only %.2fx the rebuild path, pinned at >= %.2fx", best, spiceTemplateFloor)
+	ratio := pairedRatio(t, 2, rbldOp, tmplOp)
+	t.Logf("FaultTableSpice trials: sequential trial templates are %.2fx the rebuild-per-trial path", ratio)
+	if ratio < spiceTemplateFloor {
+		t.Fatalf("trial-template engine only %.2fx the rebuild path, pinned at >= %.2fx", ratio, spiceTemplateFloor)
 	}
 	_ = sink
 }

@@ -34,8 +34,9 @@ func sumRed() campaign.Reducer[float64, float64] {
 // 5% over the same reduction with no sink — the knob that makes
 // durability free enough to leave on for every sharded campaign.
 // Trivial trials are the worst case for the pin: any real campaign's
-// per-trial work only shrinks the relative overhead. Best-of-three
-// against machine noise.
+// per-trial work only shrinks the relative overhead. The verdict is the
+// median over interleaved pairs (pairedRatio), so load on the host
+// cannot land on one side only.
 func TestCheckpointOverheadPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing pin skipped in -short mode (race CI distorts timing)")
@@ -48,30 +49,19 @@ func TestCheckpointOverheadPinned(t *testing.T) {
 		binary.LittleEndian.PutUint64(buf[8:], uint64(through))
 		return nil
 	}
-	var opErr error
-	best := math.Inf(1)
-	for round := 0; round < 3 && best >= 1.05; round++ {
-		off := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N && opErr == nil; i++ {
-				_, opErr = campaign.ReduceSpanScratch(ctx, campaign.Engine{Workers: 1}, span, nil, nil, sumRed(), noScratch, trivialTrial)
-			}
-		})
-		on := testing.Benchmark(func(b *testing.B) {
-			e := campaign.Engine{Workers: 1, Checkpoint: campaign.DefaultCheckpoint}
-			for i := 0; i < b.N && opErr == nil; i++ {
-				_, opErr = campaign.ReduceSpanScratch(ctx, e, span, nil, sink, sumRed(), noScratch, trivialTrial)
-			}
-		})
-		if opErr != nil {
-			t.Fatal(opErr)
-		}
-		if ratio := float64(on.NsPerOp()) / float64(off.NsPerOp()); ratio < best {
-			best = ratio
-		}
+	on := func() error {
+		e := campaign.Engine{Workers: 1, Checkpoint: campaign.DefaultCheckpoint}
+		_, err := campaign.ReduceSpanScratch(ctx, e, span, nil, sink, sumRed(), noScratch, trivialTrial)
+		return err
 	}
-	t.Logf("checkpointing at the default cadence costs %.2f%% over the bare span reduction", (best-1)*100)
-	if best >= 1.05 {
-		t.Fatalf("checkpoint overhead %.1f%% at the default cadence, pinned at < 5%%", (best-1)*100)
+	off := func() error {
+		_, err := campaign.ReduceSpanScratch(ctx, campaign.Engine{Workers: 1}, span, nil, nil, sumRed(), noScratch, trivialTrial)
+		return err
+	}
+	ratio := pairedRatio(t, 16, on, off)
+	t.Logf("checkpointing at the default cadence costs %.2f%% over the bare span reduction", (ratio-1)*100)
+	if ratio >= 1.05 {
+		t.Fatalf("checkpoint overhead %.1f%% at the default cadence, pinned at < 5%%", (ratio-1)*100)
 	}
 }
 
