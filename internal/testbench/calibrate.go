@@ -10,11 +10,9 @@ import (
 	"repro/internal/ndf"
 )
 
-// ExactNullCutoff was the null-trial count above which calibration
-// switched from a materialized sample to streamed quantile sketches.
-// Calibration has one path now, so nothing in this module reads it; it
-// stays only because cmd/mcbench sizes its noise-analytic workload from
-// it (4100 null trials).
+// ExactNullCutoff is read by nothing in this module. It stays only
+// because cmd/mcbench sizes its noise-analytic workload from it (4100
+// null trials).
 const ExactNullCutoff = 4096
 
 // CalibrateNullThreshold fixes the acceptance threshold at the largest
@@ -31,8 +29,8 @@ const ExactNullCutoff = 4096
 // the lowest-index non-finite trial — the engine's lowest-index error
 // contract, so the error is the same at any worker count.
 //
-// The fourth parameter is ignored. It was the precision of the retired
-// quantile sketch and stays only because cmd/mcbench passes it.
+// The fourth parameter is ignored. It stays only because cmd/mcbench
+// passes it.
 func CalibrateNullThreshold(ctx context.Context, eng campaign.Engine, nullTrials, _ int, trial func(i int, sc *core.TrialScratch) (float64, error)) (ndf.Decision, error) {
 	if nullTrials < 1 {
 		return ndf.Decision{}, fmt.Errorf("testbench: null calibration needs at least 1 trial, got %d", nullTrials)

@@ -98,10 +98,9 @@ type Fig8Params struct {
 // Validate bounds the sweep length.
 func (p *Fig8Params) Validate() error { return validateSize("points", p.Points, MaxSamples) }
 
-// NoiseParams configures the "noise" campaign. SketchPrec is a retired
-// knob: it set the precision of a quantile sketch the null calibration
-// no longer uses. It still decodes and is still bounded (0, or 1..12),
-// so old specs and job logs run unchanged, but it has no effect.
+// NoiseParams configures the "noise" campaign. SketchPrec has no
+// effect. It stays on the wire, bounded to 0..12, so old specs and job
+// logs that name it still decode and run to the same bits.
 type NoiseParams struct {
 	Sigma      float64   `json:"sigma"`
 	Devs       []float64 `json:"devs"`
@@ -125,7 +124,7 @@ func (p *NoiseParams) Validate() error {
 }
 
 // NoiseSweepParams configures the "noisesweep" campaign. SketchPrec is
-// the same retired no-op as in NoiseParams.
+// the same no-op as in NoiseParams.
 type NoiseSweepParams struct {
 	Sigmas     []float64 `json:"sigmas"`
 	DevGrid    []float64 `json:"dev_grid"`
@@ -141,9 +140,9 @@ func (p *NoiseSweepParams) Validate() error {
 	return validateSketchPrec(p.SketchPrec)
 }
 
-// validateSketchPrec keeps the retired sketch_prec knob's bound, so a
-// spec the sketch would have rejected is still rejected with the same
-// message.
+// validateSketchPrec bounds the no-op sketch_prec knob to 0..12, so a
+// spec that named an out-of-range precision is still rejected, with the
+// same message.
 func validateSketchPrec(prec int) error {
 	if prec < 0 || prec > 12 {
 		return fmt.Errorf("sketch_prec = %d, want 0 (default) or 1..12", prec)

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -15,22 +16,26 @@ const pinPairs = 12
 // per-pair ratios time(num)/time(den). Load that arrives while a pin
 // runs then lands on both sides of most pairs, instead of on one side
 // of a whole second-long comparison, and a few disturbed pairs cannot
-// move the median. Each side is called once untimed first, so caches
-// and pools are warm. Errors fail the test; call it from the test's own
+// move the median. Errors fail the test; call it from the test's own
 // goroutine.
 func pairedRatio(t *testing.T, iters int, num, den func() error) float64 {
 	t.Helper()
+	call := func(op func() error) {
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// run times n calls of op, after a fresh GC and one untimed call:
+	// the other side's garbage and cold caches are not op's to pay for.
 	run := func(op func() error, n int) time.Duration {
+		runtime.GC()
+		call(op)
 		start := time.Now()
 		for i := 0; i < n; i++ {
-			if err := op(); err != nil {
-				t.Fatal(err)
-			}
+			call(op)
 		}
 		return time.Since(start)
 	}
-	run(num, 1)
-	run(den, 1)
 	ratios := make([]float64, pinPairs)
 	var total time.Duration
 	for p := range ratios {
