@@ -74,13 +74,14 @@ bench:
 # batched-signature-engine, the streaming-reduction, the
 # registry-dispatch, the null-calibration and the checkpoint-cadence
 # benchmarks (fast path, Newton baseline, CUT output, trial templates,
-# fault table, batched vs scalar capture, streaming reduction, spec
-# dispatch, the null calibration's max reduction, span reduction
-# with/without a checkpoint sink, zone-LUT certification and batch
-# classification on random and curve points) — proves the hot paths
-# still execute end to end.
+# fault table, batched vs scalar capture, batched vs scalar exact
+# signature extraction with its zone-LUT bisection, streaming
+# reduction, spec dispatch, the null calibration's max reduction, span
+# reduction with/without a checkpoint sink, zone-LUT certification and
+# batch classification on random and curve points) — proves the hot
+# paths still execute end to end.
 bench-smoke:
-	$(GO) test -bench='TransientTowThomas|SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|AveragedNDF|BankClassify|ZoneLUTBuild|RegistryDispatch|CampaignReduce1M|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
+	$(GO) test -bench='TransientTowThomas|SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|ExactSignature|AveragedNDF|BankClassify|ZoneLUTBuild|RegistryDispatch|CampaignReduce1M|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
 
 # The repository benchmark's own checks (cmd/mcbench is a nested module,
 # so `go test ./...` at the root does not reach it): every workload's

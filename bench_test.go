@@ -295,8 +295,22 @@ func BenchmarkSignatureCapture(b *testing.B) {
 	}
 }
 
+// EXACT: exact signature extraction of a +10 % f0 CUT — the per-trial
+// unit of the Fig. 8 sweep, fault tables and yield — on the batched
+// engine: scan grid through ClassifyBatch, transition bisection through
+// ClassifyLUT. BenchmarkExactSignatureScalar is the retained scalar
+// baseline (Classify at every scan and bisection point).
 func BenchmarkExactSignature(b *testing.B) {
+	benchmarkExactSignatureEngine(b, false)
+}
+
+func BenchmarkExactSignatureScalar(b *testing.B) {
+	benchmarkExactSignatureEngine(b, true)
+}
+
+func benchmarkExactSignatureEngine(b *testing.B, scalar bool) {
 	sys := core.Default()
+	sys.Scalar = scalar
 	cut, err := sys.Shifted(0.10)
 	if err != nil {
 		b.Fatal(err)

@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/campaign"
@@ -33,32 +36,104 @@ func scalarTwin() *System {
 }
 
 // TestBatchedExactSignatureBitIdentical: the LUT-classified scan grid
-// plus bisection must reproduce the scalar exact extraction, for the
-// golden CUT and for shifted ones, on both observations.
+// plus the LUT-classified bisection must reproduce the scalar exact
+// extraction bit for bit:
+//   - the golden CUT and shifted ones, on both observations;
+//   - yield-style component dies, extracted on one reused scratch as a
+//     campaign worker does;
+//   - a +50 % gain CUT, whose low-pass output spans y ≈ 0.31–1.25, so
+//     scan points and bisection midpoints leave the LUT grid;
+//   - dies on the SPICE backend, whose output is a sampled waveform.
 func TestBatchedExactSignatureBitIdentical(t *testing.T) {
+	check := func(name string, batched, scalar *System, d Deviation, sc *TrialScratch) {
+		t.Helper()
+		cb, err := batched.Deviated(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, err := scalar.Deviated(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb, err := batched.exactSignature(cb, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss, err := scalar.ExactSignature(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalSigs(t, name, sb, ss)
+	}
 	for _, obs := range []Observation{ObserveLP, ObserveBP} {
 		batched, scalar := Default(), scalarTwin()
 		batched.Observe, scalar.Observe = obs, obs
 		for _, shift := range []float64{0, 0.10, -0.07} {
-			cb, err := batched.Shifted(shift)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cs, err := scalar.Shifted(shift)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sb, err := batched.ExactSignature(cb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ss, err := scalar.ExactSignature(cs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			equalSigs(t, obs.String(), sb, ss)
+			check(obs.String(), batched, scalar, Deviation{F0Shift: shift}, nil)
 		}
 	}
+	batched, scalar := Default(), scalarTwin()
+	offGrid := Deviation{GainShift: 0.5}
+	if hi := outputMax(t, batched, offGrid); hi < 1 {
+		t.Fatalf("gain +50 %% output peaks at y = %.3f, want it past the LUT grid's edge y = 1", hi)
+	}
+	check("gain +50 %", batched, scalar, offGrid, nil)
+	sc := NewTrialScratch()
+	for i, d := range componentDies(64, 0.05) {
+		check(fmt.Sprintf("die %d (%v)", i, d), batched, scalar, d, sc)
+	}
+	spiceBatched, err := DefaultSpice()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spiceScalar, err := DefaultSpice()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spiceScalar.Scalar = true
+	sc = NewTrialScratch()
+	for i, d := range componentDies(3, 0.05) {
+		check(fmt.Sprintf("spice die %d (%v)", i, d), spiceBatched, spiceScalar, d, sc)
+	}
+}
+
+// componentDies draws n yield-style dies: the four component drifts at
+// the given sigma, in the yield campaign's draw order.
+func componentDies(n int, sigma float64) []Deviation {
+	src := rng.New(41)
+	dies := make([]Deviation, n)
+	for i := range dies {
+		dies[i] = Deviation{
+			RDrift:  src.Gauss(0, sigma),
+			RQDrift: src.Gauss(0, sigma),
+			RGDrift: src.Gauss(0, sigma),
+			CDrift:  src.Gauss(0, sigma),
+		}
+	}
+	return dies
+}
+
+// outputMax returns the largest observed output sample on the scan grid
+// of the golden CUT deviated by d.
+func outputMax(t *testing.T, s *System, d Deviation) float64 {
+	t.Helper()
+	c, err := s.Deviated(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.output(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _, err := s.scans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hi := math.Inf(-1)
+	for _, tm := range ts {
+		hi = math.Max(hi, out.Eval(tm))
+	}
+	return hi
 }
 
 // TestBatchedCaptureBitIdentical: noiseless and noisy clocked captures
@@ -196,5 +271,42 @@ func TestTrialScratchIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 		equalSigs(t, "scratch isolation", warm, fresh)
+	}
+}
+
+// TestAveragedNDFScratchWarmAllocation: a warm AveragedNDFScratch keeps
+// every per-call sample grid in the trial scratch. What it still
+// allocates, the analytic backend's output waveform and each period's
+// noise substream, stays well under 2 KB a call; the clean tick grid
+// alone is 2000 float64s, 16 KB.
+func TestAveragedNDFScratchWarmAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	sys := Default()
+	cut, err := sys.Shifted(0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls, periods = 50, 4
+	streams := make([]*rng.Stream, calls+1)
+	for i := range streams {
+		streams[i] = rng.New(uint64(i) + 3)
+	}
+	sc := NewTrialScratch()
+	if _, err := sys.AveragedNDFScratch(cut, 0.005, streams[calls], periods, sc); err != nil {
+		t.Fatal(err) // warm the golden signature, the LUT and the scratch
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, src := range streams[:calls] {
+		if _, err := sys.AveragedNDFScratch(cut, 0.005, src, periods, sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 2048 {
+		t.Fatalf("warm AveragedNDFScratch allocates %d B per call, want < 2048", per)
 	}
 }

@@ -163,6 +163,9 @@ func (s *System) scans() (ts, xs []float64, err error) {
 type TrialScratch struct {
 	capture signature.CaptureBuffer
 	xs, ys  []float64
+	// ybase holds AveragedNDFScratch's clean output samples, which every
+	// period's noisy ys is drawn on top of.
+	ybase []float64
 	// spice carries the SPICE backend's per-worker trial state: a
 	// compiled circuit template plus the transient sample buffer, so a
 	// worker's trials skip netlist elaboration and solver setup entirely.
@@ -173,22 +176,14 @@ type TrialScratch struct {
 // NewTrialScratch returns an empty scratch; buffers grow on first use.
 func NewTrialScratch() *TrialScratch { return &TrialScratch{} }
 
-// growXs returns the x-sample scratch resized to n (contents undefined).
-func (sc *TrialScratch) growXs(n int) []float64 {
-	if cap(sc.xs) < n {
-		sc.xs = make([]float64, n)
+// grow returns *buf resized to n (contents undefined), reallocating it
+// only when its capacity is short.
+func grow(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
 	}
-	sc.xs = sc.xs[:n]
-	return sc.xs
-}
-
-// growYs returns the y-sample scratch resized to n (contents undefined).
-func (sc *TrialScratch) growYs(n int) []float64 {
-	if cap(sc.ys) < n {
-		sc.ys = make([]float64, n)
-	}
-	sc.ys = sc.ys[:n]
-	return sc.ys
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // goldenParams is the paper's reference CUT.
@@ -374,9 +369,12 @@ func (s *System) ExactSignature(c CUT) (*signature.Signature, error) {
 }
 
 // exactSignature is ExactSignature with optional per-worker scratch. The
-// batched path classifies the scan grid through the zone LUT and only
-// bisects the bracketed transitions with the exact classifier, so the
-// result is bit-identical to the scalar scan.
+// batched path classifies the scan grid with Bank.ClassifyBatch and
+// bisects the bracketed transitions with Bank.ClassifyLUT, so scan
+// points and refinement points go through the same zone LUT, built by
+// the scan before the first bisection step. Both answer exactly as
+// Bank.Classify does, so the result is bit-identical to the scalar
+// scan.
 func (s *System) exactSignature(c CUT, sc *TrialScratch) (*signature.Signature, error) {
 	if s.Scalar {
 		out, err := s.output(c)
@@ -393,7 +391,7 @@ func (s *System) exactSignature(c CUT, sc *TrialScratch) (*signature.Signature, 
 		return nil, err
 	}
 	cls := func(t float64) monitor.Code {
-		return s.Bank.Classify(s.Stimulus.Eval(t), out.Eval(t))
+		return s.Bank.ClassifyLUT(s.Stimulus.Eval(t), out.Eval(t))
 	}
 	ts, xs, err := s.scans()
 	if err != nil {
@@ -402,7 +400,7 @@ func (s *System) exactSignature(c CUT, sc *TrialScratch) (*signature.Signature, 
 	if sc == nil {
 		sc = NewTrialScratch()
 	}
-	ys := sc.growYs(len(ts))
+	ys := grow(&sc.ys, len(ts))
 	wave.EvalInto(out, ts, ys)
 	codes := sc.capture.Codes(len(ts))
 	s.Bank.ClassifyBatch(xs, ys, codes)
@@ -447,12 +445,12 @@ func (s *System) capturedSignature(c CUT, sigma float64, noise *rng.Stream, sc *
 		buf = &sc.capture
 	}
 	n := len(ts)
-	ys := sc.growYs(n)
+	ys := grow(&sc.ys, n)
 	wave.EvalInto(out, ts, ys)
 	xv := xs
 	if sigma > 0 && noise != nil {
 		eff := EffectiveNoiseSigma(sigma)
-		xv = sc.growXs(n)
+		xv = grow(&sc.xs, n)
 		for k := 0; k < n; k++ {
 			xv[k] = xs[k] + noise.Gauss(0, eff)
 			ys[k] += noise.Gauss(0, eff)
@@ -585,14 +583,14 @@ func (s *System) AveragedNDFScratch(c CUT, sigma float64, noise *rng.Stream, per
 		if err != nil {
 			return 0, err
 		}
-		ybase := make([]float64, len(ts))
+		ybase := grow(&sc.ybase, len(ts))
 		wave.EvalInto(out, ts, ybase)
 		eff := EffectiveNoiseSigma(sigma)
 		period = func(src *rng.Stream) (float64, error) {
 			xv, yv := xs, ybase
 			if sigma > 0 && src != nil {
 				n := len(ts)
-				xv, yv = sc.growXs(n), sc.growYs(n)
+				xv, yv = grow(&sc.xs, n), grow(&sc.ys, n)
 				for i := 0; i < n; i++ {
 					xv[i] = xs[i] + src.Gauss(0, eff)
 					yv[i] = ybase[i] + src.Gauss(0, eff)

@@ -244,6 +244,7 @@ func (c *Coordinator) adopt(job *Job, sharded *testbench.ShardRun) {
 		r.progress = sharded.Progress
 	}
 	st := job.State()
+	complete := false
 	c.mu.Lock()
 	delete(c.reserved, job.ID())
 	c.jobs[job.ID()] = r
@@ -253,6 +254,9 @@ func (c *Coordinator) adopt(job *Job, sharded *testbench.ShardRun) {
 				r.pending = append(r.pending, i)
 			}
 		}
+		// Decided under the lock: once it is released, a polling
+		// worker's Lease may already be taking shards off r.pending.
+		complete = len(r.pending) == 0
 	} else {
 		if st.Phase == PhaseFailed {
 			r.err = fmt.Errorf("fabric: job %s failed: %s", job.ID(), st.Failure)
@@ -262,7 +266,7 @@ func (c *Coordinator) adopt(job *Job, sharded *testbench.ShardRun) {
 	c.mu.Unlock()
 	// A recovered job whose shards had all completed may still lack its
 	// merged result (killed between last report and finalize).
-	if st.Phase == PhaseRunning && len(r.pending) == 0 {
+	if complete {
 		c.finalize(r)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -152,5 +153,32 @@ func TestSubmitReservation(t *testing.T) {
 	}
 	if ids := c.Jobs(); len(ids) != 1 || ids[0] != "job" {
 		t.Fatalf("Jobs = %v, want [job]", ids)
+	}
+}
+
+// A worker that is already polling can lease a new job's shard the
+// moment Submit installs the job. Submit must not read the job's queue
+// after it releases the coordinator's lock; under -race this test fails
+// on a Submit that does.
+func TestSubmitLeavesQueueToConcurrentLease(t *testing.T) {
+	c := newTestCoordinator(t)
+	ctx := context.Background()
+	leased := make(chan *Lease, 1)
+	go func() {
+		l, ok, err := c.Lease(ctx, "w")
+		for err == nil && !ok {
+			runtime.Gosched()
+			l, ok, err = c.Lease(ctx, "w")
+		}
+		if err != nil {
+			t.Error(err)
+		}
+		leased <- l
+	}()
+	if err := c.Submit(ctx, "job", synthSpec(1000, 7, 100, 0), 1); err != nil {
+		t.Fatal(err)
+	}
+	if l := <-leased; l == nil || l.Job != "job" || l.Shard != 0 {
+		t.Fatalf("concurrent lease %+v, want job shard 0", l)
 	}
 }

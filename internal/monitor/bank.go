@@ -30,7 +30,8 @@ func (c Code) HammingDistance(o Code) int {
 
 // Bank is an ordered set of monitors producing a zone code per (x, y).
 // Classify answers one point exactly; ClassifyBatch answers sample grids
-// through the certified zone LUT (see lut.go) with bit-identical results.
+// and ClassifyLUT single points through the certified zone LUT (see
+// lut.go) with bit-identical results.
 type Bank struct {
 	monitors []Monitor
 	lutState

@@ -11,6 +11,6 @@ func OpenMonitors(b *Bank, x, y float64) int {
 	if l == nil || !(x >= 0 && x < 1 && y >= 0 && y < 1) {
 		return 0
 	}
-	cell := l.cells[int(y*lutCells)*lutCells+int(x*lutCells)]
-	return bits.OnesCount32(l.all &^ (cell >> lutMaxMonitors))
+	_, open := l.lookup(x, y)
+	return bits.OnesCount32(open)
 }

@@ -9,7 +9,9 @@ import (
 // codes from a precomputed grid — the certified zone LUT — and falls
 // back to the exact Bit evaluation wherever the table cannot *prove*
 // the answer, so the batch API is bit-identical to the scalar one,
-// point for point.
+// point for point. Bank.ClassifyLUT answers single points through the
+// same per-point step; signature extraction bisects zone transitions
+// with it after ClassifyBatch has classified the scan grid.
 //
 // # Certification argument
 //
@@ -57,7 +59,8 @@ import (
 // fully proven cell classifies by lookup; a point in a partly proven
 // cell (one that a zone boundary crosses) evaluates Bit only for the
 // monitors the cell leaves open: on the paper's bank, about one monitor
-// of six. Points outside the grid take the full Classify.
+// of six. A point outside the grid lies in no cell, so nothing is
+// proven and it evaluates every monitor's Bit: the full Classify.
 // Banks that are not certifiable at all — a transistor-level Spice
 // monitor in the bank, a drive pattern that mixes one axis across both
 // branches, or more monitors than a cell has bits — skip the LUT and
@@ -233,20 +236,63 @@ func (b *Bank) ClassifyBatch(xs, ys []float64, codes []Code) {
 	}
 	for i, x := range xs {
 		y := ys[i]
-		if !(x >= 0 && x < 1 && y >= 0 && y < 1) {
-			codes[i] = b.Classify(x, y)
-			continue
-		}
-		cell := l.cells[int(y*lutCells)*lutCells+int(x*lutCells)]
-		c := Code(cell & lutCodeBits)
-		for open := l.all &^ (cell >> lutMaxMonitors); open != 0; open &= open - 1 {
-			mi := bits.TrailingZeros32(open)
-			if b.monitors[mi].Bit(x, y) == 1 {
-				c |= 1 << uint(mi)
-			}
+		c, open := l.lookup(x, y)
+		if open != 0 {
+			c = b.openBits(c, open, x, y)
 		}
 		codes[i] = c
 	}
+}
+
+// ClassifyLUT is ClassifyBatch for one point: bit-identical to Classify,
+// answered through the zone LUT where the bank has one. It builds the
+// LUT on first use, as ClassifyBatch does, so it belongs where the bank
+// classifies grids anyway: signature extraction bisects the transitions
+// a ClassifyBatch scan has bracketed. After the one-time LUT
+// construction the call performs no allocations.
+//
+//mclint:hotpath
+func (b *Bank) ClassifyLUT(x, y float64) Code {
+	l := b.lut()
+	if l == nil {
+		return b.Classify(x, y)
+	}
+	c, open := l.lookup(x, y)
+	if open != 0 {
+		c = b.openBits(c, open, x, y)
+	}
+	return c
+}
+
+// lookup is the per-point LUT step of ClassifyBatch and ClassifyLUT: it
+// returns the code bits of the monitors the cell holding (x, y) proves
+// and the mask of the monitors it leaves open, for openBits to
+// evaluate. A point off the [0,1)² grid (or NaN) lies in no cell and
+// proves nothing, so every monitor is open: openBits then computes
+// exactly Classify. lookup makes no call, so it inlines into the batch
+// loop, which then calls out only for points with open monitors.
+//
+//mclint:hotpath
+func (l *zoneLUT) lookup(x, y float64) (proven Code, open uint32) {
+	var cell uint32
+	if x >= 0 && x < 1 && y >= 0 && y < 1 {
+		cell = l.cells[int(y*lutCells)*lutCells+int(x*lutCells)]
+	}
+	return Code(cell & lutCodeBits), l.all &^ (cell >> lutMaxMonitors)
+}
+
+// openBits returns c with the bit of every monitor in the open mask
+// evaluated at (x, y), in monitor order.
+//
+//mclint:hotpath
+func (b *Bank) openBits(c Code, open uint32, x, y float64) Code {
+	for ; open != 0; open &= open - 1 {
+		mi := bits.TrailingZeros32(open)
+		if b.monitors[mi].Bit(x, y) == 1 {
+			c |= 1 << uint(mi)
+		}
+	}
+	return c
 }
 
 // BatchInfo builds the zone LUT if it is not built yet and reports

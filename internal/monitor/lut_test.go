@@ -13,11 +13,30 @@ import (
 	"repro/internal/rng"
 )
 
+// matchClassify checks both LUT entries against Classify on every
+// point: ClassifyLUT point by point (on a fresh bank it builds the LUT
+// itself), then ClassifyBatch over the whole slice.
+func matchClassify(t *testing.T, name string, bank *Bank, xs, ys []float64) {
+	t.Helper()
+	for i := range xs {
+		if got, want := bank.ClassifyLUT(xs[i], ys[i]), bank.Classify(xs[i], ys[i]); got != want {
+			t.Fatalf("%s: point %d (%v, %v): single %016b, scalar %016b", name, i, xs[i], ys[i], got, want)
+		}
+	}
+	codes := make([]Code, len(xs))
+	bank.ClassifyBatch(xs, ys, codes)
+	for i := range xs {
+		if want := bank.Classify(xs[i], ys[i]); codes[i] != want {
+			t.Fatalf("%s: point %d (%v, %v): batch %016b, scalar %016b", name, i, xs[i], ys[i], codes[i], want)
+		}
+	}
+}
+
 // TestClassifyBatchMatchesScalarRandom is the LUT certification property
 // test: on random points — inside the grid, outside [0,1), and far out of
-// range — ClassifyBatch must equal per-point Classify bit for bit.
+// range — ClassifyBatch and ClassifyLUT must equal per-point Classify bit
+// for bit.
 func TestClassifyBatchMatchesScalarRandom(t *testing.T) {
-	bank := NewAnalyticTableI()
 	src := rng.New(11)
 	const n = 20000
 	xs := make([]float64, n)
@@ -35,20 +54,13 @@ func TestClassifyBatchMatchesScalarRandom(t *testing.T) {
 			ys[i] = -2 + 4*src.Float64()
 		}
 	}
-	codes := make([]Code, n)
-	bank.ClassifyBatch(xs, ys, codes)
-	for i := range xs {
-		if want := bank.Classify(xs[i], ys[i]); codes[i] != want {
-			t.Fatalf("point %d (%.6f, %.6f): batch %06b, scalar %06b",
-				i, xs[i], ys[i], codes[i], want)
-		}
-	}
+	matchClassify(t, "Table I", NewAnalyticTableI(), xs, ys)
 }
 
 // TestClassifyBatchBoundaryAndEdgePoints stresses the hard cases: points
 // exactly on monitor boundaries (where the balance is ~0 and the cell
 // must have been left uncertified), exactly on LUT cell edges (i/256),
-// and the corners of the grid.
+// the corners of the grid, and non-finite coordinates.
 func TestClassifyBatchBoundaryAndEdgePoints(t *testing.T) {
 	bank := NewAnalyticTableI()
 	var xs, ys []float64
@@ -71,14 +83,13 @@ func TestClassifyBatchBoundaryAndEdgePoints(t *testing.T) {
 	// Exactly 1.0 (outside the half-open grid) and negative zero.
 	xs = append(xs, 1.0, math.Copysign(0, -1))
 	ys = append(ys, 1.0, 0.5)
-	codes := make([]Code, len(xs))
-	bank.ClassifyBatch(xs, ys, codes)
-	for i := range xs {
-		if want := bank.Classify(xs[i], ys[i]); codes[i] != want {
-			t.Fatalf("hard point %d (%v, %v): batch %06b, scalar %06b",
-				i, xs[i], ys[i], codes[i], want)
-		}
+	// NaN and ±Inf on either axis and on both: no cell holds them.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, v := range []float64{nan, inf, -inf} {
+		xs = append(xs, v, 0.5, v)
+		ys = append(ys, 0.5, v, v)
 	}
+	matchClassify(t, "Table I", bank, xs, ys)
 }
 
 // stubMonitor is a non-analytic monitor: banks containing one must skip
@@ -105,13 +116,7 @@ func TestClassifyBatchFallsBackWithoutCertifiableBank(t *testing.T) {
 	for i := range xs {
 		xs[i], ys[i] = src.Float64(), src.Float64()
 	}
-	codes := make([]Code, len(xs))
-	bank.ClassifyBatch(xs, ys, codes)
-	for i := range xs {
-		if want := bank.Classify(xs[i], ys[i]); codes[i] != want {
-			t.Fatalf("fallback point %d mismatch", i)
-		}
-	}
+	matchClassify(t, "fallback", bank, xs, ys)
 }
 
 // TestLUTEnabledForTableI pins that the paper's bank actually certifies:
@@ -149,9 +154,9 @@ func TestLUTMonotonePrecondition(t *testing.T) {
 	}
 }
 
-// Allocation pins: the scalar classifier and the warmed batch classifier
-// must not allocate in steady state — campaign workers call them millions
-// of times per trial batch.
+// Allocation pins: the scalar classifier and the warmed batch and
+// single-point LUT classifiers must not allocate in steady state —
+// campaign workers call them millions of times per trial batch.
 func TestClassifyAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
@@ -174,6 +179,11 @@ func TestClassifyAllocationFree(t *testing.T) {
 		bank.ClassifyBatch(xs, ys, codes)
 	}); a != 0 {
 		t.Fatalf("warm ClassifyBatch allocates %.1f per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(1000, func() {
+		bank.ClassifyLUT(0.4, 0.6)
+	}); a != 0 {
+		t.Fatalf("warm ClassifyLUT allocates %.1f per call, want 0", a)
 	}
 }
 
@@ -353,7 +363,8 @@ func TestZoneLUTGolden(t *testing.T) {
 
 // TestClassifyBatchPartlyProvenCells targets the per-monitor fallback:
 // random points inside every cell that leaves some monitor unproven, on
-// every certified bank, must classify exactly as Classify does.
+// every certified bank, must classify exactly as Classify does through
+// both LUT entries.
 func TestClassifyBatchPartlyProvenCells(t *testing.T) {
 	src := rng.New(29)
 	for _, nb := range lutTestBanks(t) {
@@ -371,19 +382,13 @@ func TestClassifyBatchPartlyProvenCells(t *testing.T) {
 		if len(xs) == 0 {
 			t.Fatalf("%s: no partly proven cell", nb.name)
 		}
-		codes := make([]Code, len(xs))
-		nb.bank.ClassifyBatch(xs, ys, codes)
-		for i := range xs {
-			if want := nb.bank.Classify(xs[i], ys[i]); codes[i] != want {
-				t.Fatalf("%s: point (%v, %v): batch %016b, scalar %016b", nb.name, xs[i], ys[i], codes[i], want)
-			}
-		}
+		matchClassify(t, nb.name, nb.bank, xs, ys)
 	}
 }
 
 // TestZoneLUTBankSizeBound: a cell has 16 code bits, so a 16-monitor
 // bank still certifies and one monitor more declines the LUT; both
-// classify bit-identically to Classify.
+// classify bit-identically to Classify through both LUT entries.
 func TestZoneLUTBankSizeBound(t *testing.T) {
 	cfgs := TableI()
 	bankOf := func(n int) *Bank {
@@ -405,12 +410,6 @@ func TestZoneLUTBankSizeBound(t *testing.T) {
 		if enabled, _ := bank.BatchInfo(); enabled != (n <= lutMaxMonitors) {
 			t.Fatalf("%d-monitor bank: LUT enabled %v", n, enabled)
 		}
-		codes := make([]Code, len(xs))
-		bank.ClassifyBatch(xs, ys, codes)
-		for i := range xs {
-			if want := bank.Classify(xs[i], ys[i]); codes[i] != want {
-				t.Fatalf("%d-monitor bank, point (%v, %v): batch %017b, scalar %017b", n, xs[i], ys[i], codes[i], want)
-			}
-		}
+		matchClassify(t, fmt.Sprintf("%d-monitor bank", n), bank, xs, ys)
 	}
 }

@@ -187,9 +187,12 @@ func Exact(classify Classifier, T float64, nScan int, tol float64) (*Signature, 
 // ExactFromCodes is Exact for the batched pipeline: the scan grid has
 // already been classified (codes[i] = code at T·i/nScan for
 // i = 0 … nScan, so len(codes) = nScan+1) and only the transition
-// brackets found on the grid are refined by bisection with the exact
-// scalar classifier. The result is bit-identical to Exact with a
-// classifier returning the same grid codes.
+// brackets found on the grid are refined by bisection with classify.
+// classify may be any classifier that agrees with the grid codes; the
+// result is bit-identical to Exact with that classifier. The batched
+// engine bisects through the same zone LUT that classified the grid
+// (monitor.Bank.ClassifyLUT), which answers every instant exactly as
+// the scalar classifier does.
 func ExactFromCodes(codes []monitor.Code, classify Classifier, T float64, tol float64) (*Signature, error) {
 	nScan := len(codes) - 1
 	if T <= 0 {
