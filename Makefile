@@ -75,7 +75,7 @@ bench:
 # registry-dispatch, the null-calibration and the checkpoint-cadence
 # benchmarks (fast path, Newton baseline, CUT output, trial templates,
 # fault table, batched vs scalar capture, batched vs scalar exact
-# signature extraction with its zone-LUT bisection, streaming
+# signature extraction with its band scan and zone-LUT bisection, streaming
 # reduction, spec dispatch, the null calibration's max reduction, span
 # reduction with/without a checkpoint sink, zone-LUT certification and
 # batch classification on random and curve points) — proves the hot
@@ -91,15 +91,17 @@ bench-verify:
 	cd cmd/mcbench && $(GO) test -short ./...
 
 # Short-budget fuzz pass over the trial-template mutation engine, the
-# signature binary decoder, the fabric job-log replay, the shard
-# accumulator codecs, the campaign spec ingress and the HTTP handlers of
-# both APIs (seed corpora are checked in under testdata/fuzz). Each
+# signature binary decoder, the NDF breakpoint sweep (a hang is a
+# failure), the fabric job-log replay, the shard accumulator codecs, the
+# campaign spec ingress and the HTTP handlers of both APIs (seed corpora
+# are checked in under testdata/fuzz or added in the fuzz targets). Each
 # target gets 10s — enough to exercise the mutator on every seed class
 # without blowing the CI budget. `go test -fuzz` accepts one target per
 # invocation, hence the per-target runs.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzTemplateMutation$$' -fuzztime=10s ./internal/spice
 	$(GO) test -run=^$$ -fuzz='^FuzzUnmarshalBinary$$' -fuzztime=10s ./internal/signature
+	$(GO) test -run=^$$ -fuzz='^FuzzNDF$$' -fuzztime=10s ./internal/ndf
 	$(GO) test -run=^$$ -fuzz='^FuzzJobLogReplay$$' -fuzztime=10s ./internal/fabric
 	$(GO) test -run=^$$ -fuzz='^FuzzShardBlobUnmarshal$$' -fuzztime=10s ./internal/testbench
 	$(GO) test -run=^$$ -fuzz='^FuzzSpecDecode$$' -fuzztime=10s ./internal/testbench

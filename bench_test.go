@@ -297,9 +297,9 @@ func BenchmarkSignatureCapture(b *testing.B) {
 
 // EXACT: exact signature extraction of a +10 % f0 CUT — the per-trial
 // unit of the Fig. 8 sweep, fault tables and yield — on the batched
-// engine: scan grid through ClassifyBatch, transition bisection through
-// ClassifyLUT. BenchmarkExactSignatureScalar is the retained scalar
-// baseline (Classify at every scan and bisection point).
+// engine: scan grid through certified interpolation bands, transition
+// bisection through ClassifyLUT. BenchmarkExactSignatureScalar is the
+// retained scalar baseline (Classify at every scan and bisection point).
 func BenchmarkExactSignature(b *testing.B) {
 	benchmarkExactSignatureEngine(b, false)
 }

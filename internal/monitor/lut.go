@@ -65,6 +65,15 @@ import (
 // monitor in the bank, a drive pattern that mixes one axis across both
 // branches, or more monitors than a cell has bits — skip the LUT and
 // classify every point with the scalar path.
+//
+// # Band query
+//
+// Bank.ClassifyBand serves a caller that knows only an interval holding
+// a point's y. A vertical segment x × [ylo, yhi] shorter than one cell
+// meets at most the two cells int(ylo·lutCells) and int(yhi·lutCells).
+// When both prove every monitor with the same code, the closed-cell
+// argument above gives that code to every point of the segment, which
+// is what ClassifyBatch returns for any y in it. Otherwise it refuses.
 
 const (
 	// lutCells is the zone LUT resolution per axis. Power of two, so the
@@ -262,6 +271,26 @@ func (b *Bank) ClassifyLUT(x, y float64) Code {
 		c = b.openBits(c, open, x, y)
 	}
 	return c
+}
+
+// ClassifyBand returns the code of every point of the vertical segment
+// x × [ylo, yhi] when the zone LUT proves it, and false otherwise: for
+// NaN or ±Inf, a segment off the grid, reversed or a cell tall or
+// taller, a cell that leaves a monitor open, or a bank without a LUT.
+// It builds the LUT on first use and then performs no allocations.
+//
+//mclint:hotpath
+func (b *Bank) ClassifyBand(x, ylo, yhi float64) (Code, bool) {
+	l := b.lut()
+	if l == nil || !(x >= 0 && x < 1 && ylo >= 0 && yhi < 1 && ylo <= yhi && yhi-ylo < 1.0/lutCells) {
+		return 0, false
+	}
+	i := int(x * lutCells)
+	lo, hi := l.cells[int(ylo*lutCells)*lutCells+i], l.cells[int(yhi*lutCells)*lutCells+i]
+	if lo != hi || lo>>lutMaxMonitors != l.all {
+		return 0, false
+	}
+	return Code(lo & lutCodeBits), true
 }
 
 // lookup is the per-point LUT step of ClassifyBatch and ClassifyLUT: it

@@ -13,10 +13,12 @@ import (
 	"repro/internal/rng"
 )
 
-// matchClassify checks both LUT entries against Classify on every
+// matchClassify checks the three LUT entries against Classify on every
 // point: ClassifyLUT point by point (on a fresh bank it builds the LUT
-// itself), then ClassifyBatch over the whole slice.
-func matchClassify(t *testing.T, name string, bank *Bank, xs, ys []float64) {
+// itself), ClassifyBatch over the whole slice, and ClassifyBand on
+// segments from each point (matchBand). It returns how many segments
+// ClassifyBand answered.
+func matchClassify(t *testing.T, name string, bank *Bank, xs, ys []float64) (bands int) {
 	t.Helper()
 	for i := range xs {
 		if got, want := bank.ClassifyLUT(xs[i], ys[i]), bank.Classify(xs[i], ys[i]); got != want {
@@ -30,6 +32,61 @@ func matchClassify(t *testing.T, name string, bank *Bank, xs, ys []float64) {
 			t.Fatalf("%s: point %d (%v, %v): batch %016b, scalar %016b", name, i, xs[i], ys[i], codes[i], want)
 		}
 	}
+	return matchBand(t, name, bank, xs, ys)
+}
+
+// matchBand checks ClassifyBand on segments from every point (x, y):
+// the point itself, and segments up or down to almost one cell tall.
+// Whenever it answers, Classify must give that code at both ends and at
+// 16 points between them. It must refuse a segment off the [0,1)² grid
+// (NaN and ±Inf included), a reversed one, one a cell tall or taller,
+// and every segment of a bank without a LUT. It returns how many
+// segments it answered.
+func matchBand(t *testing.T, name string, bank *Bank, xs, ys []float64) (answers int) {
+	t.Helper()
+	const cell = 1.0 / lutCells
+	hasLUT := bank.lut() != nil
+	for i, x := range xs {
+		y := ys[i]
+		h := cell * float64(1+i%8) / 9 // 1/9 … 8/9 of a cell
+		for _, seg := range [][2]float64{{y, y}, {y, y + h}, {y - h, y}} {
+			lo, hi := seg[0], seg[1]
+			c, ok := bank.ClassifyBand(x, lo, hi)
+			onGrid := x >= 0 && x < 1 && lo >= 0 && hi < 1
+			if ok && (!hasLUT || !onGrid) {
+				t.Fatalf("%s: band x %v, y [%v, %v] answered %016b off the grid or without a LUT", name, x, lo, hi, c)
+			}
+			if !ok {
+				continue
+			}
+			answers++
+			for k := 0; k <= 17; k++ {
+				yk := lo + (hi-lo)*float64(k)/17
+				if k == 17 {
+					yk = hi
+				}
+				if want := bank.Classify(x, yk); want != c {
+					t.Fatalf("%s: band x %v, y [%v, %v] answered %016b, Classify at y %v gives %016b", name, x, lo, hi, c, yk, want)
+				}
+			}
+		}
+		for _, seg := range [][2]float64{{y + h, y}, {y, oneCellUp(y)}, {y - cell/2, oneCellUp(y - cell/2)}, {y - 2*cell, y}} {
+			if c, ok := bank.ClassifyBand(x, seg[0], seg[1]); ok {
+				t.Fatalf("%s: reversed or tall band x %v, y [%v, %v] answered %016b", name, x, seg[0], seg[1], c)
+			}
+		}
+	}
+	return answers
+}
+
+// oneCellUp returns the smallest hi with hi − lo at least one LUT cell
+// (y + 1/256 can round to a shorter segment).
+func oneCellUp(lo float64) float64 {
+	hi := lo + 1.0/lutCells
+	for hi-lo < 1.0/lutCells {
+		hi = math.Nextafter(hi, math.Inf(1))
+	}
+	return hi
 }
 
 // TestClassifyBatchMatchesScalarRandom is the LUT certification property
@@ -54,7 +111,9 @@ func TestClassifyBatchMatchesScalarRandom(t *testing.T) {
 			ys[i] = -2 + 4*src.Float64()
 		}
 	}
-	matchClassify(t, "Table I", NewAnalyticTableI(), xs, ys)
+	if matchClassify(t, "Table I", NewAnalyticTableI(), xs, ys) == 0 {
+		t.Fatal("ClassifyBand answered no segment")
+	}
 }
 
 // TestClassifyBatchBoundaryAndEdgePoints stresses the hard cases: points
@@ -154,8 +213,8 @@ func TestLUTMonotonePrecondition(t *testing.T) {
 	}
 }
 
-// Allocation pins: the scalar classifier and the warmed batch and
-// single-point LUT classifiers must not allocate in steady state —
+// Allocation pins: the scalar classifier and the warmed batch,
+// single-point and band LUT classifiers must not allocate in steady state —
 // campaign workers call them millions of times per trial batch.
 func TestClassifyAllocationFree(t *testing.T) {
 	if raceEnabled {
@@ -184,6 +243,11 @@ func TestClassifyAllocationFree(t *testing.T) {
 		bank.ClassifyLUT(0.4, 0.6)
 	}); a != 0 {
 		t.Fatalf("warm ClassifyLUT allocates %.1f per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(1000, func() {
+		bank.ClassifyBand(0.4, 0.6, 0.601)
+	}); a != 0 {
+		t.Fatalf("warm ClassifyBand allocates %.1f per call, want 0", a)
 	}
 }
 
@@ -364,7 +428,7 @@ func TestZoneLUTGolden(t *testing.T) {
 // TestClassifyBatchPartlyProvenCells targets the per-monitor fallback:
 // random points inside every cell that leaves some monitor unproven, on
 // every certified bank, must classify exactly as Classify does through
-// both LUT entries.
+// the LUT entries, and ClassifyBand must refuse every segment.
 func TestClassifyBatchPartlyProvenCells(t *testing.T) {
 	src := rng.New(29)
 	for _, nb := range lutTestBanks(t) {
@@ -382,7 +446,10 @@ func TestClassifyBatchPartlyProvenCells(t *testing.T) {
 		if len(xs) == 0 {
 			t.Fatalf("%s: no partly proven cell", nb.name)
 		}
-		matchClassify(t, nb.name, nb.bank, xs, ys)
+		// Every segment holds its point, so it meets a partly proven cell.
+		if n := matchClassify(t, nb.name, nb.bank, xs, ys); n != 0 {
+			t.Fatalf("%s: ClassifyBand answered %d segments through partly proven cells", nb.name, n)
+		}
 	}
 }
 

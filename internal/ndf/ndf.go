@@ -24,7 +24,11 @@ var ErrPeriodMismatch = errors.New("ndf: signatures have different periods")
 
 // NDF computes the exact Eq. 2 integral between an observed and a golden
 // signature by sweeping the merged breakpoints of both piecewise-constant
-// code functions — no sampling error.
+// code functions — no sampling error. When the durations of one
+// signature sum to less than the period (Validate allows 1e-6·T), its
+// last entry holds until the other signature's last entry ends or T,
+// whichever comes first. When both fall short of T, the rest of the
+// period up to T is not counted.
 func NDF(observed, golden *signature.Signature) (float64, error) {
 	if err := observed.Validate(); err != nil {
 		return 0, fmt.Errorf("ndf: observed: %w", err)
@@ -48,6 +52,11 @@ func NDF(observed, golden *signature.Signature) (float64, error) {
 	integral := 0.0
 	for t < T-1e-15*T {
 		next := math.Min(co.end, cg.end)
+		if next <= t {
+			// The cursor that ends first is on its last entry, which
+			// holds until the other one, which ends after t, ends.
+			next = math.Max(co.end, cg.end)
+		}
 		if next > T {
 			next = T
 		}

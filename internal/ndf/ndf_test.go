@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/biquad"
 	"repro/internal/monitor"
@@ -40,6 +41,46 @@ func TestNDFHandComputed(t *testing.T) {
 	}
 	if math.Abs(v-0.1) > 1e-12 {
 		t.Fatalf("NDF = %v, want 0.1", v)
+	}
+}
+
+// TestNDFLastEntryHoldsUntilPeriod: a signature whose durations sum to
+// less than the period (by 1e-9·T, well inside Validate's 1e-6·T) keeps
+// its last code until T. NDF once looped forever on such input, so each
+// call runs against a deadline.
+func TestNDFLastEntryHoldsUntilPeriod(t *testing.T) {
+	const T = 200e-6
+	golden := sig(T, signature.Entry{Code: 1, Dur: T / 2}, signature.Entry{Code: 2, Dur: T / 2})
+	short := sig(T, signature.Entry{Code: 1, Dur: T / 2}, signature.Entry{Code: 3, Dur: T/2 - 1e-9*T})
+	long := sig(T, signature.Entry{Code: 1, Dur: T / 2}, signature.Entry{Code: 3, Dur: T/2 + 1e-9*T})
+	for _, c := range []struct {
+		name      string
+		obs, gold *signature.Signature
+		want      float64
+	}{
+		{"short vs golden", short, golden, 0.5},
+		{"golden vs short", golden, short, 0.5},
+		{"short vs long", short, long, 0},
+		{"long vs golden", long, golden, 0.5},
+		{"short vs short", short, short, 0},
+	} {
+		c := c
+		done := make(chan float64, 1)
+		go func() {
+			v, err := NDF(c.obs, c.gold)
+			if err != nil {
+				t.Error(err)
+			}
+			done <- v
+		}()
+		select {
+		case v := <-done:
+			if math.Abs(v-c.want) > 1e-12 {
+				t.Errorf("%s: NDF = %v, want %v", c.name, v, c.want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: NDF did not return within 2 s", c.name)
+		}
 	}
 }
 

@@ -36,19 +36,20 @@ type Classifier func(t float64) monitor.Code
 // ErrEmpty is returned for operations on empty signatures.
 var ErrEmpty = errors.New("signature: empty signature")
 
-// Validate checks structural invariants: positive durations summing to
-// the period and no adjacent duplicate codes.
+// Validate checks structural invariants: a positive, finite period,
+// positive, finite durations summing to it within 1e-6·Period, and no
+// adjacent duplicate codes.
 func (s *Signature) Validate() error {
 	if len(s.Entries) == 0 {
 		return ErrEmpty
 	}
-	if s.Period <= 0 {
-		return fmt.Errorf("signature: period %g must be positive", s.Period)
+	if !(s.Period > 0) || math.IsInf(s.Period, 1) {
+		return fmt.Errorf("signature: period %g must be positive and finite", s.Period)
 	}
 	sum := 0.0
 	for i, e := range s.Entries {
-		if e.Dur <= 0 {
-			return fmt.Errorf("signature: entry %d has non-positive duration %g", i, e.Dur)
+		if !(e.Dur > 0) || math.IsInf(e.Dur, 1) {
+			return fmt.Errorf("signature: entry %d has duration %g, want positive and finite", i, e.Dur)
 		}
 		if i > 0 && e.Code == s.Entries[i-1].Code {
 			return fmt.Errorf("signature: entries %d and %d share code %d", i-1, i, e.Code)

@@ -110,6 +110,16 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := bad3.Validate(); err == nil {
 		t.Fatal("negative duration accepted")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, s := range []*Signature{
+		{Period: nan, Entries: []Entry{{0, nan}}},
+		{Period: inf, Entries: []Entry{{0, inf}}},
+		{Period: 1, Entries: []Entry{{0, 0.5}, {1, nan}}},
+	} {
+		if err := s.Validate(); err == nil {
+			t.Fatalf("non-finite signature %+v accepted", *s)
+		}
+	}
 	empty := &Signature{Period: 1}
 	if err := empty.Validate(); err != ErrEmpty {
 		t.Fatalf("err = %v, want ErrEmpty", err)

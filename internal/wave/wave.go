@@ -113,6 +113,19 @@ func (m *Multitone) Eval(t float64) float64 {
 // Period implements Waveform.
 func (m *Multitone) Period() float64 { return m.period }
 
+// CurvatureBound returns M2 = Σ|Amp|·(2π·Freq)², a bound on the second
+// derivative of the waveform at every t, rounded up by a relative 1e-12
+// so the floating-point sum cannot fall below the exact one. A NaN or
+// infinite amplitude makes it NaN or +Inf: no bound.
+func (m *Multitone) CurvatureBound() float64 {
+	m2 := 0.0
+	for _, tn := range m.Tones {
+		w := 2 * math.Pi * tn.Freq
+		m2 += math.Abs(tn.Amp) * w * w
+	}
+	return m2 * (1 + 1e-12)
+}
+
 // PeakToPeak returns a conservative bound on the waveform swing:
 // offset ± sum of amplitudes.
 func (m *Multitone) PeakToPeak() (lo, hi float64) {

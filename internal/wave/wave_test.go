@@ -192,6 +192,59 @@ func TestMultitoneBoundProperty(t *testing.T) {
 	}
 }
 
+// TestMultitoneCurvatureBound: on random multitones the central second
+// difference of Eval — the second derivative somewhere in its stencil,
+// up to the difference's own rounding — never exceeds CurvatureBound. A single
+// tone's bound is Amp·(2π·Freq)² up to the documented 1e-12 round-up,
+// and a NaN or infinite amplitude leaves no finite bound.
+func TestMultitoneCurvatureBound(t *testing.T) {
+	src := rng.New(23)
+	for c := 0; c < 200; c++ {
+		n := 1 + int(6*src.Float64())
+		harm := make([]int, n)
+		amps := make([]float64, n)
+		phases := make([]float64, n)
+		for k := range harm {
+			harm[k] = 1 + int(8*src.Float64())
+			amps[k] = 1.2*src.Float64() - 0.6
+			phases[k] = 2 * math.Pi * src.Float64()
+		}
+		m, err := NewMultitone(src.Float64(), 5e3, harm, amps, phases)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2 := m.CurvatureBound()
+		// Each Eval rounds by well under 1e-13 V here; the difference
+		// combines four of them.
+		h := m.Period() / 4096
+		tol := 4e-13 / (h * h)
+		for i := 0; i < 500; i++ {
+			tm := m.Period() * src.Float64()
+			d2 := (m.Eval(tm+h) - 2*m.Eval(tm) + m.Eval(tm-h)) / (h * h)
+			if math.Abs(d2) > m2+tol {
+				t.Fatalf("curve %d at t %v: |second difference| %v exceeds bound %v", c, tm, math.Abs(d2), m2)
+			}
+		}
+	}
+
+	m, err := NewMultitone(0.3, 7e3, []int{3}, []float64{-0.4}, []float64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := 2 * math.Pi * 21e3
+	if got, want := m.CurvatureBound(), 0.4*w*w; got < want || got > want*(1+2e-12) {
+		t.Fatalf("single tone: bound %v, want %v rounded up by at most 1e-12", got, want)
+	}
+	m.Tones[0].Amp = math.NaN()
+	if b := m.CurvatureBound(); !math.IsNaN(b) {
+		t.Fatalf("NaN amplitude: bound %v, want NaN", b)
+	}
+	m.Tones[0].Amp = math.Inf(-1)
+	if b := m.CurvatureBound(); !math.IsInf(b, 1) {
+		t.Fatalf("infinite amplitude: bound %v, want +Inf", b)
+	}
+}
+
 func TestSampledPeriodicInterpolation(t *testing.T) {
 	// Four samples of one period: 0, 1, 0, -1 (a coarse sine).
 	s, err := NewSampled([]float64{0, 1, 0, -1}, 4e-3)
