@@ -92,7 +92,8 @@ bench-verify:
 
 # Short-budget fuzz pass over the trial-template mutation engine, the
 # signature binary decoder, the NDF breakpoint sweep (a hang is a
-# failure), the fabric job-log replay, the shard accumulator codecs, the
+# failure), the zone-LUT rectangle query (an answer must match the exact
+# classifier), the fabric job-log replay, the shard accumulator codecs, the
 # campaign spec ingress and the HTTP handlers of both APIs (seed corpora
 # are checked in under testdata/fuzz or added in the fuzz targets). Each
 # target gets 10s — enough to exercise the mutator on every seed class
@@ -102,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzTemplateMutation$$' -fuzztime=10s ./internal/spice
 	$(GO) test -run=^$$ -fuzz='^FuzzUnmarshalBinary$$' -fuzztime=10s ./internal/signature
 	$(GO) test -run=^$$ -fuzz='^FuzzNDF$$' -fuzztime=10s ./internal/ndf
+	$(GO) test -run=^$$ -fuzz='^FuzzClassifyRect$$' -fuzztime=10s ./internal/monitor
 	$(GO) test -run=^$$ -fuzz='^FuzzJobLogReplay$$' -fuzztime=10s ./internal/fabric
 	$(GO) test -run=^$$ -fuzz='^FuzzShardBlobUnmarshal$$' -fuzztime=10s ./internal/testbench
 	$(GO) test -run=^$$ -fuzz='^FuzzSpecDecode$$' -fuzztime=10s ./internal/testbench

@@ -487,6 +487,43 @@ func benchmarkAveragedNDFEngine(b *testing.B, scalar bool) {
 	b.ReportMetric(v, "NDF")
 }
 
+// MON-BIT: one analytic monitor's exact bit (Table I row 3) at random
+// plane points: the cost of a monitor a zone-LUT cell leaves open, and
+// of every step of a Fig. 4 boundary bisection.
+func BenchmarkAnalyticBit(b *testing.B) {
+	m := monitor.MustAnalytic(monitor.TableI()[2])
+	src := rng.New(1)
+	xs := make([]float64, 1024)
+	ys := make([]float64, 1024)
+	for i := range xs {
+		xs[i] = src.Float64()
+		ys[i] = src.Float64()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Bit(xs[i%1024], ys[i%1024])
+	}
+}
+
+// SETUP: a fresh System and its golden signature on each backend, the
+// one-time cost every campaign job pays before its first trial
+// (zone-LUT certification dominates the analytic one).
+func BenchmarkSystemGolden(b *testing.B) {
+	for _, backend := range core.Backends() {
+		b.Run(backend, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sys, err := core.SystemForBackend(backend)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sys.GoldenSignature(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkSpiceMonitorBit(b *testing.B) {
 	sm, err := monitor.NewSpice(monitor.TableI()[2], nil)
 	if err != nil {

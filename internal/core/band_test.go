@@ -42,7 +42,7 @@ func matchScanCodes(t *testing.T, name string, s *System, out wave.Waveform, sc 
 	evals = len(ts)
 	if m, ok := out.(*wave.Multitone); ok {
 		direct := make([]monitor.Code, len(ts))
-		evals = bandCodes(s.Bank, m, ts, xs, direct)
+		evals = bandCodes(s.Bank, s.Stimulus, m, ts, xs, direct)
 		match("bandCodes", direct)
 	}
 	return evals, len(ts)
@@ -75,6 +75,9 @@ func randomMultitone(t *testing.T, src *rng.Stream, f0 float64) *wave.Multitone 
 // against evaluating and classifying every scan point:
 //   - random multitones, on the paper's 8192-point scan and on an
 //     8191-point one whose last block is short;
+//   - random multitones on systems whose stimulus is a random multitone
+//     too, at 8192 and 8191 points, so a block's x range varies as much
+//     as its y range;
 //   - a NaN and an infinite amplitude, whose curvature bound certifies
 //     nothing, and a bank without a zone LUT: every point is evaluated;
 //   - yield-style component dies on both observations, where at most
@@ -110,6 +113,26 @@ func TestBandScanMatchesEvaluatedScan(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		matchScanCodes(t, fmt.Sprintf("8191-point scan, curve %d", i), odd, randomMultitone(t, src, f0), sc)
+	}
+
+	// A random stimulus widens the blocks' x range by its own curvature
+	// bound, which the paper's gentle stimulus barely stresses.
+	stimProven := 0
+	for i := 0; i < curves/2; i++ {
+		ss, err := NewSystem(randomMultitone(t, src, f0), s.CUT, s.Bank, s.Capture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 3 {
+			ss.ScanN = 8191
+		}
+		if e, n := matchScanCodes(t, fmt.Sprintf("%d-point scan, random stimulus %d", ss.ScanN, i), ss, randomMultitone(t, src, f0), sc); e < n {
+			stimProven++
+		}
+	}
+	t.Logf("random stimuli: %d of %d curves with a proven band", stimProven, curves/2)
+	if stimProven == 0 {
+		t.Fatal("no random-stimulus curve had a proven band")
 	}
 
 	evaluated := func(name string, s *System, out wave.Waveform) {
@@ -178,4 +201,55 @@ func golden(t *testing.T, s *System) *wave.Multitone {
 		t.Fatal(err)
 	}
 	return out.(*wave.Multitone)
+}
+
+// TestBandScanGrazingPeaks plants, on each axis, a zone boundary that a
+// single tone crosses only between the ends of one scan block. The tone
+// peaks at the block's middle scan point, w/4 past a LUT cell edge,
+// where w = M2·h²/8 + bandSlack is the block's half-width on that axis;
+// its block ends sit 3w/4 below the edge. A line monitor's boundary
+// lies w/8 past the edge, so the points around the peak code 1 and the
+// block ends 0. The block's bounding box reaches the boundary's cell
+// only with the whole of w: a box that drops or halves w on either axis
+// proves code 0 for the peak's points.
+func TestBandScanGrazingPeaks(t *testing.T) {
+	const amp, edge = 0.45, 242.0 / 256
+	s := Default()
+	ts, _, err := s.scans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f0 := 1 / s.Period()
+	mid := bandBlock / 2
+	tone := func(offset float64) *wave.Multitone {
+		phase := math.Pi/2 - 2*math.Pi*float64(mid)/float64(s.ScanN) // peak at scan point mid
+		m, err := wave.NewMultitone(offset, f0, []int{1}, []float64{amp}, []float64{phase})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	h := ts[bandBlock] - ts[0]
+	w := tone(0).CurvatureBound()*h*h/8 + bandSlack
+	peak := tone(edge - 0.75*w - tone(0).Eval(ts[0]))
+	if top := peak.Eval(ts[mid]); !(top > edge+w/8) {
+		t.Fatalf("tone peaks at %v, want past the boundary at %v", top, edge+w/8)
+	}
+	line := func(in monitor.Input) *monitor.Bank {
+		cfg := monitor.TableI()[2]
+		cfg.Name = "line"
+		cfg.Inputs = [4]monitor.Input{in, monitor.Bias(0), monitor.Bias(edge + w/8), monitor.Bias(0)}
+		return monitor.NewBank(monitor.MustAnalytic(cfg))
+	}
+	sc := NewTrialScratch()
+
+	sx, err := NewSystem(peak, s.CUT, line(monitor.X()), s.Capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchScanCodes(t, "stimulus peak", sx, golden(t, s), sc)
+
+	sy := Default()
+	sy.Bank = line(monitor.Y())
+	matchScanCodes(t, "output peak", sy, peak, sc)
 }

@@ -403,10 +403,11 @@ func (s *System) exactSignature(c CUT, sc *TrialScratch) (*signature.Signature, 
 }
 
 // scanCodes classifies out on the scan grid into sc's code buffer. An
-// exact multitone goes through certified interpolation bands
+// exact multitone goes through certified interpolation bounds
 // (bandCodes), which on the paper's system evaluate it at about one scan
-// point in eleven; SPICE's sampled outputs have no curvature bound and
-// are evaluated and classified with ClassifyBatch at every point.
+// point in eleven and prove most blocks of 32 points with one zone-LUT
+// query; SPICE's sampled outputs have no curvature bound and are
+// evaluated and classified with ClassifyBatch at every point.
 func (s *System) scanCodes(out wave.Waveform, sc *TrialScratch) ([]monitor.Code, error) {
 	ts, xs, err := s.scans()
 	if err != nil {
@@ -414,7 +415,7 @@ func (s *System) scanCodes(out wave.Waveform, sc *TrialScratch) ([]monitor.Code,
 	}
 	codes := sc.capture.Codes(len(ts))
 	if m, ok := out.(*wave.Multitone); ok {
-		bandCodes(s.Bank, m, ts, xs, codes)
+		bandCodes(s.Bank, s.Stimulus, m, ts, xs, codes)
 		return codes, nil
 	}
 	ys := grow(&sc.ys, len(ts))
@@ -424,10 +425,10 @@ func (s *System) scanCodes(out wave.Waveform, sc *TrialScratch) ([]monitor.Code,
 }
 
 // The band scan evaluates the output at every bandBlock-th scan point.
-// A point t between block ends t_a and t_b lies within
-// M2·(t−t_a)(t_b−t)/2 + bandSlack of the line through their values: the
-// interpolation remainder, M2 bounding the second derivative, plus
-// rounding.
+// A waveform with second derivative bounded by M2 lies, at a point t
+// between block ends t_a and t_b, within M2·(t−t_a)(t_b−t)/2 of the line
+// through its values there: the interpolation remainder. bandSlack
+// covers rounding on top.
 const (
 	// bandBlock: on the paper's 8192-point scan a 32-step block's worst
 	// half-width is 79 µV, 2 % of a LUT cell; 16, 32 and 64 measured alike.
@@ -438,14 +439,20 @@ const (
 )
 
 // bandCodes fills codes[i] with the code ClassifyBatch gives
-// (xs[i], out(ts[i])) and returns how many points it evaluated: the
-// block ends, and every point whose band ClassifyBand cannot prove. It
-// proves none when M2 is NaN or infinite or the bank has no zone LUT,
-// and then evaluates every point.
+// (xs[i], out(ts[i])), where xs holds stim on ts, and returns how many
+// points it evaluated: the block ends, and every point whose band
+// ClassifyRect cannot prove. A block's interior lies in its bounding
+// box: x within M2·h²/8 + bandSlack of the block ends' x range, M2 being
+// stim's curvature bound and h = t_b − t_a, and y likewise with out's.
+// When ClassifyRect proves the box, every interior point gets its code.
+// Otherwise each interior point gets the code ClassifyRect proves for
+// the vertical segment x × (line ± M2·(t−t_a)(t_b−t)/2 + bandSlack), or
+// is evaluated. Nothing is proven when a curvature bound is NaN or
+// infinite or the bank has no zone LUT; then every point is evaluated.
 //
 //mclint:hotpath
-func bandCodes(bank *monitor.Bank, out *wave.Multitone, ts, xs []float64, codes []monitor.Code) (evals int) {
-	m2 := out.CurvatureBound()
+func bandCodes(bank *monitor.Bank, stim, out *wave.Multitone, ts, xs []float64, codes []monitor.Code) (evals int) {
+	m2x, m2y := stim.CurvatureBound(), out.CurvatureBound()
 	last := len(ts) - 1
 	ya := out.Eval(ts[0])
 	codes[0] = bank.ClassifyLUT(xs[0], ya)
@@ -456,12 +463,21 @@ func bandCodes(bank *monitor.Bank, out *wave.Multitone, ts, xs []float64, codes 
 		yb := out.Eval(tb)
 		codes[b] = bank.ClassifyLUT(xs[b], yb)
 		evals++
+		h2 := (tb - ta) * (tb - ta) / 8
+		wx, wy := m2x*h2+bandSlack, m2y*h2+bandSlack
+		if c, ok := bank.ClassifyRect(min(xs[a], xs[b])-wx, max(xs[a], xs[b])+wx, min(ya, yb)-wy, max(ya, yb)+wy); ok {
+			for i := a + 1; i < b; i++ {
+				codes[i] = c
+			}
+			ya = yb
+			continue
+		}
 		slope := (yb - ya) / (tb - ta)
 		for i := a + 1; i < b; i++ {
 			t := ts[i]
 			y := ya + slope*(t-ta)
-			w := m2*(t-ta)*(tb-t)/2 + bandSlack
-			c, ok := bank.ClassifyBand(xs[i], y-w, y+w)
+			w := m2y*(t-ta)*(tb-t)/2 + bandSlack
+			c, ok := bank.ClassifyRect(xs[i], xs[i], y-w, y+w)
 			if !ok {
 				c = bank.ClassifyLUT(xs[i], out.Eval(t))
 				evals++

@@ -94,6 +94,7 @@ type Coordinator struct {
 	// so a job being opened is invisible to Lease, Jobs, Info and Count.
 	reserved map[string]bool
 	finished []string // ids of the retained terminal jobs, oldest-finished first
+	evicted  int      // finished jobs dropped past MaxRetained
 	seq      int      // lease token counter
 }
 
@@ -488,6 +489,7 @@ func (c *Coordinator) retireLocked(r *jobRun) {
 		old := c.jobs[c.finished[0]]
 		delete(c.jobs, c.finished[0])
 		c.finished = c.finished[1:]
+		c.evicted++
 		// Every append already surfaced its own error and the log is
 		// unbuffered, so closing an evicted job's handle loses nothing.
 		_ = old.job.Close()
@@ -583,11 +585,13 @@ func (c *Coordinator) Info(id string) (JobInfo, error) {
 }
 
 // Count reports how many jobs the coordinator holds: running ones, and
-// finished ones retained for queries (at most MaxRetained).
-func (c *Coordinator) Count() (running, retained int) {
+// finished ones retained for queries (at most MaxRetained). evicted is
+// how many finished jobs it has dropped past MaxRetained since it was
+// created, so retained + evicted counts every job it saw finish.
+func (c *Coordinator) Count() (running, retained, evicted int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.jobs) - len(c.finished), len(c.finished)
+	return len(c.jobs) - len(c.finished), len(c.finished), c.evicted
 }
 
 // compiled returns a running job's compiled form, or nil.

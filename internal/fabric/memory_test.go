@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/testbench"
 )
 
@@ -70,7 +71,8 @@ func TestMemoryStore(t *testing.T) {
 // TestRetentionEvictsOldestFinished: past MaxRetained finished jobs the
 // coordinator evicts the oldest-finished one, closes its handle and
 // answers its id with ErrUnknownJob, whatever the store; a running job
-// is never evicted.
+// is never evicted. Count and mcfabric_jobs_evicted_total report every
+// eviction, so evicted + retained is every finished job.
 func TestRetentionEvictsOldestFinished(t *testing.T) {
 	stores := []struct {
 		name string
@@ -81,7 +83,8 @@ func TestRetentionEvictsOldestFinished(t *testing.T) {
 	}
 	for _, tc := range stores {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewCoordinator(Config{Store: tc.open(t), Compile: synthCompile})
+			reg := metrics.NewRegistry()
+			c := NewCoordinator(Config{Store: tc.open(t), Compile: synthCompile, Metrics: NewMetrics(reg)})
 			defer func() {
 				if err := c.Close(); err != nil {
 					t.Error(err)
@@ -109,8 +112,11 @@ func TestRetentionEvictsOldestFinished(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if running, retained := c.Count(); running != 1 || retained != MaxRetained {
-				t.Fatalf("count = %d running, %d retained; want 1, %d", running, retained, MaxRetained)
+			if running, retained, evicted := c.Count(); running != 1 || retained != MaxRetained || evicted != extra {
+				t.Fatalf("count = %d running, %d retained, %d evicted; want 1, %d, %d", running, retained, evicted, MaxRetained, extra)
+			}
+			if v := snapshotTotal(t, reg, "mcfabric_jobs_evicted_total"); v != extra {
+				t.Fatalf("mcfabric_jobs_evicted_total = %v, want %d", v, extra)
 			}
 			if n := len(c.Jobs()); n != MaxRetained+1 {
 				t.Fatalf("coordinator holds %d jobs, want %d", n, MaxRetained+1)

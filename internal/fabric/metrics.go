@@ -42,9 +42,10 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 	}
 }
 
-// observeCoordinator registers the scrape-time gauges that read live
-// coordinator state: the age of the stalest active lease heartbeat and
-// the number of active leases. Called once from NewCoordinator.
+// observeCoordinator registers the scrape-time families that read live
+// coordinator state: the age of the stalest active lease heartbeat, the
+// number of active leases and the finished jobs evicted past
+// MaxRetained. Called once from NewCoordinator.
 func (m *Metrics) observeCoordinator(c *Coordinator) {
 	if m == nil {
 		return
@@ -55,6 +56,9 @@ func (m *Metrics) observeCoordinator(c *Coordinator) {
 	m.reg.GaugeFunc("mcfabric_leases_active",
 		"Leases currently held by workers.", "",
 		c.activeLeases)
+	m.reg.CounterFunc("mcfabric_jobs_evicted_total",
+		"Finished jobs dropped past fabric.MaxRetained.", "",
+		func() float64 { _, _, evicted := c.Count(); return float64(evicted) })
 }
 
 func (m *Metrics) leaseGranted() {

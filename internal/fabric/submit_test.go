@@ -77,7 +77,7 @@ func TestConcurrentSubmitsOfOneIDHaveOneWinner(t *testing.T) {
 					return c.Submit(context.Background(), id, synthSpec(100, uint64(n), 10, 10), 2)
 				})
 			}
-			if running, _ := c.Count(); running != races {
+			if running, _, _ := c.Count(); running != races {
 				t.Fatalf("coordinator holds %d running jobs, want %d", running, races)
 			}
 		})
@@ -137,7 +137,7 @@ func TestSubmitReservation(t *testing.T) {
 	if _, err := c.Info("job"); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("Info of a compiling job: %v, want ErrUnknownJob", err)
 	}
-	if running, retained := c.Count(); running != 0 || retained != 0 {
+	if running, retained, _ := c.Count(); running != 0 || retained != 0 {
 		t.Fatalf("Count = %d running, %d retained while the only job is still compiling", running, retained)
 	}
 	if ls, ok, err := c.Lease(ctx, "w"); err != nil || ok {

@@ -26,8 +26,8 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			fmt.Fprintf(&b, "%s %d\n", f.name, f.counter.Value())
 		case f.gauge != nil:
 			fmt.Fprintf(&b, "%s %s\n", f.name, promFloat(f.gauge.Value()))
-		case f.gaugeFn != nil:
-			fmt.Fprintf(&b, "%s %s\n", f.name, promFloat(f.gaugeFn()))
+		case f.valueFn != nil:
+			fmt.Fprintf(&b, "%s %s\n", f.name, promFloat(f.valueFn()))
 		case f.histogram != nil:
 			promHistogram(&b, f.name, "", "", f.histogram)
 		default: // vec
@@ -130,8 +130,8 @@ func (r *Registry) Snapshot() JSONSnapshot {
 			jf.Metrics = append(jf.Metrics, scalarMetric("", float64(f.counter.Value())))
 		case f.gauge != nil:
 			jf.Metrics = append(jf.Metrics, scalarMetric("", f.gauge.Value()))
-		case f.gaugeFn != nil:
-			jf.Metrics = append(jf.Metrics, scalarMetric("", f.gaugeFn()))
+		case f.valueFn != nil:
+			jf.Metrics = append(jf.Metrics, scalarMetric("", f.valueFn()))
 		case f.histogram != nil:
 			jf.Metrics = append(jf.Metrics, histMetric("", f.histogram))
 		default:

@@ -160,7 +160,7 @@ type family struct {
 
 	counter   *Counter
 	gauge     *Gauge
-	gaugeFn   func() float64
+	valueFn   func() float64 // scrape-time value of a GaugeFunc or CounterFunc
 	histogram *Histogram
 	buckets   []float64 // vec histograms stamp children from this
 
@@ -270,7 +270,14 @@ func (r *Registry) Gauge(name, help, unit string) *Gauge {
 // the hook for values derived from live state (e.g. the fabric's
 // worker heartbeat age). fn must be safe to call concurrently.
 func (r *Registry) GaugeFunc(name, help, unit string, fn func() float64) {
-	r.add(&family{name: name, typ: TypeGauge, help: help, unit: unit, gaugeFn: fn})
+	r.add(&family{name: name, typ: TypeGauge, help: help, unit: unit, valueFn: fn})
+}
+
+// CounterFunc registers a counter whose value is read at scrape time
+// from a count the caller keeps (e.g. the fabric's evicted jobs). fn
+// must be safe to call concurrently and never decrease.
+func (r *Registry) CounterFunc(name, help, unit string, fn func() float64) {
+	r.add(&family{name: name, typ: TypeCounter, help: help, unit: unit, valueFn: fn})
 }
 
 // Histogram registers a plain fixed-bucket histogram; nil buckets

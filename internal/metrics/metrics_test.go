@@ -19,6 +19,7 @@ func newTestRegistry() (*Registry, *Counter, *Gauge, *Histogram, *CounterVec, *H
 	cv := r.CounterVec("test_requests_total", "Requests by route.", "1", "route")
 	hv := r.HistogramVec("test_route_seconds", "Route latency.", "seconds", "route", []float64{0.5, 5})
 	r.GaugeFunc("test_age_seconds", "Scrape-time computed age.", "seconds", func() float64 { return 42.5 })
+	r.CounterFunc("test_dropped_total", "Scrape-time read count.", "1", func() float64 { return 3 })
 	return r, c, g, h, cv, hv
 }
 
@@ -140,7 +141,7 @@ func TestScrapeDeterminism(t *testing.T) {
 	}
 	// Families appear in registration order.
 	order := []string{"test_ops_total", "test_inflight", "test_latency_seconds",
-		"test_requests_total", "test_route_seconds", "test_age_seconds"}
+		"test_requests_total", "test_route_seconds", "test_age_seconds", "test_dropped_total"}
 	last := -1
 	for _, name := range order {
 		i := strings.Index(a1.String(), "# TYPE "+name+" ")
@@ -163,6 +164,12 @@ func TestScrapeDeterminism(t *testing.T) {
 	}
 	if f, ok := snap.Find("test_ops_total"); !ok || f.Total() != 7 {
 		t.Fatalf("Find/Total = %v, want 7", f.Total())
+	}
+	if f, ok := snap.Find("test_dropped_total"); !ok || f.Type != TypeCounter || f.Total() != 3 {
+		t.Fatalf("CounterFunc family %+v, want a counter reading 3", f)
+	}
+	if !strings.Contains(a1.String(), "# TYPE test_dropped_total counter\ntest_dropped_total 3\n") {
+		t.Fatalf("CounterFunc family not exposed as a counter:\n%s", a1.String())
 	}
 }
 

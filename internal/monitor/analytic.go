@@ -16,9 +16,15 @@ import (
 // load keeps both summing nodes near the same potential in the fabricated
 // circuit, so ignoring V_DS effects here reproduces the published curve
 // family; tests cross-check against the transistor-level Spice model.
+//
+// Every Table I row drives two of its inputs from DC biases, so the
+// model stores those inputs' currents once and Balance evaluates IDSat
+// only for the inputs x and y drive.
 type Analytic struct {
-	cfg     Config
-	devs    [4]mos.Device
+	cfg  Config
+	devs [4]mos.Device
+	// dc[i] is IDSat of input i's bias when a DC source drives it.
+	dc      [4]float64
 	refSign int
 }
 
@@ -27,7 +33,18 @@ func NewAnalytic(cfg Config) (*Analytic, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Analytic{cfg: cfg, devs: cfg.Devices()}
+	return newAnalytic(cfg, cfg.Devices()), nil
+}
+
+// newAnalytic builds the model on the given input devices: it stores the
+// DC inputs' currents and derives the reference side from them.
+func newAnalytic(cfg Config, devs [4]mos.Device) *Analytic {
+	a := &Analytic{cfg: cfg, devs: devs}
+	for i, in := range cfg.Inputs {
+		if in.Kind == DriveDC {
+			a.dc[i] = devs[i].IDSat(in.DC)
+		}
+	}
 	a.refSign = signum(a.Balance(cfg.RefX, cfg.RefY))
 	if a.refSign == 0 {
 		// Reference sits exactly on the boundary; nudge deterministically.
@@ -36,7 +53,7 @@ func NewAnalytic(cfg Config) (*Analytic, error) {
 			a.refSign = 1
 		}
 	}
-	return a, nil
+	return a
 }
 
 // MustAnalytic is NewAnalytic that panics on configuration errors; it is
@@ -50,15 +67,20 @@ func MustAnalytic(cfg Config) *Analytic {
 }
 
 // Balance returns I_left − I_right at plane point (x, y). The zone
-// boundary is Balance == 0.
+// boundary is Balance == 0. A DC input contributes its stored current,
+// which is exactly IDSat of its bias, and the four currents are summed
+// as (I0 + I1) − (I2 + I3), the order the zone LUT's node balances use.
 func (a *Analytic) Balance(x, y float64) float64 {
-	var v [4]float64
-	for i := range v {
-		v[i] = a.cfg.Inputs[i].Voltage(x, y)
+	c := a.dc
+	for i, in := range a.cfg.Inputs {
+		switch in.Kind {
+		case DriveX:
+			c[i] = a.devs[i].IDSat(x)
+		case DriveY:
+			c[i] = a.devs[i].IDSat(y)
+		}
 	}
-	left := a.devs[0].IDSat(v[0]) + a.devs[1].IDSat(v[1])
-	right := a.devs[2].IDSat(v[2]) + a.devs[3].IDSat(v[3])
-	return left - right
+	return (c[0] + c[1]) - (c[2] + c[3])
 }
 
 // Bit implements Monitor.
@@ -73,15 +95,11 @@ func (a *Analytic) Bit(x, y float64) int {
 func (a *Analytic) Config() Config { return a.cfg }
 
 // WithDevices returns a copy of the monitor using the provided (e.g.
-// Monte Carlo perturbed) input devices. The reference side is re-derived
-// because variation can move the boundary.
+// Monte Carlo perturbed) input devices. The DC inputs' currents and the
+// reference side are re-derived as NewAnalytic derives them, because
+// variation can move the boundary.
 func (a *Analytic) WithDevices(devs [4]mos.Device) *Analytic {
-	out := &Analytic{cfg: a.cfg, devs: devs}
-	out.refSign = signum(out.Balance(a.cfg.RefX, a.cfg.RefY))
-	if out.refSign == 0 {
-		out.refSign = 1
-	}
-	return out
+	return newAnalytic(a.cfg, devs)
 }
 
 // Devices returns the monitor's input devices.

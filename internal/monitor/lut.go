@@ -42,8 +42,9 @@ import (
 //
 // Each input voltage follows x, follows y, or is DC, so each input's
 // IDSat depends on at most one node coordinate. The build tabulates it
-// once per grid node along that axis (4·(n+1) IDSat calls per monitor
-// instead of 4·(n+1)²) and forms every node balance as
+// once per grid node along that axis (n+1 IDSat calls per x- or
+// y-driven input instead of (n+1)²; a DC input's row repeats the current
+// the monitor stores) and forms every node balance as
 // (I0 + I1) − (I2 + I3) from the tables: the operands Balance computes
 // at that node, combined in the order Balance combines them. Only the
 // node's margin sign is kept. The proof does not need the node values to
@@ -66,14 +67,19 @@ import (
 // branches, or more monitors than a cell has bits — skip the LUT and
 // classify every point with the scalar path.
 //
-// # Band query
+// # Rectangle query
 //
-// Bank.ClassifyBand serves a caller that knows only an interval holding
-// a point's y. A vertical segment x × [ylo, yhi] shorter than one cell
-// meets at most the two cells int(ylo·lutCells) and int(yhi·lutCells).
-// When both prove every monitor with the same code, the closed-cell
-// argument above gives that code to every point of the segment, which
-// is what ClassifyBatch returns for any y in it. Otherwise it refuses.
+// Bank.ClassifyRect serves a caller that knows only a box holding its
+// points: a scan block whose coordinates are bounded by interpolation,
+// or one point whose y is. A point (x, y) of the closed rectangle
+// [xlo, xhi] × [ylo, yhi] on the grid lies in cell
+// (int(x·lutCells), int(y·lutCells)), and the index arithmetic is exact
+// and monotone, so that cell is one of those from int(xlo·lutCells) to
+// int(xhi·lutCells) by int(ylo·lutCells) to int(yhi·lutCells). When all
+// of them prove every monitor with the same code, the closed-cell
+// argument above gives that code to every point of the rectangle, and
+// it is the code ClassifyBatch returns at any of them. Otherwise it
+// refuses, stopping at the first cell that differs.
 
 const (
 	// lutCells is the zone LUT resolution per axis. Power of two, so the
@@ -125,19 +131,20 @@ func (a *Analytic) lutMonotone() bool {
 // nodeSigns fills sign[j·(n+1)+i] with the margin sign of the balance at
 // grid node (i/n, j/n), n = lutCells. tab is scratch for one node row of
 // the four input currents, 4·(n+1) values: an x-driven input's row holds
-// IDSat at every node x, a DC input's row its constant IDSat, and a
+// IDSat at every node x, a DC input's row its stored current, and a
 // y-driven input's row is refilled with IDSat at each node row's y.
 func (a *Analytic) nodeSigns(tab []float64, sign []int8) {
 	const n, m = lutCells, lutCells + 1
 	var cur [4][]float64
 	for k, in := range a.cfg.Inputs {
 		cur[k] = tab[k*m : (k+1)*m]
-		if in.Kind == DriveY {
-			continue
-		}
 		for c := range cur[k] {
-			v := float64(c) / n
-			cur[k][c] = a.devs[k].IDSat(in.Voltage(v, v))
+			switch in.Kind {
+			case DriveX:
+				cur[k][c] = a.devs[k].IDSat(float64(c) / n)
+			case DriveDC:
+				cur[k][c] = a.dc[k]
+			}
 		}
 	}
 	for j := 0; j < m; j++ {
@@ -273,24 +280,33 @@ func (b *Bank) ClassifyLUT(x, y float64) Code {
 	return c
 }
 
-// ClassifyBand returns the code of every point of the vertical segment
-// x × [ylo, yhi] when the zone LUT proves it, and false otherwise: for
-// NaN or ±Inf, a segment off the grid, reversed or a cell tall or
-// taller, a cell that leaves a monitor open, or a bank without a LUT.
-// It builds the LUT on first use and then performs no allocations.
+// ClassifyRect returns the code of every point of the closed rectangle
+// [xlo, xhi] × [ylo, yhi] when the zone LUT proves it, and false
+// otherwise: for NaN or ±Inf, a rectangle off the grid or reversed, a
+// cell that leaves a monitor open or proves another code, or a bank
+// without a LUT. It builds the LUT on first use and then performs no
+// allocations.
 //
 //mclint:hotpath
-func (b *Bank) ClassifyBand(x, ylo, yhi float64) (Code, bool) {
+func (b *Bank) ClassifyRect(xlo, xhi, ylo, yhi float64) (Code, bool) {
 	l := b.lut()
-	if l == nil || !(x >= 0 && x < 1 && ylo >= 0 && yhi < 1 && ylo <= yhi && yhi-ylo < 1.0/lutCells) {
+	if l == nil || !(xlo >= 0 && xlo <= xhi && xhi < 1 && ylo >= 0 && ylo <= yhi && yhi < 1) {
 		return 0, false
 	}
-	i := int(x * lutCells)
-	lo, hi := l.cells[int(ylo*lutCells)*lutCells+i], l.cells[int(yhi*lutCells)*lutCells+i]
-	if lo != hi || lo>>lutMaxMonitors != l.all {
+	i0, i1 := int(xlo*lutCells), int(xhi*lutCells)
+	j0, j1 := int(ylo*lutCells), int(yhi*lutCells)
+	c := l.cells[j0*lutCells+i0]
+	if c>>lutMaxMonitors != l.all {
 		return 0, false
 	}
-	return Code(lo & lutCodeBits), true
+	for j := j0; j <= j1; j++ {
+		for _, d := range l.cells[j*lutCells+i0 : j*lutCells+i1+1] {
+			if d != c {
+				return 0, false
+			}
+		}
+	}
+	return Code(c & lutCodeBits), true
 }
 
 // lookup is the per-point LUT step of ClassifyBatch and ClassifyLUT: it

@@ -15,10 +15,10 @@ import (
 
 // matchClassify checks the three LUT entries against Classify on every
 // point: ClassifyLUT point by point (on a fresh bank it builds the LUT
-// itself), ClassifyBatch over the whole slice, and ClassifyBand on
-// segments from each point (matchBand). It returns how many segments
-// ClassifyBand answered.
-func matchClassify(t *testing.T, name string, bank *Bank, xs, ys []float64) (bands int) {
+// itself), ClassifyBatch over the whole slice, and ClassifyRect on
+// rectangles from each point (matchRect). It returns how many
+// rectangles ClassifyRect answered.
+func matchClassify(t *testing.T, name string, bank *Bank, xs, ys []float64) (rects int) {
 	t.Helper()
 	for i := range xs {
 		if got, want := bank.ClassifyLUT(xs[i], ys[i]), bank.Classify(xs[i], ys[i]); got != want {
@@ -32,61 +32,108 @@ func matchClassify(t *testing.T, name string, bank *Bank, xs, ys []float64) (ban
 			t.Fatalf("%s: point %d (%v, %v): batch %016b, scalar %016b", name, i, xs[i], ys[i], codes[i], want)
 		}
 	}
-	return matchBand(t, name, bank, xs, ys)
+	return matchRect(t, name, bank, xs, ys)
 }
 
-// matchBand checks ClassifyBand on segments from every point (x, y):
-// the point itself, and segments up or down to almost one cell tall.
-// Whenever it answers, Classify must give that code at both ends and at
-// 16 points between them. It must refuse a segment off the [0,1)² grid
-// (NaN and ±Inf included), a reversed one, one a cell tall or taller,
-// and every segment of a bank without a LUT. It returns how many
-// segments it answered.
-func matchBand(t *testing.T, name string, bank *Bank, xs, ys []float64) (answers int) {
+// matchRect checks ClassifyRect on rectangles that hold each point
+// (x, y): the point itself, vertical and horizontal segments from 1/9 of
+// a cell to 4.4 cells long, and boxes from 1/4 to 3 cells a side. On the grid
+// it must answer exactly when every cell the rectangle meets holds the
+// same fully proven entry (rectCells), and Classify must give the answer
+// at the rectangle's corners, its edge midpoints and a 5×5 interior
+// grid. It must refuse a rectangle off the [0,1)² grid (NaN and ±Inf
+// included), a reversed one, and every rectangle of a bank without a
+// LUT. It returns how many rectangles it answered.
+func matchRect(t *testing.T, name string, bank *Bank, xs, ys []float64) (answers int) {
 	t.Helper()
 	const cell = 1.0 / lutCells
-	hasLUT := bank.lut() != nil
+	l := bank.lut()
 	for i, x := range xs {
 		y := ys[i]
-		h := cell * float64(1+i%8) / 9 // 1/9 … 8/9 of a cell
-		for _, seg := range [][2]float64{{y, y}, {y, y + h}, {y - h, y}} {
-			lo, hi := seg[0], seg[1]
-			c, ok := bank.ClassifyBand(x, lo, hi)
-			onGrid := x >= 0 && x < 1 && lo >= 0 && hi < 1
-			if ok && (!hasLUT || !onGrid) {
-				t.Fatalf("%s: band x %v, y [%v, %v] answered %016b off the grid or without a LUT", name, x, lo, hi, c)
+		h := cell * float64(1+i%8) / 9
+		d := cell * float64(1+i%12) / 4
+		for _, r := range [][4]float64{
+			{x, x, y, y},
+			{x, x, y, y + h}, {x, x, y - h, y}, {x, x, y - 3*h, y + 2*h},
+			{x, x + h, y, y}, {x - h, x, y, y},
+			{x, x + d, y, y + d}, {x - d, x, y - d/2, y + d/2}, {x - d/3, x + d, y - d, y + d/3},
+		} {
+			c, ok := bank.ClassifyRect(r[0], r[1], r[2], r[3])
+			if l == nil || !(r[0] >= 0 && r[1] < 1 && r[2] >= 0 && r[3] < 1) {
+				if ok {
+					t.Fatalf("%s: rectangle %v answered %016b off the grid or without a LUT", name, r, c)
+				}
+				continue
+			}
+			if wc, wok := rectCells(l, r); ok != wok || c != wc {
+				t.Fatalf("%s: rectangle %v answered %016b (%v), its cells prove %016b (%v)", name, r, c, ok, wc, wok)
 			}
 			if !ok {
 				continue
 			}
 			answers++
-			for k := 0; k <= 17; k++ {
-				yk := lo + (hi-lo)*float64(k)/17
-				if k == 17 {
-					yk = hi
-				}
-				if want := bank.Classify(x, yk); want != c {
-					t.Fatalf("%s: band x %v, y [%v, %v] answered %016b, Classify at y %v gives %016b", name, x, lo, hi, c, yk, want)
+			for _, p := range rectProbes(r) {
+				if want := bank.Classify(p[0], p[1]); want != c {
+					t.Fatalf("%s: rectangle %v answered %016b, Classify at %v gives %016b", name, r, c, p, want)
 				}
 			}
 		}
-		for _, seg := range [][2]float64{{y + h, y}, {y, oneCellUp(y)}, {y - cell/2, oneCellUp(y - cell/2)}, {y - 2*cell, y}} {
-			if c, ok := bank.ClassifyBand(x, seg[0], seg[1]); ok {
-				t.Fatalf("%s: reversed or tall band x %v, y [%v, %v] answered %016b", name, x, seg[0], seg[1], c)
+		for _, r := range [][4]float64{{x + h, x, y, y}, {x, x, y + h, y}, {x + d, x, y + d, y}} {
+			if c, ok := bank.ClassifyRect(r[0], r[1], r[2], r[3]); ok {
+				t.Fatalf("%s: reversed rectangle %v answered %016b", name, r, c)
 			}
 		}
 	}
 	return answers
 }
 
-// oneCellUp returns the smallest hi with hi − lo at least one LUT cell
-// (y + 1/256 can round to a shorter segment).
-func oneCellUp(lo float64) float64 {
-	hi := lo + 1.0/lutCells
-	for hi-lo < 1.0/lutCells {
-		hi = math.Nextafter(hi, math.Inf(1))
+// rectCells is ClassifyRect's answer read off the cell array for a
+// rectangle [r0, r1] × [r2, r3] on the grid: the code of the entry every
+// cell it meets holds, when that entry proves every monitor.
+func rectCells(l *zoneLUT, r [4]float64) (Code, bool) {
+	i0, i1, j0, j1 := int(r[0]*lutCells), int(r[1]*lutCells), int(r[2]*lutCells), int(r[3]*lutCells)
+	c := l.cells[j0*lutCells+i0]
+	for j := j0; j <= j1; j++ {
+		for i := i0; i <= i1; i++ {
+			if l.cells[j*lutCells+i] != c {
+				return 0, false
+			}
+		}
 	}
-	return hi
+	if c>>lutMaxMonitors != l.all {
+		return 0, false
+	}
+	return Code(c & lutCodeBits), true
+}
+
+// rectProbes returns the points of the rectangle [r0, r1] × [r2, r3] an
+// answer is checked at: its corners, its edge midpoints and a 5×5 grid
+// inside. A segment gets its ends and five points between, a point
+// itself.
+func rectProbes(r [4]float64) [][2]float64 {
+	steps := func(lo, hi float64) []int {
+		if lo == hi {
+			return []int{3}
+		}
+		return []int{0, 1, 2, 3, 4, 5, 6}
+	}
+	at := func(lo, hi float64, k int) float64 {
+		if k == 6 {
+			return hi
+		}
+		return lo + (hi-lo)*float64(k)/6
+	}
+	var ps [][2]float64
+	for _, i := range steps(r[0], r[1]) {
+		for _, j := range steps(r[2], r[3]) {
+			edge := i == 0 || i == 6 || j == 0 || j == 6
+			if edge && (i%3 != 0 || j%3 != 0) {
+				continue
+			}
+			ps = append(ps, [2]float64{at(r[0], r[1], i), at(r[2], r[3], j)})
+		}
+	}
+	return ps
 }
 
 // TestClassifyBatchMatchesScalarRandom is the LUT certification property
@@ -112,7 +159,7 @@ func TestClassifyBatchMatchesScalarRandom(t *testing.T) {
 		}
 	}
 	if matchClassify(t, "Table I", NewAnalyticTableI(), xs, ys) == 0 {
-		t.Fatal("ClassifyBand answered no segment")
+		t.Fatal("ClassifyRect answered no rectangle")
 	}
 }
 
@@ -214,7 +261,7 @@ func TestLUTMonotonePrecondition(t *testing.T) {
 }
 
 // Allocation pins: the scalar classifier and the warmed batch,
-// single-point and band LUT classifiers must not allocate in steady state —
+// single-point and rectangle LUT classifiers must not allocate in steady state —
 // campaign workers call them millions of times per trial batch.
 func TestClassifyAllocationFree(t *testing.T) {
 	if raceEnabled {
@@ -245,9 +292,9 @@ func TestClassifyAllocationFree(t *testing.T) {
 		t.Fatalf("warm ClassifyLUT allocates %.1f per call, want 0", a)
 	}
 	if a := testing.AllocsPerRun(1000, func() {
-		bank.ClassifyBand(0.4, 0.6, 0.601)
+		bank.ClassifyRect(0.4, 0.41, 0.6, 0.601)
 	}); a != 0 {
-		t.Fatalf("warm ClassifyBand allocates %.1f per call, want 0", a)
+		t.Fatalf("warm ClassifyRect allocates %.1f per call, want 0", a)
 	}
 }
 
@@ -428,7 +475,7 @@ func TestZoneLUTGolden(t *testing.T) {
 // TestClassifyBatchPartlyProvenCells targets the per-monitor fallback:
 // random points inside every cell that leaves some monitor unproven, on
 // every certified bank, must classify exactly as Classify does through
-// the LUT entries, and ClassifyBand must refuse every segment.
+// the LUT entries, and ClassifyRect must refuse every rectangle.
 func TestClassifyBatchPartlyProvenCells(t *testing.T) {
 	src := rng.New(29)
 	for _, nb := range lutTestBanks(t) {
@@ -446,11 +493,103 @@ func TestClassifyBatchPartlyProvenCells(t *testing.T) {
 		if len(xs) == 0 {
 			t.Fatalf("%s: no partly proven cell", nb.name)
 		}
-		// Every segment holds its point, so it meets a partly proven cell.
+		// Every rectangle holds its point, so it meets a partly proven cell.
 		if n := matchClassify(t, nb.name, nb.bank, xs, ys); n != 0 {
-			t.Fatalf("%s: ClassifyBand answered %d segments through partly proven cells", nb.name, n)
+			t.Fatalf("%s: ClassifyRect answered %d rectangles through partly proven cells", nb.name, n)
 		}
 	}
+}
+
+// TestClassifyRectReadsEveryCell: ClassifyRect must read every cell a
+// rectangle meets, not only the cells at its corners. On a certified
+// bank the corner cells never agree around a cell that proves less,
+// because every balance is monotone in x and in y, so the test unproves
+// one monitor in a cell deep inside a fully proven zone. That LUT is
+// still sound, only less proven: ClassifyBatch evaluates the monitor
+// there. Every rectangle through the cell must be refused.
+func TestClassifyRectReadsEveryCell(t *testing.T) {
+	bank := NewAnalyticTableI()
+	l := bank.lut()
+	const cell = 1.0 / lutCells
+	same := func(i, j int) bool {
+		c := l.cells[j*lutCells+i]
+		for dj := -2; dj <= 2; dj++ {
+			for di := -2; di <= 2; di++ {
+				if l.cells[(j+dj)*lutCells+i+di] != c {
+					return false
+				}
+			}
+		}
+		return c>>lutMaxMonitors == l.all
+	}
+	i, j := 2, 64
+	for ; i < lutCells-2 && !same(i, j); i++ {
+	}
+	if i == lutCells-2 {
+		t.Fatal("no fully proven 5×5 block of cells on row 64")
+	}
+	l.cells[j*lutCells+i] &^= 1 << lutMaxMonitors // leave monitor 0 open
+	x, y := (float64(i)+0.5)*cell, (float64(j)+0.5)*cell
+	for _, r := range [][4]float64{
+		{x - cell, x + cell, y - cell, y + cell},
+		{x - 2*cell, x + cell, y - cell/2, y + 2*cell},
+		{x, x, y - cell, y + cell},
+		{x - cell, x + cell, y, y},
+	} {
+		if c, ok := bank.ClassifyRect(r[0], r[1], r[2], r[3]); ok {
+			t.Fatalf("rectangle %v around the unproven cell (%d, %d) answered %016b", r, i, j, c)
+		}
+	}
+	src := rng.New(37)
+	xs, ys := make([]float64, 200), make([]float64, 200)
+	for k := range xs {
+		xs[k], ys[k] = x+4*cell*(src.Float64()-0.5), y+4*cell*(src.Float64()-0.5)
+	}
+	matchClassify(t, "unproven cell", bank, xs, ys)
+}
+
+// FuzzClassifyRect: a rectangle ClassifyRect answers must lie on the
+// grid and be ordered, and Classify must give the answer at its corners
+// and at a point of it that the fuzzer picks: the fractions u and v of
+// the way across.
+func FuzzClassifyRect(f *testing.F) {
+	for _, s := range [][6]float64{
+		{0.3, 0.3, 0.2, 0.2, 0.5, 0.5},            // one point
+		{0.1, 0.12, 0.05, 0.06, 0.3, 0.9},         // a box in one zone
+		{0.4, 0.6, 0.4, 0.6, 0.5, 0.5},            // a box across boundaries
+		{0.2, 0.2, 0.1, 0.5, 0, 0.7},              // a tall segment
+		{0.5, 0.4, 0.2, 0.3, 0, 1},                // reversed
+		{0, 0.999, 0, 0.999, 0.25, 0.75},          // the whole grid
+		{math.NaN(), 0.5, 0.2, 0.3, 0, 0},         // NaN
+		{0.1, math.Inf(1), 0.2, 0.3, 0.5, 0.5},    // infinite
+		{-0.01, 0.1, 0.9, 1.01, 0.5, 0.5},         // off the grid
+		{1.0 / 256, 2.0 / 256, 0.5, 0.5, 1, 0.25}, // on cell edges
+	} {
+		f.Add(s[0], s[1], s[2], s[3], s[4], s[5])
+	}
+	bank := NewAnalyticTableI()
+	frac := func(u float64) float64 {
+		if u = math.Abs(math.Mod(u, 1)); math.IsNaN(u) {
+			return 0.5
+		}
+		return u
+	}
+	f.Fuzz(func(t *testing.T, xlo, xhi, ylo, yhi, u, v float64) {
+		c, ok := bank.ClassifyRect(xlo, xhi, ylo, yhi)
+		if !ok {
+			return
+		}
+		if !(xlo >= 0 && xlo <= xhi && xhi < 1 && ylo >= 0 && ylo <= yhi && yhi < 1) {
+			t.Fatalf("answered %016b for [%v, %v] × [%v, %v]", c, xlo, xhi, ylo, yhi)
+		}
+		px := min(max(xlo+(xhi-xlo)*frac(u), xlo), xhi)
+		py := min(max(ylo+(yhi-ylo)*frac(v), ylo), yhi)
+		for _, p := range [][2]float64{{xlo, ylo}, {xlo, yhi}, {xhi, ylo}, {xhi, yhi}, {px, py}} {
+			if want := bank.Classify(p[0], p[1]); want != c {
+				t.Fatalf("[%v, %v] × [%v, %v] answered %016b, Classify at %v gives %016b", xlo, xhi, ylo, yhi, c, p, want)
+			}
+		}
+	})
 }
 
 // TestZoneLUTBankSizeBound: a cell has 16 code bits, so a 16-monitor

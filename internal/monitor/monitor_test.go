@@ -249,6 +249,107 @@ func TestWithDevicesShiftsBoundary(t *testing.T) {
 	if math.Abs(y0-y1) < 1e-4 {
 		t.Fatal("VTH shift did not move the boundary")
 	}
+
+	// A copy on the same devices is the same monitor: same stored DC
+	// currents, same reference side. The last config balances exactly
+	// at its reference point, where NewAnalytic nudges the reference.
+	tie := baseConfig("tie")
+	tie.WidthsNm = [4]float64{1800, 1800, 1800, 1800}
+	tie.Inputs = [4]Input{Bias(0.5), Bias(0.5), Y(), X()}
+	tie.RefX, tie.RefY = 0.5, 0.5
+	arc, err := DesignArc(0.42, 1800, TableI()[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(43)
+	for _, cfg := range append(TableI(), arc, tie) {
+		m := MustAnalytic(cfg)
+		if m.Balance(cfg.RefX, cfg.RefY) == 0 && cfg.Name != "tie" {
+			t.Fatalf("%s: reference point on the boundary", cfg.Name)
+		}
+		c := m.WithDevices(m.Devices())
+		for i := 0; i < 200; i++ {
+			x, y := -0.2+1.4*src.Float64(), -0.2+1.4*src.Float64()
+			if got, want := c.Bit(x, y), m.Bit(x, y); got != want {
+				t.Fatalf("%s: copy bit %d at (%v, %v), monitor bit %d", cfg.Name, got, x, y, want)
+			}
+		}
+	}
+	if b := MustAnalytic(tie).Balance(0.5, 0.5); b != 0 {
+		t.Fatalf("tie config balances %g at its reference point, want exactly 0", b)
+	}
+}
+
+// balanceOracle is Balance before the model stored its DC currents:
+// IDSat of every input's Voltage, combined as (I0 + I1) − (I2 + I3).
+func balanceOracle(a *Analytic, x, y float64) float64 {
+	cfg, devs := a.Config(), a.Devices()
+	var v [4]float64
+	for i := range v {
+		v[i] = cfg.Inputs[i].Voltage(x, y)
+	}
+	left := devs[0].IDSat(v[0]) + devs[1].IDSat(v[1])
+	right := devs[2].IDSat(v[2]) + devs[3].IDSat(v[3])
+	return left - right
+}
+
+// TestBalanceKeepsBits pins Balance to balanceOracle bit for bit on the
+// Table I monitors, on Monte Carlo dies and temperature-shifted devices
+// (both through WithDevices), and on custom drive patterns with 0, 1, 3
+// and 4 DC inputs, at grid nodes, inside the grid, just off it and far
+// out.
+func TestBalanceKeepsBits(t *testing.T) {
+	var mons []*Analytic
+	for _, cfg := range TableI() {
+		mons = append(mons, MustAnalytic(cfg))
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		die := mos.Default65nmVariation().SampleDie(rng.New(seed))
+		for _, m := range NewAnalyticTableI().Perturbed(die).Monitors() {
+			mons = append(mons, m.(*Analytic))
+		}
+	}
+	for _, tk := range []float64{233, 398} {
+		for _, cfg := range TableI() {
+			a := MustAnalytic(cfg)
+			devs := a.Devices()
+			for j := range devs {
+				devs[j].P = devs[j].P.AtTemperature(tk)
+			}
+			mons = append(mons, a.WithDevices(devs))
+		}
+	}
+	for _, in := range [][4]Input{
+		{Y(), X(), Y(), X()},                         // no DC input
+		{Y(), X(), X(), Bias(0.4)},                   // one
+		{Bias(0.35), X(), Bias(0.6), Bias(0.1)},      // three
+		{Bias(0.2), Bias(0.7), Bias(0.5), Bias(0.3)}, // four
+	} {
+		cfg := baseConfig("custom")
+		cfg.WidthsNm = [4]float64{2400, 900, 1500, 3000}
+		cfg.Inputs = in
+		mons = append(mons, MustAnalytic(cfg))
+	}
+	src := rng.New(47)
+	var pts [][2]float64
+	for _, i := range []int{0, 1, 77, 128, 255, 256} {
+		v := float64(i) / 256
+		pts = append(pts, [2]float64{v, v}, [2]float64{v, 1 - v})
+	}
+	for i := 0; i < 300; i++ {
+		pts = append(pts,
+			[2]float64{src.Float64(), src.Float64()},
+			[2]float64{-0.1 + 1.2*src.Float64(), -0.1 + 1.2*src.Float64()},
+			[2]float64{-50 + 100*src.Float64(), -50 + 100*src.Float64()})
+	}
+	for mi, m := range mons {
+		for _, p := range pts {
+			got, want := m.Balance(p[0], p[1]), balanceOracle(m, p[0], p[1])
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("monitor %d (%s) at (%v, %v): Balance %v, oracle %v", mi, m.Config().Name, p[0], p[1], got, want)
+			}
+		}
+	}
 }
 
 func TestMCEnvelopeSpread(t *testing.T) {

@@ -20,7 +20,9 @@ func jsonBodyOfSize(n int) string {
 
 // Every JSON route answers a body one byte over maxBodyBytes with 413,
 // and a body of exactly maxBodyBytes still reaches the decoder (which
-// rejects it with 400 for what it says, not for its size).
+// rejects it with 400 for what it says, not for its size). The campaign
+// API counts its one 413 under its route, and no route counts more 413s
+// than requests.
 func TestRequestBodyLimit(t *testing.T) {
 	_, api := newTestServer(t)
 	_, fab := newFabricServer(t, fabric.Config{})
@@ -51,6 +53,27 @@ func TestRequestBodyLimit(t *testing.T) {
 			if resp.StatusCode != tc.want {
 				t.Fatalf("POST %d bytes to %s: %s, want %d", tc.size, url, resp.Status, tc.want)
 			}
+		}
+	}
+	snap := snapshot(t, api.URL)
+	byRoute := func(name string) map[string]float64 {
+		f, ok := snap.Find(name)
+		if !ok {
+			t.Fatalf("family %s missing from scrape", name)
+		}
+		out := map[string]float64{}
+		for _, m := range f.Metrics {
+			out[m.LabelValue] = *m.Value
+		}
+		return out
+	}
+	tooLarge, requests := byRoute("mcserved_http_requests_too_large_total"), byRoute("mcserved_http_requests_total")
+	if len(tooLarge) != 1 || tooLarge["/v1/campaigns"] != 1 {
+		t.Fatalf("413s by route %v, want one on /v1/campaigns", tooLarge)
+	}
+	for rt, n := range tooLarge {
+		if n > requests[rt] {
+			t.Fatalf("route %s: %v 413s but %v requests", rt, n, requests[rt])
 		}
 	}
 }

@@ -203,8 +203,9 @@ func TestCancelStopsTrialsAndWorkers(t *testing.T) {
 }
 
 // The service keeps the newest fabric.MaxRetained finished jobs: older
-// ids answer 404, the listing holds the retained ones newest first, and
-// mcserved_jobs_retained reports the count.
+// ids answer 404, the listing holds the retained ones newest first,
+// mcserved_jobs_retained reports the count and
+// mcserved_jobs_evicted_total the rest of the finished jobs.
 func TestRetainedJobs(t *testing.T) {
 	s, ts := newTestServer(t)
 	const extra = 3
@@ -239,6 +240,12 @@ func TestRetainedJobs(t *testing.T) {
 	}
 	if v := total(t, snap, "mcserved_jobs_in_flight"); v != 0 {
 		t.Fatalf("mcserved_jobs_in_flight = %v with every job finished", v)
+	}
+	if v := total(t, snap, "mcserved_jobs_evicted_total"); v != extra {
+		t.Fatalf("mcserved_jobs_evicted_total = %v, want %d", v, extra)
+	}
+	if v := total(t, snap, "mcserved_jobs_evicted_total") + total(t, snap, "mcserved_jobs_retained"); v != fabric.MaxRetained+extra {
+		t.Fatalf("evicted + retained = %v, want every finished job (%d)", v, fabric.MaxRetained+extra)
 	}
 	if !strings.HasPrefix(jobs[0].ID, "job-") || jobs[0].Result == nil || jobs[0].Finished == nil {
 		t.Fatalf("newest retained job %+v lacks its result", jobs[0])

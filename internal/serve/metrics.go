@@ -20,6 +20,7 @@ type serverMetrics struct {
 	reg *metrics.Registry
 
 	httpRequests *metrics.CounterVec   // by route
+	httpTooLarge *metrics.CounterVec   // 413 answers, by route
 	httpSeconds  *metrics.HistogramVec // by route
 	jobsTotal    *metrics.CounterVec   // by terminal state
 	sseSubs      *metrics.Gauge
@@ -37,6 +38,8 @@ func newServerMetrics(reg *metrics.Registry, coord *fabric.Coordinator) *serverM
 		reg: reg,
 		httpRequests: reg.CounterVec("mcserved_http_requests_total",
 			"HTTP requests served, by route pattern.", "", "route"),
+		httpTooLarge: reg.CounterVec("mcserved_http_requests_too_large_total",
+			"Requests answered 413 for a body over the size limit, by route pattern.", "", "route"),
 		httpSeconds: reg.HistogramVec("mcserved_http_request_seconds",
 			"HTTP request latency, by route pattern.", "seconds", "route", nil),
 		jobsTotal: reg.CounterVec("mcserved_jobs_total",
@@ -53,9 +56,11 @@ func newServerMetrics(reg *metrics.Registry, coord *fabric.Coordinator) *serverM
 			"Worker-pool size of the most recently started reduction.", ""),
 	}
 	reg.GaugeFunc("mcserved_jobs_in_flight", "Campaign jobs currently running.", "",
-		func() float64 { running, _ := coord.Count(); return float64(running) })
+		func() float64 { running, _, _ := coord.Count(); return float64(running) })
 	reg.GaugeFunc("mcserved_jobs_retained", "Finished campaign jobs kept queryable (at most fabric.MaxRetained).", "",
-		func() float64 { _, retained := coord.Count(); return float64(retained) })
+		func() float64 { _, retained, _ := coord.Count(); return float64(retained) })
+	reg.CounterFunc("mcserved_jobs_evicted_total", "Finished campaign jobs dropped past fabric.MaxRetained.", "",
+		func() float64 { _, _, evicted := coord.Count(); return float64(evicted) })
 	return m
 }
 
@@ -140,13 +145,19 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// instrument counts and times every request by route pattern.
+// instrument counts and times every request by route pattern, and
+// counts the ones answered 413 (decodeBody's answer to an oversized
+// body).
 func (m *serverMetrics) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rt := route(r)
 		start := time.Now()
-		next.ServeHTTP(w, r)
+		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		next.ServeHTTP(sw, r)
 		m.httpRequests.With(rt).Inc()
+		if sw.code == http.StatusRequestEntityTooLarge {
+			m.httpTooLarge.With(rt).Inc()
+		}
 		m.httpSeconds.With(rt).Observe(time.Since(start).Seconds())
 	})
 }
