@@ -92,18 +92,20 @@ bench-verify:
 
 # Short-budget fuzz pass over the trial-template mutation engine, the
 # signature binary decoder, the NDF breakpoint sweep (a hang is a
-# failure), the zone-LUT rectangle query (an answer must match the exact
-# classifier), the fabric job-log replay, the shard accumulator codecs, the
-# campaign spec ingress and the HTTP handlers of both APIs (seed corpora
-# are checked in under testdata/fuzz or added in the fuzz targets). Each
-# target gets 10s — enough to exercise the mutator on every seed class
-# without blowing the CI budget. `go test -fuzz` accepts one target per
-# invocation, hence the per-target runs.
+# failure), the zone-LUT rectangle query and the zone LUT of fuzzed
+# monitor widths, biases and drive patterns (an answer must match the
+# exact classifier), the fabric job-log replay, the shard accumulator
+# codecs, the campaign spec ingress and the HTTP handlers of both APIs
+# (seed corpora are checked in under testdata/fuzz or added in the fuzz
+# targets). Each target gets 10s — enough to exercise the mutator on
+# every seed class without blowing the CI budget. `go test -fuzz`
+# accepts one target per invocation, hence the per-target runs.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzTemplateMutation$$' -fuzztime=10s ./internal/spice
 	$(GO) test -run=^$$ -fuzz='^FuzzUnmarshalBinary$$' -fuzztime=10s ./internal/signature
 	$(GO) test -run=^$$ -fuzz='^FuzzNDF$$' -fuzztime=10s ./internal/ndf
 	$(GO) test -run=^$$ -fuzz='^FuzzClassifyRect$$' -fuzztime=10s ./internal/monitor
+	$(GO) test -run=^$$ -fuzz='^FuzzZoneLUTConfig$$' -fuzztime=10s ./internal/monitor
 	$(GO) test -run=^$$ -fuzz='^FuzzJobLogReplay$$' -fuzztime=10s ./internal/fabric
 	$(GO) test -run=^$$ -fuzz='^FuzzShardBlobUnmarshal$$' -fuzztime=10s ./internal/testbench
 	$(GO) test -run=^$$ -fuzz='^FuzzSpecDecode$$' -fuzztime=10s ./internal/testbench

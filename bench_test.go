@@ -379,8 +379,10 @@ func BenchmarkBankClassifyBatch(b *testing.B) {
 }
 
 // BANK-BATCH-CURVE: the scan grid of a 2%-deviated CUT. Its trace
-// crosses zone boundaries, so it hits the partly proven LUT cells and
-// their per-monitor fallback far more often than random points do.
+// crosses zone boundaries, so it hits the partly proven coarse LUT
+// cells far more often than random points do; there the monitors a
+// cell leaves open read their staircases, and Bit runs only where a
+// staircase leaves the point's fine cell open too.
 func BenchmarkBankClassifyBatchCurve(b *testing.B) {
 	sys := core.Default()
 	cut, err := sys.Shifted(0.02)
@@ -408,8 +410,10 @@ func BenchmarkBankClassifyBatchCurve(b *testing.B) {
 	}
 }
 
-// LUT-BUILD: zone-LUT certification of a fresh Table I bank, the cold
-// start a fresh System pays on its first batch classification.
+// LUT-BUILD: zone-LUT certification of a fresh Table I bank (one
+// 4096-column staircase per monitor and the 128² coarse table derived
+// from them), the cold start a fresh System pays on its first batch
+// classification.
 func BenchmarkZoneLUTBuild(b *testing.B) {
 	b.ReportAllocs()
 	var frac float64

@@ -431,7 +431,8 @@ func (s *System) scanCodes(out wave.Waveform, sc *TrialScratch) ([]monitor.Code,
 // covers rounding on top.
 const (
 	// bandBlock: on the paper's 8192-point scan a 32-step block's worst
-	// half-width is 79 µV, 2 % of a LUT cell; 16, 32 and 64 measured alike.
+	// half-width is 79 µV, a third of a fine LUT cell (1/4096 V); 16, 32
+	// and 64 measured alike.
 	bandBlock = 32
 	// bandSlack (V) is five orders of magnitude above the ~1e-14 V
 	// rounding of Multitone.Eval and of the band on voltage-scale tones.

@@ -14,8 +14,10 @@ import (
 // Classify property on the points campaigns classify: the exact
 // extraction's scan grids of 20 deviated CUTs and the tick grids of
 // noisy captures. Their traces cross zone boundaries, so many points
-// fall in partly proven LUT cells, where ClassifyBatch evaluates Bit for
-// the monitors the cell leaves open and reads the rest from the table.
+// fall in partly proven coarse LUT cells, where ClassifyBatch reads the
+// monitors the cell leaves open from their staircases and evaluates Bit
+// only where a staircase leaves the point's fine cell open too: at most
+// 1 % of the points.
 func TestClassifyBatchMatchesScalarOnCampaignGrids(t *testing.T) {
 	sys := core.Default()
 	T := sys.Period()
@@ -32,7 +34,7 @@ func TestClassifyBatchMatchesScalarOnCampaignGrids(t *testing.T) {
 		ticks[k] = float64(k) / sys.Capture.ClockHz
 	}
 
-	points, partly, open := 0, 0, 0
+	points, partly, open, bitPoints := 0, 0, 0, 0
 	check := func(name string, cut core.CUT, ts []float64, noise *rng.Stream) {
 		t.Helper()
 		out, err := cut.Output(sys.Stimulus, biquad.OutputLP)
@@ -56,9 +58,13 @@ func TestClassifyBatchMatchesScalarOnCampaignGrids(t *testing.T) {
 			if want := sys.Bank.Classify(xs[k], ys[k]); codes[k] != want {
 				t.Fatalf("%s, point %d (%v, %v): batch %06b, scalar %06b", name, k, xs[k], ys[k], codes[k], want)
 			}
-			if n := monitor.OpenMonitors(sys.Bank, xs[k], ys[k]); n > 0 {
+			coarse, fine := monitor.OpenMonitors(sys.Bank, xs[k], ys[k])
+			if coarse > 0 {
 				partly++
-				open += n
+				open += coarse
+			}
+			if fine > 0 {
+				bitPoints++
 			}
 		}
 		points += len(ts)
@@ -89,5 +95,9 @@ func TestClassifyBatchMatchesScalarOnCampaignGrids(t *testing.T) {
 	if partly == 0 {
 		t.Fatal("no point fell in a partly proven cell: the per-monitor fallback went untested")
 	}
-	t.Logf("%d points, %d in partly proven cells, %.2f open monitors each", points, partly, float64(open)/float64(partly))
+	t.Logf("%d points, %d in partly proven coarse cells (%.2f open monitors each), %d (%.2f %%) calling Bit",
+		points, partly, float64(open)/float64(partly), bitPoints, 100*float64(bitPoints)/float64(points))
+	if bitPoints*100 > points {
+		t.Fatalf("%d of %d points call Bit, want at most 1 %%", bitPoints, points)
+	}
 }

@@ -36,21 +36,22 @@ func matchClassify(t *testing.T, name string, bank *Bank, xs, ys []float64) (rec
 }
 
 // matchRect checks ClassifyRect on rectangles that hold each point
-// (x, y): the point itself, vertical and horizontal segments from 1/9 of
-// a cell to 4.4 cells long, and boxes from 1/4 to 3 cells a side. On the grid
-// it must answer exactly when every cell the rectangle meets holds the
-// same fully proven entry (rectCells), and Classify must give the answer
-// at the rectangle's corners, its edge midpoints and a 5×5 interior
-// grid. It must refuse a rectangle off the [0,1)² grid (NaN and ±Inf
-// included), a reversed one, and every rectangle of a bank without a
-// LUT. It returns how many rectangles it answered.
+// (x, y): the point itself, vertical and horizontal segments from 0.4 to
+// 18 fine cells long, and boxes from 1/4 to 3 coarse cells a side. On
+// the grid it must answer exactly when walking every column of the
+// rectangle through the staircases proves every monitor with one code
+// (rectStairs), and Classify must give the answer at the rectangle's
+// corners, its edge midpoints and a 5×5 interior grid. It must refuse a
+// rectangle off the [0,1)² grid (NaN and ±Inf included), a reversed
+// one, and every rectangle of a bank without a LUT. It returns how many
+// rectangles it answered.
 func matchRect(t *testing.T, name string, bank *Bank, xs, ys []float64) (answers int) {
 	t.Helper()
-	const cell = 1.0 / lutCells
+	const cell, fine = 1.0 / lutCells, 1.0 / lutFine
 	l := bank.lut()
 	for i, x := range xs {
 		y := ys[i]
-		h := cell * float64(1+i%8) / 9
+		h := fine * float64(1+i%8) * 4 / 9
 		d := cell * float64(1+i%12) / 4
 		for _, r := range [][4]float64{
 			{x, x, y, y},
@@ -65,8 +66,8 @@ func matchRect(t *testing.T, name string, bank *Bank, xs, ys []float64) (answers
 				}
 				continue
 			}
-			if wc, wok := rectCells(l, r); ok != wok || c != wc {
-				t.Fatalf("%s: rectangle %v answered %016b (%v), its cells prove %016b (%v)", name, r, c, ok, wc, wok)
+			if wc, wok := rectStairs(l, r); ok != wok || c != wc {
+				t.Fatalf("%s: rectangle %v answered %016b (%v), its columns prove %016b (%v)", name, r, c, ok, wc, wok)
 			}
 			if !ok {
 				continue
@@ -87,23 +88,29 @@ func matchRect(t *testing.T, name string, bank *Bank, xs, ys []float64) (answers
 	return answers
 }
 
-// rectCells is ClassifyRect's answer read off the cell array for a
-// rectangle [r0, r1] × [r2, r3] on the grid: the code of the entry every
-// cell it meets holds, when that entry proves every monitor.
-func rectCells(l *zoneLUT, r [4]float64) (Code, bool) {
-	i0, i1, j0, j1 := int(r[0]*lutCells), int(r[1]*lutCells), int(r[2]*lutCells), int(r[3]*lutCells)
-	c := l.cells[j0*lutCells+i0]
-	for j := j0; j <= j1; j++ {
-		for i := i0; i <= i1; i++ {
-			if l.cells[j*lutCells+i] != c {
-				return 0, false
-			}
+// rectStairs is ClassifyRect's answer for a rectangle [r0, r1] × [r2, r3]
+// on the grid, found without the envelope's end-column shortcut: a
+// monitor is proven when every fine column the rectangle meets has all
+// its rows below that column's lo, or all at or above its hi.
+func rectStairs(l *zoneLUT, r [4]float64) (Code, bool) {
+	i0, i1, j0, j1 := int(r[0]*lutFine), int(r[1]*lutFine), int(r[2]*lutFine), int(r[3]*lutFine)
+	var c Code
+	for mi := 0; l.all>>uint(mi) != 0; mi++ {
+		below, above := true, true
+		for _, s := range l.stairs[mi*lutFine+i0 : mi*lutFine+i1+1] {
+			below = below && j1 < int(s&lutCodeBits)
+			above = above && j0 >= int(s>>16)
+		}
+		switch {
+		case below:
+			c |= Code(l.bottom & (1 << uint(mi)))
+		case above:
+			c |= Code(^l.bottom & (1 << uint(mi)))
+		default:
+			return 0, false
 		}
 	}
-	if c>>lutMaxMonitors != l.all {
-		return 0, false
-	}
-	return Code(c & lutCodeBits), true
+	return c, true
 }
 
 // rectProbes returns the points of the rectangle [r0, r1] × [r2, r3] an
@@ -139,63 +146,74 @@ func rectProbes(r [4]float64) [][2]float64 {
 // TestClassifyBatchMatchesScalarRandom is the LUT certification property
 // test: on random points — inside the grid, outside [0,1), and far out of
 // range — ClassifyBatch and ClassifyLUT must equal per-point Classify bit
-// for bit.
+// for bit, on the paper's bank (20,000 points) and on the drive-pattern
+// banks (5,000 each).
 func TestClassifyBatchMatchesScalarRandom(t *testing.T) {
 	src := rng.New(11)
-	const n = 20000
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := range xs {
-		switch i % 4 {
-		case 0, 1: // in-grid points, where the LUT answers
-			xs[i] = src.Float64()
-			ys[i] = src.Float64()
-		case 2: // straddle the grid edges
-			xs[i] = -0.1 + 1.2*src.Float64()
-			ys[i] = -0.1 + 1.2*src.Float64()
-		default: // far outside the observed square
-			xs[i] = -2 + 4*src.Float64()
-			ys[i] = -2 + 4*src.Float64()
+	for bi, nb := range append([]namedBank{{"Table I", NewAnalyticTableI()}}, driveBanks()...) {
+		n := 20000
+		if bi > 0 {
+			n = 5000
 		}
-	}
-	if matchClassify(t, "Table I", NewAnalyticTableI(), xs, ys) == 0 {
-		t.Fatal("ClassifyRect answered no rectangle")
+		xs := make([]float64, n)
+		ys := make([]float64, n)
+		for i := range xs {
+			switch i % 4 {
+			case 0, 1: // in-grid points, where the LUT answers
+				xs[i] = src.Float64()
+				ys[i] = src.Float64()
+			case 2: // straddle the grid edges
+				xs[i] = -0.1 + 1.2*src.Float64()
+				ys[i] = -0.1 + 1.2*src.Float64()
+			default: // far outside the observed square
+				xs[i] = -2 + 4*src.Float64()
+				ys[i] = -2 + 4*src.Float64()
+			}
+		}
+		if matchClassify(t, nb.name, nb.bank, xs, ys) == 0 {
+			t.Fatalf("%s: ClassifyRect answered no rectangle", nb.name)
+		}
 	}
 }
 
 // TestClassifyBatchBoundaryAndEdgePoints stresses the hard cases: points
 // exactly on monitor boundaries (where the balance is ~0 and the cell
-// must have been left uncertified), exactly on LUT cell edges (i/256),
-// the corners of the grid, and non-finite coordinates.
+// must have been left uncertified), on the fine-cell edges (i/4096)
+// around them, exactly on coarse and fine cell edges elsewhere, the
+// corners of the grid, and non-finite coordinates.
 func TestClassifyBatchBoundaryAndEdgePoints(t *testing.T) {
-	bank := NewAnalyticTableI()
-	var xs, ys []float64
-	// Monitor-boundary points: bisected boundary crossings of every curve.
-	for _, m := range bank.Monitors() {
-		a := m.(*Analytic)
-		for _, x := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-			if y, ok := a.BoundaryY(x, 0, 1); ok {
-				xs = append(xs, x)
-				ys = append(ys, y)
+	for _, nb := range append([]namedBank{{"Table I", NewAnalyticTableI()}}, driveBanks()...) {
+		var xs, ys []float64
+		// Monitor-boundary points: bisected boundary crossings of every
+		// curve, and the fine-cell edges left, right, below and above.
+		for _, m := range nb.bank.Monitors() {
+			a := m.(*Analytic)
+			for _, x := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
+				if y, ok := a.BoundaryY(x, 0, 1); ok {
+					fx, fy := math.Floor(x*lutFine)/lutFine, math.Floor(y*lutFine)/lutFine
+					xs = append(xs, x, fx, fx+1.0/lutFine, x, x)
+					ys = append(ys, y, y, y, fy, fy+1.0/lutFine)
+				}
 			}
 		}
+		// Coarse and fine cell edges (the former 256² edges among them)
+		// and grid corners.
+		for _, i := range []int{0, 1, 16, 31, 32, 33, 2032, 2047, 2048, 2049, 4064, 4080, 4095, 4096} {
+			v := float64(i) / lutFine
+			xs = append(xs, v, v, 0.5)
+			ys = append(ys, v, 0.5, v)
+		}
+		// Exactly 1.0 (outside the half-open grid) and negative zero.
+		xs = append(xs, 1.0, math.Copysign(0, -1))
+		ys = append(ys, 1.0, 0.5)
+		// NaN and ±Inf on either axis and on both: no cell holds them.
+		nan, inf := math.NaN(), math.Inf(1)
+		for _, v := range []float64{nan, inf, -inf} {
+			xs = append(xs, v, 0.5, v)
+			ys = append(ys, 0.5, v, v)
+		}
+		matchClassify(t, nb.name, nb.bank, xs, ys)
 	}
-	// Cell-edge and grid-corner points.
-	for _, i := range []int{0, 1, 127, 128, 255, 256} {
-		v := float64(i) / 256
-		xs = append(xs, v, v, 0.5)
-		ys = append(ys, v, 0.5, v)
-	}
-	// Exactly 1.0 (outside the half-open grid) and negative zero.
-	xs = append(xs, 1.0, math.Copysign(0, -1))
-	ys = append(ys, 1.0, 0.5)
-	// NaN and ±Inf on either axis and on both: no cell holds them.
-	nan, inf := math.NaN(), math.Inf(1)
-	for _, v := range []float64{nan, inf, -inf} {
-		xs = append(xs, v, 0.5, v)
-		ys = append(ys, 0.5, v, v)
-	}
-	matchClassify(t, "Table I", bank, xs, ys)
 }
 
 // stubMonitor is a non-analytic monitor: banks containing one must skip
@@ -307,11 +325,24 @@ func TestClassifyBatchLengthMismatchPanics(t *testing.T) {
 	NewAnalyticTableI().ClassifyBatch(make([]float64, 3), make([]float64, 3), make([]Code, 2))
 }
 
-// oracleCells is the direct LUT construction the separable build
-// replaces: every corner balance comes from Analytic.Balance at the node
-// coordinates (i/n, j/n), and a monitor is proven in each cell whose four
-// corners share a strict sign past the margin. Cells use the zoneLUT
-// layout: code bits low, proven-monitor mask high.
+// marginSign is signum with the certification margin: balances inside
+// ±lutMarginA count as boundary (0) and prove nothing.
+func marginSign(v float64) int8 {
+	switch {
+	case v > lutMarginA:
+		return 1
+	case v < -lutMarginA:
+		return -1
+	default:
+		return 0
+	}
+}
+
+// oracleCells is the coarse table by the direct four-corner rule: every
+// corner balance comes from Analytic.Balance at the node coordinates
+// (i/n, j/n), n = lutCells, and a monitor is proven in each cell whose
+// four corners share a strict sign past the margin. Cells use the
+// zoneLUT layout: code bits low, proven-monitor mask high.
 func oracleCells(b *Bank) []uint32 {
 	const n, m = lutCells, lutCells + 1
 	cells := make([]uint32, n*n)
@@ -325,19 +356,26 @@ func oracleCells(b *Bank) []uint32 {
 		}
 		for j := 0; j < n; j++ {
 			for i := 0; i < n; i++ {
-				s := marginSign(bal[j*m+i])
-				if s == 0 || marginSign(bal[j*m+i+1]) != s ||
-					marginSign(bal[(j+1)*m+i]) != s || marginSign(bal[(j+1)*m+i+1]) != s {
-					continue
-				}
-				cells[j*n+i] |= 1 << uint(lutMaxMonitors+mi)
-				if int(s) != a.refSign {
-					cells[j*n+i] |= 1 << uint(mi)
+				if s := cornerSign(bal[j*m+i], bal[j*m+i+1], bal[(j+1)*m+i], bal[(j+1)*m+i+1]); s != 0 {
+					cells[j*n+i] |= 1 << uint(lutMaxMonitors+mi)
+					if int(s) != a.refSign {
+						cells[j*n+i] |= 1 << uint(mi)
+					}
 				}
 			}
 		}
 	}
 	return cells
+}
+
+// cornerSign is the margin sign four corner balances share, or 0 when
+// they do not share a strict one.
+func cornerSign(b0, b1, b2, b3 float64) int8 {
+	s := marginSign(b0)
+	if marginSign(b1) != s || marginSign(b2) != s || marginSign(b3) != s {
+		return 0
+	}
+	return s
 }
 
 type namedBank struct {
@@ -348,8 +386,8 @@ type namedBank struct {
 // lutTestBanks are the banks the repository certifies a LUT for: the
 // paper's, a Monte Carlo die, the bank at every foundry corner and at
 // every default temperature of the drift campaigns (built the way the
-// testbench builds them), and the designed bank of the custom_monitor
-// example.
+// testbench builds them), the designed bank of the custom_monitor
+// example, and the drive-pattern banks.
 func lutTestBanks(t *testing.T) []namedBank {
 	t.Helper()
 	die := mos.Default65nmVariation().SampleDie(rng.New(17))
@@ -378,7 +416,42 @@ func lutTestBanks(t *testing.T) []namedBank {
 		banks = append(banks, namedBank{fmt.Sprintf("%g K", tk),
 			shifted(func(p mos.Params) mos.Params { return p.AtTemperature(tk) })})
 	}
-	return append(banks, namedBank{"custom_monitor", customMonitorBank(t)})
+	banks = append(banks, namedBank{"custom_monitor", customMonitorBank(t)})
+	return append(banks, driveBanks()...)
+}
+
+// drivePatterns are the drive orientations the LUT accepts beyond Table
+// I's, where y always drives the left branch: y on the right, x or y
+// alone on either branch, DC alone, two x inputs on one branch, and x
+// and y on one branch or on opposite ones.
+var drivePatterns = [][4]Input{
+	{X(), Bias(0.3), Y(), Bias(0.3)},            // x left, y right
+	{X(), Bias(0.3), Bias(0.5), Bias(0.3)},      // x only, left
+	{Bias(0.3), Bias(0.5), X(), Bias(0.3)},      // x only, right
+	{Bias(0.3), Y(), Bias(0.3), Bias(0.5)},      // y only, left
+	{Bias(0.5), Bias(0.3), Bias(0.3), Y()},      // y only, right
+	{Bias(0.45), Bias(0.3), Bias(0.5), Bias(0)}, // DC only
+	{X(), X(), Bias(0.55), Bias(0.55)},          // two x inputs, left
+	{Bias(0.4), Y(), X(), X()},                  // two x inputs, right
+	{X(), Y(), Bias(0.45), Bias(0.45)},          // x and y, left
+	{Bias(0.45), Bias(0.45), Y(), X()},          // x and y, right
+	{Bias(0.2), X(), Y(), Bias(0.15)},           // x left, y right, crossed
+}
+
+// driveBanks holds every drive pattern at three width sets, one bank of
+// eleven monitors per set.
+func driveBanks() []namedBank {
+	var banks []namedBank
+	for _, w := range [][4]float64{{1800, 1800, 1800, 1800}, {3000, 600, 600, 3000}, {600, 3000, 3000, 600}} {
+		ms := make([]Monitor, len(drivePatterns))
+		for i, in := range drivePatterns {
+			cfg := baseConfig(fmt.Sprintf("drive%d", i))
+			cfg.WidthsNm, cfg.Inputs = w, in
+			ms[i] = MustAnalytic(cfg)
+		}
+		banks = append(banks, namedBank{fmt.Sprintf("drives %v", w), NewBank(ms...)})
+	}
+	return banks
 }
 
 // customMonitorBank is the bank examples/custom_monitor designs: three
@@ -424,12 +497,20 @@ func onlyOnAMD64(t *testing.T) {
 	}
 }
 
-// TestZoneLUTMatchesDirectOracle pins the separable construction to the
-// direct one, cell for cell — code bits and proven bits — on every bank
-// the repository certifies.
+// TestZoneLUTMatchesDirectOracle pins the staircase construction to the
+// direct four-corner rule on every bank the repository certifies, cell
+// for cell: the coarse table (code bits and proven bits) against
+// oracleCells, and the staircases on every cell of every 7th fine
+// column (every 63rd under -short; every 37th of those on the banks
+// other than Table I) against the four-corner signs of Balance at that
+// column's nodes.
 func TestZoneLUTMatchesDirectOracle(t *testing.T) {
 	onlyOnAMD64(t)
-	for _, nb := range lutTestBanks(t) {
+	stride := 7
+	if testing.Short() {
+		stride = 63
+	}
+	for bi, nb := range lutTestBanks(t) {
 		l := nb.bank.lut()
 		if l == nil {
 			t.Fatalf("%s: bank declined the LUT", nb.name)
@@ -442,110 +523,318 @@ func TestZoneLUTMatchesDirectOracle(t *testing.T) {
 					want[idx]&lutCodeBits, want[idx]>>lutMaxMonitors)
 			}
 		}
+		step := stride
+		if bi > 0 {
+			step *= 37
+		}
+		left, right := make([]float64, lutFine+1), make([]float64, lutFine+1)
+		for mi, mon := range nb.bank.monitors {
+			a := mon.(*Analytic)
+			for i := 0; i < lutFine; i += step {
+				for j := range left {
+					y := float64(j) / lutFine
+					left[j], right[j] = a.Balance(float64(i)/lutFine, y), a.Balance(float64(i+1)/lutFine, y)
+				}
+				for j := 0; j < lutFine; j++ {
+					s := cornerSign(left[j], right[j], left[j+1], right[j+1])
+					bit, ok := l.prove(mi, i, i, j, j)
+					if ok != (s != 0) || ok && (bit != 0) != (int(s) != a.refSign) {
+						t.Fatalf("%s: monitor %d, fine cell (x %d, y %d): staircase proves %v (bit %v), corners share sign %d",
+							nb.name, mi, i, j, ok, bit != 0, s)
+					}
+				}
+			}
+		}
 	}
 }
 
-// Golden vector of the paper's bank: the SHA-256 of its cell array
-// (little-endian uint32, row-major) and its certified fraction. A change
-// to the construction, the margin, the grid or the cell layout moves
-// them.
+// Golden vector of the paper's bank: the SHA-256 of its coarse cells
+// and of its staircases (little-endian uint32, in memory order), its
+// certified fraction and the bytes its LUT keeps. A change to the
+// construction, the margin, the grids or the layouts moves them.
 const (
-	lutGoldenSHA256 = "59edbeef7fdf6648d13c6e912ebc7b84408b8ae9ea0975c0f70fd13b1488f0ec"
-	lutGoldenFrac   = 0.965545654296875 // 63278 of 65536 cells
+	lutGoldenCellsSHA256  = "eb313a8965298fd907157374c0db54d1ab35b2307c49397f9696e0532ea617f1"
+	lutGoldenStairsSHA256 = "19ec6e885624b55a3a90c060b506f982cb89e0b6af45ac8bc0a607267344338b"
+	lutGoldenFrac         = 0.93212890625 // 15272 of 16384 cells
+	lutGoldenBytes        = 163840
 )
 
 func TestZoneLUTGolden(t *testing.T) {
 	onlyOnAMD64(t)
 	bank := NewAnalyticTableI()
 	_, frac := bank.BatchInfo()
-	cells := bank.lut().cells
-	buf := make([]byte, 4*len(cells))
-	for i, c := range cells {
-		binary.LittleEndian.PutUint32(buf[4*i:], c)
+	l := bank.lut()
+	digest := func(words []uint32) string {
+		buf := make([]byte, 4*len(words))
+		for i, w := range words {
+			binary.LittleEndian.PutUint32(buf[4*i:], w)
+		}
+		sum := sha256.Sum256(buf)
+		return hex.EncodeToString(sum[:])
 	}
-	sum := sha256.Sum256(buf)
-	if got := hex.EncodeToString(sum[:]); got != lutGoldenSHA256 {
-		t.Errorf("Table I cell array SHA-256 %s, want %s", got, lutGoldenSHA256)
+	if got := digest(l.cells); got != lutGoldenCellsSHA256 {
+		t.Errorf("Table I coarse cells SHA-256 %s, want %s", got, lutGoldenCellsSHA256)
+	}
+	if got := digest(l.stairs); got != lutGoldenStairsSHA256 {
+		t.Errorf("Table I staircases SHA-256 %s, want %s", got, lutGoldenStairsSHA256)
 	}
 	if frac != lutGoldenFrac {
 		t.Errorf("Table I certified fraction %v, want %v", frac, lutGoldenFrac)
 	}
+	if got := 4 * (len(l.cells) + len(l.stairs)); got != lutGoldenBytes {
+		t.Errorf("Table I LUT keeps %d bytes, want %d", got, lutGoldenBytes)
+	}
 }
 
 // TestClassifyBatchPartlyProvenCells targets the per-monitor fallback:
-// random points inside every cell that leaves some monitor unproven, on
-// every certified bank, must classify exactly as Classify does through
-// the LUT entries, and ClassifyRect must refuse every rectangle.
+// random points inside every coarse cell that leaves some monitor
+// unproven, on every certified bank, must classify exactly as Classify
+// does through the LUT entries, and every rectangle ClassifyRect
+// answers there must match Classify. A boundary crosses each such cell,
+// so the cell itself holds two codes wherever Classify finds two on a
+// 9×9 grid of it, and then ClassifyRect must refuse the cell.
 func TestClassifyBatchPartlyProvenCells(t *testing.T) {
 	src := rng.New(29)
+	const cell = 1.0 / lutCells
 	for _, nb := range lutTestBanks(t) {
 		l := nb.bank.lut()
 		var xs, ys []float64
+		split := 0
 		for idx, c := range l.cells {
 			if c>>lutMaxMonitors == l.all {
 				continue
 			}
+			x0, y0 := float64(idx%lutCells)*cell, float64(idx/lutCells)*cell
 			for k := 0; k < 2; k++ {
-				xs = append(xs, (float64(idx%lutCells)+src.Float64())/lutCells)
-				ys = append(ys, (float64(idx/lutCells)+src.Float64())/lutCells)
+				xs = append(xs, x0+src.Float64()*cell)
+				ys = append(ys, y0+src.Float64()*cell)
+			}
+			x1, y1 := math.Nextafter(x0+cell, 0), math.Nextafter(y0+cell, 0)
+			first := nb.bank.Classify(x0, y0)
+			for _, p := range rectProbes([4]float64{x0, x1, y0, y1}) {
+				if nb.bank.Classify(p[0], p[1]) != first {
+					split++
+					if c, ok := nb.bank.ClassifyRect(x0, x1, y0, y1); ok {
+						t.Fatalf("%s: cell %d holds codes %016b and %016b, ClassifyRect answered %016b",
+							nb.name, idx, first, nb.bank.Classify(p[0], p[1]), c)
+					}
+					break
+				}
 			}
 		}
-		if len(xs) == 0 {
-			t.Fatalf("%s: no partly proven cell", nb.name)
+		if len(xs) == 0 || split == 0 {
+			t.Fatalf("%s: %d partly proven cells, %d of them holding two codes", nb.name, len(xs)/2, split)
 		}
-		// Every rectangle holds its point, so it meets a partly proven cell.
-		if n := matchClassify(t, nb.name, nb.bank, xs, ys); n != 0 {
-			t.Fatalf("%s: ClassifyRect answered %d rectangles through partly proven cells", nb.name, n)
+		matchClassify(t, nb.name, nb.bank, xs, ys)
+	}
+}
+
+// TestZoneLUTStaircasesMonotone: every staircase the LUT builds keeps
+// lo ≤ hi, and both fall along its boundary's declared direction
+// (lutDrive), on every bank the repository certifies. ClassifyRect's
+// end-column rule is sound only on such staircases.
+func TestZoneLUTStaircasesMonotone(t *testing.T) {
+	for _, nb := range lutTestBanks(t) {
+		l := nb.bank.lut()
+		for mi, mon := range nb.bank.monitors {
+			_, down := mon.(*Analytic).lutDrive()
+			st := l.stairs[mi*lutFine : (mi+1)*lutFine]
+			for i, s := range st {
+				if s&lutCodeBits > s>>16 {
+					t.Fatalf("%s: monitor %d, column %d: lo %d above hi %d", nb.name, mi, i, s&lutCodeBits, s>>16)
+				}
+				if i == 0 {
+					continue
+				}
+				a, b := st[i-1], s
+				if !down {
+					a, b = b, a
+				}
+				if b&lutCodeBits > a&lutCodeBits || b>>16 > a>>16 {
+					t.Fatalf("%s: monitor %d (down %v): columns %d and %d hold %d/%d and %d/%d",
+						nb.name, mi, down, i-1, i, st[i-1]&lutCodeBits, st[i-1]>>16, s&lutCodeBits, s>>16)
+				}
+			}
 		}
 	}
 }
 
-// TestClassifyRectReadsEveryCell: ClassifyRect must read every cell a
-// rectangle meets, not only the cells at its corners. On a certified
-// bank the corner cells never agree around a cell that proves less,
-// because every balance is monotone in x and in y, so the test unproves
-// one monitor in a cell deep inside a fully proven zone. That LUT is
-// still sound, only less proven: ClassifyBatch evaluates the monitor
-// there. Every rectangle through the cell must be refused.
-func TestClassifyRectReadsEveryCell(t *testing.T) {
-	bank := NewAnalyticTableI()
-	l := bank.lut()
-	const cell = 1.0 / lutCells
-	same := func(i, j int) bool {
-		c := l.cells[j*lutCells+i]
-		for dj := -2; dj <= 2; dj++ {
-			for di := -2; di <= 2; di++ {
-				if l.cells[(j+dj)*lutCells+i+di] != c {
-					return false
+// TestStaircaseProvesOnlyDominatedCells runs the staircase build on
+// synthetic node balances whose boundary wanders: whole columns drop or
+// rise against the declared direction, nodes near the boundary flip to
+// the margin, to the other side or to NaN. A cell may be proven only
+// when each of its four corners is verified (its balance clears the
+// margin on that side) or dominated: below a verified bottom node, or
+// above a verified top node, of its column. The rule is checked cell by
+// cell and, through the end-column rule of zoneLUT.prove, on random
+// boxes; the build must still prove most of what the oracle proves.
+func TestStaircaseProvesOnlyDominatedCells(t *testing.T) {
+	const n = lutFine
+	hash := func(k, j int) uint64 {
+		h := uint64(k)*0x9e3779b97f4a7c15 ^ uint64(j)*0xc2b2ae3d27d4eb4f
+		h ^= h >> 29
+		h *= 0xbf58476d1ce4e5b9
+		return h ^ h>>32
+	}
+	src := rng.New(53)
+	for _, bottom := range []float64{-1, 1} {
+		for _, down := range []bool{true, false} {
+			// The boundary sits at row edge(k), moving along its direction,
+			// with a margin band of 0–3 rows above it.
+			edge := func(k int) int {
+				e := 3000 - k/2
+				if !down {
+					e = 1000 + k/2
+				}
+				switch k % 331 {
+				case 0, 1, 2:
+					e -= 30
+				case 100:
+					e += 30
+				}
+				return e
+			}
+			bal := func(k, j int) float64 {
+				e := edge(k)
+				v := 1e-9
+				switch {
+				case j < e:
+					v *= bottom
+				case j < e+int(hash(k, -1)%4):
+					v = 0
+				default:
+					v *= -bottom
+				}
+				if j > e-60 && j < e+60 {
+					switch hash(k, j) % 41 {
+					case 0:
+						v = 0
+					case 1:
+						v = -v
+					case 2:
+						v = math.NaN()
+					}
+				}
+				return v
+			}
+			st := make([]uint32, n)
+			staircase(st, make([]int32, n), make([]int32, n), bal, bottom, down)
+			// mb[k] is column k's highest verified bottom node (−1 if none),
+			// mt[k] its lowest verified top node (n+1 if none).
+			mb, mt := make([]int, n+1), make([]int, n+1)
+			for k := range mb {
+				mb[k], mt[k] = -1, n+1
+				for j := 0; j <= n; j++ {
+					v := bal(k, j)
+					if bottom*v > lutMarginA {
+						mb[k] = j
+					}
+					if -bottom*v > lutMarginA && mt[k] == n+1 {
+						mt[k] = j
+					}
 				}
 			}
+			name := fmt.Sprintf("bottom %v, down %v", bottom, down)
+			proven, oracle := 0, 0
+			for i, s := range st {
+				blo, thi := min(mb[i], mb[i+1]), max(mt[i], mt[i+1])
+				lo, hi := int(s&lutCodeBits), int(s>>16)
+				if lo > max(blo, 0) || hi < thi {
+					t.Fatalf("%s: column %d proves rows below %d and from %d, the oracle below %d and from %d", name, i, lo, hi, blo, thi)
+				}
+				proven += lo + n - min(hi, n)
+				oracle += max(blo, 0) + n - min(thi, n)
+			}
+			t.Logf("%s: staircase proves %d cells, the oracle %d", name, proven, oracle)
+			if proven < oracle*95/100 {
+				t.Fatalf("%s: staircase proves %d cells, the oracle %d", name, proven, oracle)
+			}
+			l := &zoneLUT{all: 1, stairs: st}
+			if bottom > 0 {
+				l.bottom = 1
+			}
+			answered := 0
+			for b := 0; b < 20000; b++ {
+				i0 := int(src.Float64() * n)
+				i1 := min(i0+int(src.Float64()*200), n-1)
+				j0 := max(edge(i0)-100+int(src.Float64()*200), 0)
+				j1 := min(j0+int(src.Float64()*40), n-1)
+				bit, ok := l.prove(0, i0, i1, j0, j1)
+				if !ok {
+					continue
+				}
+				answered++
+				for i := i0; i <= i1; i++ {
+					if (bit == l.bottom && j1 >= min(mb[i], mb[i+1])) || (bit != l.bottom && j0 < max(mt[i], mt[i+1])) {
+						t.Fatalf("%s: box [%d, %d] × [%d, %d] proven %d, but column %d proves rows below %d and from %d",
+							name, i0, i1, j0, j1, bit, i, min(mb[i], mb[i+1]), max(mt[i], mt[i+1]))
+					}
+				}
+			}
+			t.Logf("%s: %d of 20000 boxes proven", name, answered)
+			if answered == 0 {
+				t.Fatalf("%s: no box proven", name)
+			}
 		}
-		return c>>lutMaxMonitors == l.all
 	}
-	i, j := 2, 64
-	for ; i < lutCells-2 && !same(i, j); i++ {
-	}
-	if i == lutCells-2 {
-		t.Fatal("no fully proven 5×5 block of cells on row 64")
-	}
-	l.cells[j*lutCells+i] &^= 1 << lutMaxMonitors // leave monitor 0 open
-	x, y := (float64(i)+0.5)*cell, (float64(j)+0.5)*cell
-	for _, r := range [][4]float64{
-		{x - cell, x + cell, y - cell, y + cell},
-		{x - 2*cell, x + cell, y - cell/2, y + 2*cell},
-		{x, x, y - cell, y + cell},
-		{x - cell, x + cell, y, y},
-	} {
-		if c, ok := bank.ClassifyRect(r[0], r[1], r[2], r[3]); ok {
-			t.Fatalf("rectangle %v around the unproven cell (%d, %d) answered %016b", r, i, j, c)
+}
+
+// FuzzZoneLUTConfig builds one-monitor banks from fuzzed widths, biases
+// and drive pattern (kept only when lutMonotone accepts the pattern):
+// ClassifyLUT must match Classify at a fuzzed point, and a fuzzed box
+// that ClassifyRect answers must match Classify at its corners and at
+// the point, clamped into it.
+func FuzzZoneLUTConfig(f *testing.F) {
+	for i, in := range drivePatterns {
+		var pat uint8
+		for k := 3; k >= 0; k-- {
+			pat = pat*3 + uint8(in[k].Kind)
 		}
+		f.Add(pat, 1800.0, 3000.0, 600.0, 1800.0, 0.3, 0.5, 0.45, 0.2, 0.1+0.07*float64(i), 0.6, 0.05, 0.2)
 	}
-	src := rng.New(37)
-	xs, ys := make([]float64, 200), make([]float64, 200)
-	for k := range xs {
-		xs[k], ys[k] = x+4*cell*(src.Float64()-0.5), y+4*cell*(src.Float64()-0.5)
+	for _, cfg := range TableI() {
+		var pat uint8
+		for k := 3; k >= 0; k-- {
+			pat = pat*3 + uint8(cfg.Inputs[k].Kind)
+		}
+		w, in := cfg.WidthsNm, cfg.Inputs
+		f.Add(pat, w[0], w[1], w[2], w[3], in[0].DC, in[1].DC, in[2].DC, in[3].DC, 0.41, 0.37, 0.1, 0.1)
 	}
-	matchClassify(t, "unproven cell", bank, xs, ys)
+	f.Fuzz(func(t *testing.T, pat uint8, w0, w1, w2, w3, b0, b1, b2, b3, x, y, dx, dy float64) {
+		unit := func(v float64) float64 {
+			if v = math.Abs(math.Mod(v, 1)); math.IsNaN(v) {
+				return 0.5
+			}
+			return v
+		}
+		cfg := baseConfig("fuzz")
+		for k, w := range []float64{w0, w1, w2, w3} {
+			cfg.WidthsNm[k] = 200 + 4800*unit(w/5000)
+		}
+		for k, b := range []float64{b0, b1, b2, b3} {
+			cfg.Inputs[k] = Input{Kind: InputKind(int(pat%81) / []int{1, 3, 9, 27}[k] % 3), DC: 1.2 * unit(b)}
+		}
+		a := MustAnalytic(cfg)
+		if !a.lutMonotone() {
+			return
+		}
+		bank := NewBank(a)
+		if got, want := bank.ClassifyLUT(x, y), bank.Classify(x, y); got != want {
+			t.Fatalf("%v at (%v, %v): ClassifyLUT %b, Classify %b", cfg.Inputs, x, y, got, want)
+		}
+		xlo, ylo := unit(x), unit(y)
+		xhi, yhi := min(xlo+0.1*unit(dx), math.Nextafter(1, 0)), min(ylo+0.1*unit(dy), math.Nextafter(1, 0))
+		c, ok := bank.ClassifyRect(xlo, xhi, ylo, yhi)
+		if !ok {
+			return
+		}
+		px, py := xlo+(xhi-xlo)*unit(x*7), ylo+(yhi-ylo)*unit(y*7)
+		for _, p := range [][2]float64{{xlo, ylo}, {xlo, yhi}, {xhi, ylo}, {xhi, yhi}, {min(px, xhi), min(py, yhi)}} {
+			if want := bank.Classify(p[0], p[1]); want != c {
+				t.Fatalf("%v: [%v, %v] × [%v, %v] answered %b, Classify at %v gives %b", cfg.Inputs, xlo, xhi, ylo, yhi, c, p, want)
+			}
+		}
+	})
 }
 
 // FuzzClassifyRect: a rectangle ClassifyRect answers must lie on the

@@ -171,15 +171,31 @@ func (d Device) Eval(vgs, vds float64) OpPoint {
 	return OpPoint{ID: id, Gm: gm, Gds: gds, Sat: false}
 }
 
+// Veff returns the EKV-smoothed effective overdrive at vgs: veff's
+// value without its derivative, bit for bit.
+func (p Params) Veff(vgs float64) float64 {
+	a := 2 * p.N * VThermal
+	x := (vgs - p.VTH0) / a
+	switch {
+	case x > 40:
+		return a * x
+	case x < -40:
+		return a * math.Exp(x)
+	default:
+		return a * math.Log1p(math.Exp(x))
+	}
+}
+
 // IDSat returns the saturation-region current at the given gate-source
 // voltage, ignoring channel-length modulation. This is the quantity whose
 // balance defines the monitor's zone boundaries (the differential pair
 // keeps both summing nodes near the same potential, so CLM contributes
 // only a second-order shift).
-func (d Device) IDSat(vgs float64) float64 {
-	ve, _ := d.P.veff(vgs)
-	return 0.5 * d.P.KP * d.W / d.L * ve * ve
-}
+func (d Device) IDSat(vgs float64) float64 { return d.IDSatVeff(d.P.Veff(vgs)) }
+
+// IDSatVeff is IDSat at effective overdrive ve = d.P.Veff(vgs), so a
+// caller can share one Veff among devices with equal parameters.
+func (d Device) IDSatVeff(ve float64) float64 { return 0.5 * d.P.KP * d.W / d.L * ve * ve }
 
 // String implements fmt.Stringer.
 func (d Device) String() string {

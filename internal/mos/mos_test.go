@@ -293,3 +293,53 @@ func TestCornerShifts(t *testing.T) {
 		t.Fatal("corner list wrong")
 	}
 }
+
+// TestIDSatKeepsBits pins IDSat, now IDSatVeff(Veff(vgs)), to the formula
+// it replaced, veff with its derivative and then 0.5·KP·W/L·ve·ve, bit
+// for bit: at and around both ±40 switches of the softplus, across and
+// beyond the monitors' input range, for nominal, corner and temperature
+// parameters of both polarities.
+func TestIDSatKeepsBits(t *testing.T) {
+	old := func(d Device, vgs float64) float64 {
+		ve, _ := d.P.veff(vgs)
+		return 0.5 * d.P.KP * d.W / d.L * ve * ve
+	}
+	var params []Params
+	for _, p := range []Params{Default65nmNMOS(), Default65nmPMOS()} {
+		params = append(params, p)
+		for _, c := range Corners() {
+			params = append(params, p.AtCorner(c))
+		}
+		for _, tk := range []float64{233, 273, 323, 358, 398} {
+			params = append(params, p.AtTemperature(tk))
+		}
+	}
+	src := rng.New(19)
+	for _, p := range params {
+		var vs []float64
+		for _, s := range []float64{-40, 40} {
+			edge := p.VTH0 + s*2*p.N*VThermal
+			for k := -3; k <= 3; k++ {
+				v := edge + float64(k)*1e-12
+				vs = append(vs, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
+			}
+		}
+		for k := 0; k <= 64; k++ {
+			vs = append(vs, float64(k)/64)
+		}
+		for k := 0; k < 500; k++ {
+			vs = append(vs, -4+8*src.Float64())
+		}
+		for _, w := range []float64{600, 1800, 3000} {
+			d := NewDevice("M", w, 180, p)
+			for _, v := range vs {
+				if got, want := d.IDSat(v), old(d, v); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%v at %v V: IDSat %v, formula %v", d, v, got, want)
+				}
+				if ve, _ := p.veff(v); math.Float64bits(p.Veff(v)) != math.Float64bits(ve) {
+					t.Fatalf("%v at %v V: Veff %v, veff %v", p, v, p.Veff(v), ve)
+				}
+			}
+		}
+	}
+}

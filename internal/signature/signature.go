@@ -212,27 +212,28 @@ func ExactFromCodes(codes []monitor.Code, classify Classifier, T float64, tol fl
 	var edges []edge
 	prev := codes[0]
 	first := prev
-	tPrev := 0.0
 	for i := 1; i <= nScan; i++ {
-		t := T * float64(i) / float64(nScan)
 		c := codes[i]
-		if c != prev {
-			// Refine transition in (tPrev, t]. Note multiple transitions
-			// inside one scan step are merged — nScan must be chosen
-			// fine enough (callers use ≥ 4096 for the paper's curves).
-			lo, hi := tPrev, t
-			for hi-lo > tol {
-				mid := 0.5 * (lo + hi)
-				if classify(mid) == prev {
-					lo = mid
-				} else {
-					hi = mid
-				}
-			}
-			edges = append(edges, edge{t: hi, code: classify(hi)})
-			prev = c
+		if c == prev {
+			continue
 		}
-		tPrev = t
+		// Refine the transition in (T·(i−1)/nScan, T·i/nScan]. Note
+		// multiple transitions inside one scan step are merged — nScan
+		// must be chosen fine enough (callers use ≥ 4096 for the paper's
+		// curves). code tracks the code at hi: the grid's at the scan
+		// instant, then each midpoint's that differs from prev.
+		lo, hi := T*float64(i-1)/float64(nScan), T*float64(i)/float64(nScan)
+		code := c
+		for hi-lo > tol {
+			mid := 0.5 * (lo + hi)
+			if m := classify(mid); m == prev {
+				lo = mid
+			} else {
+				hi, code = mid, m
+			}
+		}
+		edges = append(edges, edge{t: hi, code: code})
+		prev = c
 	}
 	sig := &Signature{Period: T}
 	if len(edges) == 0 {
