@@ -71,17 +71,18 @@ bench:
 
 # Smoke gate: single-iteration run of the SPICE transient, the
 # SPICE-campaign (rebuild and template trial engines), the
-# batched-signature-engine, the streaming-reduction, the
+# batched-signature-engine, the noise-plan, the streaming-reduction, the
 # registry-dispatch, the null-calibration and the checkpoint-cadence
 # benchmarks (fast path, Newton baseline, CUT output, trial templates,
 # fault table, batched vs scalar capture, batched vs scalar exact
-# signature extraction with its band scan and zone-LUT bisection, streaming
-# reduction, spec dispatch, the null calibration's max reduction, span
-# reduction with/without a checkpoint sink, zone-LUT certification and
-# batch classification on random and curve points) — proves the hot
-# paths still execute end to end.
+# signature extraction with its band scan and zone-LUT bisection, the
+# averaged noisy NDF, the noise plan's build and a warm-plan noise
+# trial, streaming reduction, spec dispatch, the null calibration's max
+# reduction, span reduction with/without a checkpoint sink, zone-LUT
+# certification and batch classification on random and curve points) —
+# proves the hot paths still execute end to end.
 bench-smoke:
-	$(GO) test -bench='TransientTowThomas|SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|ExactSignature|AveragedNDF|BankClassify|ZoneLUTBuild|RegistryDispatch|CampaignReduce1M|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
+	$(GO) test -bench='TransientTowThomas|SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|ExactSignature|AveragedNDF|NoisePlanBuild|NoiseTrial|BankClassify|ZoneLUTBuild|RegistryDispatch|CampaignReduce1M|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
 
 # The repository benchmark's own checks (cmd/mcbench is a nested module,
 # so `go test ./...` at the root does not reach it): every workload's
@@ -94,7 +95,9 @@ bench-verify:
 # signature binary decoder, the NDF breakpoint sweep (a hang is a
 # failure), the zone-LUT rectangle query and the zone LUT of fuzzed
 # monitor widths, biases and drive patterns (an answer must match the
-# exact classifier), the fabric job-log replay, the shard accumulator
+# exact classifier), the noise plan of a fuzzed shift, noise spread,
+# seed, period count and observation (its codes and averaged NDF must
+# match the per-tick loop bit for bit), the fabric job-log replay, the shard accumulator
 # codecs, the campaign spec ingress and the HTTP handlers of both APIs
 # (seed corpora are checked in under testdata/fuzz or added in the fuzz
 # targets). Each target gets 10s — enough to exercise the mutator on
@@ -106,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzNDF$$' -fuzztime=10s ./internal/ndf
 	$(GO) test -run=^$$ -fuzz='^FuzzClassifyRect$$' -fuzztime=10s ./internal/monitor
 	$(GO) test -run=^$$ -fuzz='^FuzzZoneLUTConfig$$' -fuzztime=10s ./internal/monitor
+	$(GO) test -run=^$$ -fuzz='^FuzzNoisePlan$$' -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzJobLogReplay$$' -fuzztime=10s ./internal/fabric
 	$(GO) test -run=^$$ -fuzz='^FuzzShardBlobUnmarshal$$' -fuzztime=10s ./internal/testbench
 	$(GO) test -run=^$$ -fuzz='^FuzzSpecDecode$$' -fuzztime=10s ./internal/testbench

@@ -427,7 +427,7 @@ func BenchmarkZoneLUTBuild(b *testing.B) {
 // output evaluation, zone-LUT classification, codes-slice walk) through
 // the one-shot CapturedSignature, which sizes a fresh trial scratch per
 // call (campaigns reuse one per worker inside NDFOfScratch and
-// AveragedNDFScratch). Compare against
+// NoisePlan.AveragedNDF). Compare against
 // BenchmarkSignatureCaptureScalar, the retained per-tick baseline.
 func BenchmarkSignatureCaptureBatched(b *testing.B) {
 	benchmarkSignatureCaptureEngine(b, false)
@@ -457,9 +457,10 @@ func benchmarkSignatureCaptureEngine(b *testing.B, scalar bool) {
 	}
 }
 
-// NDF-AVG-BATCH / NDF-AVG-SCALAR: the noisy averaged-NDF measurement —
-// the per-trial unit of the noise detection, resolution and yield
-// campaigns — on the batched and on the retained scalar engine.
+// NDF-AVG-BATCH / NDF-AVG-SCALAR: four noisy periods of the averaged-NDF
+// measurement at the paper's σ = 0.005 with the noise plan warm — the
+// per-trial unit of the noise campaigns — on the batched engine
+// (certified noise skipping) and on the retained scalar one.
 func BenchmarkAveragedNDFBatched(b *testing.B) {
 	benchmarkAveragedNDFEngine(b, false)
 }
@@ -475,20 +476,68 @@ func benchmarkAveragedNDFEngine(b *testing.B, scalar bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	plan, err := sys.NoisePlan(cut, 0.005)
+	if err != nil {
+		b.Fatal(err)
+	}
 	sc := core.NewTrialScratch()
 	src := rng.New(3)
-	if _, err := sys.AveragedNDFScratch(cut, 0.005, src.Split(0), 1, sc); err != nil {
-		b.Fatal(err) // warm caches outside the timing loop
+	if _, err := plan.AveragedNDF(src.Split(0), 1, sc); err != nil {
+		b.Fatal(err) // warm the scratch outside the timing loop
 	}
 	var v float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err = sys.AveragedNDFScratch(cut, 0.005, src.Split(uint64(i)), 4, sc)
+		v, err = plan.AveragedNDF(src.Split(uint64(i)), 4, sc)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(v, "NDF")
+}
+
+// NOISE-PLAN: building the noise plan of a +1 % CUT at σ = 0.005 — the
+// clean tick output, its codes and every tick's certified skip
+// threshold — which a noise campaign pays once per phase.
+func BenchmarkNoisePlanBuild(b *testing.B) {
+	sys := core.Default()
+	cut, err := sys.Shifted(0.01)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sys.NoisePlan(cut, 0.005); err != nil {
+		b.Fatal(err) // warm the LUT, the tick grid and the golden signature
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.NoisePlan(cut, 0.005); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// NOISE-TRIAL: one trial of the noise campaign's detection phase, the
+// unit its trials/s counts: a +1 % CUT at σ = 0.005, the plan warm, the
+// trial's stream derived as the campaign derives it, five periods.
+func BenchmarkNoiseTrial(b *testing.B) {
+	sys := core.Default()
+	cut, err := sys.Shifted(0.01)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := sys.NoisePlan(cut, 0.005)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := core.NewTrialScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := plan.AveragedNDF(rng.NewSub(1, 2<<32+uint64(i)), 5, sc); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // MON-BIT: one analytic monitor's exact bit (Table I row 3) at random

@@ -52,6 +52,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -114,7 +115,7 @@ func run(ctx context.Context, addr, storeDir, logFormat string, smoke bool) erro
 		if err := coord.RecoverAll(ctx); err != nil {
 			return err
 		}
-		fh := serve.NewFabric(coord).Handler()
+		fh := srv.Instrument(serve.NewFabric(coord).Handler())
 		mux.Handle("/v1/fabric/", fh)
 		mux.Handle("/v1/shards/", fh)
 		fmt.Printf("mcserved: fabric coordinator over %s (%d jobs recovered)\n", storeDir, len(coord.Jobs()))
@@ -294,12 +295,20 @@ func runFabricSmoke(ctx context.Context) error {
 	}
 	coord := fabric.NewCoordinator(fabric.Config{Store: store, LeaseTTL: 300 * time.Millisecond})
 	defer func() { _ = coord.Close() }() // smoke exit path; verdict already decided
-	fh := serve.NewFabric(coord).Handler()
+	// The fabric API sits behind the same request instruments as in a
+	// -store instance, and /metrics shows what they counted.
+	srv := serve.New(ctx)
+	defer srv.Close()
+	fh := srv.Instrument(serve.NewFabric(coord).Handler())
+	mux := http.NewServeMux()
+	mux.Handle("/", srv.Handler())
+	mux.Handle("/v1/fabric/", fh)
+	mux.Handle("/v1/shards/", fh)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	hs := newHTTPServer(fh)
+	hs := newHTTPServer(mux)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	baseURL := "http://" + ln.Addr().String()
@@ -342,7 +351,16 @@ func runFabricSmoke(ctx context.Context) error {
 	res, err := coord.Wait(ctx, "smoke")
 	stopWorkers()
 	wg.Wait()
-	_ = hs.Close() // smoke exit path; the comparison below is the verdict
+	if err != nil {
+		_ = hs.Close() // failure exit path; err is the verdict
+		<-serveErr
+		return err
+	}
+	// Ask the live coordinator: after the server closes, any heartbeat
+	// fails to connect, refused token or not.
+	ghostErr := backend.Heartbeat(ctx, ghost, 0, nil)
+	reports, err := countedRequests(client, baseURL, "/v1/shards/report")
+	_ = hs.Close() // smoke exit path; the checks below are the verdict
 	<-serveErr
 	if err != nil {
 		return err
@@ -355,12 +373,37 @@ func runFabricSmoke(ctx context.Context) error {
 	if string(got) != string(want) {
 		return fmt.Errorf("fabric-smoke: merged payload differs from single-node run\nfabric:      %s\nsingle-node: %s", got, want)
 	}
-	if err := backend.Heartbeat(ctx, ghost, 0, nil); err == nil {
+	if ghostErr == nil {
 		return errors.New("fabric-smoke: ghost lease still valid after expiry")
 	}
 	fmt.Println("fabric-smoke: dropped lease was re-issued; ghost token refused")
+	if reports < 2 {
+		return fmt.Errorf("fabric-smoke: /metrics counted %v shard reports, want at least 2", reports)
+	}
+	fmt.Printf("fabric-smoke: /metrics counted %v shard reports\n", reports)
 	fmt.Printf("fabric-smoke: merged result bit-identical to single-node run\n%s", res.Text)
 	return nil
+}
+
+// countedRequests scrapes base's /metrics and returns the request count
+// of one route label.
+func countedRequests(client *http.Client, base, route string) (float64, error) {
+	resp, err := client.Get(base + "/metrics")
+	if err != nil {
+		return 0, err
+	}
+	defer func() { _ = resp.Body.Close() }() // read-only scrape
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, err
+	}
+	prefix := `mcserved_http_requests_total{route="` + route + `"} `
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			return strconv.ParseFloat(v, 64)
+		}
+	}
+	return 0, nil
 }
 
 // Server timeouts. readHeaderTimeout bounds how long a client may take

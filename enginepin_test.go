@@ -32,13 +32,21 @@ func TestBatchedEnginePinnedSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scB, scS := core.NewTrialScratch(), core.NewTrialScratch()
-	// Warm every cache (zone LUT, stimulus grids, golden signature)
-	// outside the timed region.
-	if _, err := batched.AveragedNDFScratch(cb, 0.005, rng.New(1), 1, scB); err != nil {
+	// Build the noise plans and warm every cache (zone LUT, stimulus
+	// grids, golden signature, trial scratch) outside the timed region.
+	pb, err := batched.NoisePlan(cb, 0.005)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := scalar.AveragedNDFScratch(cs, 0.005, rng.New(1), 1, scS); err != nil {
+	ps, err := scalar.NoisePlan(cs, 0.005)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scB, scS := core.NewTrialScratch(), core.NewTrialScratch()
+	if _, err := pb.AveragedNDF(rng.New(1), 1, scB); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ps.AveragedNDF(rng.New(1), 1, scS); err != nil {
 		t.Fatal(err)
 	}
 
@@ -63,11 +71,11 @@ func TestBatchedEnginePinnedSpeedup(t *testing.T) {
 	srcB, srcS := rng.New(9), rng.New(9)
 	speedup("AveragedNDF", 5,
 		func() error {
-			_, err := batched.AveragedNDFScratch(cb, 0.005, srcB.Split(0), 4, scB)
+			_, err := pb.AveragedNDF(srcB.Split(0), 4, scB)
 			return err
 		},
 		func() error {
-			_, err := scalar.AveragedNDFScratch(cs, 0.005, srcS.Split(0), 4, scS)
+			_, err := ps.AveragedNDF(srcS.Split(0), 4, scS)
 			return err
 		})
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/campaign"
@@ -189,23 +188,16 @@ func TestBatchedCaptureBitIdentical(t *testing.T) {
 // TestBatchedAveragedNDFBitIdentical: the averaged campaign measurement
 // must agree with the scalar engine, with and without caller scratch,
 // and as the trial of a campaign pool at any worker count (each worker
-// reusing its scratch across trials).
+// reusing its scratch across trials and sharing one noise plan).
 func TestBatchedAveragedNDFBitIdentical(t *testing.T) {
 	batched, scalar := Default(), scalarTwin()
-	cb, err := batched.Shifted(0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := scalar.Shifted(0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pb, ps := noisePlan(t, batched, Deviation{F0Shift: 0.02}, 0.005), noisePlan(t, scalar, Deviation{F0Shift: 0.02}, 0.005)
 	const periods = 4
-	want, err := scalar.AveragedNDFScratch(cs, 0.005, rng.New(9), periods, nil)
+	want, err := ps.AveragedNDF(rng.New(9), periods, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := batched.AveragedNDFScratch(cb, 0.005, rng.New(9), periods, nil)
+	got, err := pb.AveragedNDF(rng.New(9), periods, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +207,7 @@ func TestBatchedAveragedNDFBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 2, 7} {
 		vals, err := campaign.Collect(context.Background(), campaign.Engine{Workers: workers}, 9,
 			NewTrialScratch, func(_ int, sc *TrialScratch) (float64, error) {
-				return batched.AveragedNDFScratch(cb, 0.005, rng.New(9), periods, sc)
+				return pb.AveragedNDF(rng.New(9), periods, sc)
 			})
 		if err != nil {
 			t.Fatal(err)
@@ -274,39 +266,25 @@ func TestTrialScratchIsolation(t *testing.T) {
 	}
 }
 
-// TestAveragedNDFScratchWarmAllocation: a warm AveragedNDFScratch keeps
-// every per-call sample grid in the trial scratch. What it still
-// allocates, the analytic backend's output waveform and each period's
-// noise substream, stays well under 2 KB a call; the clean tick grid
-// alone is 2000 float64s, 16 KB.
+// TestAveragedNDFScratchWarmAllocation: with its noise plan built, a
+// noisy averaged NDF on a warm trial scratch allocates nothing but each
+// period's noise substream (one Split per period).
 func TestAveragedNDFScratchWarmAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
-	sys := Default()
-	cut, err := sys.Shifted(0.02)
-	if err != nil {
-		t.Fatal(err)
+	p := noisePlan(t, Default(), Deviation{F0Shift: 0.02}, 0.005)
+	const periods = 4
+	sc, src := NewTrialScratch(), rng.New(3)
+	if _, err := p.AveragedNDF(src, periods, sc); err != nil {
+		t.Fatal(err) // warm the scratch
 	}
-	const calls, periods = 50, 4
-	streams := make([]*rng.Stream, calls+1)
-	for i := range streams {
-		streams[i] = rng.New(uint64(i) + 3)
-	}
-	sc := NewTrialScratch()
-	if _, err := sys.AveragedNDFScratch(cut, 0.005, streams[calls], periods, sc); err != nil {
-		t.Fatal(err) // warm the golden signature, the LUT and the scratch
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for _, src := range streams[:calls] {
-		if _, err := sys.AveragedNDFScratch(cut, 0.005, src, periods, sc); err != nil {
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := p.AveragedNDF(src, periods, sc); err != nil {
 			t.Fatal(err)
 		}
-	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 2048 {
-		t.Fatalf("warm AveragedNDFScratch allocates %d B per call, want < 2048", per)
+	})
+	if allocs != periods {
+		t.Fatalf("warm AveragedNDF makes %v allocations per call, want %d (one Split per period)", allocs, periods)
 	}
 }

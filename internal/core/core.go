@@ -165,9 +165,9 @@ type TrialScratch struct {
 	// xs, ys hold the sample grids of captures and of the exact scans
 	// of sampled (SPICE) outputs; the band scan needs no sample buffer.
 	xs, ys []float64
-	// ybase holds AveragedNDFScratch's clean output samples, which every
-	// period's noisy ys is drawn on top of.
-	ybase []float64
+	// polar holds a noise plan's block of polar pairs, allocated on the
+	// first noisy period.
+	polar *polarBlock
 	// spice carries the SPICE backend's per-worker trial state: a
 	// compiled circuit template plus the transient sample buffer, so a
 	// worker's trials skip netlist elaboration and solver setup entirely.
@@ -177,6 +177,14 @@ type TrialScratch struct {
 
 // NewTrialScratch returns an empty scratch; buffers grow on first use.
 func NewTrialScratch() *TrialScratch { return &TrialScratch{} }
+
+// polarBlock returns the scratch's polar-pair block, allocating it once.
+func (sc *TrialScratch) polarBlock() *polarBlock {
+	if sc.polar == nil {
+		sc.polar = new(polarBlock)
+	}
+	return sc.polar
+}
 
 // grow returns *buf resized to n (contents undefined), reallocating it
 // only when its capacity is short.
@@ -613,94 +621,6 @@ func (s *System) SweepF0Ctx(ctx context.Context, shifts []float64, eng campaign.
 			}
 			return v, nil
 		})
-}
-
-// AveragedNDFScratch captures the CUT over several consecutive
-// Lissajous periods and averages the per-period NDF against the golden
-// signature. Under measurement noise the per-period NDF carries a
-// noise-floor mean plus sampling variance; averaging K periods shrinks
-// the variance by ~1/√K, which is how a production tester makes small
-// deviations (the paper's 1% claim) separable from the floor without
-// changing hardware — it simply observes the CUT longer.
-// Each period is an independent capture: period k draws its noise from
-// the substream noise.Split(k), and the periods run serially and sum in
-// period order, so the average is a pure function of the stream.
-//
-// The scratch is caller-owned — the form campaign runners use inside
-// their own worker pools, so every trial a worker executes reuses one
-// set of buffers; a nil scratch gets a fresh one. Scratch never affects
-// the result. In the batched engine the clean output tick samples are
-// evaluated once per call and shared read-only by every period's capture
-// (each period only adds its own noise draws on top), which is where
-// most of the per-period work of the scalar pipeline went.
-func (s *System) AveragedNDFScratch(c CUT, sigma float64, noise *rng.Stream, periods int, sc *TrialScratch) (float64, error) {
-	if periods < 1 {
-		periods = 1
-	}
-	g, err := s.GoldenSignature()
-	if err != nil {
-		return 0, err
-	}
-	// Materialize the observed output once: backends with an expensive
-	// Output (the SPICE transient) compute it here instead of inside every
-	// period's capture. The periods run serially on sc, so the
-	// scratch-backed waveform stays valid for all of them.
-	out, err := s.outputScratch(c, sc)
-	if err != nil {
-		return 0, err
-	}
-	if sc == nil {
-		sc = NewTrialScratch()
-	}
-	var period func(src *rng.Stream) (float64, error)
-	if s.Scalar {
-		period = func(src *rng.Stream) (float64, error) {
-			obs, err := s.capturedSignature(c, sigma, src, sc)
-			if err != nil {
-				return 0, err
-			}
-			return ndf.NDF(obs, g)
-		}
-	} else {
-		ts, xs, err := s.ticks()
-		if err != nil {
-			return 0, err
-		}
-		ybase := grow(&sc.ybase, len(ts))
-		wave.EvalInto(out, ts, ybase)
-		eff := EffectiveNoiseSigma(sigma)
-		period = func(src *rng.Stream) (float64, error) {
-			xv, yv := xs, ybase
-			if sigma > 0 && src != nil {
-				n := len(ts)
-				xv, yv = grow(&sc.xs, n), grow(&sc.ys, n)
-				for i := 0; i < n; i++ {
-					xv[i] = xs[i] + src.Gauss(0, eff)
-					yv[i] = ybase[i] + src.Gauss(0, eff)
-				}
-			}
-			codes := sc.capture.Codes(len(xv))
-			s.Bank.ClassifyBatch(xv, yv, codes)
-			obs, err := signature.CaptureCanonicalCodes(codes, s.Period(), s.Capture, &sc.capture)
-			if err != nil {
-				return 0, err
-			}
-			return ndf.NDF(obs, g)
-		}
-	}
-	sum := 0.0
-	for k := 0; k < periods; k++ {
-		var src *rng.Stream
-		if noise != nil {
-			src = noise.Split(uint64(k))
-		}
-		v, err := period(src)
-		if err != nil {
-			return 0, err
-		}
-		sum += v
-	}
-	return sum / float64(periods), nil
 }
 
 // TestResult is the outcome of one production test.

@@ -110,8 +110,8 @@ func TestAveragedNDFReducesVariance(t *testing.T) {
 	// Not a statistical test of variance (slow); just the contract:
 	// periods < 1 is clamped and the result is finite and positive
 	// under noise.
-	s := Default()
-	v, err := s.AveragedNDFScratch(s.CUT, 0.005, nil, 0, nil)
+	p := noisePlan(t, Default(), Deviation{}, 0.005)
+	v, err := p.AveragedNDF(nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

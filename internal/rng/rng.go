@@ -5,7 +5,10 @@
 //
 // The generator is splitmix64 feeding a xoshiro256** core — high quality,
 // trivially seedable, and allocation-free. Gaussian variates use the
-// Marsaglia polar method with a cached spare.
+// Marsaglia polar method with a cached spare: Polar draws the accepted
+// pair and PolarScale turns it into two variates, so a caller that
+// forms the variates itself (or knows it will not need them) draws the
+// same pairs as Norm, in Norm's order.
 package rng
 
 import "math"
@@ -72,22 +75,81 @@ func NewSub(root, id uint64) *Stream {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// step is one xoshiro256** step as a pure function of the state: it
+// returns the output and the next state. Uint64 and PolarFill share it;
+// it inlines, so PolarFill's loop keeps the state in registers.
+func step(s0, s1, s2, s3 uint64) (r, n0, n1, n2, n3 uint64) {
+	r = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return r, s0, s1, s2, s3
+}
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (s *Stream) Uint64() uint64 {
-	r := rotl(s.s[1]*5, 7) * 9
-	t := s.s[1] << 17
-	s.s[2] ^= s.s[0]
-	s.s[3] ^= s.s[1]
-	s.s[1] ^= s.s[2]
-	s.s[0] ^= s.s[3]
-	s.s[2] ^= t
-	s.s[3] = rotl(s.s[3], 45)
+	r, s0, s1, s2, s3 := step(s.s[0], s.s[1], s.s[2], s.s[3])
+	s.s = [4]uint64{s0, s1, s2, s3}
 	return r
 }
 
+// unit maps 64 random bits to a uniform variate in [0, 1).
+func unit(r uint64) float64 { return float64(r>>11) / (1 << 53) }
+
 // Float64 returns a uniform variate in [0, 1).
-func (s *Stream) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
+func (s *Stream) Float64() float64 { return unit(s.Uint64()) }
+
+// Polar draws the next accepted pair of the Marsaglia polar method: u
+// and v uniform on (−1, 1), redrawn until 0 < r2 = u² + v² < 1. It
+// neither reads nor clears Norm's spare.
+func (s *Stream) Polar() (u, v, r2 float64) {
+	for {
+		u = 2*s.Float64() - 1
+		v = 2*s.Float64() - 1
+		r2 = u*u + v*v
+		if r2 < 1 && r2 != 0 {
+			return u, v, r2
+		}
+	}
+}
+
+// PolarScale is the factor f = √(−2·ln r2 / r2) that turns an accepted
+// polar pair into two independent standard Gaussian variates, u·f and
+// v·f. Both are at most √(−2·ln r2) in magnitude, because |u| and |v|
+// are at most √r2.
+func PolarScale(r2 float64) float64 { return math.Sqrt(-2 * math.Log(r2) / r2) }
+
+// PolarFill draws len(us) accepted pairs into us, vs and r2s (which
+// must be at least as long), draw for draw the pairs that many Polar
+// calls return, and leaves the stream in the same state. The generator
+// state stays in locals for the whole block. Pairs drawn while Norm
+// holds a spare would be used out of Norm's order, so PolarFill panics
+// when one is pending; a fresh stream (New, Split, NewSub) holds none.
+//
+//mclint:hotpath
+func (s *Stream) PolarFill(us, vs, r2s []float64) {
+	if s.haveSpare {
+		panic("rng: PolarFill on a stream with a Norm spare pending")
+	}
+	vs, r2s = vs[:len(us)], r2s[:len(us)]
+	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
+	for i := range us {
+		for {
+			var a, b uint64
+			a, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+			b, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+			u, v := 2*unit(a)-1, 2*unit(b)-1
+			if r2 := u*u + v*v; r2 < 1 && r2 != 0 {
+				us[i], vs[i], r2s[i] = u, v, r2
+				break
+			}
+		}
+	}
+	s.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Norm returns a standard Gaussian variate (mean 0, std 1).
@@ -96,18 +158,11 @@ func (s *Stream) Norm() float64 {
 		s.haveSpare = false
 		return s.spare
 	}
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		r2 := u*u + v*v
-		if r2 >= 1 || r2 == 0 {
-			continue
-		}
-		f := math.Sqrt(-2 * math.Log(r2) / r2)
-		s.spare = v * f
-		s.haveSpare = true
-		return u * f
-	}
+	u, v, r2 := s.Polar()
+	f := PolarScale(r2)
+	s.spare = v * f
+	s.haveSpare = true
+	return u * f
 }
 
 // Gauss returns a Gaussian variate with the given mean and standard

@@ -119,3 +119,79 @@ func TestAnySeedUsableProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNormPinned pins Norm's first draws, and the uniform draw after
+// them, for two seeds as fixed bit patterns: Norm is Polar plus
+// PolarScale, and every noisy Monte-Carlo result hangs on these bits.
+func TestNormPinned(t *testing.T) {
+	for _, pin := range []struct {
+		seed uint64
+		norm [6]uint64
+		next uint64
+	}{
+		{1, [6]uint64{0x3ffe267c87ac62eb, 0x3fc84abd879d0e18, 0x3ff4d55c9633557c, 0xbffe8d0b0399ee9c, 0x3fdc0d732ae4b3dd, 0xbfe95abea9281847}, 0x123004ef8df510e6},
+		{20261018, [6]uint64{0x3ff5024ac95e5509, 0x3ff159d14c2d6b7f, 0xbfe6a41865651274, 0xbfffdefa9d21bfe9, 0x3fe54427aabb23fc, 0x3fbfa12b4781a4f2}, 0x1d9513e36be4b5e0},
+	} {
+		s := New(pin.seed)
+		for i, want := range pin.norm {
+			if got := math.Float64bits(s.Norm()); got != want {
+				t.Fatalf("seed %d: Norm draw %d = %#016x, want %#016x", pin.seed, i, got, want)
+			}
+		}
+		if got := s.Uint64(); got != pin.next {
+			t.Fatalf("seed %d: Uint64 after six Norm draws = %#016x, want %#016x", pin.seed, got, pin.next)
+		}
+	}
+}
+
+// TestPolarFillMatchesPolar: PolarFill draws, pair for pair, what as
+// many Polar calls draw, and leaves the stream in the same state.
+func TestPolarFillMatchesPolar(t *testing.T) {
+	for _, n := range []int{0, 1, 255, 256, 2000} {
+		us, vs, r2s := make([]float64, n), make([]float64, n), make([]float64, n)
+		for seed := uint64(0); seed < 100; seed++ {
+			a, b := New(seed), New(seed)
+			b.PolarFill(us, vs, r2s)
+			for i := 0; i < n; i++ {
+				u, v, r2 := a.Polar()
+				if u != us[i] || v != vs[i] || r2 != r2s[i] {
+					t.Fatalf("n %d seed %d pair %d: PolarFill (%v, %v, %v), Polar (%v, %v, %v)",
+						n, seed, i, us[i], vs[i], r2s[i], u, v, r2)
+				}
+				if !(r2 > 0 && r2 < 1) || r2 != u*u+v*v {
+					t.Fatalf("n %d seed %d pair %d: r2 %v not an accepted u² + v²", n, seed, i, r2)
+				}
+			}
+			if a.s != b.s || a.haveSpare != b.haveSpare {
+				t.Fatalf("n %d seed %d: end states differ", n, seed)
+			}
+		}
+	}
+}
+
+// TestNormIsPolarPlusScale: Norm returns u·f and then its spare v·f
+// for each Polar pair, f = PolarScale(r2).
+func TestNormIsPolarPlusScale(t *testing.T) {
+	a, b := New(77), New(77)
+	for i := 0; i < 1000; i++ {
+		u, v, r2 := b.Polar()
+		f := PolarScale(r2)
+		if x, y := a.Norm(), a.Norm(); x != u*f || y != v*f {
+			t.Fatalf("pair %d: Norm (%v, %v), Polar·PolarScale (%v, %v)", i, x, y, u*f, v*f)
+		}
+	}
+}
+
+// TestPolarFillRefusesPendingSpare: a stream holding Norm's spare would
+// hand it out before any new pair, so PolarFill must not skip it.
+func TestPolarFillRefusesPendingSpare(t *testing.T) {
+	s := New(3)
+	s.Norm()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("PolarFill with a spare pending did not panic")
+		}
+	}()
+	buf := make([]float64, 4)
+	s.PolarFill(buf[:2], buf[2:], make([]float64, 2))
+}

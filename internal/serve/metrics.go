@@ -105,25 +105,36 @@ func (jm *jobMeter) ChunkDone(chunk, trials int) {
 }
 
 // route normalizes a request path to its route pattern so the per-route
-// label set stays fixed no matter how many jobs exist.
+// label set stays fixed no matter how many jobs exist or what paths
+// clients send: an id becomes {id}, and an unknown action is "other".
 func route(r *http.Request) string {
 	p := r.URL.Path
 	switch {
-	case p == "/v1/campaigns":
-		return "/v1/campaigns"
-	case p == "/v1/jobs":
-		return "/v1/jobs"
+	case p == "/v1/campaigns", p == "/v1/jobs", p == "/metrics", p == "/v1/fabric/jobs",
+		p == "/v1/shards/lease", p == "/v1/shards/heartbeat", p == "/v1/shards/report", p == "/v1/shards/fail":
+		return p
 	case strings.HasPrefix(p, "/v1/jobs/"):
-		rest := strings.TrimPrefix(p, "/v1/jobs/")
-		if _, action, _ := strings.Cut(rest, "/"); action != "" {
-			return "/v1/jobs/{id}/" + action
-		}
-		return "/v1/jobs/{id}"
-	case p == "/metrics":
-		return "/metrics"
+		return jobRoute("/v1/jobs/{id}", strings.TrimPrefix(p, "/v1/jobs/"), "cancel", "events")
+	case strings.HasPrefix(p, "/v1/fabric/jobs/"):
+		return jobRoute("/v1/fabric/jobs/{id}", strings.TrimPrefix(p, "/v1/fabric/jobs/"), "cancel", "result")
 	default:
 		return "other"
 	}
+}
+
+// jobRoute is the route of a job path: rest is "{id}" or
+// "{id}/{action}", and only the listed actions keep their name.
+func jobRoute(pattern, rest string, actions ...string) string {
+	_, action, _ := strings.Cut(rest, "/")
+	if action == "" {
+		return pattern
+	}
+	for _, a := range actions {
+		if action == a {
+			return pattern + "/" + a
+		}
+	}
+	return "other"
 }
 
 // statusWriter records the response code for logging while passing

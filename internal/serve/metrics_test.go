@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -239,6 +240,37 @@ func TestMetricsDoNotAffectResults(t *testing.T) {
 	for _, w := range []int{4, 8} {
 		if got := run(w); got != ref {
 			t.Fatalf("instrumented run at %d workers differs from 1-worker run:\n%s\nvs\n%s", w, got, ref)
+		}
+	}
+}
+
+// TestRouteLabelsBounded: every path maps into the fixed route set of
+// docs/METRICS.md, the fabric API's included; ids never become label
+// values, and neither do unknown actions.
+func TestRouteLabelsBounded(t *testing.T) {
+	for path, want := range map[string]string{
+		"/v1/campaigns":                     "/v1/campaigns",
+		"/v1/jobs":                          "/v1/jobs",
+		"/v1/jobs/j-17":                     "/v1/jobs/{id}",
+		"/v1/jobs/j-17/cancel":              "/v1/jobs/{id}/cancel",
+		"/v1/jobs/j-17/events":              "/v1/jobs/{id}/events",
+		"/v1/jobs/j-17/x9f3":                "other",
+		"/v1/jobs/j-17/":                    "/v1/jobs/{id}",
+		"/metrics":                          "/metrics",
+		"/v1/fabric/jobs":                   "/v1/fabric/jobs",
+		"/v1/fabric/jobs/smoke":             "/v1/fabric/jobs/{id}",
+		"/v1/fabric/jobs/smoke/result":      "/v1/fabric/jobs/{id}/result",
+		"/v1/fabric/jobs/smoke/cancel":      "/v1/fabric/jobs/{id}/cancel",
+		"/v1/fabric/jobs/smoke/result/more": "other",
+		"/v1/shards/lease":                  "/v1/shards/lease",
+		"/v1/shards/heartbeat":              "/v1/shards/heartbeat",
+		"/v1/shards/report":                 "/v1/shards/report",
+		"/v1/shards/fail":                   "/v1/shards/fail",
+		"/v1/shards/other":                  "other",
+		"/":                                 "other",
+	} {
+		if got := route(httptest.NewRequest(http.MethodGet, path, nil)); got != want {
+			t.Errorf("route(%s) = %q, want %q", path, got, want)
 		}
 	}
 }

@@ -207,8 +207,14 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/jobs", s.handleJobs)
 	mux.HandleFunc("/v1/jobs/", s.handleJob)
 	mux.Handle("/metrics", metrics.Handler(s.metrics.reg, "docs/METRICS.md"))
-	return s.metrics.instrument(mux)
+	return s.Instrument(mux)
 }
+
+// Instrument wraps h in the server's per-route request instruments, so
+// an API mounted beside Handler — the fabric API of a coordinator
+// instance — has its requests, latencies and 413 answers counted in the
+// same families.
+func (s *Server) Instrument(h http.Handler) http.Handler { return s.metrics.instrument(h) }
 
 // handleCampaigns serves the registry catalogue (GET) and accepts new
 // specs (POST).

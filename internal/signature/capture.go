@@ -196,13 +196,14 @@ func captureRaw(classify Classifier, T float64, cfg CaptureConfig, buf *CaptureB
 
 // walkCodes runs the Fig. 5 transition detector + m-bit counter over the
 // per-tick code sequence, appending raw (wrap-split) entries to scratch.
+// A tick that repeats the current code only counts (and resets any
+// candidate run), so a run of them is consumed at once: its length is
+// added to the counter, which wraps as often as the run carries it past
+// the counter's range. Every other tick steps the detector alone.
 func walkCodes(codes []monitor.Code, T float64, cfg CaptureConfig, scratch []Entry) []Entry {
 	tick := 1 / cfg.ClockHz
 	maxCount := cfg.MaxCount()
-	stable := cfg.MinStableTicks
-	if stable < 1 {
-		stable = 1
-	}
+	stable := uint64(max(cfg.MinStableTicks, 1))
 	entries := scratch
 	cur := codes[0]
 	var count uint64
@@ -214,29 +215,36 @@ func walkCodes(codes []monitor.Code, T float64, cfg CaptureConfig, scratch []Ent
 		}
 		entries = append(entries, Entry{Code: code, Dur: float64(counts) * tick})
 	}
-	for k := 1; k < len(codes); k++ {
+	for k := 1; k < len(codes); {
+		c := codes[k]
+		if c == cur {
+			j := k + 1
+			for j < len(codes) && codes[j] == cur {
+				j++
+			}
+			for count += uint64(j - k); count > maxCount; count -= maxCount {
+				// Counter wrap: hardware latches the max value and restarts.
+				emit(cur, maxCount)
+			}
+			candidateRun = 0
+			k = j
+			continue
+		}
+		k++
 		count++
 		if count > maxCount {
-			// Counter wrap: hardware latches the max value and restarts.
 			emit(cur, maxCount)
 			count -= maxCount
 		}
-		c := codes[k]
-		switch {
-		case c == cur:
-			candidateRun = 0
-		case c == candidate:
+		if c == candidate {
 			candidateRun++
-		default:
+		} else {
 			candidate = c
 			candidateRun = 1
 		}
-		if candidateRun >= uint64(stable) {
+		if candidateRun >= stable {
 			// Accept: the stable run belongs to the new zone.
-			run := candidateRun
-			if run > count {
-				run = count
-			}
+			run := min(candidateRun, count)
 			emit(cur, count-run)
 			cur = c
 			count = run

@@ -132,11 +132,19 @@ func TestSpiceBackendScalarVsBatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vb, err := sysB.AveragedNDFScratch(cb, 0.005, rng.New(33), 2, nil)
+	pb, err := sysB.NoisePlan(cb, 0.005)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, err := sysS.AveragedNDFScratch(cs, 0.005, rng.New(33), 2, nil)
+	ps, err := sysS.NoisePlan(cs, 0.005)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vb, err := pb.AveragedNDF(rng.New(33), 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := ps.AveragedNDF(rng.New(33), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,8 @@ type NoiseParams struct {
 	SketchPrec int       `json:"sketch_prec,omitempty"`
 }
 
-// Validate bounds the noise campaign's trial knobs.
+// Validate bounds the noise campaign's trial knobs, each and in total:
+// null_trials + trials·(1 + len(devs)) trials run across its phases.
 func (p *NoiseParams) Validate() error {
 	if err := validateTrials("trials", p.Trials); err != nil {
 		return err
@@ -119,6 +120,10 @@ func (p *NoiseParams) Validate() error {
 	}
 	if p.Sigma < 0 {
 		return fmt.Errorf("negative sigma %v", p.Sigma)
+	}
+	if len(p.Devs) >= (MaxTrials-p.NullTrials)/p.Trials {
+		return fmt.Errorf("null_trials + trials × (1 + len(devs)) = %d + %d × %d exceeds the %d-trial bound",
+			p.NullTrials, p.Trials, 1+len(p.Devs), MaxTrials)
 	}
 	return validateSketchPrec(p.SketchPrec)
 }
@@ -132,10 +137,21 @@ type NoiseSweepParams struct {
 	SketchPrec int       `json:"sketch_prec,omitempty"`
 }
 
-// Validate bounds the sweep's per-point trial count.
+// Validate bounds the sweep's per-point trial count and its total,
+// len(sigmas)·trials·(1 + len(dev_grid)) trials, and rejects a negative
+// sigma as the noise campaign does.
 func (p *NoiseSweepParams) Validate() error {
 	if err := validateTrials("trials", p.Trials); err != nil {
 		return err
+	}
+	for i, s := range p.Sigmas {
+		if s < 0 {
+			return fmt.Errorf("negative sigma %v in sigmas[%d]", s, i)
+		}
+	}
+	if len(p.Sigmas) > MaxTrials/p.Trials/(1+len(p.DevGrid)) {
+		return fmt.Errorf("len(sigmas) × trials × (1 + len(dev_grid)) = %d × %d × %d exceeds the %d-trial bound",
+			len(p.Sigmas), p.Trials, 1+len(p.DevGrid), MaxTrials)
 	}
 	return validateSketchPrec(p.SketchPrec)
 }
@@ -258,6 +274,36 @@ type CounterParams struct {
 	Shift  float64   `json:"shift"`
 	Bits   []int     `json:"bits"`
 	Clocks []float64 `json:"clocks"`
+}
+
+// Bounds of the counter campaign. Each (bits, clock) pair is one capture
+// of one tick code per master-clock tick, so the clock bounds a
+// capture's length and the list lengths bound the number of captures.
+const (
+	// MaxClockHz keeps a capture of the paper's 200 µs period within
+	// MaxSamples ticks (10⁶ ticks at the bound).
+	MaxClockHz = 5e9
+	// MaxCounterList bounds the bits and clocks lists.
+	MaxCounterList = 16
+)
+
+// Validate bounds the counter widths to [1, 32], the clocks to finite
+// rates in (0, MaxClockHz], and each list to MaxCounterList entries.
+func (p *CounterParams) Validate() error {
+	if len(p.Bits) > MaxCounterList || len(p.Clocks) > MaxCounterList {
+		return fmt.Errorf("len(bits) = %d and len(clocks) = %d, at most %d each", len(p.Bits), len(p.Clocks), MaxCounterList)
+	}
+	for i, m := range p.Bits {
+		if m < 1 || m > 32 {
+			return fmt.Errorf("bits[%d] = %d out of [1, 32]", i, m)
+		}
+	}
+	for i, f := range p.Clocks {
+		if !(f > 0 && f <= MaxClockHz) {
+			return fmt.Errorf("clocks[%d] = %g Hz out of (0, %g]", i, f, MaxClockHz)
+		}
+	}
+	return nil
 }
 
 // LinearParams configures the "linear" campaign.

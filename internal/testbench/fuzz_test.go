@@ -90,8 +90,12 @@ func decodeSpec(data []byte) (Spec, error) {
 // validates and compiles to the same effective spec. Without that, a
 // result's recorded spec would not reproduce the run it describes.
 // The seed corpus (testdata/fuzz/FuzzSpecDecode) holds one valid spec
-// per registered campaign plus the bodies the HTTP service must reject.
+// per registered campaign plus the bodies the HTTP service must reject;
+// the specs that could exhaust a server (exhaustingSpecs) join it here.
 func FuzzSpecDecode(f *testing.F) {
+	for _, body := range exhaustingSpecs() {
+		f.Add([]byte(body.json))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := decodeSpec(data)
 		if err != nil {

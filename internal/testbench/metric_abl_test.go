@@ -75,9 +75,13 @@ func TestNoiseDistributionsStatisticallyDistinct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		plan, err := s.NoisePlan(cut, 0.005)
+		if err != nil {
+			t.Fatal(err)
+		}
 		out := make([]float64, 16)
 		for i := range out {
-			v, err := s.AveragedNDFScratch(cut, 0.005, src.Split(base+uint64(i)), 3, nil)
+			v, err := plan.AveragedNDF(src.Split(base+uint64(i)), 3, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -49,20 +49,7 @@ type Noise struct {
 func runNoiseDetection(ctx context.Context, sys *core.System, sigma float64, devs []float64, nullTrials, trials int, seed uint64, eng campaign.Engine) (*Noise, error) {
 	const periods = 5
 	eng.Seed = seed
-	// trialAt builds the per-trial measurement for one deviation: the
-	// shifted CUT is constructed once and shared read-only by the pool.
-	trialAt := func(shift float64, base uint64) (func(i int, sc *core.TrialScratch) (float64, error), error) {
-		cut, err := sys.Shifted(shift)
-		if err != nil {
-			return nil, err
-		}
-		return func(i int, sc *core.TrialScratch) (float64, error) {
-			// The outer pool owns the parallelism: periods run serially
-			// on this worker's scratch.
-			return sys.AveragedNDFScratch(cut, sigma, streamAt(eng, base, i), periods, sc)
-		}, nil
-	}
-	nullTrial, err := trialAt(0, phaseBase(0))
+	nullTrial, err := noiseTrial(sys, eng, sigma, 0, phaseBase(0), periods)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +62,7 @@ func runNoiseDetection(ctx context.Context, sys *core.System, sigma float64, dev
 	// counting threshold exceedances — the count feeds both the point
 	// rate and its Wilson interval.
 	detectCount := func(shift float64, base uint64) (int, error) {
-		trial, err := trialAt(shift, base)
+		trial, err := noiseTrial(sys, eng, sigma, shift, base, periods)
 		if err != nil {
 			return 0, err
 		}
@@ -100,6 +87,25 @@ func runNoiseDetection(ctx context.Context, sys *core.System, sigma float64, dev
 		out.DetectHi = append(out.DetectHi, hi)
 	}
 	return out, nil
+}
+
+// noiseTrial builds one noise phase's per-trial measurement: the
+// shifted CUT and its noise plan are built once, here, and shared
+// read-only by the pool, and trial i averages periods noisy periods
+// drawn from stream base + i. The outer pool owns the parallelism:
+// periods run serially on the worker's scratch.
+func noiseTrial(sys *core.System, eng campaign.Engine, sigma, shift float64, base uint64, periods int) (func(i int, sc *core.TrialScratch) (float64, error), error) {
+	cut, err := sys.Shifted(shift)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := sys.NoisePlan(cut, sigma)
+	if err != nil {
+		return nil, err
+	}
+	return func(i int, sc *core.TrialScratch) (float64, error) {
+		return plan.AveragedNDF(streamAt(eng, base, i), periods, sc)
+	}, nil
 }
 
 // detectReducer counts trials whose averaged NDF fails the decision —
@@ -240,6 +246,11 @@ func runAblCounter(ctx context.Context, sys *core.System, shift float64, bits []
 				return nil, err
 			}
 			cfg := signature.CaptureConfig{ClockHz: f, CounterBits: m}
+			// A custom system's period may be far longer than the paper's,
+			// which CounterParams bounds the clock for.
+			if n, err := cfg.Ticks(sys.Period()); err == nil && n > MaxSamples {
+				return nil, fmt.Errorf("testbench: counter capture at %g Hz takes %d ticks, over the %d bound", f, n, MaxSamples)
+			}
 			sig, err := signature.Capture(cls, sys.Period(), cfg)
 			if err != nil {
 				return nil, err

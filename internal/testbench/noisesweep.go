@@ -47,27 +47,12 @@ func runNoiseSweep(ctx context.Context, sys *core.System, sigmas, devGrid []floa
 	robustLo, _ := stat.Wilson(trials, trials, 0.95)
 	robustPossible := robustLo >= 0.9
 	for si, sigma := range sigmas {
-		sigma := sigma
-		// trialAt builds the per-trial measurement at one deviation; the
-		// shifted CUT is built once and shared by the trials (backends
-		// are safe for concurrent Output use).
-		trialAt := func(shift float64, base uint64) (func(i int, sc *core.TrialScratch) (float64, error), error) {
-			cut, err := sys.Shifted(shift)
-			if err != nil {
-				return nil, err
-			}
-			return func(i int, sc *core.TrialScratch) (float64, error) {
-				// The outer pool owns the parallelism: periods run
-				// serially on this worker's scratch.
-				return sys.AveragedNDFScratch(cut, sigma, streamAt(eng, base, i), periods, sc)
-			}, nil
-		}
 		// Phase p of sigma si gets stream-id base phaseBase(si*(len(devGrid)+1)+p):
 		// every (sigma, phase) pair owns a disjoint 2^32-wide id space, so no
 		// two measurements can reuse a noise stream at any trial count the
 		// registry validates (see phaseBase).
 		base := func(p int) uint64 { return phaseBase(si*(len(devGrid)+1) + p) }
-		nullTrial, err := trialAt(0, base(0))
+		nullTrial, err := noiseTrial(sys, eng, sigma, 0, base(0), periods)
 		if err != nil {
 			return nil, err
 		}
@@ -80,7 +65,7 @@ func runNoiseSweep(ctx context.Context, sys *core.System, sigmas, devGrid []floa
 			if minDet < 1 && (minRobust < 1 || !robustPossible) {
 				break
 			}
-			trial, err := trialAt(d, base(1+di))
+			trial, err := noiseTrial(sys, eng, sigma, d, base(1+di), periods)
 			if err != nil {
 				return nil, err
 			}

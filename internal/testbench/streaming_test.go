@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ndf"
 	"repro/internal/rng"
+	"repro/internal/wave"
 )
 
 // Satellite regression for the yield.go stream fix: the streaming
@@ -347,5 +348,92 @@ func TestNoiseDetectionStreamingDeterministic(t *testing.T) {
 	// chunk size cannot move them.
 	if got := run(2, 2); got.Render() != ref.Render() {
 		t.Fatal("chunk size changed the detection counts")
+	}
+}
+
+// exhaustingSpecs are spec bodies that passed Validate before the
+// counter, noise and noisesweep bounds, with the knob Validate must now
+// name: a capture of 2·10⁹ ticks (8 GB of codes), a negative sigma the
+// sweep would silently measure without noise, and 100,000 deviations
+// of 1000 trials each (10⁸ trials).
+func exhaustingSpecs() []struct{ json, knob string } {
+	devs := strings.Repeat("0.01,", 100_000)
+	return []struct{ json, knob string }{
+		{`{"campaign":"counter","params":{"clocks":[1e13]}}`, "clocks"},
+		{`{"campaign":"noisesweep","params":{"sigmas":[0.005,-0.01]}}`, "sigmas"},
+		{`{"campaign":"noise","params":{"trials":1000,"devs":[` + devs[:len(devs)-1] + `]}}`, "devs"},
+	}
+}
+
+// TestInputBoundsRejectExhaustingSpecs: each exhausting spec fails
+// Validate (and Run) before any work starts, naming its knob; every
+// bound admits its edge; and the runner refuses a counter capture over
+// MaxSamples ticks on a custom system's long period.
+func TestInputBoundsRejectExhaustingSpecs(t *testing.T) {
+	for _, c := range exhaustingSpecs() {
+		spec, err := decodeSpec([]byte(c.json))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = Validate(spec)
+		if err == nil || !strings.Contains(err.Error(), c.knob) {
+			t.Fatalf("%s spec: Validate = %v, want an error naming %q", spec.Campaign, err, c.knob)
+		}
+		if _, err := Run(context.Background(), spec); err == nil {
+			t.Fatalf("%s spec: Run accepted it", spec.Campaign)
+		}
+	}
+	bits := func(n, m int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = m
+		}
+		return out
+	}
+	clocks := func(n int, f float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = f
+		}
+		return out
+	}
+	for _, c := range []struct {
+		campaign string
+		ok, over any
+	}{
+		{"counter", CounterParams{Shift: 0.1, Bits: []int{1, 32}, Clocks: []float64{MaxClockHz}},
+			CounterParams{Shift: 0.1, Bits: []int{1, 33}, Clocks: []float64{1e6}}},
+		{"counter", CounterParams{Shift: 0.1, Bits: bits(MaxCounterList, 8), Clocks: []float64{1e6}},
+			CounterParams{Shift: 0.1, Bits: bits(MaxCounterList+1, 8), Clocks: []float64{1e6}}},
+		{"counter", CounterParams{Shift: 0.1, Bits: []int{8}, Clocks: clocks(MaxCounterList, 1e6)},
+			CounterParams{Shift: 0.1, Bits: []int{8}, Clocks: clocks(MaxCounterList+1, 1e6)}},
+		{"counter", CounterParams{Shift: 0.1, Bits: []int{8}, Clocks: []float64{1e6}},
+			CounterParams{Shift: 0.1, Bits: []int{8}, Clocks: []float64{1e6, 0}}},
+		{"noise", NoiseParams{Sigma: 0.005, Devs: make([]float64, 9), NullTrials: MaxTrials / 2, Trials: MaxTrials / 20},
+			NoiseParams{Sigma: 0.005, Devs: make([]float64, 9), NullTrials: MaxTrials/2 + 1, Trials: MaxTrials / 20}},
+		{"noisesweep", NoiseSweepParams{Sigmas: make([]float64, 5), DevGrid: make([]float64, 3), Trials: MaxTrials / 20},
+			NoiseSweepParams{Sigmas: make([]float64, 5), DevGrid: make([]float64, 3), Trials: MaxTrials/20 + 1}},
+	} {
+		if err := Validate(Spec{Campaign: c.campaign, Params: c.ok}); err != nil {
+			t.Fatalf("%s %+v rejected: %v", c.campaign, c.ok, err)
+		}
+		if err := Validate(Spec{Campaign: c.campaign, Params: c.over}); err == nil {
+			t.Fatalf("%s %+v validated", c.campaign, c.over)
+		}
+	}
+	// A 20 ms period at the default 10 MHz clock is 2·10⁵ ticks, under
+	// the bound; at 100 MHz it is 2·10⁶, over it.
+	stim, err := wave.NewMultitone(0.5, 50, []int{1, 2, 3}, []float64{0.22, 0.13, 0.08}, []float64{0, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := core.Default()
+	long, err := core.NewSystem(stim, def.CUT, def.Bank, def.Capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(context.Background(), Spec{Campaign: "counter", Params: CounterParams{Shift: 0.1, Bits: []int{8}, Clocks: []float64{1e8}}}, WithSystem(long))
+	if err == nil || !strings.Contains(err.Error(), "ticks") {
+		t.Fatalf("counter capture of 2e6 ticks on a custom period: %v, want the tick-bound error", err)
 	}
 }
