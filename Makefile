@@ -69,12 +69,12 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# Smoke gate: single-iteration run of the SPICE transient, the
-# SPICE-campaign (rebuild and template trial engines), the
-# batched-signature-engine, the noise-plan, the streaming-reduction, the
-# registry-dispatch, the null-calibration and the checkpoint-cadence
-# benchmarks (fast path, Newton baseline, CUT output, trial templates,
-# fault table, batched vs scalar capture, batched vs scalar exact
+# Smoke gate: single-iteration run of the SPICE-campaign (one-shot
+# output and per-worker trial templates), the batched-signature-engine,
+# the noise-plan, the streaming-reduction, the registry-dispatch, the
+# null-calibration and the checkpoint-cadence benchmarks (CUT output,
+# trial templates, fault table, batched vs scalar capture, batched vs
+# scalar exact
 # signature extraction with its band scan and zone-LUT bisection, the
 # averaged noisy NDF, the noise plan's build and a warm-plan noise
 # trial, streaming reduction, spec dispatch, the null calibration's max
@@ -82,7 +82,7 @@ bench:
 # certification and batch classification on random and curve points) —
 # proves the hot paths still execute end to end.
 bench-smoke:
-	$(GO) test -bench='TransientTowThomas|SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|ExactSignature|AveragedNDF|NoisePlanBuild|NoiseTrial|BankClassify|ZoneLUTBuild|RegistryDispatch|CampaignReduce1M|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
+	$(GO) test -bench='SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|ExactSignature|AveragedNDF|NoisePlanBuild|NoiseTrial|BankClassify|ZoneLUTBuild|RegistryDispatch|CampaignReduce1M|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
 
 # The repository benchmark's own checks (cmd/mcbench is a nested module,
 # so `go test ./...` at the root does not reach it): every workload's
@@ -91,7 +91,9 @@ bench-smoke:
 bench-verify:
 	cd cmd/mcbench && $(GO) test -short ./...
 
-# Short-budget fuzz pass over the trial-template mutation engine, the
+# Short-budget fuzz pass over the trial-template mutation engine
+# (trapezoidal trials only, checked against the rebuild-per-trial
+# TransientSolver), the
 # signature binary decoder, the NDF breakpoint sweep (a hang is a
 # failure), the zone-LUT rectangle query and the zone LUT of fuzzed
 # monitor widths, biases and drive patterns (an answer must match the

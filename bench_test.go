@@ -19,7 +19,6 @@ import (
 	"repro/internal/ndf"
 	"repro/internal/rng"
 	"repro/internal/signature"
-	"repro/internal/spice"
 	"repro/internal/testbench"
 	"repro/internal/wave"
 	"repro/internal/zone"
@@ -617,52 +616,10 @@ func BenchmarkExtensionCorners(b *testing.B) {
 	b.ReportMetric(ss, "NDF@SS")
 }
 
-// TRANSIENT-LIN: the linear fast path of the SPICE transient engine on
-// the Tow-Thomas netlist (one LU factorization, one solve per step).
-func BenchmarkTransientTowThomasLinear(b *testing.B) {
-	benchmarkTransientTowThomas(b, false)
-}
-
-// TRANSIENT-NEWTON: the same transient with the per-step Newton loop
-// forced (the pre-fast-path baseline). The Linear benchmark must be ≥5×
-// faster than this one.
-func BenchmarkTransientTowThomasNewton(b *testing.B) {
-	benchmarkTransientTowThomas(b, true)
-}
-
-func benchmarkTransientTowThomas(b *testing.B, forceNewton bool) {
-	comps, err := biquad.DesignTowThomas(biquad.Params{F0: 10e3, Q: 0.9, Gain: 1}, 1e-9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	stim := core.Default().Stimulus
-	ws := spice.NewWorkspace()
-	var last float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ckt, nodes, err := comps.Netlist()
-		if err != nil {
-			b.Fatal(err)
-		}
-		vin, ok := ckt.FindElement("VIN").(*spice.VSource)
-		if !ok {
-			b.Fatal("netlist has no VIN source")
-		}
-		vin.SetWaveform(stim)
-		ts := spice.NewTransientSolverWS(ckt, spice.Options{Trapezoid: true, ForceNewton: forceNewton}, ws)
-		lp := ckt.Node(nodes.LP)
-		err = ts.Run(stim.Period(), 2048, func(k int, t float64, sol *spice.Solution) {
-			last = sol.VoltageAt(lp)
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(last, "v_lp_final")
-}
-
 // CUT-SPICE: one full SPICE-backend output materialization (settling +
-// capture period) — the per-trial unit of a SPICE-backed campaign.
+// capture period) on a fresh CUT, so every call misses the output cache
+// and compiles a circuit template of its own — what a one-shot output
+// (a golden signature, a corner calibration) costs.
 func BenchmarkSpiceCUTOutput(b *testing.B) {
 	sys, err := core.DefaultSpice()
 	if err != nil {
@@ -680,11 +637,11 @@ func BenchmarkSpiceCUTOutput(b *testing.B) {
 }
 
 // CUT-SPICE-TEMPLATE: the same per-trial unit as BenchmarkSpiceCUTOutput
-// served through a per-worker circuit template — the campaign fast path
+// served through a per-worker circuit template — the campaign path
 // (perturb, refresh element values, settle + capture on the compiled
-// template). The ratio to BenchmarkSpiceCUTOutput is the per-trial
-// speedup the trial-template engine buys; TestSpiceTrialEnginePinnedSpeedup
-// pins it.
+// template). The ratio to BenchmarkSpiceCUTOutput is what keeping the
+// template across trials saves; TestSpiceTrialEnginePinnedSpeedup pins
+// the template against the rebuild oracle instead.
 func BenchmarkSpiceTrialEngine(b *testing.B) {
 	sys, err := core.DefaultSpice()
 	if err != nil {

@@ -8,13 +8,11 @@ import (
 )
 
 // TestBatchedEnginePinnedSpeedup pins the batched signature engine's
-// performance contract, in the style of the SPICE transient fast-path
-// pin (BenchmarkTransientTowThomasLinear vs the Newton baseline): the
-// batched SignatureCapture and AveragedNDF paths must be at least 5×
-// faster than the retained scalar baseline on the Tow-Thomas default
-// system. Measured headroom is ~10×, so the pin tolerates machine noise;
-// it decides on the median over interleaved pairs (pairedRatio) to stay
-// robust on loaded CI.
+// performance contract: the batched SignatureCapture and AveragedNDF
+// paths must be at least 5× faster than the retained scalar baseline on
+// the Tow-Thomas default system. Measured headroom is ~10×, so the pin
+// tolerates machine noise; it decides on the median over interleaved
+// pairs (pairedRatio) to stay robust on loaded CI.
 // The companion bit-identity tests (core.TestBatched*, testbench
 // Test*ScalarVsBatched) guarantee the speed never costs a single bit.
 func TestBatchedEnginePinnedSpeedup(t *testing.T) {

@@ -187,15 +187,3 @@ func (f *Filter) Transient(u wave.Waveform, dur, dt float64) wave.Record {
 	}
 	return rec
 }
-
-// SettlingPeriods estimates how many stimulus periods are needed before
-// the transient term decays below frac (e.g. 0.01) of its initial size,
-// for stimuli with period T: the envelope decays as exp(−ω0·t/(2Q)).
-func (f *Filter) SettlingPeriods(period, frac float64) int {
-	if frac <= 0 || frac >= 1 {
-		frac = 0.01
-	}
-	tau := 2 * f.p.Q / f.w0
-	t := -tau * math.Log(frac)
-	return int(math.Ceil(t / period))
-}

@@ -132,7 +132,8 @@ func TestTransientConvergesToSteadyState(t *testing.T) {
 	in := paperStimulus(t)
 	ss := f.SteadyState(in)
 	period := in.Period()
-	settle := f.SettlingPeriods(period, 1e-4)
+	// Settle until the exp(−ω0·t/(2Q)) envelope is below 1e-4.
+	settle := int(math.Ceil(-2 * f.p.Q / f.w0 * math.Log(1e-4) / period))
 	dur := period * float64(settle+1)
 	dt := period / 2000
 	rec := f.Transient(in, dur, dt)
@@ -159,19 +160,38 @@ func TestTransientStepDCGain(t *testing.T) {
 	}
 }
 
+// TestSettlingPeriods checks the SPICE CUT's settling span: plausible
+// for the paper filter, longer for a higher Q, clamped to
+// [1, maxSettlePeriods], and refused for invalid parameters.
 func TestSettlingPeriods(t *testing.T) {
-	f := paperFilter(t)
-	n := f.SettlingPeriods(200e-6, 0.01)
-	if n < 1 || n > 20 {
+	settle := func(p Params) int {
+		t.Helper()
+		n, err := settlePeriods(p, 200e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	n := settle(Params{F0: 10e3, Q: 0.9, Gain: 1})
+	if n < 1 || n > maxSettlePeriods {
 		t.Fatalf("settling periods = %d, implausible", n)
 	}
-	// Tighter tolerance needs more periods.
-	if f.SettlingPeriods(200e-6, 1e-5) <= n {
-		t.Fatal("tighter tolerance should need more settling")
+	// A higher Q decays more slowly and needs more periods.
+	if settle(Params{F0: 10e3, Q: 9, Gain: 1}) <= n {
+		t.Fatal("higher Q should need more settling")
 	}
-	// Bad frac falls back to 1%.
-	if f.SettlingPeriods(200e-6, 0) != n {
-		t.Fatal("frac fallback broken")
+	// An open RQ's huge Q hits the cap, and so does a Q whose exact
+	// span overflows int; a fast filter still settles one period.
+	for _, q := range []float64{1e6, 1e20} {
+		if m := settle(Params{F0: 10e3, Q: q, Gain: 1}); m != maxSettlePeriods {
+			t.Fatalf("Q = %g settles %d periods, want the cap %d", q, m, maxSettlePeriods)
+		}
+	}
+	if m := settle(Params{F0: 1e9, Q: 0.5, Gain: 1}); m != 1 {
+		t.Fatalf("fast filter settles %d periods, want 1", m)
+	}
+	if _, err := settlePeriods(Params{F0: 10e3, Q: 0, Gain: 1}, 200e-6); err == nil {
+		t.Fatal("invalid parameters accepted")
 	}
 }
 

@@ -95,7 +95,7 @@ func TestCUTDescribe(t *testing.T) {
 	if !strings.Contains(cut.Describe(), "analytic") {
 		t.Fatalf("describe: %s", cut.Describe())
 	}
-	sp, err := NewSpiceCUTFromParams(cut.Params(), SpiceConfig{})
+	sp, err := NewSpiceCUTFromParams(cut.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestCUTDescribe(t *testing.T) {
 func TestSpiceCUTOutputMatchesAnalytic(t *testing.T) {
 	stim := cutStimulus(t)
 	ana := paperCUT(t)
-	sp, err := NewSpiceCUTFromParams(ana.Params(), SpiceConfig{})
+	sp, err := NewSpiceCUTFromParams(ana.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestSpiceCUTOutputMatchesAnalytic(t *testing.T) {
 // Output calls return the same cached waveform.
 func TestSpiceCUTOutputCached(t *testing.T) {
 	stim := cutStimulus(t)
-	sp, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1}, SpiceConfig{})
+	sp, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestSpiceCUTCacheIsPerStimulus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1}, SpiceConfig{})
+	sp, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestSpiceCUTFaultedStillSimulates(t *testing.T) {
 		t.Skip("catastrophic-fault transients are slower")
 	}
 	stim := cutStimulus(t)
-	root, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1}, SpiceConfig{})
+	root, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

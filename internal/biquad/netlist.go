@@ -81,7 +81,7 @@ func (c Components) CircuitResponse(node string, freqs []float64) ([]float64, er
 	default:
 		return nil, fmt.Errorf("biquad: node %q is not an output (want %q or %q)", node, nodes.LP, nodes.BP)
 	}
-	res, err := spice.AC(ckt, spice.Options{}, "VIN", freqs)
+	res, err := spice.AC(ckt, "VIN", freqs)
 	if err != nil {
 		return nil, err
 	}

@@ -2,70 +2,47 @@ package biquad
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/spice"
 	"repro/internal/wave"
 )
 
-// SpiceConfig tunes the SPICE-transient CUT backend. The zero value uses
-// the documented defaults.
-type SpiceConfig struct {
-	// StepsPerPeriod is the transient resolution of the captured
-	// steady-state period (default 2048 — interpolation error orders of
-	// magnitude below the capture quantization).
-	StepsPerPeriod int
-	// SettleFrac is the residual transient fraction the pre-capture
-	// settling aims for (default 1e-3).
-	SettleFrac float64
-	// MaxSettlePeriods caps the settling time (default 16). Catastrophic
-	// faults can push Q — and with it the exact settling time — beyond
-	// any practical bound; a capped settle mirrors a real tester's
-	// finite soak and still exposes the fault to the signature.
-	MaxSettlePeriods int
-	// Options passes through to the solver. Trapezoidal integration is
-	// forced on (second-order accuracy) unless ForceNewton-style
-	// debugging options are set by tests.
-	Options spice.Options
-}
-
-func (c SpiceConfig) withDefaults() SpiceConfig {
-	if c.StepsPerPeriod == 0 {
-		c.StepsPerPeriod = 2048
-	}
-	if c.SettleFrac == 0 {
-		c.SettleFrac = 1e-3
-	}
-	if c.MaxSettlePeriods == 0 {
-		c.MaxSettlePeriods = 16
-	}
-	c.Options.Trapezoid = true
-	return c
-}
+// Transient settings of the SPICE CUT. No caller tunes them.
+const (
+	// stepsPerPeriod is the transient resolution of the captured
+	// steady-state period: interpolation error orders of magnitude below
+	// the capture quantization.
+	stepsPerPeriod = 2048
+	// settleFrac is the residual transient fraction the pre-capture
+	// settling aims for.
+	settleFrac = 1e-3
+	// maxSettlePeriods caps the settling time. Catastrophic faults can
+	// push Q — and with it the exact settling time — beyond any
+	// practical bound; a capped settle mirrors a real tester's finite
+	// soak and still exposes the fault to the signature.
+	maxSettlePeriods = 16
+)
 
 // SpiceCUT is the circuit-level backend: the Tow-Thomas realization is
 // elaborated into an opamp-RC netlist (Components.Netlist) and the
 // observed output is produced by a transient analysis — settle periods
 // to decay the start-up transient, then one steady-state period sampled
-// into a periodic waveform. Because the netlist is MOSFET-free the
-// TransientSolver's linear fast path applies: one LU factorization per
-// run, one solve per step.
+// into a periodic waveform. The transient runs on a compiled
+// spice.CircuitTemplate, the one production transient engine: Output
+// and OutputScratch differ only in who owns the template.
 //
-// All CUTs perturbed from one root share a workspace pool, so campaign
-// fan-out reuses the solver matrices across trials regardless of which
-// worker runs which trial (the buffers are cleared per run, so pool
-// reuse can never affect results). The computed output is cached per
-// observation: concurrent campaign workers asking for the same CUT's
-// output run the transient once.
+// The computed output is cached per observation: concurrent campaign
+// workers asking for the same CUT's output run the transient once.
 type SpiceCUT struct {
 	comps Components
-	cfg   SpiceConfig
-	pool  *sync.Pool // of *spice.Workspace, shared across the Perturb family
-	// ticks is the family-wide stimulus tick cache for the trial-template
-	// path (OutputScratch). Worker scratches are short-lived — campaigns
-	// rebuild them per invocation — so the cache lives here, with the
-	// family, and each settling class's stimulus grid is evaluated once
-	// per process rather than once per worker per campaign.
+	// ticks is the family-wide stimulus tick cache, shared by every CUT
+	// perturbed from one root. Templates are short-lived — Output builds
+	// one per cache miss and campaigns rebuild their worker scratches
+	// per invocation — so the cache lives here, with the family, and
+	// each settling class's stimulus grid is evaluated once per process
+	// rather than once per template.
 	ticks *spice.TickCache
 
 	mu   sync.Mutex
@@ -88,29 +65,22 @@ type outputKey struct {
 	stim *wave.Multitone
 }
 
-// NewSpiceCUT builds the SPICE backend from an explicit realization.
-func NewSpiceCUT(comps Components, cfg SpiceConfig) (*SpiceCUT, error) {
+// NewSpiceCUTFromParams designs a Tow-Thomas realization for the given
+// behavioural parameters (default 1 nF capacitor) and wraps it in the
+// SPICE backend.
+func NewSpiceCUTFromParams(p Params) (*SpiceCUT, error) {
+	comps, err := DesignTowThomas(p, DefaultCapacitorF)
+	if err != nil {
+		return nil, err
+	}
 	if err := comps.Validate(); err != nil {
 		return nil, err
 	}
 	return &SpiceCUT{
 		comps: comps,
-		cfg:   cfg.withDefaults(),
-		pool:  &sync.Pool{New: func() any { return spice.NewWorkspace() }},
 		ticks: spice.NewTickCache(),
 		outs:  map[outputKey]*wave.Sampled{},
 	}, nil
-}
-
-// NewSpiceCUTFromParams designs a Tow-Thomas realization for the given
-// behavioural parameters (default 1 nF capacitor) and wraps it in the
-// SPICE backend.
-func NewSpiceCUTFromParams(p Params, cfg SpiceConfig) (*SpiceCUT, error) {
-	comps, err := DesignTowThomas(p, DefaultCapacitorF)
-	if err != nil {
-		return nil, err
-	}
-	return NewSpiceCUT(comps, cfg)
 }
 
 // Params implements CUT via the Tow-Thomas design equations.
@@ -132,7 +102,7 @@ func (s *SpiceCUT) Describe() string {
 
 // Perturb implements CUT. Every deviation — behavioural or component
 // level — lands in the realization, so the perturbed netlist is exactly
-// what the deviation describes. The workspace pool is inherited.
+// what the deviation describes. The tick cache is inherited.
 func (s *SpiceCUT) Perturb(dev Deviation) (CUT, error) {
 	p := s.Params()
 	_, comps, err := dev.apply(p, s.comps)
@@ -144,22 +114,16 @@ func (s *SpiceCUT) Perturb(dev Deviation) (CUT, error) {
 	}
 	return &SpiceCUT{
 		comps: comps,
-		cfg:   s.cfg,
-		pool:  s.pool,
 		ticks: s.ticks,
 		outs:  map[outputKey]*wave.Sampled{},
 	}, nil
 }
 
-// Output implements CUT by transient simulation of the netlist. The
-// band-pass node carries −Q·H_BP of the analytic normalization, so it is
-// scaled by −1/Q and re-biased to mid-rail — the AC-coupled level shift
-// the analytic backend models with SteadyStateBP.
+// Output implements CUT by transient simulation of the netlist. A cache
+// miss runs OutputScratch on a scratch of its own and keeps a copy of
+// the samples, so the template and its buffers are garbage once Output
+// returns.
 func (s *SpiceCUT) Output(stim *wave.Multitone, out Output) (wave.Waveform, error) {
-	T := stim.Period()
-	if T <= 0 {
-		return nil, fmt.Errorf("biquad: SPICE CUT needs a periodic stimulus")
-	}
 	key := outputKey{out: out, stim: stim}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -167,7 +131,11 @@ func (s *SpiceCUT) Output(stim *wave.Multitone, out Output) (wave.Waveform, erro
 		s.touch(key)
 		return w, nil
 	}
-	w, err := s.simulate(stim, out, T)
+	var sc SpiceTrialScratch
+	if _, err := s.OutputScratch(stim, out, &sc); err != nil {
+		return nil, err
+	}
+	w, err := wave.NewSampled(sc.samples, stim.Period())
 	if err != nil {
 		return nil, err
 	}
@@ -200,25 +168,55 @@ func (s *SpiceCUT) touch(key outputKey) {
 }
 
 // maxOutputCache bounds the per-CUT output cache (entries are one
-// StepsPerPeriod-sample waveform each).
+// stepsPerPeriod-sample waveform each).
 const maxOutputCache = 8
 
-// simulate runs the settling + capture transient for one observation.
-func (s *SpiceCUT) simulate(stim *wave.Multitone, out Output, T float64) (*wave.Sampled, error) {
+// settlePeriods is how many stimulus periods of length period run
+// before the captured one: until the transient envelope
+// exp(−ω0·t/(2Q)) decays below settleFrac, at least 1 and at most
+// maxSettlePeriods.
+func settlePeriods(p Params, period float64) (int, error) {
+	if err := p.Validate(); err != nil {
+		return 0, err
+	}
+	w0 := 2 * math.Pi * p.F0
+	tau := 2 * p.Q / w0
+	t := -tau * math.Log(settleFrac)
+	// Clamp before converting: the span of a huge Q overflows int.
+	n := math.Ceil(t / period)
+	if !(n < maxSettlePeriods) {
+		return maxSettlePeriods, nil
+	}
+	return max(int(n), 1), nil
+}
+
+// rebiasBP turns band-pass node samples into the band-pass observation.
+// The node carries −Q·H_BP of the analytic normalization, so it is
+// scaled by −1/Q and re-biased to mid-rail — the AC-coupled level shift
+// the analytic backend models with SteadyStateBP.
+func rebiasBP(samples []float64, q float64) {
+	for i := range samples {
+		samples[i] = BPRebias - samples[i]/q
+	}
+}
+
+// RebuildOutput is the oracle Output and OutputScratch are pinned
+// against sample for sample: it elaborates the netlist afresh and runs
+// the generic spice.TransientSolver over the same settling span and
+// step count, bypassing the cache. No binary links it; the biquad,
+// testbench and root tests compare the template engine with it.
+func (s *SpiceCUT) RebuildOutput(stim *wave.Multitone, out Output) (wave.Waveform, error) {
+	T := stim.Period()
+	if T <= 0 {
+		return nil, fmt.Errorf("biquad: SPICE CUT needs a periodic stimulus")
+	}
 	p, err := s.comps.Params()
 	if err != nil {
 		return nil, err
 	}
-	f, err := New(p)
+	settle, err := settlePeriods(p, T)
 	if err != nil {
 		return nil, err
-	}
-	settle := f.SettlingPeriods(T, s.cfg.SettleFrac)
-	if settle < 1 {
-		settle = 1
-	}
-	if settle > s.cfg.MaxSettlePeriods {
-		settle = s.cfg.MaxSettlePeriods
 	}
 	ckt, nodes, err := s.comps.Netlist()
 	if err != nil {
@@ -229,22 +227,14 @@ func (s *SpiceCUT) simulate(stim *wave.Multitone, out Output, T float64) (*wave.
 		return nil, fmt.Errorf("biquad: netlist has no VIN source")
 	}
 	vin.SetWaveform(stim)
-	nodeName := nodes.LP
+	node := ckt.Node(nodes.LP)
 	if out == OutputBP {
-		nodeName = nodes.BP
+		node = ckt.Node(nodes.BP)
 	}
-	node := ckt.Node(nodeName)
-
-	ws := s.pool.Get().(*spice.Workspace)
-	defer s.pool.Put(ws)
-	ts := spice.NewTransientSolverWS(ckt, s.cfg.Options, ws)
-
-	n := s.cfg.StepsPerPeriod
-	steps := (settle + 1) * n
-	start := settle * n
-	samples := make([]float64, n)
-	err = ts.Run(T*float64(settle+1), steps, func(k int, t float64, sol *spice.Solution) {
-		if k >= start && k < start+n {
+	start := settle * stepsPerPeriod
+	samples := make([]float64, stepsPerPeriod)
+	err = spice.NewTransientSolver(ckt, false).Run(T*float64(settle+1), start+stepsPerPeriod, func(k int, _ float64, sol *spice.Solution) {
+		if k >= start && k < start+stepsPerPeriod {
 			samples[k-start] = sol.VoltageAt(node)
 		}
 	})
@@ -252,9 +242,7 @@ func (s *SpiceCUT) simulate(stim *wave.Multitone, out Output, T float64) (*wave.
 		return nil, fmt.Errorf("biquad: SPICE CUT transient: %w", err)
 	}
 	if out == OutputBP {
-		for i := range samples {
-			samples[i] = BPRebias - samples[i]/p.Q
-		}
+		rebiasBP(samples, p.Q)
 	}
 	return wave.NewSampled(samples, T)
 }

@@ -2,20 +2,19 @@ package biquad
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/spice"
 	"repro/internal/wave"
 )
 
-// SpiceTrialScratch carries a per-worker spice.CircuitTemplate plus the
-// sample buffer one SPICE trial needs. A campaign worker owns one
-// scratch and threads it through every OutputScratch call: the first
-// call elaborates the Tow-Thomas netlist, compiles the template and
-// sizes the buffers; every later trial only refreshes element values
-// and reruns — no netlist build, no restamp layout, no allocation.
-// Results are bit-identical to SpiceCUT.Output (the tests pin this), so
-// routing through a scratch is purely a speed decision.
+// SpiceTrialScratch carries a spice.CircuitTemplate plus the sample
+// buffer one SPICE trial needs. A campaign worker owns one scratch and
+// threads it through every OutputScratch call: the first call
+// elaborates the Tow-Thomas netlist, compiles the template and sizes
+// the buffers; every later trial only refreshes element values and
+// reruns — no netlist build, no restamp layout, no allocation. Output
+// serves its cache misses through a fresh scratch, so both run the same
+// engine and keeping a scratch is purely a speed decision.
 //
 // The returned waveform aliases the scratch sample buffer and is valid
 // only until the next OutputScratch call on the same scratch — exactly
@@ -23,32 +22,32 @@ import (
 // capture buffers to the signature layer. Like those buffers, a scratch
 // is not safe for concurrent use.
 type SpiceTrialScratch struct {
-	cfg     SpiceConfig
 	tmpl    *spice.CircuitTemplate
 	lp, bp  spice.NodeID
 	samples []float64
 	out     wave.Sampled
 }
 
-// ensure (re)builds the compiled template when the scratch is fresh or
-// the CUT's configuration changed. The netlist values are refreshed per
-// trial, so the template itself only depends on the topology and cfg.
+// ensure builds the compiled template and the sample buffer when the
+// scratch is fresh. Every SPICE CUT shares the Tow-Thomas topology and
+// the netlist values are refreshed per trial, so one template serves
+// any CUT.
 func (sc *SpiceTrialScratch) ensure(s *SpiceCUT) error {
-	if sc.tmpl != nil && sc.cfg == s.cfg {
+	if sc.tmpl != nil {
 		return nil
 	}
 	ckt, nodes, err := s.comps.Netlist()
 	if err != nil {
 		return err
 	}
-	tmpl, err := spice.NewCircuitTemplate(ckt, s.cfg.Options)
+	tmpl, err := spice.NewCircuitTemplate(ckt)
 	if err != nil {
 		return err
 	}
 	sc.tmpl = tmpl
 	sc.lp = ckt.Node(nodes.LP)
 	sc.bp = ckt.Node(nodes.BP)
-	sc.cfg = s.cfg
+	sc.samples = make([]float64, stepsPerPeriod)
 	return nil
 }
 
@@ -75,29 +74,12 @@ func (sc *SpiceTrialScratch) refresh(comps Components) error {
 	return t.SetCapacitance("C2", comps.C)
 }
 
-// settlingPeriods is New(p).SettlingPeriods(period, frac) without the
-// Filter allocation — expression-for-expression identical so the
-// template path settles for exactly as many periods as the rebuild
-// path.
-func settlingPeriods(p Params, period, frac float64) (int, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	if frac <= 0 || frac >= 1 {
-		frac = 0.01
-	}
-	w0 := 2 * math.Pi * p.F0
-	tau := 2 * p.Q / w0
-	t := -tau * math.Log(frac)
-	return int(math.Ceil(t / period)), nil
-}
-
 // OutputScratch is Output served through a reusable trial scratch: the
 // scratch's compiled circuit template is refreshed to this CUT's
-// component values and rerun, skipping netlist elaboration, solver
-// construction and the per-CUT output cache. Samples are bit-identical
+// component values and rerun, skipping netlist elaboration, template
+// compilation and the per-CUT output cache. Samples are bit-identical
 // to Output at any worker count. With a nil scratch it falls back to
-// Output, the rebuild-per-trial reference path.
+// Output.
 func (s *SpiceCUT) OutputScratch(stim *wave.Multitone, out Output, sc *SpiceTrialScratch) (wave.Waveform, error) {
 	if sc == nil {
 		return s.Output(stim, out)
@@ -116,15 +98,9 @@ func (s *SpiceCUT) OutputScratch(stim *wave.Multitone, out Output, sc *SpiceTria
 	if err != nil {
 		return nil, err
 	}
-	settle, err := settlingPeriods(p, T, s.cfg.SettleFrac)
+	settle, err := settlePeriods(p, T)
 	if err != nil {
 		return nil, err
-	}
-	if settle < 1 {
-		settle = 1
-	}
-	if settle > s.cfg.MaxSettlePeriods {
-		settle = s.cfg.MaxSettlePeriods
 	}
 	if err := sc.refresh(s.comps); err != nil {
 		return nil, err
@@ -136,15 +112,11 @@ func (s *SpiceCUT) OutputScratch(stim *wave.Multitone, out Output, sc *SpiceTria
 	if out == OutputBP {
 		node = sc.bp
 	}
-	n := s.cfg.StepsPerPeriod
-	if cap(sc.samples) < n {
-		sc.samples = make([]float64, n)
-	}
-	samples := sc.samples[:n]
-	settleSteps := settle * n
+	samples := sc.samples
+	settleSteps := settle * stepsPerPeriod
 	err = sc.tmpl.RunTrial(spice.Trial{
 		Dur:    T * float64(settle+1),
-		Steps:  settleSteps + n,
+		Steps:  settleSteps + stepsPerPeriod,
 		Record: node,
 		Start:  settleSteps,
 		Out:    samples,
@@ -152,12 +124,8 @@ func (s *SpiceCUT) OutputScratch(stim *wave.Multitone, out Output, sc *SpiceTria
 	if err != nil {
 		return nil, fmt.Errorf("biquad: SPICE CUT transient: %w", err)
 	}
-	// The BP node carries −Q·H_BP; rescale and rebias exactly as Output
-	// does.
 	if out == OutputBP {
-		for i := range samples {
-			samples[i] = BPRebias - samples[i]/p.Q
-		}
+		rebiasBP(samples, p.Q)
 	}
 	if err := sc.out.Reuse(samples, T); err != nil {
 		return nil, err

@@ -2,25 +2,22 @@ package biquad
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/wave"
 )
 
-// trialConfig keeps the scratch tests fast: fewer steps per period than
-// the default, everything else stock.
-func trialConfig() SpiceConfig {
-	return SpiceConfig{StepsPerPeriod: 256}
-}
-
-// TestOutputScratchMatchesOutput pins the scratch path's core contract:
+// TestOutputMatchesRebuild pins the production engine to its oracle:
 // for golden, parametric and catastrophic CUTs, both observations, the
-// template-served waveform is bit-identical to the rebuild-per-trial
-// Output — one scratch reused across all trials, like a campaign worker.
-func TestOutputScratchMatchesOutput(t *testing.T) {
+// template-served waveform — through one scratch reused across all
+// trials, like a campaign worker, and through Output's cache miss — is
+// bit-identical to RebuildOutput, the rebuild-per-trial TransientSolver
+// path.
+func TestOutputMatchesRebuild(t *testing.T) {
 	stim := cutStimulus(t)
-	root, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1}, trialConfig())
+	root, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,34 +39,49 @@ func TestOutputScratchMatchesOutput(t *testing.T) {
 		}
 		sp := cut.(*SpiceCUT)
 		for _, out := range []Output{OutputLP, OutputBP} {
-			want, err := sp.Output(stim, out)
+			want, err := sp.RebuildOutput(stim, out)
 			if err != nil {
 				t.Fatalf("dev %d out %v: rebuild: %v", di, out, err)
 			}
-			got, err := sp.OutputScratch(stim, out, &sc)
+			viaScratch, err := sp.OutputScratch(stim, out, &sc)
 			if err != nil {
 				t.Fatalf("dev %d out %v: scratch: %v", di, out, err)
 			}
-			if got.Period() != want.Period() {
-				t.Fatalf("dev %d out %v: period %v != %v", di, out, got.Period(), want.Period())
+			// Compare before Output runs: the scratch waveform is valid
+			// only until the next call on sc, and Output's fresh scratch
+			// must not disturb it either.
+			compareWaveforms(t, fmt.Sprintf("dev %d out %v: scratch", di, out), viaScratch, want, T)
+			viaOutput, err := sp.Output(stim, out)
+			if err != nil {
+				t.Fatalf("dev %d out %v: output: %v", di, out, err)
 			}
-			for i := 0; i < 1024; i++ {
-				tt := T * float64(i) / 1024
-				if g, w := got.Eval(tt), want.Eval(tt); g != w {
-					t.Fatalf("dev %d out %v: t=%v: scratch %v, rebuild %v", di, out, tt, g, w)
-				}
-			}
+			compareWaveforms(t, fmt.Sprintf("dev %d out %v: output", di, out), viaOutput, want, T)
 		}
 	}
 }
 
-// TestOutputScratchNilAndRebuildFallBack checks the rebuild fallback: a
-// nil scratch must route to Output, the rebuild-per-trial path
-// (observable through its cache returning the identical waveform
-// pointer), on a cached CUT and on a fresh one.
+// compareWaveforms fails unless got and want share the period T and
+// agree bit for bit at each of its stepsPerPeriod sample times.
+func compareWaveforms(t *testing.T, what string, got, want wave.Waveform, T float64) {
+	t.Helper()
+	if got.Period() != want.Period() || got.Period() != T {
+		t.Fatalf("%s: period %v, rebuild %v, stimulus %v", what, got.Period(), want.Period(), T)
+	}
+	for i := 0; i < stepsPerPeriod; i++ {
+		tt := T * float64(i) / stepsPerPeriod
+		if g, w := got.Eval(tt), want.Eval(tt); g != w {
+			t.Fatalf("%s: t=%v: template %v, rebuild %v", what, tt, g, w)
+		}
+	}
+}
+
+// TestOutputScratchNilAndRebuildFallBack checks the nil-scratch
+// fallback: a nil scratch must route to Output (observable through its
+// cache returning the identical waveform pointer), on a cached CUT and
+// on a fresh one.
 func TestOutputScratchNilAndRebuildFallBack(t *testing.T) {
 	stim := cutStimulus(t)
-	sp, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1}, trialConfig())
+	sp, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +119,7 @@ func TestOutputScratchNilAndRebuildFallBack(t *testing.T) {
 // re-reads — only least-recently-used one-shot entries may go.
 func TestSpiceCUTCacheEvictionKeepsHotEntries(t *testing.T) {
 	golden := cutStimulus(t)
-	sp, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1}, trialConfig())
+	sp, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +154,7 @@ func TestSpiceCUTCacheEvictionKeepsHotEntries(t *testing.T) {
 // compiled, buffers sized, tick tables cached — must not allocate.
 func TestOutputScratchWarmAllocationFree(t *testing.T) {
 	stim := cutStimulus(t)
-	sp, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1}, trialConfig())
+	sp, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

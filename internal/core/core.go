@@ -227,7 +227,7 @@ func Default() *System {
 // DefaultSpice returns the paper's reference system with the golden CUT
 // realized as a Tow-Thomas netlist simulated by the SPICE engine.
 func DefaultSpice() (*System, error) {
-	cut, err := biquad.NewSpiceCUTFromParams(goldenParams, biquad.SpiceConfig{})
+	cut, err := biquad.NewSpiceCUTFromParams(goldenParams)
 	if err != nil {
 		return nil, err
 	}

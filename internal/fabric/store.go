@@ -29,10 +29,9 @@ import (
 // line, which replay ignores; any other malformation is an error — a
 // corrupt store must fail loudly, not resume from fabricated state.
 type Store struct {
-	dir          string
-	mem          bool
-	sync         bool
-	compactEvery int
+	dir  string
+	mem  bool
+	sync bool
 }
 
 // StoreOption customizes OpenStore.
@@ -47,22 +46,13 @@ type StoreOption func(*Store)
 // machine losing power; mcserved -store does.
 func WithSync(on bool) StoreOption { return func(s *Store) { s.sync = on } }
 
-// WithCompactEvery sets how many log appends accumulate before the
-// state is compacted into snapshot.json; n < 1 resets the default.
-func WithCompactEvery(n int) StoreOption {
-	return func(s *Store) {
-		if n < 1 {
-			n = defaultCompactEvery
-		}
-		s.compactEvery = n
-	}
-}
-
-const defaultCompactEvery = 256
+// compactEvery is how many log appends accumulate before a job's state
+// is compacted into snapshot.json.
+const compactEvery = 256
 
 // OpenStore opens (creating if needed) a job store rooted at dir.
 func OpenStore(dir string, opts ...StoreOption) (*Store, error) {
-	s := &Store{dir: dir, compactEvery: defaultCompactEvery}
+	s := &Store{dir: dir}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -462,7 +452,7 @@ func (j *Job) append(rec logRecord) error {
 	}
 	j.state = trial
 	j.sinceSnap++
-	if j.sinceSnap >= j.store.compactEvery {
+	if j.sinceSnap >= compactEvery {
 		if err := j.compactLocked(); err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -161,26 +162,28 @@ func TestStoreResultRoundTrip(t *testing.T) {
 }
 
 func TestStoreCompaction(t *testing.T) {
-	s := openTestStore(t, WithCompactEvery(2), WithSync(true))
-	plan := testPlan(t, 1000, 2, 100)
-	job, err := s.CreateJob("j1", testSpec(), 1000, plan)
+	s := openTestStore(t, WithSync(true))
+	plan := testPlan(t, 2000, 2, 100)
+	job, err := s.CreateJob("j1", testSpec(), 2000, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, through := range []int{100, 200, 300, 400, 500} {
-		if err := job.AppendCheckpoint(0, through, []byte{byte(through / 100)}); err != nil {
+	// Compactions after compactEvery and 2·compactEvery appends, one
+	// record since.
+	const appends = 2*compactEvery + 1
+	for through := 1; through <= appends; through++ {
+		if err := job.AppendCheckpoint(0, through, []byte(strconv.Itoa(through))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	dir := filepath.Join(s.dir, "jobs", "j1")
 	if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); err != nil {
-		t.Fatalf("no snapshot after %d appends: %v", 5, err)
+		t.Fatalf("no snapshot after %d appends: %v", appends, err)
 	}
 	logBytes, err := os.ReadFile(filepath.Join(dir, "log.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 5 appends at compactEvery=2: compactions after 2 and 4, one record since.
 	if n := bytes.Count(logBytes, []byte("\n")); n != 1 {
 		t.Fatalf("log holds %d records after compaction, want 1", n)
 	}
@@ -197,7 +200,7 @@ func TestStoreCompaction(t *testing.T) {
 		}
 	}()
 	st := re.State()
-	if st.Shards[0].Through != 500 || !bytes.Equal(st.Shards[0].Acc, []byte{5}) {
+	if st.Shards[0].Through != appends || string(st.Shards[0].Acc) != strconv.Itoa(appends) {
 		t.Fatalf("state after compacted reopen: %+v", st.Shards[0])
 	}
 }

@@ -81,7 +81,7 @@ func (m *Spice) rawBit(x, y float64) (int, error) {
 	for i := 0; i < 4; i++ {
 		m.vx[i].SetDC(m.cfg.Inputs[i].Voltage(x, y))
 	}
-	sol, err := spice.DCOperatingPointWS(m.ckt, spice.Options{}, m.prevSol, m.ws)
+	sol, err := spice.DCOperatingPointWS(m.ckt, m.prevSol, m.ws)
 	if err != nil {
 		return 0, err
 	}
@@ -126,7 +126,7 @@ func (m *Spice) OutputVoltages(x, y float64) (v1, v2 float64, err error) {
 	for i := 0; i < 4; i++ {
 		m.vx[i].SetDC(m.cfg.Inputs[i].Voltage(x, y))
 	}
-	sol, err := spice.DCOperatingPointWS(m.ckt, spice.Options{}, m.prevSol, m.ws)
+	sol, err := spice.DCOperatingPointWS(m.ckt, m.prevSol, m.ws)
 	if err != nil {
 		return 0, 0, err
 	}

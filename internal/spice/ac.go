@@ -33,16 +33,15 @@ func (r *ACResult) Voltage(name string, k int) (complex128, error) {
 // acSource is driven with a unit phasor, and the complex MNA system is
 // solved at every frequency. This is how the Tow-Thomas realization's
 // transfer function is verified against the behavioural biquad.
-func AC(c *Circuit, opt Options, acSource string, freqs []float64) (*ACResult, error) {
+func AC(c *Circuit, acSource string, freqs []float64) (*ACResult, error) {
 	src, ok := c.FindElement(acSource).(*VSource)
 	if !ok {
 		return nil, fmt.Errorf("spice: AC source %q not found or not a VSource", acSource)
 	}
-	op, err := DCOperatingPoint(c, opt)
+	op, err := DCOperatingPoint(c)
 	if err != nil {
 		return nil, fmt.Errorf("spice: AC needs a DC operating point: %w", err)
 	}
-	o := opt.withDefaults()
 	n := c.Size()
 	res := &ACResult{circuit: c, Freqs: freqs}
 	a := num.NewCMatrix(n, n)
@@ -57,7 +56,7 @@ func AC(c *Circuit, opt Options, acSource string, freqs []float64) (*ACResult, e
 			stampAC(a, b, e, op, omega, src)
 		}
 		for i := 0; i < c.NumNodes(); i++ {
-			a.Add(i, i, complex(o.Gmin, 0))
+			a.Add(i, i, complex(gmin, 0))
 		}
 		x, err := num.CSolve(a, b)
 		if err != nil {

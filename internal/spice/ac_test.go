@@ -16,7 +16,7 @@ func TestACRCLowpass(t *testing.T) {
 	c.Add(NewCapacitor("C1", out, Ground, 1e-6))
 	fc := 1 / (2 * math.Pi * 1e3 * 1e-6) // ~159 Hz
 	freqs := []float64{1, fc, 100 * fc}
-	res, err := AC(c, Options{}, "V1", freqs)
+	res, err := AC(c, "V1", freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestACUnknownSource(t *testing.T) {
 	n := c.Node("a")
 	c.Add(NewVSource("V1", n, Ground, 1))
 	c.Add(NewResistor("R1", n, Ground, 1e3))
-	if _, err := AC(c, Options{}, "nope", []float64{1}); err == nil {
+	if _, err := AC(c, "nope", []float64{1}); err == nil {
 		t.Fatal("unknown AC source accepted")
 	}
 }
@@ -53,7 +53,7 @@ func TestACGroundVoltage(t *testing.T) {
 	n := c.Node("a")
 	c.Add(NewVSource("V1", n, Ground, 0))
 	c.Add(NewResistor("R1", n, Ground, 1e3))
-	res, err := AC(c, Options{}, "V1", []float64{10})
+	res, err := AC(c, "V1", []float64{10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestACVCVSGain(t *testing.T) {
 	c.Add(NewVSource("V1", in, Ground, 0))
 	c.Add(NewVCVS("E1", out, Ground, in, Ground, 42))
 	c.Add(NewResistor("RL", out, Ground, 1e3))
-	res, err := AC(c, Options{}, "V1", []float64{1e3})
+	res, err := AC(c, "V1", []float64{1e3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +91,13 @@ func TestACCommonSourceGain(t *testing.T) {
 	c.Add(NewResistor("RD", vddN, d, 10e3))
 	m := NewMOSFET("M1", d, g, Ground, dev)
 	c.Add(m)
-	op, err := DCOperatingPoint(c, Options{})
+	op, err := DCOperatingPoint(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pt := m.Op(op)
 	want := pt.Gm / (1.0/10e3 + pt.Gds)
-	res, err := AC(c, Options{}, "VG", []float64{100})
+	res, err := AC(c, "VG", []float64{100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,13 +121,13 @@ func TestACPMOSCommonSource(t *testing.T) {
 	m := NewMOSFET("M1", d, g, vddN, dev)
 	c.Add(m)
 	c.Add(NewResistor("RL", d, Ground, 10e3))
-	op, err := DCOperatingPoint(c, Options{})
+	op, err := DCOperatingPoint(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pt := m.Op(op)
 	want := pt.Gm / (1.0/10e3 + pt.Gds)
-	res, err := AC(c, Options{}, "VG", []float64{100})
+	res, err := AC(c, "VG", []float64{100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,8 @@
 //     waveform-driven), VCVS, and MOSFETs using the internal/mos model
 //   - nonlinear DC operating point: Newton-Raphson with per-iteration
 //     voltage damping, gmin stepping and source stepping fallbacks
-//   - transient analysis with backward-Euler or trapezoidal companions
+//   - transient analysis with trapezoidal companions, compiled into a
+//     reusable CircuitTemplate for linear circuits
 //   - small-signal AC analysis about the DC operating point
 //
 // Circuits are built in Go with New, Node and Add.
@@ -105,8 +106,8 @@ func (c *Circuit) assignBranches() {
 // Linear reports whether every element stamps a solution-independent
 // (linear) companion model. Linear circuits need no Newton iteration:
 // with a fixed timestep the MNA matrix is constant, so a transient can
-// factor it once and only re-solve per step (the fast path in
-// TransientSolver). The MOSFET is the only nonlinear element.
+// factor it once and only re-solve per step (CircuitTemplate, and
+// TransientSolver's fast path). The MOSFET is the only nonlinear element.
 func (c *Circuit) Linear() bool {
 	for _, e := range c.elements {
 		if _, ok := e.(*MOSFET); ok {
@@ -138,9 +139,6 @@ type Stamper struct {
 	DC   bool      // true during DC analyses (capacitors open)
 	// SrcScale scales independent sources during source stepping (0..1].
 	SrcScale float64
-	// Trapezoidal selects trapezoidal integration for capacitors; the
-	// element keeps its own previous-current state.
-	Trapezoidal bool
 }
 
 type matrixView interface {

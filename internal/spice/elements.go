@@ -37,13 +37,12 @@ func (r *Resistor) Name() string { return r.name }
 func (r *Resistor) Stamp(s *Stamper) { s.AddConductance(r.P, r.M, 1/r.Ohms) }
 
 // Capacitor is a linear capacitor. In DC analyses it is an open circuit;
-// in transient analyses it stamps a backward-Euler or trapezoidal
-// companion model.
+// in transient analyses it stamps a trapezoidal companion model.
 type Capacitor struct {
 	name    string
 	P, M    NodeID
 	Farads  float64
-	prevCur float64 // previous capacitor current, for trapezoidal
+	prevCur float64 // capacitor current at the previous timestep
 }
 
 // NewCapacitor creates a capacitor between nodes p and m. Farads must be
@@ -69,24 +68,17 @@ func (c *Capacitor) Stamp(s *Stamper) {
 	if s.DC || s.Dt <= 0 {
 		return // open circuit at DC
 	}
+	// Trapezoidal: i = (2C/h)(v - vPrev) - iPrev
 	vPrev := s.PrevV(c.P) - s.PrevV(c.M)
-	if s.Trapezoidal {
-		// Trapezoidal: i = (2C/h)(v - vPrev) - iPrev
-		geq := 2 * c.Farads / s.Dt
-		ieq := geq*vPrev + c.prevCur
-		s.AddConductance(c.P, c.M, geq)
-		s.AddCurrent(c.P, c.M, ieq)
-		return
-	}
-	// Backward Euler: i = (C/h)(v - vPrev)
-	geq := c.Farads / s.Dt
+	geq := 2 * c.Farads / s.Dt
+	ieq := geq*vPrev + c.prevCur
 	s.AddConductance(c.P, c.M, geq)
-	s.AddCurrent(c.P, c.M, geq*vPrev)
+	s.AddCurrent(c.P, c.M, ieq)
 }
 
 // commitStep records the capacitor current after an accepted timestep so
 // the trapezoidal companion can use it next step.
-func (c *Capacitor) commitStep(x, prev []float64, dt float64, trapezoidal bool) {
+func (c *Capacitor) commitStep(x, prev []float64, dt float64) {
 	vAt := func(n NodeID, vec []float64) float64 {
 		if n == Ground {
 			return 0
@@ -95,11 +87,7 @@ func (c *Capacitor) commitStep(x, prev []float64, dt float64, trapezoidal bool) 
 	}
 	v := vAt(c.P, x) - vAt(c.M, x)
 	vPrev := vAt(c.P, prev) - vAt(c.M, prev)
-	if trapezoidal {
-		c.prevCur = 2*c.Farads/dt*(v-vPrev) - c.prevCur
-	} else {
-		c.prevCur = c.Farads / dt * (v - vPrev)
-	}
+	c.prevCur = 2*c.Farads/dt*(v-vPrev) - c.prevCur
 }
 
 // VSource is an independent voltage source, DC or waveform-driven.

@@ -11,46 +11,23 @@ import (
 // ErrNoConvergence is returned when all convergence aids are exhausted.
 var ErrNoConvergence = errors.New("spice: Newton iteration did not converge")
 
-// Options tunes the nonlinear solver. Zero value fields fall back to the
-// documented defaults.
-type Options struct {
-	MaxIter   int     // Newton iterations per attempt (default 150)
-	AbsTol    float64 // absolute voltage tolerance, V (default 1e-9)
-	RelTol    float64 // relative voltage tolerance (default 1e-6)
-	Gmin      float64 // minimum conductance to ground on every node (default 1e-12)
-	MaxStep   float64 // max voltage update per Newton iteration, V (default 0.3)
-	Trapezoid bool    // use trapezoidal integration in Transient
-	// ForceNewton disables the linear transient fast path, running the
-	// per-step Newton loop even for linear circuits. It exists for the
-	// fast-path-vs-Newton equivalence tests and benchmarks.
-	ForceNewton bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxIter == 0 {
-		o.MaxIter = 150
-	}
-	if o.AbsTol == 0 {
-		o.AbsTol = 1e-9
-	}
-	if o.RelTol == 0 {
-		o.RelTol = 1e-6
-	}
-	if o.Gmin == 0 {
-		o.Gmin = 1e-12
-	}
-	if o.MaxStep == 0 {
-		o.MaxStep = 0.3
-	}
-	return o
-}
+// Newton-Raphson settings. Every analysis uses them; no caller tunes
+// them.
+const (
+	maxIter = 150   // Newton iterations per attempt
+	absTol  = 1e-9  // absolute voltage tolerance, V
+	relTol  = 1e-6  // relative voltage tolerance
+	gmin    = 1e-12 // minimum conductance to ground on every node, S
+	// maxStep clamps the voltage update of one Newton iteration, V.
+	// Linear circuits skip the clamp (see newSolverWS).
+	maxStep = 0.3
+)
 
 // Workspace holds the matrix, RHS, iterate, LU and state buffers one
-// analysis needs. A campaign trial loop allocates one Workspace per
-// worker and threads it through every solve (mirroring the
-// signature.CaptureBuffer pattern), so repeated trials on same-sized
-// circuits — e.g. perturbed Tow-Thomas netlists in a Monte-Carlo fault
-// or yield study — reuse all heavy allocations. Buffers are (re)sized
+// analysis needs. A caller that solves one circuit many times — the
+// transistor-level monitor runs thousands of DC solves per boundary
+// trace — keeps one Workspace and threads it through DCOperatingPointWS,
+// so repeated solves reuse all heavy allocations. Buffers are (re)sized
 // and cleared on first use by each analysis; stale contents never affect
 // results. Like rng.Stream it is not safe for concurrent use.
 type Workspace struct {
@@ -99,9 +76,11 @@ func (w *Workspace) factor() error {
 
 // solver carries reusable workspaces across Newton iterations and sweeps.
 type solver struct {
-	c   *Circuit
-	opt Options
-	ws  *Workspace
+	c  *Circuit
+	ws *Workspace
+	// maxStep is the Newton step clamp: the package's maxStep, or +Inf
+	// for a linear circuit.
+	maxStep float64
 	// st is the scratch Stamper handed to Element.Stamp. Stamp takes a
 	// *Stamper through an interface, so a stack-local would escape and
 	// heap-allocate on every Newton iteration; a solver field keeps the
@@ -111,31 +90,31 @@ type solver struct {
 
 // newSolverWS builds a solver over a caller-owned workspace (nil for a
 // private one).
-func newSolverWS(c *Circuit, opt Options, ws *Workspace) *solver {
+func newSolverWS(c *Circuit, ws *Workspace) *solver {
 	c.assignBranches()
 	if ws == nil {
 		ws = NewWorkspace()
 	}
 	ws.ensure(c.Size())
-	opt = opt.withDefaults()
 	// Linear circuits need no Newton damping: the first iteration lands
 	// on the exact solution, so the per-iteration voltage clamp only
 	// slows (or, for operating points far from zero — e.g. a shorted
 	// gain resistor driving a node to 10⁵ V — prevents) convergence.
+	step := maxStep
 	if c.Linear() {
-		opt.MaxStep = math.Inf(1)
+		step = math.Inf(1)
 	}
-	return &solver{c: c, opt: opt, ws: ws}
+	return &solver{c: c, ws: ws, maxStep: step}
 }
 
 // newton runs damped Newton-Raphson from the current iterate with the
-// given stamper template (time/dt/prev/DC/srcScale) and gmin. On success
-// the workspace x holds the solution.
-func (s *solver) newton(tmpl Stamper, gmin float64) error {
+// given stamper template (time/dt/prev/DC/srcScale) and node-to-ground
+// conductance g. On success the workspace x holds the solution.
+func (s *solver) newton(tmpl Stamper, g float64) error {
 	n := s.c.Size()
 	nNodes := s.c.NumNodes()
 	ws := s.ws
-	for iter := 0; iter < s.opt.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		ws.a.Zero()
 		for i := range ws.b {
 			ws.b[i] = 0
@@ -150,7 +129,7 @@ func (s *solver) newton(tmpl Stamper, gmin float64) error {
 		// gmin from every node to ground keeps the matrix nonsingular in
 		// the presence of floating or source-follower nodes.
 		for i := 0; i < nNodes; i++ {
-			ws.a.Add(i, i, gmin)
+			ws.a.Add(i, i, g)
 		}
 		if err := ws.factor(); err != nil {
 			return fmt.Errorf("spice: singular MNA matrix: %w", err)
@@ -161,7 +140,7 @@ func (s *solver) newton(tmpl Stamper, gmin float64) error {
 		for i := 0; i < n; i++ {
 			d := ws.xNew[i] - ws.x[i]
 			if i < nNodes {
-				d = num.Clamp(d, -s.opt.MaxStep, s.opt.MaxStep)
+				d = num.Clamp(d, -s.maxStep, s.maxStep)
 			}
 			if ad := math.Abs(d); ad > maxDelta && i < nNodes {
 				maxDelta = ad
@@ -171,7 +150,7 @@ func (s *solver) newton(tmpl Stamper, gmin float64) error {
 		if math.IsNaN(maxDelta) {
 			return ErrNoConvergence
 		}
-		if maxDelta < s.opt.AbsTol+s.opt.RelTol*num.NormInf(ws.x[:nNodes]) {
+		if maxDelta < absTol+relTol*num.NormInf(ws.x[:nNodes]) {
 			return nil
 		}
 	}
@@ -181,8 +160,8 @@ func (s *solver) newton(tmpl Stamper, gmin float64) error {
 // DCOperatingPoint solves the nonlinear DC operating point. It first
 // tries plain Newton from a zero (or provided) initial guess, then gmin
 // stepping, then source stepping.
-func DCOperatingPoint(c *Circuit, opt Options) (*Solution, error) {
-	return newSolverWS(c, opt, nil).dcop(nil)
+func DCOperatingPoint(c *Circuit) (*Solution, error) {
+	return newSolverWS(c, nil).dcop(nil)
 }
 
 // DCOperatingPointWS solves the DC operating point starting from a
@@ -190,8 +169,8 @@ func DCOperatingPoint(c *Circuit, opt Options) (*Solution, error) {
 // caller-owned workspace, for hot loops that solve the same circuit at
 // many bias points (the transistor-level monitor's per-sample Bit
 // evaluation).
-func DCOperatingPointWS(c *Circuit, opt Options, prev *Solution, ws *Workspace) (*Solution, error) {
-	s := newSolverWS(c, opt, ws)
+func DCOperatingPointWS(c *Circuit, prev *Solution, ws *Workspace) (*Solution, error) {
+	s := newSolverWS(c, ws)
 	return s.dcop(prev)
 }
 
@@ -214,7 +193,7 @@ func (s *solver) dcopWS(init *Solution) error {
 	if init != nil && len(init.X) == len(ws.x) {
 		copy(ws.x, init.X)
 	}
-	if err := s.newton(tmpl, s.opt.Gmin); err == nil {
+	if err := s.newton(tmpl, gmin); err == nil {
 		return nil
 	}
 	// gmin stepping: solve with a large gmin, then relax it decade by
@@ -223,14 +202,14 @@ func (s *solver) dcopWS(init *Solution) error {
 		ws.x[i] = 0
 	}
 	converged := true
-	for g := 1e-3; g >= s.opt.Gmin; g /= 10 {
+	for g := 1e-3; g >= gmin; g /= 10 {
 		if err := s.newton(tmpl, g); err != nil {
 			converged = false
 			break
 		}
 	}
 	if converged {
-		if err := s.newton(tmpl, s.opt.Gmin); err == nil {
+		if err := s.newton(tmpl, gmin); err == nil {
 			return nil
 		}
 	}
@@ -244,7 +223,7 @@ func (s *solver) dcopWS(init *Solution) error {
 		}
 		st := tmpl
 		st.SrcScale = scale
-		if err := s.newton(st, s.opt.Gmin); err != nil {
+		if err := s.newton(st, gmin); err != nil {
 			return fmt.Errorf("%w (source stepping failed at %.0f%%)", ErrNoConvergence, scale*100)
 		}
 		if scale == 1 {

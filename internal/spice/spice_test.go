@@ -16,7 +16,7 @@ func TestVoltageDivider(t *testing.T) {
 	c.Add(NewVSource("V1", in, Ground, 1.0))
 	c.Add(NewResistor("R1", in, mid, 1e3))
 	c.Add(NewResistor("R2", mid, Ground, 1e3))
-	sol, err := DCOperatingPoint(c, Options{})
+	sol, err := DCOperatingPoint(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestBranchCurrent(t *testing.T) {
 	v1 := NewVSource("V1", in, Ground, 2.0)
 	c.Add(v1)
 	c.Add(NewResistor("R1", in, Ground, 1e3))
-	sol, err := DCOperatingPoint(c, Options{})
+	sol, err := DCOperatingPoint(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestCurrentSource(t *testing.T) {
 	n1 := c.Node("n1")
 	c.Add(NewISource("I1", Ground, n1, 1e-3))
 	c.Add(NewResistor("R1", n1, Ground, 1e3))
-	sol, err := DCOperatingPoint(c, Options{})
+	sol, err := DCOperatingPoint(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestVCVS(t *testing.T) {
 	c.Add(NewVSource("V1", in, Ground, 0.1))
 	c.Add(NewVCVS("E1", out, Ground, in, Ground, 10))
 	c.Add(NewResistor("RL", out, Ground, 1e3))
-	sol, err := DCOperatingPoint(c, Options{})
+	sol, err := DCOperatingPoint(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestUnknownNodeVoltage(t *testing.T) {
 	n := c.Node("a")
 	c.Add(NewVSource("V1", n, Ground, 1))
 	c.Add(NewResistor("R1", n, Ground, 1))
-	sol, err := DCOperatingPoint(c, Options{})
+	sol, err := DCOperatingPoint(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func nmosTestCircuit(vg, vdd, r float64) (*Circuit, mos.Device) {
 func TestNMOSCommonSourceMatchesModel(t *testing.T) {
 	vg, vdd, r := 0.7, 1.2, 10e3
 	c, dev := nmosTestCircuit(vg, vdd, r)
-	sol, err := DCOperatingPoint(c, Options{})
+	sol, err := DCOperatingPoint(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestNMOSCommonSourceMatchesModel(t *testing.T) {
 
 func TestNMOSCutoffPullsDrainHigh(t *testing.T) {
 	c, _ := nmosTestCircuit(0.0, 1.2, 10e3)
-	sol, err := DCOperatingPoint(c, Options{})
+	sol, err := DCOperatingPoint(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestPMOSCommonSource(t *testing.T) {
 	c.Add(NewVSource("VG", g, Ground, 0.0))
 	c.Add(NewMOSFET("M1", d, g, vddN, dev))
 	c.Add(NewResistor("RL", d, Ground, 20e3))
-	sol, err := DCOperatingPoint(c, Options{})
+	sol, err := DCOperatingPoint(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestDiodeConnectedNMOS(t *testing.T) {
 	dev := mos.NewDevice("M1", 1800, 180, mos.Default65nmNMOS())
 	c.Add(NewMOSFET("M1", d, d, Ground, dev))
 	c.Add(NewISource("IB", Ground, d, 50e-6))
-	sol, err := DCOperatingPoint(c, Options{})
+	sol, err := DCOperatingPoint(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestMonitorNetlistText(t *testing.T) {
 	if got, want := c.NumNodes(), 7; got != want {
 		t.Fatalf("nodes = %d, want %d", got, want)
 	}
-	sol, err := DCOperatingPoint(c, Options{})
+	sol, err := DCOperatingPoint(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,33 +244,69 @@ func TestMonitorNetlistText(t *testing.T) {
 	}
 }
 
+// TransientResult holds a fixed-step transient analysis.
+type TransientResult struct {
+	Time      []float64
+	Solutions []*Solution
+}
+
+// VoltageSeries extracts one node's waveform from the result.
+func (tr *TransientResult) VoltageSeries(node string) ([]float64, error) {
+	out := make([]float64, len(tr.Solutions))
+	for i, s := range tr.Solutions {
+		v, err := s.Voltage(node)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// Transient runs a fixed-timestep transient analysis over [0, dur] with
+// the given number of steps, materializing every solution. The initial
+// condition is the DC operating point at t = 0.
+func Transient(c *Circuit, dur float64, steps int) (*TransientResult, error) {
+	ts := NewTransientSolver(c, false)
+	res := &TransientResult{
+		Time:      make([]float64, 0, steps+1),
+		Solutions: make([]*Solution, 0, steps+1),
+	}
+	err := ts.Run(dur, steps, func(k int, t float64, sol *Solution) {
+		res.Time = append(res.Time, t)
+		res.Solutions = append(res.Solutions, &Solution{circuit: c, X: append([]float64(nil), sol.X...)})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 func TestTransientRCCharge(t *testing.T) {
-	for _, trap := range []bool{false, true} {
-		c := New()
-		in, out := c.Node("in"), c.Node("out")
-		c.Add(NewVSource("V1", in, Ground, 1.0))
-		c.Add(NewResistor("R1", in, out, 1e3))
-		c.Add(NewCapacitor("C1", out, Ground, 1e-6))
-		// τ = 1 ms. NOTE: the DC operating point pre-charges the cap to
-		// 1 V (steady state), so force the interesting case with a step:
-		// start the source at 0 via a waveform that jumps at t=0+.
-		vs := c.FindElement("V1").(*VSource)
-		*vs = *NewVSourceWave("V1", in, Ground, stepWave{at: 0, lo: 0, hi: 1})
-		res, err := Transient(c, Options{Trapezoid: trap}, 5e-3, 2000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vout, err := res.VoltageSeries("out")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Compare to analytic 1-exp(-t/τ) at a few points.
-		for _, idx := range []int{400, 1000, 2000} {
-			tt := res.Time[idx]
-			want := 1 - math.Exp(-tt/1e-3)
-			if math.Abs(vout[idx]-want) > 5e-3 {
-				t.Fatalf("trap=%v RC charge at t=%v: %v, want %v", trap, tt, vout[idx], want)
-			}
+	c := New()
+	in, out := c.Node("in"), c.Node("out")
+	c.Add(NewVSource("V1", in, Ground, 1.0))
+	c.Add(NewResistor("R1", in, out, 1e3))
+	c.Add(NewCapacitor("C1", out, Ground, 1e-6))
+	// τ = 1 ms. NOTE: the DC operating point pre-charges the cap to
+	// 1 V (steady state), so force the interesting case with a step:
+	// start the source at 0 via a waveform that jumps at t=0+.
+	vs := c.FindElement("V1").(*VSource)
+	*vs = *NewVSourceWave("V1", in, Ground, stepWave{at: 0, lo: 0, hi: 1})
+	res, err := Transient(c, 5e-3, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vout, err := res.VoltageSeries("out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Compare to analytic 1-exp(-t/τ) at a few points.
+	for _, idx := range []int{400, 1000, 2000} {
+		tt := res.Time[idx]
+		want := 1 - math.Exp(-tt/1e-3)
+		if math.Abs(vout[idx]-want) > 5e-3 {
+			t.Fatalf("RC charge at t=%v: %v, want %v", tt, vout[idx], want)
 		}
 	}
 }
@@ -294,7 +330,7 @@ func TestTransientRCLowpassSine(t *testing.T) {
 	c.Add(NewVSourceWave("V1", in, Ground, wave.Sine{Amp: 1, Freq: 1000}))
 	c.Add(NewResistor("R1", in, out, 1e3))
 	c.Add(NewCapacitor("C1", out, Ground, 1e-6))
-	res, err := Transient(c, Options{Trapezoid: true}, 10e-3, 4000)
+	res, err := Transient(c, 10e-3, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +355,7 @@ func TestTransientRejectsBadSteps(t *testing.T) {
 	n := c.Node("a")
 	c.Add(NewVSource("V1", n, Ground, 1))
 	c.Add(NewResistor("R1", n, Ground, 1))
-	if _, err := Transient(c, Options{}, 1e-3, 0); err == nil {
+	if _, err := Transient(c, 1e-3, 0); err == nil {
 		t.Fatal("expected error for zero steps")
 	}
 }
@@ -332,7 +368,7 @@ func TestFloatingNodeHandledByGmin(t *testing.T) {
 	c.Add(NewVSource("V1", a, Ground, 1))
 	c.Add(NewCapacitor("C1", a, b, 1e-9))
 	c.Add(NewResistor("R1", a, Ground, 1e3))
-	if _, err := DCOperatingPoint(c, Options{}); err != nil {
+	if _, err := DCOperatingPoint(c); err != nil {
 		t.Fatalf("floating node broke DC solve: %v", err)
 	}
 	_ = b
@@ -354,7 +390,7 @@ func TestResistorLadderProperty(t *testing.T) {
 			c.Add(NewResistor(nodeName(100+i), prev, next, 1e3))
 			prev = next
 		}
-		sol, err := DCOperatingPoint(c, Options{})
+		sol, err := DCOperatingPoint(c)
 		if err != nil {
 			return false
 		}
@@ -394,7 +430,7 @@ func TestTransientNMOSInverterDischarge(t *testing.T) {
 	c.Add(NewResistor("RD", vddN, d, 20e3))
 	c.Add(NewCapacitor("CL", d, Ground, 1e-12))
 	c.Add(NewMOSFET("M1", d, g, Ground, dev))
-	res, err := Transient(c, Options{Trapezoid: true}, 2e-7, 4000)
+	res, err := Transient(c, 2e-7, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +475,7 @@ func TestDCOperatingPointUsesFallbacks(t *testing.T) {
 	c.Add(NewResistor("RB", vddN, b, 20e3))
 	c.Add(NewMOSFET("MA", a, b, Ground, dev))
 	c.Add(NewMOSFET("MB", b, a, Ground, dev))
-	sol, err := DCOperatingPoint(c, Options{})
+	sol, err := DCOperatingPoint(c)
 	if err != nil {
 		t.Fatal(err)
 	}

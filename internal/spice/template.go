@@ -21,9 +21,10 @@ import (
 //     /SetVSourceWaveform, or directly through the element pointers for
 //     callers that built the netlist), preserving node numbering and
 //     the symbolic stamp layout;
-//   - the per-step RHS rebuild is compiled to a flat op list (capacitor
-//     companions with a precomputed geq, source rows fed from cached
-//     stimulus tick tables) instead of interface-dispatched restamps;
+//   - the per-step RHS rebuild is compiled to a flat op list
+//     (trapezoidal capacitor companions with a precomputed geq, source
+//     rows fed from cached stimulus tick tables) instead of
+//     interface-dispatched restamps;
 //   - the factored matrix is compiled to a num.SolveProgram, so the
 //     per-step triangular solves skip the factors' structural zeros;
 //   - stimulus tick tables (w.Eval at every step time) are cached per
@@ -31,14 +32,14 @@ import (
 //     every worker template of a circuit family — amortizing the
 //     transcendental calls a campaign re-evaluates thousands of times.
 //
-// Results are bit-identical to rebuilding the circuit and running
-// TransientSolver.Run per trial (the regression-pinned rebuild path):
-// every floating-point expression of that path is replicated with the
-// same operand order. A template owns its circuit and workspace and is
-// not safe for concurrent use — campaigns hold one per worker.
+// It is the one production transient engine. Results are bit-identical
+// to rebuilding the circuit and running TransientSolver.Run per trial
+// (the rebuild oracle the tests pin it against): every floating-point
+// expression of that path is replicated with the same operand order. A
+// template owns its circuit and workspace and is not safe for
+// concurrent use — campaigns hold one per worker.
 type CircuitTemplate struct {
 	c    *Circuit
-	opt  Options
 	sv   *solver
 	prog num.SolveProgram
 
@@ -50,20 +51,18 @@ type CircuitTemplate struct {
 }
 
 // capOp is the per-trial companion state of one capacitor: its node
-// rows and the geq = 2C/dt (trapezoidal) or C/dt (backward Euler)
-// refreshed when dt or the capacitance changes.
+// rows and the trapezoidal geq = 2C/dt, refreshed every trial.
 type capOp struct {
 	cap  *Capacitor
 	p, m int32
 	geq  float64
 }
 
-// rhsOp kinds. Capacitor kinds are fixed at construction; source kinds
-// are refreshed per trial (a waveform can be attached or removed
+// rhsOp kinds. The capacitor kind is fixed at construction; source
+// kinds are refreshed per trial (a waveform can be attached or removed
 // between trials).
 const (
 	opCapTrap = iota
-	opCapBE
 	opVSrcTick
 	opVSrcDC
 	opISrcTick
@@ -165,7 +164,7 @@ func (tc *TickCache) ticksFor(w wave.Waveform, dt float64, steps int) []float64 
 // program understands (R, C, V/I sources, VCVS); the template takes
 // ownership — running other analyses on c while the template is live,
 // or re-registering elements, invalidates it.
-func NewCircuitTemplate(c *Circuit, opt Options) (*CircuitTemplate, error) {
+func NewCircuitTemplate(c *Circuit) (*CircuitTemplate, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -177,8 +176,7 @@ func NewCircuitTemplate(c *Circuit, opt Options) (*CircuitTemplate, error) {
 		byName: make(map[string]Element, len(c.elements)),
 		ticks:  NewTickCache(),
 	}
-	t.sv = newSolverWS(c, opt, nil) // assigns branches, sizes the workspace
-	t.opt = t.sv.opt
+	t.sv = newSolverWS(c, nil) // assigns branches, sizes the workspace
 	touched := map[int32]bool{}
 	for _, e := range c.elements {
 		if _, dup := t.byName[e.Name()]; !dup {
@@ -189,12 +187,8 @@ func NewCircuitTemplate(c *Circuit, opt Options) (*CircuitTemplate, error) {
 			// Matrix-only elements: no per-step RHS contribution (the
 			// same skip list as TransientSolver.Run's linear path).
 		case *Capacitor:
-			kind := opCapBE
-			if t.opt.Trapezoid {
-				kind = opCapTrap
-			}
 			t.caps = append(t.caps, capOp{cap: el, p: int32(el.P), m: int32(el.M)})
-			t.rhs = append(t.rhs, rhsOp{kind: kind})
+			t.rhs = append(t.rhs, rhsOp{kind: opCapTrap})
 			markTouched(touched, int32(el.P), int32(el.M))
 		case *VSource:
 			t.rhs = append(t.rhs, rhsOp{kind: opVSrcDC, vs: el})
@@ -210,7 +204,7 @@ func NewCircuitTemplate(c *Circuit, opt Options) (*CircuitTemplate, error) {
 	// array (append may have moved earlier entries).
 	ci := 0
 	for i := range t.rhs {
-		if t.rhs[i].kind == opCapTrap || t.rhs[i].kind == opCapBE {
+		if t.rhs[i].kind == opCapTrap {
 			t.rhs[i].cap = &t.caps[ci]
 			ci++
 		}
@@ -345,13 +339,13 @@ func (t *CircuitTemplate) RunTrial(tr Trial) error {
 	sv.st = Stamper{
 		A: ws.a, B: ws.b, X: ws.x,
 		Time: dt, Dt: dt, Prev: ws.prev,
-		SrcScale: 1, Trapezoidal: t.opt.Trapezoid,
+		SrcScale: 1,
 	}
 	for _, e := range t.c.elements {
 		e.Stamp(&sv.st)
 	}
 	for i := 0; i < nNodes; i++ {
-		ws.a.Add(i, i, t.opt.Gmin)
+		ws.a.Add(i, i, gmin)
 	}
 	if err := ws.factor(); err != nil {
 		return fmt.Errorf("spice: singular MNA matrix: %w", err)
@@ -373,11 +367,7 @@ func (t *CircuitTemplate) RunTrial(tr Trial) error {
 func (t *CircuitTemplate) refresh(dt float64, steps int) {
 	for i := range t.caps {
 		c := &t.caps[i]
-		if t.opt.Trapezoid {
-			c.geq = 2 * c.cap.Farads / dt
-		} else {
-			c.geq = c.cap.Farads / dt
-		}
+		c.geq = 2 * c.cap.Farads / dt
 	}
 	for i := range t.rhs {
 		op := &t.rhs[i]
@@ -463,7 +453,6 @@ func (t *CircuitTemplate) runSteps(tr Trial) {
 	ws := t.sv.ws
 	b, x, prev := ws.b, ws.x, ws.prev
 	rhs, caps := t.rhs, t.caps
-	trap := t.opt.Trapezoid
 	for k := 1; k <= tr.Steps; k++ {
 		for _, r := range t.touched {
 			b[r] = 0
@@ -475,16 +464,6 @@ func (t *CircuitTemplate) runSteps(tr Trial) {
 				c := op.cap
 				vPrev := rowVoltage(prev, c.p) - rowVoltage(prev, c.m)
 				ieq := c.geq*vPrev + c.cap.prevCur
-				if c.p >= 0 {
-					b[c.p] += ieq
-				}
-				if c.m >= 0 {
-					b[c.m] -= ieq
-				}
-			case opCapBE:
-				c := op.cap
-				vPrev := rowVoltage(prev, c.p) - rowVoltage(prev, c.m)
-				ieq := c.geq * vPrev
 				if c.p >= 0 {
 					b[c.p] += ieq
 				}
@@ -517,11 +496,7 @@ func (t *CircuitTemplate) runSteps(tr Trial) {
 			c := &caps[i]
 			v := rowVoltage(x, c.p) - rowVoltage(x, c.m)
 			vPrev := rowVoltage(prev, c.p) - rowVoltage(prev, c.m)
-			if trap {
-				c.cap.prevCur = c.geq*(v-vPrev) - c.cap.prevCur
-			} else {
-				c.cap.prevCur = c.geq * (v - vPrev)
-			}
+			c.cap.prevCur = c.geq*(v-vPrev) - c.cap.prevCur
 		}
 		prev, x = x, prev
 		if idx := k - tr.Start; idx >= 0 && idx < len(tr.Out) {

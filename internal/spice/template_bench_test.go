@@ -25,7 +25,7 @@ func benchTemplates(b *testing.B, n int) ([]*spice.CircuitTemplate, spice.NodeID
 	for i := range ts {
 		var ckt *spice.Circuit
 		ckt, out = buildTestCircuit(v, stim)
-		tmpl, err := spice.NewCircuitTemplate(ckt, spice.Options{Trapezoid: true})
+		tmpl, err := spice.NewCircuitTemplate(ckt)
 		if err != nil {
 			b.Fatal(err)
 		}

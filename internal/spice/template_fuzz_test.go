@@ -13,15 +13,14 @@ import (
 // setters reject (non-positive, non-finite) must be rejected without
 // corrupting the template.
 func FuzzTemplateMutation(f *testing.F) {
-	f.Add(1e3, 100e-9, 2e3, 47e-9, uint8(16), true, true)
-	f.Add(680.0, 150e-9, 3.3e3, 33e-9, uint8(40), false, false)
-	f.Add(1e9, 82e-9, 1.8e3, 56e-9, uint8(7), true, false) // "open" R1
-	f.Add(1e-3, 1e-15, 1e12, 1.0, uint8(1), false, true)   // extreme spread
-	f.Add(-1.0, 100e-9, 2e3, 47e-9, uint8(16), true, true) // rejected value
-	f.Fuzz(func(t *testing.T, r1, c1, r2, c2 float64, stepsRaw uint8, trapezoid, useWave bool) {
+	f.Add(1e3, 100e-9, 2e3, 47e-9, uint8(16), true)
+	f.Add(680.0, 150e-9, 3.3e3, 33e-9, uint8(40), false)
+	f.Add(1e9, 82e-9, 1.8e3, 56e-9, uint8(7), false) // "open" R1
+	f.Add(1e-3, 1e-15, 1e12, 1.0, uint8(1), true)    // extreme spread
+	f.Add(-1.0, 100e-9, 2e3, 47e-9, uint8(16), true) // rejected value
+	f.Fuzz(func(t *testing.T, r1, c1, r2, c2 float64, stepsRaw uint8, useWave bool) {
 		ckt, rec := fuzzRC(1e3, 100e-9, 2e3, 47e-9)
-		opt := Options{Trapezoid: trapezoid}
-		tmpl, err := NewCircuitTemplate(ckt, opt)
+		tmpl, err := NewCircuitTemplate(ckt)
 		if err != nil {
 			t.Fatalf("baseline template: %v", err)
 		}
@@ -56,7 +55,7 @@ func FuzzTemplateMutation(f *testing.F) {
 			fresh.FindElement("V1").(*VSource).SetWaveform(stim)
 		}
 		want := make([]float64, steps+1)
-		err = NewTransientSolver(fresh, opt).Run(dur, steps, func(k int, _ float64, sol *Solution) {
+		err = NewTransientSolver(fresh, false).Run(dur, steps, func(k int, _ float64, sol *Solution) {
 			want[k] = sol.VoltageAt(node)
 		})
 		if err != nil {
@@ -64,8 +63,8 @@ func FuzzTemplateMutation(f *testing.F) {
 		}
 		for k := range want {
 			if out[k] != want[k] {
-				t.Fatalf("step %d: template %v, rebuild %v (r1=%v c1=%v r2=%v c2=%v steps=%d trap=%v wave=%v)",
-					k, out[k], want[k], r1, c1, r2, c2, steps, trapezoid, useWave)
+				t.Fatalf("step %d: template %v, rebuild %v (r1=%v c1=%v r2=%v c2=%v steps=%d wave=%v)",
+					k, out[k], want[k], r1, c1, r2, c2, steps, useWave)
 			}
 		}
 	})

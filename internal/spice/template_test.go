@@ -34,10 +34,10 @@ func buildTestCircuit(v benchValues, stim wave.Waveform) (*spice.Circuit, spice.
 
 // rebuildRun is the reference path: fresh circuit, generic
 // TransientSolver.Run, samples collected through the callback.
-func rebuildRun(t *testing.T, v benchValues, stim wave.Waveform, opt spice.Options, dur float64, steps int) []float64 {
+func rebuildRun(t *testing.T, v benchValues, stim wave.Waveform, dur float64, steps int) []float64 {
 	t.Helper()
 	ckt, out := buildTestCircuit(v, stim)
-	ts := spice.NewTransientSolver(ckt, opt)
+	ts := spice.NewTransientSolver(ckt, false)
 	samples := make([]float64, steps+1)
 	err := ts.Run(dur, steps, func(k int, _ float64, sol *spice.Solution) {
 		samples[k] = sol.VoltageAt(out)
@@ -78,8 +78,8 @@ func testStimulus(t *testing.T) *wave.Multitone {
 // TestCircuitTemplateMatchesRebuild pins the template engine's core
 // contract: a trial on a value-mutated template produces bit-identical
 // samples to rebuilding the circuit and running the generic
-// TransientSolver, for both integration methods and across trials with
-// different durations (distinct dt / tick tables).
+// TransientSolver, across trials with different durations (distinct dt /
+// tick tables).
 func TestCircuitTemplateMatchesRebuild(t *testing.T) {
 	stim := testStimulus(t)
 	T := stim.Period()
@@ -89,31 +89,27 @@ func TestCircuitTemplateMatchesRebuild(t *testing.T) {
 		{r1: 680, c1: 150e-9, r2: 3.3e3, c2: 33e-9, gain: 2},
 		{r1: 1e9, c1: 100e-9, r2: 2e3, c2: 47e-9, gain: 2}, // "open" R1
 	}
-	for _, trapezoid := range []bool{true, false} {
-		opt := spice.Options{Trapezoid: trapezoid}
-		ckt, out := buildTestCircuit(valueSets[0], stim)
-		tmpl, err := spice.NewCircuitTemplate(ckt, opt)
+	ckt, out := buildTestCircuit(valueSets[0], stim)
+	tmpl, err := spice.NewCircuitTemplate(ckt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range valueSets {
+		applyValues(t, tmpl, v)
+		// Vary the span so consecutive trials exercise tick-table
+		// extension and distinct dt keys.
+		periods := 2 + i%3
+		steps := periods * 128
+		dur := T * float64(periods)
+		got := make([]float64, steps+1)
+		err := tmpl.RunTrial(spice.Trial{Dur: dur, Steps: steps, Record: out, Start: 0, Out: got})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("set %d: %v", i, err)
 		}
-		for i, v := range valueSets {
-			applyValues(t, tmpl, v)
-			// Vary the span so consecutive trials exercise tick-table
-			// extension and distinct dt keys.
-			periods := 2 + i%3
-			steps := periods * 128
-			dur := T * float64(periods)
-			got := make([]float64, steps+1)
-			err := tmpl.RunTrial(spice.Trial{Dur: dur, Steps: steps, Record: out, Start: 0, Out: got})
-			if err != nil {
-				t.Fatalf("trapezoid=%v set %d: %v", trapezoid, i, err)
-			}
-			want := rebuildRun(t, v, stim, opt, dur, steps)
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("trapezoid=%v set %d: step %d: template %v, rebuild %v",
-						trapezoid, i, k, got[k], want[k])
-				}
+		want := rebuildRun(t, v, stim, dur, steps)
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("set %d: step %d: template %v, rebuild %v", i, k, got[k], want[k])
 			}
 		}
 	}
@@ -126,10 +122,10 @@ func TestCircuitTemplateWindowRecording(t *testing.T) {
 	v := benchValues{r1: 1e3, c1: 100e-9, r2: 2e3, c2: 47e-9, gain: 2}
 	steps := 256
 	dur := stim.Period() * 2
-	full := rebuildRun(t, v, stim, spice.Options{Trapezoid: true}, dur, steps)
+	full := rebuildRun(t, v, stim, dur, steps)
 
 	ckt, out := buildTestCircuit(v, stim)
-	tmpl, err := spice.NewCircuitTemplate(ckt, spice.Options{Trapezoid: true})
+	tmpl, err := spice.NewCircuitTemplate(ckt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +153,12 @@ func TestCircuitTemplateWindowRecording(t *testing.T) {
 func TestCircuitTemplateRunTrialsBlock(t *testing.T) {
 	stim := testStimulus(t)
 	T := stim.Period()
-	opt := spice.Options{Trapezoid: true}
 	sets := []benchValues{
 		{r1: 1e3, c1: 100e-9, r2: 2e3, c2: 47e-9, gain: 2},
 		{r1: 1.5e3, c1: 68e-9, r2: 2.2e3, c2: 39e-9, gain: 2},
 	}
 	ckt, out := buildTestCircuit(sets[0], stim)
-	tmpl, err := spice.NewCircuitTemplate(ckt, opt)
+	tmpl, err := spice.NewCircuitTemplate(ckt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +172,7 @@ func TestCircuitTemplateRunTrialsBlock(t *testing.T) {
 		}
 	}
 	for i, v := range sets {
-		want := rebuildRun(t, v, stim, opt, 2*T, steps)
+		want := rebuildRun(t, v, stim, 2*T, steps)
 		for k := range want {
 			if results[i][k] != want[k] {
 				t.Fatalf("trial %d step %d: %v != %v", i, k, results[i][k], want[k])
@@ -190,7 +185,7 @@ func TestCircuitTemplateRunTrialsBlock(t *testing.T) {
 func TestCircuitTemplateRejectsUnsupported(t *testing.T) {
 	c := spice.New()
 	c.Add(spice.NewResistor("R1", c.Node("a"), spice.Ground, -5))
-	if _, err := spice.NewCircuitTemplate(c, spice.Options{}); err == nil {
+	if _, err := spice.NewCircuitTemplate(c); err == nil {
 		t.Fatal("invalid circuit accepted")
 	}
 	ckt := spice.New()
@@ -198,12 +193,12 @@ func TestCircuitTemplateRejectsUnsupported(t *testing.T) {
 	ckt.Add(spice.NewVSource("V1", d, spice.Ground, 1.0))
 	ckt.Add(spice.NewMOSFET("M1", d, g, spice.Ground, mos.NewDevice("M1", 1000, 65, mos.Default65nmNMOS())))
 	ckt.Add(spice.NewVSource("V2", g, spice.Ground, 0.8))
-	if _, err := spice.NewCircuitTemplate(ckt, spice.Options{}); err == nil {
+	if _, err := spice.NewCircuitTemplate(ckt); err == nil {
 		t.Fatal("nonlinear circuit accepted")
 	}
 	c2 := spice.New()
 	c2.Add(spice.NewResistor("R1", c2.Node("a"), spice.Ground, 1e3))
-	tmpl, err := spice.NewCircuitTemplate(c2, spice.Options{})
+	tmpl, err := spice.NewCircuitTemplate(c2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +223,12 @@ func TestCircuitTemplateStatefulWaveform(t *testing.T) {
 	v := benchValues{r1: 1e3, c1: 100e-9, r2: 2e3, c2: 47e-9, gain: 2}
 	steps := 200
 	dur := 4e-4
-	opt := spice.Options{Trapezoid: true}
 	mkNoisy := func() wave.Waveform {
 		return &noisyCounter{}
 	}
-	want := rebuildRun(t, v, mkNoisy(), opt, dur, steps)
+	want := rebuildRun(t, v, mkNoisy(), dur, steps)
 	ckt, out := buildTestCircuit(v, mkNoisy())
-	tmpl, err := spice.NewCircuitTemplate(ckt, opt)
+	tmpl, err := spice.NewCircuitTemplate(ckt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +261,7 @@ func TestSpiceTemplateTrialAllocationFree(t *testing.T) {
 	stim := testStimulus(t)
 	v := benchValues{r1: 1e3, c1: 100e-9, r2: 2e3, c2: 47e-9, gain: 2}
 	ckt, out := buildTestCircuit(v, stim)
-	tmpl, err := spice.NewCircuitTemplate(ckt, spice.Options{Trapezoid: true})
+	tmpl, err := spice.NewCircuitTemplate(ckt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,66 +2,41 @@ package spice
 
 import "fmt"
 
-// TransientResult holds a fixed-step transient analysis.
-type TransientResult struct {
-	Time      []float64
-	Solutions []*Solution
-}
-
-// VoltageSeries extracts one node's waveform from the result.
-func (tr *TransientResult) VoltageSeries(node string) ([]float64, error) {
-	out := make([]float64, len(tr.Solutions))
-	for i, s := range tr.Solutions {
-		v, err := s.Voltage(node)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// TransientSolver is a reusable fixed-timestep transient engine for one
-// circuit. It exists to make SPICE-backed Monte-Carlo campaigns viable:
+// TransientSolver is the rebuild-per-run fixed-timestep transient
+// engine: it stamps every element through the generic Element interface
+// and integrates with trapezoidal companions. No production path runs
+// it. It is the reference CircuitTemplate is pinned against
+// (TestCircuitTemplateMatchesRebuild, FuzzTemplateMutation) and the
+// engine behind the SPICE CUT's output oracle, biquad's RebuildOutput.
+// It has two loops:
 //
 //   - Linear circuits (Circuit.Linear, i.e. no MOSFETs) skip the
-//     per-step Newton loop entirely. With a fixed timestep their MNA
-//     matrix is constant, so the solver factors the LU once and only
-//     refreshes the RHS and re-solves each step — the per-step cost
-//     drops from O(iterations·n³) to O(n²). The result is bit-identical
-//     to the Newton path (the Newton iteration on a linear system lands
-//     on the same LU solution), which the equivalence test pins down.
-//   - All matrix/RHS/iterate/state buffers live in a Workspace that can
-//     be shared across trials (one per campaign worker), so repeated
-//     runs allocate nothing but the caller's own samples.
-//   - Run streams each accepted step through a callback instead of
-//     materializing the full waveform; signature capture keeps only the
-//     steady-state samples it needs.
+//     per-step Newton loop. With a fixed timestep their MNA matrix is
+//     constant, so the solver factors the LU once and only refreshes
+//     the RHS and re-solves each step. The result is bit-identical to
+//     the Newton loop (the Newton iteration on a linear system lands on
+//     the same LU solution), which TestLinearFastPathBitIdenticalToNewton
+//     pins down.
+//   - Every other circuit, or any circuit when the constructor asks for
+//     it, runs the damped Newton loop at every step.
 //
-// A TransientSolver is not safe for concurrent use (it owns mutable
-// element state and a workspace).
+// Run streams each accepted step through a callback instead of
+// materializing the full waveform. A TransientSolver is not safe for
+// concurrent use (it owns mutable element state and a workspace).
 type TransientSolver struct {
 	c      *Circuit
-	opt    Options
 	sv     *solver
 	linear bool
 }
 
-// NewTransientSolver builds a transient engine with a private workspace.
-func NewTransientSolver(c *Circuit, opt Options) *TransientSolver {
-	return NewTransientSolverWS(c, opt, nil)
-}
-
-// NewTransientSolverWS builds a transient engine over a caller-owned
-// workspace so campaign trial loops can reuse allocations across
-// circuits (nil ws allocates a private one).
-func NewTransientSolverWS(c *Circuit, opt Options, ws *Workspace) *TransientSolver {
-	sv := newSolverWS(c, opt, ws)
+// NewTransientSolver builds a transient engine with a private
+// workspace. newton forces the per-step Newton loop even on a linear
+// circuit, for the tests that compare the two loops.
+func NewTransientSolver(c *Circuit, newton bool) *TransientSolver {
 	return &TransientSolver{
 		c:      c,
-		opt:    sv.opt,
-		sv:     sv,
-		linear: c.Linear() && !sv.opt.ForceNewton,
+		sv:     newSolverWS(c, nil),
+		linear: c.Linear() && !newton,
 	}
 }
 
@@ -82,8 +57,7 @@ func (ts *TransientSolver) resetDynamicState() {
 // steps, starting from the DC operating point at t = 0. onStep is called
 // for every accepted point — step 0 is the operating point, step k the
 // solution at t = k·dur/steps. The solution passed to onStep reuses the
-// solver's buffers: clone it (Solution.Clone) to keep it beyond the
-// callback.
+// solver's buffers; copy what it needs beyond the callback.
 func (ts *TransientSolver) Run(dur float64, steps int, onStep func(step int, t float64, sol *Solution)) error {
 	if steps < 1 {
 		return fmt.Errorf("spice: transient needs at least 1 step")
@@ -113,21 +87,15 @@ func (ts *TransientSolver) Run(dur float64, steps int, onStep func(step int, t f
 	}
 	commit := func() {
 		for _, cap := range caps {
-			cap.commitStep(ws.x, ws.prev, dt, ts.opt.Trapezoid)
+			cap.commitStep(ws.x, ws.prev, dt)
 		}
 		copy(ws.prev, ws.x)
 	}
 	if !ts.linear {
 		for k := 1; k <= steps; k++ {
 			t := float64(k) * dt
-			tmpl := Stamper{
-				Time:        t,
-				Dt:          dt,
-				Prev:        ws.prev,
-				SrcScale:    1,
-				Trapezoidal: ts.opt.Trapezoid,
-			}
-			if err := sv.newton(tmpl, ts.opt.Gmin); err != nil {
+			tmpl := Stamper{Time: t, Dt: dt, Prev: ws.prev, SrcScale: 1}
+			if err := sv.newton(tmpl, gmin); err != nil {
 				return fmt.Errorf("spice: transient step %d (t=%g): %w", k, t, err)
 			}
 			commit()
@@ -148,13 +116,13 @@ func (ts *TransientSolver) Run(dur float64, steps int, onStep func(step int, t f
 	st := Stamper{
 		A: ws.a, B: ws.b, X: ws.x,
 		Time: dt, Dt: dt, Prev: ws.prev,
-		SrcScale: 1, Trapezoidal: ts.opt.Trapezoid,
+		SrcScale: 1,
 	}
 	for _, e := range ts.c.elements {
 		e.Stamp(&st)
 	}
 	for i := 0; i < nNodes; i++ {
-		ws.a.Add(i, i, ts.opt.Gmin)
+		ws.a.Add(i, i, gmin)
 	}
 	if err := ws.factor(); err != nil {
 		return fmt.Errorf("spice: singular MNA matrix: %w", err)
@@ -180,7 +148,7 @@ func (ts *TransientSolver) Run(dur float64, steps int, onStep func(step int, t f
 		st := Stamper{
 			A: nullMatrix{}, B: ws.b, X: ws.x,
 			Time: t, Dt: dt, Prev: ws.prev,
-			SrcScale: 1, Trapezoidal: ts.opt.Trapezoid,
+			SrcScale: 1,
 		}
 		for _, e := range rhs {
 			e.Stamp(&st)
@@ -192,25 +160,4 @@ func (ts *TransientSolver) Run(dur float64, steps int, onStep func(step int, t f
 		}
 	}
 	return nil
-}
-
-// Transient runs a fixed-timestep transient analysis over [0, dur] with
-// the given number of steps, materializing every solution. The initial
-// condition is the DC operating point at t = 0. Campaign code that only
-// needs a node waveform should prefer TransientSolver.Run, which streams
-// steps without retaining them.
-func Transient(c *Circuit, opt Options, dur float64, steps int) (*TransientResult, error) {
-	ts := NewTransientSolver(c, opt)
-	res := &TransientResult{
-		Time:      make([]float64, 0, steps+1),
-		Solutions: make([]*Solution, 0, steps+1),
-	}
-	err := ts.Run(dur, steps, func(k int, t float64, sol *Solution) {
-		res.Time = append(res.Time, t)
-		res.Solutions = append(res.Solutions, &Solution{circuit: c, X: append([]float64(nil), sol.X...)})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }

@@ -38,17 +38,17 @@ func TestNonPhysicalElementFailsLoudly(t *testing.T) {
 	if err := c.Validate(); err == nil {
 		t.Fatal("negative resistance not recorded")
 	}
-	if _, err := DCOperatingPoint(c, Options{}); err == nil {
+	if _, err := DCOperatingPoint(c); err == nil {
 		t.Fatal("DC analysis solved a circuit with a negative resistance")
 	}
-	if err := NewTransientSolver(c, Options{}).Run(1e-3, 10, nil); err == nil {
+	if err := NewTransientSolver(c, false).Run(1e-3, 10, nil); err == nil {
 		t.Fatal("transient solved a circuit with a negative resistance")
 	}
 	c2 := New()
 	n := c2.Node("n")
 	c2.Add(NewISource("I1", Ground, n, 1e-3))
 	c2.Add(NewCapacitor("C1", n, Ground, math.NaN()))
-	if _, err := DCOperatingPoint(c2, Options{}); err == nil {
+	if _, err := DCOperatingPoint(c2); err == nil {
 		t.Fatal("NaN capacitance accepted")
 	}
 }
@@ -63,11 +63,11 @@ func TestCircuitLinearDetection(t *testing.T) {
 	if c.Linear() {
 		t.Fatal("MOSFET circuit detected as linear")
 	}
-	if !NewTransientSolver(rcNetlist(nil), Options{}).Linear() {
+	if !NewTransientSolver(rcNetlist(nil), false).Linear() {
 		t.Fatal("fast path inactive on a linear circuit")
 	}
-	if NewTransientSolver(rcNetlist(nil), Options{ForceNewton: true}).Linear() {
-		t.Fatal("ForceNewton did not disable the fast path")
+	if NewTransientSolver(rcNetlist(nil), true).Linear() {
+		t.Fatal("the newton argument did not disable the fast path")
 	}
 }
 
@@ -77,65 +77,28 @@ func TestCircuitLinearDetection(t *testing.T) {
 // system converges onto exactly the same LU solution).
 func TestLinearFastPathBitIdenticalToNewton(t *testing.T) {
 	stim := wave.Sine{Amp: 0.5, Freq: 1e3, Offset: 0.2}
-	for _, trap := range []bool{false, true} {
-		run := func(force bool) []float64 {
-			c := rcNetlist(stim)
-			ts := NewTransientSolver(c, Options{Trapezoid: trap, ForceNewton: force})
-			if ts.Linear() == force {
-				t.Fatalf("fast path state wrong (force=%v)", force)
-			}
-			out := c.Node("out")
-			var vs []float64
-			if err := ts.Run(5e-3, 2000, func(k int, tt float64, sol *Solution) {
-				vs = append(vs, sol.VoltageAt(out))
-			}); err != nil {
-				t.Fatal(err)
-			}
-			return vs
+	run := func(newton bool) []float64 {
+		c := rcNetlist(stim)
+		ts := NewTransientSolver(c, newton)
+		if ts.Linear() == newton {
+			t.Fatalf("fast path state wrong (newton=%v)", newton)
 		}
-		fast, newton := run(false), run(true)
-		if len(fast) != 2001 || len(newton) != 2001 {
-			t.Fatalf("step counts: fast %d, newton %d", len(fast), len(newton))
-		}
-		for i := range fast {
-			if fast[i] != newton[i] {
-				t.Fatalf("trap=%v: step %d diverges: fast %v != newton %v",
-					trap, i, fast[i], newton[i])
-			}
-		}
-	}
-}
-
-// TestTransientSolverWorkspaceReuse runs the same analysis twice through
-// one shared workspace (the campaign trial pattern) and once through a
-// fresh solver; all three must agree bit for bit, proving stale buffer
-// contents never leak into results.
-func TestTransientSolverWorkspaceReuse(t *testing.T) {
-	stim := wave.Sine{Amp: 1, Freq: 2e3}
-	ws := NewWorkspace()
-	run := func(ws *Workspace, rOhms float64) []float64 {
-		c := New()
-		in, out := c.Node("in"), c.Node("out")
-		c.Add(NewVSourceWave("V1", in, Ground, stim))
-		c.Add(NewResistor("R1", in, out, rOhms))
-		c.Add(NewCapacitor("C1", out, Ground, 1e-7))
-		ts := NewTransientSolverWS(c, Options{Trapezoid: true}, ws)
+		out := c.Node("out")
 		var vs []float64
-		if err := ts.Run(2e-3, 500, func(k int, tt float64, sol *Solution) {
+		if err := ts.Run(5e-3, 2000, func(k int, tt float64, sol *Solution) {
 			vs = append(vs, sol.VoltageAt(out))
 		}); err != nil {
 			t.Fatal(err)
 		}
 		return vs
 	}
-	first := run(ws, 1e3)
-	run(ws, 22e3) // pollute the workspace with a different circuit
-	again := run(ws, 1e3)
-	fresh := run(nil, 1e3)
-	for i := range first {
-		if first[i] != again[i] || first[i] != fresh[i] {
-			t.Fatalf("step %d: workspace reuse changed the result: %v / %v / %v",
-				i, first[i], again[i], fresh[i])
+	fast, newton := run(false), run(true)
+	if len(fast) != 2001 || len(newton) != 2001 {
+		t.Fatalf("step counts: fast %d, newton %d", len(fast), len(newton))
+	}
+	for i := range fast {
+		if fast[i] != newton[i] {
+			t.Fatalf("step %d diverges: fast %v != newton %v", i, fast[i], newton[i])
 		}
 	}
 }
@@ -146,7 +109,7 @@ func TestTransientSolverWorkspaceReuse(t *testing.T) {
 func TestTransientSolverRepeatedRunsStartFromRest(t *testing.T) {
 	stim := wave.Sine{Amp: 1, Freq: 2e3}
 	c := rcNetlist(stim)
-	ts := NewTransientSolver(c, Options{Trapezoid: true})
+	ts := NewTransientSolver(c, false)
 	out := c.Node("out")
 	capture := func() []float64 {
 		var vs []float64
@@ -174,7 +137,7 @@ func TestTransientMatchesAnalyticRC(t *testing.T) {
 	c.Add(NewVSourceWave("V1", in, Ground, stepWave{at: 0, lo: 0, hi: 1}))
 	c.Add(NewResistor("R1", in, out, 1e3))
 	c.Add(NewCapacitor("C1", out, Ground, 1e-6))
-	ts := NewTransientSolver(c, Options{Trapezoid: true})
+	ts := NewTransientSolver(c, false)
 	if !ts.Linear() {
 		t.Fatal("expected fast path")
 	}
@@ -207,14 +170,14 @@ func TestDCOperatingPointWSReuse(t *testing.T) {
 		c.Add(NewMOSFET("M1", d, g, Ground, mosDevice()))
 		return c
 	}
-	cold, err := DCOperatingPoint(build(), Options{})
+	cold, err := DCOperatingPoint(build())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws := NewWorkspace()
 	var prev *Solution
 	for i := 0; i < 3; i++ {
-		sol, err := DCOperatingPointWS(build(), Options{}, prev, ws)
+		sol, err := DCOperatingPointWS(build(), prev, ws)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package testbench
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/biquad"
 	"repro/internal/core"
@@ -139,7 +140,10 @@ type NoiseSweepParams struct {
 
 // Validate bounds the sweep's per-point trial count and its total,
 // len(sigmas)·trials·(1 + len(dev_grid)) trials, and rejects a negative
-// sigma as the noise campaign does.
+// sigma as the noise campaign does. The sweep reports the first
+// dev_grid entry detected at ≥ 90 % and stops probing there, with 1.0
+// meaning "none in grid", so the grid must ascend strictly through
+// (0, 1).
 func (p *NoiseSweepParams) Validate() error {
 	if err := validateTrials("trials", p.Trials); err != nil {
 		return err
@@ -147,6 +151,14 @@ func (p *NoiseSweepParams) Validate() error {
 	for i, s := range p.Sigmas {
 		if s < 0 {
 			return fmt.Errorf("negative sigma %v in sigmas[%d]", s, i)
+		}
+	}
+	for i, d := range p.DevGrid {
+		if !(d > 0 && d < 1) {
+			return fmt.Errorf("dev_grid[%d] = %v out of (0, 1)", i, d)
+		}
+		if i > 0 && d <= p.DevGrid[i-1] {
+			return fmt.Errorf("dev_grid[%d] = %v after %v: the grid must ascend strictly", i, d, p.DevGrid[i-1])
 		}
 	}
 	if len(p.Sigmas) > MaxTrials/p.Trials/(1+len(p.DevGrid)) {
@@ -174,6 +186,9 @@ type FaultsParams struct {
 	Tol       float64        `json:"tol"`
 	Faults    []biquad.Fault `json:"faults,omitempty"`
 }
+
+// Validate bounds the fault list to MaxList entries.
+func (p *FaultsParams) Validate() error { return validateList("faults", len(p.Faults)) }
 
 // faultSet is the fault list the campaign injects: Faults, or
 // DefaultFaultSet when empty.
@@ -240,6 +255,24 @@ func validateSize(name string, n, limit int) error {
 	return nil
 }
 
+// MaxList bounds the list knobs whose every entry costs at least one
+// exact signature — on the SPICE backend a settling transient of up to
+// 17 periods at 2048 steps each — and, in temp, a fresh zone-LUT
+// certification per temperature: temps_k, train_devs, test_devs, devs
+// (metric, linear, q), shifts and faults. With MaxList entries in each
+// list, every one of these campaigns ran in at most 0.3 s on one worker
+// of a 2-vCPU x86-64 host (SPICE faults, q and spectral the slowest);
+// the defaults use at most 16 entries.
+const MaxList = 64
+
+// validateList bounds one list knob to MaxList entries.
+func validateList(name string, n int) error {
+	if n > MaxList {
+		return fmt.Errorf("len(%s) = %d exceeds the %d-entry list bound", name, n, MaxList)
+	}
+	return nil
+}
+
 // SelfTestParams configures the "selftest" campaign. A nil Threshold
 // calibrates one from Tol first.
 type SelfTestParams struct {
@@ -252,10 +285,33 @@ type TempParams struct {
 	TempsK []float64 `json:"temps_k"`
 }
 
+// Validate bounds the temperature list to MaxList entries and each
+// temperature to a finite positive value: the device model would
+// simulate a non-positive one at 300 K while the payload printed it.
+func (p *TempParams) Validate() error {
+	if err := validateList("temps_k", len(p.TempsK)); err != nil {
+		return err
+	}
+	for i, k := range p.TempsK {
+		if !(k > 0) || math.IsInf(k, 1) {
+			return fmt.Errorf("temps_k[%d] = %v K, want a finite positive temperature", i, k)
+		}
+	}
+	return nil
+}
+
 // SpectralParams configures the "spectral" campaign.
 type SpectralParams struct {
 	TrainDevs []float64 `json:"train_devs"`
 	TestDevs  []float64 `json:"test_devs"`
+}
+
+// Validate bounds both deviation lists to MaxList entries.
+func (p *SpectralParams) Validate() error {
+	if err := validateList("train_devs", len(p.TrainDevs)); err != nil {
+		return err
+	}
+	return validateList("test_devs", len(p.TestDevs))
 }
 
 // RegressParams configures the "regress" campaign.
@@ -264,10 +320,21 @@ type RegressParams struct {
 	TestDevs  []float64 `json:"test_devs"`
 }
 
+// Validate bounds both deviation lists to MaxList entries.
+func (p *RegressParams) Validate() error {
+	if err := validateList("train_devs", len(p.TrainDevs)); err != nil {
+		return err
+	}
+	return validateList("test_devs", len(p.TestDevs))
+}
+
 // MetricParams configures the "metric" campaign.
 type MetricParams struct {
 	Devs []float64 `json:"devs"`
 }
+
+// Validate bounds the deviation list to MaxList entries.
+func (p *MetricParams) Validate() error { return validateList("devs", len(p.Devs)) }
 
 // CounterParams configures the "counter" campaign.
 type CounterParams struct {
@@ -311,10 +378,16 @@ type LinearParams struct {
 	Devs []float64 `json:"devs"`
 }
 
+// Validate bounds the deviation list to MaxList entries.
+func (p *LinearParams) Validate() error { return validateList("devs", len(p.Devs)) }
+
 // QParams configures the "q" campaign.
 type QParams struct {
 	Devs []float64 `json:"devs"`
 }
+
+// Validate bounds the deviation list to MaxList entries.
+func (p *QParams) Validate() error { return validateList("devs", len(p.Devs)) }
 
 // StimOptParams configures the "stimopt" campaign.
 type StimOptParams struct {
@@ -329,6 +402,9 @@ func (p *StimOptParams) Validate() error { return validateSize("grid", p.Grid, M
 type BackendsParams struct {
 	Shifts []float64 `json:"shifts"`
 }
+
+// Validate bounds the shift list to MaxList entries.
+func (p *BackendsParams) Validate() error { return validateList("shifts", len(p.Shifts)) }
 
 // Table1Params configures the "table1" campaign (no knobs).
 type Table1Params struct{}

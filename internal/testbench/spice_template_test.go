@@ -9,13 +9,19 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/ndf"
+	"repro/internal/wave"
 )
 
-// rebuildCUT hides SpiceCUT.OutputScratch, so core serves every trial
-// through Output — the rebuild-per-trial reference path the trial
-// templates are pinned against. Perturb re-wraps its results, so every
-// deviated or faulty CUT a campaign derives rebuilds too.
+// rebuildCUT serves every output through SpiceCUT.RebuildOutput, the
+// rebuild-per-trial TransientSolver oracle the circuit templates are
+// pinned against. It hides OutputScratch, so core calls Output for
+// every trial, and Perturb re-wraps its results, so every deviated or
+// faulty CUT a campaign derives rebuilds too.
 type rebuildCUT struct{ core.CUT }
+
+func (r rebuildCUT) Output(stim *wave.Multitone, out biquad.Output) (wave.Waveform, error) {
+	return r.CUT.(*biquad.SpiceCUT).RebuildOutput(stim, out)
+}
 
 func (r rebuildCUT) Perturb(dev core.Deviation) (core.CUT, error) {
 	c, err := r.CUT.Perturb(dev)
@@ -25,14 +31,14 @@ func (r rebuildCUT) Perturb(dev core.Deviation) (core.CUT, error) {
 	return rebuildCUT{c}, nil
 }
 
-// templateTestSystem builds a SPICE-backed reference system at reduced
-// resolution (fast enough for exhaustive comparison), its trials served
-// by the circuit templates or, with rebuild, by rebuildCUT.
+// templateTestSystem builds a SPICE-backed reference system at a
+// reduced scan resolution, its trials served by the circuit templates
+// or, with rebuild, by rebuildCUT.
 func templateTestSystem(t *testing.T, rebuild bool, obs core.Observation) *core.System {
 	t.Helper()
 	ref := core.Default()
 	var cut core.CUT
-	cut, err := biquad.NewSpiceCUTFromParams(ref.Golden(), biquad.SpiceConfig{StepsPerPeriod: 256})
+	cut, err := biquad.NewSpiceCUTFromParams(ref.Golden())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +56,9 @@ func templateTestSystem(t *testing.T, rebuild bool, obs core.Observation) *core.
 
 // TestSpiceTemplateCampaignBitIdentity is the end-to-end contract of the
 // trial-template engine: full fault-table and yield campaigns on the
-// SPICE backend produce byte-identical payloads with templates on and
-// off (rebuildCUT), for both observations, at 1, 4 and 8 workers.
+// SPICE backend produce byte-identical payloads on the templates and on
+// the rebuild oracle (rebuildCUT), for both observations, at 1, 4 and 8
+// workers.
 func TestSpiceTemplateCampaignBitIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SPICE campaign comparison is slower")

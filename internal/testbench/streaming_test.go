@@ -3,6 +3,7 @@ package testbench
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -362,13 +363,23 @@ func exhaustingSpecs() []struct{ json, knob string } {
 		{`{"campaign":"counter","params":{"clocks":[1e13]}}`, "clocks"},
 		{`{"campaign":"noisesweep","params":{"sigmas":[0.005,-0.01]}}`, "sigmas"},
 		{`{"campaign":"noise","params":{"trials":1000,"devs":[` + devs[:len(devs)-1] + `]}}`, "devs"},
+		// The sweep stops at the first grid entry it detects, and 1.0
+		// stands for "none in grid": a descending grid reported 10 %
+		// where the ascending one reports 5 %, a negative one −5 %.
+		{`{"campaign":"noisesweep","params":{"sigmas":[0.002],"dev_grid":[0.1,0.05]}}`, "dev_grid"},
+		{`{"campaign":"noisesweep","params":{"sigmas":[0.002],"dev_grid":[-0.05,0]}}`, "dev_grid"},
+		{`{"campaign":"noisesweep","params":{"sigmas":[0.002],"dev_grid":[0.5,1]}}`, "dev_grid"},
+		// The device model simulates a non-positive temperature at 300 K.
+		{`{"campaign":"temp","params":{"temps_k":[0]}}`, "temps_k"},
+		{`{"campaign":"temp","params":{"temps_k":[-50]}}`, "temps_k"},
 	}
 }
 
-// TestInputBoundsRejectExhaustingSpecs: each exhausting spec fails
-// Validate (and Run) before any work starts, naming its knob; every
-// bound admits its edge; and the runner refuses a counter capture over
-// MaxSamples ticks on a custom system's long period.
+// TestInputBoundsRejectExhaustingSpecs: each exhausting or ill-formed
+// spec fails Validate (and Run) before any work starts, naming its
+// knob; every bound admits its edge and rejects one past it, naming the
+// knob; and the runner refuses a counter capture over MaxSamples ticks
+// on a custom system's long period.
 func TestInputBoundsRejectExhaustingSpecs(t *testing.T) {
 	for _, c := range exhaustingSpecs() {
 		spec, err := decodeSpec([]byte(c.json))
@@ -397,28 +408,49 @@ func TestInputBoundsRejectExhaustingSpecs(t *testing.T) {
 		}
 		return out
 	}
+	grid := []float64{0.01, 0.02, 0.05}
+	list := make([]float64, MaxList+1)
+	temps := make([]float64, MaxList+1)
+	for i := range temps {
+		temps[i] = 300
+	}
+	faults := make([]biquad.Fault, MaxList+1)
 	for _, c := range []struct {
-		campaign string
-		ok, over any
+		campaign, knob string
+		ok, over       any
 	}{
-		{"counter", CounterParams{Shift: 0.1, Bits: []int{1, 32}, Clocks: []float64{MaxClockHz}},
+		{"counter", "bits", CounterParams{Shift: 0.1, Bits: []int{1, 32}, Clocks: []float64{MaxClockHz}},
 			CounterParams{Shift: 0.1, Bits: []int{1, 33}, Clocks: []float64{1e6}}},
-		{"counter", CounterParams{Shift: 0.1, Bits: bits(MaxCounterList, 8), Clocks: []float64{1e6}},
+		{"counter", "bits", CounterParams{Shift: 0.1, Bits: bits(MaxCounterList, 8), Clocks: []float64{1e6}},
 			CounterParams{Shift: 0.1, Bits: bits(MaxCounterList+1, 8), Clocks: []float64{1e6}}},
-		{"counter", CounterParams{Shift: 0.1, Bits: []int{8}, Clocks: clocks(MaxCounterList, 1e6)},
+		{"counter", "clocks", CounterParams{Shift: 0.1, Bits: []int{8}, Clocks: clocks(MaxCounterList, 1e6)},
 			CounterParams{Shift: 0.1, Bits: []int{8}, Clocks: clocks(MaxCounterList+1, 1e6)}},
-		{"counter", CounterParams{Shift: 0.1, Bits: []int{8}, Clocks: []float64{1e6}},
+		{"counter", "clocks", CounterParams{Shift: 0.1, Bits: []int{8}, Clocks: []float64{1e6}},
 			CounterParams{Shift: 0.1, Bits: []int{8}, Clocks: []float64{1e6, 0}}},
-		{"noise", NoiseParams{Sigma: 0.005, Devs: make([]float64, 9), NullTrials: MaxTrials / 2, Trials: MaxTrials / 20},
+		{"noise", "null_trials", NoiseParams{Sigma: 0.005, Devs: make([]float64, 9), NullTrials: MaxTrials / 2, Trials: MaxTrials / 20},
 			NoiseParams{Sigma: 0.005, Devs: make([]float64, 9), NullTrials: MaxTrials/2 + 1, Trials: MaxTrials / 20}},
-		{"noisesweep", NoiseSweepParams{Sigmas: make([]float64, 5), DevGrid: make([]float64, 3), Trials: MaxTrials / 20},
-			NoiseSweepParams{Sigmas: make([]float64, 5), DevGrid: make([]float64, 3), Trials: MaxTrials/20 + 1}},
+		{"noisesweep", "trials", NoiseSweepParams{Sigmas: make([]float64, 5), DevGrid: grid, Trials: MaxTrials / 20},
+			NoiseSweepParams{Sigmas: make([]float64, 5), DevGrid: grid, Trials: MaxTrials/20 + 1}},
+		{"noisesweep", "dev_grid", NoiseSweepParams{Sigmas: []float64{0.002}, DevGrid: []float64{1e-9, 0.05, 0.999}, Trials: 5},
+			NoiseSweepParams{Sigmas: []float64{0.002}, DevGrid: []float64{0.05, 0.05}, Trials: 5}},
+		{"temp", "temps_k", TempParams{TempsK: []float64{1e-9, 1e4}},
+			TempParams{TempsK: []float64{300, math.Inf(1)}}},
+		{"temp", "temps_k", TempParams{TempsK: temps[1:]}, TempParams{TempsK: temps}},
+		{"spectral", "train_devs", SpectralParams{TrainDevs: list[1:]}, SpectralParams{TrainDevs: list}},
+		{"spectral", "test_devs", SpectralParams{TestDevs: list[1:]}, SpectralParams{TestDevs: list}},
+		{"regress", "train_devs", RegressParams{TrainDevs: list[1:]}, RegressParams{TrainDevs: list}},
+		{"regress", "test_devs", RegressParams{TestDevs: list[1:]}, RegressParams{TestDevs: list}},
+		{"metric", "devs", MetricParams{Devs: list[1:]}, MetricParams{Devs: list}},
+		{"linear", "devs", LinearParams{Devs: list[1:]}, LinearParams{Devs: list}},
+		{"q", "devs", QParams{Devs: list[1:]}, QParams{Devs: list}},
+		{"backends", "shifts", BackendsParams{Shifts: list[1:]}, BackendsParams{Shifts: list}},
+		{"faults", "faults", FaultsParams{Tol: 0.05, Faults: faults[1:]}, FaultsParams{Tol: 0.05, Faults: faults}},
 	} {
 		if err := Validate(Spec{Campaign: c.campaign, Params: c.ok}); err != nil {
 			t.Fatalf("%s %+v rejected: %v", c.campaign, c.ok, err)
 		}
-		if err := Validate(Spec{Campaign: c.campaign, Params: c.over}); err == nil {
-			t.Fatalf("%s %+v validated", c.campaign, c.over)
+		if err := Validate(Spec{Campaign: c.campaign, Params: c.over}); err == nil || !strings.Contains(err.Error(), c.knob) {
+			t.Fatalf("%s %+v: Validate = %v, want an error naming %q", c.campaign, c.over, err, c.knob)
 		}
 	}
 	// A 20 ms period at the default 10 MHz clock is 2·10⁵ ticks, under

@@ -23,19 +23,18 @@ func spicePinFaults() []biquad.Fault {
 // + capture transient, observe the output — on the FaultTableSpice
 // fault set, served sequentially through SpiceCUT.OutputScratch on one
 // reused scratch (what a campaign worker does), must beat the
-// rebuild-per-trial path (SpiceCUT.Output, the pre-template behavior)
-// by at least spiceTemplateFloor. The timed unit is the campaign's
-// per-trial SPICE work; signature extraction is shared verbatim by both
-// paths and pinned bit-identical end to end by
+// rebuild-per-trial oracle SpiceCUT.RebuildOutput by at least
+// spiceTemplateFloor. The timed unit is the campaign's per-trial SPICE
+// work; signature extraction is shared verbatim by both paths and
+// pinned bit-identical end to end by
 // TestSpiceTemplateCampaignBitIdentity, so it is excluded here to keep
 // the pin measuring the engine under test. The rebuild side pays netlist
 // elaboration, restamped transients and fresh buffers per trial. The pin
 // tolerates machine noise by deciding on the median over interleaved
 // pairs (pairedRatio); the companion bit-identity tests (spice
-// TestCircuitTemplateMatchesRebuild, biquad
-// TestOutputScratchMatchesOutput, testbench
-// TestSpiceTemplateCampaignBitIdentity) guarantee the speed never costs
-// a single bit.
+// TestCircuitTemplateMatchesRebuild, biquad TestOutputMatchesRebuild,
+// testbench TestSpiceTemplateCampaignBitIdentity) guarantee the speed
+// never costs a single bit.
 func TestSpiceTrialEnginePinnedSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing pin skipped in -short mode (race CI distorts timing)")
@@ -85,7 +84,7 @@ func TestSpiceTrialEnginePinnedSpeedup(t *testing.T) {
 			return err
 		}
 		for _, c := range cuts {
-			w, err := c.Output(stim, biquad.OutputLP)
+			w, err := c.RebuildOutput(stim, biquad.OutputLP)
 			if err != nil {
 				return err
 			}
@@ -93,8 +92,8 @@ func TestSpiceTrialEnginePinnedSpeedup(t *testing.T) {
 		}
 		return nil
 	}
-	// Warm both paths outside the timed region (tick caches, workspace
-	// pools, the scratch template) and surface any setup error early.
+	// Warm both paths outside the timed region (the tick cache, the
+	// scratch template) and surface any setup error early.
 	if err := tmplOp(); err != nil {
 		t.Fatal(err)
 	}
