@@ -1,5 +1,6 @@
 // Package repro's root benchmark harness: one benchmark per table and
-// figure of the paper's evaluation (see DESIGN.md §4 for the index).
+// figure of the paper's evaluation (each benchmark's comment names its
+// artifact; `go run ./cmd/mcmon -list` lists the campaigns behind them).
 // Each benchmark regenerates its artifact end to end and reports the
 // headline quantity through b.ReportMetric so `go test -bench=.` prints
 // the paper-vs-measured comparison alongside timing.
@@ -295,27 +296,33 @@ func BenchmarkSignatureCapture(b *testing.B) {
 }
 
 // EXACT: exact signature extraction of a +10 % f0 CUT — the per-trial
-// unit of the Fig. 8 sweep, fault tables and yield — on the batched
+// unit of the Fig. 8 sweep, fault tables and yield — on the zone-LUT
 // engine: scan grid through certified interpolation bands, transition
-// bisection through ClassifyLUT. BenchmarkExactSignatureScalar is the
-// retained scalar baseline (Classify at every scan and bisection point).
+// bisection through ClassifyLUT. BenchmarkExactSignatureScalar times the
+// per-point reference the tests check it against (refExact: Classify at
+// every scan and bisection point).
 func BenchmarkExactSignature(b *testing.B) {
-	benchmarkExactSignatureEngine(b, false)
+	benchmarkExactSignature(b, func(sys *core.System, c core.CUT) error {
+		_, err := sys.ExactSignature(c)
+		return err
+	})
 }
 
 func BenchmarkExactSignatureScalar(b *testing.B) {
-	benchmarkExactSignatureEngine(b, true)
+	benchmarkExactSignature(b, func(sys *core.System, c core.CUT) error {
+		_, err := refExact(sys, c)
+		return err
+	})
 }
 
-func benchmarkExactSignatureEngine(b *testing.B, scalar bool) {
+func benchmarkExactSignature(b *testing.B, extract func(*core.System, core.CUT) error) {
 	sys := core.Default()
-	sys.Scalar = scalar
 	cut, err := sys.Shifted(0.10)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.ExactSignature(cut); err != nil {
+		if err := extract(sys, cut); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -422,72 +429,93 @@ func BenchmarkZoneLUTBuild(b *testing.B) {
 	b.ReportMetric(frac, "certified_frac")
 }
 
-// SIG-BATCH: the batched tick-grid capture (cached stimulus grid, batch
-// output evaluation, zone-LUT classification, codes-slice walk) through
-// the one-shot CapturedSignature, which sizes a fresh trial scratch per
-// call (campaigns reuse one per worker inside NDFOfScratch and
-// NoisePlan.AveragedNDF). Compare against
-// BenchmarkSignatureCaptureScalar, the retained per-tick baseline.
+// SIG-BATCH: the tick-grid capture (cached stimulus grid, batch output
+// evaluation, zone-LUT classification, codes-slice walk) through the
+// one-shot CapturedSignature, which builds the CUT's tick plan and a
+// fresh trial scratch per call (campaigns reuse one scratch per worker
+// inside NoisePlan.AveragedNDF). Compare against
+// BenchmarkSignatureCaptureScalar, the per-tick reference.
 func BenchmarkSignatureCaptureBatched(b *testing.B) {
-	benchmarkSignatureCaptureEngine(b, false)
+	benchmarkSignatureCapture(b, func(sys *core.System, c core.CUT) error {
+		_, err := sys.CapturedSignature(c, 0, nil)
+		return err
+	})
 }
 
-// SIG-SCALAR: the retained scalar per-tick capture pipeline (the
-// pre-batching engine, kept as the certification baseline).
+// SIG-SCALAR: the per-tick reference capture the tests check the engine
+// against (refCapture: Classify at every tick, then the capture walk).
 func BenchmarkSignatureCaptureScalar(b *testing.B) {
-	benchmarkSignatureCaptureEngine(b, true)
+	benchmarkSignatureCapture(b, func(sys *core.System, c core.CUT) error {
+		_, err := refCapture(sys, c, 0, nil, nil)
+		return err
+	})
 }
 
-func benchmarkSignatureCaptureEngine(b *testing.B, scalar bool) {
+func benchmarkSignatureCapture(b *testing.B, capture func(*core.System, core.CUT) error) {
 	sys := core.Default()
-	sys.Scalar = scalar
 	cut, err := sys.Shifted(0.10)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := sys.CapturedSignature(cut, 0, nil); err != nil {
+	if err := capture(sys, cut); err != nil {
 		b.Fatal(err) // also warms the LUT and grid caches
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.CapturedSignature(cut, 0, nil); err != nil {
+		if err := capture(sys, cut); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // NDF-AVG-BATCH / NDF-AVG-SCALAR: four noisy periods of the averaged-NDF
-// measurement at the paper's σ = 0.005 with the noise plan warm — the
-// per-trial unit of the noise campaigns — on the batched engine
-// (certified noise skipping) and on the retained scalar one.
+// measurement at the paper's σ = 0.005 — the per-trial unit of the noise
+// campaigns — through NoisePlan.AveragedNDF with its plan warm
+// (certified noise skipping), and through the per-tick reference
+// (refAveragedNDF: every tick drawn and classified).
 func BenchmarkAveragedNDFBatched(b *testing.B) {
-	benchmarkAveragedNDFEngine(b, false)
+	benchmarkAveragedNDF(b, func(sys *core.System, c core.CUT) (func(*rng.Stream) (float64, error), error) {
+		plan, err := sys.NoisePlan(c, 0.005)
+		if err != nil {
+			return nil, err
+		}
+		sc := core.NewTrialScratch()
+		return func(src *rng.Stream) (float64, error) { return plan.AveragedNDF(src, 4, sc) }, nil
+	})
 }
 
 func BenchmarkAveragedNDFScalar(b *testing.B) {
-	benchmarkAveragedNDFEngine(b, true)
+	benchmarkAveragedNDF(b, func(sys *core.System, c core.CUT) (func(*rng.Stream) (float64, error), error) {
+		g, err := sys.GoldenSignature()
+		if err != nil {
+			return nil, err
+		}
+		buf := new(signature.CaptureBuffer)
+		return func(src *rng.Stream) (float64, error) { return refAveragedNDF(sys, c, 0.005, src, 4, g, buf) }, nil
+	})
 }
 
-func benchmarkAveragedNDFEngine(b *testing.B, scalar bool) {
+// benchmarkAveragedNDF times the four-period measurement that setup
+// returns, with its per-CUT state and scratch built and warmed outside
+// the timing loop.
+func benchmarkAveragedNDF(b *testing.B, setup func(*core.System, core.CUT) (func(*rng.Stream) (float64, error), error)) {
 	sys := core.Default()
-	sys.Scalar = scalar
 	cut, err := sys.Shifted(0.02)
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := sys.NoisePlan(cut, 0.005)
+	measure, err := setup(sys, cut)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc := core.NewTrialScratch()
 	src := rng.New(3)
-	if _, err := plan.AveragedNDF(src.Split(0), 1, sc); err != nil {
+	if _, err := measure(src.Split(0)); err != nil {
 		b.Fatal(err) // warm the scratch outside the timing loop
 	}
 	var v float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err = plan.AveragedNDF(src.Split(uint64(i)), 4, sc)
+		v, err = measure(src.Split(uint64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -25,6 +25,7 @@ import (
 	"repro/internal/prof"
 	"repro/internal/rng"
 	"repro/internal/signature"
+	"repro/internal/testbench"
 )
 
 func main() {
@@ -50,7 +51,21 @@ func main() {
 	}
 }
 
+// checkCapture bounds -clock and -bits as the counter campaign bounds
+// its captures, so a capture of the paper's period takes at most
+// testbench.MaxSamples ticks.
+func checkCapture(clock float64, bits int) error {
+	p := testbench.CounterParams{Bits: []int{bits}, Clocks: []float64{clock}}
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("-clock %g, -bits %d: %w", clock, bits, err)
+	}
+	return nil
+}
+
 func run(shift, sigma, clock float64, bits int, seed uint64, out, jsonOut, in, backend string) error {
+	if err := checkCapture(clock, bits); err != nil {
+		return err
+	}
 	sys, err := core.SystemForBackend(backend)
 	if err != nil {
 		return err

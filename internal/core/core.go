@@ -90,11 +90,9 @@ type System struct {
 	// Observe selects the monitored CUT output (default: low-pass).
 	// Set before first use; the golden signature is cached per system.
 	Observe Observation
-	// Scalar disables the batched tick-grid signature engine and runs
-	// the retained per-tick scalar pipeline — the reference baseline the
-	// batched engine is benchmarked and regression-tested against.
-	// Results are bit-identical either way (the zone LUT only answers
-	// where it can prove the scalar result). Set before first use.
+	// Scalar is ignored: every signature runs on the one zone-LUT
+	// pipeline. The field stays so that code written against the
+	// retired engine switch still compiles.
 	Scalar bool
 
 	goldenOnce sync.Once
@@ -156,15 +154,18 @@ func (s *System) scans() (ts, xs []float64, err error) {
 	return g.ts, g.xs, g.err
 }
 
-// TrialScratch bundles the per-worker reusable buffers of the batched
-// signature engine: perturbed sample grids plus the capture scratch
-// (raw entries, canonical entries, per-tick or per-scan-point codes).
-// One scratch per campaign worker; not safe for concurrent use.
+// TrialScratch bundles the per-worker reusable buffers of the signature
+// engine: the output samples of an exact scan, the capture scratch (raw
+// entries, canonical entries, per-tick or per-scan-point codes) and a
+// noisy period's random state. One scratch per campaign worker; not
+// safe for concurrent use.
 type TrialScratch struct {
 	capture signature.CaptureBuffer
-	// xs, ys hold the sample grids of captures and of the exact scans
-	// of sampled (SPICE) outputs; the band scan needs no sample buffer.
-	xs, ys []float64
+	// ys holds the output samples of the exact scans of sampled (SPICE)
+	// outputs; the band scan needs no sample buffer.
+	ys []float64
+	// noise holds the current period's noise substream.
+	noise rng.Stream
 	// polar holds a noise plan's block of polar pairs, allocated on the
 	// first noisy period.
 	polar *polarBlock
@@ -332,8 +333,8 @@ func (s *System) Lissajous(c CUT) (lissajous.Curve, error) {
 // the differential pair, so the capture only sees the in-band fraction.
 // With the noise spread specified over NoiseBandHz and the monitor
 // front-end passing MonitorBandHz, the effective per-sample sigma is
-// sigma·√(MonitorBandHz/NoiseBandHz). DESIGN.md records this
-// substitution; the noise_detect example reproduces the paper's
+// sigma·√(MonitorBandHz/NoiseBandHz). The README's noise claim records
+// this substitution; the noise_detect example reproduces the paper's
 // "deviations as low as 1% are detected" with these defaults.
 const (
 	// NoiseBandHz is the bandwidth over which the injected noise's sigma
@@ -353,7 +354,8 @@ func EffectiveNoiseSigma(sigma float64) float64 {
 // A non-nil noise stream adds band-limited Gaussian measurement noise to
 // both observed signals at every evaluation; sigma is the wideband spread
 // (the paper's 3σ = 0.015 V experiment uses sigma = 0.005) and the
-// monitor sees EffectiveNoiseSigma(sigma) of it.
+// monitor sees EffectiveNoiseSigma(sigma) of it. Fed to signature.Exact
+// or signature.CaptureCanonical, it is the tests' per-point oracle.
 func (s *System) Classifier(c CUT, sigma float64, noise *rng.Stream) (signature.Classifier, error) {
 	out, err := s.output(c)
 	if err != nil {
@@ -378,21 +380,12 @@ func (s *System) ExactSignature(c CUT) (*signature.Signature, error) {
 	return s.exactSignature(c, nil)
 }
 
-// exactSignature is ExactSignature with optional per-worker scratch. The
-// batched path classifies the scan grid with scanCodes and bisects the
-// bracketed transitions with Bank.ClassifyLUT. Both answer exactly as
-// Bank.Classify does, so the result is bit-identical to the scalar scan.
+// exactSignature is ExactSignature with optional per-worker scratch. It
+// classifies the scan grid with scanCodes and bisects the bracketed
+// transitions with Bank.ClassifyLUT. Both answer exactly as
+// Bank.Classify does, so the result is bit-identical to signature.Exact
+// on Classifier(c, 0, nil).
 func (s *System) exactSignature(c CUT, sc *TrialScratch) (*signature.Signature, error) {
-	if s.Scalar {
-		out, err := s.output(c)
-		if err != nil {
-			return nil, err
-		}
-		cls := func(t float64) monitor.Code {
-			return s.Bank.Classify(s.Stimulus.Eval(t), out.Eval(t))
-		}
-		return signature.Exact(cls, s.Period(), s.ScanN, 0)
-	}
 	out, err := s.outputScratch(c, sc)
 	if err != nil {
 		return nil, err
@@ -499,57 +492,17 @@ func bandCodes(bank *monitor.Bank, stim, out *wave.Multitone, ts, xs []float64, 
 }
 
 // CapturedSignature runs the Fig. 5 clocked capture for a CUT,
-// optionally with measurement noise. The caller owns the result.
+// optionally with measurement noise, as one period of the CUT's noise
+// plan. The caller owns the result. The noise takes one polar pair per
+// tick, the pairs two Gauss calls per tick would draw, so noise must
+// hold no Norm spare: a stream from rng.New, Split or NewSub holds none,
+// and PolarFill panics on one that does.
 func (s *System) CapturedSignature(c CUT, sigma float64, noise *rng.Stream) (*signature.Signature, error) {
-	return s.capturedSignature(c, sigma, noise, nil)
-}
-
-// capturedSignature implements the capture paths: the batched tick-grid
-// engine (cached stimulus grid, batch output evaluation, zone-LUT
-// classification, codes-slice capture) or — when s.Scalar is set — the
-// per-tick scalar pipeline. Both produce bit-identical signatures; a nil
-// sc degrades to one-shot scratch with a caller-owned result.
-func (s *System) capturedSignature(c CUT, sigma float64, noise *rng.Stream, sc *TrialScratch) (*signature.Signature, error) {
-	if s.Scalar {
-		cls, err := s.Classifier(c, sigma, noise)
-		if err != nil {
-			return nil, err
-		}
-		var buf *signature.CaptureBuffer
-		if sc != nil {
-			buf = &sc.capture
-		}
-		return signature.CaptureCanonical(cls, s.Period(), s.Capture, buf)
-	}
-	out, err := s.outputScratch(c, sc)
+	p, err := s.tickPlan(c, sigma)
 	if err != nil {
 		return nil, err
 	}
-	ts, xs, err := s.ticks()
-	if err != nil {
-		return nil, err
-	}
-	var buf *signature.CaptureBuffer
-	if sc == nil {
-		sc = NewTrialScratch()
-	} else {
-		buf = &sc.capture
-	}
-	n := len(ts)
-	ys := grow(&sc.ys, n)
-	wave.EvalInto(out, ts, ys)
-	xv := xs
-	if sigma > 0 && noise != nil {
-		eff := EffectiveNoiseSigma(sigma)
-		xv = grow(&sc.xs, n)
-		for k := 0; k < n; k++ {
-			xv[k] = xs[k] + noise.Gauss(0, eff)
-			ys[k] += noise.Gauss(0, eff)
-		}
-	}
-	codes := sc.capture.Codes(n)
-	s.Bank.ClassifyBatch(xv, ys, codes)
-	return signature.CaptureCanonicalCodes(codes, s.Period(), s.Capture, buf)
+	return p.capture(noise, NewTrialScratch(), nil)
 }
 
 // GoldenSignature returns the (cached) exact signature of the golden CUT.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/biquad"
@@ -38,8 +39,22 @@ func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(s.Stimulus, s.CUT, s.Bank, signature.CaptureConfig{}); err == nil {
 		t.Fatal("invalid capture accepted")
 	}
+	for _, clock := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := NewSystem(s.Stimulus, s.CUT, s.Bank, signature.CaptureConfig{ClockHz: clock, CounterBits: 16}); err == nil {
+			t.Fatalf("clock %g accepted", clock)
+		}
+	}
 	if _, err := NewSystem(s.Stimulus, s.CUT, s.Bank, s.Capture); err != nil {
 		t.Fatalf("valid system rejected: %v", err)
+	}
+	// A clock whose capture an int cannot count fails as too long before
+	// any tick grid is allocated.
+	fast, err := NewSystem(s.Stimulus, s.CUT, s.Bank, signature.CaptureConfig{ClockHz: 1e30, CounterBits: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fast.CapturedSignature(s.CUT, 0, nil); err == nil || !strings.Contains(err.Error(), "too long") {
+		t.Fatalf("1e30 Hz capture: error %v, want a too-long capture", err)
 	}
 }
 

@@ -89,17 +89,23 @@ type NoisePlan struct {
 }
 
 // NoisePlan builds the noise plan of CUT c at wideband noise spread
-// sigma (see Classifier). A system with Scalar set keeps no tick state:
-// its plan measures every period through the per-tick scalar pipeline.
+// sigma (see Classifier).
 func (s *System) NoisePlan(c CUT, sigma float64) (*NoisePlan, error) {
 	g, err := s.GoldenSignature()
 	if err != nil {
 		return nil, err
 	}
-	p := &NoisePlan{s: s, c: c, sigma: sigma, g: g}
-	if s.Scalar {
-		return p, nil
+	p, err := s.tickPlan(c, sigma)
+	if err != nil {
+		return nil, err
 	}
+	p.g = g
+	return p, nil
+}
+
+// tickPlan builds the noise plan without its golden signature, which
+// only AveragedNDF reads: the state of one-shot captures.
+func (s *System) tickPlan(c CUT, sigma float64) (*NoisePlan, error) {
 	out, err := s.output(c)
 	if err != nil {
 		return nil, err
@@ -108,6 +114,7 @@ func (s *System) NoisePlan(c CUT, sigma float64) (*NoisePlan, error) {
 	if err != nil {
 		return nil, err
 	}
+	p := &NoisePlan{s: s, c: c, sigma: sigma}
 	p.xs, p.ys, p.codes = xs, make([]float64, len(ts)), make([]monitor.Code, len(ts))
 	wave.EvalInto(out, ts, p.ys)
 	s.Bank.ClassifyBatch(p.xs, p.ys, p.codes)
@@ -186,9 +193,14 @@ func (p *NoisePlan) AveragedNDF(noise *rng.Stream, periods int, sc *TrialScratch
 	for k := 0; k < periods; k++ {
 		var src *rng.Stream
 		if noise != nil {
-			src = noise.Split(uint64(k))
+			noise.SplitInto(&sc.noise, uint64(k))
+			src = &sc.noise
 		}
-		v, err := p.period(src, sc)
+		obs, err := p.capture(src, sc, &sc.capture)
+		if err != nil {
+			return 0, err
+		}
+		v, err := ndf.NDF(obs, p.g)
 		if err != nil {
 			return 0, err
 		}
@@ -197,27 +209,18 @@ func (p *NoisePlan) AveragedNDF(noise *rng.Stream, periods int, sc *TrialScratch
 	return sum / float64(periods), nil
 }
 
-// period measures one period's NDF with noise from src (nil: none).
+// capture captures one period with noise from src (nil: none), drawing
+// its noisy codes into sc. A nil buf returns a caller-owned signature;
+// otherwise the signature lives in buf until its next capture.
 //
 //mclint:hotpath
-func (p *NoisePlan) period(src *rng.Stream, sc *TrialScratch) (float64, error) {
-	if p.s.Scalar {
-		obs, err := p.s.capturedSignature(p.c, p.sigma, src, sc)
-		if err != nil {
-			return 0, err
-		}
-		return ndf.NDF(obs, p.g)
-	}
+func (p *NoisePlan) capture(src *rng.Stream, sc *TrialScratch, buf *signature.CaptureBuffer) (*signature.Signature, error) {
 	codes := p.codes
 	if p.r2min != nil && src != nil {
 		codes = sc.capture.Codes(len(p.codes))
 		p.noisyCodes(src, sc.polarBlock(), codes)
 	}
-	obs, err := signature.CaptureCanonicalCodes(codes, p.s.Period(), p.s.Capture, &sc.capture)
-	if err != nil {
-		return 0, err
-	}
-	return ndf.NDF(obs, p.g)
+	return signature.CaptureCanonicalCodes(codes, p.s.Period(), p.s.Capture, buf)
 }
 
 // noisyCodes fills codes with one period's noisy tick codes, drawing

@@ -147,7 +147,8 @@ func TestNoisePlanMatchesPerTickLoop(t *testing.T) {
 // operating point: the band-pass observation, yield-style component
 // dies, the SPICE backend (the plan takes its output once through
 // Output, the oracle through the per-worker template), a bank without
-// a zone LUT (which must never skip), no noise and a scalar system.
+// a zone LUT (which must never skip) and no noise; and it checks the
+// plan against the per-point reference (refAveragedNDF).
 func TestNoisePlanMatchesPerTickElsewhere(t *testing.T) {
 	bp := Default()
 	bp.Observe = ObserveBP
@@ -200,18 +201,17 @@ func TestNoisePlanMatchesPerTickElsewhere(t *testing.T) {
 	if got, err := p.AveragedNDF(nil, 3, nil); err != nil || got != want {
 		t.Fatalf("nil noise stream: plan %v (%v), per-tick %v", got, err, want)
 	}
-	ps := noisePlan(t, scalarTwin(), Deviation{F0Shift: 0.01}, 0.005)
 	for seed := uint64(600); seed < 603; seed++ {
-		got, err := ps.AveragedNDF(rng.New(seed), 2, nil)
+		want, err := refAveragedNDF(lp, p.c, 0.005, rng.New(seed), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := p.AveragedNDF(rng.New(seed), 2, nil)
+		got, err := p.AveragedNDF(rng.New(seed), 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("seed %d: scalar plan %v, batched %v", seed, got, want)
+			t.Fatalf("seed %d: plan %v, reference %v", seed, got, want)
 		}
 	}
 }

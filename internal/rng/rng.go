@@ -41,6 +41,13 @@ func splitmix64(x *uint64) uint64 {
 // independent streams.
 func New(seed uint64) *Stream {
 	st := &Stream{}
+	st.seed(seed)
+	return st
+}
+
+// seed resets st to the stream New(seed) returns.
+func (st *Stream) seed(seed uint64) {
+	*st = Stream{}
 	x := seed
 	for i := range st.s {
 		st.s[i] = splitmix64(&x)
@@ -49,7 +56,6 @@ func New(seed uint64) *Stream {
 	if st.s[0]|st.s[1]|st.s[2]|st.s[3] == 0 {
 		st.s[0] = 1
 	}
-	return st
 }
 
 // Split derives a new independent stream from s, keyed by id. It is used
@@ -58,7 +64,16 @@ func New(seed uint64) *Stream {
 // depends on call order: call it serially (before any fan-out) when the
 // substreams feed parallel workers.
 func (s *Stream) Split(id uint64) *Stream {
-	return New(s.Uint64() ^ (id * 0x9e3779b97f4a7c15) ^ 0xd1b54a32d192ed03)
+	st := &Stream{}
+	s.SplitInto(st, id)
+	return st
+}
+
+// SplitInto is Split into caller-owned state: it advances s exactly as
+// Split(id) does and overwrites dst with the stream Split(id) would
+// return, so a loop that derives one substream per step allocates none.
+func (s *Stream) SplitInto(dst *Stream, id uint64) {
+	dst.seed(s.Uint64() ^ (id * 0x9e3779b97f4a7c15) ^ 0xd1b54a32d192ed03)
 }
 
 // NewSub returns the id-th substream of the root seed. Unlike Split it is

@@ -97,6 +97,37 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
+// TestSplitIntoMatchesSplit: SplitInto fills its destination, draw for
+// draw, with the stream Split returns, advances the parent as Split
+// does, and clears whatever the destination held, a pending Norm spare
+// included.
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	dst := *New(99)
+	dst.Norm() // leave a spare pending in the reused destination
+	for seed := uint64(0); seed < 50; seed++ {
+		a, b := New(seed), New(seed)
+		for id := uint64(0); id < 5; id++ {
+			want := a.Split(id)
+			b.SplitInto(&dst, id)
+			if dst != *want {
+				t.Fatalf("seed %d id %d: SplitInto state %+v, Split %+v", seed, id, dst, *want)
+			}
+			for i := 0; i < 16; i++ {
+				if x, y := dst.Norm(), want.Norm(); x != y {
+					t.Fatalf("seed %d id %d draw %d: SplitInto %v, Split %v", seed, id, i, x, y)
+				}
+				if x, y := dst.Uint64(), want.Uint64(); x != y {
+					t.Fatalf("seed %d id %d draw %d: SplitInto %v, Split %v", seed, id, i, x, y)
+				}
+			}
+			dst.Norm()
+		}
+		if *a != *b {
+			t.Fatalf("seed %d: parents differ after the splits", seed)
+		}
+	}
+}
+
 // Property: any seed yields a usable stream whose first 32 floats are in
 // range and not all identical.
 func TestAnySeedUsableProperty(t *testing.T) {

@@ -134,6 +134,39 @@ func TestSubmitRunAndResult(t *testing.T) {
 	}
 }
 
+// A body that sets the retired "scalar" engine switch is still accepted
+// and returns the payload of the same body without it; the job's
+// effective spec records scalar as false.
+func TestSubmitRetiredScalarSpec(t *testing.T) {
+	_, ts := newTestServer(t)
+	const params = `"params":{"max_dev":0.1,"points":5,"tol":0.05}`
+	var payloads [2][]byte
+	for i, body := range []string{
+		`{"campaign":"fig8",` + params + `}`,
+		`{"campaign":"fig8","scalar":true,` + params + `}`,
+	} {
+		resp, st := postSpec(t, ts.URL, body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST %s: status %s", body, resp.Status)
+		}
+		final := waitState(t, ts.URL, st.ID, 30*time.Second, StateDone, StateFailed)
+		if final.State != StateDone {
+			t.Fatalf("POST %s: job ended %q: %s", body, final.State, final.Error)
+		}
+		if final.Result.Spec.Scalar {
+			t.Fatalf("POST %s: effective spec records scalar", body)
+		}
+		data, err := json.Marshal(final.Result.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads[i] = data
+	}
+	if !bytes.Equal(payloads[0], payloads[1]) {
+		t.Fatalf("scalar changed the payload:\n%s\nvs\n%s", payloads[1], payloads[0])
+	}
+}
+
 // Bad specs are rejected with 400 before any job is created.
 func TestSubmitValidation(t *testing.T) {
 	s, ts := newTestServer(t)

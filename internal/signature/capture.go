@@ -32,8 +32,8 @@ func DefaultCapture() CaptureConfig {
 
 // Validate checks the configuration.
 func (c CaptureConfig) Validate() error {
-	if c.ClockHz <= 0 {
-		return fmt.Errorf("signature: clock %g Hz must be positive", c.ClockHz)
+	if !(c.ClockHz > 0) || math.IsInf(c.ClockHz, 1) {
+		return fmt.Errorf("signature: clock %g Hz must be finite and positive", c.ClockHz)
 	}
 	if c.CounterBits < 1 || c.CounterBits > 32 {
 		return fmt.Errorf("signature: counter bits %d out of [1,32]", c.CounterBits)
@@ -54,11 +54,15 @@ func (c CaptureConfig) Ticks(T float64) (int, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
 	}
-	if T <= 0 {
+	if !(T > 0) {
 		return 0, fmt.Errorf("signature: period %g must be positive", T)
 	}
 	tick := 1 / c.ClockHz
-	n := int(math.Round(T / tick))
+	r := math.Round(T / tick)
+	if !(r < float64(math.MaxInt)) {
+		return 0, fmt.Errorf("signature: capture of period %g at clock %g Hz is too long: %g ticks", T, c.ClockHz, r)
+	}
+	n := int(r)
 	if n < 2 {
 		return 0, fmt.Errorf("signature: period %g too short for clock %g", T, c.ClockHz)
 	}
@@ -71,7 +75,9 @@ func (c CaptureConfig) Ticks(T float64) (int, error) {
 // the counter range, the counter wraps and the capture emits a split
 // entry of the maximum measurable duration — the post-processing
 // Canonical() merge restores the total dwell, which is how the readout
-// software of such a monitor recovers long intervals.
+// software of such a monitor recovers long intervals. Capture and
+// CaptureCanonical are the per-tick references of CaptureCanonicalCodes,
+// which production captures go through.
 func Capture(classify Classifier, T float64, cfg CaptureConfig) (*Signature, error) {
 	entries, err := captureRaw(classify, T, cfg, nil)
 	if err != nil {
@@ -128,8 +134,8 @@ func CaptureCanonical(classify Classifier, T float64, cfg CaptureConfig, buf *Ca
 // (codes[k] = code at t = k/ClockHz, len(codes) == cfg.Ticks(T)) and the
 // capture hardware model just walks the slice. Buffer semantics match
 // CaptureCanonical; codes may alias buf.Codes. The result is
-// bit-identical to the scalar CaptureCanonical fed a classifier that
-// returns the same per-tick codes.
+// bit-identical to CaptureCanonical fed a classifier that returns the
+// same per-tick codes.
 //
 //mclint:hotpath
 func CaptureCanonicalCodes(codes []monitor.Code, T float64, cfg CaptureConfig, buf *CaptureBuffer) (*Signature, error) {
@@ -150,7 +156,7 @@ func CaptureCanonicalCodes(codes []monitor.Code, T float64, cfg CaptureConfig, b
 
 // walkIntoBuf runs walkCodes with the buffer's raw scratch (writing the
 // grown slice back) and maps an empty result to ErrEmpty — the buffer
-// bookkeeping shared by the scalar and codes-slice capture paths.
+// bookkeeping shared by the per-tick and codes-slice capture paths.
 func walkIntoBuf(codes []monitor.Code, T float64, cfg CaptureConfig, buf *CaptureBuffer) ([]Entry, error) {
 	var scratch []Entry
 	if buf != nil {

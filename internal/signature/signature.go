@@ -169,8 +169,9 @@ func (s *Signature) String() string {
 
 // Exact extracts the ideal (unquantized) signature of a classifier over
 // one period T: it scans with nScan samples and refines every transition
-// instant by bisection to tol seconds. It is the reference the clocked
-// capture is tested against.
+// instant by bisection to tol seconds. It is the per-point reference the
+// tests check ExactFromCodes and the clocked capture against; production
+// extraction classifies its scan grid in bulk and calls ExactFromCodes.
 func Exact(classify Classifier, T float64, nScan int, tol float64) (*Signature, error) {
 	if T <= 0 {
 		return nil, fmt.Errorf("signature: period %g must be positive", T)
@@ -193,7 +194,7 @@ func Exact(classify Classifier, T float64, nScan int, tol float64) (*Signature, 
 // result is bit-identical to Exact with that classifier. The batched
 // engine bisects through the same zone LUT that classified the grid
 // (monitor.Bank.ClassifyLUT), which answers every instant exactly as
-// the scalar classifier does.
+// monitor.Bank.Classify does.
 func ExactFromCodes(codes []monitor.Code, classify Classifier, T float64, tol float64) (*Signature, error) {
 	nScan := len(codes) - 1
 	if T <= 0 {

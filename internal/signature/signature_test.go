@@ -202,6 +202,38 @@ func TestCaptureValidation(t *testing.T) {
 	}
 }
 
+// TestCaptureConfigRefusesUncapturableClocks: a clock that is NaN or
+// +Inf fails validation, and a capture whose tick count an int cannot
+// hold fails as too long, not as a period too short for its clock.
+// Tick counts up to just below 2^63 are accepted.
+func TestCaptureConfigRefusesUncapturableClocks(t *testing.T) {
+	const T = 200e-6
+	for _, clock := range []float64{math.NaN(), math.Inf(1)} {
+		cfg := CaptureConfig{ClockHz: clock, CounterBits: 16}
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("clock %g: Validate error %v, want a finite-clock error", clock, err)
+		}
+		if _, err := cfg.Ticks(T); err == nil {
+			t.Errorf("clock %g: Ticks accepted it", clock)
+		}
+	}
+	if n, err := (CaptureConfig{ClockHz: 1e20, CounterBits: 16}).Ticks(T); err != nil || math.Abs(float64(n)-2e16) > 8 {
+		t.Errorf("clock 1e20: Ticks = %d, %v, want about 2e16 ticks", n, err)
+	}
+	for _, c := range []struct{ T, clock float64 }{{T, 1e30}, {1, 0x1p63}, {math.Inf(1), 1e6}} {
+		_, err := CaptureConfig{ClockHz: c.clock, CounterBits: 16}.Ticks(c.T)
+		if err == nil || !strings.Contains(err.Error(), "too long") {
+			t.Errorf("period %g clock %g: Ticks error %v, want a too-long capture", c.T, c.clock, err)
+		}
+	}
+	if n, err := (CaptureConfig{ClockHz: 0x1p62, CounterBits: 16}).Ticks(1); err != nil || n != 1<<62 {
+		t.Errorf("2^62 ticks: Ticks = %d, %v", n, err)
+	}
+	if _, err := (CaptureConfig{ClockHz: 1e6, CounterBits: 16}).Ticks(math.NaN()); err == nil {
+		t.Error("NaN period accepted")
+	}
+}
+
 func TestCaptureDurationsSumToPeriod(t *testing.T) {
 	T := 200e-6
 	cap, err := Capture(stepClassifier(T), T, DefaultCapture())

@@ -6,19 +6,30 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/monitor"
 	"repro/internal/ndf"
 	"repro/internal/rng"
 )
 
-// scalarSystem returns the paper's system on the named backend with the
-// batched signature engine disabled — the reference baseline.
+// lutless hides a monitor's concrete type, so a bank of them has no zone
+// LUT: every code comes from Bank.Classify, and no interpolation band,
+// rectangle proof or noise skip is taken.
+type lutless struct{ monitor.Monitor }
+
+// scalarSystem returns the paper's system on the named backend with its
+// Table I monitors behind lutless — the per-point reference the zone-LUT
+// engine must match bit for bit.
 func scalarSystem(t *testing.T, backend string) *core.System {
 	t.Helper()
-	sys, err := core.SystemForBackend(backend)
-	if err != nil {
-		t.Fatal(err)
+	sys := batchedSystem(t, backend)
+	ms := make([]monitor.Monitor, sys.Bank.Size())
+	for i, m := range sys.Bank.Monitors() {
+		ms[i] = lutless{m}
 	}
-	sys.Scalar = true
+	sys.Bank = monitor.NewBank(ms...)
+	if enabled, _ := sys.Bank.BatchInfo(); enabled {
+		t.Fatal("the reference bank built a zone LUT")
+	}
 	return sys
 }
 
@@ -32,8 +43,8 @@ func batchedSystem(t *testing.T, backend string) *core.System {
 }
 
 // TestFaultTableScalarVsBatched: the component-fault campaign must
-// produce identical NDFs and verdicts on both engines, at any worker
-// count.
+// produce identical NDFs and verdicts on the paper's system and on its
+// per-point reference twin, at any worker count.
 func TestFaultTableScalarVsBatched(t *testing.T) {
 	dec := ndf.Decision{Threshold: 0.02}
 	faults := DefaultFaultSet()
@@ -61,7 +72,7 @@ func TestFaultTableScalarVsBatched(t *testing.T) {
 }
 
 // TestYieldScalarVsBatched: the production-yield simulation must score
-// identically on both engines.
+// identically on the paper's system and on its per-point reference twin.
 func TestYieldScalarVsBatched(t *testing.T) {
 	dec := ndf.Decision{Threshold: 0.03}
 	want, err := runAs[Yield](context.Background(), Spec{Campaign: "yield", Seed: 7, Params: YieldParams{N: 40, ComponentSigma: 0.02, Tol: 0.05, Threshold: &dec.Threshold}}, WithSystem(scalarSystem(t, "analytic")))
@@ -80,7 +91,8 @@ func TestYieldScalarVsBatched(t *testing.T) {
 
 // TestNoiseDetectionScalarVsBatched: the noisy averaged-NDF campaign —
 // the heaviest consumer of the capture path — must produce identical
-// detection rates and thresholds.
+// detection rates and thresholds on the paper's system and on its
+// per-point reference twin, where no tick skips its noise.
 func TestNoiseDetectionScalarVsBatched(t *testing.T) {
 	want, err := runAs[Noise](context.Background(), Spec{Campaign: "noise", Seed: 42, Params: NoiseParams{Sigma: 0.005, Devs: []float64{0.02}, NullTrials: 4, Trials: 4}}, WithSystem(scalarSystem(t, "analytic")))
 	if err != nil {
@@ -101,9 +113,10 @@ func TestNoiseDetectionScalarVsBatched(t *testing.T) {
 	}
 }
 
-// TestSpiceBackendScalarVsBatched: the same engine agreement on the
-// SPICE netlist backend (reduced campaign — the transient dominates the
-// runtime, so -short skips it like the other SPICE campaigns).
+// TestSpiceBackendScalarVsBatched: the same agreement with the
+// per-point reference twin on the SPICE netlist backend (reduced
+// campaign — the transient dominates the runtime, so -short skips it
+// like the other SPICE campaigns).
 func TestSpiceBackendScalarVsBatched(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SPICE campaign in -short mode")

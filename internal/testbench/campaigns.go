@@ -19,8 +19,8 @@ import (
 // discoverable at once.
 //
 // Params structs carry their defaults as field values; a spec overrides
-// only the fields it names. Common knobs (backend, seed, workers, scalar
-// engine) live on the Spec itself, not in params.
+// only the fields it names. Common knobs (backend, seed, workers, chunk,
+// checkpoint) live on the Spec itself, not in params.
 
 // Fig1Params configures the "fig1" campaign.
 type Fig1Params struct {

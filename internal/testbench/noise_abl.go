@@ -234,10 +234,6 @@ func runAblCounter(ctx context.Context, sys *core.System, shift float64, bits []
 	if err != nil {
 		return nil, err
 	}
-	cls, err := sys.Classifier(cut, 0, nil)
-	if err != nil {
-		return nil, err
-	}
 	out := &AblCounter{Shift: shift, Bits: bits, Clocks: clocks, ExactNDF: exact}
 	for _, m := range bits {
 		row := make([]float64, len(clocks))
@@ -251,11 +247,16 @@ func runAblCounter(ctx context.Context, sys *core.System, shift float64, bits []
 			if n, err := cfg.Ticks(sys.Period()); err == nil && n > MaxSamples {
 				return nil, fmt.Errorf("testbench: counter capture at %g Hz takes %d ticks, over the %d bound", f, n, MaxSamples)
 			}
-			sig, err := signature.Capture(cls, sys.Period(), cfg)
+			at, err := core.NewSystem(sys.Stimulus, sys.CUT, sys.Bank, cfg)
 			if err != nil {
 				return nil, err
 			}
-			v, err := ndf.NDF(sig.Canonical(), g)
+			at.Observe = sys.Observe
+			sig, err := at.CapturedSignature(cut, 0, nil)
+			if err != nil {
+				return nil, err
+			}
+			v, err := ndf.NDF(sig, g)
 			if err != nil {
 				return nil, err
 			}

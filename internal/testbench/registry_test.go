@@ -272,21 +272,52 @@ func TestRunCancellationPromptAndLeakFree(t *testing.T) {
 	}
 }
 
-// The scalar-engine knob must not change any campaign result (the batched
-// engine's bit-identity contract, reachable through the spec).
+// TestSpecScalarEngineBitIdentical: "scalar" is a retired engine switch
+// and a no-op. A spec that sets it decodes strictly, validates, and
+// returns the payload of the same spec without it, on the exact-signature
+// path (fig8) and the noisy capture path (noise); its effective spec
+// records it false.
 func TestSpecScalarEngineBitIdentical(t *testing.T) {
-	batched, err := Run(context.Background(), Spec{Campaign: "fig8",
-		Params: Fig8Params{MaxDev: 0.10, Points: 5, Tol: 0.05}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scalar, err := Run(context.Background(), Spec{Campaign: "fig8", Scalar: true,
-		Params: Fig8Params{MaxDev: 0.10, Points: 5, Tol: 0.05}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batched.Text != scalar.Text {
-		t.Fatalf("scalar engine changed the fig8 sweep:\n%s\nvs\n%s", batched.Text, scalar.Text)
+	for _, body := range []string{
+		`{"campaign":"fig8","scalar":true,"params":{"max_dev":0.1,"points":5,"tol":0.05}}`,
+		`{"campaign":"noise","seed":3,"scalar":true,"params":{"sigma":0.005,"devs":[0.02],"null_trials":4,"trials":4}}`,
+	} {
+		var spec Spec
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if !spec.Scalar {
+			t.Fatalf("%s: scalar did not decode", body)
+		}
+		if err := Validate(spec); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		plain := spec
+		plain.Scalar = false
+		want, err := Run(context.Background(), plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Spec.Scalar {
+			t.Fatalf("%s: the effective spec records scalar", body)
+		}
+		gp, err := json.Marshal(got.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wp, err := json.Marshal(want.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gp) != string(wp) || got.Text != want.Text {
+			t.Fatalf("%s: scalar changed the payload:\n%s\nvs\n%s", body, gp, wp)
+		}
 	}
 }
 

@@ -38,9 +38,10 @@ type Spec struct {
 	// unlike Chunk — the cadence is not part of the reproducibility
 	// contract; it only bounds how much work a killed run replays.
 	Checkpoint int `json:"checkpoint,omitempty"`
-	// Scalar disables the batched signature engine and runs the retained
-	// per-tick scalar pipeline (bit-identical, slower) — the knob the
-	// engine-agreement studies flip.
+	// Scalar is a retired engine switch and a no-op: every campaign runs
+	// on the one signature pipeline, whose results the switch never
+	// changed. It still decodes, so stored and submitted specs that set
+	// it keep running; the effective spec of a Result records it false.
 	Scalar bool `json:"scalar,omitempty"`
 	// Params holds the campaign-specific parameters. Accepted forms: nil
 	// (registry defaults), the campaign's typed params struct (or a
@@ -114,7 +115,7 @@ func WithMeter(m campaign.Meter) Option {
 }
 
 // WithSystem pins the system the campaign runs on, bypassing the spec's
-// Backend/Scalar resolution — the hook custom-configured systems use.
+// Backend resolution — the hook custom-configured systems use.
 func WithSystem(sys *core.System) Option {
 	return func(c *runConfig) { c.sys = sys }
 }
@@ -133,8 +134,8 @@ type Env struct {
 }
 
 // System resolves (once) the core.System the spec describes — the pinned
-// WithSystem value, or the paper's reference system on the spec backend
-// with the scalar-engine knob applied.
+// WithSystem value, or the paper's reference system on the spec backend.
+// It never modifies the system it resolves.
 func (ev *Env) System() (*core.System, error) {
 	if ev.resolved {
 		return ev.sys, ev.sysErr
@@ -149,9 +150,6 @@ func (ev *Env) System() (*core.System, error) {
 		backend = core.Backends()[0]
 	}
 	ev.sys, ev.sysErr = core.SystemForBackend(backend)
-	if ev.sysErr == nil && ev.spec.Scalar {
-		ev.sys.Scalar = true
-	}
 	return ev.sys, ev.sysErr
 }
 
@@ -212,6 +210,7 @@ func compile(spec Spec, opts ...Option) (*campaignDef, *Env, Spec, any, error) {
 	if workers > MaxWorkers {
 		return nil, nil, Spec{}, nil, fmt.Errorf("testbench: campaign %s: %d workers exceeds the %d-worker bound", spec.Campaign, workers, MaxWorkers)
 	}
+	spec.Scalar = false // a no-op the effective spec must not claim ran
 	ev := &Env{spec: spec, override: cfg.sys, workers: workers, progress: cfg.progress, meter: cfg.meter}
 	spec.Params = params
 	return def, ev, spec, params, nil

@@ -14,9 +14,9 @@ import (
 )
 
 // TestDriftBanksBatchedMatchesScalar: the corner and temperature drift
-// campaigns take each bank's exact signature on the batched engine,
-// zone LUT included. At every corner and every default temperature it
-// must equal the scalar pipeline's signature bit for bit.
+// campaigns take each bank's exact signature on the zone-LUT engine. At
+// every corner and every default temperature it must equal the
+// per-point reference, signature.Exact on Classifier, bit for bit.
 func TestDriftBanksBatchedMatchesScalar(t *testing.T) {
 	type driftBank struct {
 		name  string
@@ -31,30 +31,35 @@ func TestDriftBanksBatchedMatchesScalar(t *testing.T) {
 	}
 	base := sys()
 	for _, b := range banks {
-		var sigs [2][]byte
-		for k, scalar := range []bool{false, true} {
-			bank, err := b.build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := core.NewSystem(base.Stimulus, base.CUT, bank, base.Capture)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Scalar = scalar
-			sig, err := s.ExactSignature(base.CUT)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sigs[k], err = sig.MarshalBinary(); err != nil {
-				t.Fatal(err)
-			}
-			if enabled, _ := bank.BatchInfo(); !enabled {
-				t.Fatalf("%s: bank declined the zone LUT", b.name)
-			}
+		bank, err := b.build()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(sigs[0], sigs[1]) {
-			t.Fatalf("%s: batched exact signature differs from the scalar pipeline's", b.name)
+		s, err := core.NewSystem(base.Stimulus, base.CUT, bank, base.Capture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig, err := s.ExactSignature(base.CUT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enabled, _ := bank.BatchInfo(); !enabled {
+			t.Fatalf("%s: bank declined the zone LUT", b.name)
+		}
+		ref, err := refExact(s, base.CUT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sig.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: exact signature differs from the per-point reference's", b.name)
 		}
 	}
 }

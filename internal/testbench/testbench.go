@@ -1,6 +1,7 @@
 // Package testbench contains the experiment drivers that regenerate
 // every table and figure of the paper's evaluation, plus the ablations
-// called out in DESIGN.md. Each driver returns a plain data struct with
+// and extensions the campaign registry lists (`go run ./cmd/mcmon
+// -list`). Each driver returns a plain data struct with
 // a text rendering so the cmd tools, the examples, and the benchmark
 // harness all share one implementation.
 package testbench

@@ -70,7 +70,9 @@ var resultCases = map[string]resultCase{
 // a rewrite is a change of results and needs a stated reason.
 //
 // The digests hold on amd64 only: arm64 fuses multiply-adds, which moves
-// low-order bits. Under -short the SPICE rows are skipped.
+// low-order bits. Every row runs under -short too, the SPICE-backed ones
+// included: the whole table takes about a second (several under -race),
+// so the race-tested CI pass checks every result bit.
 func TestCampaignResultDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("result digests are pinned on amd64 only, not %s", runtime.GOARCH)
@@ -101,9 +103,6 @@ func TestCampaignResultDigests(t *testing.T) {
 	for _, key := range keys {
 		name, backend, _ := strings.Cut(key, "/")
 		t.Run(key, func(t *testing.T) {
-			if testing.Short() && !*updateResults && (backend == "spice" || name == "fig4spice" || name == "backends") {
-				t.Skip("SPICE row skipped under -short")
-			}
 			c := resultCases[name]
 			res, err := testbench.Run(context.Background(), testbench.Spec{
 				Campaign: name, Backend: backend, Seed: 7, Workers: 2, Chunk: c.chunk, Params: c.params,
