@@ -76,13 +76,14 @@ bench:
 # trial templates, fault table, batched vs scalar capture, batched vs
 # scalar exact
 # signature extraction with its band scan and zone-LUT bisection, the
-# averaged noisy NDF, the noise plan's build and a warm-plan noise
-# trial, streaming reduction, spec dispatch, the null calibration's max
+# averaged noisy NDF, the noise plan's build, a warm-plan noise trial
+# and one block of its polar draws, streaming reduction, spec
+# dispatch, the null calibration's max
 # reduction, span reduction with/without a checkpoint sink, zone-LUT
 # certification and batch classification on random and curve points) —
 # proves the hot paths still execute end to end.
 bench-smoke:
-	$(GO) test -bench='SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|ExactSignature|AveragedNDF|NoisePlanBuild|NoiseTrial|BankClassify|ZoneLUTBuild|RegistryDispatch|CampaignReduce1M|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
+	$(GO) test -bench='SpiceCUT|SpiceTrialEngine|FaultTableSpice|SignatureCapture|ExactSignature|AveragedNDF|NoisePlanBuild|NoiseTrial|PolarFill|BankClassify|ZoneLUTBuild|RegistryDispatch|CampaignReduce1M|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
 
 # The repository benchmark's own checks (cmd/mcbench is a nested module,
 # so `go test ./...` at the root does not reach it): every workload's
@@ -93,7 +94,8 @@ bench-verify:
 
 # Short-budget fuzz pass over the trial-template mutation engine
 # (trapezoidal trials only, checked against the rebuild-per-trial
-# TransientSolver), the
+# TransientSolver), the block polar draw (PolarFill must equal as many
+# Polar calls, pair for pair), the
 # signature binary decoder, the NDF breakpoint sweep (a hang is a
 # failure), the zone-LUT rectangle query and the zone LUT of fuzzed
 # monitor widths, biases and drive patterns (an answer must match the
@@ -107,6 +109,7 @@ bench-verify:
 # accepts one target per invocation, hence the per-target runs.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzTemplateMutation$$' -fuzztime=10s ./internal/spice
+	$(GO) test -run=^$$ -fuzz='^FuzzPolarFill$$' -fuzztime=10s ./internal/rng
 	$(GO) test -run=^$$ -fuzz='^FuzzUnmarshalBinary$$' -fuzztime=10s ./internal/signature
 	$(GO) test -run=^$$ -fuzz='^FuzzNDF$$' -fuzztime=10s ./internal/ndf
 	$(GO) test -run=^$$ -fuzz='^FuzzClassifyRect$$' -fuzztime=10s ./internal/monitor

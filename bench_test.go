@@ -567,6 +567,23 @@ func BenchmarkNoiseTrial(b *testing.B) {
 	}
 }
 
+// polarBlockPairs is the noise plan's block: the pairs one PolarFill
+// call draws.
+const polarBlockPairs = 256
+
+// POLAR-FILL: one block of polar pairs, the noise plan's unit of
+// random draws (a 2000-tick period takes eight), each block drawn on
+// from where the last one left the stream.
+func BenchmarkPolarFill(b *testing.B) {
+	var us, vs, r2s [polarBlockPairs]float64
+	src := rng.New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.PolarFill(us[:], vs[:], r2s[:])
+	}
+}
+
 // MON-BIT: one analytic monitor's exact bit (Table I row 3) at random
 // plane points: the cost of a monitor a zone-LUT cell leaves open, and
 // of every step of a Fig. 4 boundary bisection.

@@ -53,7 +53,7 @@ func main() {
 
 // checkCapture bounds -clock and -bits as the counter campaign bounds
 // its captures, so a capture of the paper's period takes at most
-// testbench.MaxSamples ticks.
+// core.MaxTicks ticks.
 func checkCapture(clock float64, bits int) error {
 	p := testbench.CounterParams{Bits: []int{bits}, Clocks: []float64{clock}}
 	if err := p.Validate(); err != nil {
@@ -66,11 +66,14 @@ func run(shift, sigma, clock float64, bits int, seed uint64, out, jsonOut, in, b
 	if err := checkCapture(clock, bits); err != nil {
 		return err
 	}
-	sys, err := core.SystemForBackend(backend)
+	ref, err := core.SystemForBackend(backend)
 	if err != nil {
 		return err
 	}
-	sys.Capture = signature.CaptureConfig{ClockHz: clock, CounterBits: bits}
+	sys, err := core.NewSystem(ref.Stimulus, ref.CUT, ref.Bank, signature.CaptureConfig{ClockHz: clock, CounterBits: bits})
+	if err != nil {
+		return err
+	}
 	var sig *signature.Signature
 	if in != "" {
 		data, err := os.ReadFile(in)

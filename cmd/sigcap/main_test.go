@@ -14,7 +14,7 @@ import (
 // bounds. A clock that is not finite, or so fast that the capture would
 // not fit in memory, is refused before any capture starts, and the
 // fastest clock accepted captures the paper's period in at most
-// testbench.MaxSamples ticks.
+// core.MaxTicks ticks.
 func TestCheckCaptureBounds(t *testing.T) {
 	for _, c := range []struct {
 		clock float64
@@ -44,8 +44,8 @@ func TestCheckCaptureBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n > testbench.MaxSamples {
-		t.Fatalf("a capture at the %g Hz bound takes %d ticks, over the %d bound", testbench.MaxClockHz, n, testbench.MaxSamples)
+	if n > core.MaxTicks {
+		t.Fatalf("a capture at the %g Hz bound takes %d ticks, over the %d bound", testbench.MaxClockHz, n, core.MaxTicks)
 	}
 }
 

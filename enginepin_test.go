@@ -59,8 +59,8 @@ func refAveragedNDF(s *core.System, c core.CUT, sigma float64, noise *rng.Stream
 // (core.TestBatched*, testbench Test*ScalarVsBatched) guarantee the
 // speed never costs a single bit.
 func TestBatchedEnginePinnedSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing pin skipped in -short mode (race CI distorts timing)")
+	if testing.Short() || raceEnabled {
+		t.Skip("timing pin skipped in -short mode and under the race detector (both distort timing)")
 	}
 	sys := core.Default()
 	c, err := sys.Shifted(0.10)

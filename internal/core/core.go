@@ -113,12 +113,28 @@ type gridCache struct {
 	err    error
 }
 
+// MaxTicks bounds the master-clock ticks of one capture period. A
+// capture holds a time, a stimulus sample, an output sample and a code
+// per tick, so the bound keeps a capture within tens of MiB; at 5 GHz
+// the paper's 200 µs period takes 10⁶ ticks.
+const MaxTicks = 1 << 20
+
+// captureTicks returns the ticks a capture with cfg takes over period
+// T, refusing a capture of more than MaxTicks.
+func captureTicks(cfg signature.CaptureConfig, T float64) (int, error) {
+	n, err := cfg.Ticks(T)
+	if err == nil && n > MaxTicks {
+		err = fmt.Errorf("core: capture at %g Hz takes %d ticks, over the %d bound", cfg.ClockHz, n, MaxTicks)
+	}
+	return n, err
+}
+
 // ticks returns the master-clock tick grid (t_k = k/ClockHz over one
 // period) and the stimulus samples on it, computing both once.
 func (s *System) ticks() (ts, xs []float64, err error) {
 	g := &s.tickGrid
 	g.once.Do(func() {
-		n, err := s.Capture.Ticks(s.Period())
+		n, err := captureTicks(s.Capture, s.Period())
 		if err != nil {
 			g.err = err
 			return
@@ -270,7 +286,7 @@ func NewSystem(stim *wave.Multitone, cut CUT, bank *monitor.Bank, cap signature.
 	if bank == nil || bank.Size() == 0 {
 		return nil, fmt.Errorf("core: monitor bank must not be empty")
 	}
-	if err := cap.Validate(); err != nil {
+	if _, err := captureTicks(cap, stim.Period()); err != nil {
 		return nil, err
 	}
 	return &System{Stimulus: stim, CUT: cut, Bank: bank, Capture: cap, ScanN: 8192}, nil

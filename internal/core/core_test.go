@@ -48,13 +48,52 @@ func TestNewSystemValidation(t *testing.T) {
 		t.Fatalf("valid system rejected: %v", err)
 	}
 	// A clock whose capture an int cannot count fails as too long before
-	// any tick grid is allocated.
-	fast, err := NewSystem(s.Stimulus, s.CUT, s.Bank, signature.CaptureConfig{ClockHz: 1e30, CounterBits: 16})
-	if err != nil {
-		t.Fatal(err)
+	// any tick grid is allocated: at construction, and at capture time
+	// when Capture is set afterwards.
+	tooLong := signature.CaptureConfig{ClockHz: 1e30, CounterBits: 16}
+	if _, err := NewSystem(s.Stimulus, s.CUT, s.Bank, tooLong); err == nil || !strings.Contains(err.Error(), "too long") {
+		t.Fatalf("1e30 Hz system: error %v, want a too-long capture", err)
 	}
+	fast := Default()
+	fast.Capture = tooLong
 	if _, err := fast.CapturedSignature(s.CUT, 0, nil); err == nil || !strings.Contains(err.Error(), "too long") {
 		t.Fatalf("1e30 Hz capture: error %v, want a too-long capture", err)
+	}
+}
+
+// TestCaptureTickBound: a capture of more than MaxTicks ticks is
+// refused with an error, never a failed allocation. NewSystem refuses
+// it; a system whose Capture was set past the bound afterwards fails
+// CapturedSignature and NoisePlan; a capture of exactly MaxTicks ticks
+// is accepted.
+func TestCaptureTickBound(t *testing.T) {
+	s := Default()
+	T := s.Period()
+	over := signature.CaptureConfig{ClockHz: 1e20, CounterBits: 16}
+	if _, err := NewSystem(s.Stimulus, s.CUT, s.Bank, over); err == nil || !strings.Contains(err.Error(), "ticks") {
+		t.Fatalf("1e20 Hz system: error %v, want the tick-bound error", err)
+	}
+	edge := signature.CaptureConfig{ClockHz: MaxTicks / T, CounterBits: 16}
+	past := signature.CaptureConfig{ClockHz: (MaxTicks + 1) / T, CounterBits: 16}
+	if _, err := NewSystem(s.Stimulus, s.CUT, s.Bank, past); err == nil || !strings.Contains(err.Error(), "ticks") {
+		t.Fatalf("MaxTicks+1 ticks: error %v, want the tick-bound error", err)
+	}
+	at, err := NewSystem(s.Stimulus, s.CUT, s.Bank, edge)
+	if err != nil {
+		t.Fatalf("MaxTicks ticks refused: %v", err)
+	}
+	if ts, _, err := at.ticks(); err != nil || len(ts) != MaxTicks {
+		t.Fatalf("MaxTicks capture: %d ticks, error %v", len(ts), err)
+	}
+	for _, cfg := range []signature.CaptureConfig{over, past} {
+		late := Default()
+		late.Capture = cfg
+		if _, err := late.CapturedSignature(late.CUT, 0.005, rng.New(1)); err == nil || !strings.Contains(err.Error(), "ticks") {
+			t.Fatalf("%g Hz set after construction: CapturedSignature error %v, want the tick-bound error", cfg.ClockHz, err)
+		}
+		if _, err := late.NoisePlan(late.CUT, 0.005); err == nil || !strings.Contains(err.Error(), "ticks") {
+			t.Fatalf("%g Hz set after construction: NoisePlan error %v, want the tick-bound error", cfg.ClockHz, err)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package fabric
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -94,6 +95,7 @@ type Coordinator struct {
 	// so a job being opened is invisible to Lease, Jobs, Info and Count.
 	reserved map[string]bool
 	finished []string // ids of the retained terminal jobs, oldest-finished first
+	running  []string // ids of the running jobs, ascending: what Lease walks
 	evicted  int      // finished jobs dropped past MaxRetained
 	seq      int      // lease token counter
 }
@@ -250,6 +252,8 @@ func (c *Coordinator) adopt(job *Job, sharded *testbench.ShardRun) {
 	delete(c.reserved, job.ID())
 	c.jobs[job.ID()] = r
 	if st.Phase == PhaseRunning {
+		at, _ := slices.BinarySearch(c.running, job.ID())
+		c.running = slices.Insert(c.running, at, job.ID())
 		for i, sh := range st.Shards {
 			if !sh.Done {
 				r.pending = append(r.pending, i)
@@ -294,12 +298,7 @@ func (c *Coordinator) Lease(ctx context.Context, workerID string) (*Lease, bool,
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
-	ids := make([]string, 0, len(c.jobs))
-	for id := range c.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range c.running {
 		r := c.jobs[id]
 		c.expireLocked(r, now)
 		if len(r.pending) == 0 {
@@ -456,7 +455,8 @@ func (c *Coordinator) Cancel(id string) error {
 }
 
 // terminateLocked persists a terminal phase, drops all leases and
-// pending work, and wakes waiters. Called with c.mu held.
+// pending work (retireLocked drops the leases), and wakes waiters.
+// Called with c.mu held.
 func (c *Coordinator) terminateLocked(r *jobRun, phase Phase, msg string) error {
 	var err error
 	if phase == PhaseFailed {
@@ -467,7 +467,6 @@ func (c *Coordinator) terminateLocked(r *jobRun, phase Phase, msg string) error 
 	if err != nil {
 		return err
 	}
-	r.leases = map[string]*lease{}
 	r.pending = nil
 	if phase == PhaseFailed {
 		r.err = fmt.Errorf("fabric: job %s failed: %s", r.job.ID(), msg)
@@ -477,12 +476,16 @@ func (c *Coordinator) terminateLocked(r *jobRun, phase Phase, msg string) error 
 }
 
 // retireLocked completes r's move to a terminal phase: it stamps the
-// finish time, drops the compiled form (a whole System), wakes waiters,
-// and evicts the oldest-finished job past MaxRetained. Called with c.mu
-// held.
+// finish time, drops the compiled form (a whole System) and the lease
+// map, takes r off the running index, wakes waiters, and evicts the
+// oldest-finished job past MaxRetained. Called with c.mu held.
 func (c *Coordinator) retireLocked(r *jobRun) {
 	r.finished = c.now()
 	r.sharded = nil
+	r.leases = nil
+	if at, ok := slices.BinarySearch(c.running, r.job.ID()); ok {
+		c.running = slices.Delete(c.running, at, at+1)
+	}
 	close(r.done)
 	c.finished = append(c.finished, r.job.ID())
 	for len(c.finished) > MaxRetained {

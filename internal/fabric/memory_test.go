@@ -137,6 +137,54 @@ func TestRetentionEvictsOldestFinished(t *testing.T) {
 	}
 }
 
+// TestEmptyLeaseWalksOnlyRunningJobs: a Lease that finds nothing to
+// grant allocates nothing, with MaxRetained finished jobs retained and
+// a running job whose only shard is leased out: it walks the running
+// jobs, not every job the coordinator holds. A retired job keeps no
+// lease map.
+func TestEmptyLeaseWalksOnlyRunningJobs(t *testing.T) {
+	c := NewCoordinator(Config{Store: NewMemoryStore(), Compile: synthCompile})
+	defer func() {
+		if err := c.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	ctx := context.Background()
+	for i := 0; i < MaxRetained; i++ {
+		id := fmt.Sprintf("job-%04d", i)
+		if err := c.Submit(ctx, id, synthSpec(100, uint64(i), 100, 100), 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Submit(ctx, "long", synthSpec(1000, 1, 100, 100), 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := c.Lease(ctx, "w0"); !ok || err != nil {
+		t.Fatalf("lease of the running job's shard: ok %v, error %v", ok, err)
+	}
+	if running, retained, _ := c.Count(); running != 1 || retained != MaxRetained {
+		t.Fatalf("count = %d running, %d retained; want 1, %d", running, retained, MaxRetained)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok, err := c.Lease(ctx, "w1"); ok || err != nil {
+			t.Fatalf("empty lease: ok %v, error %v", ok, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("an empty Lease allocates %v times, want 0", allocs)
+	}
+	r, err := c.run("job-0000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.leases != nil {
+		t.Fatal("a cancelled job keeps its lease map")
+	}
+}
+
 // TestInProcessWorkerRunsCoordinatorForm: a Worker without Compile whose
 // Backend is the coordinator runs the coordinator's own compiled form —
 // one compile per job — and the job's record carries its result and

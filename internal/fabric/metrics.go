@@ -100,10 +100,9 @@ func (c *Coordinator) oldestHeartbeatAge() float64 {
 	defer c.mu.Unlock()
 	now := c.now()
 	var oldest float64
-	//mclint:maporder commutative max over jobs; the result is order-independent
-	for _, r := range c.jobs {
+	for _, id := range c.running {
 		//mclint:maporder commutative max over leases; the result is order-independent
-		for _, l := range r.leases {
+		for _, l := range c.jobs[id].leases {
 			if age := now.Sub(l.lastBeat).Seconds(); age > oldest {
 				oldest = age
 			}
@@ -117,9 +116,8 @@ func (c *Coordinator) activeLeases() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var n int
-	//mclint:maporder commutative integer sum; the total is order-independent
-	for _, r := range c.jobs {
-		n += len(r.leases)
+	for _, id := range c.running {
+		n += len(c.jobs[id].leases)
 	}
 	return float64(n)
 }

@@ -126,10 +126,19 @@ func (s *Stream) Polar() (u, v, r2 float64) {
 		u = 2*s.Float64() - 1
 		v = 2*s.Float64() - 1
 		r2 = u*u + v*v
-		if r2 < 1 && r2 != 0 {
+		if accepted(r2) {
 			return u, v, r2
 		}
 	}
+}
+
+// accepted is the polar method's acceptance test 0 < r2 < 1 for an r2
+// formed as u² + v², which is +0 or a positive finite double (never −0
+// or NaN). Such doubles order like their bit patterns, so the test is
+// one unsigned compare; +0 wraps to the largest uint64 and fails it.
+func accepted(r2 float64) bool {
+	const one = 0x3ff0000000000000 // math.Float64bits(1)
+	return math.Float64bits(r2)-1 < one-1
 }
 
 // PolarScale is the factor f = √(−2·ln r2 / r2) that turns an accepted
@@ -141,9 +150,12 @@ func PolarScale(r2 float64) float64 { return math.Sqrt(-2 * math.Log(r2) / r2) }
 // PolarFill draws len(us) accepted pairs into us, vs and r2s (which
 // must be at least as long), draw for draw the pairs that many Polar
 // calls return, and leaves the stream in the same state. The generator
-// state stays in locals for the whole block. Pairs drawn while Norm
-// holds a spare would be used out of Norm's order, so PolarFill panics
-// when one is pending; a fresh stream (New, Split, NewSub) holds none.
+// state stays in locals for the whole block. Every candidate is written
+// to slot i, and i advances only past an accepted one, so a rejected
+// candidate is overwritten by the next with no branch on the draw.
+// Pairs drawn while Norm holds a spare would be used out of Norm's
+// order, so PolarFill panics when one is pending; a fresh stream (New,
+// Split, NewSub) holds none.
 //
 //mclint:hotpath
 func (s *Stream) PolarFill(us, vs, r2s []float64) {
@@ -152,16 +164,15 @@ func (s *Stream) PolarFill(us, vs, r2s []float64) {
 	}
 	vs, r2s = vs[:len(us)], r2s[:len(us)]
 	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
-	for i := range us {
-		for {
-			var a, b uint64
-			a, s0, s1, s2, s3 = step(s0, s1, s2, s3)
-			b, s0, s1, s2, s3 = step(s0, s1, s2, s3)
-			u, v := 2*unit(a)-1, 2*unit(b)-1
-			if r2 := u*u + v*v; r2 < 1 && r2 != 0 {
-				us[i], vs[i], r2s[i] = u, v, r2
-				break
-			}
+	for i := 0; i < len(us); {
+		var a, b uint64
+		a, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		b, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		u, v := 2*unit(a)-1, 2*unit(b)-1
+		r2 := u*u + v*v
+		us[i], vs[i], r2s[i] = u, v, r2
+		if accepted(r2) {
+			i++
 		}
 	}
 	s.s = [4]uint64{s0, s1, s2, s3}

@@ -175,27 +175,69 @@ func TestNormPinned(t *testing.T) {
 	}
 }
 
+// checkPolarFill fails unless PolarFill of n pairs on New(seed) draws,
+// pair for pair, what n Polar calls draw, and leaves the same state.
+func checkPolarFill(t *testing.T, seed uint64, n int) {
+	t.Helper()
+	us, vs, r2s := make([]float64, n), make([]float64, n), make([]float64, n)
+	a, b := New(seed), New(seed)
+	b.PolarFill(us, vs, r2s)
+	for i := 0; i < n; i++ {
+		u, v, r2 := a.Polar()
+		if u != us[i] || v != vs[i] || r2 != r2s[i] {
+			t.Fatalf("n %d seed %d pair %d: PolarFill (%v, %v, %v), Polar (%v, %v, %v)",
+				n, seed, i, us[i], vs[i], r2s[i], u, v, r2)
+		}
+		if !(r2 > 0 && r2 < 1) || r2 != u*u+v*v {
+			t.Fatalf("n %d seed %d pair %d: r2 %v not an accepted u² + v²", n, seed, i, r2)
+		}
+	}
+	if a.s != b.s || a.haveSpare != b.haveSpare {
+		t.Fatalf("n %d seed %d: end states differ", n, seed)
+	}
+}
+
 // TestPolarFillMatchesPolar: PolarFill draws, pair for pair, what as
-// many Polar calls draw, and leaves the stream in the same state.
+// many Polar calls draw, and leaves the stream in the same state. The
+// 1000 one-pair fills reject their only slot's first candidate about
+// 215 times, so a rejection that leaks into the last slot shows.
 func TestPolarFillMatchesPolar(t *testing.T) {
-	for _, n := range []int{0, 1, 255, 256, 2000} {
-		us, vs, r2s := make([]float64, n), make([]float64, n), make([]float64, n)
+	for _, n := range []int{0, 1, 2, 3, 255, 256, 257, 2000} {
 		for seed := uint64(0); seed < 100; seed++ {
-			a, b := New(seed), New(seed)
-			b.PolarFill(us, vs, r2s)
-			for i := 0; i < n; i++ {
-				u, v, r2 := a.Polar()
-				if u != us[i] || v != vs[i] || r2 != r2s[i] {
-					t.Fatalf("n %d seed %d pair %d: PolarFill (%v, %v, %v), Polar (%v, %v, %v)",
-						n, seed, i, us[i], vs[i], r2s[i], u, v, r2)
-				}
-				if !(r2 > 0 && r2 < 1) || r2 != u*u+v*v {
-					t.Fatalf("n %d seed %d pair %d: r2 %v not an accepted u² + v²", n, seed, i, r2)
-				}
-			}
-			if a.s != b.s || a.haveSpare != b.haveSpare {
-				t.Fatalf("n %d seed %d: end states differ", n, seed)
-			}
+			checkPolarFill(t, seed, n)
+		}
+	}
+	for seed := uint64(100); seed < 1100; seed++ {
+		checkPolarFill(t, seed, 1)
+	}
+}
+
+// FuzzPolarFill: for any seed and block length up to 4096, PolarFill
+// equals that many Polar calls and leaves the same stream state. The
+// seed corpus (testdata/fuzz/FuzzPolarFill) holds an empty block, a
+// one-pair block whose first candidate is rejected, a block one past
+// the noise plan's 256 and the largest block.
+func FuzzPolarFill(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16) {
+		checkPolarFill(t, seed, int(n)%4097)
+	})
+}
+
+// TestPolarAcceptedEdges: the one-compare acceptance agrees with
+// 0 < r2 < 1 at both ends of the interval and just past them, over the
+// range an r2 = u² + v² can take.
+func TestPolarAcceptedEdges(t *testing.T) {
+	for _, r2 := range []float64{
+		0,
+		math.SmallestNonzeroFloat64,
+		0.5,
+		math.Nextafter(1, 0),
+		1,
+		math.Nextafter(1, 2),
+		2,
+	} {
+		if got, want := accepted(r2), r2 < 1 && r2 != 0; got != want {
+			t.Errorf("accepted(%v) = %v, want %v", r2, got, want)
 		}
 	}
 }

@@ -348,7 +348,7 @@ type CounterParams struct {
 // capture's length and the list lengths bound the number of captures.
 const (
 	// MaxClockHz keeps a capture of the paper's 200 µs period within
-	// MaxSamples ticks (10⁶ ticks at the bound).
+	// core.MaxTicks ticks (10⁶ ticks at the bound).
 	MaxClockHz = 5e9
 	// MaxCounterList bounds the bits and clocks lists.
 	MaxCounterList = 16

@@ -243,10 +243,8 @@ func runAblCounter(ctx context.Context, sys *core.System, shift float64, bits []
 			}
 			cfg := signature.CaptureConfig{ClockHz: f, CounterBits: m}
 			// A custom system's period may be far longer than the paper's,
-			// which CounterParams bounds the clock for.
-			if n, err := cfg.Ticks(sys.Period()); err == nil && n > MaxSamples {
-				return nil, fmt.Errorf("testbench: counter capture at %g Hz takes %d ticks, over the %d bound", f, n, MaxSamples)
-			}
+			// which CounterParams bounds the clock for; NewSystem refuses
+			// a capture over core.MaxTicks ticks.
 			at, err := core.NewSystem(sys.Stimulus, sys.CUT, sys.Bank, cfg)
 			if err != nil {
 				return nil, err

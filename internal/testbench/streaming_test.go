@@ -378,8 +378,8 @@ func exhaustingSpecs() []struct{ json, knob string } {
 // TestInputBoundsRejectExhaustingSpecs: each exhausting or ill-formed
 // spec fails Validate (and Run) before any work starts, naming its
 // knob; every bound admits its edge and rejects one past it, naming the
-// knob; and the runner refuses a counter capture over MaxSamples ticks
-// on a custom system's long period.
+// knob; and the runner refuses a counter capture over core.MaxTicks
+// ticks on a custom system's long period.
 func TestInputBoundsRejectExhaustingSpecs(t *testing.T) {
 	for _, c := range exhaustingSpecs() {
 		spec, err := decodeSpec([]byte(c.json))

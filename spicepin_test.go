@@ -36,8 +36,8 @@ func spicePinFaults() []biquad.Fault {
 // testbench TestSpiceTemplateCampaignBitIdentity) guarantee the speed
 // never costs a single bit.
 func TestSpiceTrialEnginePinnedSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing pin skipped in -short mode (race CI distorts timing)")
+	if testing.Short() || raceEnabled {
+		t.Skip("timing pin skipped in -short mode and under the race detector (both distort timing)")
 	}
 	sys, err := core.DefaultSpice()
 	if err != nil {

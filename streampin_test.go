@@ -38,8 +38,8 @@ func sumRed() campaign.Reducer[float64, float64] {
 // median over interleaved pairs (pairedRatio), so load on the host
 // cannot land on one side only.
 func TestCheckpointOverheadPinned(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing pin skipped in -short mode (race CI distorts timing)")
+	if testing.Short() || raceEnabled {
+		t.Skip("timing pin skipped in -short mode and under the race detector (both distort timing)")
 	}
 	ctx := context.Background()
 	span := campaign.Span{Lo: 0, Hi: 1_000_000}
