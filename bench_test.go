@@ -712,6 +712,48 @@ func BenchmarkSpiceTrialEngine(b *testing.B) {
 	}
 }
 
+// YIELD-SPICE-TRIAL: one warm die of the yield campaign on the SPICE
+// backend, the unit the benchmark's yield-spice trials_per_s counts:
+// the die's component drifts drawn from its stream (derived from the
+// seed and the die index as the campaign derives it), the transient on
+// the worker's circuit template, the exact scan and refinement, and the
+// NDF against the cached golden signature.
+func BenchmarkYieldSpiceTrial(b *testing.B) {
+	sys, err := core.DefaultSpice()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sys.GoldenSignature(); err != nil {
+		b.Fatal(err)
+	}
+	eng := campaign.Engine{Seed: 11}
+	sc := core.NewTrialScratch()
+	die := func(i int) error {
+		s := eng.Stream(i)
+		cut, err := sys.Deviated(core.Deviation{
+			RDrift:  s.Gauss(0, 0.02),
+			RQDrift: s.Gauss(0, 0.02),
+			RGDrift: s.Gauss(0, 0.02),
+			CDrift:  s.Gauss(0, 0.02),
+		})
+		if err != nil {
+			return err
+		}
+		_, err = sys.NDFOfScratch(cut, sc)
+		return err
+	}
+	if err := die(0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := die(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // CAMPAIGN-SPICE: the reduced fault-table campaign on the SPICE backend
 // (the cmd/mcmon -backend=spice path).
 func BenchmarkFaultTableSpice(b *testing.B) {

@@ -61,7 +61,8 @@ func TestOutputMatchesRebuild(t *testing.T) {
 }
 
 // compareWaveforms fails unless got and want share the period T and
-// agree bit for bit at each of its stepsPerPeriod sample times.
+// agree bit for bit (math.Float64bits, so a sign-of-zero change shows)
+// at each of its stepsPerPeriod sample times.
 func compareWaveforms(t *testing.T, what string, got, want wave.Waveform, T float64) {
 	t.Helper()
 	if got.Period() != want.Period() || got.Period() != T {
@@ -69,7 +70,7 @@ func compareWaveforms(t *testing.T, what string, got, want wave.Waveform, T floa
 	}
 	for i := 0; i < stepsPerPeriod; i++ {
 		tt := T * float64(i) / stepsPerPeriod
-		if g, w := got.Eval(tt), want.Eval(tt); g != w {
+		if g, w := got.Eval(tt), want.Eval(tt); math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("%s: t=%v: template %v, rebuild %v", what, tt, g, w)
 		}
 	}

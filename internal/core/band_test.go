@@ -10,12 +10,12 @@ import (
 	"repro/internal/wave"
 )
 
-// matchScanCodes is the band scan's oracle: scanCodes must give every
-// scan point the code that evaluating the output there (EvalInto) and
-// classifying it (ClassifyBatch) gives. For a multitone it also calls
-// bandCodes, which scanCodes runs, for the number of points it
-// evaluated; any other waveform has every point evaluated. It returns
-// that number and the number of scan points.
+// matchScanCodes is the scan's oracle: scanCodes must give every scan
+// point the code that evaluating the output there (EvalInto) and
+// classifying it (ClassifyBatch) gives. It also calls the scan scanCodes
+// runs for the output's type — bandCodes for a multitone, blockCodes
+// otherwise — for the number of points it evaluated. It returns that
+// number and the number of scan points.
 func matchScanCodes(t *testing.T, name string, s *System, out wave.Waveform, sc *TrialScratch) (evals, points int) {
 	t.Helper()
 	ts, xs, err := s.scans()
@@ -39,11 +39,13 @@ func matchScanCodes(t *testing.T, name string, s *System, out wave.Waveform, sc 
 		t.Fatal(err)
 	}
 	match("scanCodes", got)
-	evals = len(ts)
+	direct := make([]monitor.Code, len(ts))
 	if m, ok := out.(*wave.Multitone); ok {
-		direct := make([]monitor.Code, len(ts))
 		evals = bandCodes(s.Bank, s.Stimulus, m, ts, xs, direct)
 		match("bandCodes", direct)
+	} else {
+		evals = blockCodes(s.Bank, out, ts, xs, direct)
+		match("blockCodes", direct)
 	}
 	return evals, len(ts)
 }
@@ -255,4 +257,135 @@ func TestBandScanGrazingPeaks(t *testing.T) {
 	sy := Default()
 	sy.Bank = line(monitor.Y())
 	matchScanCodes(t, "output peak", sy, peak, sc)
+}
+
+// randomSampled draws a sampled waveform of n samples over the given
+// period: 1–4 tones on harmonics 1–6 of the period plus an offset in
+// [0.1, 0.9], whose swing of up to ±0.5 V carries some curves off the
+// [0,1) grid.
+func randomSampled(t *testing.T, src *rng.Stream, n int, period float64) *wave.Sampled {
+	t.Helper()
+	type tone struct{ h, amp, phase float64 }
+	tones := make([]tone, 1+int(4*src.Float64()))
+	for k := range tones {
+		tones[k] = tone{float64(1 + int(6*src.Float64())), 0.5 * src.Float64() / float64(len(tones)), 2 * math.Pi * src.Float64()}
+	}
+	off := 0.1 + 0.8*src.Float64()
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = off
+		for _, tn := range tones {
+			v[i] += tn.amp * math.Sin(2*math.Pi*tn.h*float64(i)/float64(n)+tn.phase)
+		}
+	}
+	w, err := wave.NewSampled(v, period)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestBandScanSampledMatchesEvaluatedScan checks the sampled outputs'
+// block scan code for code against evaluating and classifying every
+// scan point:
+//   - SPICE yield dies (component σ = 2 %) on both observations, logging
+//     the share of scan points evaluated;
+//   - random sampled waveforms of 2–5000 samples, none a divisor of the
+//     8192-point scan, on the scan's period, on periods shorter than
+//     it (blocks wrap) and longer;
+//   - NaN and ±Inf samples;
+//   - a bank without a zone LUT and a waveform of another type (a sine),
+//     where every point is evaluated.
+func TestBandScanSampledMatchesEvaluatedScan(t *testing.T) {
+	dies := 24
+	if testing.Short() {
+		dies = 8
+	}
+	sc, outSc := NewTrialScratch(), NewTrialScratch()
+	for _, obs := range []Observation{ObserveLP, ObserveBP} {
+		s, err := DefaultSpice()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Observe = obs
+		evals, points := 0, 0
+		for i, d := range componentDies(dies, 0.02) {
+			c, err := s.Deviated(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := s.outputScratch(c, outSc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := out.(*wave.Sampled); !ok {
+				t.Fatalf("SPICE output is a %T, want *wave.Sampled", out)
+			}
+			e, n := matchScanCodes(t, fmt.Sprintf("SPICE %v die %d", obs, i), s, out, sc)
+			evals += e
+			points += n
+		}
+		share := float64(evals) / float64(points)
+		t.Logf("SPICE %v yield dies: %.1f %% of scan points evaluated (%d of %d)", obs, 100*share, evals, points)
+		if share > 0.25 {
+			t.Fatalf("SPICE %v yield dies: %.1f %% of scan points evaluated, want at most 25 %%", obs, 100*share)
+		}
+	}
+
+	s := Default()
+	T := s.Period()
+	src := rng.New(78)
+	proven, curves := 0, 0
+	for i := 0; i < 300; i++ {
+		n := 2 + int(src.Uint64()%4999)
+		if 8192%n == 0 {
+			n++
+		}
+		period := T
+		switch i % 3 {
+		case 1:
+			period = T * (0.05 + 0.9*src.Float64()) // the scan wraps
+		case 2:
+			period = T * (1 + src.Float64())
+		}
+		w := randomSampled(t, src, n, period)
+		if i%10 == 9 {
+			v := make([]float64, n)
+			for j := range v {
+				v[j] = w.Eval(period * float64(j) / float64(n))
+			}
+			for k := 0; k < 3; k++ {
+				v[src.Uint64()%uint64(n)] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[k]
+			}
+			if err := w.Reuse(v, period); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e, pts := matchScanCodes(t, fmt.Sprintf("sampled curve %d (%d samples, period %.3g T)", i, n, period/T), s, w, sc)
+		if e < pts {
+			proven++
+		}
+		curves++
+	}
+	t.Logf("random sampled curves: %d of %d with a proven block", proven, curves)
+	if proven < curves/2 {
+		t.Fatalf("only %d of %d random sampled curves had a proven block", proven, curves)
+	}
+
+	evaluated := func(name string, s *System, out wave.Waveform) {
+		t.Helper()
+		if e, n := matchScanCodes(t, name, s, out, sc); e != n {
+			t.Fatalf("%s: block scan evaluated %d of %d points, want every point", name, e, n)
+		}
+	}
+	stuck, err := Default().Bank.WithStuckMonitor(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noLUT := Default()
+	noLUT.Bank = stuck
+	for i := 0; i < 5; i++ {
+		evaluated(fmt.Sprintf("bank without a LUT, sampled curve %d", i), noLUT, randomSampled(t, src, 2048, T))
+	}
+	evaluated("sine output", s, wave.Sine{Amp: 0.2, Freq: 1 / T, Offset: 0.5})
 }

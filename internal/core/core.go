@@ -171,15 +171,11 @@ func (s *System) scans() (ts, xs []float64, err error) {
 }
 
 // TrialScratch bundles the per-worker reusable buffers of the signature
-// engine: the output samples of an exact scan, the capture scratch (raw
-// entries, canonical entries, per-tick or per-scan-point codes) and a
-// noisy period's random state. One scratch per campaign worker; not
-// safe for concurrent use.
+// engine: the capture scratch (raw entries, canonical entries, per-tick
+// or per-scan-point codes) and a noisy period's random state. One
+// scratch per campaign worker; not safe for concurrent use.
 type TrialScratch struct {
 	capture signature.CaptureBuffer
-	// ys holds the output samples of the exact scans of sampled (SPICE)
-	// outputs; the band scan needs no sample buffer.
-	ys []float64
 	// noise holds the current period's noise substream.
 	noise rng.Stream
 	// polar holds a noise plan's block of polar pairs, allocated on the
@@ -201,16 +197,6 @@ func (sc *TrialScratch) polarBlock() *polarBlock {
 		sc.polar = new(polarBlock)
 	}
 	return sc.polar
-}
-
-// grow returns *buf resized to n (contents undefined), reallocating it
-// only when its capacity is short.
-func grow(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
 }
 
 // goldenParams is the paper's reference CUT.
@@ -423,8 +409,8 @@ func (s *System) exactSignature(c CUT, sc *TrialScratch) (*signature.Signature, 
 // exact multitone goes through certified interpolation bounds
 // (bandCodes), which on the paper's system evaluate it at about one scan
 // point in eleven and prove most blocks of 32 points with one zone-LUT
-// query; SPICE's sampled outputs have no curvature bound and are
-// evaluated and classified with ClassifyBatch at every point.
+// query. Any other output, SPICE's sampled ones, goes through block
+// proofs on its sample hull (blockCodes).
 func (s *System) scanCodes(out wave.Waveform, sc *TrialScratch) ([]monitor.Code, error) {
 	ts, xs, err := s.scans()
 	if err != nil {
@@ -435,10 +421,47 @@ func (s *System) scanCodes(out wave.Waveform, sc *TrialScratch) ([]monitor.Code,
 		bandCodes(s.Bank, s.Stimulus, m, ts, xs, codes)
 		return codes, nil
 	}
-	ys := grow(&sc.ys, len(ts))
-	wave.EvalInto(out, ts, ys)
-	s.Bank.ClassifyBatch(xs, ys, codes)
+	blockCodes(s.Bank, out, ts, xs, codes)
 	return codes, nil
+}
+
+// blockCodes fills codes[i] with the code ClassifyBatch gives
+// (xs[i], out(ts[i])) and returns how many points it evaluated. It
+// walks the scan in blocks of bandBlock points. For a *wave.Sampled
+// output, a block's points lie in the box of their exact x range and the
+// hull of the samples Eval interpolates between over the block's times,
+// widened by bandSlack for Eval's rounding; when ClassifyRect proves
+// that box, every point of the block gets its code unevaluated. Any
+// other point is evaluated and classified with ClassifyLUT, in scan
+// order. A block whose times wrap past the output's period, whose hull
+// is not finite or off the [0,1)² grid, or whose output is of another
+// type, is evaluated throughout.
+//
+//mclint:hotpath
+func blockCodes(bank *monitor.Bank, out wave.Waveform, ts, xs []float64, codes []monitor.Code) (evals int) {
+	smp, _ := out.(*wave.Sampled)
+	for a := 0; a < len(ts); a += bandBlock {
+		b := min(a+bandBlock, len(ts))
+		if smp != nil {
+			if ylo, yhi, ok := smp.Hull(ts[a], ts[b-1]); ok {
+				xlo, xhi := xs[a], xs[a]
+				for _, x := range xs[a+1 : b] {
+					xlo, xhi = min(xlo, x), max(xhi, x)
+				}
+				if c, ok := bank.ClassifyRect(xlo, xhi, ylo-bandSlack, yhi+bandSlack); ok {
+					for i := a; i < b; i++ {
+						codes[i] = c
+					}
+					continue
+				}
+			}
+		}
+		for i := a; i < b; i++ {
+			codes[i] = bank.ClassifyLUT(xs[i], out.Eval(ts[i]))
+		}
+		evals += b - a
+	}
+	return evals
 }
 
 // The band scan evaluates the output at every bandBlock-th scan point.
@@ -452,7 +475,9 @@ const (
 	// and 64 measured alike.
 	bandBlock = 32
 	// bandSlack (V) is five orders of magnitude above the ~1e-14 V
-	// rounding of Multitone.Eval and of the band on voltage-scale tones.
+	// rounding of Multitone.Eval and of the band on voltage-scale tones,
+	// and seven above the few-ulp rounding of Sampled.Eval against its
+	// sample hull on the [0,1) grid.
 	bandSlack = 1e-9
 )
 

@@ -38,7 +38,7 @@ func BenchmarkSolveDense11(b *testing.B) {
 func BenchmarkSolveProgram11(b *testing.B) {
 	lu, rhs := benchSolveSystem(1, 11)
 	var p SolveProgram
-	lu.Compile(&p)
+	lu.Compile(&p, nil, nil)
 	x := make([]float64, 11)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -25,8 +25,11 @@ import (
 //     (trapezoidal capacitor companions with a precomputed geq, source
 //     rows fed from cached stimulus tick tables) instead of
 //     interface-dispatched restamps;
-//   - the factored matrix is compiled to a num.SolveProgram, so the
-//     per-step triangular solves skip the factors' structural zeros;
+//   - the factored matrix is compiled to a num.SolveProgram restricted
+//     to the RHS rows the op list writes and the solution rows the step
+//     loop reads (the capacitor nodes and the recorded node), so the
+//     per-step triangular solves skip the factors' structural zeros and
+//     every row no later step reads;
 //   - stimulus tick tables (w.Eval at every step time) are cached per
 //     (waveform, dt) across trials — and, via ShareTickCache, across
 //     every worker template of a circuit family — amortizing the
@@ -47,6 +50,8 @@ type CircuitTemplate struct {
 	caps    []capOp
 	rhs     []rhsOp
 	touched []int32 // RHS rows any op writes, zeroed per step
+	reads   []int32 // solution rows the capacitor ops read from prev
+	outRows []int32 // reads plus the trial's recorded row
 	ticks   *TickCache
 }
 
@@ -177,7 +182,7 @@ func NewCircuitTemplate(c *Circuit) (*CircuitTemplate, error) {
 		ticks:  NewTickCache(),
 	}
 	t.sv = newSolverWS(c, nil) // assigns branches, sizes the workspace
-	touched := map[int32]bool{}
+	touched, reads := map[int32]bool{}, map[int32]bool{}
 	for _, e := range c.elements {
 		if _, dup := t.byName[e.Name()]; !dup {
 			t.byName[e.Name()] = e
@@ -190,6 +195,7 @@ func NewCircuitTemplate(c *Circuit) (*CircuitTemplate, error) {
 			t.caps = append(t.caps, capOp{cap: el, p: int32(el.P), m: int32(el.M)})
 			t.rhs = append(t.rhs, rhsOp{kind: opCapTrap})
 			markTouched(touched, int32(el.P), int32(el.M))
+			markTouched(reads, int32(el.P), int32(el.M))
 		case *VSource:
 			t.rhs = append(t.rhs, rhsOp{kind: opVSrcDC, vs: el})
 			markTouched(touched, int32(el.branch))
@@ -209,12 +215,20 @@ func NewCircuitTemplate(c *Circuit) (*CircuitTemplate, error) {
 			ci++
 		}
 	}
-	//mclint:maporder collect-then-sort; sortInt32 below fixes the order before use
-	for row := range touched {
-		t.touched = append(t.touched, row)
-	}
-	sortInt32(t.touched)
+	t.touched = sortedRows(touched)
+	t.reads = sortedRows(reads)
 	return t, nil
+}
+
+// sortedRows returns the rows of set in ascending order.
+func sortedRows(set map[int32]bool) []int32 {
+	rows := make([]int32, 0, len(set))
+	//mclint:maporder collect-then-sort; sortInt32 below fixes the order before use
+	for row := range set {
+		rows = append(rows, row)
+	}
+	sortInt32(rows)
+	return rows
 }
 
 func markTouched(set map[int32]bool, rows ...int32) {
@@ -312,6 +326,9 @@ func (t *CircuitTemplate) RunTrial(tr Trial) error {
 	if tr.Start < 0 || tr.Start+len(tr.Out) > tr.Steps+1 {
 		return fmt.Errorf("spice: trial records steps [%d, %d) of %d", tr.Start, tr.Start+len(tr.Out), tr.Steps+1)
 	}
+	if tr.Record < Ground || int(tr.Record) >= t.c.NumNodes() {
+		return fmt.Errorf("spice: trial records node %d of %d", tr.Record, t.c.NumNodes())
+	}
 	// Same per-run reset sequence as TransientSolver.Run.
 	for i := range t.caps {
 		t.caps[i].cap.prevCur = 0
@@ -350,7 +367,15 @@ func (t *CircuitTemplate) RunTrial(tr Trial) error {
 	if err := ws.factor(); err != nil {
 		return fmt.Errorf("spice: singular MNA matrix: %w", err)
 	}
-	ws.lu.Compile(&t.prog)
+	// The step loop reads the solution only at the capacitor nodes and
+	// the recorded node, and the RHS is +0 off the touched rows and never
+	// −0 (every row starts at +0 and only accumulates), so the restricted
+	// program leaves those rows bit-identical to the full solve.
+	t.outRows = append(t.outRows[:0], t.reads...)
+	if tr.Record >= 0 {
+		t.outRows = append(t.outRows, int32(tr.Record))
+	}
+	ws.lu.Compile(&t.prog, t.touched, t.outRows)
 	t.refresh(dt, tr.Steps)
 	// The step loop zeroes only the rows the RHS program writes; clear
 	// the full-stamp leftovers once so untouched rows stay exactly 0,
@@ -446,7 +471,9 @@ func rowVoltage(x []float64, row int32) float64 {
 // commits the capacitor companion currents and records the window
 // sample. b, x and prev alias the template workspace, with x/prev
 // swapped by pointer after every step instead of the rebuild path's
-// copy(prev, x) — the values are identical, only the memmove is saved.
+// copy(prev, x). The solve writes only the rows the loop reads, so the
+// other rows of x and prev hold stale values the loop never reads; the
+// next trial starts from a zeroed x.
 //
 //mclint:hotpath
 func (t *CircuitTemplate) runSteps(tr Trial) {
@@ -503,7 +530,4 @@ func (t *CircuitTemplate) runSteps(tr Trial) {
 			tr.Out[idx] = rowVoltage(prev, int32(tr.Record))
 		}
 	}
-	// prev holds the final solution; mirror the rebuild path's
-	// prev == x post-state regardless of the swap parity.
-	copy(x, prev)
 }

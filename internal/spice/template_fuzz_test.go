@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/wave"
@@ -8,8 +9,9 @@ import (
 
 // FuzzTemplateMutation pins the trial-template engine's central claim
 // under adversarial values: mutating a live CircuitTemplate in place
-// must produce bit-identical samples to building a fresh circuit with
-// the same values and running the generic TransientSolver. Values the
+// must produce bit-identical samples (math.Float64bits, so a
+// sign-of-zero change shows) to building a fresh circuit with the same
+// values and running the generic TransientSolver. Values the
 // setters reject (non-positive, non-finite) must be rejected without
 // corrupting the template.
 func FuzzTemplateMutation(f *testing.F) {
@@ -62,7 +64,7 @@ func FuzzTemplateMutation(f *testing.F) {
 			t.Fatalf("rebuild run failed where template succeeded: %v", err)
 		}
 		for k := range want {
-			if out[k] != want[k] {
+			if math.Float64bits(out[k]) != math.Float64bits(want[k]) {
 				t.Fatalf("step %d: template %v, rebuild %v (r1=%v c1=%v r2=%v c2=%v steps=%d wave=%v)",
 					k, out[k], want[k], r1, c1, r2, c2, steps, useWave)
 			}

@@ -1,6 +1,7 @@
 package spice_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/mos"
@@ -77,9 +78,9 @@ func testStimulus(t *testing.T) *wave.Multitone {
 
 // TestCircuitTemplateMatchesRebuild pins the template engine's core
 // contract: a trial on a value-mutated template produces bit-identical
-// samples to rebuilding the circuit and running the generic
-// TransientSolver, across trials with different durations (distinct dt /
-// tick tables).
+// samples (math.Float64bits, so a sign-of-zero change shows) to
+// rebuilding the circuit and running the generic TransientSolver,
+// across trials with different durations (distinct dt / tick tables).
 func TestCircuitTemplateMatchesRebuild(t *testing.T) {
 	stim := testStimulus(t)
 	T := stim.Period()
@@ -108,7 +109,7 @@ func TestCircuitTemplateMatchesRebuild(t *testing.T) {
 		}
 		want := rebuildRun(t, v, stim, dur, steps)
 		for k := range want {
-			if got[k] != want[k] {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
 				t.Fatalf("set %d: step %d: template %v, rebuild %v", i, k, got[k], want[k])
 			}
 		}
@@ -116,7 +117,8 @@ func TestCircuitTemplateMatchesRebuild(t *testing.T) {
 }
 
 // TestCircuitTemplateWindowRecording checks the Start/Out windowing
-// against a full recording and validates the bounds checks.
+// against a full recording and validates the bounds checks, the
+// recorded node's included.
 func TestCircuitTemplateWindowRecording(t *testing.T) {
 	stim := testStimulus(t)
 	v := benchValues{r1: 1e3, c1: 100e-9, r2: 2e3, c2: 47e-9, gain: 2}
@@ -135,7 +137,7 @@ func TestCircuitTemplateWindowRecording(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, w := range window {
-		if w != full[start+i] {
+		if math.Float64bits(w) != math.Float64bits(full[start+i]) {
 			t.Fatalf("window[%d] = %v, want %v", i, w, full[start+i])
 		}
 	}
@@ -144,6 +146,11 @@ func TestCircuitTemplateWindowRecording(t *testing.T) {
 	}
 	if err := tmpl.RunTrial(spice.Trial{Dur: dur, Steps: 0, Record: out}); err == nil {
 		t.Fatal("zero-step trial accepted")
+	}
+	for _, node := range []spice.NodeID{-2, spice.NodeID(ckt.NumNodes())} {
+		if err := tmpl.RunTrial(spice.Trial{Dur: dur, Steps: steps, Record: node, Out: window}); err == nil {
+			t.Fatalf("trial recording node %d of %d accepted", node, ckt.NumNodes())
+		}
 	}
 }
 
@@ -174,7 +181,7 @@ func TestCircuitTemplateRunTrialsBlock(t *testing.T) {
 	for i, v := range sets {
 		want := rebuildRun(t, v, stim, 2*T, steps)
 		for k := range want {
-			if results[i][k] != want[k] {
+			if math.Float64bits(results[i][k]) != math.Float64bits(want[k]) {
 				t.Fatalf("trial %d step %d: %v != %v", i, k, results[i][k], want[k])
 			}
 		}
@@ -237,7 +244,7 @@ func TestCircuitTemplateStatefulWaveform(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := range want {
-		if got[k] != want[k] {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
 			t.Fatalf("step %d: template %v, rebuild %v", k, got[k], want[k])
 		}
 	}

@@ -194,12 +194,19 @@ func (s *Sampled) Reuse(samples []float64, period float64) error {
 }
 
 // Eval implements Waveform by linear interpolation between the two
-// neighbouring samples, wrapping modulo the period.
+// neighbouring samples, wrapping modulo the period. A non-finite t
+// gives NaN.
 func (s *Sampled) Eval(t float64) float64 {
 	n := len(s.v)
-	u := math.Mod(t, s.period)
-	if u < 0 {
-		u += s.period
+	u := t // math.Mod returns t itself on [0, period)
+	if !(t >= 0 && t < s.period) {
+		if math.IsNaN(t) || math.IsInf(t, 0) {
+			return math.NaN()
+		}
+		u = math.Mod(t, s.period)
+		if u < 0 {
+			u += s.period
+		}
 	}
 	x := u / s.period * float64(n)
 	i := int(x)
@@ -216,6 +223,32 @@ func (s *Sampled) Eval(t float64) float64 {
 
 // Period implements Waveform.
 func (s *Sampled) Period() float64 { return s.period }
+
+// Hull returns the smallest and largest sample that Eval interpolates
+// between for any t in [t0, t1], so Eval's value there lies in
+// [lo, hi] up to its rounding (a few ulps of the samples). It computes
+// the sample index with Eval's own expression, which is monotone in t on
+// [0, period). It refuses (ok false) a reversed range, a range outside
+// [0, period), one whose last segment wraps back to the first sample,
+// and a hull holding a NaN or an infinite sample.
+func (s *Sampled) Hull(t0, t1 float64) (lo, hi float64, ok bool) {
+	n := len(s.v)
+	if !(t0 >= 0 && t0 <= t1 && t1 < s.period) {
+		return 0, 0, false
+	}
+	i0, i1 := int(t0/s.period*float64(n)), int(t1/s.period*float64(n))
+	if i1 >= n-1 {
+		return 0, 0, false
+	}
+	lo, hi = s.v[i0], s.v[i0]
+	for _, v := range s.v[i0+1 : i1+2] {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+		return 0, 0, false
+	}
+	return lo, hi, true
+}
 
 // Record is a uniformly sampled waveform segment.
 type Record struct {

@@ -325,3 +325,160 @@ func TestSampledReuse(t *testing.T) {
 		t.Fatalf("Reuse allocates %.1f times per run, want 0", allocs)
 	}
 }
+
+// modEval is Sampled.Eval as it stood before its [0, period) fast path:
+// math.Mod at every t. It is the oracle for finite times.
+func modEval(s *Sampled, t float64) float64 {
+	n := len(s.v)
+	u := math.Mod(t, s.period)
+	if u < 0 {
+		u += s.period
+	}
+	x := u / s.period * float64(n)
+	i := int(x)
+	if i >= n {
+		i = n - 1
+	}
+	frac := x - float64(i)
+	j := i + 1
+	if j >= n {
+		j = 0
+	}
+	return s.v[i] + (s.v[j]-s.v[i])*frac
+}
+
+// TestSampledEvalEdges pins Eval at non-finite times (NaN, where it
+// used to index out of range) and checks it bit for bit against the
+// math.Mod form at t = period, at negative times, at −0, past the
+// period and across random times of random waveforms.
+func TestSampledEvalEdges(t *testing.T) {
+	s, err := NewSampled([]float64{0.2, 0.9, 0.4, -0.3, 0.6}, 2e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got := s.Eval(tt); !math.IsNaN(got) {
+			t.Fatalf("Eval(%v) = %v, want NaN", tt, got)
+		}
+	}
+	same := func(s *Sampled, tt float64) {
+		t.Helper()
+		if got, want := s.Eval(tt), modEval(s, tt); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Eval(%v) = %v, want %v", tt, got, want)
+		}
+	}
+	p := s.Period()
+	for _, tt := range []float64{0, math.Copysign(0, -1), p, -p, -1e-300, -p / 3, math.Nextafter(p, 0), math.Nextafter(p, 2*p), 3.5 * p, -7.25 * p, 1e6 * p} {
+		same(s, tt)
+	}
+	src := rng.New(5)
+	for k := 0; k < 200; k++ {
+		v := make([]float64, 2+int(src.Uint64()%300))
+		for i := range v {
+			v[i] = src.Float64()*2 - 0.5
+		}
+		w, err := NewSampled(v, 1e-4+src.Float64()*1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			same(w, (src.Float64()*3-1)*w.Period())
+		}
+	}
+}
+
+// TestSampledHull checks Hull against Eval on random waveforms: for
+// random ranges inside one period, every Eval on a dense grid of the
+// range (and at its ends) lies in the hull, within 4 ulps, and the hull
+// is the range of exactly the samples Eval reads there. It also checks
+// each refusal.
+func TestSampledHull(t *testing.T) {
+	src := rng.New(9)
+	checked := 0
+	for k := 0; k < 300; k++ {
+		n := 2 + int(src.Uint64()%5000)
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = src.Float64()*3 - 1
+		}
+		s, err := NewSampled(v, 1e-5+src.Float64()*1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := s.Period()
+		for r := 0; r < 20; r++ {
+			t0 := src.Float64() * p
+			t1 := t0 + src.Float64()*src.Float64()*(p-t0)
+			lo, hi, ok := s.Hull(t0, t1)
+			i0, i1 := int(t0/p*float64(n)), int(t1/p*float64(n))
+			if t1 >= p || i1 >= n-1 {
+				if ok {
+					t.Fatalf("n=%d: Hull(%v, %v) of a wrapping range accepted", n, t0, t1)
+				}
+				continue
+			}
+			if !ok {
+				t.Fatalf("n=%d: Hull(%v, %v) refused, indices %d..%d", n, t0, t1, i0, i1)
+			}
+			wlo, whi := v[i0], v[i0]
+			for _, x := range v[i0 : i1+2] {
+				wlo, whi = math.Min(wlo, x), math.Max(whi, x)
+			}
+			if lo != wlo || hi != whi {
+				t.Fatalf("n=%d: Hull(%v, %v) = [%v, %v], want the range [%v, %v] of samples %d..%d", n, t0, t1, lo, hi, wlo, whi, i0, i1+1)
+			}
+			ulp := 4 * (math.Nextafter(math.Max(math.Abs(lo), math.Abs(hi)), math.Inf(1)) - math.Max(math.Abs(lo), math.Abs(hi)))
+			for g := 0; g <= 64; g++ {
+				tt := t0 + (t1-t0)*float64(g)/64
+				if g == 64 {
+					tt = t1
+				}
+				if y := s.Eval(tt); y < lo-ulp || y > hi+ulp {
+					t.Fatalf("n=%d: Eval(%v) = %v outside Hull(%v, %v) = [%v, %v]", n, tt, y, t0, t1, lo, hi)
+				}
+				checked++
+			}
+		}
+	}
+	t.Logf("%d evaluations checked inside their hulls", checked)
+
+	s, err := NewSampled([]float64{0.1, 0.5, 0.3, 0.7}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi, ok := s.Hull(0.5, 2.5); !ok || lo != 0.1 || hi != 0.7 {
+		t.Fatalf("Hull(0.5, 2.5) = %v, %v, %v; want 0.1, 0.7, true", lo, hi, ok)
+	}
+	if lo, hi, ok := s.Hull(1, 1); !ok || lo != 0.3 || hi != 0.5 {
+		t.Fatalf("Hull(1, 1) = %v, %v, %v; want 0.3, 0.5, true", lo, hi, ok)
+	}
+	for _, r := range []struct {
+		name   string
+		t0, t1 float64
+	}{
+		{"reversed", 2, 1},
+		{"negative start", -0.5, 1},
+		{"end at the period", 1, 4},
+		{"end past the period", 1, 5},
+		{"last segment wraps", 1, 3.5},
+		{"NaN start", math.NaN(), 1},
+		{"NaN end", 0, math.NaN()},
+		{"infinite end", 0, math.Inf(1)},
+	} {
+		if _, _, ok := s.Hull(r.t0, r.t1); ok {
+			t.Fatalf("Hull accepted the %s range [%v, %v]", r.name, r.t0, r.t1)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		b, err := NewSampled([]float64{0.1, 0.5, bad, 0.7, 0.2}, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok := b.Hull(1.5, 2.5); ok {
+			t.Fatalf("Hull accepted a hull holding %v", bad)
+		}
+		if lo, hi, ok := b.Hull(0, 0.9); !ok || lo != 0.1 || hi != 0.5 {
+			t.Fatalf("Hull(0, 0.9) beside a %v sample = %v, %v, %v; want 0.1, 0.5, true", bad, lo, hi, ok)
+		}
+	}
+}
