@@ -80,11 +80,13 @@ bench:
 # averaged noisy NDF, the noise plan's build, a warm-plan noise trial
 # and one block of its polar draws, streaming reduction, spec
 # dispatch, the null calibration's max
-# reduction, span reduction with/without a checkpoint sink, zone-LUT
+# reduction, a serve-sized job's one-worker reduction (the serial loop
+# that ReduceSpanScratch keeps because it pays), span reduction
+# with/without a checkpoint sink, zone-LUT
 # certification and batch classification on random and curve points) —
 # proves the hot paths still execute end to end.
 bench-smoke:
-	$(GO) test -bench='SpiceCUT|SpiceTrialEngine|YieldSpiceTrial|FaultTableSpice|SignatureCapture|ExactSignature|AveragedNDF|NoisePlanBuild|NoiseTrial|PolarFill|BankClassify|ZoneLUTBuild|RegistryDispatch|CampaignReduce1M|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
+	$(GO) test -bench='SpiceCUT|SpiceTrialEngine|YieldSpiceTrial|FaultTableSpice|SignatureCapture|ExactSignature|AveragedNDF|NoisePlanBuild|NoiseTrial|PolarFill|BankClassify|ZoneLUTBuild|RegistryDispatch|CampaignReduce1M|ReduceOneWorker|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
 
 # The repository benchmark's own checks (cmd/mcbench is a nested module,
 # so `go test ./...` at the root does not reach it): every workload's

@@ -845,6 +845,32 @@ func BenchmarkCampaignReduce1M(b *testing.B) {
 	b.ReportMetric(sum, "sum")
 }
 
+// ENGINE-REDUCE-1W: a serve or fabric job's reduction shape — 256
+// trivial trials in chunks of 8 on one worker (cmd/mcbench runs every
+// serve-mixed and fabric-sharded job at Workers: 1). It times the
+// engine's serial workers == 1 loop in campaign.ReduceSpanScratch,
+// which folds the chunks in order on the caller's goroutine; the
+// feeder/worker/merger pipeline it stands in for took more than ten
+// times as long per run and three times the bytes.
+func BenchmarkReduceOneWorker(b *testing.B) {
+	ctx := context.Background()
+	red := campaign.Reducer[float64, float64]{
+		Fold:  func(a float64, _ int, v float64) float64 { return a + v },
+		Merge: func(a, c float64) float64 { return a + c },
+	}
+	b.ReportAllocs()
+	var sum float64
+	for i := 0; i < b.N; i++ {
+		var err error
+		sum, err = campaign.Reduce(ctx, campaign.Engine{Workers: 1, Chunk: 8}, 256, red,
+			func(i int) (float64, error) { return float64(i & 1), nil })
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(sum, "sum")
+}
+
 // NOISE-CALIB-1M: the null calibration at a million synthetic trials —
 // one max-reduction over the streaming engine. The allocation column is
 // the O(workers + chunk) story: the accumulator is one float64 per

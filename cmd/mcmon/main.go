@@ -215,12 +215,7 @@ func spreadStudy(ctx context.Context, w io.Writer, monIdx, dies int, x float64, 
 	// Every die derives its stream inside the worker as a pure function
 	// of (seed, die), so the two passes see identical values.
 	trial := func(d int) (float64, error) {
-		die := variation.SampleDie(eng.Stream(d))
-		devs := a.Devices()
-		for j := range devs {
-			devs[j] = die.Perturb(devs[j])
-		}
-		if y, ok := a.WithDevices(devs).BoundaryY(x, 0, 1); ok {
+		if y, ok := a.Perturbed(variation.SampleDie(eng.Stream(d))).BoundaryY(x, 0, 1); ok {
 			return y, nil
 		}
 		return math.NaN(), nil

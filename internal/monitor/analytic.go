@@ -105,6 +105,17 @@ func (a *Analytic) WithDevices(devs [4]mos.Device) *Analytic {
 // Devices returns the monitor's input devices.
 func (a *Analytic) Devices() [4]mos.Device { return a.devs }
 
+// Perturbed returns a copy of the monitor built on one Monte Carlo die:
+// each of the four input devices gets the die's global shift plus its
+// own mismatch draw, taken from the die's stream in device order.
+func (a *Analytic) Perturbed(die *mos.Die) *Analytic {
+	devs := a.devs
+	for j := range devs {
+		devs[j] = die.Perturb(devs[j])
+	}
+	return newAnalytic(a.cfg, devs)
+}
+
 func signum(v float64) int {
 	switch {
 	case v > 0:

@@ -120,11 +120,7 @@ func (b *Bank) Perturbed(die *mos.Die) *Bank {
 	out := make([]Monitor, len(b.monitors))
 	for i, m := range b.monitors {
 		if a, ok := m.(*Analytic); ok {
-			devs := a.Devices()
-			for j := range devs {
-				devs[j] = die.Perturb(devs[j])
-			}
-			out[i] = a.WithDevices(devs)
+			out[i] = a.Perturbed(die)
 		} else {
 			out[i] = m
 		}
@@ -156,19 +152,14 @@ func (b *Bank) MCEnvelopeCtx(ctx context.Context, mi int, variation mos.Variatio
 		xs[i] = float64(i) / float64(nCols-1)
 	}
 	eng.Seed = seed
-	// The reduction is the checkpointable envelope fold (envelope.go):
-	// per-column boundary values appended in die order, chunks
-	// concatenated column-wise, so the merged envelope matches a serial
-	// run bit for bit.
+	// The reduction is the envelope fold (envelope.go): per-column
+	// boundary values appended in die order, chunks concatenated
+	// column-wise, so the merged envelope matches a serial run bit for
+	// bit.
 	ys, err = campaign.Reduce(ctx, eng, nDies,
-		envelopeReducer(nCols).Reducer,
+		envelopeReducer(nCols),
 		func(d int) ([]float64, error) {
-			die := variation.SampleDie(eng.Stream(d))
-			devs := a.Devices()
-			for j := range devs {
-				devs[j] = die.Perturb(devs[j])
-			}
-			pm := a.WithDevices(devs)
+			pm := a.Perturbed(variation.SampleDie(eng.Stream(d)))
 			col := make([]float64, nCols)
 			for i, x := range xs {
 				if y, ok := pm.BoundaryY(x, 0, 1); ok {

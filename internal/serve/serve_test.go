@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -183,6 +184,39 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if n := len(s.Jobs()); n != 0 {
 		t.Fatalf("%d jobs created by invalid specs", n)
+	}
+}
+
+// Specs that decode but that their campaign's runner would refuse — a
+// monitor index past Table I, a one-point grid, an f0 shift of −100 %,
+// a calibration tolerance the sweep cannot use, an empty held-out list
+// — are rejected with 400 naming the field, before any job is created.
+func TestSubmitRejectsSpecsTheRunnerRefuses(t *testing.T) {
+	s, ts := newTestServer(t)
+	for _, c := range []struct{ body, field string }{
+		{`{"campaign":"fig4mc","params":{"monitor":6}}`, "monitor"},
+		{`{"campaign":"fig6","params":{"grid":1}}`, "grid"},
+		{`{"campaign":"fig7","params":{"shift":-1}}`, "shift"},
+		{`{"campaign":"linear","params":{"devs":[0.05,-1]}}`, "devs"},
+		{`{"campaign":"faults","params":{"tol":0.5}}`, "tol"},
+		{`{"campaign":"yield","params":{"n":4,"component_sigma":-0.02}}`, "component_sigma"},
+		{`{"campaign":"regress","params":{"test_devs":[]}}`, "test_devs"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), c.field) {
+			t.Fatalf("POST %s: %s %s, want 400 naming %q", c.body, resp.Status, msg, c.field)
+		}
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("%d jobs created by specs the runner refuses", n)
 	}
 }
 

@@ -85,15 +85,14 @@ type rhsOp struct {
 	is   *ISource
 	tick []float64
 	dc   float64
-	// scratch holds the per-trial tick table of a stateful (non-pure)
-	// waveform, which must be re-evaluated every trial in step order.
-	scratch []float64
 }
 
 // tickTable caches w.Eval(k·dt) for k = 0..len(vals)-1. Tables are
 // keyed by (waveform, exact dt bits): trials with different settling
 // spans can produce dt values that differ in the last bit, and the
-// replayed Eval argument must be bit-equal to the rebuild path's.
+// replayed Eval argument must be bit-equal to the rebuild path's. The
+// waveform key is compared with ==, which wave.Waveform's contract (a
+// pure Eval on a comparable type) makes safe and exact.
 type tickTable struct {
 	w      wave.Waveform
 	dtBits uint64
@@ -105,7 +104,7 @@ type tickTable struct {
 // so a short LRU covers every real hit pattern.
 const maxTickTables = 4
 
-// TickCache holds pure-waveform tick tables, shareable across templates
+// TickCache holds stimulus tick tables, shareable across templates
 // and goroutines. Sharing is what makes the tick amortization stick:
 // campaign workers rebuild their per-worker templates on every campaign
 // invocation, but a cache hung off the long-lived circuit family keeps
@@ -137,7 +136,7 @@ func (tc *TickCache) ticksFor(w wave.Waveform, dt float64, steps int) []float64 
 			if len(tb.vals) <= steps {
 				// Extend into a fresh array: a worker holding the shorter
 				// table must keep a stable view. The copied prefix is
-				// bit-identical — Eval of a pure waveform is deterministic.
+				// bit-identical — a waveform's Eval is a pure function of t.
 				vals := make([]float64, steps+1)
 				copy(vals, tb.vals)
 				for k := len(tb.vals); k <= steps; k++ {
@@ -247,7 +246,7 @@ func sortInt32(s []int32) {
 	}
 }
 
-// ShareTickCache makes t serve pure-waveform tick tables from tc instead
+// ShareTickCache makes t serve stimulus tick tables from tc instead
 // of its private cache. Campaigns point every worker's template at one
 // cache owned by the circuit family, so a settling class's tick grid is
 // filled once and reused by all workers and all later campaigns. A nil
@@ -401,7 +400,7 @@ func (t *CircuitTemplate) refresh(dt float64, steps int) {
 			op.p = int32(op.vs.branch)
 			if w := op.vs.src.w; w != nil {
 				op.kind = opVSrcTick
-				op.tick = t.tickFor(w, dt, steps, op)
+				op.tick = t.ticks.ticksFor(w, dt, steps)
 			} else {
 				op.kind = opVSrcDC
 				op.dc = op.vs.src.dc
@@ -409,52 +408,12 @@ func (t *CircuitTemplate) refresh(dt float64, steps int) {
 		case op.is != nil:
 			if w := op.is.src.w; w != nil {
 				op.kind = opISrcTick
-				op.tick = t.tickFor(w, dt, steps, op)
+				op.tick = t.ticks.ticksFor(w, dt, steps)
 			} else {
 				op.kind = opISrcDC
 				op.dc = op.is.src.dc
 			}
 		}
-	}
-}
-
-// tickFor returns a table holding w.Eval(k·dt) for k = 1..steps. Pure
-// waveforms come from the (possibly shared) tick cache; stateful
-// waveforms (measurement noise) get the op's private table re-evaluated
-// every trial, which preserves the rebuild path's one-Eval-per-step call
-// sequence exactly.
-func (t *CircuitTemplate) tickFor(w wave.Waveform, dt float64, steps int, op *rhsOp) []float64 {
-	if !pureWaveform(w) {
-		op.scratch = growTicks(op.scratch, steps+1)
-		for k := 1; k <= steps; k++ {
-			op.scratch[k] = w.Eval(float64(k) * dt)
-		}
-		return op.scratch
-	}
-	return t.ticks.ticksFor(w, dt, steps)
-}
-
-// growTicks resizes a tick buffer to n, reusing capacity and keeping
-// existing entries.
-func growTicks(vals []float64, n int) []float64 {
-	if cap(vals) >= n {
-		return vals[:n]
-	}
-	out := make([]float64, n)
-	copy(out, vals)
-	return out
-}
-
-// pureWaveform reports whether w's Eval is a pure function of t, making
-// its tick table reusable across trials. Unknown and stateful types
-// (wave.Noisy draws a fresh variate per Eval) are conservatively
-// re-evaluated every trial.
-func pureWaveform(w wave.Waveform) bool {
-	switch w.(type) {
-	case *wave.Multitone, wave.Sine, wave.DC, *wave.Sampled:
-		return true
-	default:
-		return false
 	}
 }
 

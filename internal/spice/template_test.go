@@ -223,44 +223,6 @@ func TestCircuitTemplateRejectsUnsupported(t *testing.T) {
 	}
 }
 
-// TestCircuitTemplateStatefulWaveform pins bit-identity when the source
-// waveform is stateful (wave.Noisy): the template must re-evaluate it
-// every trial in step order instead of caching a tick table.
-func TestCircuitTemplateStatefulWaveform(t *testing.T) {
-	v := benchValues{r1: 1e3, c1: 100e-9, r2: 2e3, c2: 47e-9, gain: 2}
-	steps := 200
-	dur := 4e-4
-	mkNoisy := func() wave.Waveform {
-		return &noisyCounter{}
-	}
-	want := rebuildRun(t, v, mkNoisy(), dur, steps)
-	ckt, out := buildTestCircuit(v, mkNoisy())
-	tmpl, err := spice.NewCircuitTemplate(ckt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, steps+1)
-	if err := tmpl.RunTrial(spice.Trial{Dur: dur, Steps: steps, Record: out, Start: 0, Out: got}); err != nil {
-		t.Fatal(err)
-	}
-	for k := range want {
-		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-			t.Fatalf("step %d: template %v, rebuild %v", k, got[k], want[k])
-		}
-	}
-}
-
-// noisyCounter is a deterministic stateful waveform: each Eval call
-// advances a counter, so caching evaluations across trials (or calling
-// in a different order) changes the output.
-type noisyCounter struct{ calls int }
-
-func (n *noisyCounter) Eval(t float64) float64 {
-	n.calls++
-	return 0.5 + 0.01*float64(n.calls%7) + 0.1*t
-}
-func (n *noisyCounter) Period() float64 { return 2e-4 }
-
 // TestSpiceTemplateTrialAllocationFree pins the hot-path allocation
 // contract: a warm template trial — workspace sized, tick tables built,
 // solve program compiled — allocates nothing.

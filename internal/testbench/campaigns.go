@@ -28,8 +28,13 @@ type Fig1Params struct {
 	Points int     `json:"points"`
 }
 
-// Validate bounds the trace resolution.
-func (p *Fig1Params) Validate() error { return validateSize("points", p.Points, MaxSamples) }
+// Validate bounds the shift and the trace resolution.
+func (p *Fig1Params) Validate() error {
+	if err := validateShift("shift", p.Shift); err != nil {
+		return err
+	}
+	return validateSize("points", p.Points, 2, MaxSamples)
+}
 
 // Fig4Params configures the "fig4" campaign.
 type Fig4Params struct {
@@ -37,7 +42,7 @@ type Fig4Params struct {
 }
 
 // Validate bounds the trace resolution.
-func (p *Fig4Params) Validate() error { return validateSize("points", p.Points, MaxGrid) }
+func (p *Fig4Params) Validate() error { return validateSize("points", p.Points, 2, MaxGrid) }
 
 // Fig4SpiceParams configures the "fig4spice" campaign.
 type Fig4SpiceParams struct {
@@ -45,7 +50,7 @@ type Fig4SpiceParams struct {
 }
 
 // Validate bounds the column count.
-func (p *Fig4SpiceParams) Validate() error { return validateSize("cols", p.Cols, MaxGrid) }
+func (p *Fig4SpiceParams) Validate() error { return validateSize("cols", p.Cols, 2, MaxGrid) }
 
 // Fig4MCParams configures the "fig4mc" campaign. Monitor is the 0-based
 // Table I index.
@@ -55,14 +60,17 @@ type Fig4MCParams struct {
 	Cols    int `json:"cols"`
 }
 
-// Validate bounds the die count, the column count, and their product:
-// each (die, column) pair is one boundary search, and there are at
-// most MaxTrials of them.
+// Validate checks the monitor index against Table I and bounds the die
+// count, the column count, and their product: each (die, column) pair
+// is one boundary search, and there are at most MaxTrials of them.
 func (p *Fig4MCParams) Validate() error {
+	if n := len(monitor.TableI()); p.Monitor < 0 || p.Monitor >= n {
+		return fmt.Errorf("monitor = %d out of the Table I range [0, %d]", p.Monitor, n-1)
+	}
 	if err := validateTrials("dies", p.Dies); err != nil {
 		return err
 	}
-	if err := validateSize("cols", p.Cols, MaxGrid); err != nil {
+	if err := validateSize("cols", p.Cols, 2, MaxGrid); err != nil {
 		return err
 	}
 	if p.Dies*p.Cols > MaxTrials {
@@ -77,8 +85,13 @@ type Fig6Params struct {
 	Grid  int     `json:"grid"`
 }
 
-// Validate bounds the zone-map grid.
-func (p *Fig6Params) Validate() error { return validateSize("grid", p.Grid, MaxGrid) }
+// Validate bounds the shift and the zone-map grid.
+func (p *Fig6Params) Validate() error {
+	if err := validateShift("shift", p.Shift); err != nil {
+		return err
+	}
+	return validateSize("grid", p.Grid, 2, MaxGrid)
+}
 
 // Fig7Params configures the "fig7" campaign.
 type Fig7Params struct {
@@ -86,8 +99,13 @@ type Fig7Params struct {
 	Points int     `json:"points"`
 }
 
-// Validate bounds the chronogram resolution.
-func (p *Fig7Params) Validate() error { return validateSize("points", p.Points, MaxSamples) }
+// Validate bounds the shift and the chronogram resolution.
+func (p *Fig7Params) Validate() error {
+	if err := validateShift("shift", p.Shift); err != nil {
+		return err
+	}
+	return validateSize("points", p.Points, 1, MaxSamples)
+}
 
 // Fig8Params configures the "fig8" campaign.
 type Fig8Params struct {
@@ -96,8 +114,18 @@ type Fig8Params struct {
 	Tol    float64 `json:"tol"`
 }
 
-// Validate bounds the sweep length.
-func (p *Fig8Params) Validate() error { return validateSize("points", p.Points, MaxSamples) }
+// Validate bounds the sweep: it runs from −max_dev to +max_dev, so
+// max_dev must lie in [0, 1) for every f0 to stay positive, and the
+// threshold calibration needs two points and a positive tolerance.
+func (p *Fig8Params) Validate() error {
+	if !(p.MaxDev >= 0 && p.MaxDev < 1) {
+		return fmt.Errorf("max_dev = %v out of [0, 1)", p.MaxDev)
+	}
+	if !(p.Tol > 0) || math.IsInf(p.Tol, 1) {
+		return fmt.Errorf("tol = %v, want a finite positive tolerance", p.Tol)
+	}
+	return validateSize("points", p.Points, 2, MaxSamples)
+}
 
 // NoiseParams configures the "noise" campaign. SketchPrec has no
 // effect. It stays on the wire, bounded to 0..12, so old specs and job
@@ -119,12 +147,17 @@ func (p *NoiseParams) Validate() error {
 	if err := validateTrials("null_trials", p.NullTrials); err != nil {
 		return err
 	}
-	if p.Sigma < 0 {
-		return fmt.Errorf("negative sigma %v", p.Sigma)
+	if err := validateSigma("sigma", p.Sigma); err != nil {
+		return err
 	}
 	if len(p.Devs) >= (MaxTrials-p.NullTrials)/p.Trials {
 		return fmt.Errorf("null_trials + trials × (1 + len(devs)) = %d + %d × %d exceeds the %d-trial bound",
 			p.NullTrials, p.Trials, 1+len(p.Devs), MaxTrials)
+	}
+	for i, d := range p.Devs {
+		if !shiftOK(d) {
+			return fmt.Errorf("devs[%d] = %v, want a finite deviation above -1", i, d)
+		}
 	}
 	return validateSketchPrec(p.SketchPrec)
 }
@@ -149,8 +182,8 @@ func (p *NoiseSweepParams) Validate() error {
 		return err
 	}
 	for i, s := range p.Sigmas {
-		if s < 0 {
-			return fmt.Errorf("negative sigma %v in sigmas[%d]", s, i)
+		if !sigmaOK(s) {
+			return fmt.Errorf("sigmas[%d] = %v, want a finite non-negative sigma", i, s)
 		}
 	}
 	for i, d := range p.DevGrid {
@@ -187,8 +220,24 @@ type FaultsParams struct {
 	Faults    []biquad.Fault `json:"faults,omitempty"`
 }
 
-// Validate bounds the fault list to MaxList entries.
-func (p *FaultsParams) Validate() error { return validateList("faults", len(p.Faults)) }
+// Validate bounds the fault list to MaxList entries of a known kind and
+// target, each parametric drift to one that keeps its component
+// positive (shiftOK), and checks the decision's source
+// (validateDecision).
+func (p *FaultsParams) Validate() error {
+	if err := validateList("faults", len(p.Faults)); err != nil {
+		return err
+	}
+	for i, f := range p.Faults {
+		if f.Kind < biquad.FaultParametric || f.Kind > biquad.FaultShort || f.Target < biquad.TargetR || f.Target > biquad.TargetC {
+			return fmt.Errorf("faults[%d] has kind %d and target %d, want kind 0..2 and target 0..3", i, f.Kind, f.Target)
+		}
+		if f.Kind == biquad.FaultParametric && !shiftOK(f.Frac) {
+			return fmt.Errorf("faults[%d] drifts by %v, want a finite drift above -1", i, f.Frac)
+		}
+	}
+	return validateDecision(p.Threshold, p.Tol)
+}
 
 // faultSet is the fault list the campaign injects: Faults, or
 // DefaultFaultSet when empty.
@@ -210,9 +259,21 @@ type YieldParams struct {
 	Threshold      *float64 `json:"threshold,omitempty"`
 }
 
-// Validate bounds the die count to (0, MaxTrials].
+// Validate bounds the die count to (0, MaxTrials], the component
+// spread to a finite non-negative σ and the tolerance to [0, 0.5): the
+// spec band on Q is ±2·tol, and the corner calibration sets Q to
+// Q0·(1 − 2·tol). An explicit threshold must be finite.
 func (p *YieldParams) Validate() error {
-	return validateTrials("n", p.N)
+	if err := validateTrials("n", p.N); err != nil {
+		return err
+	}
+	if err := validateSigma("component_sigma", p.ComponentSigma); err != nil {
+		return err
+	}
+	if !(p.Tol >= 0 && p.Tol < 0.5) {
+		return fmt.Errorf("tol = %v out of [0, 0.5)", p.Tol)
+	}
+	return validateThreshold(p.Threshold)
 }
 
 // validateTrials is the shared trial-count bound: positive, at most
@@ -223,6 +284,67 @@ func validateTrials(name string, n int) error {
 	}
 	if n > MaxTrials {
 		return fmt.Errorf("%s = %d exceeds the %d-trial bound", name, n, MaxTrials)
+	}
+	return nil
+}
+
+// shiftOK reports whether a fractional f0 or Q deviation is finite and
+// above −1: at −1 or below the deviated f0 or Q is zero or negative,
+// which every CUT backend refuses.
+func shiftOK(d float64) bool { return d > -1 && !math.IsInf(d, 1) }
+
+// sigmaOK reports whether a standard deviation is finite and
+// non-negative.
+func sigmaOK(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
+// validateShift checks one deviation knob (shiftOK).
+func validateShift(name string, d float64) error {
+	if !shiftOK(d) {
+		return fmt.Errorf("%s = %v, want a finite deviation above -1", name, d)
+	}
+	return nil
+}
+
+// validateShifts bounds a deviation list to MaxList entries and checks
+// each (shiftOK).
+func validateShifts(name string, ds []float64) error {
+	if err := validateList(name, len(ds)); err != nil {
+		return err
+	}
+	for i, d := range ds {
+		if !shiftOK(d) {
+			return fmt.Errorf("%s[%d] = %v, want a finite deviation above -1", name, i, d)
+		}
+	}
+	return nil
+}
+
+// validateSigma checks one standard-deviation knob (sigmaOK).
+func validateSigma(name string, v float64) error {
+	if !sigmaOK(v) {
+		return fmt.Errorf("%s = %v, want a finite non-negative sigma", name, v)
+	}
+	return nil
+}
+
+// validateThreshold accepts an absent or finite acceptance threshold.
+func validateThreshold(thr *float64) error {
+	if thr != nil && (math.IsNaN(*thr) || math.IsInf(*thr, 0)) {
+		return fmt.Errorf("threshold = %v, want a finite NDF", *thr)
+	}
+	return nil
+}
+
+// validateDecision checks the decision source of the fault-shaped
+// campaigns (see decision): an explicit threshold must be finite, and
+// without one tol must lie in (0, 0.5), since the Fig. 8 calibration
+// sweeps f0 over ±2·tol and needs a positive band.
+func validateDecision(thr *float64, tol float64) error {
+	if thr != nil {
+		return validateThreshold(thr)
+	}
+	if !(tol > 0 && tol < 0.5) {
+		return fmt.Errorf("tol = %v out of (0, 0.5), which the threshold calibration needs", tol)
 	}
 	return nil
 }
@@ -243,11 +365,12 @@ const (
 	MaxStimOptGrid = 10_000
 )
 
-// validateSize is the shared bound of a size knob: positive, at most
-// limit.
-func validateSize(name string, n, limit int) error {
-	if n < 1 {
-		return fmt.Errorf("%s = %d, need at least 1", name, n)
+// validateSize is the shared bound of a size knob: at least least, at
+// most limit. The least is 2 where the runner spaces n points over a
+// closed interval, dividing by n − 1.
+func validateSize(name string, n, least, limit int) error {
+	if n < least {
+		return fmt.Errorf("%s = %d, need at least %d", name, n, least)
 	}
 	if n > limit {
 		return fmt.Errorf("%s = %d exceeds the %d bound", name, n, limit)
@@ -280,6 +403,9 @@ type SelfTestParams struct {
 	Tol       float64  `json:"tol"`
 }
 
+// Validate checks the decision's source (validateDecision).
+func (p *SelfTestParams) Validate() error { return validateDecision(p.Threshold, p.Tol) }
+
 // TempParams configures the "temp" campaign.
 type TempParams struct {
 	TempsK []float64 `json:"temps_k"`
@@ -306,13 +432,8 @@ type SpectralParams struct {
 	TestDevs  []float64 `json:"test_devs"`
 }
 
-// Validate bounds both deviation lists to MaxList entries.
-func (p *SpectralParams) Validate() error {
-	if err := validateList("train_devs", len(p.TrainDevs)); err != nil {
-		return err
-	}
-	return validateList("test_devs", len(p.TestDevs))
-}
+// Validate checks both deviation lists (validateDevLists).
+func (p *SpectralParams) Validate() error { return validateDevLists(p.TrainDevs, p.TestDevs) }
 
 // RegressParams configures the "regress" campaign.
 type RegressParams struct {
@@ -320,12 +441,23 @@ type RegressParams struct {
 	TestDevs  []float64 `json:"test_devs"`
 }
 
-// Validate bounds both deviation lists to MaxList entries.
-func (p *RegressParams) Validate() error {
-	if err := validateList("train_devs", len(p.TrainDevs)); err != nil {
+// Validate checks both deviation lists (validateDevLists).
+func (p *RegressParams) Validate() error { return validateDevLists(p.TrainDevs, p.TestDevs) }
+
+// validateDevLists bounds the regression campaigns' deviation lists:
+// each holds 1 to MaxList valid deviations, since the fit needs a
+// training point and the RMSE a held-out one.
+func validateDevLists(train, test []float64) error {
+	if len(train) == 0 {
+		return fmt.Errorf("train_devs is empty, need at least 1 deviation")
+	}
+	if len(test) == 0 {
+		return fmt.Errorf("test_devs is empty, need at least 1 deviation")
+	}
+	if err := validateShifts("train_devs", train); err != nil {
 		return err
 	}
-	return validateList("test_devs", len(p.TestDevs))
+	return validateShifts("test_devs", test)
 }
 
 // MetricParams configures the "metric" campaign.
@@ -333,8 +465,8 @@ type MetricParams struct {
 	Devs []float64 `json:"devs"`
 }
 
-// Validate bounds the deviation list to MaxList entries.
-func (p *MetricParams) Validate() error { return validateList("devs", len(p.Devs)) }
+// Validate bounds the deviation list (validateShifts).
+func (p *MetricParams) Validate() error { return validateShifts("devs", p.Devs) }
 
 // CounterParams configures the "counter" campaign.
 type CounterParams struct {
@@ -350,13 +482,19 @@ const (
 	// MaxClockHz keeps a capture of the paper's 200 µs period within
 	// core.MaxTicks ticks (10⁶ ticks at the bound).
 	MaxClockHz = 5e9
+	// MinClockHz gives a capture of the paper's 200 µs period the two
+	// ticks a capture needs at least.
+	MinClockHz = 1e4
 	// MaxCounterList bounds the bits and clocks lists.
 	MaxCounterList = 16
 )
 
-// Validate bounds the counter widths to [1, 32], the clocks to finite
-// rates in (0, MaxClockHz], and each list to MaxCounterList entries.
+// Validate bounds the shift, the counter widths to [1, 32], the clocks
+// to [MinClockHz, MaxClockHz], and each list to MaxCounterList entries.
 func (p *CounterParams) Validate() error {
+	if err := validateShift("shift", p.Shift); err != nil {
+		return err
+	}
 	if len(p.Bits) > MaxCounterList || len(p.Clocks) > MaxCounterList {
 		return fmt.Errorf("len(bits) = %d and len(clocks) = %d, at most %d each", len(p.Bits), len(p.Clocks), MaxCounterList)
 	}
@@ -366,8 +504,8 @@ func (p *CounterParams) Validate() error {
 		}
 	}
 	for i, f := range p.Clocks {
-		if !(f > 0 && f <= MaxClockHz) {
-			return fmt.Errorf("clocks[%d] = %g Hz out of (0, %g]", i, f, MaxClockHz)
+		if !(f >= MinClockHz && f <= MaxClockHz) {
+			return fmt.Errorf("clocks[%d] = %g Hz out of [%g, %g]", i, f, MinClockHz, MaxClockHz)
 		}
 	}
 	return nil
@@ -378,16 +516,16 @@ type LinearParams struct {
 	Devs []float64 `json:"devs"`
 }
 
-// Validate bounds the deviation list to MaxList entries.
-func (p *LinearParams) Validate() error { return validateList("devs", len(p.Devs)) }
+// Validate bounds the deviation list (validateShifts).
+func (p *LinearParams) Validate() error { return validateShifts("devs", p.Devs) }
 
 // QParams configures the "q" campaign.
 type QParams struct {
 	Devs []float64 `json:"devs"`
 }
 
-// Validate bounds the deviation list to MaxList entries.
-func (p *QParams) Validate() error { return validateList("devs", len(p.Devs)) }
+// Validate bounds the Q deviation list (validateShifts).
+func (p *QParams) Validate() error { return validateShifts("devs", p.Devs) }
 
 // StimOptParams configures the "stimopt" campaign.
 type StimOptParams struct {
@@ -395,16 +533,21 @@ type StimOptParams struct {
 	Grid  int     `json:"grid"`
 }
 
-// Validate bounds the phase grid.
-func (p *StimOptParams) Validate() error { return validateSize("grid", p.Grid, MaxStimOptGrid) }
+// Validate bounds the shift and the phase grid.
+func (p *StimOptParams) Validate() error {
+	if err := validateShift("shift", p.Shift); err != nil {
+		return err
+	}
+	return validateSize("grid", p.Grid, 2, MaxStimOptGrid)
+}
 
 // BackendsParams configures the "backends" campaign.
 type BackendsParams struct {
 	Shifts []float64 `json:"shifts"`
 }
 
-// Validate bounds the shift list to MaxList entries.
-func (p *BackendsParams) Validate() error { return validateList("shifts", len(p.Shifts)) }
+// Validate bounds the shift list (validateShifts).
+func (p *BackendsParams) Validate() error { return validateShifts("shifts", p.Shifts) }
 
 // Table1Params configures the "table1" campaign (no knobs).
 type Table1Params struct{}

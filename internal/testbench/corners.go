@@ -38,11 +38,10 @@ func runCornerDrift(ctx context.Context, sys *core.System) (*CornerDrift, error)
 		if err != nil {
 			return nil, err
 		}
-		cSys, err := core.NewSystem(sys.Stimulus, sys.CUT, bank, sys.Capture)
+		cSys, err := derive(sys, sys.Stimulus, bank, sys.Capture)
 		if err != nil {
 			return nil, err
 		}
-		cSys.Observe = sys.Observe
 		obs, err := cSys.ExactSignature(sys.CUT)
 		if err != nil {
 			return nil, err

@@ -24,7 +24,7 @@ type ExtQ struct {
 
 // runExtQ sweeps fractional Q deviations (registry campaign "q").
 func runExtQ(ctx context.Context, sys *core.System, devs []float64) (*ExtQ, error) {
-	bpSys, err := core.NewSystem(sys.Stimulus, sys.CUT, sys.Bank, sys.Capture)
+	bpSys, err := derive(sys, sys.Stimulus, sys.Bank, sys.Capture)
 	if err != nil {
 		return nil, err
 	}

@@ -26,14 +26,9 @@ type Fig4MC struct {
 // runFig4MC builds the envelope for Table I monitor index mi (0-based),
 // fanning the dies out across the campaign pool (registry campaign
 // "fig4mc"); the envelope is bit-identical at any worker count.
+// Fig4MCParams.Validate bounds mi, nDies and nCols.
 func runFig4MC(ctx context.Context, mi, nDies, nCols int, seed uint64, eng campaign.Engine) (*Fig4MC, error) {
 	cfgs := monitor.TableI()
-	if mi < 0 || mi >= len(cfgs) {
-		return nil, fmt.Errorf("testbench: monitor index %d out of range", mi)
-	}
-	if nDies < 1 || nCols < 2 {
-		return nil, fmt.Errorf("testbench: need at least 1 die and 2 columns, got %d/%d", nDies, nCols)
-	}
 	bank := monitor.NewAnalyticTableI()
 	xs, ys, err := bank.MCEnvelopeCtx(ctx, mi, mos.Default65nmVariation(), seed, nDies, nCols, eng)
 	if err != nil {

@@ -171,7 +171,7 @@ func runAblLinear(ctx context.Context, sys *core.System, devs []float64, eng cam
 	if err != nil {
 		return nil, err
 	}
-	linSys, err := core.NewSystem(sys.Stimulus, sys.CUT, lin, sys.Capture)
+	linSys, err := derive(sys, sys.Stimulus, lin, sys.Capture)
 	if err != nil {
 		return nil, err
 	}
@@ -245,11 +245,10 @@ func runAblCounter(ctx context.Context, sys *core.System, shift float64, bits []
 			// A custom system's period may be far longer than the paper's,
 			// which CounterParams bounds the clock for; NewSystem refuses
 			// a capture over core.MaxTicks ticks.
-			at, err := core.NewSystem(sys.Stimulus, sys.CUT, sys.Bank, cfg)
+			at, err := derive(sys, sys.Stimulus, sys.Bank, cfg)
 			if err != nil {
 				return nil, err
 			}
-			at.Observe = sys.Observe
 			sig, err := at.CapturedSignature(cut, 0, nil)
 			if err != nil {
 				return nil, err

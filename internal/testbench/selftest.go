@@ -41,11 +41,10 @@ func runSelfTest(ctx context.Context, sys *core.System, dec ndf.Decision) (*Self
 			if err != nil {
 				return nil, err
 			}
-			broken, err := core.NewSystem(sys.Stimulus, sys.CUT, bank, sys.Capture)
+			broken, err := derive(sys, sys.Stimulus, bank, sys.Capture)
 			if err != nil {
 				return nil, err
 			}
-			broken.Observe = sys.Observe
 			obs, err := broken.ExactSignature(sys.CUT)
 			if err != nil {
 				return nil, err

@@ -27,9 +27,6 @@ type StimOpt struct {
 // runStimOpt greedily searches the phases of the 2nd and 3rd harmonics
 // over a gridN×gridN grid in [0, 2π) (registry campaign "stimopt").
 func runStimOpt(ctx context.Context, sys *core.System, shift float64, gridN int) (*StimOpt, error) {
-	if gridN < 2 {
-		gridN = 4
-	}
 	base := sys.Stimulus
 	basePhases := make([]float64, len(base.Tones))
 	amps := make([]float64, len(base.Tones))
@@ -45,11 +42,10 @@ func runStimOpt(ctx context.Context, sys *core.System, shift float64, gridN int)
 		if err != nil {
 			return 0, err
 		}
-		trial, err := core.NewSystem(stim, sys.CUT, sys.Bank, sys.Capture)
+		trial, err := derive(sys, stim, sys.Bank, sys.Capture)
 		if err != nil {
 			return 0, err
 		}
-		trial.Observe = sys.Observe
 		return trial.NDFOfShift(shift)
 	}
 	baseNDF, err := eval(basePhases)

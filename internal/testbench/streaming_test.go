@@ -299,7 +299,8 @@ func TestSizeKnobValidation(t *testing.T) {
 		{"fig7", Fig7Params{Shift: 0.1, Points: MaxSamples}, Fig7Params{Shift: 0.1, Points: 2_000_000_000}},
 		{"fig8", Fig8Params{MaxDev: 0.2, Points: MaxSamples, Tol: 0.05}, Fig8Params{MaxDev: 0.2, Points: MaxSamples + 1, Tol: 0.05}},
 		{"stimopt", StimOptParams{Shift: 0.05, Grid: MaxStimOptGrid}, StimOptParams{Shift: 0.05, Grid: MaxStimOptGrid + 1}},
-		{"fig6", Fig6Params{Shift: 0.1, Grid: 1}, Fig6Params{Shift: 0.1, Grid: -3}},
+		{"fig6", Fig6Params{Shift: 0.1, Grid: 2}, Fig6Params{Shift: 0.1, Grid: 1}},
+		{"fig6", Fig6Params{Shift: 0.1, Grid: 2}, Fig6Params{Shift: 0.1, Grid: -3}},
 	} {
 		if err := Validate(Spec{Campaign: c.campaign, Params: c.ok}); err != nil {
 			t.Fatalf("%s %+v rejected: %v", c.campaign, c.ok, err)
@@ -410,6 +411,7 @@ func TestInputBoundsRejectExhaustingSpecs(t *testing.T) {
 	}
 	grid := []float64{0.01, 0.02, 0.05}
 	list := make([]float64, MaxList+1)
+	one := []float64{0.1}
 	temps := make([]float64, MaxList+1)
 	for i := range temps {
 		temps[i] = 300
@@ -436,10 +438,10 @@ func TestInputBoundsRejectExhaustingSpecs(t *testing.T) {
 		{"temp", "temps_k", TempParams{TempsK: []float64{1e-9, 1e4}},
 			TempParams{TempsK: []float64{300, math.Inf(1)}}},
 		{"temp", "temps_k", TempParams{TempsK: temps[1:]}, TempParams{TempsK: temps}},
-		{"spectral", "train_devs", SpectralParams{TrainDevs: list[1:]}, SpectralParams{TrainDevs: list}},
-		{"spectral", "test_devs", SpectralParams{TestDevs: list[1:]}, SpectralParams{TestDevs: list}},
-		{"regress", "train_devs", RegressParams{TrainDevs: list[1:]}, RegressParams{TrainDevs: list}},
-		{"regress", "test_devs", RegressParams{TestDevs: list[1:]}, RegressParams{TestDevs: list}},
+		{"spectral", "train_devs", SpectralParams{TrainDevs: list[1:], TestDevs: one}, SpectralParams{TrainDevs: list, TestDevs: one}},
+		{"spectral", "test_devs", SpectralParams{TrainDevs: one, TestDevs: list[1:]}, SpectralParams{TrainDevs: one, TestDevs: list}},
+		{"regress", "train_devs", RegressParams{TrainDevs: list[1:], TestDevs: one}, RegressParams{TrainDevs: list, TestDevs: one}},
+		{"regress", "test_devs", RegressParams{TrainDevs: one, TestDevs: list[1:]}, RegressParams{TrainDevs: one, TestDevs: list}},
 		{"metric", "devs", MetricParams{Devs: list[1:]}, MetricParams{Devs: list}},
 		{"linear", "devs", LinearParams{Devs: list[1:]}, LinearParams{Devs: list}},
 		{"q", "devs", QParams{Devs: list[1:]}, QParams{Devs: list}},

@@ -45,11 +45,10 @@ func runTempDrift(ctx context.Context, sys *core.System, tempsK []float64) (*Tem
 		if err != nil {
 			return nil, err
 		}
-		hotSys, err := core.NewSystem(sys.Stimulus, sys.CUT, bank, sys.Capture)
+		hotSys, err := derive(sys, sys.Stimulus, bank, sys.Capture)
 		if err != nil {
 			return nil, err
 		}
-		hotSys.Observe = sys.Observe
 		obs, err := hotSys.ExactSignature(sys.CUT)
 		if err != nil {
 			return nil, err

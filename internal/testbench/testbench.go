@@ -16,7 +16,19 @@ import (
 	"repro/internal/lissajous"
 	"repro/internal/monitor"
 	"repro/internal/ndf"
+	"repro/internal/signature"
+	"repro/internal/wave"
 )
+
+// derive builds a system on sys's CUT with another stimulus, bank or
+// capture, carrying over the Observe and ScanN that NewSystem resets.
+func derive(sys *core.System, stim *wave.Multitone, bank *monitor.Bank, capture signature.CaptureConfig) (*core.System, error) {
+	d, err := core.NewSystem(stim, sys.CUT, bank, capture)
+	if err == nil {
+		d.Observe, d.ScanN = sys.Observe, sys.ScanN
+	}
+	return d, err
+}
 
 // Fig1 holds the golden and deviated Lissajous traces of Fig. 1.
 type Fig1 struct {
@@ -174,9 +186,6 @@ type Fig8 struct {
 // (odd counts include 0) and calibrates the PASS/FAIL threshold at the
 // tolerance edges (registry campaign "fig8").
 func runFig8(ctx context.Context, sys *core.System, maxDev float64, points int, tol float64, eng campaign.Engine) (*Fig8, error) {
-	if points < 3 {
-		points = 3
-	}
 	devs := make([]float64, points)
 	for i := range devs {
 		devs[i] = -maxDev + 2*maxDev*float64(i)/float64(points-1)

@@ -240,6 +240,33 @@ func TestAblLinear(t *testing.T) {
 	}
 }
 
+// TestAblLinearFollowsObservation: both columns of the linear ablation
+// observe the system's output. A band-pass system's straight-line
+// column must differ from the low-pass run's, as its nonlinear column
+// does; the straight-line system used to be built low-pass whatever the
+// system observed.
+func TestAblLinearFollowsObservation(t *testing.T) {
+	devs := []float64{-0.10, 0.10}
+	run := func(obs core.Observation) *AblLinear {
+		s := core.Default()
+		s.Observe = obs
+		a, err := runAs[AblLinear](context.Background(), Spec{Campaign: "linear", Params: LinearParams{Devs: devs}}, WithSystem(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	lp, bp := run(core.ObserveLP), run(core.ObserveBP)
+	for i, d := range devs {
+		if bp.NonlinearNDF[i] == lp.NonlinearNDF[i] {
+			t.Fatalf("dev %v: nonlinear NDF %v on both observations", d, lp.NonlinearNDF[i])
+		}
+		if bp.LinearNDF[i] == lp.LinearNDF[i] {
+			t.Fatalf("dev %v: straight-line NDF %v on both observations: the baseline system ignores Observe", d, lp.LinearNDF[i])
+		}
+	}
+}
+
 func TestAblCounter(t *testing.T) {
 	a, err := runAs[AblCounter](context.Background(), Spec{Campaign: "counter", Params: CounterParams{Shift: 0.10, Bits: []int{8, 16}, Clocks: []float64{1e6, 10e6}}}, WithSystem(sys()))
 	if err != nil {

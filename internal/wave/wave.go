@@ -1,25 +1,32 @@
-// Package wave generates the analog stimulus and measurement waveforms
-// used throughout the reproduction: sinusoids, the multitone Lissajous
-// excitation of the paper's Biquad experiment, DC levels, and additive
-// white Gaussian measurement noise.
+// Package wave generates the analog stimulus and output waveforms used
+// throughout the reproduction: sinusoids, the multitone Lissajous
+// excitation of the paper's Biquad experiment, DC levels, and sampled
+// periods of a simulated output.
 //
-// A Waveform is a continuous-time function; sampling utilities turn it
-// into uniformly spaced records for the capture and DSP layers.
+// A Waveform is a pure continuous-time function; sampling utilities turn
+// it into uniformly spaced records for the capture and DSP layers.
+// Measurement noise is not a waveform: it enters only at capture, drawn
+// by the noise plan (internal/core).
 package wave
 
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/rng"
 )
 
 // Waveform is a continuous-time scalar signal.
+//
+// Eval must be a pure function of t: the same t always gives the same
+// bits, whatever was evaluated before. Callers rely on it to tabulate a
+// waveform once and reuse the table (the SPICE template's tick cache)
+// and to evaluate points in any order. The dynamic type must also be
+// comparable — a pointer, or a value type without slices or maps —
+// because tick tables are keyed on the waveform with ==.
 type Waveform interface {
 	// Eval returns the waveform value at time t (seconds).
 	Eval(t float64) float64
 	// Period returns the fundamental period in seconds, or 0 if the
-	// waveform is aperiodic (e.g. DC or noise).
+	// waveform is aperiodic (e.g. DC).
 	Period() float64
 }
 
@@ -135,24 +142,6 @@ func (m *Multitone) PeakToPeak() (lo, hi float64) {
 	}
 	return m.Offset - sum, m.Offset + sum
 }
-
-// Noisy decorates a waveform with additive white Gaussian noise of
-// standard deviation Sigma. Each Eval call draws a fresh variate, which
-// models wideband noise sampled far above the signal bandwidth (the
-// paper's "high frequency white noise ... 3σ spread of 0.015 V").
-type Noisy struct {
-	Base  Waveform
-	Sigma float64
-	Src   *rng.Stream
-}
-
-// Eval implements Waveform.
-func (n *Noisy) Eval(t float64) float64 {
-	return n.Base.Eval(t) + n.Src.Gauss(0, n.Sigma)
-}
-
-// Period implements Waveform (delegates to the base waveform).
-func (n *Noisy) Period() float64 { return n.Base.Period() }
 
 // Sampled is a periodic waveform defined by n uniform samples over one
 // period — sample i sits at phase i·period/n and the segment from the
@@ -274,6 +263,19 @@ func Sample(w Waveform, dur, fs float64) Record {
 		rec.V[i] = w.Eval(t)
 	}
 	return rec
+}
+
+// EvalInto samples w at the given times into out: out[i] = w.Eval(ts[i]).
+// It panics when the buffer lengths differ.
+//
+//mclint:hotpath
+func EvalInto(w Waveform, ts, out []float64) {
+	if len(ts) != len(out) {
+		panic("wave: EvalInto needs len(ts) == len(out)")
+	}
+	for i, t := range ts {
+		out[i] = w.Eval(t)
+	}
 }
 
 // SamplePeriods records exactly nPeriods of a periodic waveform with

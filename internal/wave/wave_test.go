@@ -122,28 +122,6 @@ func TestMultitoneSpectrum(t *testing.T) {
 	}
 }
 
-func TestNoisyStatistics(t *testing.T) {
-	n := &Noisy{Base: DC(0.5), Sigma: 0.005, Src: rng.New(42)}
-	if n.Period() != 0 {
-		t.Fatal("noisy DC period should be 0")
-	}
-	sum, sumSq := 0.0, 0.0
-	N := 100000
-	for i := 0; i < N; i++ {
-		v := n.Eval(0) - 0.5
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / float64(N)
-	std := math.Sqrt(sumSq/float64(N) - mean*mean)
-	if math.Abs(mean) > 1e-4 {
-		t.Fatalf("noise mean = %v, want ~0", mean)
-	}
-	if math.Abs(std-0.005) > 2e-4 {
-		t.Fatalf("noise std = %v, want 0.005", std)
-	}
-}
-
 func TestSampleGrid(t *testing.T) {
 	rec := Sample(DC(2), 1e-3, 1e6)
 	if len(rec.V) != 1000 {
@@ -481,4 +459,42 @@ func TestSampledHull(t *testing.T) {
 			t.Fatalf("Hull(0, 0.9) beside a %v sample = %v, %v, %v; want 0.1, 0.5, true", bad, lo, hi, ok)
 		}
 	}
+}
+
+// TestEvalIntoMatchesScalar: EvalInto is bit-identical to Eval, sample
+// for sample.
+func TestEvalIntoMatchesScalar(t *testing.T) {
+	mt, err := NewMultitone(0.5, 5e3, []int{1, 2, 3},
+		[]float64{0.22, 0.13, 0.08}, []float64{0, 0.3, -0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	smp, err := NewSampled([]float64{0, 0.5, 1, 0.25}, 2e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waves := []Waveform{mt, smp}
+	src := rng.New(17)
+	ts := make([]float64, 512)
+	for i := range ts {
+		ts[i] = (src.Float64()*3 - 0.5) * 2e-4 // includes negative and wrapped times
+	}
+	out := make([]float64, len(ts))
+	for _, w := range waves {
+		EvalInto(w, ts, out)
+		for i, tt := range ts {
+			if want := w.Eval(tt); out[i] != want {
+				t.Fatalf("%T at t=%v: EvalInto %v, Eval %v", w, tt, out[i], want)
+			}
+		}
+	}
+}
+
+func TestEvalIntoLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("length mismatch did not panic")
+		}
+	}()
+	EvalInto(DC(1), make([]float64, 3), make([]float64, 2))
 }
