@@ -70,7 +70,8 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # Smoke gate: single-iteration run of the SPICE-campaign (one-shot
-# output, per-worker trial templates and one warm SPICE yield die), the
+# output, per-worker trial templates, one warm SPICE yield die and a
+# warm pair of them through the lock-step two-lane transient), the
 # batched-signature-engine,
 # the noise-plan, the streaming-reduction, the registry-dispatch, the
 # null-calibration and the checkpoint-cadence benchmarks (CUT output,
@@ -86,7 +87,7 @@ bench:
 # certification and batch classification on random and curve points) —
 # proves the hot paths still execute end to end.
 bench-smoke:
-	$(GO) test -bench='SpiceCUT|SpiceTrialEngine|YieldSpiceTrial|FaultTableSpice|SignatureCapture|ExactSignature|AveragedNDF|NoisePlanBuild|NoiseTrial|PolarFill|BankClassify|ZoneLUTBuild|RegistryDispatch|CampaignReduce1M|ReduceOneWorker|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
+	$(GO) test -bench='SpiceCUT|SpiceTrialEngine|YieldSpiceTrial|YieldSpicePair|FaultTableSpice|SignatureCapture|ExactSignature|AveragedNDF|NoisePlanBuild|NoiseTrial|PolarFill|BankClassify|ZoneLUTBuild|RegistryDispatch|CampaignReduce1M|ReduceOneWorker|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
 
 # The repository benchmark's own checks (cmd/mcbench is a nested module,
 # so `go test ./...` at the root does not reach it): every workload's
@@ -98,7 +99,8 @@ bench-verify:
 # Short-budget fuzz pass over the trial-template mutation engine
 # (trapezoidal trials only, checked against the rebuild-per-trial
 # TransientSolver), the restricted sparse solve (its out rows must match
-# the dense LU solve bit for bit), the block polar draw (PolarFill must equal as many
+# the dense LU solve bit for bit), the two-lane solve (each lane must
+# match its own one-lane solve bit for bit), the block polar draw (PolarFill must equal as many
 # Polar calls, pair for pair), the
 # signature binary decoder, the NDF breakpoint sweep (a hang is a
 # failure), the zone-LUT rectangle query and the zone LUT of fuzzed
@@ -114,6 +116,7 @@ bench-verify:
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzTemplateMutation$$' -fuzztime=10s ./internal/spice
 	$(GO) test -run=^$$ -fuzz='^FuzzSolveProgram$$' -fuzztime=10s ./internal/num
+	$(GO) test -run=^$$ -fuzz='^FuzzSolvePair$$' -fuzztime=10s ./internal/num
 	$(GO) test -run=^$$ -fuzz='^FuzzPolarFill$$' -fuzztime=10s ./internal/rng
 	$(GO) test -run=^$$ -fuzz='^FuzzUnmarshalBinary$$' -fuzztime=10s ./internal/signature
 	$(GO) test -run=^$$ -fuzz='^FuzzNDF$$' -fuzztime=10s ./internal/ndf

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"math"
 	"testing"
 
@@ -729,13 +730,7 @@ func BenchmarkYieldSpiceTrial(b *testing.B) {
 	eng := campaign.Engine{Seed: 11}
 	sc := core.NewTrialScratch()
 	die := func(i int) error {
-		s := eng.Stream(i)
-		cut, err := sys.Deviated(core.Deviation{
-			RDrift:  s.Gauss(0, 0.02),
-			RQDrift: s.Gauss(0, 0.02),
-			RGDrift: s.Gauss(0, 0.02),
-			CDrift:  s.Gauss(0, 0.02),
-		})
+		cut, err := yieldDie(sys, eng, i)
 		if err != nil {
 			return err
 		}
@@ -752,6 +747,58 @@ func BenchmarkYieldSpiceTrial(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// YIELD-SPICE-PAIR: two warm dies of the yield campaign on the SPICE
+// backend through the pair path, the unit a yield-spice worker runs:
+// dies i and i+1 drawn as BenchmarkYieldSpiceTrial draws them, their
+// transients in lock step on the worker's two template lanes
+// (NDFOfPairScratch), then each die's scan, refinement and NDF. Per-op
+// figures cover both dies.
+func BenchmarkYieldSpicePair(b *testing.B) {
+	sys, err := core.DefaultSpice()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sys.GoldenSignature(); err != nil {
+		b.Fatal(err)
+	}
+	eng := campaign.Engine{Seed: 11}
+	sc := core.NewTrialScratch()
+	pair := func(i int) error {
+		c0, err := yieldDie(sys, eng, 2*i)
+		if err != nil {
+			return err
+		}
+		c1, err := yieldDie(sys, eng, 2*i+1)
+		if err != nil {
+			return err
+		}
+		_, _, err0, err1 := sys.NDFOfPairScratch(c0, c1, sc)
+		return errors.Join(err0, err1)
+	}
+	if err := pair(0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := pair(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// yieldDie is die i of a 2 % yield campaign on sys: its component
+// drifts drawn from the die's stream, as the campaign draws them.
+func yieldDie(sys *core.System, eng campaign.Engine, i int) (core.CUT, error) {
+	s := eng.Stream(i)
+	return sys.Deviated(core.Deviation{
+		RDrift:  s.Gauss(0, 0.02),
+		RQDrift: s.Gauss(0, 0.02),
+		RGDrift: s.Gauss(0, 0.02),
+		CDrift:  s.Gauss(0, 0.02),
+	})
 }
 
 // CAMPAIGN-SPICE: the reduced fault-table campaign on the SPICE backend
@@ -931,7 +978,7 @@ func BenchmarkCheckpointOverhead(b *testing.B) {
 			var sum float64
 			for i := 0; i < b.N; i++ {
 				var err error
-				sum, err = campaign.ReduceSpanScratch(ctx, e, span, nil, ckpt, sumRed(), noScratch, trivialTrial)
+				sum, err = campaign.ReduceSpanScratch(ctx, e, span, nil, ckpt, sumRed(), noScratch, trivialTrial, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -86,7 +86,7 @@ func TestBatchedEnginePinnedSpeedup(t *testing.T) {
 	}
 
 	speedup := func(name string, iters int, batchedOp, refOp func() error) {
-		ratio := pairedRatio(t, iters, refOp, batchedOp)
+		ratio := pairedRatio(t, pinPairs, iters, refOp, batchedOp)
 		t.Logf("%s: batched is %.1fx the per-tick reference", name, ratio)
 		if ratio < 5 {
 			t.Fatalf("%s: batched engine only %.2fx the per-tick reference, pinned at >= 5x", name, ratio)

@@ -26,6 +26,9 @@ type SpiceTrialScratch struct {
 	lp, bp  spice.NodeID
 	samples []float64
 	out     wave.Sampled
+	// trial and q are the prepared trial and its CUT's Q (setupTrial).
+	trial spice.Trial
+	q     float64
 }
 
 // ensure builds the compiled template and the sample buffer when the
@@ -84,50 +87,89 @@ func (s *SpiceCUT) OutputScratch(stim *wave.Multitone, out Output, sc *SpiceTria
 	if sc == nil {
 		return s.Output(stim, out)
 	}
+	if err := s.setupTrial(stim, out, sc); err != nil {
+		return nil, err
+	}
+	return sc.finish(stim, out, sc.tmpl.RunTrial(sc.trial))
+}
+
+// OutputPair is OutputScratch for two CUTs at once, c0 on sc0 and c1 on
+// sc1: the two transients step in lock step through
+// spice.RunTrialPair, and each waveform is bit-identical to its own
+// OutputScratch call. A CUT whose trial fails returns its error and the
+// other runs alone. sc0 and sc1 must be distinct scratches; each
+// waveform aliases its own, as OutputScratch's does.
+func OutputPair(stim *wave.Multitone, out Output, c0, c1 *SpiceCUT, sc0, sc1 *SpiceTrialScratch) (w0, w1 wave.Waveform, err0, err1 error) {
+	err0, err1 = c0.setupTrial(stim, out, sc0), c1.setupTrial(stim, out, sc1)
+	switch {
+	case err0 == nil && err1 == nil:
+		run0, run1 := spice.RunTrialPair(sc0.tmpl, sc1.tmpl, sc0.trial, sc1.trial)
+		w0, err0 = sc0.finish(stim, out, run0)
+		w1, err1 = sc1.finish(stim, out, run1)
+	case err0 == nil:
+		w0, err0 = sc0.finish(stim, out, sc0.tmpl.RunTrial(sc0.trial))
+	case err1 == nil:
+		w1, err1 = sc1.finish(stim, out, sc1.tmpl.RunTrial(sc1.trial))
+	}
+	return w0, w1, err0, err1
+}
+
+// setupTrial readies sc for s's trial under stim: it builds the
+// template on first use, refreshes the element values and the source,
+// and prepares sc.trial — settling periods, then one recorded period of
+// the observed node into sc's sample buffer.
+func (s *SpiceCUT) setupTrial(stim *wave.Multitone, out Output, sc *SpiceTrialScratch) error {
 	T := stim.Period()
 	if T <= 0 {
-		return nil, fmt.Errorf("biquad: SPICE CUT needs a periodic stimulus")
+		return fmt.Errorf("biquad: SPICE CUT needs a periodic stimulus")
 	}
 	if err := sc.ensure(s); err != nil {
-		return nil, err
+		return err
 	}
 	// Serve tick tables from the family-wide cache: the scratch (and its
 	// template) dies with the campaign invocation, the tick grids do not.
 	sc.tmpl.ShareTickCache(s.ticks)
 	p, err := s.comps.Params()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	settle, err := settlePeriods(p, T)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := sc.refresh(s.comps); err != nil {
-		return nil, err
+		return err
 	}
 	if err := sc.tmpl.SetVSourceWaveform("VIN", stim); err != nil {
-		return nil, err
+		return err
 	}
 	node := sc.lp
 	if out == OutputBP {
 		node = sc.bp
 	}
-	samples := sc.samples
 	settleSteps := settle * stepsPerPeriod
-	err = sc.tmpl.RunTrial(spice.Trial{
+	sc.trial = spice.Trial{
 		Dur:    T * float64(settle+1),
 		Steps:  settleSteps + stepsPerPeriod,
 		Record: node,
 		Start:  settleSteps,
-		Out:    samples,
-	})
+		Out:    sc.samples,
+	}
+	sc.q = p.Q
+	return nil
+}
+
+// finish turns the samples of the trial whose transient returned err
+// into the observed waveform: the band-pass re-bias, then sc's sampled
+// waveform over the stimulus period.
+func (sc *SpiceTrialScratch) finish(stim *wave.Multitone, out Output, err error) (wave.Waveform, error) {
 	if err != nil {
 		return nil, fmt.Errorf("biquad: SPICE CUT transient: %w", err)
 	}
 	if out == OutputBP {
-		rebiasBP(samples, p.Q)
+		rebiasBP(sc.samples, sc.q)
 	}
-	if err := sc.out.Reuse(samples, T); err != nil {
+	if err := sc.out.Reuse(sc.samples, stim.Period()); err != nil {
 		return nil, err
 	}
 	return &sc.out, nil

@@ -180,3 +180,104 @@ func TestOutputScratchWarmAllocationFree(t *testing.T) {
 		t.Fatalf("warm OutputScratch allocates %.1f times per run, want 0", allocs)
 	}
 }
+
+// TestOutputPairMatchesRebuild pins each lane of OutputPair to
+// RebuildOutput and to its own OutputScratch, bit for bit: adjacent
+// pairs of golden, drifted, shifted and faulty CUTs (the open RQ
+// settles for the capped period count, so its pairs end one lane
+// early), both observations, on one reused pair of scratches. A CUT
+// whose trial cannot start, in either lane, must return the error
+// OutputScratch returns while the other lane still matches.
+func TestOutputPairMatchesRebuild(t *testing.T) {
+	stim := cutStimulus(t)
+	root, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	openRQ := Fault{Kind: FaultOpen, Target: TargetRQ}
+	shortC := Fault{Kind: FaultShort, Target: TargetC}
+	var cuts []*SpiceCUT
+	for _, dev := range []Deviation{{}, {RDrift: 0.10}, {F0Shift: 0.05, QShift: -0.1}, {Fault: &openRQ}, {Fault: &shortC}} {
+		c, err := root.Perturb(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts = append(cuts, c.(*SpiceCUT))
+	}
+	T := stim.Period()
+	var sc0, sc1, ref SpiceTrialScratch
+	for _, out := range []Output{OutputLP, OutputBP} {
+		for i := range cuts {
+			pair := [2]*SpiceCUT{cuts[i], cuts[(i+1)%len(cuts)]}
+			w0, w1, err0, err1 := OutputPair(stim, out, pair[0], pair[1], &sc0, &sc1)
+			if err0 != nil || err1 != nil {
+				t.Fatalf("pair %d out %v: %v, %v", i, out, err0, err1)
+			}
+			for lane, w := range []wave.Waveform{w0, w1} {
+				what := fmt.Sprintf("pair %d out %v lane %d", i, out, lane)
+				want, err := pair[lane].RebuildOutput(stim, out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareWaveforms(t, what+": rebuild", w, want, T)
+				one, err := pair[lane].OutputScratch(stim, out, &ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareWaveforms(t, what+": OutputScratch", w, one, T)
+			}
+		}
+	}
+	bad := &SpiceCUT{comps: Components{R: -1, RQ: 1, RG: 1, C: 1e-9}, ticks: root.ticks}
+	_, wantErr := bad.OutputScratch(stim, OutputLP, &ref)
+	if wantErr == nil {
+		t.Fatal("a CUT with a negative resistor ran")
+	}
+	for lane := 0; lane < 2; lane++ {
+		pair := [2]*SpiceCUT{cuts[1], cuts[1]}
+		pair[lane] = bad
+		w0, w1, err0, err1 := OutputPair(stim, OutputLP, pair[0], pair[1], &sc0, &sc1)
+		errs, ws := [2]error{err0, err1}, [2]wave.Waveform{w0, w1}
+		if errs[lane] == nil || errs[lane].Error() != wantErr.Error() {
+			t.Fatalf("failing lane %d: error %v, OutputScratch's %v", lane, errs[lane], wantErr)
+		}
+		if errs[1-lane] != nil {
+			t.Fatalf("lane %d beside a failing lane: %v", 1-lane, errs[1-lane])
+		}
+		want, err := cuts[1].RebuildOutput(stim, OutputLP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareWaveforms(t, fmt.Sprintf("lane %d beside a failing lane", 1-lane), ws[1-lane], want, T)
+	}
+}
+
+// TestOutputPairWarmAllocationFree pins a warm OutputPair, both
+// scratches built and tick tables cached, at zero allocations.
+func TestOutputPairWarmAllocationFree(t *testing.T) {
+	stim := cutStimulus(t)
+	c0, err := NewSpiceCUTFromParams(Params{F0: 10e3, Q: 0.9, Gain: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1, err := c0.Perturb(Deviation{RDrift: 0.03})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc0, sc1 SpiceTrialScratch
+	run := func() error {
+		_, _, err0, err1 := OutputPair(stim, OutputLP, c0, c1.(*SpiceCUT), &sc0, &sc1)
+		return errors.Join(err0, err1)
+	}
+	if err := run(); err != nil {
+		t.Fatal(err)
+	}
+	var trialErr error
+	allocs := testing.AllocsPerRun(10, func() { trialErr = run() })
+	if trialErr != nil {
+		t.Fatal(trialErr)
+	}
+	if allocs != 0 {
+		t.Fatalf("warm OutputPair allocates %.1f times per run, want 0", allocs)
+	}
+}

@@ -101,5 +101,5 @@ func Collect[T, S any](ctx context.Context, e Engine, n int, newScratch func() S
 	return ReduceSpanScratch(ctx, e, Span{Lo: 0, Hi: n}, &out, nil, Reducer[T, []T]{
 		Fold:  func(acc []T, _ int, v T) []T { return append(acc, v) },
 		Merge: func(into, next []T) []T { return append(into, next...) },
-	}, newScratch, trial)
+	}, newScratch, trial, nil)
 }

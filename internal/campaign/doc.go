@@ -28,8 +28,9 @@
 //
 // Every entry point takes a context.Context and stops dispatching new
 // trials as soon as it is done, returning ctx.Err() after the in-flight
-// trials drain — a cancelled campaign aborts within one trial's latency
-// and leaks no goroutines. The fabric's lease revocation rides exactly
+// trials drain — a cancelled campaign aborts within one trial's latency,
+// or within two trials' latency where a pair runs (PairTrial), and
+// leaks no goroutines. The fabric's lease revocation rides exactly
 // this path: coordinator → worker → span context → trial loop.
 //
 // # Execution modes and durability

@@ -62,5 +62,5 @@ func ReduceScratch[T, A, S any](ctx context.Context, e Engine, n int, r Reducer[
 	if n < 0 {
 		n = 0
 	}
-	return ReduceSpanScratch(ctx, e, Span{Lo: 0, Hi: n}, nil, nil, r, newScratch, trial)
+	return ReduceSpanScratch(ctx, e, Span{Lo: 0, Hi: n}, nil, nil, r, newScratch, trial, nil)
 }

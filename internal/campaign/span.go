@@ -57,6 +57,12 @@ type CheckpointReducer[T, A any] struct {
 	Unmarshal func(data []byte) (A, error)
 }
 
+// PairTrial is the optional two-trial form of a span reduction's trial:
+// it runs trials i and i+1 together on one worker's scratch and returns
+// trial i's result and error and, unless trial i failed, trial i+1's,
+// as the one-trial form would. Two SPICE dies cost less together.
+type PairTrial[T, S any] func(i int, scratch S) (v0, v1 T, err0, err1 error)
+
 // ReduceSpanScratch executes the trials of one span through the
 // streaming reduction engine — the durable, shardable generalization of
 // ReduceScratch, which is the span [0, n) with no restored state.
@@ -70,10 +76,16 @@ type CheckpointReducer[T, A any] struct {
 // first uncovered trial index — always a chunk boundary, so resuming at
 // it reproduces the remaining fold bit for bit.
 //
+// pair, when non-nil, runs each index pair (i, i+1) inside both a chunk
+// and the span; trial runs the rest. The fold is the one-trial form's:
+// trial i folds, the context is checked, trial i+1 folds, and the
+// lowest-index error wins, so results, meter counts and progress ticks
+// do not depend on pair.
+//
 // Error, cancellation and progress semantics match ReduceScratch, with
 // progress counted within the span; a checkpoint error aborts the run
 // like a trial error at its boundary.
-func ReduceSpanScratch[T, A, S any](ctx context.Context, e Engine, span Span, init *A, ckpt CheckpointFunc[A], r Reducer[T, A], newScratch func() S, trial func(i int, scratch S) (T, error)) (A, error) {
+func ReduceSpanScratch[T, A, S any](ctx context.Context, e Engine, span Span, init *A, ckpt CheckpointFunc[A], r Reducer[T, A], newScratch func() S, trial func(i int, scratch S) (T, error), pair PairTrial[T, S]) (A, error) {
 	var zero A
 	newAcc := r.New
 	if newAcc == nil {
@@ -154,23 +166,44 @@ func ReduceSpanScratch[T, A, S any](ctx context.Context, e Engine, span Span, in
 		hi := min((c+1)*chunk, span.Hi)
 		acc := newAcc()
 		meter.ChunkStart(c)
-		for i := lo; i < hi; i++ {
+		stop := func(acc A, i int, err error) (A, int, error) {
+			meter.ChunkDone(c, i-lo)
+			tick(i - lo)
+			return acc, i - lo, err
+		}
+		// Pairs first, then the chunk's odd last trial: a campaign with
+		// no pair form pays one branch per chunk.
+		i := lo
+		for ; pair != nil && i+1 < hi; i += 2 {
 			if err := ctx.Err(); err != nil {
-				meter.ChunkDone(c, i-lo)
-				tick(i - lo)
-				return acc, i - lo, err
+				return stop(acc, i, err)
+			}
+			v0, v1, err0, err1 := pair(i, scratch)
+			if err0 != nil {
+				return stop(acc, i, err0)
+			}
+			// Trial i folds; a cancel before trial i+1 stops there, as
+			// it would between two one-trial calls.
+			acc = r.Fold(acc, i, v0)
+			if err := ctx.Err(); err != nil {
+				err1 = err
+			}
+			if err1 != nil {
+				return stop(acc, i+1, err1)
+			}
+			acc = r.Fold(acc, i+1, v1)
+		}
+		for ; i < hi; i++ {
+			if err := ctx.Err(); err != nil {
+				return stop(acc, i, err)
 			}
 			v, err := trial(i, scratch)
 			if err != nil {
-				meter.ChunkDone(c, i-lo)
-				tick(i - lo)
-				return acc, i - lo, err
+				return stop(acc, i, err)
 			}
 			acc = r.Fold(acc, i, v)
 		}
-		meter.ChunkDone(c, hi-lo)
-		tick(hi - lo)
-		return acc, hi - lo, nil
+		return stop(acc, hi, nil)
 	}
 	// checkpointAt invokes ckpt after chunk c merged, when c closes a
 	// cadence interval and is not the final chunk (the caller gets the

@@ -230,5 +230,5 @@ func TestReduceSpanCancellation(t *testing.T) {
 func reduceSpan[T, A any](ctx context.Context, e Engine, span Span, init *A, ckpt CheckpointFunc[A], r Reducer[T, A], trial func(i int) (T, error)) (A, error) {
 	return ReduceSpanScratch(ctx, e, span, init, ckpt, r,
 		func() struct{} { return struct{}{} },
-		func(i int, _ struct{}) (T, error) { return trial(i) })
+		func(i int, _ struct{}) (T, error) { return trial(i) }, nil)
 }

@@ -92,7 +92,11 @@ func TestBatchedExactSignatureBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sys.exactSignature(c, sc)
+		out, err := sys.outputScratch(c, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sys.exactOf(out, sc)
 		if err != nil {
 			t.Fatal(err)
 		}

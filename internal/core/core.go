@@ -181,15 +181,23 @@ type TrialScratch struct {
 	// polar holds a noise plan's block of polar pairs, allocated on the
 	// first noisy period.
 	polar *polarBlock
-	// spice carries the SPICE backend's per-worker trial state: a
-	// compiled circuit template plus the transient sample buffer, so a
-	// worker's trials skip netlist elaboration and solver setup entirely.
-	// Backends without a template path never touch it.
-	spice biquad.SpiceTrialScratch
+	// spice carries the SPICE backend's per-worker trial state, built on
+	// the first SPICE trial: a compiled circuit template plus the sample
+	// buffer per lane, so a worker's trials skip netlist elaboration and
+	// solver setup. Lane 1 serves only a pair's second die.
+	spice *[2]biquad.SpiceTrialScratch
 }
 
 // NewTrialScratch returns an empty scratch; buffers grow on first use.
 func NewTrialScratch() *TrialScratch { return &TrialScratch{} }
+
+// spiceLanes returns the scratch's SPICE lanes, allocating them once.
+func (sc *TrialScratch) spiceLanes() *[2]biquad.SpiceTrialScratch {
+	if sc.spice == nil {
+		sc.spice = new([2]biquad.SpiceTrialScratch)
+	}
+	return sc.spice
+}
 
 // polarBlock returns the scratch's polar-pair block, allocating it once.
 func (sc *TrialScratch) polarBlock() *polarBlock {
@@ -313,7 +321,7 @@ type trialOutputter interface {
 func (s *System) outputScratch(c CUT, sc *TrialScratch) (wave.Waveform, error) {
 	if sc != nil {
 		if to, ok := c.(trialOutputter); ok {
-			return to.OutputScratch(s.Stimulus, s.Observe.output(), &sc.spice)
+			return to.OutputScratch(s.Stimulus, s.Observe.output(), &sc.spiceLanes()[0])
 		}
 	}
 	return s.output(c)
@@ -379,30 +387,35 @@ func (s *System) Classifier(c CUT, sigma float64, noise *rng.Stream) (signature.
 // ExactSignature computes the ideal (unquantized, noiseless) signature
 // of a CUT.
 func (s *System) ExactSignature(c CUT) (*signature.Signature, error) {
-	return s.exactSignature(c, nil)
-}
-
-// exactSignature is ExactSignature with optional per-worker scratch. It
-// classifies the scan grid with scanCodes and bisects the bracketed
-// transitions with Bank.ClassifyLUT. Both answer exactly as
-// Bank.Classify does, so the result is bit-identical to signature.Exact
-// on Classifier(c, 0, nil).
-func (s *System) exactSignature(c CUT, sc *TrialScratch) (*signature.Signature, error) {
-	out, err := s.outputScratch(c, sc)
+	out, err := s.output(c)
 	if err != nil {
 		return nil, err
 	}
+	return s.exactOf(out, nil)
+}
+
+// exactOf extracts the exact signature of an observed output:
+// scanCodes on the scan grid, then Bank.ClassifyLUT bisections of the
+// bracketed transitions. Both answer as Bank.Classify does, so the
+// result is bit-identical to signature.Exact on Classifier(c, 0, nil).
+// With a scratch, its capture buffer holds the result until the
+// scratch's next trial; without one, the caller owns the result.
+func (s *System) exactOf(out wave.Waveform, sc *TrialScratch) (*signature.Signature, error) {
 	cls := func(t float64) monitor.Code {
 		return s.Bank.ClassifyLUT(s.Stimulus.Eval(t), out.Eval(t))
 	}
 	if sc == nil {
-		sc = NewTrialScratch()
+		codes, err := s.scanCodes(out, NewTrialScratch())
+		if err != nil {
+			return nil, err
+		}
+		return signature.ExactFromCodes(codes, cls, s.Period(), 0)
 	}
 	codes, err := s.scanCodes(out, sc)
 	if err != nil {
 		return nil, err
 	}
-	return signature.ExactFromCodes(codes, cls, s.Period(), 0)
+	return signature.ExactFromCodesInto(codes, cls, s.Period(), 0, &sc.capture)
 }
 
 // scanCodes classifies out on the scan grid into sc's code buffer. An
@@ -569,11 +582,47 @@ func (s *System) NDFOfScratch(c CUT, sc *TrialScratch) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	obs, err := s.exactSignature(c, sc)
+	out, err := s.outputScratch(c, sc)
+	if err != nil {
+		return 0, err
+	}
+	return s.ndfOf(out, g, sc)
+}
+
+// ndfOf is the exact NDF of an observed output against g.
+func (s *System) ndfOf(out wave.Waveform, g *signature.Signature, sc *TrialScratch) (float64, error) {
+	obs, err := s.exactOf(out, sc)
 	if err != nil {
 		return 0, err
 	}
 	return ndf.NDF(obs, g)
+}
+
+// NDFOfPairScratch is two NDFOfScratch calls, c0 then c1, with their
+// results and errors. Two SPICE CUTs run their transients as one
+// lock-step pair (biquad.OutputPair) on the scratch's two lanes, then
+// each die's scan, refinement and NDF in order.
+func (s *System) NDFOfPairScratch(c0, c1 CUT, sc *TrialScratch) (v0, v1 float64, err0, err1 error) {
+	s0, ok0 := c0.(*biquad.SpiceCUT)
+	s1, ok1 := c1.(*biquad.SpiceCUT)
+	if !ok0 || !ok1 || sc == nil {
+		v0, err0 = s.NDFOfScratch(c0, sc)
+		v1, err1 = s.NDFOfScratch(c1, sc)
+		return v0, v1, err0, err1
+	}
+	g, err := s.GoldenSignature()
+	if err != nil {
+		return 0, 0, err, err
+	}
+	lanes := sc.spiceLanes()
+	w0, w1, err0, err1 := biquad.OutputPair(s.Stimulus, s.Observe.output(), s0, s1, &lanes[0], &lanes[1])
+	if err0 == nil {
+		v0, err0 = s.ndfOf(w0, g, sc)
+	}
+	if err1 == nil {
+		v1, err1 = s.ndfOf(w1, g, sc)
+	}
+	return v0, v1, err0, err1
 }
 
 // NDFOfDeviation perturbs the golden CUT and returns its exact NDF.

@@ -126,7 +126,7 @@ func synthCompile(ctx context.Context, spec testbench.Spec) (*testbench.ShardRun
 					return 0, fmt.Errorf("trial %d: injected failure", i)
 				}
 				return splitmix64(seed ^ uint64(i)), nil
-			})
+			}, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -1,5 +1,7 @@
 package num
 
+import "slices"
+
 // SolveProgram is a compiled form of an LU factorization's triangular
 // solves. Circuit MNA factors are sparse — the Tow-Thomas system is
 // ~60% structural zeros even after fill-in — but LU.Solve walks the
@@ -230,6 +232,64 @@ func (p *SolveProgram) Solve(b, x []float64) {
 			s -= vals[e] * x[j]
 		}
 		x[i] = s / diag[r]
+	}
+}
+
+// SameShape reports whether p and q replay the same gathers and terms
+// in the same order, their coefficients aside, so that SolvePair may
+// run them as two lanes: programs compiled for the same in and out rows
+// from factors with the same pivots and zero pattern do.
+func (p *SolveProgram) SameShape(q *SolveProgram) bool {
+	return p.n == q.n &&
+		slices.Equal(p.gatherRow, q.gatherRow) && slices.Equal(p.gatherSrc, q.gatherSrc) &&
+		slices.Equal(p.fwdRow, q.fwdRow) && slices.Equal(p.fwdStart, q.fwdStart) && slices.Equal(p.fwdIdx, q.fwdIdx) &&
+		slices.Equal(p.bwdRow, q.bwdRow) && slices.Equal(p.bwdStart, q.bwdStart) && slices.Equal(p.bwdIdx, q.bwdIdx)
+}
+
+// SolvePair is p.Solve(b0, x0) and q.Solve(b1, x1) as two lanes of one
+// loop. A solve is one serial chain of dependent operations; two
+// independent chains interleaved keep the core busy while each waits on
+// its latency. Each lane replays Solve's operations in Solve's order, so
+// its out rows are bit-identical to Solve's. p and q must share a shape
+// (SameShape, checked once per compile): the row and index lists are
+// read from p alone. No two of b0, x0, b1 and x1 may alias. It panics
+// on a dimension mismatch.
+//
+//mclint:hotpath
+func SolvePair(p, q *SolveProgram, b0, x0, b1, x1 []float64) {
+	if q.n != p.n || len(b0) != p.n || len(x0) != p.n || len(b1) != p.n || len(x1) != p.n {
+		panic("num: SolvePair dimension mismatch")
+	}
+	gatherSrc := p.gatherSrc[:len(p.gatherRow)]
+	for k, i := range p.gatherRow {
+		x0[i], x1[i] = b0[gatherSrc[k]], b1[gatherSrc[k]]
+	}
+	fwdStart, fwdIdx, fwdVal0, fwdVal1 := p.fwdStart, p.fwdIdx, p.fwdVal, q.fwdVal
+	for r, i := range p.fwdRow {
+		s0, s1 := x0[i], x1[i]
+		lo, hi := fwdStart[r], fwdStart[r+1]
+		idxs := fwdIdx[lo:hi]
+		vals0 := fwdVal0[lo:hi][:len(idxs)]
+		vals1 := fwdVal1[lo:hi][:len(idxs)]
+		for e, j := range idxs {
+			s0 -= vals0[e] * x0[j]
+			s1 -= vals1[e] * x1[j]
+		}
+		x0[i], x1[i] = s0, s1
+	}
+	bwdStart, bwdIdx, bwdVal0, bwdVal1 := p.bwdStart, p.bwdIdx, p.bwdVal, q.bwdVal
+	diag0, diag1 := p.diag[:len(p.bwdRow)], q.diag[:len(p.bwdRow)]
+	for r, i := range p.bwdRow {
+		s0, s1 := x0[i], x1[i]
+		lo, hi := bwdStart[r], bwdStart[r+1]
+		idxs := bwdIdx[lo:hi]
+		vals0 := bwdVal0[lo:hi][:len(idxs)]
+		vals1 := bwdVal1[lo:hi][:len(idxs)]
+		for e, j := range idxs {
+			s0 -= vals0[e] * x0[j]
+			s1 -= vals1[e] * x1[j]
+		}
+		x0[i], x1[i] = s0/diag0[r], s1/diag1[r]
 	}
 }
 

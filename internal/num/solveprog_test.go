@@ -287,3 +287,135 @@ func FuzzSolveProgram(f *testing.F) {
 		checkProgram(t, "unrestricted", lu, &prog, nil, nil, sparseRHS(src, n, nil))
 	})
 }
+
+// pairSystem returns a copy of a whose nonzero entries are scaled by
+// factors within ±scale of 1: the same zero pattern, so for small
+// scales the factors usually pivot alike and compile to the same shape.
+func pairSystem(src *rng.Stream, a *Matrix, scale float64) *Matrix {
+	b := NewMatrix(a.Rows, a.Cols)
+	for i, v := range a.Data {
+		if v != 0 {
+			b.Data[i] = v * (1 + scale*(2*src.Float64()-1))
+		}
+	}
+	return b
+}
+
+// checkPair compiles the factors f0 and f1 for in and out and, when the
+// programs share a shape, solves b0 and b1 as the two lanes of
+// SolvePair; each lane's out rows (every row for nil) must match its own
+// Solve bit for bit. It reports whether the programs shared a shape.
+func checkPair(t *testing.T, f0, f1 *LU, p0, p1 *SolveProgram, in, out []int32, b0, b1 []float64) bool {
+	t.Helper()
+	f0.Compile(p0, in, out)
+	f1.Compile(p1, in, out)
+	if !p0.SameShape(p1) || !p1.SameShape(p0) {
+		return false
+	}
+	n := f0.Dim()
+	nanVec := func() []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = math.NaN()
+		}
+		return x
+	}
+	want0, want1, got0, got1 := nanVec(), nanVec(), nanVec(), nanVec()
+	p0.Solve(b0, want0)
+	p1.Solve(b1, want1)
+	SolvePair(p0, p1, b0, got0, b1, got1)
+	rows := out
+	if rows == nil {
+		for i := 0; i < n; i++ {
+			rows = append(rows, int32(i))
+		}
+	}
+	for _, i := range rows {
+		for lane, xs := range [2][2][]float64{{got0, want0}, {got1, want1}} {
+			if math.Float64bits(xs[0][i]) != math.Float64bits(xs[1][i]) {
+				t.Fatalf("n=%d in %v out %v: lane %d x[%d] = %v via SolvePair, %v via Solve", n, in, out, lane, i, xs[0][i], xs[1][i])
+			}
+		}
+	}
+	return true
+}
+
+// TestSolvePairMatchesSolve pins each lane of the two-lane solve to
+// Solve bit for bit (math.Float64bits), on pairs of systems with one
+// zero pattern that pivot and that do not, restricted and not, and
+// checks that SameShape refuses programs of different shapes.
+func TestSolvePairMatchesSolve(t *testing.T) {
+	src := rng.New(43)
+	var p0, p1 SolveProgram
+	paired, refused := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + int(src.Uint64()%15)
+		fill := 0.1 + 0.8*src.Float64()
+		var a *Matrix
+		if trial%2 == 0 {
+			a = randomSparseMatrix(src, n, fill)
+		} else {
+			a = randomPivotingMatrix(src, n, fill)
+		}
+		f0, err0 := Factor(a)
+		f1, err1 := Factor(pairSystem(src, a, 0.05))
+		if err0 != nil || err1 != nil {
+			continue
+		}
+		for k := 0; k < 4; k++ {
+			var in, out []int32
+			if k > 0 {
+				in, out = randomRows(src, n, src.Float64()), randomRows(src, n, src.Float64())
+			}
+			b0, b1 := sparseRHS(src, n, in), sparseRHS(src, n, in)
+			if checkPair(t, f0, f1, &p0, &p1, in, out, b0, b1) {
+				paired++
+			}
+		}
+		// A program restricted to other rows has another shape, unless
+		// the restriction happens to keep the same work.
+		f0.Compile(&p0, nil, nil)
+		f1.Compile(&p1, nil, []int32{0})
+		if !p0.SameShape(&p1) {
+			refused++
+		}
+	}
+	t.Logf("%d lane pairs checked, %d differently shaped pairs refused", paired, refused)
+	if paired < 500 || refused < 100 {
+		t.Fatalf("only %d lane pairs checked and %d shapes refused", paired, refused)
+	}
+}
+
+// FuzzSolvePair checks the two-lane solve on a random pivoting system
+// and a copy with the same zero pattern and values scaled within ±scale:
+// when the two restricted programs share a shape, each lane's out rows
+// must match its own Solve bit for bit.
+func FuzzSolvePair(f *testing.F) {
+	f.Add(uint64(1), uint8(11), uint8(90), uint16(0x07f), uint16(0x013), uint8(5))
+	f.Add(uint64(2), uint8(16), uint8(200), uint16(0xffff), uint16(0xffff), uint8(1))
+	f.Add(uint64(3), uint8(2), uint8(255), uint16(0x1), uint16(0x2), uint8(0))
+	f.Add(uint64(4), uint8(9), uint8(40), uint16(0), uint16(0x1ff), uint8(255))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, fillRaw uint8, inMask, outMask uint16, scaleRaw uint8) {
+		n := 1 + int(nRaw)%16
+		src := rng.New(seed)
+		a := randomPivotingMatrix(src, n, float64(fillRaw)/255)
+		f0, err0 := Factor(a)
+		f1, err1 := Factor(pairSystem(src, a, float64(scaleRaw)/255))
+		if err0 != nil || err1 != nil {
+			return // singular
+		}
+		rows := func(mask uint16) []int32 {
+			out := []int32{}
+			for i := 0; i < n; i++ {
+				if mask>>uint(i)&1 != 0 {
+					out = append(out, int32(i))
+				}
+			}
+			return out
+		}
+		in, out := rows(inMask), rows(outMask)
+		var p0, p1 SolveProgram
+		checkPair(t, f0, f1, &p0, &p1, in, out, sparseRHS(src, n, in), sparseRHS(src, n, in))
+		checkPair(t, f0, f1, &p0, &p1, nil, nil, sparseRHS(src, n, nil), sparseRHS(src, n, nil))
+	})
+}

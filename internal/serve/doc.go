@@ -25,8 +25,8 @@
 // calibration) when it starts the job. The job's spec is the effective
 // spec: params default-filled in their typed form. Cancelling through
 // the API is fabric.Coordinator.Cancel, which the worker learns on its
-// next heartbeat — within a second — and then stops within one trial.
-// A job is terminal in exactly one of the states done, failed or
+// next heartbeat — within a second — and then stops within one trial,
+// or two where a pair runs. A job is terminal in exactly one of the states done, failed or
 // cancelled; a done job always carries its result and finish time. The
 // newest fabric.MaxRetained finished jobs stay queryable; older ones
 // answer 404.

@@ -75,10 +75,13 @@ func exactFromCodesOracle(codes []monitor.Code, classify Classifier, T float64, 
 // period, several sometimes inside one scan step, at random instants,
 // scan sizes and tolerances) with the grid codes they give. The
 // signatures must agree bit for bit, and ExactFromCodes must call the
-// classifier exactly once less per transition on the grid.
+// classifier exactly once less per transition on the grid. Its result
+// must have no spare capacity, and ExactFromCodesInto, on one buffer
+// reused across all trials, must give the same entries.
 func TestExactFromCodesMatchesOracle(t *testing.T) {
 	src := rng.New(2231)
 	total := 0
+	var buf CaptureBuffer
 	for trial := 0; trial < 400; trial++ {
 		T := math.Ldexp(0.5+src.Float64(), -10+int(20*src.Float64()))
 		nScan := 2 + int(src.Float64()*300)
@@ -123,16 +126,46 @@ func TestExactFromCodesMatchesOracle(t *testing.T) {
 		if calls != oracleCalls-transitions {
 			t.Fatalf("trial %d: %d classifier calls, oracle %d for %d transitions", trial, calls, oracleCalls, transitions)
 		}
-		if math.Float64bits(got.Period) != math.Float64bits(want.Period) || len(got.Entries) != len(want.Entries) {
-			t.Fatalf("trial %d: got %v, oracle %v", trial, got, want)
+		if cap(got.Entries) != len(got.Entries) {
+			t.Fatalf("trial %d: %d entries with capacity %d", trial, len(got.Entries), cap(got.Entries))
 		}
-		for k, e := range got.Entries {
-			if w := want.Entries[k]; e.Code != w.Code || math.Float64bits(e.Dur) != math.Float64bits(w.Dur) {
-				t.Fatalf("trial %d, entry %d: got %+v, oracle %+v", trial, k, e, w)
+		into, err := ExactFromCodesInto(codes, classify, T, tol, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sig := range []*Signature{got, into} {
+			if math.Float64bits(sig.Period) != math.Float64bits(want.Period) || len(sig.Entries) != len(want.Entries) {
+				t.Fatalf("trial %d: got %v, oracle %v", trial, sig, want)
+			}
+			for k, e := range sig.Entries {
+				if w := want.Entries[k]; e.Code != w.Code || math.Float64bits(e.Dur) != math.Float64bits(w.Dur) {
+					t.Fatalf("trial %d, entry %d: got %+v, oracle %+v", trial, k, e, w)
+				}
 			}
 		}
 	}
 	if total < 1000 {
 		t.Fatalf("%d transitions over all trials, want at least 1000", total)
+	}
+}
+
+// TestExactFromCodesIntoWarmAllocationFree pins a warm buffer-backed
+// extraction at zero allocations.
+func TestExactFromCodesIntoWarmAllocationFree(t *testing.T) {
+	codes := make([]monitor.Code, 1025)
+	for i := range codes {
+		codes[i] = monitor.Code(i / 100 % 3)
+	}
+	classify := func(t float64) monitor.Code { return monitor.Code(int(t*1024) / 100 % 3) }
+	var buf CaptureBuffer
+	if _, err := ExactFromCodesInto(codes, classify, 1, 0, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(50, func() {
+		if _, err := ExactFromCodesInto(codes, classify, 1, 0, &buf); err != nil {
+			t.Error(err)
+		}
+	}); a != 0 {
+		t.Fatalf("warm ExactFromCodesInto allocates %.1f times per run, want 0", a)
 	}
 }

@@ -194,8 +194,25 @@ func Exact(classify Classifier, T float64, nScan int, tol float64) (*Signature, 
 // result is bit-identical to Exact with that classifier. The batched
 // engine bisects through the same zone LUT that classified the grid
 // (monitor.Bank.ClassifyLUT), which answers every instant exactly as
-// monitor.Bank.Classify does.
+// monitor.Bank.Classify does. The caller owns the result, whose entry
+// slice has no spare capacity.
 func ExactFromCodes(codes []monitor.Code, classify Classifier, T float64, tol float64) (*Signature, error) {
+	var buf CaptureBuffer
+	sig, err := ExactFromCodesInto(codes, classify, T, tol, &buf)
+	if err != nil {
+		return nil, err
+	}
+	entries := make([]Entry, len(sig.Entries))
+	copy(entries, sig.Entries)
+	return &Signature{Period: T, Entries: entries}, nil
+}
+
+// ExactFromCodesInto is ExactFromCodes with the raw entries, the
+// canonical merge and the returned Signature header all in buf, as
+// CaptureCanonicalCodes keeps them: a warm extraction allocates
+// nothing, and the result is valid only until buf's next capture or
+// extraction. The entries are bit-identical to ExactFromCodes'.
+func ExactFromCodesInto(codes []monitor.Code, classify Classifier, T float64, tol float64, buf *CaptureBuffer) (*Signature, error) {
 	nScan := len(codes) - 1
 	if T <= 0 {
 		return nil, fmt.Errorf("signature: period %g must be positive", T)
@@ -206,13 +223,13 @@ func ExactFromCodes(codes []monitor.Code, classify Classifier, T float64, tol fl
 	if tol <= 0 {
 		tol = T * 1e-9
 	}
-	type edge struct {
-		t    float64
-		code monitor.Code // code after the transition
-	}
-	var edges []edge
+	// Each refined transition at t closes the entry running since tCur,
+	// so the raw entries are built as the scan goes: from t = 0 to the
+	// first transition is the first code, and so on.
+	raw := buf.raw[:0]
+	tCur := 0.0
+	codeCur := codes[0]
 	prev := codes[0]
-	first := prev
 	for i := 1; i <= nScan; i++ {
 		c := codes[i]
 		if c == prev {
@@ -233,28 +250,17 @@ func ExactFromCodes(codes []monitor.Code, classify Classifier, T float64, tol fl
 				hi, code = mid, m
 			}
 		}
-		edges = append(edges, edge{t: hi, code: code})
+		if hi > tCur {
+			raw = append(raw, Entry{Code: codeCur, Dur: hi - tCur})
+		}
+		tCur, codeCur = hi, code
 		prev = c
 	}
-	sig := &Signature{Period: T}
-	if len(edges) == 0 {
-		sig.Entries = []Entry{{Code: first, Dur: T}}
-		return sig, nil
-	}
-	// Build entries: from t=0 to first edge is the first code, etc.
-	tCur := 0.0
-	codeCur := first
-	for _, e := range edges {
-		if e.t > tCur {
-			sig.Entries = append(sig.Entries, Entry{Code: codeCur, Dur: e.t - tCur})
-		}
-		tCur = e.t
-		codeCur = e.code
-	}
 	if T > tCur {
-		sig.Entries = append(sig.Entries, Entry{Code: codeCur, Dur: T - tCur})
+		raw = append(raw, Entry{Code: codeCur, Dur: T - tCur})
 	}
-	return sig.Canonical(), nil
+	buf.raw = raw
+	return canonicalFromRaw(raw, T, buf), nil
 }
 
 const magic = 0x53494731 // "SIG1"

@@ -319,6 +319,53 @@ type Trial struct {
 // RHS-refresh/solve loop. A warm trial — same circuit size, settling
 // class already seen — allocates nothing.
 func (t *CircuitTemplate) RunTrial(tr Trial) error {
+	if err := t.prepare(tr); err != nil {
+		return err
+	}
+	t.runSteps(tr, 1, t.sv.ws.x, t.sv.ws.prev)
+	return nil
+}
+
+// RunTrialPair runs trial ta on template a and trial tb on template b,
+// each bit-identical to its own RunTrial. While both run and their
+// compiled solves share a shape (num.SolveProgram.SameShape), the step
+// loops advance in lock step, each step exactly runSteps's, through one
+// two-lane solve (num.SolvePair); the longer trial's tail, and both
+// trials when the shapes differ, run one lane at a time. A trial whose
+// preparation fails returns its error and the other runs alone. a and
+// b must be distinct templates. A warm pair allocates nothing.
+//
+//mclint:hotpath
+func RunTrialPair(a, b *CircuitTemplate, ta, tb Trial) (errA, errB error) {
+	if a == b {
+		panic("spice: RunTrialPair needs two templates")
+	}
+	errA, errB = a.prepare(ta), b.prepare(tb)
+	wa, wb := a.sv.ws, b.sv.ws
+	xa, preva, xb, prevb, k := wa.x, wa.prev, wb.x, wb.prev, 1
+	if errA == nil && errB == nil && a.prog.SameShape(&b.prog) {
+		for n, ba, bb := min(ta.Steps, tb.Steps), wa.b, wb.b; k <= n; k++ {
+			a.stampRHS(ba, preva, k)
+			b.stampRHS(bb, prevb, k)
+			num.SolvePair(&a.prog, &b.prog, ba, xa, bb, xb)
+			a.commit(ta, k, xa, preva)
+			b.commit(tb, k, xb, prevb)
+			preva, xa = xa, preva
+			prevb, xb = xb, prevb
+		}
+	}
+	if errA == nil {
+		a.runSteps(ta, k, xa, preva)
+	}
+	if errB == nil {
+		b.runSteps(tb, k, xb, prevb)
+	}
+	return errA, errB
+}
+
+// prepare is a trial up to its first step: checks, the DC operating
+// point (in prev), the factored stamp, compiled solve and RHS program.
+func (t *CircuitTemplate) prepare(tr Trial) error {
 	if tr.Steps < 1 {
 		return fmt.Errorf("spice: transient needs at least 1 step")
 	}
@@ -382,7 +429,6 @@ func (t *CircuitTemplate) RunTrial(tr Trial) error {
 	for i := range ws.b {
 		ws.b[i] = 0
 	}
-	t.runSteps(tr)
 	return nil
 }
 
@@ -425,68 +471,85 @@ func rowVoltage(x []float64, row int32) float64 {
 	return x[row]
 }
 
-// runSteps is the compiled step loop. Each step zeroes the touched RHS
-// rows, replays the RHS program, solves through the compiled factors,
-// commits the capacitor companion currents and records the window
-// sample. b, x and prev alias the template workspace, with x/prev
-// swapped by pointer after every step instead of the rebuild path's
-// copy(prev, x). The solve writes only the rows the loop reads, so the
-// other rows of x and prev hold stale values the loop never reads; the
-// next trial starts from a zeroed x.
+// runSteps is the compiled step loop over steps from … tr.Steps, x and
+// prev in the roles step from-1 left them. Each step replays the RHS
+// program (stampRHS), solves, and commits the capacitor currents and
+// the window sample (commit). x and prev alias the workspace and swap
+// by pointer each step instead of the rebuild path's copy(prev, x).
+// The solve writes only the rows the loop reads, so the other rows hold
+// stale values the loop never reads; the next trial zeroes x.
 //
 //mclint:hotpath
-func (t *CircuitTemplate) runSteps(tr Trial) {
-	ws := t.sv.ws
-	b, x, prev := ws.b, ws.x, ws.prev
-	rhs, caps := t.rhs, t.caps
-	for k := 1; k <= tr.Steps; k++ {
-		for _, r := range t.touched {
-			b[r] = 0
-		}
-		for i := range rhs {
-			op := &rhs[i]
-			switch op.kind {
-			case opCapTrap:
-				c := op.cap
-				vPrev := rowVoltage(prev, c.p) - rowVoltage(prev, c.m)
-				ieq := c.geq*vPrev + c.cap.prevCur
-				if c.p >= 0 {
-					b[c.p] += ieq
-				}
-				if c.m >= 0 {
-					b[c.m] -= ieq
-				}
-			case opVSrcTick:
-				b[op.p] += op.tick[k]
-			case opVSrcDC:
-				b[op.p] += op.dc
-			case opISrcTick:
-				v := op.tick[k]
-				if op.m >= 0 {
-					b[op.m] += v
-				}
-				if op.p >= 0 {
-					b[op.p] -= v
-				}
-			case opISrcDC:
-				if op.m >= 0 {
-					b[op.m] += op.dc
-				}
-				if op.p >= 0 {
-					b[op.p] -= op.dc
-				}
+func (t *CircuitTemplate) runSteps(tr Trial, from int, x, prev []float64) {
+	b := t.sv.ws.b
+	for k := from; k <= tr.Steps; k++ {
+		t.stampRHS(b, prev, k)
+		t.prog.Solve(b, x)
+		t.commit(tr, k, x, prev)
+		prev, x = x, prev
+	}
+}
+
+// stampRHS writes step k's right-hand side into b: it zeroes the
+// touched rows and replays the RHS program against the previous
+// solution prev.
+//
+//mclint:hotpath
+func (t *CircuitTemplate) stampRHS(b, prev []float64, k int) {
+	for _, r := range t.touched {
+		b[r] = 0
+	}
+	rhs := t.rhs
+	for i := range rhs {
+		op := &rhs[i]
+		switch op.kind {
+		case opCapTrap:
+			c := op.cap
+			vPrev := rowVoltage(prev, c.p) - rowVoltage(prev, c.m)
+			ieq := c.geq*vPrev + c.cap.prevCur
+			if c.p >= 0 {
+				b[c.p] += ieq
+			}
+			if c.m >= 0 {
+				b[c.m] -= ieq
+			}
+		case opVSrcTick:
+			b[op.p] += op.tick[k]
+		case opVSrcDC:
+			b[op.p] += op.dc
+		case opISrcTick:
+			v := op.tick[k]
+			if op.m >= 0 {
+				b[op.m] += v
+			}
+			if op.p >= 0 {
+				b[op.p] -= v
+			}
+		case opISrcDC:
+			if op.m >= 0 {
+				b[op.m] += op.dc
+			}
+			if op.p >= 0 {
+				b[op.p] -= op.dc
 			}
 		}
-		t.prog.Solve(b, x)
-		for i := range caps {
-			c := &caps[i]
-			v := rowVoltage(x, c.p) - rowVoltage(x, c.m)
-			vPrev := rowVoltage(prev, c.p) - rowVoltage(prev, c.m)
-			c.cap.prevCur = c.geq*(v-vPrev) - c.cap.prevCur
-		}
-		prev, x = x, prev
-		if idx := k - tr.Start; idx >= 0 && idx < len(tr.Out) {
-			tr.Out[idx] = rowVoltage(prev, int32(tr.Record))
-		}
+	}
+}
+
+// commit closes step k of trial tr, whose solution is x: it updates the
+// capacitor companion currents from x and prev and records the step's
+// sample if the window holds it.
+//
+//mclint:hotpath
+func (t *CircuitTemplate) commit(tr Trial, k int, x, prev []float64) {
+	caps := t.caps
+	for i := range caps {
+		c := &caps[i]
+		v := rowVoltage(x, c.p) - rowVoltage(x, c.m)
+		vPrev := rowVoltage(prev, c.p) - rowVoltage(prev, c.m)
+		c.cap.prevCur = c.geq*(v-vPrev) - c.cap.prevCur
+	}
+	if idx := k - tr.Start; idx >= 0 && idx < len(tr.Out) {
+		tr.Out[idx] = rowVoltage(x, int32(tr.Record))
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/biquad"
-	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/ndf"
 )
@@ -252,6 +251,13 @@ func (p *FaultsParams) faultSet() []biquad.Fault {
 // calibrates one at the multi-parameter spec corners first. N is the
 // die count — the streaming reduction keeps memory flat, so production
 // runs of 10M+ dies validate and execute with O(workers) heap.
+// ComponentSigma is the relative 1σ of each die's four component
+// drifts, each a Gaussian truncated to drifts above −1: a drift at or
+// below −1 would make its component non-positive, so it is drawn again
+// from the die's stream. At σ = 0.2 one draw in 3.5 million is drawn
+// again, at σ = 0.3 one in 2300. A die with no such draw keeps the
+// drifts of the untruncated Gaussian, so the truncation changes only
+// dies that could not be built.
 type YieldParams struct {
 	N              int      `json:"n"`
 	ComponentSigma float64  `json:"component_sigma"`
@@ -658,14 +664,14 @@ func init() {
 	registerReduction("faults", "component-level fault campaign (parametric drifts, opens, shorts)",
 		FaultsParams{Tol: 0.05}, faultReducer(),
 		func(p *FaultsParams) int { return len(p.faultSet()) },
-		func(ctx context.Context, ev *Env, p *FaultsParams) (func(int, *core.TrialScratch) (FaultCase, error), func([]FaultCase) *FaultTable, error) {
+		func(ctx context.Context, ev *Env, p *FaultsParams) (trialForms[FaultCase], func([]FaultCase) *FaultTable, error) {
 			dec, err := decision(ctx, ev, p.Threshold, p.Tol)
 			if err != nil {
-				return nil, nil, err
+				return trialForms[FaultCase]{}, nil, err
 			}
 			sys, err := ev.System()
 			if err != nil {
-				return nil, nil, err
+				return trialForms[FaultCase]{}, nil, err
 			}
 			trial, err := faultTrial(sys, dec, p.faultSet())
 			return trial, func(cases []FaultCase) *FaultTable { return finalizeFaultTable(dec.Threshold, cases) }, err
@@ -676,16 +682,16 @@ func init() {
 	registerReduction("yield", "production-flow yield/escape/overkill simulation over component tolerances",
 		YieldParams{N: 400, ComponentSigma: 0.02, Tol: 0.05}, yieldReducer(),
 		func(p *YieldParams) int { return p.N },
-		func(ctx context.Context, ev *Env, p *YieldParams) (func(int, *core.TrialScratch) (yieldVerdict, error), func(yieldCounts) *Yield, error) {
+		func(ctx context.Context, ev *Env, p *YieldParams) (trialForms[yieldVerdict], func(yieldCounts) *Yield, error) {
 			sys, err := ev.System()
 			if err != nil {
-				return nil, nil, err
+				return trialForms[yieldVerdict]{}, nil, err
 			}
 			var dec ndf.Decision
 			if p.Threshold != nil {
 				dec.Threshold = *p.Threshold
 			} else if dec, err = calibrateMultiParam(ctx, sys, p.Tol); err != nil {
-				return nil, nil, err
+				return trialForms[yieldVerdict]{}, nil, err
 			}
 			trial, err := yieldTrial(sys, dec, p.ComponentSigma, p.Tol, ev.Engine())
 			return trial, func(c yieldCounts) *Yield {

@@ -100,27 +100,29 @@ func DefaultFaultSet() []biquad.Fault {
 	return out
 }
 
-// faultTrial builds the per-fault trial function of the fault campaign:
+// faultTrial builds the per-fault trial forms of the fault campaign:
 // inject fault i, test the faulty circuit, record the scored case. The
 // golden signature is materialized here, before fan-out, so the
 // sync.Once does not serialize the workers; each case depends only on
 // its fault index, so any contiguous range replays exactly.
-func faultTrial(sys *core.System, dec ndf.Decision, faults []biquad.Fault) (func(i int, sc *core.TrialScratch) (FaultCase, error), error) {
+func faultTrial(sys *core.System, dec ndf.Decision, faults []biquad.Fault) (trialForms[FaultCase], error) {
 	if _, err := sys.GoldenSignature(); err != nil {
-		return nil, err
+		return trialForms[FaultCase]{}, err
 	}
-	return func(i int, sc *core.TrialScratch) (FaultCase, error) {
+	inject := func(i int) (core.CUT, biquad.Fault, error) {
 		f := faults[i]
 		cut, err := sys.Deviated(core.Deviation{Fault: &f})
 		if err != nil {
-			return FaultCase{}, fmt.Errorf("testbench: fault %s: %w", f, err)
+			return nil, f, fmt.Errorf("testbench: fault %s: %w", f, err)
 		}
-		v, err := sys.NDFOfScratch(cut, sc)
+		return cut, f, nil
+	}
+	return dieTrials(sys, inject, func(cut core.CUT, f biquad.Fault, v float64, err error) (FaultCase, error) {
 		if err != nil {
 			return FaultCase{}, fmt.Errorf("testbench: fault %s: %w", f, err)
 		}
 		return FaultCase{Fault: f, Params: cut.Params(), NDF: v, Detected: !dec.Pass(v)}, nil
-	}, nil
+	}), nil
 }
 
 // finalizeFaultTable scores the ordered case list into the published

@@ -20,11 +20,11 @@ import (
 // full die range. Peak memory is O(workers + chunk) whatever n is, and
 // the scores are bit-identical at any worker count.
 func runYield(ctx context.Context, sys *core.System, dec ndf.Decision, n int, componentSigma, tol float64, eng campaign.Engine) (*Yield, error) {
-	trial, err := yieldTrial(sys, dec, componentSigma, tol, eng)
+	tf, err := yieldTrial(sys, dec, componentSigma, tol, eng)
 	if err != nil {
 		return nil, err
 	}
-	counts, err := campaign.ReduceScratch(ctx, eng, n, yieldReducer().Reducer, core.NewTrialScratch, trial)
+	counts, err := campaign.ReduceSpanScratch(ctx, eng, campaign.Span{Hi: n}, nil, nil, yieldReducer().Reducer, core.NewTrialScratch, tf.one, tf.two)
 	if err != nil {
 		return nil, err
 	}
@@ -41,11 +41,11 @@ func runYield(ctx context.Context, sys *core.System, dec ndf.Decision, n int, co
 // index order, so the table rows stay in fault order at any worker
 // count while the engine's memory stays O(workers + chunk).
 func runFaultTable(ctx context.Context, sys *core.System, dec ndf.Decision, faults []biquad.Fault, eng campaign.Engine) (*FaultTable, error) {
-	trial, err := faultTrial(sys, dec, faults)
+	tf, err := faultTrial(sys, dec, faults)
 	if err != nil {
 		return nil, err
 	}
-	cases, err := campaign.ReduceScratch(ctx, eng, len(faults), faultReducer().Reducer, core.NewTrialScratch, trial)
+	cases, err := campaign.ReduceSpanScratch(ctx, eng, campaign.Span{Hi: len(faults)}, nil, nil, faultReducer().Reducer, core.NewTrialScratch, tf.one, tf.two)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/biquad"
 	"repro/internal/campaign"
 	"repro/internal/core"
 )
@@ -63,20 +64,62 @@ type ShardRun struct {
 // only, read-only after.
 var shardBuilders = map[string]func(ctx context.Context, ev *Env, spec Spec, params any) *ShardRun{}
 
+// trialForms is a reduction campaign's per-trial work: one runs trial
+// i, and two, when non-nil, runs trials i and i+1 together (see
+// campaign.PairTrial).
+type trialForms[T any] struct {
+	one func(int, *core.TrialScratch) (T, error)
+	two campaign.PairTrial[T, *core.TrialScratch]
+}
+
+// dieTrials builds both trial forms of a campaign that tests one CUT
+// per trial: prep turns trial i into its CUT and what score needs
+// besides the NDF, and score turns the NDF, or its error, into the
+// result. The two-trial form, set when the system's CUT runs on a
+// circuit template (SPICE), runs both NDFs as one NDFOfPairScratch.
+func dieTrials[D, T any](sys *core.System, prep func(i int) (core.CUT, D, error), score func(c core.CUT, d D, v float64, err error) (T, error)) trialForms[T] {
+	tf := trialForms[T]{one: func(i int, sc *core.TrialScratch) (T, error) {
+		c, d, err := prep(i)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		v, err := sys.NDFOfScratch(c, sc)
+		return score(c, d, v, err)
+	}}
+	if _, ok := sys.CUT.(*biquad.SpiceCUT); !ok {
+		return tf
+	}
+	tf.two = func(i int, sc *core.TrialScratch) (r0, r1 T, err0, err1 error) {
+		c0, d0, err0 := prep(i)
+		c1, d1, err1 := prep(i + 1)
+		if err0 != nil || err1 != nil {
+			// A die that cannot be built ends the run; trial i runs alone.
+			r0, err0 = tf.one(i, sc)
+			return r0, r1, err0, err1
+		}
+		v0, v1, err0, err1 := sys.NDFOfPairScratch(c0, c1, sc)
+		r0, err0 = score(c0, d0, v0, err0)
+		r1, err1 = score(c1, d1, v1, err1)
+		return r0, r1, err0, err1
+	}
+	return tf
+}
+
 // registerReduction registers a campaign that is one checkpointable
 // trial fan-out in both its forms from one definition: the registry run
-// folds the whole trial range through campaign.ReduceScratch, and
-// Sharder's form runs it span by span (see shardExec). trials counts
-// the fan-out from the params alone; prepare builds the trial function
-// and the finalizer, resolving the system and any calibration.
+// folds the whole trial range, and Sharder's form runs it span by span
+// (see shardExec). trials counts the fan-out from the params alone;
+// prepare builds the trial forms and the finalizer, resolving the
+// system and any calibration.
 func registerReduction[P, R, T, A any](name, summary string, defaults P, red campaign.CheckpointReducer[T, A], trials func(p *P) int,
-	prepare func(ctx context.Context, ev *Env, p *P) (func(int, *core.TrialScratch) (T, error), func(A) *R, error)) {
+	prepare func(ctx context.Context, ev *Env, p *P) (trialForms[T], func(A) *R, error)) {
 	register(name, summary, defaults, func(ctx context.Context, ev *Env, p *P) (*R, error) {
-		trial, finalize, err := prepare(ctx, ev, p)
+		tf, finalize, err := prepare(ctx, ev, p)
 		if err != nil {
 			return nil, err
 		}
-		acc, err := campaign.ReduceScratch(ctx, ev.Engine(), trials(p), red.Reducer, core.NewTrialScratch, trial)
+		acc, err := campaign.ReduceSpanScratch(ctx, ev.Engine(), campaign.Span{Hi: trials(p)}, nil, nil, red.Reducer, core.NewTrialScratch, tf.one, tf.two)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +127,7 @@ func registerReduction[P, R, T, A any](name, summary string, defaults P, red cam
 	})
 	shardBuilders[name] = func(ctx context.Context, ev *Env, spec Spec, params any) *ShardRun {
 		p := params.(*P)
-		return shardExec(ctx, ev, spec, trials(p), red, func(ctx context.Context) (func(int, *core.TrialScratch) (T, error), func(A) *R, error) {
+		return shardExec(ctx, ev, spec, trials(p), red, func(ctx context.Context) (trialForms[T], func(A) *R, error) {
 			return prepare(ctx, ev, p)
 		})
 	}
@@ -137,19 +180,19 @@ func Sharder(ctx context.Context, spec Spec, opts ...Option) (*ShardRun, error) 
 // first Run or Finalize that succeeds in building them (a cancelled
 // build is retried by the next call); buildCtx serves Finalize.
 func shardExec[T, A, R any](buildCtx context.Context, ev *Env, spec Spec, n int, red campaign.CheckpointReducer[T, A],
-	prepare func(ctx context.Context) (func(int, *core.TrialScratch) (T, error), func(A) *R, error)) *ShardRun {
+	prepare func(ctx context.Context) (trialForms[T], func(A) *R, error)) *ShardRun {
 	var (
 		mu       sync.Mutex
-		trial    func(int, *core.TrialScratch) (T, error)
+		trial    trialForms[T]
 		finalize func(A) *R
 	)
-	built := func(ctx context.Context) (func(int, *core.TrialScratch) (T, error), func(A) *R, error) {
+	built := func(ctx context.Context) (trialForms[T], func(A) *R, error) {
 		mu.Lock()
 		defer mu.Unlock()
-		if trial == nil {
+		if trial.one == nil {
 			t, f, err := prepare(ctx)
 			if err != nil {
-				return nil, nil, fmt.Errorf("testbench: campaign %s: %w", spec.Campaign, err)
+				return trialForms[T]{}, nil, fmt.Errorf("testbench: campaign %s: %w", spec.Campaign, err)
 			}
 			trial, finalize = t, f
 		}
@@ -185,7 +228,7 @@ func shardExec[T, A, R any](buildCtx context.Context, ev *Env, spec Spec, n int,
 					return sink(blob, through)
 				}
 			}
-			acc, err := campaign.ReduceSpanScratch(ctx, eng, span, initAcc, ckpt, red.Reducer, core.NewTrialScratch, trial)
+			acc, err := campaign.ReduceSpanScratch(ctx, eng, span, initAcc, ckpt, red.Reducer, core.NewTrialScratch, trial.one, trial.two)
 			if err != nil {
 				return nil, err
 			}

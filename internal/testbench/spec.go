@@ -218,7 +218,8 @@ func compile(spec Spec, opts ...Option) (*campaignDef, *Env, Spec, any, error) {
 
 // Run executes the campaign a spec names through the registry and wraps
 // its payload in the uniform Result envelope. Cancelling ctx aborts the
-// campaign within one trial's latency (the run returns ctx's error). It
+// campaign within one trial's latency, or two where a pair runs (the
+// run returns ctx's error). It
 // is the one programmatic entry point to every campaign: the CLIs, the
 // report, the HTTP service and the fabric all run specs through it (or
 // through Sharder, which shares its compile step).

@@ -1,7 +1,9 @@
 package testbench
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -109,6 +111,83 @@ func TestSpiceTemplateCampaignBitIdentity(t *testing.T) {
 			} else if !reflect.DeepEqual(yt, wantYield) {
 				t.Fatalf("obs %v: yield at %d workers differs from 1 worker", obs, workers)
 			}
+		}
+	}
+}
+
+// TestSpicePairsShardAndResumeBitIdentical pins the paired SPICE trials
+// across execution shapes: yield and fault-table specs on the SPICE
+// backend, at chunk size 7 so that pairs start at even and at odd
+// indices and every odd chunk ends in a one-lane trial, run as 1-, 2-
+// and 4-shard plans and resumed from every checkpoint, must all finalize
+// to the payload of a one-worker run on the rebuild oracle (rebuildCUT,
+// whose trials never pair).
+func TestSpicePairsShardAndResumeBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	thr := 0.02
+	for _, c := range []struct {
+		spec  Spec
+		plans [][]int
+	}{
+		{Spec{Campaign: "yield", Seed: 5, Chunk: 7, Checkpoint: 7, Params: YieldParams{N: 45, ComponentSigma: 0.03, Tol: 0.05, Threshold: &thr}},
+			[][]int{{0, 45}, {0, 21, 45}, {0, 14, 21, 35, 45}}},
+		{Spec{Campaign: "faults", Chunk: 7, Checkpoint: 7, Params: FaultsParams{Tol: 0.05, Threshold: &thr}},
+			[][]int{{0, 16}, {0, 7, 16}, {0, 7, 14, 16}}},
+	} {
+		ref, err := Run(ctx, c.spec, WithSystem(templateTestSystem(t, true, core.ObserveLP)), WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := payloadJSON(t, ref)
+		sr, err := Sharder(ctx, c.spec, WithSystem(templateTestSystem(t, false, core.ObserveLP)), WithWorkers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		finalized := func(what string, blob []byte) {
+			t.Helper()
+			res, err := sr.Finalize(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := payloadJSON(t, res); !bytes.Equal(got, want) {
+				t.Fatalf("%s %s differs from the rebuild oracle:\n  got:    %s\n  oracle: %s", c.spec.Campaign, what, got, want)
+			}
+		}
+		for _, cuts := range c.plans {
+			var merged []byte
+			for s := 0; s+1 < len(cuts); s++ {
+				blob, err := sr.Run(ctx, campaign.Span{Lo: cuts[s], Hi: cuts[s+1]}, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if merged == nil {
+					merged = blob
+				} else if merged, err = sr.Merge(merged, blob); err != nil {
+					t.Fatal(err)
+				}
+			}
+			finalized(fmt.Sprintf("plan %v", cuts), merged)
+		}
+		type ck struct {
+			blob    []byte
+			through int
+		}
+		var cks []ck
+		if _, err := sr.Run(ctx, campaign.Span{Lo: 0, Hi: sr.Trials}, nil, func(acc []byte, through int) error {
+			cks = append(cks, ck{bytes.Clone(acc), through})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(cks) < 2 {
+			t.Fatalf("%s: %d checkpoints", c.spec.Campaign, len(cks))
+		}
+		for _, k := range cks {
+			blob, err := sr.Run(ctx, campaign.Span{Lo: k.through, Hi: sr.Trials}, k.blob, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			finalized(fmt.Sprintf("resumed at %d", k.through), blob)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package testbench
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -32,6 +33,8 @@ func TestValidateMatchesRunner(t *testing.T) {
 		{"fig4spice", "", Fig4SpiceParams{Cols: 2}},
 		{"fig4mc", "", Fig4MCParams{Monitor: 0, Dies: 1, Cols: 2}},
 		{"fig4mc", "", Fig4MCParams{Monitor: 5, Dies: 1, Cols: 2}},
+		{"fig4mc", "", Fig4MCParams{Monitor: 1, Dies: 1, Cols: 2}},
+		{"fig4mc", "", Fig4MCParams{Monitor: 1, Dies: 4, Cols: 3}},
 		{"fig6", "", Fig6Params{Shift: -0.99, Grid: 2}},
 		{"fig7", "", Fig7Params{Shift: -0.99, Points: 1}},
 		{"fig7", "spice", Fig7Params{Shift: -0.99, Points: 1}},
@@ -130,6 +133,42 @@ func TestValidateMatchesRunner(t *testing.T) {
 		err := Validate(Spec{Campaign: c.campaign, Params: c.params})
 		if err == nil || !strings.Contains(err.Error(), c.field) {
 			t.Fatalf("%s %+v: Validate = %v, want an error naming %q", c.campaign, c.params, err, c.field)
+		}
+	}
+}
+
+// TestFig4MCEmptyEnvelopeRuns: a fig4mc grid on which no column is
+// crossed by the nominal boundary and by 3/4 of the dies validates and
+// runs to an envelope of no columns, which renders, reports 0 for the
+// nominal-inside fraction and survives the result's JSON round trip.
+// Both specs used to validate and then fail the job.
+func TestFig4MCEmptyEnvelopeRuns(t *testing.T) {
+	for _, p := range []Fig4MCParams{{Monitor: 1, Dies: 1, Cols: 2}, {Monitor: 1, Dies: 4, Cols: 3}} {
+		spec := Spec{Campaign: "fig4mc", Params: p}
+		if err := Validate(spec); err != nil {
+			t.Fatalf("%+v: Validate = %v", p, err)
+		}
+		res, err := Run(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("%+v: %v", p, err)
+		}
+		env := res.Payload.(*Fig4MC)
+		if len(env.Xs) != 0 || len(env.Cols) != 0 || env.NominalInsideEnvelope() != 0 {
+			t.Fatalf("%+v: envelope %+v, nominal inside %v; want no columns and 0", p, env, env.NominalInsideEnvelope())
+		}
+		if !strings.Contains(env.Render(), "no grid column") {
+			t.Fatalf("%+v: render %q does not say that no column qualified", p, env.Render())
+		}
+		data, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeResult(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Payload.(*Fig4MC).Render() != env.Render() {
+			t.Fatalf("%+v: round trip renders %q, want %q", p, back.Payload.(*Fig4MC).Render(), env.Render())
 		}
 	}
 }

@@ -104,45 +104,58 @@ func (c yieldCounts) foldVerdict(truthGood, pass bool) yieldCounts {
 // meets the spec and whether the test passed it.
 type yieldVerdict struct{ truthGood, pass bool }
 
-// yieldTrial builds the per-die trial function of the yield campaign.
+// yieldTrial builds the per-die trial forms of the yield campaign.
 // Each die derives its private random stream inside the worker as a
 // pure function of (seed, die index) via Engine.Stream — there is no
 // O(n) serial stream pre-pass — so any contiguous die range (a resumed
 // checkpoint suffix, a leased shard) replays the exact draws of the
 // full-range run. The golden signature is materialized here, before
 // fan-out, so the sync.Once does not serialize the workers.
-func yieldTrial(sys *core.System, dec ndf.Decision, componentSigma, tol float64, eng campaign.Engine) (func(i int, sc *core.TrialScratch) (yieldVerdict, error), error) {
+func yieldTrial(sys *core.System, dec ndf.Decision, componentSigma, tol float64, eng campaign.Engine) (trialForms[yieldVerdict], error) {
 	if _, err := sys.GoldenSignature(); err != nil {
-		return nil, err
+		return trialForms[yieldVerdict]{}, err
 	}
 	golden := sys.Golden()
-	return func(i int, sc *core.TrialScratch) (yieldVerdict, error) {
+	inBand := func(val, nom, frac float64) bool {
+		return val >= nom*(1-frac) && val <= nom*(1+frac)
+	}
+	// die turns die i's stream draws into its CUT and whether the circuit
+	// truly meets the spec.
+	die := func(i int) (core.CUT, bool, error) {
 		s := eng.Stream(i)
 		// Per-die component tolerances, injected at realization level
 		// through the backend (the draw order is part of the
-		// bit-reproducibility contract).
+		// bit-reproducibility contract). A drift at or below −1 would
+		// make its component non-positive, so it is drawn again from the
+		// die's stream: each drift is a Gaussian truncated to 1 + d > 0.
+		drift := func() float64 {
+			for {
+				if d := s.Gauss(0, componentSigma); 1+d > 0 {
+					return d
+				}
+			}
+		}
 		cut, err := sys.Deviated(core.Deviation{
-			RDrift:  s.Gauss(0, componentSigma),
-			RQDrift: s.Gauss(0, componentSigma),
-			RGDrift: s.Gauss(0, componentSigma),
-			CDrift:  s.Gauss(0, componentSigma),
+			RDrift:  drift(),
+			RQDrift: drift(),
+			RGDrift: drift(),
+			CDrift:  drift(),
 		})
 		if err != nil {
-			return yieldVerdict{}, err
+			return nil, false, err
 		}
 		p := cut.Params()
-		inBand := func(val, nom, frac float64) bool {
-			return val >= nom*(1-frac) && val <= nom*(1+frac)
-		}
 		truthGood := inBand(p.F0, golden.F0, tol) &&
 			inBand(p.Q, golden.Q, 2*tol) &&
 			inBand(p.Gain, golden.Gain, tol)
-		v, err := sys.NDFOfScratch(cut, sc)
+		return cut, truthGood, nil
+	}
+	return dieTrials(sys, die, func(_ core.CUT, truthGood bool, v float64, err error) (yieldVerdict, error) {
 		if err != nil {
 			return yieldVerdict{}, err
 		}
 		return yieldVerdict{truthGood: truthGood, pass: dec.Pass(v)}, nil
-	}, nil
+	}), nil
 }
 
 // finalizeYield scores the full-campaign counts into the published

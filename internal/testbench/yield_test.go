@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/core"
 )
 
 func TestYieldSimulation(t *testing.T) {
@@ -144,5 +145,48 @@ func TestWriteReportContainsAllArtifacts(t *testing.T) {
 	}
 	if strings.Count(out, "\n") < 12 {
 		t.Fatal("report suspiciously short")
+	}
+}
+
+// TestYieldLargeComponentSigmaRuns: a yield spec whose component spread
+// draws drifts at or below −1 validates and runs, because such a drift
+// is drawn again from the die's stream (see YieldParams). At n = 400,
+// σ = 0.3 used to fail on 17 of seeds 1–40 and σ = 0.5 on all 40, with
+// a component that must be positive. The analytic backend runs every
+// seed (four under -short), the SPICE backend three (one). The reduced
+// scan resolution only cheapens each die; the die draws are the
+// campaign's.
+func TestYieldLargeComponentSigmaRuns(t *testing.T) {
+	analyticSeeds, spiceSeeds := 40, 3
+	if testing.Short() {
+		analyticSeeds, spiceSeeds = 4, 1
+	}
+	analytic := core.Default()
+	spice, err := core.DefaultSpice()
+	if err != nil {
+		t.Fatal(err)
+	}
+	analytic.ScanN, spice.ScanN = 256, 256
+	thr := 0.05
+	for _, sigma := range []float64{0.3, 0.5} {
+		for _, b := range []struct {
+			sys   *core.System
+			seeds int
+		}{{analytic, analyticSeeds}, {spice, spiceSeeds}} {
+			for seed := 1; seed <= b.seeds; seed++ {
+				spec := Spec{Campaign: "yield", Seed: uint64(seed),
+					Params: YieldParams{N: 400, ComponentSigma: sigma, Tol: 0.05, Threshold: &thr}}
+				if err := Validate(spec); err != nil {
+					t.Fatalf("sigma %g seed %d: Validate = %v", sigma, seed, err)
+				}
+				res, err := Run(context.Background(), spec, WithSystem(b.sys))
+				if err != nil {
+					t.Fatalf("%s sigma %g seed %d passed Validate, then failed: %v", b.sys.CUT.Describe(), sigma, seed, err)
+				}
+				if y := res.Payload.(*Yield); y.N != 400 || y.TrueGood > 400 {
+					t.Fatalf("sigma %g seed %d: payload %+v", sigma, seed, y)
+				}
+			}
+		}
 	}
 }

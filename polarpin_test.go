@@ -30,7 +30,7 @@ func TestPolarFillPinnedSpeedup(t *testing.T) {
 		}
 		return nil
 	}
-	ratio := pairedRatio(t, 2000, polar, fill)
+	ratio := pairedRatio(t, pinPairs, 2000, polar, fill)
 	t.Logf("one %d-pair block: PolarFill is %.2fx %d Polar calls", polarBlockPairs, ratio, polarBlockPairs)
 	if ratio < polarFillFloor {
 		t.Fatalf("PolarFill only %.2fx the per-pair Polar calls, pinned at >= %.2fx", ratio, polarFillFloor)

@@ -1,9 +1,11 @@
 package repro
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/biquad"
+	"repro/internal/campaign"
 	"repro/internal/core"
 )
 
@@ -101,7 +103,7 @@ func TestSpiceTrialEnginePinnedSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ratio := pairedRatio(t, 2, rbldOp, tmplOp)
+	ratio := pairedRatio(t, pinPairs, 2, rbldOp, tmplOp)
 	t.Logf("FaultTableSpice trials: sequential trial templates are %.2fx the rebuild-per-trial path", ratio)
 	if ratio < spiceTemplateFloor {
 		t.Fatalf("trial-template engine only %.2fx the rebuild path, pinned at >= %.2fx", ratio, spiceTemplateFloor)
@@ -115,3 +117,58 @@ func TestSpiceTrialEnginePinnedSpeedup(t *testing.T) {
 // 8-call runs read 2.04x to 2.15x; the floor still fails if the
 // template path ever degrades to rebuild speed, which reads 1.02x.
 const spiceTemplateFloor = 1.8
+
+// TestSpicePairPinnedSpeedup pins the two-lane transient: eight 2 %
+// yield dies' SPICE outputs, run as four lock-step pairs through
+// biquad.OutputPair on two scratches, must beat the same eight dies run
+// one lane at a time through OutputScratch on one scratch by at least
+// spicePairFloor. Each lane is pinned bit-identical to OutputScratch by
+// biquad TestOutputPairMatchesRebuild, so the speed costs no bit.
+func TestSpicePairPinnedSpeedup(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("timing pin skipped in -short mode and under the race detector (both distort timing)")
+	}
+	sys, err := core.DefaultSpice()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := campaign.Engine{Seed: 5}
+	var cuts [8]*biquad.SpiceCUT
+	for i := range cuts {
+		c, err := yieldDie(sys, eng, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts[i] = c.(*biquad.SpiceCUT)
+	}
+	var one, lane0, lane1 biquad.SpiceTrialScratch
+	oneLane := func() error {
+		for _, c := range cuts {
+			if _, err := c.OutputScratch(sys.Stimulus, biquad.OutputLP, &one); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	paired := func() error {
+		for i := 0; i < len(cuts); i += 2 {
+			_, _, err0, err1 := biquad.OutputPair(sys.Stimulus, biquad.OutputLP, cuts[i], cuts[i+1], &lane0, &lane1)
+			if err := errors.Join(err0, err1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	ratio := pairedRatio(t, 48, 2, oneLane, paired)
+	t.Logf("two-lane transients are %.2fx one lane at a time", ratio)
+	if ratio < spicePairFloor {
+		t.Fatalf("lock-step pairs only %.2fx one lane at a time, pinned at >= %.2fx", ratio, spicePairFloor)
+	}
+}
+
+// spicePairFloor is the pinned pair-over-one-lane ratio. Ten runs on a
+// 2-vCPU x86-64 host read medians of 1.29x to 1.40x (per-pair ratios
+// 0.80x to 2.57x, hence the 48 short pairs). Lock step with a separate
+// solve per lane and step read 1.02x in a prototype, which the floor
+// fails.
+const spicePairFloor = 1.15
