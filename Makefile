@@ -72,7 +72,9 @@ bench:
 # Smoke gate: single-iteration run of the SPICE-campaign (one-shot
 # output, per-worker trial templates, one warm SPICE yield die and a
 # warm pair of them through the lock-step two-lane transient), the
-# batched-signature-engine,
+# set-up (a fresh system and its golden signature on each backend), the
+# analytic yield campaign (calibration and 120 dies through the scan's
+# transitions and their refinement), the batched-signature-engine,
 # the noise-plan, the streaming-reduction, the registry-dispatch, the
 # null-calibration and the checkpoint-cadence benchmarks (CUT output,
 # trial templates, fault table, batched vs scalar capture, batched vs
@@ -87,7 +89,7 @@ bench:
 # certification and batch classification on random and curve points) —
 # proves the hot paths still execute end to end.
 bench-smoke:
-	$(GO) test -bench='SpiceCUT|SpiceTrialEngine|YieldSpiceTrial|YieldSpicePair|FaultTableSpice|SignatureCapture|ExactSignature|AveragedNDF|NoisePlanBuild|NoiseTrial|PolarFill|BankClassify|ZoneLUTBuild|RegistryDispatch|CampaignReduce1M|ReduceOneWorker|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
+	$(GO) test -bench='SpiceCUT|SpiceTrialEngine|YieldSpiceTrial|YieldSpicePair|FaultTableSpice|SystemGolden|ExtensionYield|SignatureCapture|ExactSignature|AveragedNDF|NoisePlanBuild|NoiseTrial|PolarFill|BankClassify|ZoneLUTBuild|RegistryDispatch|CampaignReduce1M|ReduceOneWorker|NoiseNullCalibration|CheckpointOverhead' -benchtime=1x -run=^$$ .
 
 # The repository benchmark's own checks (cmd/mcbench is a nested module,
 # so `go test ./...` at the root does not reach it): every workload's
@@ -103,11 +105,15 @@ bench-verify:
 # match its own one-lane solve bit for bit), the block polar draw (PolarFill must equal as many
 # Polar calls, pair for pair), the
 # signature binary decoder, the NDF breakpoint sweep (a hang is a
-# failure), the zone-LUT rectangle query and the zone LUT of fuzzed
+# failure), the zone-LUT rectangle query over fuzzed monitor masks and
+# the zone LUT of fuzzed
 # monitor widths, biases and drive patterns (an answer must match the
 # exact classifier), the noise plan of a fuzzed shift, noise spread,
 # seed, period count and observation (its codes and averaged NDF must
-# match the per-tick loop bit for bit), the fabric job-log replay, the shard accumulator
+# match the per-tick loop bit for bit), the exact scan of fuzzed
+# multitone, die and sampled outputs (its first code and transitions
+# must be those of per-point ClassifyBatch codes), the fabric job-log
+# replay, the shard accumulator
 # codecs, the campaign spec ingress and the HTTP handlers of both APIs
 # (seed corpora are checked in under testdata/fuzz or added in the fuzz
 # targets). Each target gets 10s — enough to exercise the mutator on
@@ -123,6 +129,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzClassifyRect$$' -fuzztime=10s ./internal/monitor
 	$(GO) test -run=^$$ -fuzz='^FuzzZoneLUTConfig$$' -fuzztime=10s ./internal/monitor
 	$(GO) test -run=^$$ -fuzz='^FuzzNoisePlan$$' -fuzztime=10s ./internal/core
+	$(GO) test -run=^$$ -fuzz='^FuzzScanTransitions$$' -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzJobLogReplay$$' -fuzztime=10s ./internal/fabric
 	$(GO) test -run=^$$ -fuzz='^FuzzShardBlobUnmarshal$$' -fuzztime=10s ./internal/testbench
 	$(GO) test -run=^$$ -fuzz='^FuzzSpecDecode$$' -fuzztime=10s ./internal/testbench

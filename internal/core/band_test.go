@@ -7,47 +7,70 @@ import (
 
 	"repro/internal/monitor"
 	"repro/internal/rng"
+	"repro/internal/signature"
 	"repro/internal/wave"
 )
 
-// matchScanCodes is the scan's oracle: scanCodes must give every scan
-// point the code that evaluating the output there (EvalInto) and
-// classifying it (ClassifyBatch) gives. It also calls the scan scanCodes
-// runs for the output's type — bandCodes for a multitone, blockCodes
-// otherwise — for the number of points it evaluated. It returns that
-// number and the number of scan points.
+// matchScanCodes is the scan's oracle: the runs the scan adds must be
+// those of the codes that evaluating the output at every scan point
+// (EvalInto) and classifying it (ClassifyBatch) give, the code at point
+// 0 and then every transition. It runs the scan exactOf runs for the
+// output's type, bandScan for a multitone and blockScan otherwise, on
+// sc's buffer, and returns the number of points it evaluated and the
+// number of scan points. It also checks the cached stimulus samples
+// against evaluating the stimulus on the scan times.
 func matchScanCodes(t *testing.T, name string, s *System, out wave.Waveform, sc *TrialScratch) (evals, points int) {
 	t.Helper()
-	ts, xs, err := s.scans()
+	xs, err := s.scans()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ys := make([]float64, len(ts))
+	T, n := s.Period(), len(xs)-1
+	ts := make([]float64, n+1)
+	for i := range ts {
+		ts[i] = T * float64(i) / float64(n)
+	}
+	wantXs, ys := make([]float64, n+1), make([]float64, n+1)
+	wave.EvalInto(s.Stimulus, ts, wantXs)
 	wave.EvalInto(out, ts, ys)
-	want := make([]monitor.Code, len(ts))
-	s.Bank.ClassifyBatch(xs, ys, want)
-	match := func(path string, got []monitor.Code) {
-		t.Helper()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: %s: scan point %d (x %v, y %v): %06b, evaluated %06b", name, path, i, xs[i], ys[i], got[i], want[i])
-			}
+	for i, x := range wantXs {
+		if math.Float64bits(x) != math.Float64bits(xs[i]) {
+			t.Fatalf("%s: scan point %d: cached stimulus %v, evaluated %v", name, i, xs[i], x)
 		}
 	}
-	got, err := s.scanCodes(out, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	match("scanCodes", got)
-	direct := make([]monitor.Code, len(ts))
+	codes := make([]monitor.Code, n+1)
+	s.Bank.ClassifyBatch(xs, ys, codes)
+	want := runsOf(codes)
+	sc.trans = sc.trans[:0]
 	if m, ok := out.(*wave.Multitone); ok {
-		evals = bandCodes(s.Bank, s.Stimulus, m, ts, xs, direct)
-		match("bandCodes", direct)
+		evals = bandScan(s.Bank, s.Stimulus, m, T, xs, &sc.trans)
 	} else {
-		evals = blockCodes(s.Bank, out, ts, xs, direct)
-		match("blockCodes", direct)
+		evals = blockScan(s.Bank, out, T, xs, &sc.trans)
 	}
-	return evals, len(ts)
+	got := sc.trans
+	for k := 0; k < min(len(got), len(want)); k++ {
+		if got[k] != want[k] {
+			i := min(got[k].At, want[k].At)
+			t.Fatalf("%s: run %d: got %06b from scan point %d, evaluated %06b from %d (point %d: x %v, y %v)",
+				name, k, got[k].Code, got[k].At, want[k].Code, want[k].At, i, xs[i], ys[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d runs, evaluated %d", name, len(got), len(want))
+	}
+	return evals, n + 1
+}
+
+// runsOf is a scan's runs derived from its per-point codes: the code at
+// point 0, then every point whose code differs from the point before.
+func runsOf(codes []monitor.Code) transitions {
+	tr := transitions{{At: 0, Code: codes[0]}}
+	for i := 1; i < len(codes); i++ {
+		if codes[i] != codes[i-1] {
+			tr = append(tr, signature.Transition{At: i, Code: codes[i]})
+		}
+	}
+	return tr
 }
 
 // randomMultitone draws 1–6 tones on harmonics 1–8 of f0 with random
@@ -198,6 +221,35 @@ func TestBandScanMatchesEvaluatedScan(t *testing.T) {
 	}
 }
 
+// TestBandScanWarmAllocationFree: on a warm trial scratch the exact
+// signature of a multitone die output, the scan's transitions and their
+// refinement included, allocates nothing.
+func TestBandScanWarmAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	s := Default()
+	c, err := s.Deviated(componentDies(1, 0.05)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.output(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewTrialScratch()
+	if _, err := s.exactOf(out, sc); err != nil {
+		t.Fatal(err) // warm the scratch
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		if _, err := s.exactOf(out, sc); err != nil {
+			t.Error(err)
+		}
+	}); a != 0 {
+		t.Fatalf("warm exact signature of a multitone allocates %.1f times per call, want 0", a)
+	}
+}
+
 // golden returns the system's golden output as a multitone.
 func golden(t *testing.T, s *System) *wave.Multitone {
 	t.Helper()
@@ -220,10 +272,7 @@ func golden(t *testing.T, s *System) *wave.Multitone {
 func TestBandScanGrazingPeaks(t *testing.T) {
 	const amp, edge = 0.45, 242.0 / 256
 	s := Default()
-	ts, _, err := s.scans()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := func(i int) float64 { return scanTime(s.Period(), i, s.ScanN) }
 	f0 := 1 / s.Period()
 	mid := bandBlock / 2
 	tone := func(offset float64) *wave.Multitone {
@@ -234,10 +283,10 @@ func TestBandScanGrazingPeaks(t *testing.T) {
 		}
 		return m
 	}
-	h := ts[bandBlock] - ts[0]
+	h := ts(bandBlock) - ts(0)
 	w := tone(0).CurvatureBound()*h*h/8 + bandSlack
-	peak := tone(edge - 0.75*w - tone(0).Eval(ts[0]))
-	if top := peak.Eval(ts[mid]); !(top > edge+w/8) {
+	peak := tone(edge - 0.75*w - tone(0).Eval(ts(0)))
+	if top := peak.Eval(ts(mid)); !(top > edge+w/8) {
 		t.Fatalf("tone peaks at %v, want past the boundary at %v", top, edge+w/8)
 	}
 	line := func(in monitor.Input) *monitor.Bank {
@@ -388,4 +437,97 @@ func TestBandScanSampledMatchesEvaluatedScan(t *testing.T) {
 		evaluated(fmt.Sprintf("bank without a LUT, sampled curve %d", i), noLUT, randomSampled(t, src, 2048, T))
 	}
 	evaluated("sine output", s, wave.Sine{Amp: 0.2, Freq: 1 / T, Offset: 0.5})
+}
+
+// FuzzScanTransitions: the runs a scan adds, the code at scan point 0
+// and every transition, must be those of the codes that per-point
+// ClassifyBatch gives (matchScanCodes). kind&7 % 3 picks the output:
+//   - 0, a random multitone (randomMultitone) on the paper's stimulus,
+//     or on a random multitone stimulus when bit 3 of kind is set;
+//   - 1, a component die of the golden CUT, each drift spread·Gauss with
+//     |spread| folded below 1, on the observation bit 4 picks;
+//   - 2, a random sampled waveform of 2–5000 samples over period·T
+//     (|period| folded into [0.05, 2)), with three NaN or ±Inf samples
+//     when bit 3 is set.
+//
+// Bit 5 swaps in a bank without a zone LUT. The scan takes
+// 2 + steps%8191 steps; seed draws the random curves.
+func FuzzScanTransitions(f *testing.F) {
+	for _, s := range []struct {
+		kind        uint8
+		seed        uint64
+		steps       uint16
+		spread, per float64
+	}{
+		{0, 1, 8190, 0, 0},        // random multitone, 8192 steps
+		{0 | 8, 2, 8189, 0, 0},    // random stimulus, 8191 steps
+		{1, 3, 8190, 0.02, 0},     // low-pass die
+		{1 | 16, 4, 8190, 0.2, 0}, // band-pass die
+		{2, 5, 8190, 0, 0.95},     // sampled, the scan's period
+		{2 | 8, 6, 1022, 0, 0.4},  // sampled with non-finite samples, wrapping
+		{0 | 32, 7, 4000, 0, 0},   // no LUT, multitone
+		{2 | 32, 8, 62, 0, 0.5},   // no LUT, sampled
+		{1, 9, 0, 0.05, 0},        // a 2-step scan
+	} {
+		f.Add(s.kind, s.seed, s.steps, s.spread, s.per)
+	}
+	fold := func(u float64) float64 {
+		if u = math.Abs(math.Mod(u, 1)); math.IsNaN(u) {
+			return 0.5
+		}
+		return u
+	}
+	stuck, err := Default().Bank.WithStuckMonitor(2, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, seed uint64, steps uint16, spread, per float64) {
+		s, src, pick := Default(), rng.New(seed), int(kind&7)%3
+		f0 := 1 / s.Period()
+		if kind&8 != 0 && pick == 0 {
+			ss, err := NewSystem(randomMultitone(t, src, f0), s.CUT, s.Bank, s.Capture)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s = ss
+		}
+		if kind&32 != 0 {
+			s.Bank = stuck
+		}
+		s.ScanN = 2 + int(steps)%8191
+		var out wave.Waveform
+		switch pick {
+		case 0:
+			out = randomMultitone(t, src, f0)
+		case 1:
+			if kind&16 != 0 {
+				s.Observe = ObserveBP
+			}
+			sigma := fold(spread)
+			c, err := s.Deviated(Deviation{RDrift: src.Gauss(0, sigma), RQDrift: src.Gauss(0, sigma), RGDrift: src.Gauss(0, sigma), CDrift: src.Gauss(0, sigma)})
+			if err != nil {
+				return // a drift at or below −1
+			}
+			if out, err = s.output(c); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			n := 2 + int(src.Uint64()%4999)
+			w := randomSampled(t, src, n, s.Period()*(0.05+1.95*fold(per)))
+			if kind&8 != 0 {
+				v := make([]float64, n)
+				for j := range v {
+					v[j] = w.Eval(w.Period() * float64(j) / float64(n))
+				}
+				for k := 0; k < 3; k++ {
+					v[src.Uint64()%uint64(n)] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[k]
+				}
+				if err := w.Reuse(v, w.Period()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out = w
+		}
+		matchScanCodes(t, fmt.Sprintf("kind %d seed %d", kind, seed), s, out, NewTrialScratch())
+	})
 }

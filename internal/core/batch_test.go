@@ -161,13 +161,9 @@ func outputMax(t *testing.T, s *System, d Deviation) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, _, err := s.scans()
-	if err != nil {
-		t.Fatal(err)
-	}
 	hi := math.Inf(-1)
-	for _, tm := range ts {
-		hi = math.Max(hi, out.Eval(tm))
+	for i := 0; i <= s.ScanN; i++ {
+		hi = math.Max(hi, out.Eval(scanTime(s.Period(), i, s.ScanN)))
 	}
 	return hi
 }

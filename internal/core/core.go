@@ -99,14 +99,16 @@ type System struct {
 	goldenSig  *signature.Signature
 	goldenErr  error
 
-	// Cached sample grids of the (immutable) stimulus: the capture's
-	// master-clock tick grid and the exact-extraction scan grid. Built
-	// once per system and shared read-only across trials and workers.
+	// Cached samples of the (immutable) stimulus: on the capture's
+	// master-clock tick grid, with its times, and on the exact-extraction
+	// scan grid, whose times scanTime computes. Built once per system and
+	// shared read-only across trials and workers.
 	tickGrid gridCache
 	scanGrid gridCache
 }
 
-// gridCache lazily holds a time grid and the stimulus samples on it.
+// gridCache lazily holds the stimulus samples on a grid and, for the
+// tick grid, its times.
 type gridCache struct {
 	once   sync.Once
 	ts, xs []float64
@@ -150,9 +152,9 @@ func (s *System) ticks() (ts, xs []float64, err error) {
 	return g.ts, g.xs, g.err
 }
 
-// scans returns the exact-extraction scan grid (t_i = T·i/ScanN,
-// i = 0 … ScanN) and the stimulus samples on it, computing both once.
-func (s *System) scans() (ts, xs []float64, err error) {
+// scans returns the stimulus samples on the exact-extraction scan grid,
+// xs[i] at scanTime(T, i, ScanN) for i = 0 … ScanN, computing them once.
+func (s *System) scans() (xs []float64, err error) {
 	g := &s.scanGrid
 	g.once.Do(func() {
 		if s.ScanN < 2 {
@@ -160,22 +162,25 @@ func (s *System) scans() (ts, xs []float64, err error) {
 			return
 		}
 		T := s.Period()
-		g.ts = make([]float64, s.ScanN+1)
-		for i := range g.ts {
-			g.ts[i] = T * float64(i) / float64(s.ScanN)
+		g.xs = make([]float64, s.ScanN+1)
+		for i := range g.xs {
+			g.xs[i] = s.Stimulus.Eval(scanTime(T, i, s.ScanN))
 		}
-		g.xs = make([]float64, len(g.ts))
-		wave.EvalInto(s.Stimulus, g.ts, g.xs)
 	})
-	return g.ts, g.xs, g.err
+	return g.xs, g.err
 }
+
+// scanTime is scan point i's time T·i/n on a scan of n steps, the
+// expression signature.ExactFromTransitions brackets transitions with.
+func scanTime(T float64, i, n int) float64 { return T * float64(i) / float64(n) }
 
 // TrialScratch bundles the per-worker reusable buffers of the signature
 // engine: the capture scratch (raw entries, canonical entries, per-tick
-// or per-scan-point codes) and a noisy period's random state. One
-// scratch per campaign worker; not safe for concurrent use.
+// codes), an exact scan's transitions and a noisy period's random state.
+// One scratch per campaign worker; not safe for concurrent use.
 type TrialScratch struct {
 	capture signature.CaptureBuffer
+	trans   transitions
 	// noise holds the current period's noise substream.
 	noise rng.Stream
 	// polar holds a noise plan's block of polar pairs, allocated on the
@@ -394,83 +399,84 @@ func (s *System) ExactSignature(c CUT) (*signature.Signature, error) {
 	return s.exactOf(out, nil)
 }
 
-// exactOf extracts the exact signature of an observed output:
-// scanCodes on the scan grid, then Bank.ClassifyLUT bisections of the
-// bracketed transitions. Both answer as Bank.Classify does, so the
-// result is bit-identical to signature.Exact on Classifier(c, 0, nil).
-// With a scratch, its capture buffer holds the result until the
-// scratch's next trial; without one, the caller owns the result.
+// exactOf extracts the exact signature of an observed output: a scan
+// of the grid into its transitions (bandScan for an exact multitone,
+// blockScan for any other output, SPICE's sampled ones), then
+// Bank.ClassifyLUT bisections of each. Both answer as Bank.Classify
+// does, so the result is bit-identical to signature.Exact on
+// Classifier(c, 0, nil). With a scratch, the scratch holds the
+// transitions and the result until its next trial; without one, the
+// scan runs on a fresh scratch and the caller owns the result.
 func (s *System) exactOf(out wave.Waveform, sc *TrialScratch) (*signature.Signature, error) {
+	xs, err := s.scans()
+	if err != nil {
+		return nil, err
+	}
+	var buf *signature.CaptureBuffer // nil: the caller owns the result
+	if sc == nil {
+		sc = NewTrialScratch()
+	} else {
+		buf = &sc.capture
+	}
+	sc.trans = sc.trans[:0]
+	T := s.Period()
+	if m, ok := out.(*wave.Multitone); ok {
+		bandScan(s.Bank, s.Stimulus, m, T, xs, &sc.trans)
+	} else {
+		blockScan(s.Bank, out, T, xs, &sc.trans)
+	}
 	cls := func(t float64) monitor.Code {
 		return s.Bank.ClassifyLUT(s.Stimulus.Eval(t), out.Eval(t))
 	}
-	if sc == nil {
-		codes, err := s.scanCodes(out, NewTrialScratch())
-		if err != nil {
-			return nil, err
-		}
-		return signature.ExactFromCodes(codes, cls, s.Period(), 0)
-	}
-	codes, err := s.scanCodes(out, sc)
-	if err != nil {
-		return nil, err
-	}
-	return signature.ExactFromCodesInto(codes, cls, s.Period(), 0, &sc.capture)
+	return signature.ExactFromTransitions(sc.trans[0].Code, sc.trans[1:], len(xs)-1, cls, T, 0, buf)
 }
 
-// scanCodes classifies out on the scan grid into sc's code buffer. An
-// exact multitone goes through certified interpolation bounds
-// (bandCodes), which on the paper's system evaluate it at about one scan
-// point in eleven and prove most blocks of 32 points with one zone-LUT
-// query. Any other output, SPICE's sampled ones, goes through block
-// proofs on its sample hull (blockCodes).
-func (s *System) scanCodes(out wave.Waveform, sc *TrialScratch) ([]monitor.Code, error) {
-	ts, xs, err := s.scans()
-	if err != nil {
-		return nil, err
+// transitions holds a scan's codes in scan order as runs: the code at
+// scan point 0, then each transition, a point whose code differs from
+// the point before it.
+type transitions []signature.Transition
+
+// add records code c at scan point i, past every point added before: a
+// run starts there when c differs from the code running, or when it is
+// the first point.
+func (tr *transitions) add(i int, c monitor.Code) {
+	if n := len(*tr); n == 0 || (*tr)[n-1].Code != c {
+		*tr = append(*tr, signature.Transition{At: i, Code: c})
 	}
-	codes := sc.capture.Codes(len(ts))
-	if m, ok := out.(*wave.Multitone); ok {
-		bandCodes(s.Bank, s.Stimulus, m, ts, xs, codes)
-		return codes, nil
-	}
-	blockCodes(s.Bank, out, ts, xs, codes)
-	return codes, nil
 }
 
-// blockCodes fills codes[i] with the code ClassifyBatch gives
-// (xs[i], out(ts[i])) and returns how many points it evaluated. It
-// walks the scan in blocks of bandBlock points. For a *wave.Sampled
-// output, a block's points lie in the box of their exact x range and the
-// hull of the samples Eval interpolates between over the block's times,
-// widened by bandSlack for Eval's rounding; when ClassifyRect proves
-// that box, every point of the block gets its code unevaluated. Any
-// other point is evaluated and classified with ClassifyLUT, in scan
-// order. A block whose times wrap past the output's period, whose hull
-// is not finite or off the [0,1)² grid, or whose output is of another
-// type, is evaluated throughout.
+// blockScan adds to tr, for every point of the scan of len(xs)−1 steps
+// over period T, the code ClassifyBatch gives (xs[i], out(t_i)), and
+// returns how many points it evaluated. It walks the scan in blocks of
+// bandBlock points. For a *wave.Sampled output, a block's points lie in
+// the box of their exact x range and the hull of the samples Eval
+// interpolates between over the block's times, widened by bandSlack for
+// Eval's rounding; when ClassifyRect proves that box, the block adds
+// its one code unevaluated. Any other point is evaluated and classified
+// with ClassifyLUT, in scan order. A block whose times wrap past the
+// output's period, whose hull is not finite or off the [0,1)² grid, or
+// whose output is of another type, is evaluated throughout.
 //
 //mclint:hotpath
-func blockCodes(bank *monitor.Bank, out wave.Waveform, ts, xs []float64, codes []monitor.Code) (evals int) {
+func blockScan(bank *monitor.Bank, out wave.Waveform, T float64, xs []float64, tr *transitions) (evals int) {
 	smp, _ := out.(*wave.Sampled)
-	for a := 0; a < len(ts); a += bandBlock {
-		b := min(a+bandBlock, len(ts))
+	n := len(xs) - 1
+	for a := 0; a <= n; a += bandBlock {
+		b := min(a+bandBlock, n+1)
 		if smp != nil {
-			if ylo, yhi, ok := smp.Hull(ts[a], ts[b-1]); ok {
+			if ylo, yhi, ok := smp.Hull(scanTime(T, a, n), scanTime(T, b-1, n)); ok {
 				xlo, xhi := xs[a], xs[a]
 				for _, x := range xs[a+1 : b] {
 					xlo, xhi = min(xlo, x), max(xhi, x)
 				}
 				if c, ok := bank.ClassifyRect(xlo, xhi, ylo-bandSlack, yhi+bandSlack); ok {
-					for i := a; i < b; i++ {
-						codes[i] = c
-					}
+					tr.add(a, c)
 					continue
 				}
 			}
 		}
 		for i := a; i < b; i++ {
-			codes[i] = bank.ClassifyLUT(xs[i], out.Eval(ts[i]))
+			tr.add(i, bank.ClassifyLUT(xs[i], out.Eval(scanTime(T, i, n))))
 		}
 		evals += b - a
 	}
@@ -494,53 +500,58 @@ const (
 	bandSlack = 1e-9
 )
 
-// bandCodes fills codes[i] with the code ClassifyBatch gives
-// (xs[i], out(ts[i])), where xs holds stim on ts, and returns how many
-// points it evaluated: the block ends, and every point whose band
-// ClassifyRect cannot prove. A block's interior lies in its bounding
-// box: x within M2·h²/8 + bandSlack of the block ends' x range, M2 being
-// stim's curvature bound and h = t_b − t_a, and y likewise with out's.
-// When ClassifyRect proves the box, every interior point gets its code.
-// Otherwise each interior point gets the code ClassifyRect proves for
-// the vertical segment x × (line ± M2·(t−t_a)(t_b−t)/2 + bandSlack), or
-// is evaluated. Nothing is proven when a curvature bound is NaN or
-// infinite or the bank has no zone LUT; then every point is evaluated.
+// bandScan adds to tr, for every point of the scan of len(xs)−1 steps
+// over period T, where xs holds stim on the scan times, the code
+// ClassifyBatch gives (xs[i], out(t_i)), and returns how many points it
+// evaluated: the block ends, and every point whose band leaves a
+// monitor open. A block's interior lies in its bounding box: x within
+// M2·h²/8 + bandSlack of the block ends' x range, M2 being stim's
+// curvature bound and h = t_b − t_a, and y likewise with out's.
+// ProveRect settles the box's monitors. When it leaves none open, the
+// box holds both block ends, so the interior has their code and the
+// block adds no run. Otherwise each interior point settles the monitors
+// the box left open on the vertical segment
+// x × (line ± M2·(t−t_a)(t_b−t)/2 + bandSlack), which lies in the box,
+// so a monitor the box proves has its bit there too; a point whose
+// segment still leaves one open is evaluated. Nothing is proven when a
+// curvature bound is NaN or infinite or the bank has no zone LUT; then
+// every point is evaluated.
 //
 //mclint:hotpath
-func bandCodes(bank *monitor.Bank, stim, out *wave.Multitone, ts, xs []float64, codes []monitor.Code) (evals int) {
+func bandScan(bank *monitor.Bank, stim, out *wave.Multitone, T float64, xs []float64, tr *transitions) (evals int) {
 	m2x, m2y := stim.CurvatureBound(), out.CurvatureBound()
-	last := len(ts) - 1
-	ya := out.Eval(ts[0])
-	codes[0] = bank.ClassifyLUT(xs[0], ya)
+	last := len(xs) - 1
+	ta := scanTime(T, 0, last)
+	ya := out.Eval(ta)
+	tr.add(0, bank.ClassifyLUT(xs[0], ya))
 	evals = 1
 	for a := 0; a < last; a += bandBlock {
 		b := min(a+bandBlock, last)
-		ta, tb := ts[a], ts[b]
+		tb := scanTime(T, b, last)
 		yb := out.Eval(tb)
-		codes[b] = bank.ClassifyLUT(xs[b], yb)
+		cb := bank.ClassifyLUT(xs[b], yb)
 		evals++
 		h2 := (tb - ta) * (tb - ta) / 8
 		wx, wy := m2x*h2+bandSlack, m2y*h2+bandSlack
-		if c, ok := bank.ClassifyRect(min(xs[a], xs[b])-wx, max(xs[a], xs[b])+wx, min(ya, yb)-wy, max(ya, yb)+wy); ok {
+		c, open := bank.ProveRect(min(xs[a], xs[b])-wx, max(xs[a], xs[b])+wx, min(ya, yb)-wy, max(ya, yb)+wy, ^uint32(0))
+		if open != 0 {
+			slope := (yb - ya) / (tb - ta)
 			for i := a + 1; i < b; i++ {
-				codes[i] = c
+				t := scanTime(T, i, last)
+				y := ya + slope*(t-ta)
+				w := m2y*(t-ta)*(tb-t)/2 + bandSlack
+				ci, left := bank.ProveRect(xs[i], xs[i], y-w, y+w, open)
+				if left != 0 {
+					ci = bank.ClassifyLUT(xs[i], out.Eval(t))
+					evals++
+				} else {
+					ci |= c
+				}
+				tr.add(i, ci)
 			}
-			ya = yb
-			continue
 		}
-		slope := (yb - ya) / (tb - ta)
-		for i := a + 1; i < b; i++ {
-			t := ts[i]
-			y := ya + slope*(t-ta)
-			w := m2y*(t-ta)*(tb-t)/2 + bandSlack
-			c, ok := bank.ClassifyRect(xs[i], xs[i], y-w, y+w)
-			if !ok {
-				c = bank.ClassifyLUT(xs[i], out.Eval(t))
-				evals++
-			}
-			codes[i] = c
-		}
-		ya = yb
+		tr.add(b, cb)
+		ta, ya = tb, yb
 	}
 	return evals
 }

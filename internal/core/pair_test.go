@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/biquad"
@@ -129,6 +130,34 @@ func TestSpiceNDFScratchWarmAllocationFree(t *testing.T) {
 		if trialErr != nil {
 			t.Fatal(trialErr)
 		}
+	}
+}
+
+// TestExactSignatureAllocationBound: a one-shot exact signature of the
+// golden CUT, its output included, allocates at most 4 KB per call over
+// 200 calls. The scan keeps its transitions, not a code per scan point,
+// and the system keeps no time grid; a scan-code buffer alone took
+// 41 KB a call.
+func TestExactSignatureAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	sys := Default()
+	if _, err := sys.ExactSignature(sys.CUT); err != nil {
+		t.Fatal(err) // build the zone LUT and the scan's stimulus samples
+	}
+	const calls = 200
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := sys.ExactSignature(sys.CUT); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / calls; per > 4096 {
+		t.Fatalf("one-shot ExactSignature allocates %.0f B per call, want at most 4096", per)
 	}
 }
 

@@ -96,7 +96,7 @@ import (
 //
 // # Rectangle query
 //
-// Bank.ClassifyRect serves a caller that knows only a box holding its
+// Bank.ProveRect serves a caller that knows only a box holding its
 // points: a scan block whose coordinates are bounded by interpolation,
 // or one point whose y is. A point (x, y) of the closed rectangle
 // [xlo, xhi] × [ylo, yhi] on the grid lies in fine cell
@@ -105,10 +105,12 @@ import (
 // int(xlo·lutFine) to int(xhi·lutFine) by rows int(ylo·lutFine) to
 // int(yhi·lutFine). Each monitor's staircase is monotone, so the
 // monitor is proven on all of them exactly when its two end columns
-// prove the rectangle's rows with one sign: O(1) per monitor. When
-// every monitor is proven, the closed-cell argument gives the code to
-// every point of the rectangle, and it is the code ClassifyBatch
-// returns at any of them. Otherwise it refuses.
+// prove the rectangle's rows with one sign: O(1) per monitor. The
+// closed-cell argument gives each proven monitor's bit to every point
+// of the rectangle, and it is the bit ClassifyBatch returns at any of
+// them; ProveRect returns those bits and the mask of the monitors left
+// open. Bank.ClassifyRect is the query over every monitor, answering
+// only when none is left open.
 
 const (
 	// lutCells is the coarse table's resolution per axis and lutFine the
@@ -413,26 +415,44 @@ func (b *Bank) ClassifyLUT(x, y float64) Code {
 
 // ClassifyRect returns the code of every point of the closed rectangle
 // [xlo, xhi] × [ylo, yhi] when the zone LUT proves it, and false
-// otherwise: for NaN or ±Inf, a rectangle off the grid or reversed, a
-// monitor whose staircase leaves some of it open, or a bank without a
-// LUT. It builds the LUT on first use and then performs no allocations.
+// otherwise: ProveRect over every monitor, succeeding exactly when it
+// leaves none open. It builds the LUT on first use and then performs no
+// allocations.
 //
 //mclint:hotpath
 func (b *Bank) ClassifyRect(xlo, xhi, ylo, yhi float64) (Code, bool) {
-	l := b.lut()
-	if l == nil || !(xlo >= 0 && xlo <= xhi && xhi < 1 && ylo >= 0 && ylo <= yhi && yhi < 1) {
+	c, open := b.ProveRect(xlo, xhi, ylo, yhi, ^uint32(0))
+	if open != 0 {
 		return 0, false
 	}
-	i0, i1, j0, j1 := int(xlo*lutFine), int(xhi*lutFine), int(ylo*lutFine), int(yhi*lutFine)
-	var c Code
-	for mi := 0; l.all>>uint(mi) != 0; mi++ {
-		bit, ok := l.prove(mi, i0, i1, j0, j1)
-		if !ok {
-			return 0, false
-		}
-		c |= Code(bit)
-	}
 	return c, true
+}
+
+// ProveRect settles the monitors of the mask want over the closed
+// rectangle [xlo, xhi] × [ylo, yhi]: it returns the code bits of those
+// whose staircase proves the rectangle, which each point of it has, and
+// the mask of those it leaves open. Bits of want past the bank's
+// monitors are dropped. NaN or ±Inf, a rectangle off the grid or
+// reversed, or a bank without a LUT leave all of want open. It builds
+// the LUT on first use and then performs no allocations.
+//
+//mclint:hotpath
+func (b *Bank) ProveRect(xlo, xhi, ylo, yhi float64, want uint32) (proven Code, open uint32) {
+	want &= uint32(1)<<uint(len(b.monitors)) - 1
+	l := b.lut()
+	if l == nil || !(xlo >= 0 && xlo <= xhi && xhi < 1 && ylo >= 0 && ylo <= yhi && yhi < 1) {
+		return 0, want
+	}
+	i0, i1, j0, j1 := int(xlo*lutFine), int(xhi*lutFine), int(ylo*lutFine), int(yhi*lutFine)
+	for m := want; m != 0; m &= m - 1 {
+		mi := bits.TrailingZeros32(m)
+		if bit, ok := l.prove(mi, i0, i1, j0, j1); ok {
+			proven |= Code(bit)
+		} else {
+			open |= 1 << uint(mi)
+		}
+	}
+	return proven, open
 }
 
 // lookup is the per-point LUT step of ClassifyBatch and ClassifyLUT: it

@@ -837,45 +837,69 @@ func FuzzZoneLUTConfig(f *testing.F) {
 	})
 }
 
-// FuzzClassifyRect: a rectangle ClassifyRect answers must lie on the
-// grid and be ordered, and Classify must give the answer at its corners
-// and at a point of it that the fuzzer picks: the fractions u and v of
-// the way across.
+// FuzzClassifyRect: ProveRect over a fuzzed monitor mask leaves open
+// only monitors of the mask and proves bits only for the others; a
+// rectangle on which it settles any monitor must lie on the grid and be
+// ordered, and Classify must give each settled monitor's bit at its
+// corners and at a point of it that the fuzzer picks: the fractions u
+// and v of the way across. ClassifyRect answers exactly when ProveRect
+// over every monitor leaves none open, and then with the code Classify
+// gives at those points.
 func FuzzClassifyRect(f *testing.F) {
-	for _, s := range [][6]float64{
-		{0.3, 0.3, 0.2, 0.2, 0.5, 0.5},            // one point
-		{0.1, 0.12, 0.05, 0.06, 0.3, 0.9},         // a box in one zone
-		{0.4, 0.6, 0.4, 0.6, 0.5, 0.5},            // a box across boundaries
-		{0.2, 0.2, 0.1, 0.5, 0, 0.7},              // a tall segment
-		{0.5, 0.4, 0.2, 0.3, 0, 1},                // reversed
-		{0, 0.999, 0, 0.999, 0.25, 0.75},          // the whole grid
-		{math.NaN(), 0.5, 0.2, 0.3, 0, 0},         // NaN
-		{0.1, math.Inf(1), 0.2, 0.3, 0.5, 0.5},    // infinite
-		{-0.01, 0.1, 0.9, 1.01, 0.5, 0.5},         // off the grid
-		{1.0 / 256, 2.0 / 256, 0.5, 0.5, 1, 0.25}, // on cell edges
+	for _, s := range []struct {
+		r    [6]float64
+		want uint32
+	}{
+		{[6]float64{0.3, 0.3, 0.2, 0.2, 0.5, 0.5}, 0x3f},            // one point
+		{[6]float64{0.1, 0.12, 0.05, 0.06, 0.3, 0.9}, 0x3f},         // a box in one zone
+		{[6]float64{0.4, 0.6, 0.4, 0.6, 0.5, 0.5}, 0x3f},            // a box across boundaries
+		{[6]float64{0.2, 0.2, 0.1, 0.5, 0, 0.7}, 0x15},              // a tall segment
+		{[6]float64{0.5, 0.4, 0.2, 0.3, 0, 1}, 0x3f},                // reversed
+		{[6]float64{0, 0.999, 0, 0.999, 0.25, 0.75}, 0x3f},          // the whole grid
+		{[6]float64{math.NaN(), 0.5, 0.2, 0.3, 0, 0}, 0x3f},         // NaN
+		{[6]float64{0.1, math.Inf(1), 0.2, 0.3, 0.5, 0.5}, 0x3f},    // infinite
+		{[6]float64{-0.01, 0.1, 0.9, 1.01, 0.5, 0.5}, 0x3f},         // off the grid
+		{[6]float64{1.0 / 256, 2.0 / 256, 0.5, 0.5, 1, 0.25}, 0x3f}, // on cell edges
+		{[6]float64{0.4, 0.6, 0.4, 0.6, 0.5, 0.5}, 0x0a},            // part of the bank
+		{[6]float64{0.4, 0.6, 0.4, 0.6, 0.5, 0.5}, 0xffffffc0},      // past the bank only
+		{[6]float64{0.1, 0.12, 0.05, 0.06, 0.3, 0.9}, 0},            // no monitor
 	} {
-		f.Add(s[0], s[1], s[2], s[3], s[4], s[5])
+		f.Add(s.r[0], s.r[1], s.r[2], s.r[3], s.r[4], s.r[5], s.want)
 	}
 	bank := NewAnalyticTableI()
+	all := uint32(1)<<uint(bank.Size()) - 1
 	frac := func(u float64) float64 {
 		if u = math.Abs(math.Mod(u, 1)); math.IsNaN(u) {
 			return 0.5
 		}
 		return u
 	}
-	f.Fuzz(func(t *testing.T, xlo, xhi, ylo, yhi, u, v float64) {
+	f.Fuzz(func(t *testing.T, xlo, xhi, ylo, yhi, u, v float64, want uint32) {
+		proven, open := bank.ProveRect(xlo, xhi, ylo, yhi, want)
+		settled := want & all &^ open
+		if open&^(want&all) != 0 || uint32(proven)&^settled != 0 {
+			t.Fatalf("[%v, %v] × [%v, %v], mask %b: proved %b, left %b open", xlo, xhi, ylo, yhi, want, proven, open)
+		}
 		c, ok := bank.ClassifyRect(xlo, xhi, ylo, yhi)
-		if !ok {
+		if _, openAll := bank.ProveRect(xlo, xhi, ylo, yhi, all); ok != (openAll == 0) || ok && open != 0 {
+			t.Fatalf("[%v, %v] × [%v, %v]: ClassifyRect %v, ProveRect leaves %b of every monitor and %b of mask %b open",
+				xlo, xhi, ylo, yhi, ok, openAll, open, want)
+		}
+		if settled == 0 && !ok {
 			return
 		}
 		if !(xlo >= 0 && xlo <= xhi && xhi < 1 && ylo >= 0 && ylo <= yhi && yhi < 1) {
-			t.Fatalf("answered %016b for [%v, %v] × [%v, %v]", c, xlo, xhi, ylo, yhi)
+			t.Fatalf("settled %b (ClassifyRect %v) for [%v, %v] × [%v, %v]", settled, ok, xlo, xhi, ylo, yhi)
 		}
 		px := min(max(xlo+(xhi-xlo)*frac(u), xlo), xhi)
 		py := min(max(ylo+(yhi-ylo)*frac(v), ylo), yhi)
 		for _, p := range [][2]float64{{xlo, ylo}, {xlo, yhi}, {xhi, ylo}, {xhi, yhi}, {px, py}} {
-			if want := bank.Classify(p[0], p[1]); want != c {
+			want := bank.Classify(p[0], p[1])
+			if ok && want != c {
 				t.Fatalf("[%v, %v] × [%v, %v] answered %016b, Classify at %v gives %016b", xlo, xhi, ylo, yhi, c, p, want)
+			}
+			if d := uint32(want^proven) & settled; d != 0 {
+				t.Fatalf("[%v, %v] × [%v, %v] proved %016b over %016b, Classify at %v gives %016b", xlo, xhi, ylo, yhi, proven, settled, p, want)
 			}
 		}
 	})

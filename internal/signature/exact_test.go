@@ -76,8 +76,9 @@ func exactFromCodesOracle(codes []monitor.Code, classify Classifier, T float64, 
 // scan sizes and tolerances) with the grid codes they give. The
 // signatures must agree bit for bit, and ExactFromCodes must call the
 // classifier exactly once less per transition on the grid. Its result
-// must have no spare capacity, and ExactFromCodesInto, on one buffer
-// reused across all trials, must give the same entries.
+// must have no spare capacity, and ExactFromTransitions on the grid's
+// transitions, with one buffer reused across all trials, must give the
+// same entries.
 func TestExactFromCodesMatchesOracle(t *testing.T) {
 	src := rng.New(2231)
 	total := 0
@@ -129,7 +130,7 @@ func TestExactFromCodesMatchesOracle(t *testing.T) {
 		if cap(got.Entries) != len(got.Entries) {
 			t.Fatalf("trial %d: %d entries with capacity %d", trial, len(got.Entries), cap(got.Entries))
 		}
-		into, err := ExactFromCodesInto(codes, classify, T, tol, &buf)
+		into, err := ExactFromTransitions(codes[0], transitionsOf(codes), nScan, classify, T, tol, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,23 +150,36 @@ func TestExactFromCodesMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestExactFromCodesIntoWarmAllocationFree pins a warm buffer-backed
-// extraction at zero allocations.
-func TestExactFromCodesIntoWarmAllocationFree(t *testing.T) {
+// transitionsOf returns the transitions of a scan's per-point codes:
+// every point whose code differs from the point before.
+func transitionsOf(codes []monitor.Code) []Transition {
+	var trans []Transition
+	for i := 1; i < len(codes); i++ {
+		if codes[i] != codes[i-1] {
+			trans = append(trans, Transition{At: i, Code: codes[i]})
+		}
+	}
+	return trans
+}
+
+// TestExactFromTransitionsWarmAllocationFree pins a warm buffer-backed
+// refinement at zero allocations.
+func TestExactFromTransitionsWarmAllocationFree(t *testing.T) {
 	codes := make([]monitor.Code, 1025)
 	for i := range codes {
 		codes[i] = monitor.Code(i / 100 % 3)
 	}
+	trans := transitionsOf(codes)
 	classify := func(t float64) monitor.Code { return monitor.Code(int(t*1024) / 100 % 3) }
 	var buf CaptureBuffer
-	if _, err := ExactFromCodesInto(codes, classify, 1, 0, &buf); err != nil {
+	if _, err := ExactFromTransitions(codes[0], trans, 1024, classify, 1, 0, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if a := testing.AllocsPerRun(50, func() {
-		if _, err := ExactFromCodesInto(codes, classify, 1, 0, &buf); err != nil {
+		if _, err := ExactFromTransitions(codes[0], trans, 1024, classify, 1, 0, &buf); err != nil {
 			t.Error(err)
 		}
 	}); a != 0 {
-		t.Fatalf("warm ExactFromCodesInto allocates %.1f times per run, want 0", a)
+		t.Fatalf("warm ExactFromTransitions allocates %.1f times per run, want 0", a)
 	}
 }

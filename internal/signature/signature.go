@@ -171,7 +171,8 @@ func (s *Signature) String() string {
 // one period T: it scans with nScan samples and refines every transition
 // instant by bisection to tol seconds. It is the per-point reference the
 // tests check ExactFromCodes and the clocked capture against; production
-// extraction classifies its scan grid in bulk and calls ExactFromCodes.
+// extraction scans its grid into transitions and calls
+// ExactFromTransitions.
 func Exact(classify Classifier, T float64, nScan int, tol float64) (*Signature, error) {
 	if T <= 0 {
 		return nil, fmt.Errorf("signature: period %g must be positive", T)
@@ -191,29 +192,42 @@ func Exact(classify Classifier, T float64, nScan int, tol float64) (*Signature, 
 // i = 0 … nScan, so len(codes) = nScan+1) and only the transition
 // brackets found on the grid are refined by bisection with classify.
 // classify may be any classifier that agrees with the grid codes; the
-// result is bit-identical to Exact with that classifier. The batched
-// engine bisects through the same zone LUT that classified the grid
-// (monitor.Bank.ClassifyLUT), which answers every instant exactly as
-// monitor.Bank.Classify does. The caller owns the result, whose entry
-// slice has no spare capacity.
+// result is bit-identical to Exact with that classifier. It derives the
+// transitions from the codes and refines them with ExactFromTransitions.
+// The caller owns the result, whose entry slice has no spare capacity.
 func ExactFromCodes(codes []monitor.Code, classify Classifier, T float64, tol float64) (*Signature, error) {
-	var buf CaptureBuffer
-	sig, err := ExactFromCodesInto(codes, classify, T, tol, &buf)
-	if err != nil {
-		return nil, err
+	var first monitor.Code
+	var trans []Transition
+	for i, c := range codes {
+		if i == 0 {
+			first = c
+		} else if c != codes[i-1] {
+			trans = append(trans, Transition{At: i, Code: c})
+		}
 	}
-	entries := make([]Entry, len(sig.Entries))
-	copy(entries, sig.Entries)
-	return &Signature{Period: T, Entries: entries}, nil
+	return ExactFromTransitions(first, trans, len(codes)-1, classify, T, tol, nil)
 }
 
-// ExactFromCodesInto is ExactFromCodes with the raw entries, the
-// canonical merge and the returned Signature header all in buf, as
-// CaptureCanonicalCodes keeps them: a warm extraction allocates
+// Transition is a change of code on a scan grid of nScan steps: scan
+// point At (1 … nScan) has Code, and the point before it another code.
+type Transition struct {
+	At   int
+	Code monitor.Code
+}
+
+// ExactFromTransitions refines a classified scan grid into the exact
+// signature: first is the code at t = 0 and trans the grid's transitions
+// in order, so scan point i = 0 … nScan (at T·i/nScan) has the code of
+// the last transition at or before it. Each transition is bisected with
+// classify in its bracket (T·(At−1)/nScan, T·At/nScan], which the engine
+// answers through the same zone LUT that classified the grid
+// (monitor.Bank.ClassifyLUT). With a nil buf the caller owns the result,
+// whose entry slice has no spare capacity. Otherwise the raw entries,
+// the canonical merge and the returned Signature header all live in
+// buf, as CaptureCanonicalCodes keeps them: a warm extraction allocates
 // nothing, and the result is valid only until buf's next capture or
-// extraction. The entries are bit-identical to ExactFromCodes'.
-func ExactFromCodesInto(codes []monitor.Code, classify Classifier, T float64, tol float64, buf *CaptureBuffer) (*Signature, error) {
-	nScan := len(codes) - 1
+// extraction. Either way the entries are the same bits.
+func ExactFromTransitions(first monitor.Code, trans []Transition, nScan int, classify Classifier, T float64, tol float64, buf *CaptureBuffer) (*Signature, error) {
 	if T <= 0 {
 		return nil, fmt.Errorf("signature: period %g must be positive", T)
 	}
@@ -223,25 +237,26 @@ func ExactFromCodesInto(codes []monitor.Code, classify Classifier, T float64, to
 	if tol <= 0 {
 		tol = T * 1e-9
 	}
+	owned := buf == nil
+	if owned {
+		buf = new(CaptureBuffer)
+	}
 	// Each refined transition at t closes the entry running since tCur,
 	// so the raw entries are built as the scan goes: from t = 0 to the
 	// first transition is the first code, and so on.
 	raw := buf.raw[:0]
 	tCur := 0.0
-	codeCur := codes[0]
-	prev := codes[0]
-	for i := 1; i <= nScan; i++ {
-		c := codes[i]
-		if c == prev {
-			continue
-		}
+	codeCur := first
+	prev := first
+	for _, tr := range trans {
 		// Refine the transition in (T·(i−1)/nScan, T·i/nScan]. Note
 		// multiple transitions inside one scan step are merged — nScan
 		// must be chosen fine enough (callers use ≥ 4096 for the paper's
 		// curves). code tracks the code at hi: the grid's at the scan
 		// instant, then each midpoint's that differs from prev.
+		i := tr.At
 		lo, hi := T*float64(i-1)/float64(nScan), T*float64(i)/float64(nScan)
-		code := c
+		code := tr.Code
 		for hi-lo > tol {
 			mid := 0.5 * (lo + hi)
 			if m := classify(mid); m == prev {
@@ -254,13 +269,19 @@ func ExactFromCodesInto(codes []monitor.Code, classify Classifier, T float64, to
 			raw = append(raw, Entry{Code: codeCur, Dur: hi - tCur})
 		}
 		tCur, codeCur = hi, code
-		prev = c
+		prev = tr.Code
 	}
 	if T > tCur {
 		raw = append(raw, Entry{Code: codeCur, Dur: T - tCur})
 	}
 	buf.raw = raw
-	return canonicalFromRaw(raw, T, buf), nil
+	sig := canonicalFromRaw(raw, T, buf)
+	if !owned {
+		return sig, nil
+	}
+	entries := make([]Entry, len(sig.Entries))
+	copy(entries, sig.Entries)
+	return &Signature{Period: T, Entries: entries}, nil
 }
 
 const magic = 0x53494731 // "SIG1"

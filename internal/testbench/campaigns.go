@@ -257,7 +257,8 @@ func (p *FaultsParams) faultSet() []biquad.Fault {
 // from the die's stream. At σ = 0.2 one draw in 3.5 million is drawn
 // again, at σ = 0.3 one in 2300. A die with no such draw keeps the
 // drifts of the untruncated Gaussian, so the truncation changes only
-// dies that could not be built.
+// dies that could not be built. ComponentSigma is bounded by
+// MaxComponentSigma.
 type YieldParams struct {
 	N              int      `json:"n"`
 	ComponentSigma float64  `json:"component_sigma"`
@@ -265,8 +266,14 @@ type YieldParams struct {
 	Threshold      *float64 `json:"threshold,omitempty"`
 }
 
+// MaxComponentSigma bounds the yield campaign's relative component 1σ:
+// a spread of 100 % is no component tolerance, and far above it R·C
+// overflows (at σ = 1e300 every die failed with a zero f0). At the
+// bound, analytic seeds 1–40 and SPICE seeds 1–3 run at n = 400.
+const MaxComponentSigma = 1
+
 // Validate bounds the die count to (0, MaxTrials], the component
-// spread to a finite non-negative σ and the tolerance to [0, 0.5): the
+// spread to [0, MaxComponentSigma] and the tolerance to [0, 0.5): the
 // spec band on Q is ±2·tol, and the corner calibration sets Q to
 // Q0·(1 − 2·tol). An explicit threshold must be finite.
 func (p *YieldParams) Validate() error {
@@ -275,6 +282,9 @@ func (p *YieldParams) Validate() error {
 	}
 	if err := validateSigma("component_sigma", p.ComponentSigma); err != nil {
 		return err
+	}
+	if p.ComponentSigma > MaxComponentSigma {
+		return fmt.Errorf("component_sigma = %v exceeds %v, a relative 1σ of 100 %%", p.ComponentSigma, MaxComponentSigma)
 	}
 	if !(p.Tol >= 0 && p.Tol < 0.5) {
 		return fmt.Errorf("tol = %v out of [0, 0.5)", p.Tol)

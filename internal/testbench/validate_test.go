@@ -50,6 +50,8 @@ func TestValidateMatchesRunner(t *testing.T) {
 		{"yield", "", YieldParams{N: 1, ComponentSigma: 0, Tol: 0.499}},
 		{"yield", "spice", YieldParams{N: 1, ComponentSigma: 0.02, Tol: 0.499}},
 		{"yield", "", YieldParams{N: 1, ComponentSigma: 0.02, Tol: 0}},
+		{"yield", "", YieldParams{N: 1, ComponentSigma: MaxComponentSigma, Tol: 0.05}},
+		{"yield", "spice", YieldParams{N: 1, ComponentSigma: MaxComponentSigma, Tol: 0.05}},
 		{"temp", "", TempParams{TempsK: []float64{1e-9}}},
 		{"spectral", "", SpectralParams{TrainDevs: []float64{-0.99}, TestDevs: []float64{-0.99}}},
 		{"regress", "", RegressParams{TrainDevs: []float64{-0.99}, TestDevs: []float64{-0.99}}},
@@ -113,6 +115,8 @@ func TestValidateMatchesRunner(t *testing.T) {
 		{"yield", "tol", YieldParams{N: 1, ComponentSigma: 0.02, Tol: 0.5}},
 		{"yield", "tol", YieldParams{N: 1, ComponentSigma: 0.02, Tol: -0.05}},
 		{"yield", "component_sigma", YieldParams{N: 1, ComponentSigma: -0.02, Tol: 0.05}},
+		{"yield", "component_sigma", YieldParams{N: 1, ComponentSigma: 1e300, Tol: 0.05}},
+		{"yield", "component_sigma", YieldParams{N: 1, ComponentSigma: math.Nextafter(MaxComponentSigma, 2), Tol: 0.05}},
 		{"yield", "threshold", YieldParams{N: 1, ComponentSigma: 0.02, Tol: 0.05, Threshold: thr(inf)}},
 		{"spectral", "train_devs", SpectralParams{TestDevs: []float64{0.1}}},
 		{"spectral", "test_devs", SpectralParams{TrainDevs: []float64{0.1}}},

@@ -152,8 +152,9 @@ func TestWriteReportContainsAllArtifacts(t *testing.T) {
 // draws drifts at or below −1 validates and runs, because such a drift
 // is drawn again from the die's stream (see YieldParams). At n = 400,
 // σ = 0.3 used to fail on 17 of seeds 1–40 and σ = 0.5 on all 40, with
-// a component that must be positive. The analytic backend runs every
-// seed (four under -short), the SPICE backend three (one). The reduced
+// a component that must be positive. The bound MaxComponentSigma runs
+// too. The analytic backend runs every seed (four under -short), the
+// SPICE backend three (one). The reduced
 // scan resolution only cheapens each die; the die draws are the
 // campaign's.
 func TestYieldLargeComponentSigmaRuns(t *testing.T) {
@@ -168,7 +169,7 @@ func TestYieldLargeComponentSigmaRuns(t *testing.T) {
 	}
 	analytic.ScanN, spice.ScanN = 256, 256
 	thr := 0.05
-	for _, sigma := range []float64{0.3, 0.5} {
+	for _, sigma := range []float64{0.3, 0.5, MaxComponentSigma} {
 		for _, b := range []struct {
 			sys   *core.System
 			seeds int
